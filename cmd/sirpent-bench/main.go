@@ -1,21 +1,21 @@
 // Command sirpent-bench regenerates the paper's evaluation: every
 // experiment table in the reproduction index (DESIGN.md §2), printed with
-// its paper claim and shape checks.
+// its paper claim and shape checks. It measures nothing about the running
+// stack — throughput, latency and allocation figures come from the one
+// benchmark harness, `go run ./bench` (bench/README.md).
 //
 // Usage:
 //
 //	sirpent-bench            # run everything
 //	sirpent-bench -run E03   # one experiment
 //	sirpent-bench -list      # list experiment IDs
-//	sirpent-bench -live      # livenet forwarding benchmark -> BENCH_livenet.json
 //	sirpent-bench -trace     # replay seeded topologies with per-hop traces
 //	sirpent-bench -ledger    # token-authorized billing cross-check
-//	sirpent-bench -gateway   # SOCKS relay path benchmark -> BENCH_gateway.json
 //
 // Any mode combines with -cpuprofile and/or -memprofile to capture
 // pprof-format profiles of the selected workload:
 //
-//	sirpent-bench -live -live-dur 250ms -cpuprofile cpu.pprof -memprofile mem.pprof
+//	sirpent-bench -run E03 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	go tool pprof cpu.pprof
 //
 // Trace mode replays the conformance harness's seeded scenarios with
@@ -31,33 +31,24 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/livenet"
 )
 
 func main() {
 	runID := flag.String("run", "", "comma-separated experiment IDs (default: all)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	live := flag.Bool("live", false, "run the livenet forwarding benchmark instead of the experiment tables")
-	liveOut := flag.String("live-out", "BENCH_livenet.json", "output path for -live results")
-	liveDur := flag.Duration("live-dur", time.Second, "measurement duration per -live topology")
 	traceMode := flag.Bool("trace", false, "replay seeded topologies with hop-level tracing and print per-hop tables")
 	traceSeeds := flag.String("trace-seeds", "1,2,3", "comma-separated scenario seeds for -trace")
 	traceFlow := flag.Uint64("trace-flow", 0, "print only this flow ID in -trace output (0: all flows)")
 	ledgerMode := flag.Bool("ledger", false, "run token-authorized seeded scenarios on both substrates and cross-check per-account billing")
 	ledgerSeeds := flag.String("ledger-seeds", "1,2,3", "comma-separated scenario seeds for -ledger")
-	gatewayMode := flag.Bool("gateway", false, "benchmark the SOCKS gateway relay path over chain lengths")
-	gatewayOut := flag.String("gateway-out", "BENCH_gateway.json", "output path for -gateway results")
-	gatewayBytes := flag.Int64("gateway-bytes", 16<<20, "bytes to transfer each way per -gateway run")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected workload to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -78,24 +69,8 @@ func main() {
 		os.Exit(2)
 	}
 	code := func() int {
-		if *live {
-			if err := runLive(*liveOut, *liveDur); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return 2
-			}
-			return 0
-		}
-
 		if *traceMode {
 			if err := runTrace(*traceSeeds, *traceFlow); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-				return 1
-			}
-			return 0
-		}
-
-		if *gatewayMode {
-			if err := runGateway(*gatewayOut, *gatewayBytes); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				return 1
 			}
@@ -172,57 +147,4 @@ func startProfiles(cpu, mem string) (func(), error) {
 		f.Close()
 		fmt.Printf("wrote %s\n", mem)
 	}, nil
-}
-
-// printLive renders one result row for the console.
-func printLive(r livenet.BenchResult) {
-	fmt.Printf("%-12s %-7s %-8s hops=%-2d flows=%-2d gmp=%d  %10.0f pkts/s  %8.1f ns/hop  %6.3f allocs/pkt\n",
-		r.Topology, r.Mode, r.Injection, r.Hops, r.Flows, r.GOMAXPROCS, r.PktsPerSec, r.NsPerHop, r.AllocsPerPkt)
-}
-
-// runLive measures the forwarding fast path on both substrates — hop
-// chains of increasing length, a 4×4 router mesh, a flow-count sweep
-// through a shared trunk, a GOMAXPROCS sweep, and the isolated-hop
-// kernel — writing every row as JSON.
-func runLive(out string, dur time.Duration) error {
-	var results []livenet.BenchResult
-	add := func(r livenet.BenchResult) {
-		printLive(r)
-		results = append(results, r)
-	}
-	for _, batched := range []bool{false, true} {
-		for _, hops := range []int{1, 2, 4, 8, 12, 16} {
-			add(livenet.BenchChain(hops, dur, batched))
-		}
-		// Prepared injection strips the per-packet endpoint encode/decode
-		// so short chains expose the network cost instead of the hosts'.
-		for _, hops := range []int{1, 4, 12} {
-			add(livenet.BenchChainPrepared(hops, dur, batched))
-		}
-		add(livenet.BenchMesh(4, 4, dur, batched))
-		for _, flows := range []int{1, 2, 4, 8} {
-			add(livenet.BenchFan(4, flows, dur, batched))
-		}
-		// Isolated hop: the router kernel with no endpoint overhead.
-		// Iteration count chosen so the measurement takes ~dur.
-		add(livenet.BenchHop(batched, 1<<21))
-	}
-	// GOMAXPROCS sweep on the batched 4-hop chain: on a multi-core box
-	// shard workers spread across Ps; on one core the curve is flat.
-	prev := runtime.GOMAXPROCS(0)
-	for _, gmp := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(gmp)
-		add(livenet.BenchChain(4, dur, true))
-	}
-	runtime.GOMAXPROCS(prev)
-
-	blob, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
 }

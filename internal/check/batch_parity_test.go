@@ -9,27 +9,12 @@ import (
 	"repro/internal/stats"
 )
 
-// batchOpts picks a batched-substrate configuration for a seed, sweeping
-// the shapes that stress different batch-kernel paths: batch size 1 (the
-// degenerate batch, every flush partial), small sizes that split a
-// flow's packets across batches, the default 64, and 1–3 shard workers
-// per router so multi-worker transmit contention is exercised.
-func batchOpts(seed int64) []livenet.NetworkOption {
-	sizes := []int{1, 2, 3, 5, 8, 16, 64}
-	return []livenet.NetworkOption{
-		livenet.WithBatching(),
-		livenet.WithBatchSize(sizes[seed%int64(len(sizes))]),
-		livenet.WithShards(1 + int(seed%3)),
-	}
-}
-
 // TestBatchScalarDecisionParity is the batch-vs-scalar differential
 // suite: each of the 60 seeded scenarios runs on all three substrates —
 // event-driven netsim, scalar livenet, and batched livenet — and every
 // observable must agree pairwise: delivery sets, delivering hosts,
 // trailer fingerprints (i.e. the per-hop byte surgery), payload
-// integrity, reply arrivals, and the full counter surface. The batched
-// realization sweeps batch sizes and shard counts across seeds. On any
+// integrity, reply arrivals, and the full counter surface. On any
 // divergence the hop-level traces of the disagreeing flows are attached
 // from both livenet substrates.
 func TestBatchScalarDecisionParity(t *testing.T) {
@@ -48,7 +33,7 @@ func TestBatchScalarDecisionParity(t *testing.T) {
 			simCtrs := NetsimRouterCounters(net, sc)
 
 			scalRes, scalCtrs, scalRec := RunLivenetTraced(sc, routes, liveDeadline)
-			batRes, batCtrs, batRec := RunLivenetTraced(sc, routes, liveDeadline, batchOpts(seed)...)
+			batRes, batCtrs, batRec := RunLivenetTraced(sc, routes, liveDeadline, livenet.WithBatching())
 
 			// Batched vs scalar is the tentpole claim; batched vs netsim
 			// closes the triangle (scalar vs netsim is the pre-existing
@@ -107,7 +92,7 @@ func TestBatchScalarLedgerParity(t *testing.T) {
 			simLed := CollectNetsimLedger(net)
 			simCtrs := NetsimRouterCounters(net, sc)
 
-			batRes, batCtrs, batLed, batFR := RunLivenetLedgered(sc, routes, liveDeadline, batchOpts(seed)...)
+			batRes, batCtrs, batLed, batFR := RunLivenetLedgered(sc, routes, liveDeadline, livenet.WithBatching())
 
 			failed := false
 			report := func(format string, args ...any) {

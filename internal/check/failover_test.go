@@ -105,10 +105,9 @@ func TestFailoverDifferentialStaticDown(t *testing.T) {
 	simR := RunNetsim(net, sc, routes)
 
 	// Livenet: identical routes, same trunk down before injection.
-	ln := BuildLivenet(sc)
-	defer ln.Net.Stop()
 	liveFR := ledger.NewFlightRecorder(0)
-	ln.Net.SetFlightRecorder(liveFR)
+	ln := BuildLivenet(sc, livenet.WithFlightRecorder(liveFR))
+	defer ln.Net.Stop()
 	ln.Links[dead].SetDown(true)
 	liveR := NewResult()
 	ln.InstallEcho(sc, liveR)
@@ -186,10 +185,9 @@ func TestFailoverLedgerReconciliation(t *testing.T) {
 // runLivenetLedgeredDown mirrors RunLivenetLedgered but severs the
 // given scenario link before any flow is injected.
 func runLivenetLedgeredDown(sc *Scenario, routes map[uint64][]viper.Segment, deadLink int, deadline time.Duration) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
-	ln := BuildLivenet(sc)
-	defer ln.Net.Stop()
 	fr := ledger.NewFlightRecorder(0)
-	ln.Net.SetFlightRecorder(fr)
+	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr))
+	defer ln.Net.Stop()
 	for i, r := range ln.Routers {
 		r.SetTokenAuthority(token.NewAuthority(TokenKey(i)))
 		for _, p := range RouterPorts(sc, i) {
@@ -292,10 +290,9 @@ func TestFailoverLivenetFlapStorm(t *testing.T) {
 	}
 	dead := primaryTrunk(t, sc, routes[1])
 
-	ln := BuildLivenet(sc)
-	defer ln.Net.Stop()
 	fr := ledger.NewFlightRecorder(0)
-	ln.Net.SetFlightRecorder(fr)
+	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr))
+	defer ln.Net.Stop()
 
 	res := NewResult()
 	var delivered atomic.Uint64

@@ -125,10 +125,9 @@ func CollectNetsimLedger(net *core.Internetwork) *ledger.Ledger {
 // anomalies for evidence, and the token caches are swept into a ledger
 // at quiesce.
 func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, opts ...livenet.NetworkOption) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
-	ln := BuildLivenet(sc, opts...)
-	defer ln.Net.Stop()
 	fr := ledger.NewFlightRecorder(0)
-	ln.Net.SetFlightRecorder(fr)
+	ln := BuildLivenet(sc, append(opts, livenet.WithFlightRecorder(fr))...)
+	defer ln.Net.Stop()
 	for i, r := range ln.Routers {
 		r.SetTokenAuthority(token.NewAuthority(TokenKey(i)))
 		for _, p := range RouterPorts(sc, i) {

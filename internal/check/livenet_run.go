@@ -145,13 +145,10 @@ func RunLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.D
 }
 
 // runLivenet is the shared body; a non-nil tracer is installed on the
-// network before any flow is injected.
+// network at construction.
 func runLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, tr trace.Tracer, opts ...livenet.NetworkOption) (*Result, stats.Counters) {
-	ln := BuildLivenet(sc, opts...)
+	ln := BuildLivenet(sc, append(opts, livenet.WithTracer(tr))...)
 	defer ln.Net.Stop()
-	if tr != nil {
-		ln.Net.SetTracer(tr)
-	}
 	res := NewResult()
 	ln.InstallEcho(sc, res)
 	for _, f := range sc.Flows {

@@ -79,8 +79,19 @@ func (p *Pipeline) DecideBatch(ts *TokenState, batch []BatchFrame, bs *BatchStat
 // InstallTokenBatched is InstallToken with the authorization count
 // accumulated into bs instead of dispatched through the scalar hook.
 // The substrate calls it, in batch order, for each frame whose batch
-// verdict was ActionAwaitToken.
+// verdict was ActionAwaitToken. DecideBatch defers every frame carrying
+// the same uncached token before any of them is installed, so the
+// cached check runs again first: only the first such frame pays the
+// HMAC verification, the rest are charged (or denied) from the verdict
+// it cached — one verification per token, as N scalar hops would do.
 func (p *Pipeline) InstallTokenBatched(ts *TokenState, in *HopInput, bs *BatchStats) Verdict {
+	v, settled := p.checkToken(ts, in, bs)
+	if !settled {
+		return Classify(in.Seg)
+	}
+	if v.Action != ActionAwaitToken {
+		return v
+	}
 	return p.installToken(ts, in, bs)
 }
 

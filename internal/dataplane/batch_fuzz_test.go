@@ -74,11 +74,14 @@ func resolveScalar(p *Pipeline, ts *TokenState, data []byte) Verdict {
 // drop reason, charged account), the decoded segment and remainder the
 // surgery would consume, the counter totals, and the token cache's
 // per-account usage (charge ordering included — a swapped charge order
-// shows up as diverging totals once a budget edge is crossed).
+// shows up as diverging totals once a budget edge is crossed) and
+// verification counters (one uncached token repeated inside a batch is
+// HMAC-verified once, then served from the verdict that cached).
 func FuzzDecideBatch(f *testing.F) {
 	seedAuth := token.NewAuthority([]byte("fuzz-key"))
 	tok := seedAuth.Issue(token.Spec{Account: 7, Port: 5, ReverseOK: true})
 	limited := seedAuth.Issue(token.Spec{Account: 9, Port: 5, Limit: 64, Nonce: 1})
+	forged := token.NewAuthority([]byte("wrong-key")).Issue(token.Spec{Account: 7, Port: 5})
 	var seeds [][]byte
 	for _, route := range [][]viper.Segment{
 		{{Port: 2, Flags: viper.FlagVNT}, {Port: viper.PortLocal}},
@@ -87,6 +90,7 @@ func FuzzDecideBatch(f *testing.F) {
 		{{Port: 5, Flags: viper.FlagVNT, PortToken: []byte{1, 2, 3, 4}}, {Port: viper.PortLocal}},
 		{{Port: viper.PortLocal}},
 		{{Port: 3, Flags: viper.FlagTRE | viper.FlagVNT, PortInfo: []byte{0, 1}}, {Port: viper.PortLocal}},
+		{{Port: 5, Flags: viper.FlagVNT, PortToken: forged}, {Port: viper.PortLocal}},
 	} {
 		pkt := viper.NewPacket(route, []byte("fuzz-batch-payload"))
 		pkt.Trailer = []viper.Segment{{Port: viper.PortLocal}}
@@ -105,6 +109,11 @@ func FuzzDecideBatch(f *testing.F) {
 		mixed = append(mixed, s...)
 	}
 	f.Add(mixed)
+	// One uncached token three times in one batch — valid, then forged:
+	// every frame is deferred before the first is installed.
+	for _, s := range [][]byte{seeds[1], seeds[len(seeds)-1]} {
+		f.Add(append([]byte{2}, bytes.Repeat(s, 3)...))
+	}
 
 	auth := token.NewAuthority([]byte("fuzz-key"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -175,6 +184,11 @@ func FuzzDecideBatch(f *testing.F) {
 		}
 		if bt, st := tsB.Cache().AccountTotals(), tsS.Cache().AccountTotals(); !reflect.DeepEqual(bt, st) {
 			t.Fatalf("token account totals diverge: batch %v, scalar %v", bt, st)
+		}
+		bv, bh := tsB.Cache().Metrics()
+		sv, sh := tsS.Cache().Metrics()
+		if bv != sv || bh != sh {
+			t.Fatalf("token cache metrics diverge: batch %d verifies %d hits, scalar %d verifies %d hits", bv, bh, sv, sh)
 		}
 	})
 }

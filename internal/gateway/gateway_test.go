@@ -375,6 +375,9 @@ func TestGatewayDialFailure(t *testing.T) {
 	if s := eg.Stats(); s.DialErrors != 1 || s.ActiveStreams != 0 {
 		t.Fatalf("egress stats after dial failure: %+v", s)
 	}
+	// The ingress writes the SOCKS reply before it unregisters the
+	// stream, so the client can get here first.
+	waitForCond(t, time.Second, func() bool { return in.Stats().ActiveStreams == 0 })
 	if s := in.Stats(); s.OpenFailures != 1 || s.ActiveStreams != 0 {
 		t.Fatalf("ingress stats after dial failure: %+v", s)
 	}

@@ -2,10 +2,10 @@ package livenet
 
 // This file is the batched livenet substrate (ROADMAP item 1): links are
 // single-producer/single-consumer frame rings (internal/ring) instead of
-// channels, and each router runs shard workers that drain whole batches,
-// decide them through dataplane.DecideBatch, and flush the results port
-// by port. The per-frame work — byte surgery, trace hops, flight events
-// — is identical to the scalar path (mirrorHop is shared by both); what
+// channels, and each router's worker drains whole batches, decides them
+// through dataplane.DecideBatch, and flushes the results port by port.
+// The per-frame work — byte surgery, trace hops, flight events — is
+// identical to the scalar path (mirrorHop is shared by both); what
 // amortizes is everything around it: ring handoffs replace one channel
 // send per frame, counter-hook dispatch collapses to one flush per
 // batch, and a port's worth of output frames transmits under one
@@ -13,14 +13,14 @@ package livenet
 //
 // Concurrency discipline:
 //
-//   - Receive: every pipe has exactly one consumer — the shard worker
-//     its receive end was assigned to (addRx, round-robin). That is the
+//   - Receive: every pipe has exactly one consumer — the worker of the
+//     node its receive end was wired to (addRx). That is the
 //     single-consumer half of the ring contract, held structurally.
 //   - Transmit: any worker (and any host goroutine) may push to a pipe;
 //     the producer side is serialized by pipe.mu, taken once per batch
 //     flush, which turns the SPSC ring into an MPSC queue.
 //   - Sleep/wake: a producer publishes frames and then rings the
-//     consumer shard's doorbell (cap-1 channel, non-blocking send); a
+//     consumer node's doorbell (cap-1 channel, non-blocking send); a
 //     consumer pops and then rings the pipe's space doorbell the same
 //     way. A worker sleeps only after a full sweep of its pipes popped
 //     nothing, and any push after its last pop leaves a doorbell token
@@ -38,7 +38,6 @@ package livenet
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/dataplane"
@@ -48,6 +47,11 @@ import (
 	"repro/internal/trace"
 	"repro/internal/viper"
 )
+
+// batchSize bounds how many frames one batched dequeue, decision pass,
+// or transmit flush covers. Partial batches are processed immediately,
+// never held back to fill.
+const batchSize = 64
 
 // pipe is one direction of a batched link: a frame ring plus the
 // doorbells that let both ends sleep. port is the consumer's arrival
@@ -62,8 +66,8 @@ type pipe struct {
 	// push, which is the MPSC discipline TestHammerMutexedProducers pins.
 	mu sync.Mutex
 
-	// bell wakes the consumer shard after a publish; set by addRx when
-	// the pipe is assigned to its (single) consumer worker.
+	// bell wakes the consumer node's worker after a publish; set by addRx
+	// when the pipe is wired to its (single) consumer.
 	bell chan struct{}
 	// space wakes a backpressured producer after a pop frees slots.
 	space chan struct{}
@@ -142,40 +146,21 @@ func (p *pipe) pop(dst []Frame) int {
 	return n
 }
 
-// shard is one forwarding worker's receive set: the pipes it alone
-// drains, published copy-on-write so the worker reads them lock-free,
-// and the doorbell producers ring to wake it.
-type shard struct {
-	bell  chan struct{}
-	pipes atomic.Pointer[[]*pipe]
-}
-
-func newShards(n int) []*shard {
-	s := make([]*shard, n)
-	for i := range s {
-		s[i] = &shard{bell: make(chan struct{}, 1)}
-	}
-	return s
-}
-
-// addRx assigns a receive pipe to one of the node's shard workers
-// (round-robin over input ports) and publishes the worker's pipe list
-// copy-on-write. The doorbell ring at the end makes a pipe wired after
-// traffic started visible to an already-sleeping worker.
+// addRx wires a receive pipe to the node's worker and publishes the
+// worker's pipe list copy-on-write. The doorbell ring at the end makes a
+// pipe wired after traffic started visible to an already-sleeping worker.
 func (nd *node) addRx(p *pipe) {
 	nd.mu.Lock()
-	sh := nd.rx[nd.nextRx%len(nd.rx)]
-	nd.nextRx++
-	p.bell = sh.bell
+	p.bell = nd.bell
 	var list []*pipe
-	if old := sh.pipes.Load(); old != nil {
+	if old := nd.rx.Load(); old != nil {
 		list = append(list, *old...)
 	}
 	list = append(list, p)
-	sh.pipes.Store(&list)
+	nd.rx.Store(&list)
 	nd.mu.Unlock()
 	select {
-	case sh.bell <- struct{}{}:
+	case nd.bell <- struct{}{}:
 	default:
 	}
 }
@@ -244,7 +229,7 @@ type txAccum struct {
 // slice has reached its working capacity and a steady-state batch
 // allocates nothing (TestForwardHopAllocsBatched).
 type batchScratch struct {
-	tmp     []Frame                // pop destination, len = batch size
+	tmp     []Frame                // pop destination, len = batchSize
 	in      []inFrame              // fault-lottery survivors of one drain
 	bf      []dataplane.BatchFrame // the kernel's view of sc.in
 	bs      dataplane.BatchStats
@@ -254,10 +239,7 @@ type batchScratch struct {
 	flush   []Frame // per-port push buffer
 }
 
-func newBatchScratch(batchSize int) *batchScratch {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+func newBatchScratch() *batchScratch {
 	return &batchScratch{
 		tmp:   make([]Frame, batchSize),
 		in:    make([]inFrame, 0, batchSize),
@@ -266,31 +248,32 @@ func newBatchScratch(batchSize int) *batchScratch {
 	}
 }
 
-// runShard is a batched router worker: sweep the shard's pipes, forward
-// each drained batch, sleep on the doorbell when a full sweep comes up
-// empty.
-func (r *Router) runShard(sh *shard) {
-	sc := newBatchScratch(r.netw.cfg.batchSize)
+// runBatched is a batched node's worker loop: sweep the node's pipes,
+// hand each drained batch (sc.in) to handle, sleep on the doorbell when
+// a full sweep comes up empty. Routers pass forwardBatch, hosts
+// receiveBatch.
+func (nd *node) runBatched(handle func(sc *batchScratch)) {
+	sc := newBatchScratch()
 	for {
 		select {
-		case <-r.done:
+		case <-nd.done:
 			return
 		default:
 		}
 		popped := 0
-		if pl := sh.pipes.Load(); pl != nil {
+		if pl := nd.rx.Load(); pl != nil {
 			for _, p := range *pl {
 				sc.in = sc.in[:0]
-				popped += r.node.drainPipe(p, sc)
+				popped += nd.drainPipe(p, sc)
 				if len(sc.in) > 0 {
-					r.forwardBatch(sc)
+					handle(sc)
 				}
 			}
 		}
 		if popped == 0 {
 			select {
-			case <-sh.bell:
-			case <-r.done:
+			case <-nd.bell:
+			case <-nd.done:
 				return
 			}
 		}
@@ -502,33 +485,10 @@ func (r *Router) flushTx(sc *batchScratch) {
 	sc.touched = sc.touched[:0]
 }
 
-// runShard is the batched host receive loop: single shard, so a host's
-// deliveries stay in order across all its ports.
-func (h *Host) runShard(sh *shard) {
-	sc := newBatchScratch(h.netw.cfg.batchSize)
-	for {
-		select {
-		case <-h.done:
-			return
-		default:
-		}
-		popped := 0
-		if pl := sh.pipes.Load(); pl != nil {
-			for _, p := range *pl {
-				sc.in = sc.in[:0]
-				popped += h.node.drainPipe(p, sc)
-				for i := range sc.in {
-					h.receive(sc.in[i])
-					sc.in[i] = inFrame{}
-				}
-			}
-		}
-		if popped == 0 {
-			select {
-			case <-sh.bell:
-			case <-h.done:
-				return
-			}
-		}
+// receiveBatch delivers one drained batch in arrival order.
+func (h *Host) receiveBatch(sc *batchScratch) {
+	for i := range sc.in {
+		h.receive(sc.in[i])
+		sc.in[i] = inFrame{}
 	}
 }

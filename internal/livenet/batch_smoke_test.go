@@ -14,7 +14,8 @@ import (
 // — the same scenario TestLiveRequestResponseAcrossTwoRouters proves on
 // the scalar substrate.
 func TestBatchedPingPong(t *testing.T) {
-	n := NewNetwork(WithBatching(), WithBatchSize(8))
+	goroutinesReturn(t)
+	n := NewNetwork(WithBatching())
 	defer n.Stop()
 
 	src := n.NewHost("src")

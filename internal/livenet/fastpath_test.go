@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/dataplane"
 	"repro/internal/ethernet"
@@ -13,9 +12,52 @@ import (
 	"repro/internal/viper"
 )
 
-// The hop-drive machinery — scalarHopDriver, hopTemplateBytes,
-// hopHdrTemplate, forwardOneHop — lives in bench.go so BenchHop can
-// reuse it outside tests.
+// hopHdrTemplate is the Ethernet header every hop-driver frame arrives
+// with; forwarding swaps it in place, so drivers re-copy it per frame.
+var hopHdrTemplate = ethernet.Header{
+	Dst:  ethernet.Addr{0x02, 0, 0, 0, 0, 2},
+	Src:  ethernet.Addr{0x02, 0, 0, 0, 0, 1},
+	Type: viper.EtherTypeVIPER,
+}.Encode()
+
+// hopTemplateBytes encodes a two-segment packet (forward on port 2, then
+// local) with one trailer segment, as a first-hop router would see it.
+// The encoding is deterministic; failure is a programming error.
+func hopTemplateBytes() []byte {
+	route := []viper.Segment{
+		{Port: 2, Flags: viper.FlagVNT, PortToken: []byte{0xA1, 0xA2, 0xA3, 0xA4}},
+		{Port: viper.PortLocal},
+	}
+	pkt := viper.NewPacket(route, []byte("fastpath-hop-payload"))
+	pkt.Trailer = []viper.Segment{{Port: viper.PortLocal}}
+	b, err := pkt.Encode()
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// scalarHopDriver builds a router with no goroutine: forward is called
+// directly and the forwarded frame read back from a hand-wired port. The
+// unexported constructor wires the dataplane pipeline exactly as
+// NewRouter would, so the measurement is the production hop.
+func scalarHopDriver() (*Router, chan Frame) {
+	r := (&Network{}).newRouter("bench")
+	ch := make(chan Frame, 1)
+	r.node.out[2] = ch
+	return r, ch
+}
+
+// forwardOneHop pushes one pooled copy of the template through the
+// router and recycles the forwarded frame.
+func forwardOneHop(r *Router, ch chan Frame, tmpl []byte, hdr []byte) {
+	buf := pool.Get(len(tmpl) + frameHeadroom(2, len(tmpl)))
+	buf = append(buf, tmpl...)
+	copy(hdr, hopHdrTemplate)
+	r.forward(inFrame{port: 1, frame: Frame{Hdr: hdr, Pkt: buf, buf: buf[:0]}})
+	f := <-ch
+	f.release()
+}
 
 // TestForwardHopAllocs pins the tentpole regression bound: one forwarded
 // hop — decode, header swap, in-place trailer surgery, transmit — costs
@@ -86,30 +128,6 @@ func BenchmarkForwardHopTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkChain4 runs the full goroutine substrate — hosts, channels,
-// pumps — over a 4-router chain, reporting end-to-end packet cost.
-func BenchmarkChain4(b *testing.B) {
-	res := BenchChain(4, 100*time.Millisecond, false)
-	if res.Packets == 0 {
-		b.Fatal("no packets delivered")
-	}
-	b.ReportMetric(res.NsPerHop, "ns/hop")
-	b.ReportMetric(res.PktsPerSec, "pkts/s")
-	b.ReportMetric(res.AllocsPerPkt, "allocs/pkt")
-}
-
-// BenchmarkChain4Batched is the same chain on the batched substrate:
-// ring-buffer links, shard workers, batch kernel.
-func BenchmarkChain4Batched(b *testing.B) {
-	res := BenchChain(4, 100*time.Millisecond, true)
-	if res.Packets == 0 {
-		b.Fatal("no packets delivered")
-	}
-	b.ReportMetric(res.NsPerHop, "ns/hop")
-	b.ReportMetric(res.PktsPerSec, "pkts/s")
-	b.ReportMetric(res.AllocsPerPkt, "allocs/pkt")
-}
-
 // TestAppendTrailerSegmentMatchesReference runs seeded random packets
 // through multi-hop surgery twice — the in-place fast path and the
 // allocating reference implementation — and requires byte equality
@@ -168,73 +186,4 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	b := make([]byte, n)
 	rng.Read(b)
 	return b
-}
-
-// TestBenchChainSmoke keeps the benchmark harness itself under test: a
-// short run must deliver packets and produce sane derived metrics.
-func TestBenchChainSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchChain(2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.PktsPerSec <= 0 || res.NsPerHop <= 0 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
-		if res.Topology != "chain" || res.Hops != 2 || res.Mode != modeName(batched) {
-			t.Fatalf("mislabeled result: %+v", res)
-		}
-	}
-}
-
-// TestBenchMeshSmoke does the same for the mesh topology.
-func TestBenchMeshSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchMesh(2, 2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.Flows != 2 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
-	}
-}
-
-// TestBenchChainPreparedSmoke covers the prepared-injection rows:
-// Sender-injected packets must traverse the chain and reach the raw
-// sink on both substrates, with far fewer allocations per packet than
-// the encode path's ~7.
-func TestBenchChainPreparedSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchChainPrepared(2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.PktsPerSec <= 0 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
-		if res.Injection != "prepared" {
-			t.Fatalf("mislabeled result: %+v", res)
-		}
-		if res.AllocsPerPkt > 1 {
-			t.Fatalf("prepared %s injection allocates %.2f/pkt, want <= 1", res.Mode, res.AllocsPerPkt)
-		}
-	}
-}
-
-// TestBenchFanSmoke covers the flow-count sweep topology: every flow
-// must deliver through the shared trunk on both substrates.
-func TestBenchFanSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchFan(3, 2, 50*time.Millisecond, batched)
-		if res.Packets == 0 || res.Flows != 2 || res.Hops != 3 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
-	}
-}
-
-// TestBenchHopSmoke keeps the isolated-hop measurement sane: it must
-// report a positive per-hop time and zero steady-state allocations on
-// both substrates.
-func TestBenchHopSmoke(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		res := BenchHop(batched, 2048)
-		if res.NsPerHop <= 0 || res.Packets == 0 {
-			t.Fatalf("degenerate bench result: %+v", res)
-		}
-		if res.AllocsPerHop > 0.01 {
-			t.Fatalf("isolated %s hop allocates %.3f/hop, want 0", res.Mode, res.AllocsPerHop)
-		}
-	}
 }

@@ -84,26 +84,21 @@ type inFrame struct {
 	arrived int64
 }
 
-// Network owns the nodes and coordinates shutdown.
+// Network owns the nodes and coordinates shutdown. cfg is written once,
+// by NewNetwork, before any node exists, so every goroutine reads it
+// without synchronization.
 type Network struct {
 	wg      sync.WaitGroup
 	stopped atomic.Bool
 	nodes   []interface{ close() }
-	tracer  atomic.Value // *tracerBox
-	flight  atomic.Pointer[ledger.FlightRecorder]
 	cfg     networkConfig
 }
 
-// tracerBox wraps the Tracer interface so atomic.Value always stores
-// one concrete type.
-type tracerBox struct{ t trace.Tracer }
-
 // networkConfig collects NewNetwork options. The zero value is the
-// scalar substrate: channel links, one frame per handoff.
+// scalar substrate — channel links, one frame per handoff — with
+// tracing, flight recording and ledger collection off.
 type networkConfig struct {
 	batched   bool
-	batchSize int
-	shards    int
 	tracer    trace.Tracer
 	flight    *ledger.FlightRecorder
 	collector *ledger.Collector
@@ -115,51 +110,24 @@ type NetworkOption func(*networkConfig)
 // WithBatching selects the batched substrate: links are SPSC frame
 // rings instead of channels, routers forward through the dataplane
 // batch kernel, and handoff and hook costs amortize across up to
-// DefaultBatchSize frames per operation (see batch.go). Forwarding
-// results are equivalent frame for frame — the batch-vs-scalar
-// differential suite in internal/check enforces it.
+// batchSize frames per operation (see batch.go). Forwarding results are
+// equivalent frame for frame — the batch-vs-scalar differential suite
+// in internal/check enforces it.
 func WithBatching() NetworkOption {
 	return func(c *networkConfig) { c.batched = true }
 }
 
-// WithBatchSize bounds how many frames one batched dequeue, decision
-// pass, or transmit flush covers. Non-positive values are ignored.
-// Implies nothing about latency: partial batches are processed
-// immediately, never held back to fill.
-func WithBatchSize(n int) NetworkOption {
-	return func(c *networkConfig) {
-		if n > 0 {
-			c.batchSize = n
-		}
-	}
-}
-
-// WithShards sets how many forwarding workers each batched router runs.
-// Input ports are assigned to workers round-robin; each worker drains
-// only its own ports (the single-consumer half of the ring contract)
-// while transmit rings accept any worker through a per-ring producer
-// lock taken once per batch. Non-positive values are ignored.
-func WithShards(n int) NetworkOption {
-	return func(c *networkConfig) {
-		if n > 0 {
-			c.shards = n
-		}
-	}
-}
-
-// WithTracer installs the network's hop-level tracer at construction:
-// every packet originated by any host of this network carries a trace
-// record from the first Send on. This is the wiring SetTracer performs
-// post hoc, promoted to a construction-time option so a network is born
-// fully instrumented.
+// WithTracer installs the network's hop-level tracer: every packet
+// originated by any host of this network carries a trace record from
+// the first Send on.
 func WithTracer(t trace.Tracer) NetworkOption {
 	return func(c *networkConfig) { c.tracer = t }
 }
 
-// WithFlightRecorder installs the network's anomaly ring at
-// construction: drops, token denials, and link flaps across all routers
-// and links are recorded from the first frame on. The recording sites
-// sit only on anomaly paths, so the happy forwarding path pays nothing.
+// WithFlightRecorder installs the network's anomaly ring: drops, token
+// denials, and link flaps across all routers and links are recorded
+// from the first frame on. The recording sites sit only on anomaly
+// paths, so the happy forwarding path pays nothing.
 func WithFlightRecorder(fr *ledger.FlightRecorder) NetworkOption {
 	return func(c *networkConfig) { c.flight = fr }
 }
@@ -173,55 +141,15 @@ func WithLedgerCollector(col *ledger.Collector) NetworkOption {
 	return func(c *networkConfig) { c.collector = col }
 }
 
-// DefaultBatchSize is the per-dequeue frame budget of a batched network
-// created without WithBatchSize.
-const DefaultBatchSize = 64
-
 // NewNetwork creates an empty live network. With no options it is the
 // scalar substrate; WithBatching selects the batched one.
 func NewNetwork(opts ...NetworkOption) *Network {
-	n := &Network{cfg: networkConfig{batchSize: DefaultBatchSize, shards: 1}}
+	n := &Network{}
 	for _, o := range opts {
 		o(&n.cfg)
 	}
-	if n.cfg.tracer != nil {
-		n.SetTracer(n.cfg.tracer)
-	}
-	if n.cfg.flight != nil {
-		n.SetFlightRecorder(n.cfg.flight)
-	}
 	return n
 }
-
-// SetTracer installs (or with nil removes) the network's hop-level
-// tracer: every packet subsequently originated by any host of this
-// network carries a trace record. Safe to call while traffic flows;
-// in-flight packets keep whatever record they started with.
-//
-// Deprecated: prefer the construction-time WithTracer option; this
-// setter remains for callers that enable tracing mid-run.
-func (n *Network) SetTracer(t trace.Tracer) { n.tracer.Store(&tracerBox{t}) }
-
-// currentTracer returns the installed tracer, nil when tracing is off.
-func (n *Network) currentTracer() trace.Tracer {
-	if b, ok := n.tracer.Load().(*tracerBox); ok {
-		return b.t
-	}
-	return nil
-}
-
-// SetFlightRecorder installs (or with nil removes) the network's anomaly
-// ring: drops, token denials, and link flaps across all routers and
-// links of this network are recorded into it. Safe to call while traffic
-// flows. The recording sites sit only on anomaly paths, so the happy
-// forwarding path pays nothing either way.
-//
-// Deprecated: prefer the construction-time WithFlightRecorder option;
-// this setter remains for callers that swap recorders mid-run.
-func (n *Network) SetFlightRecorder(fr *ledger.FlightRecorder) { n.flight.Store(fr) }
-
-// currentFlight returns the installed recorder, nil when disabled.
-func (n *Network) currentFlight() *ledger.FlightRecorder { return n.flight.Load() }
 
 // Stop shuts all nodes down and waits for their goroutines.
 func (n *Network) Stop() {
@@ -237,29 +165,37 @@ func (n *Network) Stop() {
 // node is the common goroutine plumbing. On the scalar substrate ports
 // transmit on channels (out) and receive through pump goroutines feeding
 // inbox; on the batched substrate ports transmit on ring pipes (outP)
-// and receive by the node's own shard workers draining rx pipes — inbox
-// is unused.
+// and the node's one worker drains the rx pipes itself, sleeping on bell
+// — inbox is unused.
 type node struct {
-	name   string
-	inbox  chan inFrame
-	done   chan struct{}
-	once   sync.Once
-	out    map[uint8]chan<- Frame
-	outP   map[uint8]*pipe // batched substrate only
-	links  map[uint8]*Link // port -> fault handle, for DAG failover link health
-	rx     []*shard        // batched substrate only; len = worker count
-	nextRx int             // round-robin rx-port assignment cursor
-	mu     sync.Mutex
+	name  string
+	inbox chan inFrame
+	done  chan struct{}
+	once  sync.Once
+	out   map[uint8]chan<- Frame
+	outP  map[uint8]*pipe // batched substrate only
+	links map[uint8]*Link // port -> fault handle, for DAG failover link health
+	mu    sync.Mutex
+
+	// Batched substrate only: the receive pipes this node's worker alone
+	// drains, published copy-on-write so the worker reads them lock-free,
+	// and the doorbell producers ring to wake it.
+	rx   atomic.Pointer[[]*pipe]
+	bell chan struct{}
 }
 
-func newNode(name string) *node {
-	return &node{
+func (n *Network) newNode(name string) *node {
+	nd := &node{
 		name:  name,
 		inbox: make(chan inFrame, 64),
 		done:  make(chan struct{}),
 		out:   make(map[uint8]chan<- Frame),
 		links: make(map[uint8]*Link),
 	}
+	if n.cfg.batched {
+		nd.bell = make(chan struct{}, 1)
+	}
+	return nd
 }
 
 func (nd *node) close() { nd.once.Do(func() { close(nd.done) }) }
@@ -366,19 +302,6 @@ func (nd *node) portUp(port uint8) bool {
 	return l != nil && !l.IsDown()
 }
 
-// hasPort reports whether a port is wired, distinguishing a bad route
-// (unknown port) from a transmit failure (shutdown race) for drop
-// accounting.
-func (nd *node) hasPort(port uint8) bool {
-	nd.mu.Lock()
-	_, ok := nd.out[port]
-	if !ok && nd.outP != nil {
-		_, ok = nd.outP[port]
-	}
-	nd.mu.Unlock()
-	return ok
-}
-
 // portDepth reports the occupancy of a port's transmit queue — the
 // livenet analogue of an output-queue depth. Called only for traced
 // frames; the untraced path never takes this lock.
@@ -410,29 +333,24 @@ type Link struct {
 	down     atomic.Bool
 	lossBits atomic.Uint64 // math.Float64bits of the loss probability
 	dropped  atomic.Uint64
-	name     string   // "a<->b", for flight-recorder flap events
-	netw     *Network // nil on links built outside Connect (tests)
+	name     string                 // "a<->b", for flight-recorder flap events
+	flight   *ledger.FlightRecorder // the network's; nil when recording is off
 }
 
 // SetDown fails (true) or restores (false) both directions of the link.
 // State transitions are recorded in the network's flight recorder.
 func (l *Link) SetDown(down bool) {
-	if l.down.Swap(down) == down {
+	if l.down.Swap(down) == down || l.flight == nil {
 		return
 	}
-	if l.netw == nil {
-		return
+	reason := "up"
+	if down {
+		reason = "down"
 	}
-	if fr := l.netw.currentFlight(); fr != nil {
-		reason := "up"
-		if down {
-			reason = "down"
-		}
-		fr.Record(ledger.Event{
-			At: clock.Wall.NowNanos(), Node: l.name,
-			Kind: ledger.KindLinkFlap, Reason: reason,
-		})
-	}
+	l.flight.Record(ledger.Event{
+		At: clock.Wall.NowNanos(), Node: l.name,
+		Kind: ledger.KindLinkFlap, Reason: reason,
+	})
 }
 
 // IsDown reports whether the link is failed.
@@ -511,8 +429,6 @@ const DefaultLinkDepth = 16
 // linkConfig collects Connect options.
 type linkConfig struct {
 	depth int
-	loss  float64
-	down  bool
 }
 
 // LinkOption configures one Connect call.
@@ -528,29 +444,20 @@ func WithDepth(n int) LinkOption {
 	}
 }
 
-// WithLossRatio creates the link already discarding each frame
-// independently with probability p, as a later SetLossRatio(p) would.
-func WithLossRatio(p float64) LinkOption {
-	return func(c *linkConfig) { c.loss = p }
-}
-
-// WithDown creates the link in the failed state; restore it with
-// SetDown(false).
-func WithDown() LinkOption {
-	return func(c *linkConfig) { c.down = true }
-}
-
 // Connect joins two nodes with a bidirectional link and returns the
-// link's fault-injection handle. Options configure queue depth
-// (DefaultLinkDepth otherwise) and the initial fault state.
+// link's fault-injection handle. WithDepth sets the queue depth
+// (DefaultLinkDepth otherwise).
 func (n *Network) Connect(a Attachable, portA uint8, b Attachable, portB uint8, opts ...LinkOption) *Link {
-	cfg := linkConfig{depth: cfg0Depth(n)}
+	cfg := linkConfig{depth: DefaultLinkDepth}
+	if n.cfg.batched {
+		// Room for one full batch in flight per direction, so bursts
+		// flush without the producer parking between sub-pushes.
+		cfg.depth = batchSize
+	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	l := &Link{name: a.base().name + "<->" + b.base().name, netw: n}
-	l.SetDown(cfg.down)
-	l.SetLossRatio(cfg.loss)
+	l := &Link{name: a.base().name + "<->" + b.base().name, flight: n.cfg.flight}
 	a.base().setLink(portA, l)
 	b.base().setLink(portB, l)
 	if n.cfg.batched {
@@ -562,16 +469,6 @@ func (n *Network) Connect(a Attachable, portA uint8, b Attachable, portB uint8, 
 	n.attach(a.base(), portA, ab, ba, l)
 	n.attach(b.base(), portB, ba, ab, l)
 	return l
-}
-
-// cfg0Depth picks the default link depth: the batched substrate wants
-// room for at least one full batch in flight per direction, so bursts
-// flush without the producer parking between sub-pushes.
-func cfg0Depth(n *Network) int {
-	if n.cfg.batched && n.cfg.batchSize > DefaultLinkDepth {
-		return n.cfg.batchSize
-	}
-	return DefaultLinkDepth
 }
 
 // Attachable is implemented by livenet hosts and routers.
@@ -598,7 +495,6 @@ type Router struct {
 	*node
 	counters counters
 	local    func([]byte)
-	netw     *Network
 	plane    dataplane.Pipeline
 	tok      atomic.Pointer[dataplane.TokenState]
 }
@@ -636,19 +532,10 @@ func (r *Router) RequireToken(port uint8) {
 // nil until SetTokenAuthority is called.
 func (r *Router) TokenCache() *token.Cache { return r.tok.Load().Cache() }
 
-// currentFlight resolves the network's anomaly recorder for the
-// dataplane's Flight hook; nil disables recording.
-func (r *Router) currentFlight() *ledger.FlightRecorder {
-	if r.netw == nil {
-		return nil
-	}
-	return r.netw.currentFlight()
-}
-
 // newRouter builds a router and its dataplane pipeline without starting
 // the forwarding goroutine (benchmarks drive forward directly).
 func (n *Network) newRouter(name string) *Router {
-	r := &Router{node: newNode(name), netw: n}
+	r := &Router{node: n.newNode(name)}
 	r.plane = dataplane.Pipeline{
 		Node:  name,
 		Clock: clock.Wall,
@@ -662,19 +549,16 @@ func (n *Network) newRouter(name string) *Router {
 			CountDropN:            func(reason stats.DropReason, k uint64) { r.counters.drops[reason].Add(k) },
 			CountLocalN:           func(k uint64) { r.counters.local.Add(k) },
 			CountTokenAuthorizedN: func(k uint64) { r.counters.tokenAuthorized.Add(k) },
-			Flight:                r.currentFlight,
+			Flight:                func() *ledger.FlightRecorder { return n.cfg.flight },
 			QueueDepth:            r.portDepth,
 			PortUp:                r.node.portUp,
 		},
 	}
-	if n.cfg.batched {
-		r.node.rx = newShards(n.cfg.shards)
-	}
 	return r
 }
 
-// NewRouter creates and starts a router: one forwarding goroutine on the
-// scalar substrate, one worker per shard on the batched one.
+// NewRouter creates and starts a router with its one forwarding
+// goroutine.
 func (n *Network) NewRouter(name string) *Router {
 	r := n.newRouter(name)
 	n.nodes = append(n.nodes, r.node)
@@ -689,21 +573,14 @@ func (n *Network) NewRouter(name string) *Router {
 			return nil
 		})
 	}
-	if n.cfg.batched {
-		for _, sh := range r.node.rx {
-			sh := sh
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				r.runShard(sh)
-			}()
-		}
-		return r
-	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		r.run()
+		if n.cfg.batched {
+			r.runBatched(r.forwardBatch)
+		} else {
+			r.run()
+		}
 	}()
 	return r
 }
@@ -938,25 +815,19 @@ type Host struct {
 	raw      atomic.Pointer[func(pkt []byte, ctx trace.Context)] // pre-decode tap, see SetRawHandler/SetRawTap
 }
 
-// NewHost creates and starts a host goroutine. Hosts are single-sharded
-// on the batched substrate: deliveries to one host stay ordered.
+// NewHost creates and starts a host goroutine; one goroutine receives on
+// all the host's ports, so deliveries to one host stay ordered.
 func (n *Network) NewHost(name string) *Host {
-	h := &Host{node: newNode(name), netw: n, handlers: make(map[uint8]func(Delivery))}
+	h := &Host{node: n.newNode(name), netw: n, handlers: make(map[uint8]func(Delivery))}
 	n.nodes = append(n.nodes, h.node)
-	if n.cfg.batched {
-		h.node.rx = newShards(1)
-		sh := h.node.rx[0]
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			h.runShard(sh)
-		}()
-		return h
-	}
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		h.run()
+		if n.cfg.batched {
+			h.runBatched(h.receiveBatch)
+		} else {
+			h.run()
+		}
 	}()
 	return h
 }
@@ -1007,7 +878,7 @@ func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) erro
 		// place, and the caller's route must not be scribbled on.
 		f.Hdr = append([]byte(nil), own.PortInfo...)
 	}
-	if pt := trace.Start(h.netw.currentTracer(), data); pt != nil {
+	if pt := trace.Start(h.netw.cfg.tracer, data); pt != nil {
 		// Origin hop appended before the send — ownership of the record
 		// transfers with the frame (see Frame.Trace).
 		pt.Add(trace.HopEvent{
@@ -1054,7 +925,7 @@ func (h *Host) SendRawTraced(ifPort uint8, pkt []byte, ctx trace.Context) error 
 	buf = append(buf, pkt...)
 	f := Frame{Pkt: buf, buf: buf[:0]}
 	if ctx.Valid() {
-		if pt := trace.Resume(h.netw.currentTracer(), ctx); pt != nil {
+		if pt := trace.Resume(h.netw.cfg.tracer, ctx); pt != nil {
 			pt.Add(trace.HopEvent{
 				Node: h.name, OutPort: ifPort, Action: trace.ActionForward,
 				At: clock.Wall.NowNanos(),
@@ -1110,7 +981,7 @@ func (h *Host) closeReceive(inf inFrame, action trace.Action, reason stats.DropR
 // the receiving daemon installed its handler) until tunnel counters
 // were cross-checked by hand.
 func (h *Host) recordDrop(port uint8, reason stats.DropReason) {
-	if fr := h.netw.currentFlight(); fr != nil {
+	if fr := h.netw.cfg.flight; fr != nil {
 		fr.Record(ledger.Event{
 			At: clock.Wall.NowNanos(), Node: h.name, Port: port,
 			Kind: dataplane.DropKind(reason), Reason: reason.String(),

@@ -3,6 +3,7 @@ package livenet
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,6 +36,7 @@ func waitFor(t *testing.T, f func() bool) {
 }
 
 func TestLiveRequestResponseAcrossTwoRouters(t *testing.T) {
+	goroutinesReturn(t)
 	n := NewNetwork()
 	defer n.Stop()
 
@@ -320,4 +322,25 @@ func TestNetworkStopIdempotent(t *testing.T) {
 	n.NewHost("h")
 	n.Stop()
 	n.Stop()
+}
+
+// goroutinesReturn asserts, after the test body and its deferred Stop
+// have run, that the process is back to the goroutine count it had when
+// called — before NewNetwork. Stop's WaitGroup releases a hair before
+// each goroutine has fully exited, hence the short poll. The two-router
+// chain tests call it, one per substrate.
+func goroutinesReturn(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				stacks := make([]byte, 1<<16)
+				stacks = stacks[:runtime.Stack(stacks, true)]
+				t.Fatalf("%d goroutines after Stop, %d before NewNetwork:\n%s", runtime.NumGoroutine(), before, stacks)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }

@@ -91,10 +91,9 @@ func TestSendRaw(t *testing.T) {
 }
 
 // TestNetworkOptionsWiring covers the construction-time option path:
-// WithTracer and WithFlightRecorder must leave the network in the same
-// state the deprecated setters produce, and WithLedgerCollector must
-// register every subsequently created router as an account source so a
-// Collect sweep sees its token charges.
+// WithTracer and WithFlightRecorder must install their argument, and
+// WithLedgerCollector must register every subsequently created router
+// as an account source so a Collect sweep sees its token charges.
 func TestNetworkOptionsWiring(t *testing.T) {
 	tr := discardTracer{}
 	fr := ledger.NewFlightRecorder(16)
@@ -104,10 +103,10 @@ func TestNetworkOptionsWiring(t *testing.T) {
 	n := NewNetwork(WithTracer(tr), WithFlightRecorder(fr), WithLedgerCollector(col))
 	defer n.Stop()
 
-	if got := n.currentTracer(); got != tr {
-		t.Fatalf("currentTracer = %v, want the option-installed tracer", got)
+	if got := n.cfg.tracer; got != tr {
+		t.Fatalf("tracer = %v, want the option-installed tracer", got)
 	}
-	if got := n.flight.Load(); got != fr {
+	if got := n.cfg.flight; got != fr {
 		t.Fatalf("flight recorder = %p, want option-installed %p", got, fr)
 	}
 

@@ -76,7 +76,7 @@ func (s *Sender) Send(data []byte) error {
 		// Copied per send: the first-hop router swaps the header in place.
 		f.Hdr = append([]byte(nil), s.hdr...)
 	}
-	if pt := trace.Start(s.h.netw.currentTracer(), data); pt != nil {
+	if pt := trace.Start(s.h.netw.cfg.tracer, data); pt != nil {
 		pt.Add(trace.HopEvent{
 			Node: s.h.name, OutPort: s.port, Action: trace.ActionForward,
 			At: clock.Wall.NowNanos(),

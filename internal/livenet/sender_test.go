@@ -56,7 +56,7 @@ func TestSenderMatchesSend(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		opts := []NetworkOption{}
 		if batched {
-			opts = append(opts, WithBatching(), WithBatchSize(4))
+			opts = append(opts, WithBatching())
 		}
 		src, wait := senderTopology(t, opts...)
 		route := []viper.Segment{

@@ -11,185 +11,199 @@ import (
 	"repro/internal/viper"
 )
 
+// onBothSubstrates runs fn once per livenet substrate — channel links
+// with the scalar forward, ring links with the batch kernel — passing the
+// network options that select it.
+func onBothSubstrates(t *testing.T, fn func(t *testing.T, opts ...NetworkOption)) {
+	t.Run("scalar", func(t *testing.T) { fn(t) })
+	t.Run("batched", func(t *testing.T) { fn(t, WithBatching()) })
+}
+
 // TestLiveTokenAuthorization exercises the §2.2 token check on the live
 // substrate: a guarded port denies tokenless packets (recording the
 // denial in the flight recorder), admits and charges token-bearing
 // ones, and surfaces the charge through AccountTotals and the
 // TokenAuthorized counter.
 func TestLiveTokenAuthorization(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
-	fr := ledger.NewFlightRecorder(64)
-	n.SetFlightRecorder(fr)
+	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
+		fr := ledger.NewFlightRecorder(64)
+		n := NewNetwork(append(opts, WithFlightRecorder(fr))...)
+		defer n.Stop()
 
-	src := n.NewHost("src")
-	r1 := n.NewRouter("r1")
-	dst := n.NewHost("dst")
-	n.Connect(src, 1, r1, 1)
-	n.Connect(r1, 2, dst, 1)
+		src := n.NewHost("src")
+		r1 := n.NewRouter("r1")
+		dst := n.NewHost("dst")
+		n.Connect(src, 1, r1, 1)
+		n.Connect(r1, 2, dst, 1)
 
-	auth := token.NewAuthority([]byte("live-key"))
-	r1.SetTokenAuthority(auth)
-	r1.RequireToken(2)
+		auth := token.NewAuthority([]byte("live-key"))
+		r1.SetTokenAuthority(auth)
+		r1.RequireToken(2)
 
-	var delivered atomic.Uint64
-	dst.Handle(0, func(d Delivery) { delivered.Add(1) })
+		var delivered atomic.Uint64
+		dst.Handle(0, func(d Delivery) { delivered.Add(1) })
 
-	// Tokenless packet on a guarded port: denied and recorded.
-	bare := []viper.Segment{{Port: 1}, {Port: 2}, {Port: viper.PortLocal}}
-	if err := src.Send(bare, []byte("no-token")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return r1.Stats().Drops[stats.DropTokenDenied] == 1 })
-
-	// Valid token: forwarded, counted, charged to account 42.
-	tok := auth.Issue(token.Spec{Account: 42, Port: 2})
-	tokened := []viper.Segment{{Port: 1}, {Port: 2, PortToken: tok}, {Port: viper.PortLocal}}
-	if err := src.Send(tokened, []byte("tokened")); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return delivered.Load() == 1 })
-
-	s := r1.Stats()
-	if s.TokenAuthorized != 1 {
-		t.Fatalf("TokenAuthorized = %d, want 1", s.TokenAuthorized)
-	}
-	u := r1.TokenCache().AccountTotals()[42]
-	if u.Packets != 1 || u.Bytes == 0 {
-		t.Fatalf("account 42 usage = %+v, want 1 packet with bytes", u)
-	}
-
-	var denials int
-	for _, ev := range fr.Events() {
-		if ev.Kind == ledger.KindTokenDenied && ev.Node == "r1" {
-			denials++
+		// Tokenless packet on a guarded port: denied and recorded.
+		bare := []viper.Segment{{Port: 1}, {Port: 2}, {Port: viper.PortLocal}}
+		if err := src.Send(bare, []byte("no-token")); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if denials != 1 {
-		t.Fatalf("flight recorder has %d token-denied events, want 1\n%s", denials, fr.Format())
-	}
+		waitFor(t, func() bool { return r1.Stats().Drops[stats.DropTokenDenied] == 1 })
+
+		// Valid token: forwarded, counted, charged to account 42.
+		tok := auth.Issue(token.Spec{Account: 42, Port: 2})
+		tokened := []viper.Segment{{Port: 1}, {Port: 2, PortToken: tok}, {Port: viper.PortLocal}}
+		if err := src.Send(tokened, []byte("tokened")); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return delivered.Load() == 1 })
+
+		s := r1.Stats()
+		if s.TokenAuthorized != 1 {
+			t.Fatalf("TokenAuthorized = %d, want 1", s.TokenAuthorized)
+		}
+		u := r1.TokenCache().AccountTotals()[42]
+		if u.Packets != 1 || u.Bytes == 0 {
+			t.Fatalf("account 42 usage = %+v, want 1 packet with bytes", u)
+		}
+
+		var denials int
+		for _, ev := range fr.Events() {
+			if ev.Kind == ledger.KindTokenDenied && ev.Node == "r1" {
+				denials++
+			}
+		}
+		if denials != 1 {
+			t.Fatalf("flight recorder has %d token-denied events, want 1\n%s", denials, fr.Format())
+		}
+	})
 }
 
 // TestLiveTokenForgedDenied presents a token MACed under the wrong key:
 // the synchronous verification caches the negative verdict and every
 // presentation drops.
 func TestLiveTokenForgedDenied(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
+	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
+		n := NewNetwork(opts...)
+		defer n.Stop()
 
-	src := n.NewHost("src")
-	r1 := n.NewRouter("r1")
-	dst := n.NewHost("dst")
-	n.Connect(src, 1, r1, 1)
-	n.Connect(r1, 2, dst, 1)
+		src := n.NewHost("src")
+		r1 := n.NewRouter("r1")
+		dst := n.NewHost("dst")
+		n.Connect(src, 1, r1, 1)
+		n.Connect(r1, 2, dst, 1)
 
-	r1.SetTokenAuthority(token.NewAuthority([]byte("real-key")))
-	forged := token.NewAuthority([]byte("wrong-key")).Issue(token.Spec{Account: 7, Port: 2})
+		r1.SetTokenAuthority(token.NewAuthority([]byte("real-key")))
+		forged := token.NewAuthority([]byte("wrong-key")).Issue(token.Spec{Account: 7, Port: 2})
 
-	route := []viper.Segment{{Port: 1}, {Port: 2, PortToken: forged}, {Port: viper.PortLocal}}
-	for i := 0; i < 3; i++ {
-		if err := src.Send(route, []byte("forged")); err != nil {
-			t.Fatal(err)
+		route := []viper.Segment{{Port: 1}, {Port: 2, PortToken: forged}, {Port: viper.PortLocal}}
+		for i := 0; i < 3; i++ {
+			if err := src.Send(route, []byte("forged")); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	waitFor(t, func() bool { return r1.Stats().Drops[stats.DropTokenDenied] == 3 })
-	if s := r1.Stats(); s.Forwarded != 0 || s.TokenAuthorized != 0 {
-		t.Fatalf("forged token forwarded: %+v", s)
-	}
-	// The forged account never appears in the billing totals.
-	if _, ok := r1.TokenCache().AccountTotals()[7]; ok {
-		t.Fatal("forged token's account reached AccountTotals")
-	}
-	// Exactly one full verification: the negative verdict is cached.
-	if v, _ := r1.TokenCache().Metrics(); v != 1 {
-		t.Fatalf("verifies = %d, want 1 (negative caching)", v)
-	}
+		waitFor(t, func() bool { return r1.Stats().Drops[stats.DropTokenDenied] == 3 })
+		if s := r1.Stats(); s.Forwarded != 0 || s.TokenAuthorized != 0 {
+			t.Fatalf("forged token forwarded: %+v", s)
+		}
+		// The forged account never appears in the billing totals.
+		if _, ok := r1.TokenCache().AccountTotals()[7]; ok {
+			t.Fatal("forged token's account reached AccountTotals")
+		}
+		// Exactly one full verification: the negative verdict is cached.
+		if v, _ := r1.TokenCache().Metrics(); v != 1 {
+			t.Fatalf("verifies = %d, want 1 (negative caching)", v)
+		}
+	})
 }
 
 // TestLiveTokenConcurrentAccounts races token-charged forwarding from
 // several hosts against ledger sweeps of AccountTotals, the shape the
 // ledger collector runs in production. Run under -race in CI.
 func TestLiveTokenConcurrentAccounts(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
+	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
+		n := NewNetwork(opts...)
+		defer n.Stop()
 
-	r1 := n.NewRouter("r1")
-	auth := token.NewAuthority([]byte("conc-key"))
-	r1.SetTokenAuthority(auth)
+		r1 := n.NewRouter("r1")
+		auth := token.NewAuthority([]byte("conc-key"))
+		r1.SetTokenAuthority(auth)
 
-	dst := n.NewHost("dst")
-	// Deep enough for every packet in the test: the router drops
-	// DropQueueFull on a full output queue (as the simulator's outport
-	// does), and this test's subject is token accounting, not loss.
-	n.Connect(r1, 9, dst, 1, WithDepth(256))
-	r1.RequireToken(9)
+		dst := n.NewHost("dst")
+		// Deep enough for every packet in the test: the router drops
+		// DropQueueFull on a full output queue (as the simulator's outport
+		// does), and this test's subject is token accounting, not loss.
+		n.Connect(r1, 9, dst, 1, WithDepth(256))
+		r1.RequireToken(9)
 
-	var delivered atomic.Uint64
-	dst.Handle(0, func(d Delivery) { delivered.Add(1) })
+		var delivered atomic.Uint64
+		dst.Handle(0, func(d Delivery) { delivered.Add(1) })
 
-	const hosts, pkts = 4, 50
-	for h := 0; h < hosts; h++ {
-		src := n.NewHost(fmt.Sprintf("src%d", h))
-		n.Connect(src, 1, r1, uint8(1+h))
-		tok := auth.Issue(token.Spec{Account: uint32(100 + h), Port: 9})
-		route := []viper.Segment{{Port: 1}, {Port: 9, PortToken: tok}, {Port: viper.PortLocal}}
-		go func() {
-			for i := 0; i < pkts; i++ {
-				_ = src.Send(route, []byte("payload"))
+		const hosts, pkts = 4, 50
+		for h := 0; h < hosts; h++ {
+			src := n.NewHost(fmt.Sprintf("src%d", h))
+			n.Connect(src, 1, r1, uint8(1+h))
+			tok := auth.Issue(token.Spec{Account: uint32(100 + h), Port: 9})
+			route := []viper.Segment{{Port: 1}, {Port: 9, PortToken: tok}, {Port: viper.PortLocal}}
+			go func() {
+				for i := 0; i < pkts; i++ {
+					_ = src.Send(route, []byte("payload"))
+				}
+			}()
+		}
+		stop := make(chan struct{})
+		go func() { // concurrent ledger sweeps
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					r1.TokenCache().AccountTotals()
+				}
 			}
 		}()
-	}
-	stop := make(chan struct{})
-	go func() { // concurrent ledger sweeps
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				r1.TokenCache().AccountTotals()
-			}
-		}
-	}()
-	waitFor(t, func() bool { return delivered.Load() == hosts*pkts })
-	close(stop)
+		waitFor(t, func() bool { return delivered.Load() == hosts*pkts })
+		close(stop)
 
-	totals := r1.TokenCache().AccountTotals()
-	var sum uint64
-	for h := 0; h < hosts; h++ {
-		u := totals[uint32(100+h)]
-		if u.Packets != pkts {
-			t.Fatalf("account %d: %d packets, want %d", 100+h, u.Packets, pkts)
+		totals := r1.TokenCache().AccountTotals()
+		var sum uint64
+		for h := 0; h < hosts; h++ {
+			u := totals[uint32(100+h)]
+			if u.Packets != pkts {
+				t.Fatalf("account %d: %d packets, want %d", 100+h, u.Packets, pkts)
+			}
+			sum += u.Packets
 		}
-		sum += u.Packets
-	}
-	if got := r1.Stats().TokenAuthorized; got != sum {
-		t.Fatalf("TokenAuthorized %d != ledger packet sum %d", got, sum)
-	}
+		if got := r1.Stats().TokenAuthorized; got != sum {
+			t.Fatalf("TokenAuthorized %d != ledger packet sum %d", got, sum)
+		}
+	})
 }
 
 // TestLiveLinkFlapRecorded checks that SetDown transitions — and only
 // transitions — land in the flight recorder.
 func TestLiveLinkFlapRecorded(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
-	fr := ledger.NewFlightRecorder(16)
-	n.SetFlightRecorder(fr)
+	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
+		fr := ledger.NewFlightRecorder(16)
+		n := NewNetwork(append(opts, WithFlightRecorder(fr))...)
+		defer n.Stop()
 
-	a := n.NewHost("a")
-	b := n.NewHost("b")
-	l := n.Connect(a, 1, b, 1)
+		a := n.NewHost("a")
+		b := n.NewHost("b")
+		l := n.Connect(a, 1, b, 1)
 
-	l.SetDown(true)
-	l.SetDown(true) // no transition, no event
-	l.SetDown(false)
+		l.SetDown(true)
+		l.SetDown(true) // no transition, no event
+		l.SetDown(false)
 
-	evs := fr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("recorded %d events, want 2:\n%s", len(evs), fr.Format())
-	}
-	for i, want := range []string{"down", "up"} {
-		if evs[i].Kind != ledger.KindLinkFlap || evs[i].Reason != want || evs[i].Node != "a<->b" {
-			t.Fatalf("event %d = %s, want %s flap on a<->b", i, evs[i], want)
+		evs := fr.Events()
+		if len(evs) != 2 {
+			t.Fatalf("recorded %d events, want 2:\n%s", len(evs), fr.Format())
 		}
-	}
+		for i, want := range []string{"down", "up"} {
+			if evs[i].Kind != ledger.KindLinkFlap || evs[i].Reason != want || evs[i].Node != "a<->b" {
+				t.Fatalf("event %d = %s, want %s flap on a<->b", i, evs[i], want)
+			}
+		}
+	})
 }

@@ -10,10 +10,9 @@ import (
 )
 
 func TestLiveTraceDeliveredPath(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
 	rec := trace.NewRecorder(nil)
-	n.SetTracer(rec)
+	n := NewNetwork(WithTracer(rec))
+	defer n.Stop()
 
 	src := n.NewHost("src")
 	r1 := n.NewRouter("r1")
@@ -63,10 +62,9 @@ func TestLiveTraceDeliveredPath(t *testing.T) {
 }
 
 func TestLiveTraceDropAtRouter(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
 	rec := trace.NewRecorder(nil)
-	n.SetTracer(rec)
+	n := NewNetwork(WithTracer(rec))
+	defer n.Stop()
 
 	src := n.NewHost("src")
 	r1 := n.NewRouter("r1")
@@ -93,16 +91,15 @@ func TestLiveTraceDropAtRouter(t *testing.T) {
 }
 
 func TestLiveTraceLostOnLink(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
 	rec := trace.NewRecorder(nil)
-	n.SetTracer(rec)
+	n := NewNetwork(WithTracer(rec))
+	defer n.Stop()
 
 	src := n.NewHost("src")
 	r1 := n.NewRouter("r1")
 	dst := n.NewHost("dst")
 	n.Connect(src, 1, r1, 1)
-	n.Connect(r1, 2, dst, 1, WithDown()) // second hop is cut
+	n.Connect(r1, 2, dst, 1).SetDown(true) // second hop is cut
 
 	route := []viper.Segment{{Port: 1}, {Port: 2}, {Port: viper.PortLocal}}
 	if err := src.Send(route, []byte("x")); err != nil {
@@ -118,10 +115,9 @@ func TestLiveTraceLostOnLink(t *testing.T) {
 }
 
 func TestLiveTraceMetricsAggregate(t *testing.T) {
-	n := NewNetwork()
-	defer n.Stop()
 	m := trace.NewMetrics()
-	n.SetTracer(m)
+	n := NewNetwork(WithTracer(m))
+	defer n.Stop()
 
 	src := n.NewHost("src")
 	r1 := n.NewRouter("r1")
@@ -175,7 +171,7 @@ func TestLiveTraceDisabledIsDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, got.Load)
-	if n.currentTracer() != nil {
+	if n.cfg.tracer != nil {
 		t.Fatal("tracer should default to nil")
 	}
 }

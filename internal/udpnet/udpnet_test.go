@@ -3,6 +3,7 @@ package udpnet_test
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +89,14 @@ func crossRoute() []viper.Segment {
 // arrival proves the far router's trailer surgery recorded the tunnel
 // port exactly as a direct link would.
 func TestTunnelRoundTrip(t *testing.T) {
+	// Registered before the topology's own cleanups, so it runs after
+	// them: Bridge.Close and Network.Stop must leave no reader, tunnel
+	// or node goroutine behind.
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		waitFor(t, "goroutines to exit after Bridge.Close and Network.Stop",
+			func() bool { return runtime.NumGoroutine() <= before })
+	})
 	src, dst, ta, tb := twoProcessTopology(t)
 
 	var replied atomic.Uint64
