@@ -12,6 +12,17 @@ import (
 // liveDeadline bounds how long one livenet scenario may take to quiesce.
 const liveDeadline = 10 * time.Second
 
+// eachSeed runs fn as one parallel subtest per seeded scenario, 1..60.
+func eachSeed(t *testing.T, fn func(t *testing.T, sc *Scenario)) {
+	for seed := int64(1); seed <= 60; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			fn(t, Generate(seed))
+		})
+	}
+}
+
 // TestDifferentialNetsimVsLivenet is the harness's centerpiece: for each
 // of 60 seeded scenarios, the identical topology, routes, and workload
 // run through the event-driven substrate and the goroutine substrate,
@@ -21,68 +32,82 @@ const liveDeadline = 10 * time.Second
 // reaches its destination exactly once, and every reply — routed purely
 // by the accumulated trailer — reaches the source exactly once.
 func TestDifferentialNetsimVsLivenet(t *testing.T) {
-	const seeds = 60
-	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			sc := Generate(seed)
-			net := BuildNetsim(sc)
-			routes, err := FlowRoutes(net, sc)
-			if err != nil {
-				t.Fatalf("routing: %v", err)
-			}
-			simRec := trace.NewRecorder(TraceID)
-			net.SetTracer(simRec)
-			simRes := RunNetsim(net, sc, routes)
-			liveRes, liveCtrs, liveRec := RunLivenetTraced(sc, routes, liveDeadline)
+	eachSeed(t, func(t *testing.T, sc *Scenario) { differential(t, sc, 0) })
+}
 
-			for _, p := range Diff(simRes, liveRes, sc) {
-				t.Errorf("diff: %s", p)
-			}
-			// A divergence report is only actionable with the hop-level
-			// story behind it: attach both substrates' traces for every
-			// flow that disagreed.
-			if ids := DivergingFlows(simRes, liveRes, sc); len(ids) > 0 {
-				t.Logf("trace evidence for diverging flows:\n%s%s",
-					TraceEvidence("netsim", simRec, ids),
-					TraceEvidence("livenet", liveRec, ids))
-			}
-			// The substrates share one counter surface (stats.Counters),
-			// so a fault-free run must produce identical totals bucket by
-			// bucket — same forwards, same local deliveries, zero drops
-			// everywhere.
-			for _, p := range stats.DiffCounters("netsim", "livenet", NetsimRouterCounters(net, sc), liveCtrs) {
-				t.Errorf("counters: %s", p)
-			}
-			for _, p := range CheckReachability(simRes, sc) {
-				t.Errorf("netsim: %s", p)
-			}
-			for _, p := range CheckReachability(liveRes, sc) {
-				t.Errorf("livenet: %s", p)
-			}
+// TestBatchScalarDecisionParity is the differential suite on DAG
+// routes: every flow is routed with up to two ranked alternates per hop
+// and nothing fails, so every hop the directory found an alternate for
+// is a DAG segment taking its primary branch. Livenet decides those
+// hops in batches (dataplane.DecideBatch on ring workers), netsim one
+// arrival at a time (dataplane.Decide), and the two must agree exactly
+// as on linear routes — the cost of carrying alternates is header bytes,
+// never a different path. The name is older than this body: it once
+// compared livenet's own one-frame and batched dataplanes. It is kept
+// so the seeded subtests stay comparable across history; "Scalar" now
+// means netsim's one decision per arrival.
+func TestBatchScalarDecisionParity(t *testing.T) {
+	eachSeed(t, func(t *testing.T, sc *Scenario) { differential(t, sc, 2) })
+}
 
-			// A fault-free run must also be loss-free at every layer.
-			if _, _, _, se := simRes.Counts(); se != 0 {
-				t.Errorf("netsim: %d send errors", se)
-			}
-			if _, _, _, se := liveRes.Counts(); se != 0 {
-				t.Errorf("livenet: %d send errors", se)
-			}
-			for i := 0; i < sc.NRouters; i++ {
-				r := net.Router(RouterName(i))
-				if n := r.Stats.TotalDrops(); n != 0 {
-					t.Errorf("netsim %s: %d drops in a fault-free run: %v", RouterName(i), n, r.Stats.Drops)
-				}
-			}
-			for i := range sc.HostRouter {
-				h := net.Host(HostName(i))
-				s := h.Stats
-				if s.Misdeliver+s.DropAborted+s.DropNoIface+s.DropQueue+s.DropTx != 0 {
-					t.Errorf("netsim %s: host drops in a fault-free run: %+v", HostName(i), s)
-				}
-			}
-		})
+// differential runs one scenario, routed with the given number of
+// failover alternates per hop, on both substrates and reports every
+// disagreement, with both substrates' hop traces of the diverging flows
+// as evidence.
+func differential(t *testing.T, sc *Scenario, alternates int) {
+	net := BuildNetsim(sc)
+	routes, err := FlowRoutesAlt(net, sc, alternates)
+	if err != nil {
+		t.Fatalf("routing: %v", err)
+	}
+	simRec := trace.NewRecorder(TraceID)
+	net.SetTracer(simRec)
+	simRes := RunNetsim(net, sc, routes)
+	liveRes, liveCtrs, liveRec := RunLivenetTraced(sc, routes, liveDeadline)
+
+	for _, p := range Diff(simRes, liveRes, sc) {
+		t.Errorf("diff: %s", p)
+	}
+	// A divergence report is only actionable with the hop-level story
+	// behind it: attach both substrates' traces for every flow that
+	// disagreed.
+	if ids := DivergingFlows(simRes, liveRes, sc); len(ids) > 0 {
+		t.Logf("trace evidence for diverging flows:\n%s%s",
+			TraceEvidence("netsim", simRec, ids),
+			TraceEvidence("livenet", liveRec, ids))
+	}
+	// The substrates share one counter surface (stats.Counters), so a
+	// fault-free run must produce identical totals bucket by bucket —
+	// same forwards, same local deliveries, zero drops everywhere.
+	for _, p := range stats.DiffCounters("netsim", "livenet", NetsimRouterCounters(net, sc), liveCtrs) {
+		t.Errorf("counters: %s", p)
+	}
+	for _, p := range CheckReachability(simRes, sc) {
+		t.Errorf("netsim: %s", p)
+	}
+	for _, p := range CheckReachability(liveRes, sc) {
+		t.Errorf("livenet: %s", p)
+	}
+
+	// A fault-free run must also be loss-free at every layer.
+	if _, _, _, se := simRes.Counts(); se != 0 {
+		t.Errorf("netsim: %d send errors", se)
+	}
+	if _, _, _, se := liveRes.Counts(); se != 0 {
+		t.Errorf("livenet: %d send errors", se)
+	}
+	for i := 0; i < sc.NRouters; i++ {
+		r := net.Router(RouterName(i))
+		if n := r.Stats.TotalDrops(); n != 0 {
+			t.Errorf("netsim %s: %d drops in a fault-free run: %v", RouterName(i), n, r.Stats.Drops)
+		}
+	}
+	for i := range sc.HostRouter {
+		h := net.Host(HostName(i))
+		s := h.Stats
+		if s.Misdeliver+s.DropAborted+s.DropNoIface+s.DropQueue+s.DropTx != 0 {
+			t.Errorf("netsim %s: host drops in a fault-free run: %+v", HostName(i), s)
+		}
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/livenet"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/token"
 	"repro/internal/viper"
 )
 
@@ -159,7 +157,9 @@ func TestFailoverLedgerReconciliation(t *testing.T) {
 	simLed := CollectNetsimLedger(net)
 	simCtrs := NetsimRouterCounters(net, sc)
 
-	liveR, liveCtrs, liveLed, _ := runLivenetLedgeredDown(sc, routes, dead, 5*time.Second)
+	liveR, liveCtrs, liveLed, _ := runLivenetLedgered(sc, routes, 5*time.Second, func(ln *LiveNet) {
+		ln.Links[dead].SetDown(true)
+	})
 
 	for _, d := range Diff(simR, liveR, sc) {
 		t.Error(d)
@@ -180,36 +180,6 @@ func TestFailoverLedgerReconciliation(t *testing.T) {
 	if simCtrs.TokenAuthorized == 0 {
 		t.Fatal("tokened failover run authorized zero packets")
 	}
-}
-
-// runLivenetLedgeredDown mirrors RunLivenetLedgered but severs the
-// given scenario link before any flow is injected.
-func runLivenetLedgeredDown(sc *Scenario, routes map[uint64][]viper.Segment, deadLink int, deadline time.Duration) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
-	fr := ledger.NewFlightRecorder(0)
-	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr))
-	defer ln.Net.Stop()
-	for i, r := range ln.Routers {
-		r.SetTokenAuthority(token.NewAuthority(TokenKey(i)))
-		for _, p := range RouterPorts(sc, i) {
-			r.RequireToken(p)
-		}
-	}
-	ln.Links[deadLink].SetDown(true)
-	res := NewResult()
-	ln.InstallEcho(sc, res)
-	for _, f := range sc.Flows {
-		if err := ln.Hosts[f.Src].Send(routes[f.ID], FlowData(f)); err != nil {
-			res.AddSendErr()
-		}
-	}
-	ln.Settle(res, deadline)
-
-	col := ledger.NewCollector(ledger.New())
-	for i, r := range ln.Routers {
-		col.AddAccountSource(RouterName(i), r.TokenCache().AccountTotals)
-	}
-	col.Collect()
-	return res, ln.RouterCounters(), col.Ledger(), fr
 }
 
 // TestFailoverNetsimFlapStorm drives the deterministic substrate

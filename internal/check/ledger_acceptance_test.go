@@ -1,7 +1,6 @@
 package check
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/ledger"
@@ -27,76 +26,93 @@ import (
 // On any failure the flight recorders of both substrates are attached
 // as evidence.
 func TestLedgerReconciliationAcrossSubstrates(t *testing.T) {
-	const seeds = 60
-	for seed := int64(1); seed <= seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			sc := Generate(seed)
-			net := BuildNetsimTokened(sc)
-			routes, err := FlowRoutesAccounted(net, sc)
-			if err != nil {
-				t.Fatalf("routing: %v", err)
-			}
-			simFR := ledger.NewFlightRecorder(0)
-			net.SetFlightRecorder(simFR)
-			simRes := RunNetsim(net, sc, routes)
-			simLed := CollectNetsimLedger(net)
-			simCtrs := NetsimRouterCounters(net, sc)
+	eachSeed(t, func(t *testing.T, sc *Scenario) { ledgerDifferential(t, sc, 0) })
+}
 
-			liveRes, liveCtrs, liveLed, liveFR := RunLivenetLedgered(sc, routes, liveDeadline)
+// TestBatchScalarLedgerParity is the billing suite on tokened DAG
+// routes with nothing failing: every DAG hop carries a token for each
+// of its branches, and only the primary branch's token may be charged.
+// Livenet charges in batch order (DecideBatch, InstallTokenBatched),
+// netsim one arrival at a time; the ledgers must agree account by
+// account, reconcile on each side, and neither side may record a
+// failover. As with TestBatchScalarDecisionParity, the name is kept from
+// when it compared livenet's one-frame and batched dataplanes; "Scalar"
+// now means netsim's one decision per arrival.
+func TestBatchScalarLedgerParity(t *testing.T) {
+	eachSeed(t, func(t *testing.T, sc *Scenario) { ledgerDifferential(t, sc, 2) })
+}
 
-			failed := false
-			report := func(format string, args ...any) {
-				failed = true
-				t.Errorf(format, args...)
-			}
+// ledgerDifferential runs one tokened scenario, routed with the given
+// number of failover alternates per hop, on both substrates and checks
+// the three billing invariants, with both flight recorders as evidence.
+func ledgerDifferential(t *testing.T, sc *Scenario, alternates int) {
+	net := BuildNetsimTokened(sc)
+	routes, err := FlowRoutesAccountedAlt(net, sc, alternates)
+	if err != nil {
+		t.Fatalf("routing: %v", err)
+	}
+	simFR := ledger.NewFlightRecorder(0)
+	net.SetFlightRecorder(simFR)
+	simRes := RunNetsim(net, sc, routes)
+	simLed := CollectNetsimLedger(net)
+	simCtrs := NetsimRouterCounters(net, sc)
 
-			// Tokens must be billing-neutral: deliveries, trailers, and
-			// the shared counter surface agree exactly as in the untokened
-			// differential run.
-			for _, p := range Diff(simRes, liveRes, sc) {
-				report("diff: %s", p)
-			}
-			for _, p := range stats.DiffCounters("netsim", "livenet", simCtrs, liveCtrs) {
-				report("counters: %s", p)
-			}
+	liveRes, liveCtrs, liveLed, liveFR := RunLivenetLedgered(sc, routes, liveDeadline)
 
-			// Reconciliation invariant, each substrate independently.
-			for _, p := range ledger.Reconcile("netsim", simLed, simCtrs) {
-				report("%s", p)
-			}
-			for _, p := range ledger.Reconcile("livenet", liveLed, liveCtrs) {
-				report("%s", p)
-			}
+	failed := false
+	report := func(format string, args ...any) {
+		failed = true
+		t.Errorf(format, args...)
+	}
 
-			// Cross-substrate billing agreement, account by account.
-			for _, p := range DiffLedgers(simLed, liveLed) {
-				report("ledger: %s", p)
-			}
+	// Tokens must be billing-neutral: deliveries, trailers, and the
+	// shared counter surface agree exactly as in the untokened
+	// differential run.
+	for _, p := range Diff(simRes, liveRes, sc) {
+		report("diff: %s", p)
+	}
+	for _, p := range stats.DiffCounters("netsim", "livenet", simCtrs, liveCtrs) {
+		report("counters: %s", p)
+	}
 
-			// The guard was really exercised, and an all-authorized run
-			// denies nothing anywhere.
-			if simCtrs.TokenAuthorized == 0 {
-				report("netsim authorized no packets despite guarded routers")
-			}
-			if n := simCtrs.Drops[stats.DropTokenDenied]; n != 0 {
-				report("netsim: %d token denials in an all-authorized run", n)
-			}
-			if n := liveCtrs.Drops[stats.DropTokenDenied]; n != 0 {
-				report("livenet: %d token denials in an all-authorized run", n)
-			}
-			for a, e := range simLed.Totals() {
-				if e.Denials != 0 {
-					report("netsim account %d: %d ledger denials", a, e.Denials)
-				}
-			}
+	// Reconciliation invariant, each substrate independently.
+	for _, p := range ledger.Reconcile("netsim", simLed, simCtrs) {
+		report("%s", p)
+	}
+	for _, p := range ledger.Reconcile("livenet", liveLed, liveCtrs) {
+		report("%s", p)
+	}
 
-			if failed {
-				t.Logf("netsim flight recorder:\n%s", simFR.Format())
-				t.Logf("livenet flight recorder:\n%s", liveFR.Format())
-			}
-		})
+	// Cross-substrate billing agreement, account by account.
+	for _, p := range DiffLedgers(simLed, liveLed) {
+		report("ledger: %s", p)
+	}
+
+	// The guard was really exercised, and an all-authorized run denies
+	// nothing and diverts nothing anywhere.
+	if simCtrs.TokenAuthorized == 0 {
+		report("netsim authorized no packets despite guarded routers")
+	}
+	if n := simCtrs.Drops[stats.DropTokenDenied]; n != 0 {
+		report("netsim: %d token denials in an all-authorized run", n)
+	}
+	if n := liveCtrs.Drops[stats.DropTokenDenied]; n != 0 {
+		report("livenet: %d token denials in an all-authorized run", n)
+	}
+	for a, e := range simLed.Totals() {
+		if e.Denials != 0 {
+			report("netsim account %d: %d ledger denials", a, e.Denials)
+		}
+	}
+	for name, fr := range map[string]*ledger.FlightRecorder{"netsim": simFR, "livenet": liveFR} {
+		if n := countKind(fr, ledger.KindFailover); n != 0 {
+			report("%s: %d failovers with every link up", name, n)
+		}
+	}
+
+	if failed {
+		t.Logf("netsim flight recorder:\n%s", simFR.Format())
+		t.Logf("livenet flight recorder:\n%s", liveFR.Format())
 	}
 }
 

@@ -124,9 +124,16 @@ func CollectNetsimLedger(net *core.Internetwork) *ledger.Ledger {
 // guards and demand tokens on the same ports, a flight recorder captures
 // anomalies for evidence, and the token caches are swept into a ledger
 // at quiesce.
-func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, opts ...livenet.NetworkOption) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
+func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
+	return runLivenetLedgered(sc, routes, deadline, func(*LiveNet) {})
+}
+
+// runLivenetLedgered is RunLivenetLedgered with a prepare hook that runs
+// on the built network before any flow is injected (fault tests sever
+// links there).
+func runLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, prepare func(*LiveNet)) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
 	fr := ledger.NewFlightRecorder(0)
-	ln := BuildLivenet(sc, append(opts, livenet.WithFlightRecorder(fr))...)
+	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr))
 	defer ln.Net.Stop()
 	for i, r := range ln.Routers {
 		r.SetTokenAuthority(token.NewAuthority(TokenKey(i)))
@@ -134,6 +141,7 @@ func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadlin
 			r.RequireToken(p)
 		}
 	}
+	prepare(ln)
 	res := NewResult()
 	ln.InstallEcho(sc, res)
 	for _, f := range sc.Flows {

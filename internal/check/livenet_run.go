@@ -21,10 +21,8 @@ type LiveNet struct {
 }
 
 // BuildLivenet realizes a scenario on the livenet substrate with the
-// same explicit port numbering as BuildNetsim. Options select the
-// substrate variant — livenet.WithBatching() builds the identical
-// topology on ring pipes and batch workers, which is how the
-// batch-vs-scalar parity suite gets three realizations of one scenario.
+// same explicit port numbering as BuildNetsim. Options configure the
+// network's observers (tracer, flight recorder).
 func BuildLivenet(sc *Scenario, opts ...livenet.NetworkOption) *LiveNet {
 	ln := &LiveNet{Net: livenet.NewNetwork(opts...)}
 	for i := 0; i < sc.NRouters; i++ {
@@ -34,10 +32,10 @@ func BuildLivenet(sc *Scenario, opts ...livenet.NetworkOption) *LiveNet {
 		ln.Hosts = append(ln.Hosts, ln.Net.NewHost(HostName(i)))
 	}
 	for _, l := range sc.Links {
-		ln.Links = append(ln.Links, ln.Net.Connect(ln.Routers[l.A], l.APort, ln.Routers[l.B], l.BPort, livenet.WithDepth(64)))
+		ln.Links = append(ln.Links, ln.Net.Connect(ln.Routers[l.A], l.APort, ln.Routers[l.B], l.BPort))
 	}
 	for i, ri := range sc.HostRouter {
-		ln.HostLinks = append(ln.HostLinks, ln.Net.Connect(ln.Hosts[i], 1, ln.Routers[ri], sc.HostPort[i], livenet.WithDepth(64)))
+		ln.HostLinks = append(ln.HostLinks, ln.Net.Connect(ln.Hosts[i], 1, ln.Routers[ri], sc.HostPort[i]))
 	}
 	return ln
 }
@@ -146,8 +144,8 @@ func RunLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.D
 
 // runLivenet is the shared body; a non-nil tracer is installed on the
 // network at construction.
-func runLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, tr trace.Tracer, opts ...livenet.NetworkOption) (*Result, stats.Counters) {
-	ln := BuildLivenet(sc, append(opts, livenet.WithTracer(tr))...)
+func runLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, tr trace.Tracer) (*Result, stats.Counters) {
+	ln := BuildLivenet(sc, livenet.WithTracer(tr))
 	defer ln.Net.Stop()
 	res := NewResult()
 	ln.InstallEcho(sc, res)

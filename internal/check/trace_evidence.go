@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/livenet"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/viper"
@@ -74,10 +73,9 @@ func TraceEvidence(label string, rec *trace.Recorder, flowIDs []uint64) string {
 
 // RunLivenetTraced is RunLivenet with a flow-keyed hop-trace Recorder
 // installed on the network, so a divergence found afterwards can be
-// explained hop by hop. Options pick the substrate variant (e.g.
-// livenet.WithBatching()).
-func RunLivenetTraced(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, opts ...livenet.NetworkOption) (*Result, stats.Counters, *trace.Recorder) {
+// explained hop by hop.
+func RunLivenetTraced(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration) (*Result, stats.Counters, *trace.Recorder) {
 	rec := trace.NewRecorder(TraceID)
-	res, ctrs := runLivenet(sc, routes, deadline, rec, opts...)
+	res, ctrs := runLivenet(sc, routes, deadline, rec)
 	return res, ctrs, rec
 }

@@ -69,13 +69,17 @@ func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 	for i := 0; i < cfg.Hops; i++ {
 		gs.routers = append(gs.routers, nw.NewRouter(fmt.Sprintf("R%d", i)))
 	}
+	base := gateway.Config{Window: cfg.Window, GroupBytes: cfg.GroupBytes, RT: cfg.RT}
+	// Every link holds a full relay window, so a burst queues instead of
+	// overflowing into retransmissions (DESIGN.md §11).
+	depth := livenet.WithDepth(base.BurstPackets())
 	inHost := nw.NewHost("ingress")
 	egHost := nw.NewHost("egress")
-	nw.Connect(inHost, 1, gs.routers[0], 1, livenet.WithDepth(64))
+	nw.Connect(inHost, 1, gs.routers[0], 1, depth)
 	for i := 0; i < cfg.Hops-1; i++ {
-		nw.Connect(gs.routers[i], 100, gs.routers[i+1], 1, livenet.WithDepth(64))
+		nw.Connect(gs.routers[i], 100, gs.routers[i+1], 1, depth)
 	}
-	nw.Connect(gs.routers[cfg.Hops-1], 2, egHost, 1, livenet.WithDepth(64))
+	nw.Connect(gs.routers[cfg.Hops-1], 2, egHost, 1, depth)
 
 	// One administrative domain guards the whole chain: every trunk
 	// and the egress attachment demand tokens, billed to the gateway
@@ -102,7 +106,6 @@ func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 		viper.Segment{Port: viper.PortLocal},
 	)
 
-	base := gateway.Config{Window: cfg.Window, GroupBytes: cfg.GroupBytes, RT: cfg.RT}
 	egCfg := base
 	egCfg.Entity = check.GatewayEgressEntity
 	gs.egress = gateway.NewEgress(egHost, 0, egCfg)

@@ -130,6 +130,18 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	netw := livenet.NewNetwork(netOpts...)
 	defer netw.Stop()
 
+	// In gateway mode any link may carry relays (the directory picks the
+	// ingress→egress route), so every link and tunnel holds a full relay
+	// window of the config both relays below are built from (DESIGN.md
+	// §11).
+	gwBase := gateway.Config{
+		RT:        vmtp.RTConfig{BaseTimeout: 50 * time.Millisecond, CallTimeout: 60 * time.Second},
+		Telemetry: spans, TraceEvery: cfg.TraceSample, Node: name,
+	}
+	depth := livenet.DefaultLinkDepth
+	if cfg.Gateway {
+		depth = gwBase.BurstPackets()
+	}
 	routers := make(map[int]*livenet.Router)
 	for ri := 0; ri < sc.NRouters; ri++ {
 		if check.Owner(ri, cfg.Total) != cfg.Index {
@@ -148,11 +160,11 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			continue
 		}
 		hosts[hi] = netw.NewHost(check.HostName(hi))
-		netw.Connect(hosts[hi], 1, routers[sc.HostRouter[hi]], sc.HostPort[hi], livenet.WithDepth(64))
+		netw.Connect(hosts[hi], 1, routers[sc.HostRouter[hi]], sc.HostPort[hi], livenet.WithDepth(depth))
 	}
 	for _, l := range sc.Links {
 		if check.Owner(l.A, cfg.Total) == cfg.Index && check.Owner(l.B, cfg.Total) == cfg.Index {
-			netw.Connect(routers[l.A], l.APort, routers[l.B], l.BPort, livenet.WithDepth(64))
+			netw.Connect(routers[l.A], l.APort, routers[l.B], l.BPort, livenet.WithDepth(depth))
 		}
 	}
 
@@ -182,7 +194,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		default:
 			continue
 		}
-		tun, err := bridge.Attach(netw, routers[ri], port, uint16(li))
+		tun, err := bridge.Attach(netw, routers[ri], port, uint16(li), udpnet.WithDepth(depth))
 		if err != nil {
 			return nil, err
 		}
@@ -261,12 +273,10 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	var gwIngress *gateway.Ingress
 	var gwEgress *gateway.Egress
 	if cfg.Gateway {
-		gwRT := vmtp.RTConfig{BaseTimeout: 50 * time.Millisecond, CallTimeout: 60 * time.Second}
 		if h, ok := hosts[geg]; ok {
-			gwEgress = gateway.NewEgress(h, check.GatewayEndpoint, gateway.Config{
-				Entity: check.GatewayEgressEntity, RT: gwRT,
-				Telemetry: spans, TraceEvery: cfg.TraceSample, Node: name,
-			})
+			egCfg := gwBase
+			egCfg.Entity = check.GatewayEgressEntity
+			gwEgress = gateway.NewEgress(h, check.GatewayEndpoint, egCfg)
 			defer gwEgress.Close()
 		}
 		if h, ok := hosts[gin]; ok {
@@ -284,13 +294,11 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("daemon: gateway listen: %w", err)
 			}
-			gwIngress = gateway.NewIngress(ln, h, check.GatewayEndpoint, gateway.Config{
-				Entity:    check.GatewayIngressEntity,
-				Peer:      check.GatewayEgressEntity,
-				Route:     routes[0].Segments,
-				RT:        gwRT,
-				Telemetry: spans, TraceEvery: cfg.TraceSample, Node: name,
-			})
+			inCfg := gwBase
+			inCfg.Entity = check.GatewayIngressEntity
+			inCfg.Peer = check.GatewayEgressEntity
+			inCfg.Route = routes[0].Segments
+			gwIngress = gateway.NewIngress(ln, h, check.GatewayEndpoint, inCfg)
 			defer gwIngress.Close()
 			cfg.logf("%s: SOCKS ingress on %s (route %v)", name, gwIngress.Addr(), routes[0].Path)
 		}

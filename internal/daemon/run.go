@@ -82,8 +82,8 @@ func Run(cfg RunConfig) error {
 	r1 := net.NewRouter("r1")
 	r2 := net.NewRouter("r2")
 	server := net.NewHost("server")
-	net.Connect(r1, 100, r2, 1, livenet.WithDepth(64))
-	net.Connect(r2, 2, server, 1, livenet.WithDepth(64))
+	net.Connect(r1, 100, r2, 1)
+	net.Connect(r2, 2, server, 1)
 
 	// Guard the backbone (§2.2): both routers share one region key, the
 	// trunk and server ports demand tokens, and each client is billed to
@@ -140,7 +140,7 @@ func Run(cfg RunConfig) error {
 	for c := 0; c < cfg.Clients; c++ {
 		c := c
 		h := net.NewHost(fmt.Sprintf("client%d", c))
-		net.Connect(h, 1, r1, uint8(1+c), livenet.WithDepth(64))
+		net.Connect(h, 1, r1, uint8(1+c))
 		account := uint32(1 + c)
 		route := []viper.Segment{
 			{Port: 1}, // client interface

@@ -8,22 +8,23 @@ import (
 
 // This file is the batched entry point of the hop kernel. The scalar
 // Decide costs one hook dispatch per observable event per frame; at
-// livenet's packet rates those dispatches — and the channel handoffs
-// around them — dominate the hop (ROADMAP item 1). DecideBatch runs the
+// livenet's packet rates those dispatches would dominate the hop.
+// DecideBatch, which every livenet router worker runs, applies the
 // identical decision stage over N frames per call and accumulates the
 // counter deltas in a BatchStats, flushed once per batch, so the hot
 // path touches the substrate's atomic counter plane O(1) times per
 // batch instead of O(N).
 //
-// Equivalence contract (enforced by FuzzDecideBatch and the
-// batch-vs-scalar differential suite in internal/check, not by
-// inspection): for every frame, the verdict, the token charge, and the
-// resulting trailer surgery are byte-identical to what N scalar Decide
-// calls in the same order would produce. Anomaly sinks — flight-recorder
-// events and trace hops — stay per-frame in the pinned order (counter
-// stage, flight event, trace hop); only the counter stage is deferred,
-// which is unobservable at quiesce because counters are monotonic
-// totals. See DESIGN.md §11 for the full batch contract.
+// Equivalence contract (enforced by FuzzDecideBatch and by
+// internal/check's differential suites, which run netsim's one-frame
+// Decide against livenet's batches — not by inspection): for every
+// frame, the verdict, the token charge, and the resulting trailer
+// surgery are byte-identical to what N scalar Decide calls in the same
+// order would produce. Anomaly sinks — flight-recorder events and trace
+// hops — stay per-frame in the pinned order (counter stage, flight
+// event, trace hop); only the counter stage is deferred, which is
+// unobservable at quiesce because counters are monotonic totals. See
+// DESIGN.md §11 for the full batch contract.
 
 // BatchFrame is one frame's slot in a DecideBatch call. The caller
 // fills InPort, ChargeBytes, and Pkt; the kernel fills Seg, Rest, and

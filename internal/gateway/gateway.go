@@ -118,6 +118,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// BurstPackets is the most packets one stream direction emits back to
+// back: Window groups of up to vmtp.MaxGroupPackets packets, sent
+// unpaced. A link carrying relays needs this many slots; a shallower one
+// overflows on a full window, and the overflow comes back as
+// retransmissions rather than queueing delay. The Window is per stream,
+// so this covers one stream: N bulk streams crossing one link can burst
+// N times as much, and with this depth they overflow it.
+func (c Config) BurstPackets() int { return c.withDefaults().Window * vmtp.MaxGroupPackets }
+
 // Stats is a point-in-time snapshot of a relay's counters.
 type Stats struct {
 	Streams       uint64 // streams ever opened
@@ -301,8 +310,7 @@ func (r *relay) pump(st *stream) {
 	for {
 		n, err := st.conn.Read(buf)
 		if n > 0 {
-			data := append([]byte(nil), buf[:n]...)
-			if !r.sendGroup(st, data, false) {
+			if !r.sendGroup(st, buf[:n], false) {
 				return
 			}
 		}
@@ -327,6 +335,7 @@ func isEOF(err error) bool {
 // sendGroup acquires a window slot and issues the data group's VMTP
 // transaction asynchronously; the slot is held until the receiver has
 // written the bytes and replied. Returns false once the stream is dead.
+// data is encoded before sendGroup returns, so the caller may reuse it.
 func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 	seq := st.outSeq
 	st.outSeq++
@@ -335,24 +344,25 @@ func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 	case <-st.done:
 		return false
 	}
+	m := &Msg{Op: OpData, Fin: fin, Stream: st.key.id, Seq: seq, Data: data}
+	if r.cfg.Telemetry != nil {
+		if n := r.traceSeq.Add(1); r.cfg.TraceEvery <= 1 || n%uint64(r.cfg.TraceEvery) == 0 {
+			m.Ctx = trace.Context{ID: r.ctxBase | n, Origin: time.Now().UnixNano(), Budget: trace.DefaultHopBudget}
+		}
+	}
+	msg, size := m.Encode(), uint64(len(data))
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		defer func() { <-st.window }()
-		m := &Msg{Op: OpData, Fin: fin, Stream: st.key.id, Seq: seq, Data: data}
-		if r.cfg.Telemetry != nil {
-			if n := r.traceSeq.Add(1); r.cfg.TraceEvery <= 1 || n%uint64(r.cfg.TraceEvery) == 0 {
-				m.Ctx = trace.Context{ID: r.ctxBase | n, Origin: time.Now().UnixNano(), Budget: trace.DefaultHopBudget}
-			}
-		}
 		start := time.Now()
-		rep, err := r.rt.Call(st.key.peer, st.route, m.Encode())
+		rep, err := r.rt.Call(st.key.peer, st.route, msg)
 		if err == nil && DecodeReply(rep) == ReplySuccess {
 			r.latMu.Lock()
 			r.lat.Add(time.Since(start).Microseconds())
 			r.latMu.Unlock()
 			r.groupsSent.Add(1)
-			r.bytesIn.Add(uint64(len(data)))
+			r.bytesIn.Add(size)
 			if m.Ctx.Valid() {
 				// The group's whole mesh round trip — segmentation, every
 				// tunnel crossing, relay forwarding, the far socket write,

@@ -47,12 +47,13 @@ func buildMesh(t *testing.T, hops int) *mesh {
 	}
 	m.inHost = nw.NewHost("ingress")
 	m.egHost = nw.NewHost("egress")
-	nw.Connect(m.inHost, 1, m.routers[0], 1, livenet.WithDepth(64))
+	depth := livenet.WithDepth(Config{}.BurstPackets())
+	nw.Connect(m.inHost, 1, m.routers[0], 1, depth)
 	for i := 0; i < hops-1; i++ {
 		m.trunks = append(m.trunks,
-			nw.Connect(m.routers[i], 100, m.routers[i+1], 1, livenet.WithDepth(64)))
+			nw.Connect(m.routers[i], 100, m.routers[i+1], 1, depth))
 	}
-	nw.Connect(m.routers[hops-1], 2, m.egHost, 1, livenet.WithDepth(64))
+	nw.Connect(m.routers[hops-1], 2, m.egHost, 1, depth)
 
 	auth := token.NewAuthority([]byte("gateway-test-region"))
 	for _, r := range m.routers {

@@ -1,15 +1,14 @@
 package livenet
 
-// This file is the batched livenet substrate (ROADMAP item 1): links are
-// single-producer/single-consumer frame rings (internal/ring) instead of
-// channels, and each router's worker drains whole batches, decides them
-// through dataplane.DecideBatch, and flushes the results port by port.
-// The per-frame work — byte surgery, trace hops, flight events — is
-// identical to the scalar path (mirrorHop is shared by both); what
-// amortizes is everything around it: ring handoffs replace one channel
-// send per frame, counter-hook dispatch collapses to one flush per
-// batch, and a port's worth of output frames transmits under one
-// producer lock.
+// This file is livenet's dataplane: links are single-producer /
+// single-consumer frame rings (internal/ring), and each node's one
+// worker drains whole batches — routers decide them through
+// dataplane.DecideBatch and flush the results port by port, hosts
+// deliver them in order. The per-frame work — byte surgery, trace hops,
+// flight events — happens frame by frame in arrival order; what
+// amortizes is everything around it: one ring publish per batch instead
+// of one hand-off per frame, one counter flush per batch, and one
+// producer lock per output port per batch.
 //
 // Concurrency discipline:
 //
@@ -27,14 +26,11 @@ package livenet
 //     behind, so wakeups are never lost. Neither side ever spins.
 //
 // Ordering: frames bound for the same output port flush in arrival
-// order, so per-flow FIFO — the ordering the scalar substrate provides —
-// is preserved. Frames of one batch bound for different ports may
-// overtake each other, which the scalar substrate never promised to
-// forbid (concurrent routers already interleave).
+// order, so per-flow FIFO is preserved. Frames of one batch bound for
+// different ports may overtake each other, as frames of concurrent
+// routers interleave anyway.
 //
-// Equivalence with the scalar substrate is enforced by the
-// batch-vs-scalar differential suite in internal/check, not argued here.
-// See DESIGN.md §11 for the full batch contract.
+// See DESIGN.md §11 for the batch contract and the ring-depth rule.
 
 import (
 	"sync"
@@ -53,10 +49,9 @@ import (
 // never held back to fill.
 const batchSize = 64
 
-// pipe is one direction of a batched link: a frame ring plus the
-// doorbells that let both ends sleep. port is the consumer's arrival
-// port; link carries the fault-injection lottery, drawn at dequeue as
-// the scalar pump goroutines draw it.
+// pipe is one direction of a link: a frame ring plus the doorbells that
+// let both ends sleep. port is the consumer's arrival port; link carries
+// the fault-injection lottery, drawn at dequeue.
 type pipe struct {
 	r    *ring.SPSC[Frame]
 	port uint8
@@ -86,38 +81,41 @@ func newPipe(depth int, port uint8, link *Link, rcv *node) *pipe {
 	}
 }
 
-// push transfers frames into the ring, parking on the space doorbell
-// under backpressure until the consumer frees slots or either end shuts
-// down. It returns how many frames transferred: ownership of those moves
-// to the consumer, the caller keeps (and must account for) the rest.
-func (p *pipe) push(frames []Frame, sdone <-chan struct{}) int {
-	sent := 0
-	for sent < len(frames) {
+// push transfers one frame into the ring, parking on the space doorbell
+// under backpressure until the consumer frees a slot or either end shuts
+// down. It reports whether the frame transferred: if so, ownership moved
+// to the consumer; if not, the caller keeps it.
+func (p *pipe) push(f Frame, sdone <-chan struct{}) bool {
+	for {
 		p.mu.Lock()
-		n := p.r.PushBatch(frames[sent:])
+		ok := p.r.TryPush(f)
 		p.mu.Unlock()
-		if n > 0 {
-			sent += n
-			select {
-			case p.bell <- struct{}{}:
-			default:
-			}
-			continue
+		if ok {
+			p.ring()
+			return true
 		}
 		select {
 		case <-p.space:
 		case <-sdone:
-			return sent
+			return false
 		case <-p.rdone:
-			return sent
+			return false
 		}
 	}
-	return sent
+}
+
+// ring wakes the consumer's worker after a publish; a token already
+// pending covers this publish too.
+func (p *pipe) ring() {
+	select {
+	case p.bell <- struct{}{}:
+	default:
+	}
 }
 
 // tryPush is push without the park: it transfers what fits and returns
-// immediately. Router flushes use it — a router worker parked on a full
-// ring can wedge against a neighbor parked on its ring in turn (see
+// immediately. Router transmits use it — a router worker parked on a
+// full ring can wedge against a neighbor parked on its ring in turn (see
 // node.trySend) — so the overflow is dropped DropQueueFull instead, as
 // the simulation substrate's outport does.
 func (p *pipe) tryPush(frames []Frame) int {
@@ -125,10 +123,7 @@ func (p *pipe) tryPush(frames []Frame) int {
 	n := p.r.PushBatch(frames)
 	p.mu.Unlock()
 	if n > 0 {
-		select {
-		case p.bell <- struct{}{}:
-		default:
-		}
+		p.ring()
 	}
 	return n
 }
@@ -159,39 +154,24 @@ func (nd *node) addRx(p *pipe) {
 	list = append(list, p)
 	nd.rx.Store(&list)
 	nd.mu.Unlock()
-	select {
-	case nd.bell <- struct{}{}:
-	default:
-	}
+	p.ring()
 }
 
-// addTx registers a transmit pipe under an output port.
+// addTx registers a transmit pipe under an output port, and the pipe's
+// link as the port's fault handle so the dataplane's link-health hook
+// can consult it.
 func (nd *node) addTx(port uint8, p *pipe) {
 	nd.mu.Lock()
-	if nd.outP == nil {
-		nd.outP = make(map[uint8]*pipe)
-	}
-	nd.outP[port] = p
+	nd.out[port] = p
+	nd.links[port] = p.link
 	nd.mu.Unlock()
 }
 
-// connectBatched is Connect's batched branch: one pipe per direction,
-// receive ends registered before transmit ends so no frame can arrive at
-// an unregistered consumer.
-func (n *Network) connectBatched(a *node, portA uint8, b *node, portB uint8, depth int, l *Link) {
-	ab := newPipe(depth, portB, l, b) // a -> b, arrives on b's portB
-	ba := newPipe(depth, portA, l, a) // b -> a, arrives on a's portA
-	b.addRx(ab)
-	a.addRx(ba)
-	a.addTx(portA, ab)
-	b.addTx(portB, ba)
-}
-
 // drainPipe pops up to one batch from p, draws the link's fault lottery
-// per frame (what the scalar pump goroutines do at delivery), stamps
-// arrivals for traced frames, and appends the survivors to sc.in. The
-// return value counts everything popped — survivors and casualties — so
-// the caller can tell an empty pipe from a lossy one.
+// per frame, stamps arrivals for traced frames, and appends the
+// survivors to sc.in. The return value counts everything popped —
+// survivors and casualties — so the caller can tell an empty pipe from a
+// lossy one.
 func (nd *node) drainPipe(p *pipe, sc *batchScratch) int {
 	n := p.pop(sc.tmp)
 	for i := 0; i < n; i++ {
@@ -219,17 +199,20 @@ func (nd *node) drainPipe(p *pipe, sc *batchScratch) int {
 
 // txAccum collects one output port's frames for a single flush. The
 // inFrame wrapper keeps each frame's INBOUND port and arrival stamp so a
-// failed transmit is drop-accounted exactly as the scalar path would.
+// failed transmit is drop-accounted against its arrival, as a one-frame
+// trySend would be.
 type txAccum struct {
 	port  uint8
 	items []inFrame
 }
 
-// batchScratch is one worker's reusable batch state: after warmup every
-// slice has reached its working capacity and a steady-state batch
-// allocates nothing (TestForwardHopAllocsBatched).
+// batchScratch is one worker's reusable batch state. Only the pop
+// destination is sized up front; every other slice grows on demand to
+// the load the worker actually sees (a host never touches the router's
+// kernel view or transmit accumulators), and after warmup a steady-state
+// batch allocates nothing (TestForwardHopAllocsBatched).
 type batchScratch struct {
-	tmp     []Frame                // pop destination, len = batchSize
+	tmp     []Frame                // pop destination; its length bounds a drain
 	in      []inFrame              // fault-lottery survivors of one drain
 	bf      []dataplane.BatchFrame // the kernel's view of sc.in
 	bs      dataplane.BatchStats
@@ -240,19 +223,14 @@ type batchScratch struct {
 }
 
 func newBatchScratch() *batchScratch {
-	return &batchScratch{
-		tmp:   make([]Frame, batchSize),
-		in:    make([]inFrame, 0, batchSize),
-		bf:    make([]dataplane.BatchFrame, 0, batchSize),
-		txIdx: make(map[uint8]int),
-	}
+	return &batchScratch{tmp: make([]Frame, batchSize)}
 }
 
-// runBatched is a batched node's worker loop: sweep the node's pipes,
-// hand each drained batch (sc.in) to handle, sleep on the doorbell when
-// a full sweep comes up empty. Routers pass forwardBatch, hosts
-// receiveBatch.
-func (nd *node) runBatched(handle func(sc *batchScratch)) {
+// run is a node's worker loop: sweep the node's pipes, popping up to
+// batchSize frames from each, hand each drained batch (sc.in) to handle,
+// and sleep on the doorbell when a full sweep comes up empty. Routers
+// pass forwardBatch, hosts receiveBatch.
+func (nd *node) run(handle func(sc *batchScratch)) {
 	sc := newBatchScratch()
 	for {
 		select {
@@ -284,9 +262,9 @@ func (nd *node) runBatched(handle func(sc *batchScratch)) {
 // authorized frame — swap the arrival header in place, build the
 // mirrored return segment, append it over the trailer descriptor — and
 // assembles the next-hop frame in the same buffer. ok is false when the
-// bytes are malformed (the caller drops DropNotSirpent). Shared by the
-// scalar forward and forwardBatch so the surgery is identical by
-// construction.
+// bytes are malformed (the caller drops DropNotSirpent). Shared by
+// forwardBatch and its one-frame re-entry forwardDepth so the surgery is
+// identical by construction.
 func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *dataplane.TokenState) (Frame, bool) {
 	// The frame is ours, so the header is swapped in place and aliased;
 	// the mirrored append below copies the bytes into the trailer.
@@ -336,9 +314,9 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *da
 // flushes the results port by port. Decisions (DecideBatch) and counter
 // publication (FlushBatch) amortize across the batch; the per-frame
 // sinks — flight events, trace hops, the byte surgery itself — run
-// frame-at-a-time in arrival order, exactly as the scalar forward.
-// Token deferrals resolve in batch order (InstallTokenBatched), so the
-// charge sequence matches N scalar hops.
+// frame-at-a-time in arrival order. Token deferrals resolve in batch
+// order (InstallTokenBatched), so the charge sequence matches N
+// one-frame decisions.
 func (r *Router) forwardBatch(sc *batchScratch) {
 	ts := r.tok.Load()
 	sc.bf = sc.bf[:0]
@@ -363,8 +341,9 @@ func (r *Router) forwardBatch(sc *batchScratch) {
 		inf := &sc.in[i]
 		v := b.Verdict
 		if v.Action == dataplane.ActionAwaitToken {
-			// Block mode, as on the scalar path: the uncached token
-			// verifies synchronously, in batch order.
+			// Block mode: the uncached token verifies synchronously, in
+			// batch order — the HMAC computation is the verification
+			// latency the frame waits out.
 			in := dataplane.HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
 			v = r.plane.InstallTokenBatched(ts, &in, &sc.bs)
 		}
@@ -374,15 +353,14 @@ func (r *Router) forwardBatch(sc *batchScratch) {
 			inf.frame.release()
 			continue
 		case dataplane.ActionTree:
-			// Fanout re-enters the scalar forward per branch copy; its
-			// counters go through the scalar hooks, which is equivalent.
+			// Fanout re-enters forwardDepth per branch copy; its counters go
+			// through the one-frame hooks, which is equivalent.
 			r.fanoutTree(*inf, &b.Seg, b.Rest)
 			continue
 		case dataplane.ActionFailover:
-			// Failover splices the alternate and re-enters the scalar
-			// forward, like the fanout re-entry above — the diverted frame
-			// leaves the batch and its counters go through the scalar
-			// hooks.
+			// Failover splices the alternate and re-enters forwardDepth,
+			// like the fanout re-entry above — the diverted frame leaves
+			// the batch and its counters go through the one-frame hooks.
 			r.failover(*inf, &b.Seg, v, 0)
 			continue
 		}
@@ -423,6 +401,9 @@ func (r *Router) forwardBatch(sc *batchScratch) {
 // txIdx persists across batches (a router's port set is stable), touched
 // records which accumulators hold frames this batch.
 func (r *Router) accumulate(sc *batchScratch, port uint8, item inFrame) {
+	if sc.txIdx == nil {
+		sc.txIdx = make(map[uint8]int)
+	}
 	idx, ok := sc.txIdx[port]
 	if !ok {
 		idx = len(sc.tx)
@@ -439,17 +420,15 @@ func (r *Router) accumulate(sc *batchScratch, port uint8, item inFrame) {
 // flushTx transmits every accumulated output batch: one pipe lookup and
 // one producer lock per port per batch instead of per frame. The push
 // never parks (tryPush): frames that do not fit are dropped
-// DropQueueFull like the scalar path and the simulation outport, which
-// keeps router workers from wedging against each other on full rings.
-// DropBadPort covers an unwired port, DropTxError a shutdown race. The
-// trace record of a failed frame already carries its forward hop, so it
-// reads "attempted forward, then dropped" — same as scalar.
+// DropQueueFull like the simulation outport, which keeps router workers
+// from wedging against each other on full rings. DropBadPort covers an
+// unwired port, DropTxError a shutdown race. The trace record of a
+// failed frame already carries its forward hop, so it reads "attempted
+// forward, then dropped".
 func (r *Router) flushTx(sc *batchScratch) {
 	for _, idx := range sc.touched {
 		a := &sc.tx[idx]
-		r.node.mu.Lock()
-		p := r.node.outP[a.port]
-		r.node.mu.Unlock()
+		p := r.outPipe(a.port)
 		sent := 0
 		reason := stats.DropBadPort
 		if p != nil {

@@ -1,27 +1,30 @@
 // Package livenet is a goroutine realization of the Sirpent forwarding
-// algorithm: hosts and routers are goroutines, links are channels, and
-// every hop operates on real wire bytes. Where netsim proves the timing
-// claims on virtual time, livenet proves the byte-level protocol — the
-// per-hop segment strip, the trailer surgery, the return-route reversal —
-// under true concurrency.
+// algorithm: every host and router is one worker goroutine, every link
+// is a pair of frame rings (one per direction), and every hop operates
+// on real wire bytes. Where netsim proves the timing claims on virtual
+// time, livenet proves the byte-level protocol — the per-hop segment
+// strip, the trailer surgery, the return-route reversal — under true
+// concurrency.
 //
 // Routers use the software-router procedure of §6.2: "after fully
 // receiving the packet, copying the first header segment to the end of
 // the trailer (with suitable modification) and then transmitting the
 // packet starting at the following header segment" — implemented as byte
-// surgery without decoding the rest of the packet.
+// surgery without decoding the rest of the packet. A router's worker
+// drains its receive rings a batch at a time and decides each batch
+// through the dataplane batch kernel (see batch.go).
 //
 // # Buffer ownership
 //
 // Frames travel in pooled buffers (internal/pool) with capacity headroom
 // so the per-hop surgery happens in place. Exactly one node owns a
-// frame's buffer at any moment; a channel send transfers ownership to
-// the receiver. The owner either forwards the frame (ownership moves
-// on), delivers it (the buffer is recycled when the handler returns), or
-// drops it (the buffer is recycled immediately). Frame.Hdr may alias the
-// dead front region of the same buffer — the bytes of already-stripped
-// segments — so header and packet live and die together. See DESIGN.md
-// §7 for the full rules.
+// frame's buffer at any moment; a successful ring push transfers
+// ownership to the consuming node. The owner either forwards the frame
+// (ownership moves on), delivers it (the buffer is recycled when the
+// handler returns), or drops it (the buffer is recycled immediately).
+// Frame.Hdr may alias the dead front region of the same buffer — the
+// bytes of already-stripped segments — so header and packet live and die
+// together. See DESIGN.md §7 for the full rules.
 package livenet
 
 import (
@@ -53,10 +56,10 @@ type Frame struct {
 	Pkt []byte
 
 	// Trace is the packet's hop-level trace record, nil when tracing is
-	// off. It shares the frame's ownership rule: the channel send that
+	// off. It shares the frame's ownership rule: the ring push that
 	// transfers the buffer also transfers the record, so the sender must
-	// append its hop BEFORE sending and never touch the record after —
-	// the happens-before edge of the send is what makes appends safe
+	// append its hop BEFORE pushing and never touch the record after —
+	// the happens-before edge of the push is what makes appends safe
 	// without a lock.
 	Trace *trace.PacketTrace
 
@@ -94,11 +97,9 @@ type Network struct {
 	cfg     networkConfig
 }
 
-// networkConfig collects NewNetwork options. The zero value is the
-// scalar substrate — channel links, one frame per handoff — with
+// networkConfig collects NewNetwork options. The zero value has
 // tracing, flight recording and ledger collection off.
 type networkConfig struct {
-	batched   bool
 	tracer    trace.Tracer
 	flight    *ledger.FlightRecorder
 	collector *ledger.Collector
@@ -106,16 +107,6 @@ type networkConfig struct {
 
 // NetworkOption configures one NewNetwork call.
 type NetworkOption func(*networkConfig)
-
-// WithBatching selects the batched substrate: links are SPSC frame
-// rings instead of channels, routers forward through the dataplane
-// batch kernel, and handoff and hook costs amortize across up to
-// batchSize frames per operation (see batch.go). Forwarding results are
-// equivalent frame for frame — the batch-vs-scalar differential suite
-// in internal/check enforces it.
-func WithBatching() NetworkOption {
-	return func(c *networkConfig) { c.batched = true }
-}
 
 // WithTracer installs the network's hop-level tracer: every packet
 // originated by any host of this network carries a trace record from
@@ -141,8 +132,7 @@ func WithLedgerCollector(col *ledger.Collector) NetworkOption {
 	return func(c *networkConfig) { c.collector = col }
 }
 
-// NewNetwork creates an empty live network. With no options it is the
-// scalar substrate; WithBatching selects the batched one.
+// NewNetwork creates an empty live network.
 func NewNetwork(opts ...NetworkOption) *Network {
 	n := &Network{}
 	for _, o := range opts {
@@ -162,72 +152,52 @@ func (n *Network) Stop() {
 	n.wg.Wait()
 }
 
-// node is the common goroutine plumbing. On the scalar substrate ports
-// transmit on channels (out) and receive through pump goroutines feeding
-// inbox; on the batched substrate ports transmit on ring pipes (outP)
-// and the node's one worker drains the rx pipes itself, sleeping on bell
-// — inbox is unused.
+// node is the common worker plumbing: ports transmit on ring pipes
+// (out), and the node's one worker drains its receive pipes (rx),
+// sleeping on bell when they are empty (see batch.go).
 type node struct {
 	name  string
-	inbox chan inFrame
 	done  chan struct{}
 	once  sync.Once
-	out   map[uint8]chan<- Frame
-	outP  map[uint8]*pipe // batched substrate only
+	out   map[uint8]*pipe
 	links map[uint8]*Link // port -> fault handle, for DAG failover link health
 	mu    sync.Mutex
 
-	// Batched substrate only: the receive pipes this node's worker alone
-	// drains, published copy-on-write so the worker reads them lock-free,
-	// and the doorbell producers ring to wake it.
+	// rx holds the receive pipes this node's worker alone drains,
+	// published copy-on-write so the worker reads them lock-free; bell is
+	// the doorbell producers ring to wake it.
 	rx   atomic.Pointer[[]*pipe]
 	bell chan struct{}
 }
 
 func (n *Network) newNode(name string) *node {
-	nd := &node{
+	return &node{
 		name:  name,
-		inbox: make(chan inFrame, 64),
 		done:  make(chan struct{}),
-		out:   make(map[uint8]chan<- Frame),
+		out:   make(map[uint8]*pipe),
 		links: make(map[uint8]*Link),
+		bell:  make(chan struct{}, 1),
 	}
-	if n.cfg.batched {
-		nd.bell = make(chan struct{}, 1)
-	}
-	return nd
 }
 
 func (nd *node) close() { nd.once.Do(func() { close(nd.done) }) }
 
-// send transmits a frame on a port, transferring buffer ownership to the
-// receiving node; it reports false — and the caller keeps ownership — if
-// the port is unknown or the network is shutting down. On the batched
-// substrate this is the one-frame degenerate batch — hosts and the
-// multicast fanout re-entry use it; the router's bulk path flushes whole
-// batches per pipe instead (forwardBatch).
-func (nd *node) send(port uint8, f Frame) bool {
+// outPipe returns the transmit pipe wired to a port, nil if none.
+func (nd *node) outPipe(port uint8) *pipe {
 	nd.mu.Lock()
-	if nd.outP != nil {
-		p := nd.outP[port]
-		nd.mu.Unlock()
-		if p == nil {
-			return false
-		}
-		one := [1]Frame{f}
-		return p.push(one[:], nd.done) == 1
-	}
-	ch, ok := nd.out[port]
+	p := nd.out[port]
 	nd.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case ch <- f:
-		return true
-	case <-nd.done:
-		return false
-	}
+	return p
+}
+
+// send transmits one frame on a port, parking while the ring is full,
+// and transfers buffer ownership to the receiving node; it reports
+// false — and the caller keeps ownership — if the port is unknown or
+// either end is shutting down. Hosts use it; routers never park
+// (trySend, flushTx).
+func (nd *node) send(port uint8, f Frame) bool {
+	p := nd.outPipe(port)
+	return p != nil && p.push(f, nd.done)
 }
 
 // txStatus classifies a non-blocking transmit attempt for drop
@@ -242,38 +212,23 @@ const (
 	txDown                   // network shutting down; caller keeps ownership
 )
 
-// trySend is the router's transmit: like send, but it never parks on a
-// full output queue — it reports txFull and the caller drops the frame
-// with DropQueueFull, as the simulation substrate's outport does. This
-// is what keeps the mesh deadlock-free: a blocking router transmit lets
-// two adjacent routers wedge each other under bidirectional saturation
-// (each parked on the other's full queue, so neither drains), a
-// circular wait no amount of queue depth removes. Hosts keep the
-// blocking send — their backpressure cannot cycle because routers
-// always drain.
+// trySend is the router's one-frame transmit (the fanout and failover
+// re-entry): like send, but it never parks on a full ring — it reports
+// txFull and the caller drops the frame with DropQueueFull, as the
+// simulation substrate's outport does. This is what keeps the mesh
+// deadlock-free: a blocking router transmit lets two adjacent routers
+// wedge each other under bidirectional saturation (each parked on the
+// other's full ring, so neither drains), a circular wait no amount of
+// ring depth removes. Hosts keep the blocking send — their backpressure
+// cannot cycle because routers always drain.
 func (nd *node) trySend(port uint8, f Frame) txStatus {
-	nd.mu.Lock()
-	if nd.outP != nil {
-		p := nd.outP[port]
-		nd.mu.Unlock()
-		if p == nil {
-			return txNoPort
-		}
-		one := [1]Frame{f}
-		if p.tryPush(one[:]) == 1 {
-			return txOK
-		}
-		return txFull
-	}
-	ch, ok := nd.out[port]
-	nd.mu.Unlock()
-	if !ok {
+	p := nd.outPipe(port)
+	if p == nil {
 		return txNoPort
 	}
-	select {
-	case ch <- f:
+	one := [1]Frame{f}
+	if p.tryPush(one[:]) == 1 {
 		return txOK
-	default:
 	}
 	select {
 	case <-nd.done:
@@ -281,14 +236,6 @@ func (nd *node) trySend(port uint8, f Frame) txStatus {
 	default:
 		return txFull
 	}
-}
-
-// setLink records the fault handle behind a port, so the dataplane's
-// link-health hook can consult it.
-func (nd *node) setLink(port uint8, l *Link) {
-	nd.mu.Lock()
-	nd.links[port] = l
-	nd.mu.Unlock()
 }
 
 // portUp reports whether a port's link is wired and not failed — the
@@ -302,25 +249,14 @@ func (nd *node) portUp(port uint8) bool {
 	return l != nil && !l.IsDown()
 }
 
-// portDepth reports the occupancy of a port's transmit queue — the
+// portDepth reports the occupancy of a port's transmit ring — the
 // livenet analogue of an output-queue depth. Called only for traced
 // frames; the untraced path never takes this lock.
 func (nd *node) portDepth(port uint8) int {
-	nd.mu.Lock()
-	if nd.outP != nil {
-		p := nd.outP[port]
-		nd.mu.Unlock()
-		if p == nil {
-			return 0
-		}
+	if p := nd.outPipe(port); p != nil {
 		return p.r.Len()
 	}
-	ch := nd.out[port]
-	nd.mu.Unlock()
-	if ch == nil {
-		return 0
-	}
-	return len(ch)
+	return 0
 }
 
 // Link is a handle on one bidirectional livenet link, used for fault
@@ -379,52 +315,12 @@ func (l *Link) drops() bool {
 	return false
 }
 
-// attach wires a port: out is the transmit channel, in the receive one.
-// A pump goroutine tags inbound frames with the port, recycling the
-// buffers of frames the link's fault injection discards.
-func (n *Network) attach(nd *node, port uint8, out chan<- Frame, in <-chan Frame, link *Link) {
-	nd.mu.Lock()
-	nd.out[port] = out
-	nd.mu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			select {
-			case f, ok := <-in:
-				if !ok {
-					return
-				}
-				if link.drops() {
-					if f.Trace != nil {
-						f.Trace.Add(trace.HopEvent{
-							Node: nd.name, InPort: port, Action: trace.ActionLost,
-							At: clock.Wall.NowNanos(),
-						})
-						f.Trace.Done()
-					}
-					f.release()
-					continue
-				}
-				var arrived int64
-				if f.Trace != nil {
-					arrived = clock.Wall.NowNanos()
-				}
-				select {
-				case nd.inbox <- inFrame{port: port, frame: f, arrived: arrived}:
-				case <-nd.done:
-					return
-				}
-			case <-nd.done:
-				return
-			}
-		}
-	}()
-}
-
-// DefaultLinkDepth is the per-direction queue depth, in frames, of a
-// link created without WithDepth.
-const DefaultLinkDepth = 16
+// DefaultLinkDepth is the per-direction ring depth, in frames, of a
+// link created without WithDepth: one full batch in flight per
+// direction, so a burst flushes without the producer parking between
+// sub-pushes. A link that must absorb a longer unpaced burst (the
+// gateway's relay window) asks for more with WithDepth.
+const DefaultLinkDepth = batchSize
 
 // linkConfig collects Connect options.
 type linkConfig struct {
@@ -434,8 +330,8 @@ type linkConfig struct {
 // LinkOption configures one Connect call.
 type LinkOption func(*linkConfig)
 
-// WithDepth sets the link's per-direction queue depth in frames.
-// Non-positive values are ignored.
+// WithDepth sets the link's per-direction ring depth in frames, rounded
+// up to a power of two. Non-positive values are ignored.
 func WithDepth(n int) LinkOption {
 	return func(c *linkConfig) {
 		if n > 0 {
@@ -444,30 +340,24 @@ func WithDepth(n int) LinkOption {
 	}
 }
 
-// Connect joins two nodes with a bidirectional link and returns the
-// link's fault-injection handle. WithDepth sets the queue depth
-// (DefaultLinkDepth otherwise).
+// Connect joins two nodes with a bidirectional link — one ring pipe per
+// direction — and returns the link's fault-injection handle. WithDepth
+// sets the ring depth (DefaultLinkDepth otherwise). Receive ends are
+// registered before transmit ends, so no frame can arrive at an
+// unregistered consumer.
 func (n *Network) Connect(a Attachable, portA uint8, b Attachable, portB uint8, opts ...LinkOption) *Link {
 	cfg := linkConfig{depth: DefaultLinkDepth}
-	if n.cfg.batched {
-		// Room for one full batch in flight per direction, so bursts
-		// flush without the producer parking between sub-pushes.
-		cfg.depth = batchSize
-	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	l := &Link{name: a.base().name + "<->" + b.base().name, flight: n.cfg.flight}
-	a.base().setLink(portA, l)
-	b.base().setLink(portB, l)
-	if n.cfg.batched {
-		n.connectBatched(a.base(), portA, b.base(), portB, cfg.depth, l)
-		return l
-	}
-	ab := make(chan Frame, cfg.depth)
-	ba := make(chan Frame, cfg.depth)
-	n.attach(a.base(), portA, ab, ba, l)
-	n.attach(b.base(), portB, ba, ab, l)
+	na, nb := a.base(), b.base()
+	l := &Link{name: na.name + "<->" + nb.name, flight: n.cfg.flight}
+	ab := newPipe(cfg.depth, portB, l, nb) // a -> b, arrives on b's portB
+	ba := newPipe(cfg.depth, portA, l, na) // b -> a, arrives on a's portA
+	nb.addRx(ab)
+	na.addRx(ba)
+	na.addTx(portA, ab)
+	nb.addTx(portB, ba)
 	return l
 }
 
@@ -485,8 +375,8 @@ type counters struct {
 
 // Router is a goroutine Sirpent switch. Its per-hop work — decode,
 // token check, three-way action, trailer mirror — is the shared
-// dataplane pipeline; this type contributes the goroutine, the channel
-// I/O, and the pooled-buffer ownership discipline. The token state is
+// dataplane pipeline; this type contributes the worker, the ring I/O,
+// and the pooled-buffer ownership discipline. The token state is
 // dataplane.TokenState behind an atomic pointer: immutable once
 // published, so the forwarding goroutine reads a consistent
 // cache/require pair with one load, keeping the tokenless fast path
@@ -533,14 +423,15 @@ func (r *Router) RequireToken(port uint8) {
 func (r *Router) TokenCache() *token.Cache { return r.tok.Load().Cache() }
 
 // newRouter builds a router and its dataplane pipeline without starting
-// the forwarding goroutine (benchmarks drive forward directly).
+// the forwarding goroutine (the hop benchmarks drive forwardBatch
+// directly).
 func (n *Network) newRouter(name string) *Router {
 	r := &Router{node: n.newNode(name)}
 	r.plane = dataplane.Pipeline{
 		Node:  name,
 		Clock: clock.Wall,
 		// Livenet realizes token.Block: uncached tokens verify
-		// synchronously on the forwarding goroutine (see forward).
+		// synchronously on the forwarding goroutine (see forwardBatch).
 		Mode: token.Block,
 		Hooks: dataplane.Hooks{
 			CountDrop:             func(reason stats.DropReason) { r.counters.drops[reason].Add(1) },
@@ -576,11 +467,7 @@ func (n *Network) NewRouter(name string) *Router {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		if n.cfg.batched {
-			r.runBatched(r.forwardBatch)
-		} else {
-			r.run()
-		}
+		r.run(r.forwardBatch)
 	}()
 	return r
 }
@@ -615,31 +502,16 @@ func (r *Router) dropAcct(reason stats.DropReason, inf inFrame, account uint32) 
 	inf.frame.release()
 }
 
-func (r *Router) run() {
-	for {
-		select {
-		case inf := <-r.inbox:
-			r.forward(inf)
-		case <-r.done:
-			return
-		}
-	}
-}
-
-// forward runs one frame through the shared dataplane pipeline and
-// performs the §6.2 software-router byte surgery in place: the leading
-// segment's bytes become a dead region at the front of the buffer (the
-// decoded segment's fields alias it), the mirrored return segment is
-// appended over the trailer descriptor at the tail, and the frame moves
-// on in the same buffer. With pool headroom the hop allocates nothing.
-func (r *Router) forward(inf inFrame) {
-	r.forwardDepth(inf, 0)
-}
-
-// forwardDepth is forward's body, re-entered (depth+1) after a failover
-// spliced a DAG alternate into the buffer; the cap stops a crafted
-// alternate whose head is itself a dead-primary DAG segment from
-// cycling forever.
+// forwardDepth runs one frame through the shared dataplane pipeline
+// and performs the §6.2 software-router byte surgery in place: the
+// leading segment's bytes become a dead region at the front of the
+// buffer (the decoded segment's fields alias it), the mirrored return
+// segment is appended over the trailer descriptor at the tail, and the
+// frame moves on in the same buffer. It is the one-frame re-entry of
+// forwardBatch: fanout branches enter at depth 0, and a failover that
+// spliced a DAG alternate into the buffer re-enters at depth+1; the cap
+// stops a crafted alternate whose head is itself a dead-primary DAG
+// segment from cycling forever.
 func (r *Router) forwardDepth(inf inFrame, depth int) {
 	seg, rest, err := dataplane.DecodeHop(inf.frame.Pkt)
 	if err != nil {
@@ -680,8 +552,8 @@ func (r *Router) forwardDepth(inf inFrame, depth int) {
 		return
 	}
 	// Mirror the stripped segment onto the trailer (§6.2 byte surgery),
-	// shared with the batched path so both substrates' surgery is
-	// identical by construction.
+	// shared with forwardBatch so the surgery is identical by
+	// construction.
 	f, ok := r.mirrorHop(&inf, &seg, rest, ts)
 	if !ok {
 		r.drop(stats.DropNotSirpent, inf)
@@ -696,9 +568,9 @@ func (r *Router) forwardDepth(inf inFrame, depth int) {
 		}
 		return
 	}
-	// The forward hop is appended BEFORE the send: the channel send
+	// The forward hop is appended BEFORE the push: the ring push
 	// transfers ownership of the record with the buffer, and touching it
-	// after a successful send would race the next hop. A failed send
+	// after a successful push would race the next hop. A failed push
 	// returns ownership, and drop then appends the terminal hop after
 	// this one — the record reads "attempted forward, then dropped".
 	r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
@@ -782,7 +654,7 @@ func (r *Router) fanoutTree(inf inFrame, seg *viper.Segment, rest []byte) {
 		if inf.frame.Hdr != nil {
 			hdr = append([]byte(nil), inf.frame.Hdr...)
 		}
-		r.forward(inFrame{port: inf.port, frame: Frame{Hdr: hdr, Pkt: buf, buf: full}})
+		r.forwardDepth(inFrame{port: inf.port, frame: Frame{Hdr: hdr, Pkt: buf, buf: full}}, 0)
 	}
 	inf.frame.release()
 }
@@ -823,11 +695,7 @@ func (n *Network) NewHost(name string) *Host {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		if n.cfg.batched {
-			h.runBatched(h.receiveBatch)
-		} else {
-			h.run()
-		}
+		h.run(h.receiveBatch)
 	}()
 	return h
 }
@@ -945,17 +813,6 @@ func (h *Host) SendRawTraced(ifPort uint8, pkt []byte, ctx trace.Context) error 
 		return fmt.Errorf("livenet: no interface %d on %s", ifPort, h.name)
 	}
 	return nil
-}
-
-func (h *Host) run() {
-	for {
-		select {
-		case inf := <-h.inbox:
-			h.receive(inf)
-		case <-h.done:
-			return
-		}
-	}
 }
 
 // closeReceive ends a traced frame's record at this host; action is

@@ -35,48 +35,75 @@ func waitFor(t *testing.T, f func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-func TestLiveRequestResponseAcrossTwoRouters(t *testing.T) {
-	goroutinesReturn(t)
-	n := NewNetwork()
-	defer n.Stop()
-
-	src := n.NewHost("src")
-	r1 := n.NewRouter("r1")
+// twoRouterChain wires src — r1 — r2 — dst, installs an echo at dst
+// that answers every request with "pong" along its return route, and
+// returns the src→dst route plus a counter of pongs received at src.
+func twoRouterChain(t *testing.T, n *Network) (src *Host, r1 *Router, route []viper.Segment, pongs *atomic.Uint64) {
+	t.Helper()
+	src = n.NewHost("src")
+	r1 = n.NewRouter("r1")
 	r2 := n.NewRouter("r2")
 	dst := n.NewHost("dst")
 	n.Connect(src, 1, r1, 1)
 	n.Connect(r1, 2, r2, 1)
 	n.Connect(r2, 2, dst, 1)
 
-	var replied atomic.Bool
-	var got atomic.Value
 	dst.Handle(0, func(d Delivery) {
-		got.Store(append([]byte(nil), d.Data...))
+		if !bytes.Equal(d.Data, []byte("ping")) {
+			t.Errorf("dst got %q", d.Data)
+		}
 		if err := dst.Send(d.ReturnRoute, []byte("pong")); err != nil {
 			t.Errorf("reply: %v", err)
 		}
 	})
+	pongs = new(atomic.Uint64)
 	src.Handle(0, func(d Delivery) {
 		if bytes.Equal(d.Data, []byte("pong")) {
-			replied.Store(true)
+			pongs.Add(1)
 		}
 	})
-
-	route := []viper.Segment{
+	route = []viper.Segment{
 		{Port: 1}, // src directive (p2p)
 		{Port: 2}, // r1
 		{Port: 2}, // r2
 		{Port: viper.PortLocal},
 	}
+	return src, r1, route, pongs
+}
+
+func TestLiveRequestResponseAcrossTwoRouters(t *testing.T) {
+	goroutinesReturn(t)
+	n := NewNetwork()
+	defer n.Stop()
+	src, r1, route, pongs := twoRouterChain(t, n)
+
 	if err := src.Send(route, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, replied.Load)
-	if g, _ := got.Load().([]byte); !bytes.Equal(g, []byte("ping")) {
-		t.Fatalf("dst got %q", g)
-	}
+	waitFor(t, func() bool { return pongs.Load() == 1 })
 	if s := r1.Stats(); s.Forwarded != 2 {
 		t.Fatalf("r1 forwarded %d, want 2 (request + reply)", s.Forwarded)
+	}
+}
+
+// TestBatchedPingPong sends a full batch of pings back to back, so the
+// routers drain and flush multi-frame batches in both directions at
+// once. Every direction of every link carries exactly one ring's worth,
+// so nothing may drop and every ping must come back.
+func TestBatchedPingPong(t *testing.T) {
+	goroutinesReturn(t)
+	n := NewNetwork()
+	defer n.Stop()
+	src, r1, route, pongs := twoRouterChain(t, n)
+
+	for i := 0; i < DefaultLinkDepth; i++ {
+		if err := src.Send(route, []byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return pongs.Load() == DefaultLinkDepth })
+	if s := r1.Stats(); s.Forwarded != 2*DefaultLinkDepth || s.TotalDrops() != 0 {
+		t.Fatalf("r1 counters %v, want %d forwarded and no drops", s, 2*DefaultLinkDepth)
 	}
 }
 
@@ -260,7 +287,7 @@ func TestLiveConcurrentClients(t *testing.T) {
 	defer n.Stop()
 	r := n.NewRouter("r")
 	server := n.NewHost("server")
-	n.Connect(r, 100, server, 1, WithDepth(64))
+	n.Connect(r, 100, server, 1)
 
 	var served atomic.Uint64
 	server.Handle(0, func(d Delivery) {
@@ -279,7 +306,7 @@ func TestLiveConcurrentClients(t *testing.T) {
 	for c := 0; c < nClients; c++ {
 		c := c
 		h := n.NewHost("client")
-		n.Connect(h, 1, r, uint8(1+c), WithDepth(64))
+		n.Connect(h, 1, r, uint8(1+c))
 		route := []viper.Segment{
 			{Port: 1},
 			{Port: 100, Flags: viper.FlagVNT},
@@ -328,7 +355,7 @@ func TestNetworkStopIdempotent(t *testing.T) {
 // have run, that the process is back to the goroutine count it had when
 // called — before NewNetwork. Stop's WaitGroup releases a hair before
 // each goroutine has fully exited, hence the short poll. The two-router
-// chain tests call it, one per substrate.
+// chain tests call it.
 func goroutinesReturn(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()

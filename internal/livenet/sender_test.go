@@ -11,9 +11,9 @@ import (
 
 // senderTopology is one router between two hosts, returning the source,
 // the raw frames collected at the sink, and a wait-for-count helper.
-func senderTopology(t *testing.T, opts ...NetworkOption) (*Host, func(n int) [][]byte) {
+func senderTopology(t *testing.T) (*Host, func(n int) [][]byte) {
 	t.Helper()
-	n := NewNetwork(opts...)
+	n := NewNetwork()
 	t.Cleanup(n.Stop)
 	r := n.NewRouter("r")
 	src := n.NewHost("src")
@@ -53,33 +53,26 @@ func senderTopology(t *testing.T, opts ...NetworkOption) (*Host, func(n int) [][
 // to the same route and payload going through Host.Send — same segment
 // consumption, same trailer growth, same payload position.
 func TestSenderMatchesSend(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		opts := []NetworkOption{}
-		if batched {
-			opts = append(opts, WithBatching())
-		}
-		src, wait := senderTopology(t, opts...)
-		route := []viper.Segment{
-			{Port: 1},
-			{Port: 2, Flags: viper.FlagVNT},
-			{Port: viper.PortLocal},
-		}
-		payload := []byte("prepared-vs-encode")
-		if err := src.Send(route, payload); err != nil {
-			t.Fatal(err)
-		}
-		snd, err := src.NewSender(route, len(payload))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := snd.Send(payload); err != nil {
-			t.Fatal(err)
-		}
-		got := wait(2)
-		if !bytes.Equal(got[0], got[1]) {
-			t.Fatalf("batched=%v: prepared frame diverges from encoded frame\nencode:   %x\nprepared: %x",
-				batched, got[0], got[1])
-		}
+	src, wait := senderTopology(t)
+	route := []viper.Segment{
+		{Port: 1},
+		{Port: 2, Flags: viper.FlagVNT},
+		{Port: viper.PortLocal},
+	}
+	payload := []byte("prepared-vs-encode")
+	if err := src.Send(route, payload); err != nil {
+		t.Fatal(err)
+	}
+	snd, err := src.NewSender(route, len(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := snd.Send(payload); err != nil {
+		t.Fatal(err)
+	}
+	got := wait(2)
+	if !bytes.Equal(got[0], got[1]) {
+		t.Fatalf("prepared frame diverges from encoded frame\nencode:   %x\nprepared: %x", got[0], got[1])
 	}
 }
 

@@ -27,7 +27,7 @@ func TestStressFlapRace(t *testing.T) {
 	defer n.Stop()
 	r0 := n.NewRouter("R0")
 	r1 := n.NewRouter("R1")
-	trunk := n.Connect(r0, 1, r1, 1, WithDepth(64))
+	trunk := n.Connect(r0, 1, r1, 1)
 
 	// Hosts 0..3 on R0 ports 2..5, hosts 4..7 on R1 ports 2..5.
 	var hosts []*Host
@@ -37,7 +37,7 @@ func TestStressFlapRace(t *testing.T) {
 		if i >= hostsPerSide {
 			r, port = r1, uint8(2+i-hostsPerSide)
 		}
-		n.Connect(h, 1, r, port, WithDepth(64))
+		n.Connect(h, 1, r, port)
 		hosts = append(hosts, h)
 	}
 	// route from host i to host j (always across the trunk): own

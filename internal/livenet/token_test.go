@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ledger"
 	"repro/internal/stats"
@@ -11,23 +12,36 @@ import (
 	"repro/internal/viper"
 )
 
-// onBothSubstrates runs fn once per livenet substrate — channel links
-// with the scalar forward, ring links with the batch kernel — passing the
-// network options that select it.
-func onBothSubstrates(t *testing.T, fn func(t *testing.T, opts ...NetworkOption)) {
-	t.Run("scalar", func(t *testing.T) { fn(t) })
-	t.Run("batched", func(t *testing.T) { fn(t, WithBatching()) })
+// onBothBatchShapes runs fn twice. "scalar" paces the sender: pace
+// polls until the frame just sent has been decided (the caller names the
+// router counter that moves), so every frame is decided in a batch of
+// its own and token state must carry across batch boundaries. "batched"
+// sends back to back (pace returns at once), so repeats of one token
+// can share a batch.
+func onBothBatchShapes(t *testing.T, fn func(t *testing.T, pace func(decided func() bool))) {
+	t.Run("scalar", func(t *testing.T) { fn(t, settle) })
+	t.Run("batched", func(t *testing.T) { fn(t, func(func() bool) {}) })
+}
+
+// settle polls decided for up to 5 s and returns either way: a frame
+// that is never decided fails the test's own final count instead, so
+// settle is safe to call off the test goroutine.
+func settle(decided func() bool) {
+	for deadline := time.Now().Add(5 * time.Second); !decided() && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // TestLiveTokenAuthorization exercises the §2.2 token check on the live
 // substrate: a guarded port denies tokenless packets (recording the
 // denial in the flight recorder), admits and charges token-bearing
 // ones, and surfaces the charge through AccountTotals and the
-// TokenAuthorized counter.
+// TokenAuthorized counter. Every send here already waits for its
+// verdict, so both shapes decide one frame per batch.
 func TestLiveTokenAuthorization(t *testing.T) {
-	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
+	onBothBatchShapes(t, func(t *testing.T, _ func(func() bool)) {
 		fr := ledger.NewFlightRecorder(64)
-		n := NewNetwork(append(opts, WithFlightRecorder(fr))...)
+		n := NewNetwork(WithFlightRecorder(fr))
 		defer n.Stop()
 
 		src := n.NewHost("src")
@@ -83,8 +97,8 @@ func TestLiveTokenAuthorization(t *testing.T) {
 // the synchronous verification caches the negative verdict and every
 // presentation drops.
 func TestLiveTokenForgedDenied(t *testing.T) {
-	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
-		n := NewNetwork(opts...)
+	onBothBatchShapes(t, func(t *testing.T, pace func(func() bool)) {
+		n := NewNetwork()
 		defer n.Stop()
 
 		src := n.NewHost("src")
@@ -97,10 +111,11 @@ func TestLiveTokenForgedDenied(t *testing.T) {
 		forged := token.NewAuthority([]byte("wrong-key")).Issue(token.Spec{Account: 7, Port: 2})
 
 		route := []viper.Segment{{Port: 1}, {Port: 2, PortToken: forged}, {Port: viper.PortLocal}}
-		for i := 0; i < 3; i++ {
+		for i := 1; i <= 3; i++ {
 			if err := src.Send(route, []byte("forged")); err != nil {
 				t.Fatal(err)
 			}
+			pace(func() bool { return r1.Stats().Drops[stats.DropTokenDenied] == uint64(i) })
 		}
 		waitFor(t, func() bool { return r1.Stats().Drops[stats.DropTokenDenied] == 3 })
 		if s := r1.Stats(); s.Forwarded != 0 || s.TokenAuthorized != 0 {
@@ -121,8 +136,8 @@ func TestLiveTokenForgedDenied(t *testing.T) {
 // several hosts against ledger sweeps of AccountTotals, the shape the
 // ledger collector runs in production. Run under -race in CI.
 func TestLiveTokenConcurrentAccounts(t *testing.T) {
-	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
-		n := NewNetwork(opts...)
+	onBothBatchShapes(t, func(t *testing.T, pace func(func() bool)) {
+		n := NewNetwork()
 		defer n.Stop()
 
 		r1 := n.NewRouter("r1")
@@ -143,11 +158,13 @@ func TestLiveTokenConcurrentAccounts(t *testing.T) {
 		for h := 0; h < hosts; h++ {
 			src := n.NewHost(fmt.Sprintf("src%d", h))
 			n.Connect(src, 1, r1, uint8(1+h))
-			tok := auth.Issue(token.Spec{Account: uint32(100 + h), Port: 9})
+			account := uint32(100 + h)
+			tok := auth.Issue(token.Spec{Account: account, Port: 9})
 			route := []viper.Segment{{Port: 1}, {Port: 9, PortToken: tok}, {Port: viper.PortLocal}}
 			go func() {
-				for i := 0; i < pkts; i++ {
+				for i := uint64(1); i <= pkts; i++ {
 					_ = src.Send(route, []byte("payload"))
+					pace(func() bool { return r1.TokenCache().AccountTotals()[account].Packets == i })
 				}
 			}()
 		}
@@ -181,11 +198,12 @@ func TestLiveTokenConcurrentAccounts(t *testing.T) {
 }
 
 // TestLiveLinkFlapRecorded checks that SetDown transitions — and only
-// transitions — land in the flight recorder.
+// transitions — land in the flight recorder. No frame is sent, so the
+// two shapes run the same steps.
 func TestLiveLinkFlapRecorded(t *testing.T) {
-	onBothSubstrates(t, func(t *testing.T, opts ...NetworkOption) {
+	onBothBatchShapes(t, func(t *testing.T, _ func(func() bool)) {
 		fr := ledger.NewFlightRecorder(16)
-		n := NewNetwork(append(opts, WithFlightRecorder(fr))...)
+		n := NewNetwork(WithFlightRecorder(fr))
 		defer n.Stop()
 
 		a := n.NewHost("a")

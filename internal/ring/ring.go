@@ -1,9 +1,8 @@
 // Package ring provides the single-producer single-consumer ring buffer
-// behind the livenet batched forwarding fast path. The scalar substrate
-// hands frames across goroutines one channel send at a time, and that
-// per-frame handoff — not allocation, already 0/hop — is the dominant
-// cost of a hop (bench/README.md, row livenet.handoff_us_per_hop). The
-// ring amortizes it: a producer publishes a batch of N frames with one
+// behind every livenet link. Handing frames across goroutines — not
+// allocation, already 0/hop — is the dominant cost of a hop
+// (bench/README.md, row livenet.handoff_us_per_hop), and the ring
+// amortizes it: a producer publishes a batch of N frames with one
 // release-store of the tail index, and a consumer claims a batch with
 // one acquire-load and one store of the head, so the synchronization
 // cost per frame falls as 1/N.

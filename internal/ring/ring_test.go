@@ -122,7 +122,7 @@ func TestCloseSemantics(t *testing.T) {
 	r.Close() // idempotent
 }
 
-// TestHammerSPSC is the -race hammer the batched substrate's correctness
+// TestHammerSPSC is the -race hammer livenet's link correctness
 // rests on: one producer pushing randomly-sized batches of sequenced
 // values, one consumer popping into randomly-sized destination slices,
 // across a tiny ring (maximum wrap-around pressure). The consumer must

@@ -248,8 +248,9 @@ type tunnelConfig struct {
 // TunnelOption configures one Attach call.
 type TunnelOption func(*tunnelConfig)
 
-// WithDepth sets the tunnel's egress queue depth in frames.
-// Non-positive values are ignored.
+// WithDepth sets the tunnel's depth in frames: its egress queue and the
+// ring of the in-process link in front of it. Non-positive values are
+// ignored.
 func WithDepth(n int) TunnelOption {
 	return func(c *tunnelConfig) {
 		if n > 0 {
@@ -334,7 +335,9 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	// Wire the gateway completely before publishing the tunnel: the
 	// moment it is in b.tunnels, the read loop may hand it a datagram.
 	t.gw = netw.NewHost(fmt.Sprintf("udpgw-%d", linkID))
-	t.inner = netw.Connect(at, port, t.gw, t.gwPort)
+	// One depth for the whole logical link: the inner ring in front of
+	// the tunnel holds exactly what the egress queue behind it does.
+	t.inner = netw.Connect(at, port, t.gw, t.gwPort, livenet.WithDepth(cfg.depth))
 	t.gw.SetRawTap(t.egress)
 
 	b.mu.Lock()

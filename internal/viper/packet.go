@@ -76,15 +76,38 @@ func (p *Packet) ConsumeHead(ret Segment) Segment {
 // segment is marked RPF ("the packet is being returned using the route and
 // tokens supplied in a packet received by the currently sending host",
 // §5). The segments are deep-copied so the reply does not alias the
-// request.
+// request: all their token and portInfo bytes go into one arena, and each
+// field is a capacity-limited window of it, so appending to one field
+// reallocates instead of overwriting its neighbour. That is two
+// allocations per call however long the trailer.
 func (p *Packet) ReturnRoute() []Segment {
+	n := 0
+	for i := range p.Trailer {
+		n += len(p.Trailer[i].PortToken) + len(p.Trailer[i].PortInfo)
+	}
+	arena := make([]byte, 0, n)
 	route := make([]Segment, 0, len(p.Trailer))
 	for i := len(p.Trailer) - 1; i >= 0; i-- {
-		s := p.Trailer[i].Clone()
+		s := p.Trailer[i]
+		s.PortToken, arena = carve(arena, s.PortToken)
+		s.PortInfo, arena = carve(arena, s.PortInfo)
 		s.Flags |= FlagRPF
 		route = append(route, s)
 	}
 	return route
+}
+
+// carve copies b onto the end of arena, which has room for it, and
+// returns the copy with its capacity capped at its length, plus the
+// grown arena. An empty field comes back nil, as Segment.Clone leaves
+// it.
+func carve(arena, b []byte) (field, rest []byte) {
+	if len(b) == 0 {
+		return nil, arena
+	}
+	i := len(arena)
+	arena = append(arena, b...)
+	return arena[i:len(arena):len(arena)], arena
 }
 
 // CloneWire implements the simulation substrate's payload-cloning hook;

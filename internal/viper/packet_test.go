@@ -180,6 +180,48 @@ func TestConsumeHeadAndReturnRoute(t *testing.T) {
 	}
 }
 
+// tokenedTrailer is a five-hop trailer as a gateway delivery sees it:
+// four tokened router hops (one with an Ethernet header) and the
+// origin's bare segment.
+func tokenedTrailer() *Packet {
+	p := NewPacket(nil, []byte("data"))
+	p.Trailer = []Segment{{Port: PortLocal}}
+	for i := 0; i < 4; i++ {
+		s := Segment{Port: uint8(1 + i), PortToken: bytes.Repeat([]byte{byte(0xA0 + i)}, 24)}
+		if i == 2 {
+			s.PortInfo = ethInfo(1, 2, EtherTypeVIPER)
+		}
+		p.Trailer = append(p.Trailer, s)
+	}
+	return p
+}
+
+// TestReturnRouteAllocs pins the arena copy: a five-segment tokened
+// trailer reverses in two allocations (the route and one byte arena),
+// not one per copied field.
+func TestReturnRouteAllocs(t *testing.T) {
+	p := tokenedTrailer()
+	if allocs := testing.AllocsPerRun(100, func() { p.ReturnRoute() }); allocs > 2 {
+		t.Fatalf("ReturnRoute allocates %.0f times, want <= 2", allocs)
+	}
+}
+
+// TestReturnRouteFieldsIndependent checks that the arena's windows are
+// capacity-limited: appending to one returned field must reallocate
+// rather than overwrite the field laid out after it.
+func TestReturnRouteFieldsIndependent(t *testing.T) {
+	p := tokenedTrailer()
+	rr := p.ReturnRoute()
+	next := append([]byte(nil), rr[1].PortToken...)
+	rr[0].PortToken = append(rr[0].PortToken, 0xFF, 0xFF, 0xFF, 0xFF)
+	if !bytes.Equal(rr[1].PortToken, next) {
+		t.Fatalf("append to return[0] token overwrote return[1]: %x, want %x", rr[1].PortToken, next)
+	}
+	if len(rr[4].PortToken) != 0 || rr[4].PortToken != nil {
+		t.Fatalf("origin segment token = %x, want nil", rr[4].PortToken)
+	}
+}
+
 // TestReturnRouteRoundTripProperty checks the paper's central reversal
 // property: if a packet traverses route R accumulating return segments,
 // and the reply traverses the return route the same way, the reply's

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/pool"
 	"repro/internal/viper"
 )
 
@@ -34,15 +35,18 @@ import (
 //     simulation endpoint and the directory; RT callers re-query on
 //     error instead.
 //
-// Deliver never blocks: packets are decoded and queued to an internal
-// receive goroutine, and a full queue drops the packet (counted in
-// Stats.QueueDrops). VMTP's retransmission recovers the loss, exactly
+// Deliver never blocks: packets are decoded (their data copied into a
+// pooled buffer, recycled once the packet is handled) and queued to an
+// internal receive goroutine, and a full queue drops the packet (counted
+// in Stats.QueueDrops). VMTP's retransmission recovers the loss, exactly
 // as it would recover wire loss — which keeps the delivering goroutine
 // (a livenet host) deadlock-free no matter how congested the endpoint.
 
 // Carrier is the packet path under a real-time endpoint: Send
-// transmits one encoded VMTP packet along a source route. livenet's
-// Host.Send satisfies it via CarrierFunc.
+// transmits one encoded VMTP packet along a source route. Send must not
+// keep pkt after it returns: the endpoint encodes a group's next packet
+// into the same buffer. livenet's Host.Send, which copies the bytes into
+// its frame, satisfies it via CarrierFunc.
 type Carrier interface {
 	Send(route []viper.Segment, pkt []byte) error
 }
@@ -208,6 +212,7 @@ type rtRxGroup struct {
 	served   bool
 	lastRx   time.Time
 	ackArmed bool
+	expire   *time.Timer // GroupTimeout; stopped once the group completes
 }
 
 func (g *rtRxGroup) complete() bool { return g.mask == fullMask(g.nPkts) }
@@ -318,7 +323,7 @@ func (c *rtCall) finish(data []byte, err error) {
 // receive queue is full the packet is dropped and retransmission
 // recovers it.
 func (rt *RT) Deliver(data []byte, ret []viper.Segment) {
-	p, err := Decode(data)
+	p, err := decodeAliased(data)
 	if err != nil {
 		rt.mu.Lock()
 		rt.stats.ChecksumDrops++
@@ -334,12 +339,24 @@ func (rt *RT) Deliver(data []byte, ret []viper.Segment) {
 			return
 		}
 	}
+	if len(p.Data) > 0 {
+		p.Data = append(pool.Get(len(p.Data)), p.Data...)
+	}
 	select {
 	case rt.rx <- rtDelivery{pkt: p, ret: ret}:
 	default:
+		recycle(p)
 		rt.mu.Lock()
 		rt.stats.QueueDrops++
 		rt.mu.Unlock()
+	}
+}
+
+// recycle returns a delivered packet's data buffer to the pool. The
+// handlers copy what they keep (placeRT), so nothing aliases it after.
+func recycle(p *Packet) {
+	if p.Data != nil {
+		pool.Put(p.Data)
 	}
 }
 
@@ -353,6 +370,7 @@ func (rt *RT) rxLoop() {
 		select {
 		case d := <-rt.rx:
 			rt.handle(d.pkt, d.ret)
+			recycle(d.pkt)
 		case <-rt.done:
 			return
 		}
@@ -455,6 +473,7 @@ func (rt *RT) sendGroup(route []viper.Segment, pkts []*Packet, mask, skip uint32
 		return
 	}
 	first := true
+	var buf []byte // the carrier is done with each packet when Send returns
 	for i, p := range pkts {
 		bit := uint32(1) << uint(i)
 		if mask&bit == 0 || skip&bit != 0 {
@@ -466,7 +485,8 @@ func (rt *RT) sendGroup(route []viper.Segment, pkts []*Packet, mask, skip uint32
 		first = false
 		q := *p
 		q.Timestamp = nowTimestamp()
-		rt.car.Send(route, q.Encode())
+		buf = q.encodeInto(buf)
+		rt.car.Send(route, buf)
 	}
 }
 
@@ -589,7 +609,7 @@ func (rt *RT) handleRequest(p *Packet, ret []viper.Segment) {
 		}
 		rt.rxReqs[key] = g
 		cur := g
-		time.AfterFunc(rt.cfg.GroupTimeout, func() {
+		g.expire = time.AfterFunc(rt.cfg.GroupTimeout, func() {
 			rt.mu.Lock()
 			if got, ok := rt.rxReqs[key]; ok && got == cur && !got.complete() {
 				delete(rt.rxReqs, key)
@@ -617,6 +637,9 @@ func (rt *RT) handleRequest(p *Packet, ret []viper.Segment) {
 		return
 	}
 	g.served = true
+	// The timer only discards incomplete groups; left pending it would
+	// pin the reassembled data for GroupTimeout after serve drops it.
+	g.expire.Stop()
 	handler := rt.handler
 	rt.stats.AcksSent++
 	nPkts, mask := g.nPkts, g.mask

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,6 +171,26 @@ func TestRTDuplicateSuppression(t *testing.T) {
 		t.Fatalf("handler ran %d times, want 1", n)
 	}
 	waitFor(t, time.Second, func() bool { return server.Stats().DupRequests >= 1 })
+}
+
+// TestRTReleasesServedGroup checks that a served request group becomes
+// garbage once its handler has run: nothing may keep the reassembled
+// bytes for the GroupTimeout, or a bulk stream holds that many seconds
+// of its traffic on the heap.
+func TestRTReleasesServedGroup(t *testing.T) {
+	client, server, _, _ := rtPair(t, RTConfig{GroupTimeout: time.Minute})
+	var freed atomic.Bool
+	server.SetHandler(func(_ uint64, data []byte, _ []viper.Segment) []byte {
+		runtime.SetFinalizer(&data[0], func(*byte) { freed.Store(true) })
+		return nil
+	})
+	if _, err := client.Call(0x51, testRoute, make([]byte, 8*MaxPacketData)); err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	waitFor(t, 2*time.Second, func() bool {
+		runtime.GC()
+		return freed.Load()
+	})
 }
 
 func TestRTCallFailsWithoutServer(t *testing.T) {

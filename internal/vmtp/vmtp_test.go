@@ -54,6 +54,15 @@ func TestWireChecksumCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocs pins Decode at the Packet and its copied data: the
+// checksum is verified in place, without a scratch copy of the packet.
+func TestDecodeAllocs(t *testing.T) {
+	b := (&Packet{Header: Header{Client: 1, Server: 2, NPkts: 1}, Data: make([]byte, MaxPacketData)}).Encode()
+	if n := testing.AllocsPerRun(100, func() { Decode(b) }); n > 2 {
+		t.Fatalf("Decode allocates %.0f times, want 2", n)
+	}
+}
+
 func TestPropertyWireRoundTrip(t *testing.T) {
 	f := func(client, server uint64, txn uint32, kind, idx, n, flags uint8, mask, total uint32, ts uint32, data []byte) bool {
 		p := &Packet{Header: Header{

@@ -88,12 +88,24 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// zeroSum stands in for the checksum field while a sum is verified.
+var zeroSum [4]byte
+
 // Encode serializes the packet with its trailing CRC-32C over header and
 // data — the transport checksum Sirpent relies on ("Because Sirpent does
 // not use a checksum", §4.1; VMTP carries checksum and timestamp in the
 // trailer).
-func (p *Packet) Encode() []byte {
-	b := make([]byte, HeaderLen+len(p.Data))
+func (p *Packet) Encode() []byte { return p.encodeInto(nil) }
+
+// encodeInto is Encode into b's backing array when it is large enough,
+// so a sender that hands each packet off before encoding the next can
+// reuse one buffer for a whole group.
+func (p *Packet) encodeInto(b []byte) []byte {
+	n := HeaderLen + len(p.Data)
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	b = b[:n]
 	binary.BigEndian.PutUint64(b[0:8], p.Client)
 	binary.BigEndian.PutUint64(b[8:16], p.Server)
 	binary.BigEndian.PutUint32(b[16:20], p.Txn)
@@ -107,6 +119,7 @@ func (p *Packet) Encode() []byte {
 	copy(b[HeaderLen:], p.Data)
 	// The checksum field is zero while the sum is computed over the
 	// whole packet, then filled in.
+	copy(b[36:40], zeroSum[:])
 	sum := crc32.Checksum(b, crcTable)
 	binary.BigEndian.PutUint32(b[36:40], sum)
 	return b
@@ -114,13 +127,23 @@ func (p *Packet) Encode() []byte {
 
 // Decode parses and verifies an encoded packet.
 func Decode(b []byte) (*Packet, error) {
+	p, err := decodeAliased(b)
+	if err == nil && len(p.Data) > 0 {
+		p.Data = append([]byte(nil), p.Data...)
+	}
+	return p, err
+}
+
+// decodeAliased is Decode with the packet's Data aliasing b.
+func decodeAliased(b []byte) (*Packet, error) {
 	if len(b) < HeaderLen {
 		return nil, ErrShort
 	}
-	sum := binary.BigEndian.Uint32(b[36:40])
-	cp := append([]byte(nil), b...)
-	cp[36], cp[37], cp[38], cp[39] = 0, 0, 0, 0
-	if crc32.Checksum(cp, crcTable) != sum {
+	// The sum was computed with its own field zeroed; feed the CRC the
+	// same bytes piecewise rather than copying the packet to zero it.
+	crc := crc32.Update(0, crcTable, b[:36])
+	crc = crc32.Update(crc, crcTable, zeroSum[:])
+	if crc32.Update(crc, crcTable, b[40:]) != binary.BigEndian.Uint32(b[36:40]) {
 		return nil, ErrChecksum
 	}
 	p := &Packet{
@@ -138,7 +161,7 @@ func Decode(b []byte) (*Packet, error) {
 		},
 	}
 	if len(b) > HeaderLen {
-		p.Data = append([]byte(nil), b[HeaderLen:]...)
+		p.Data = b[HeaderLen:]
 	}
 	return p, nil
 }
