@@ -671,7 +671,8 @@ func frameHeadroom(hops, headerBytes int) int {
 // Delivery is a packet received by a live host. Data aliases the frame's
 // pooled buffer and is valid only until the handler returns; handlers
 // that retain the payload must copy it. ReturnRoute is deep-copied and
-// safe to keep.
+// safe to keep: it is the one allocation a delivery makes, two when the
+// route carries tokens or headers (viper.DecodeDelivery).
 type Delivery struct {
 	Data        []byte
 	ReturnRoute []viper.Segment
@@ -861,28 +862,26 @@ func (h *Host) receive(inf inFrame) {
 		inf.frame.release()
 		return
 	}
-	pkt, err := viper.Decode(inf.frame.Pkt)
-	if err != nil || len(pkt.Route) == 0 {
+	var inInfo []byte
+	if inf.frame.Hdr != nil && ethernet.SwapInPlace(inf.frame.Hdr) == nil {
+		// The frame — header included — is ours until the handler
+		// returns, so the swap happens in place; DecodeDelivery copies
+		// the swapped header into the return route.
+		inInfo = inf.frame.Hdr
+	}
+	seg, data, ret, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo)
+	if err != nil {
 		h.closeReceive(inf, trace.ActionDrop, stats.DropNotSirpent)
 		h.recordDrop(inf.port, stats.DropNotSirpent)
 		inf.frame.release()
 		return
 	}
-	seg := pkt.Route[0]
-	ret := viper.Segment{Port: inf.port, Priority: seg.Priority}
-	if inf.frame.Hdr != nil && ethernet.SwapInPlace(inf.frame.Hdr) == nil {
-		// The frame — header included — is ours until the handler
-		// returns, so the swap happens in place and the return segment
-		// aliases it; ReturnRoute deep-copies every segment it emits.
-		ret.PortInfo = inf.frame.Hdr
-	}
-	pkt.ConsumeHead(ret)
 	h.mu.Lock()
 	fn := h.handlers[seg.Port]
 	h.mu.Unlock()
 	if fn != nil {
 		h.closeReceive(inf, trace.ActionLocal, 0)
-		fn(Delivery{Data: pkt.Data, ReturnRoute: pkt.ReturnRoute(), Endpoint: seg.Port})
+		fn(Delivery{Data: data, ReturnRoute: ret, Endpoint: seg.Port})
 	} else {
 		h.closeReceive(inf, trace.ActionDrop, stats.DropBadPort)
 		h.recordDrop(inf.port, stats.DropBadPort)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ledger"
+	"repro/internal/pool"
 	"repro/internal/token"
 	"repro/internal/viper"
 )
@@ -55,6 +56,64 @@ func TestSendAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(300, step)
 	if allocs > 2 {
 		t.Fatalf("Host.Send allocates %.2f times per packet, want <= 2", allocs)
+	}
+}
+
+// TestReceiveAllocs pins the receive half: one Handle delivery — decode,
+// arrival segment, return route, handler call, frame recycle — allocates
+// only the return route. That copy is the floor, not an oversight: the
+// Delivery contract lets a handler keep ReturnRoute (vmtp.RT holds it
+// per request group and per cached response) after the frame it came in
+// is recycled. It is one segment slice, plus one byte arena when the
+// trailer carries tokens or headers. The frame is driven straight into
+// the host's receive step, so the count has no scheduler in it.
+func TestReceiveAllocs(t *testing.T) {
+	n := NewNetwork()
+	defer n.Stop()
+	h := n.NewHost("dst")
+	var got Delivery
+	h.Handle(viper.PortLocal, func(d Delivery) { got = d })
+
+	// The packet as a four-router chain delivers it: the local segment
+	// left, and a trailer of the origin plus one return segment per hop.
+	arriving := func(tokened int) []byte {
+		p := viper.NewPacket([]viper.Segment{{Port: viper.PortLocal}}, []byte("receive-allocs"))
+		p.Trailer = []viper.Segment{{Port: viper.PortLocal}}
+		for i := 0; i < 4; i++ {
+			s := viper.Segment{Port: 1}
+			if i < tokened {
+				s.PortToken = bytes.Repeat([]byte{byte(0xA0 + i)}, 24)
+			}
+			p.Trailer = append(p.Trailer, s)
+		}
+		b, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		tokened int
+		max     float64
+	}{
+		{"tokenless", 0, 1},
+		{"two tokened hops", 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmpl := arriving(tc.tokened)
+			step := func() {
+				buf := append(pool.Get(len(tmpl)), tmpl...)
+				h.receive(inFrame{port: 1, frame: Frame{Pkt: buf, buf: buf[:0]}})
+			}
+			step()
+			if len(got.ReturnRoute) != 6 || string(got.Data) != "receive-allocs" {
+				t.Fatalf("delivery = %q with %d-segment return route, want the payload and 6", got.Data, len(got.ReturnRoute))
+			}
+			if allocs := testing.AllocsPerRun(200, step); allocs > tc.max {
+				t.Fatalf("one delivery allocates %.2f times, want <= %.0f", allocs, tc.max)
+			}
+		})
 	}
 }
 

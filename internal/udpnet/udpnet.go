@@ -50,12 +50,14 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/ledger"
 	"repro/internal/livenet"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -202,7 +204,7 @@ func (b *Bridge) readLoop() {
 	defer b.wg.Done()
 	buf := make([]byte, MaxDatagram)
 	for {
-		n, _, err := b.conn.ReadFromUDP(buf)
+		n, _, err := b.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			select {
 			case <-b.closed:
@@ -481,7 +483,8 @@ func (t *Tunnel) drops() bool {
 // egress is the gateway host's raw tap: every frame the router
 // transmits onto the bridged port lands here as encoded VIPER bytes
 // valid only for the duration of the call. The frame is framed into a
-// fresh datagram and queued for the writer; a full queue drops, as an
+// pooled datagram and queued for the writer, which returns it to the
+// pool after the write; a full queue drops (and recycles) it, as an
 // overrun link queue would.
 //
 // A frame whose in-process record carried a trace context crosses as
@@ -494,13 +497,15 @@ func (t *Tunnel) drops() bool {
 func (t *Tunnel) egress(pkt []byte, ctx trace.Context) {
 	var dg []byte
 	if ctx.CanHop() {
-		dg = make([]byte, HeaderLen+tracedPrefixLen+len(pkt))
+		n := HeaderLen + tracedPrefixLen + len(pkt)
+		dg = pool.Get(n)[:n]
 		dg[5] = TypeTraced
 		ctx.Next().Encode(dg[HeaderLen:])
 		binary.BigEndian.PutUint64(dg[HeaderLen+trace.ContextWireLen:], uint64(time.Now().UnixNano()))
 		copy(dg[HeaderLen+tracedPrefixLen:], pkt)
 	} else {
-		dg = make([]byte, HeaderLen+len(pkt))
+		n := HeaderLen + len(pkt)
+		dg = pool.Get(n)[:n]
 		dg[5] = TypeData
 		copy(dg[HeaderLen:], pkt)
 	}
@@ -510,48 +515,59 @@ func (t *Tunnel) egress(pkt []byte, ctx trace.Context) {
 	select {
 	case t.out <- dg:
 	default:
+		pool.Put(dg)
 		t.dropped.Add(1)
 	}
 }
 
-// writeLoop drains the egress queue onto the socket. Fault lottery
-// and remote resolution happen here, not in egress, so a flapping
-// tunnel drops queued frames too — matching a cut cable, which loses
-// what is in flight.
+// writeLoop drains the egress queue onto the socket, recycling each
+// datagram once it is written or discarded.
 func (t *Tunnel) writeLoop() {
 	defer t.bridge.wg.Done()
 	for {
 		select {
 		case dg := <-t.out:
-			if t.drops() {
-				continue
-			}
-			remote := t.remote.Load()
-			if remote == nil {
-				t.sendErrors.Add(1)
-				t.bridge.flight.Record(ledger.Event{
-					At: time.Now().UnixNano(), Node: t.bridge.node,
-					Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: no remote address", t.linkID),
-				})
-				continue
-			}
-			if _, err := t.bridge.conn.WriteToUDP(dg, remote); err != nil {
-				t.sendErrors.Add(1)
-				t.noteSendError()
-				t.bridge.flight.Record(ledger.Event{
-					At: time.Now().UnixNano(), Node: t.bridge.node,
-					Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: %v", t.linkID, err),
-				})
-				continue
-			}
-			t.noteSendOK()
-			t.encapsulated.Add(1)
-			if dg[5] == TypeTraced {
-				t.tracedSent.Add(1)
-			}
+			t.write(dg)
+			pool.Put(dg)
 		case <-t.bridge.closed:
 			return
 		}
+	}
+}
+
+// write puts one datagram on the socket. Fault lottery and remote
+// resolution happen here, not in egress, so a flapping tunnel drops
+// queued frames too — matching a cut cable, which loses what is in
+// flight.
+func (t *Tunnel) write(dg []byte) {
+	if t.drops() {
+		return
+	}
+	remote := t.remote.Load()
+	if remote == nil {
+		t.sendErrors.Add(1)
+		t.bridge.flight.Record(ledger.Event{
+			At: time.Now().UnixNano(), Node: t.bridge.node,
+			Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: no remote address", t.linkID),
+		})
+		return
+	}
+	// A resolved address is often the 16-byte IPv4-mapped form, which an
+	// IPv4 socket refuses; unmapped, it is the plain IPv4 address.
+	to := netip.AddrPortFrom(remote.AddrPort().Addr().Unmap(), uint16(remote.Port))
+	if _, err := t.bridge.conn.WriteToUDPAddrPort(dg, to); err != nil {
+		t.sendErrors.Add(1)
+		t.noteSendError()
+		t.bridge.flight.Record(ledger.Event{
+			At: time.Now().UnixNano(), Node: t.bridge.node,
+			Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: %v", t.linkID, err),
+		})
+		return
+	}
+	t.noteSendOK()
+	t.encapsulated.Add(1)
+	if dg[5] == TypeTraced {
+		t.tracedSent.Add(1)
 	}
 }
 

@@ -15,9 +15,30 @@ import (
 //	go test ./internal/viper -run TestRegenerateFuzzCorpus -regen-corpus
 var regenCorpus = flag.Bool("regen-corpus", false, "rewrite testdata/fuzz seed corpora")
 
-// corpusFile is the `go test fuzz v1` encoding of a single []byte input.
-func corpusFile(data []byte) []byte {
-	return []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data))
+// corpusFile is the `go test fuzz v1` encoding of one input: a value per
+// argument of the fuzz function, each a []byte or a byte.
+func corpusFile(args ...any) []byte {
+	s := "go test fuzz v1\n"
+	for _, a := range args {
+		switch a := a.(type) {
+		case []byte:
+			s += fmt.Sprintf("[]byte(%q)\n", a)
+		case byte:
+			s += fmt.Sprintf("byte(%q)\n", a)
+		default:
+			panic(fmt.Sprintf("corpusFile: unsupported argument %T", a))
+		}
+	}
+	return []byte(s)
+}
+
+// oneArg wraps single-[]byte seeds as corpus argument lists.
+func oneArg(seeds map[string][]byte) map[string][]any {
+	out := make(map[string][]any, len(seeds))
+	for name, b := range seeds {
+		out[name] = []any{b}
+	}
+	return out
 }
 
 func mustEncodeSeg(t *testing.T, s Segment, mirrored bool) []byte {
@@ -48,7 +69,7 @@ func mustEncodePkt(t *testing.T, p *Packet) []byte {
 // PortInfo/PortToken, max-length (escape-encoded) fields, continuation
 // flags both ways (VNT and the portInfo type tag), and truncated
 // trailers.
-func corpusSeeds(t *testing.T) map[string]map[string][]byte {
+func corpusSeeds(t *testing.T) map[string]map[string][]any {
 	t.Helper()
 
 	bigInfo := bytes.Repeat([]byte{0xA5}, 300) // forces the 255 length escape
@@ -160,11 +181,20 @@ func corpusSeeds(t *testing.T) map[string]map[string][]byte {
 		"count_overclaims":     {0, 0, 1, 0x00, 0, 40, 0, 0x5A}, // claims 40 trailer segments
 	}
 
-	return map[string]map[string][]byte{
-		"FuzzDecodeSegment":         segments,
-		"FuzzDecodeSegmentMirrored": mirrored,
-		"FuzzPacketRoundTrip":       packets,
-		"FuzzDecodeDAG":             dags,
+	// Deliveries: every packet seed arriving bare on port 1, and the full
+	// chain arriving behind a network header that joins the return route.
+	deliveries := make(map[string][]any, len(packets)+1)
+	for name, b := range packets {
+		deliveries[name] = []any{b, byte(1), []byte(nil)}
+	}
+	deliveries["arrival_header"] = []any{full, byte(7), tagInfo}
+
+	return map[string]map[string][]any{
+		"FuzzDecodeSegment":         oneArg(segments),
+		"FuzzDecodeSegmentMirrored": oneArg(mirrored),
+		"FuzzPacketRoundTrip":       oneArg(packets),
+		"FuzzDecodeDAG":             oneArg(dags),
+		"FuzzDecodeDelivery":        deliveries,
 	}
 }
 
@@ -180,10 +210,11 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for name, data := range files {
+		for name, args := range files {
+			data := corpusFile(args...)
 			path := filepath.Join(dir, "seed_"+name)
 			if *regenCorpus {
-				if err := os.WriteFile(path, corpusFile(data), 0o644); err != nil {
+				if err := os.WriteFile(path, data, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				continue
@@ -193,7 +224,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 				t.Errorf("missing corpus seed %s (run with -regen-corpus): %v", path, err)
 				continue
 			}
-			if !bytes.Equal(got, corpusFile(data)) {
+			if !bytes.Equal(got, data) {
 				t.Errorf("corpus seed %s is stale (run with -regen-corpus)", path)
 			}
 		}

@@ -182,6 +182,61 @@ func FuzzDecodeDAG(f *testing.F) {
 	})
 }
 
+// FuzzDecodeDelivery holds the receive fast path to its definition:
+// DecodeDelivery must agree with Decode + ConsumeHead(arrival) +
+// ReturnRoute on whether the input is a packet, on the head's port and
+// priority, on the data, and on every return segment. The return route
+// must own its bytes: flipping every input byte afterwards leaves it
+// unchanged.
+func FuzzDecodeDelivery(f *testing.F) {
+	p := NewPacket([]Segment{{Port: PortLocal, Priority: 3}}, []byte("payload"))
+	p.Trailer = []Segment{{Port: PortLocal}, {Port: 4, PortToken: []byte{1, 2, 3}}}
+	if b, err := p.Encode(); err == nil {
+		f.Add(b, byte(2), []byte{0xDE, 0xAD, 0x88, 0xB5})
+	}
+	f.Add([]byte{0, 0, 0, 0x5A}, byte(1), []byte(nil)) // descriptor only: must error, not panic
+	f.Fuzz(func(t *testing.T, in []byte, inPort uint8, inInfo []byte) {
+		// Work on copies: the flip below must not touch the fuzzer's input.
+		b := append([]byte(nil), in...)
+		info := append([]byte(nil), inInfo...)
+		head, data, ret, err := DecodeDelivery(b, inPort, info)
+		pkt, refErr := Decode(in)
+		if err != refErr {
+			t.Fatalf("DecodeDelivery err = %v, Decode err = %v", err, refErr)
+		}
+		if err != nil {
+			return
+		}
+		want := pkt.ConsumeHead(Segment{Port: inPort, Priority: pkt.Priority(), PortInfo: inInfo})
+		wantRet := pkt.ReturnRoute()
+		if head.Port != want.Port || head.Priority != want.Priority {
+			t.Fatalf("head = %v, want %v", &head, &want)
+		}
+		if !bytes.Equal(data, pkt.Data) {
+			t.Fatalf("data = %x, want %x", data, pkt.Data)
+		}
+		sameRoute := func(when string) {
+			if len(ret) != len(wantRet) {
+				t.Fatalf("%s: return route has %d segments, want %d", when, len(ret), len(wantRet))
+			}
+			for i := range ret {
+				if !ret[i].Equal(&wantRet[i]) {
+					// Values, not pointers: %+v then prints the field bytes.
+					t.Fatalf("%s: return[%d] = %+v, want %+v", when, i, ret[i], wantRet[i])
+				}
+			}
+		}
+		sameRoute("decoded")
+		for i := range b {
+			b[i] ^= 0xFF
+		}
+		for i := range info {
+			info[i] ^= 0xFF
+		}
+		sameRoute("after the input was overwritten")
+	})
+}
+
 func FuzzPacketRoundTrip(f *testing.F) {
 	// A couple of valid encodings as starting points; the richer corpus
 	// is in testdata/fuzz/FuzzPacketRoundTrip.

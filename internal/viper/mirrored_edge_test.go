@@ -137,21 +137,24 @@ func TestDecodeFieldBackwardEdgeCases(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			field, rest, err := decodeFieldBackward(tc.buf, tc.lenByte)
-			if tc.wantErr != nil {
-				if !errors.Is(err, tc.wantErr) {
-					t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			// The copying and aliasing walks must agree on every case.
+			for _, copyField := range []bool{true, false} {
+				field, rest, err := decodeFieldBackward(tc.buf, tc.lenByte, copyField)
+				if tc.wantErr != nil {
+					if !errors.Is(err, tc.wantErr) {
+						t.Fatalf("copy=%v: err = %v, want %v", copyField, err, tc.wantErr)
+					}
+					continue
 				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			if !bytes.Equal(field, tc.want) {
-				t.Fatalf("field = %x, want %x", field, tc.want)
-			}
-			if len(rest) != tc.rest {
-				t.Fatalf("rest = %d bytes, want %d", len(rest), tc.rest)
+				if err != nil {
+					t.Fatalf("copy=%v: unexpected error: %v", copyField, err)
+				}
+				if !bytes.Equal(field, tc.want) {
+					t.Fatalf("copy=%v: field = %x, want %x", copyField, field, tc.want)
+				}
+				if len(rest) != tc.rest {
+					t.Fatalf("copy=%v: rest = %d bytes, want %d", copyField, len(rest), tc.rest)
+				}
 			}
 		})
 	}

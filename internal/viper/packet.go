@@ -76,23 +76,31 @@ func (p *Packet) ConsumeHead(ret Segment) Segment {
 // segment is marked RPF ("the packet is being returned using the route and
 // tokens supplied in a packet received by the currently sending host",
 // §5). The segments are deep-copied so the reply does not alias the
-// request: all their token and portInfo bytes go into one arena, and each
-// field is a capacity-limited window of it, so appending to one field
-// reallocates instead of overwriting its neighbour. That is two
-// allocations per call however long the trailer.
+// request (see ownReturn): at most two allocations per call however long
+// the trailer.
 func (p *Packet) ReturnRoute() []Segment {
-	n := 0
+	route := make([]Segment, len(p.Trailer))
 	for i := range p.Trailer {
-		n += len(p.Trailer[i].PortToken) + len(p.Trailer[i].PortInfo)
+		route[len(route)-1-i] = p.Trailer[i]
+	}
+	return ownReturn(route)
+}
+
+// ownReturn turns route, in reply order, into a return route that owns
+// its bytes: every token and portInfo field is copied into one arena as
+// a capacity-limited window of it, so appending to one field reallocates
+// instead of overwriting its neighbour, and every segment is marked RPF.
+// The arena is the only allocation, and none when no field has bytes.
+func ownReturn(route []Segment) []Segment {
+	n := 0
+	for i := range route {
+		n += len(route[i].PortToken) + len(route[i].PortInfo)
 	}
 	arena := make([]byte, 0, n)
-	route := make([]Segment, 0, len(p.Trailer))
-	for i := len(p.Trailer) - 1; i >= 0; i-- {
-		s := p.Trailer[i]
-		s.PortToken, arena = carve(arena, s.PortToken)
-		s.PortInfo, arena = carve(arena, s.PortInfo)
-		s.Flags |= FlagRPF
-		route = append(route, s)
+	for i := range route {
+		route[i].PortToken, arena = carve(arena, route[i].PortToken)
+		route[i].PortInfo, arena = carve(arena, route[i].PortInfo)
+		route[i].Flags |= FlagRPF
 	}
 	return route
 }
@@ -241,51 +249,96 @@ func AppendTrailerDescriptor(b []byte, n int, truncated bool) ([]byte, error) {
 // the descriptor. Everything in between — including any null padding — is
 // returned as Data.
 func Decode(b []byte) (*Packet, error) {
-	if len(b) < trailerDescLen {
-		return nil, ErrBadTrailer
+	nTrailer, truncated, rest, err := splitTrailer(b)
+	if err != nil {
+		return nil, err
 	}
-	desc := b[len(b)-trailerDescLen:]
-	if desc[3] != trailerMagic {
-		return nil, ErrBadTrailer
-	}
-	nTrailer := int(binary.BigEndian.Uint16(desc[0:2]))
-	if nTrailer > MaxRouteSegments {
-		return nil, ErrTooManySegments
-	}
-	p := &Packet{Truncated: desc[2]&trailerTruncFlag != 0}
-	rest := b[:len(b)-trailerDescLen]
-
+	p := &Packet{Truncated: truncated, Trailer: make([]Segment, nTrailer)}
 	// Trailer, backwards from the end. The most recently appended
 	// segment is last on the wire.
-	rev := make([]Segment, nTrailer)
-	var err error
 	for i := nTrailer - 1; i >= 0; i-- {
-		rev[i], rest, err = DecodeSegmentMirrored(rest)
-		if err != nil {
+		if p.Trailer[i], rest, err = decodeSegmentMirrored(rest, true); err != nil {
 			return nil, err
 		}
 	}
-	p.Trailer = rev
-
-	// Forward segments from the front. The bound mirrors Encode's, so
-	// any packet Decode accepts can be re-encoded: without the >= check
-	// a 49-segment route would decode here but fail Encode.
-	for {
+	for more := true; more; {
 		var s Segment
-		s, rest, err = DecodeSegment(rest)
-		if err != nil {
+		if s, rest, more, err = nextHeader(rest, len(p.Route), true); err != nil {
 			return nil, err
 		}
 		p.Route = append(p.Route, s)
-		if !s.Continues() {
-			break
-		}
-		if len(p.Route) >= MaxRouteSegments {
-			return nil, ErrTooManySegments
-		}
 	}
 	p.Data = rest
 	return p, nil
+}
+
+// DecodeDelivery is a receiving host's whole Sirpent step in one pass
+// over an encoded packet: Decode, then ConsumeHead with the arrival
+// segment {Port: inPort, Priority: head.Priority, PortInfo: inInfo},
+// then ReturnRoute. head and data alias b. ret is the one deep copy,
+// built as ReturnRoute builds it (one segment slice and one byte arena),
+// so it stays valid after b and inInfo are recycled. It walks the
+// packet with Decode's own decoders in Decode's order, so it accepts
+// and rejects exactly what Decode does.
+func DecodeDelivery(b []byte, inPort uint8, inInfo []byte) (head Segment, data []byte, ret []Segment, err error) {
+	nTrailer, _, rest, err := splitTrailer(b)
+	if err != nil {
+		return Segment{}, nil, nil, err
+	}
+	// ret[0] is the arrival hop; the trailer follows newest first, the
+	// order a backward walk meets it in.
+	ret = make([]Segment, 1+nTrailer)
+	for i := 1; i <= nTrailer; i++ {
+		if ret[i], rest, err = decodeSegmentMirrored(rest, false); err != nil {
+			return Segment{}, nil, nil, err
+		}
+	}
+	for i, more := 0, true; more; i++ {
+		var s Segment
+		if s, rest, more, err = nextHeader(rest, i, false); err != nil {
+			return Segment{}, nil, nil, err
+		}
+		if i == 0 {
+			head = s
+		}
+	}
+	ret[0] = Segment{Port: inPort, Priority: head.Priority, PortInfo: inInfo}
+	return head, rest, ownReturn(ret), nil
+}
+
+// splitTrailer checks the trailer descriptor that ends b and returns the
+// trailer's segment count, its truncation flag, and the bytes before the
+// descriptor.
+func splitTrailer(b []byte) (n int, truncated bool, rest []byte, err error) {
+	if len(b) < trailerDescLen {
+		return 0, false, nil, ErrBadTrailer
+	}
+	desc := b[len(b)-trailerDescLen:]
+	if desc[3] != trailerMagic {
+		return 0, false, nil, ErrBadTrailer
+	}
+	n = int(binary.BigEndian.Uint16(desc[0:2]))
+	if n > MaxRouteSegments {
+		return 0, false, nil, ErrTooManySegments
+	}
+	return n, desc[2]&trailerTruncFlag != 0, b[:len(b)-trailerDescLen], nil
+}
+
+// nextHeader decodes the forward segment at the front of b, the i-th of
+// the route (from 0), and reports whether another follows it. The bound
+// mirrors Encode's, so any packet Decode accepts can be re-encoded:
+// without it a 49-segment route would decode but fail Encode.
+func nextHeader(b []byte, i int, copyFields bool) (s Segment, rest []byte, more bool, err error) {
+	if s, rest, err = decodeSegment(b, copyFields); err != nil {
+		return Segment{}, nil, false, err
+	}
+	if !s.Continues() {
+		return s, rest, false, nil
+	}
+	if i+1 >= MaxRouteSegments {
+		return Segment{}, nil, false, ErrTooManySegments
+	}
+	return s, rest, true, nil
 }
 
 func (p *Packet) String() string {

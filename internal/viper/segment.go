@@ -355,8 +355,13 @@ func AppendSegmentMirrored(b []byte, s *Segment) ([]byte, error) {
 }
 
 // DecodeSegmentMirrored decodes the mirrored encoding of the LAST segment
-// in b, returning it along with the bytes preceding it.
+// in b, returning it along with the bytes preceding it. Like
+// DecodeSegment, its variable fields are defensive copies.
 func DecodeSegmentMirrored(b []byte) (Segment, []byte, error) {
+	return decodeSegmentMirrored(b, true)
+}
+
+func decodeSegmentMirrored(b []byte, copyFields bool) (Segment, []byte, error) {
 	if len(b) < 4 {
 		return Segment{}, nil, ErrTruncatedSegment
 	}
@@ -369,18 +374,18 @@ func DecodeSegmentMirrored(b []byte) (Segment, []byte, error) {
 	}
 	rest := b[:len(b)-4]
 	var err error
-	s.PortInfo, rest, err = decodeFieldBackward(rest, pil)
+	s.PortInfo, rest, err = decodeFieldBackward(rest, pil, copyFields)
 	if err != nil {
 		return Segment{}, nil, err
 	}
-	s.PortToken, rest, err = decodeFieldBackward(rest, ptl)
+	s.PortToken, rest, err = decodeFieldBackward(rest, ptl, copyFields)
 	if err != nil {
 		return Segment{}, nil, err
 	}
 	return s, rest, nil
 }
 
-func decodeFieldBackward(b []byte, lenByte byte) (field, rest []byte, err error) {
+func decodeFieldBackward(b []byte, lenByte byte, copyField bool) (field, rest []byte, err error) {
 	n := int(lenByte)
 	if lenByte == 255 {
 		if len(b) < 4 {
@@ -399,5 +404,9 @@ func decodeFieldBackward(b []byte, lenByte byte) (field, rest []byte, err error)
 	if n == 0 {
 		return nil, b, nil
 	}
-	return append([]byte(nil), b[len(b)-n:]...), b[:len(b)-n], nil
+	field = b[len(b)-n:]
+	if !copyField {
+		return field[:n:n], b[:len(b)-n], nil
+	}
+	return append([]byte(nil), field...), b[:len(b)-n], nil
 }

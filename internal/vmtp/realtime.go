@@ -176,8 +176,10 @@ type RT struct {
 	wg   sync.WaitGroup
 }
 
+// rtDelivery is one decoded arrival queued for the receive goroutine,
+// carried by value so queuing it allocates nothing.
 type rtDelivery struct {
-	pkt *Packet
+	pkt Packet
 	ret []viper.Segment
 }
 
@@ -185,7 +187,7 @@ type rtCall struct {
 	txn       uint32
 	server    uint64
 	route     []viper.Segment
-	pkts      []*Packet
+	pkts      []Packet
 	acked     uint32
 	full      uint32
 	delivered bool
@@ -218,7 +220,7 @@ type rtRxGroup struct {
 func (g *rtRxGroup) complete() bool { return g.mask == fullMask(g.nPkts) }
 
 type rtRespEntry struct {
-	pkts []*Packet
+	pkts []Packet
 	ret  []viper.Segment
 }
 
@@ -323,8 +325,8 @@ func (c *rtCall) finish(data []byte, err error) {
 // receive queue is full the packet is dropped and retransmission
 // recovers it.
 func (rt *RT) Deliver(data []byte, ret []viper.Segment) {
-	p, err := decodeAliased(data)
-	if err != nil {
+	var p Packet
+	if err := p.decodeInto(data); err != nil {
 		rt.mu.Lock()
 		rt.stats.ChecksumDrops++
 		rt.mu.Unlock()
@@ -345,7 +347,7 @@ func (rt *RT) Deliver(data []byte, ret []viper.Segment) {
 	select {
 	case rt.rx <- rtDelivery{pkt: p, ret: ret}:
 	default:
-		recycle(p)
+		recycle(&p)
 		rt.mu.Lock()
 		rt.stats.QueueDrops++
 		rt.mu.Unlock()
@@ -369,8 +371,8 @@ func (rt *RT) rxLoop() {
 	for {
 		select {
 		case d := <-rt.rx:
-			rt.handle(d.pkt, d.ret)
-			recycle(d.pkt)
+			rt.handle(&d.pkt, d.ret)
+			recycle(&d.pkt)
 		case <-rt.done:
 			return
 		}
@@ -395,25 +397,12 @@ func (rt *RT) Call(server uint64, route []viper.Segment, data []byte) ([]byte, e
 		txn:     rt.nextTxn,
 		server:  server,
 		route:   route,
+		pkts:    groupPackets(chunks, Header{Client: rt.id, Server: server, Txn: rt.nextTxn, Kind: KindRequest}, len(data)),
 		full:    fullMask(uint8(len(chunks))),
 		result:  make(chan rtResult, 1),
 		timeout: rt.timeoutLocked(server),
 		sent:    time.Now(),
 		clean:   true,
-	}
-	for i, ch := range chunks {
-		c.pkts = append(c.pkts, &Packet{
-			Header: Header{
-				Client:   rt.id,
-				Server:   server,
-				Txn:      c.txn,
-				Kind:     KindRequest,
-				PktIndex: uint8(i),
-				NPkts:    uint8(len(chunks)),
-				TotalLen: uint32(len(data)),
-			},
-			Data: ch,
-		})
 	}
 	rt.calls[c.txn] = c
 	rt.stats.CallsStarted++
@@ -433,6 +422,20 @@ func (rt *RT) Call(server uint64, route []viper.Segment, data []byte) ([]byte, e
 	case <-rt.done:
 		return nil, ErrClosed
 	}
+}
+
+// groupPackets lays a message's chunks out as one packet group in a
+// single slice: every packet carries h, plus its index, the group size
+// and the message length.
+func groupPackets(chunks [][]byte, h Header, totalLen int) []Packet {
+	pkts := make([]Packet, len(chunks))
+	for i, ch := range chunks {
+		pkts[i] = Packet{Header: h, Data: ch}
+		pkts[i].PktIndex = uint8(i)
+		pkts[i].NPkts = uint8(len(chunks))
+		pkts[i].TotalLen = uint32(totalLen)
+	}
+	return pkts
 }
 
 // abortCall removes a call that its Call goroutine has given up on.
@@ -466,15 +469,15 @@ func (rt *RT) timeoutLocked(server uint64) time.Duration {
 
 // sendGroup transmits the packets selected by mask minus skip, paced
 // by PacingGap, stamping each with the transmission-time timestamp.
-// Each packet is shallow-copied before stamping so concurrent resends
-// never race on a shared header.
-func (rt *RT) sendGroup(route []viper.Segment, pkts []*Packet, mask, skip uint32) {
+// Each packet is copied before stamping so concurrent resends never race
+// on a shared header.
+func (rt *RT) sendGroup(route []viper.Segment, pkts []Packet, mask, skip uint32) {
 	if len(route) == 0 {
 		return
 	}
 	first := true
 	var buf []byte // the carrier is done with each packet when Send returns
-	for i, p := range pkts {
+	for i := range pkts {
 		bit := uint32(1) << uint(i)
 		if mask&bit == 0 || skip&bit != 0 {
 			continue
@@ -483,7 +486,7 @@ func (rt *RT) sendGroup(route []viper.Segment, pkts []*Packet, mask, skip uint32
 			time.Sleep(rt.cfg.PacingGap)
 		}
 		first = false
-		q := *p
+		q := pkts[i]
 		q.Timestamp = nowTimestamp()
 		buf = q.encodeInto(buf)
 		rt.car.Send(route, buf)
@@ -509,7 +512,7 @@ func (rt *RT) onTimer(txn uint32) {
 			interval = 50 * time.Millisecond
 		}
 		c.timer.Reset(interval)
-		probe := *c.pkts[0]
+		probe := c.pkts[0]
 		probe.Flags |= FlagProbe
 		probe.Data = nil
 		probe.Timestamp = nowTimestamp()
@@ -608,14 +611,18 @@ func (rt *RT) handleRequest(p *Packet, ret []viper.Segment) {
 			data:     make([]byte, p.TotalLen),
 		}
 		rt.rxReqs[key] = g
-		cur := g
-		g.expire = time.AfterFunc(rt.cfg.GroupTimeout, func() {
+		// The closure names its group by its timer, not by g: a stopped
+		// timer can outlive Stop in the runtime's timer heap, and holding
+		// g there would pin the reassembled bytes after the group is served.
+		var expire *time.Timer
+		expire = time.AfterFunc(rt.cfg.GroupTimeout, func() {
 			rt.mu.Lock()
-			if got, ok := rt.rxReqs[key]; ok && got == cur && !got.complete() {
+			if got, ok := rt.rxReqs[key]; ok && got.expire == expire && !got.complete() {
 				delete(rt.rxReqs, key)
 			}
 			rt.mu.Unlock()
 		})
+		g.expire = expire
 	}
 	g.ret = ret
 	g.lastRx = time.Now()
@@ -698,15 +705,15 @@ func (rt *RT) armGapAck(key groupKey, g *rtRxGroup) {
 }
 
 func (rt *RT) sendAck(key groupKey, nPkts uint8, mask uint32, ret []viper.Segment) {
-	ack := &Packet{Header: Header{
+	ack := []Packet{{Header: Header{
 		Client: key.client,
 		Server: rt.id,
 		Txn:    key.txn,
 		Kind:   KindAck,
 		NPkts:  nPkts,
 		Mask:   mask,
-	}}
-	rt.sendGroup(ret, []*Packet{ack}, ^uint32(0), 0)
+	}}}
+	rt.sendGroup(ret, ack, ^uint32(0), 0)
 }
 
 // serve runs the handler on its own goroutine and transmits (and
@@ -721,21 +728,7 @@ func (rt *RT) serve(key groupKey, g *rtRxGroup, data []byte, ret0 []viper.Segmen
 	if err != nil {
 		return
 	}
-	var pkts []*Packet
-	for i, ch := range chunks {
-		pkts = append(pkts, &Packet{
-			Header: Header{
-				Client:   key.client,
-				Server:   rt.id,
-				Txn:      key.txn,
-				Kind:     KindResponse,
-				PktIndex: uint8(i),
-				NPkts:    uint8(len(chunks)),
-				TotalLen: uint32(len(respData)),
-			},
-			Data: ch,
-		})
-	}
+	pkts := groupPackets(chunks, Header{Client: key.client, Server: rt.id, Txn: key.txn, Kind: KindResponse}, len(respData))
 	rt.mu.Lock()
 	ret := g.ret // freshest return route seen for this transaction
 	delete(rt.rxReqs, key)

@@ -63,6 +63,45 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoAllocs pins the decode RT.Deliver runs on every arrival:
+// verifying and parsing into a caller's Packet value, with Data
+// aliasing the frame, allocates nothing. What an arrival does cost is
+// elsewhere: the pooled copy of its data, and the owned return route the
+// host delivered with it, which RT keeps per request group and per
+// cached response.
+func TestDecodeIntoAllocs(t *testing.T) {
+	b := (&Packet{Header: Header{Client: 1, Server: 2, NPkts: 1}, Data: make([]byte, MaxPacketData)}).Encode()
+	var p Packet
+	if n := testing.AllocsPerRun(100, func() { p.decodeInto(b) }); n != 0 {
+		t.Fatalf("decodeInto allocates %.0f times, want 0", n)
+	}
+}
+
+// FuzzDecode holds the VMTP decoder to its contract on hostile input:
+// it never panics, a packet it accepts re-encodes byte-identically, and
+// the aliasing decodeInto agrees with Decode on every input.
+func FuzzDecode(f *testing.F) {
+	f.Add((&Packet{Header: Header{Client: 1, Server: 2, Txn: 3, NPkts: 1, TotalLen: 4, Timestamp: 5}, Data: []byte("data")}).Encode())
+	f.Add((&Packet{Header: Header{Client: 1, Server: 2, Txn: 3, Kind: KindAck, NPkts: 32, Mask: 0xFFFF}}).Encode())
+	f.Add((&Packet{Header: Header{Kind: KindRequest, Flags: FlagProbe}}).Encode()[:HeaderLen-1])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := Decode(b)
+		var q Packet
+		if qerr := q.decodeInto(b); qerr != err {
+			t.Fatalf("decodeInto err = %v, Decode err = %v", qerr, err)
+		}
+		if err != nil {
+			return
+		}
+		if q.Header != p.Header || !bytes.Equal(q.Data, p.Data) {
+			t.Fatalf("decodeInto = %+v, Decode = %+v", q, *p)
+		}
+		if enc := p.encodeInto(nil); !bytes.Equal(enc, b) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", enc, b)
+		}
+	})
+}
+
 func TestPropertyWireRoundTrip(t *testing.T) {
 	f := func(client, server uint64, txn uint32, kind, idx, n, flags uint8, mask, total uint32, ts uint32, data []byte) bool {
 		p := &Packet{Header: Header{

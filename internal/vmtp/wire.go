@@ -127,26 +127,30 @@ func (p *Packet) encodeInto(b []byte) []byte {
 
 // Decode parses and verifies an encoded packet.
 func Decode(b []byte) (*Packet, error) {
-	p, err := decodeAliased(b)
-	if err == nil && len(p.Data) > 0 {
+	p := new(Packet)
+	if err := p.decodeInto(b); err != nil {
+		return nil, err
+	}
+	if len(p.Data) > 0 {
 		p.Data = append([]byte(nil), p.Data...)
 	}
-	return p, err
+	return p, nil
 }
 
-// decodeAliased is Decode with the packet's Data aliasing b.
-func decodeAliased(b []byte) (*Packet, error) {
+// decodeInto is Decode into p, with p.Data aliasing b: it allocates
+// nothing. p is left untouched when b is not a valid packet.
+func (p *Packet) decodeInto(b []byte) error {
 	if len(b) < HeaderLen {
-		return nil, ErrShort
+		return ErrShort
 	}
 	// The sum was computed with its own field zeroed; feed the CRC the
 	// same bytes piecewise rather than copying the packet to zero it.
 	crc := crc32.Update(0, crcTable, b[:36])
 	crc = crc32.Update(crc, crcTable, zeroSum[:])
 	if crc32.Update(crc, crcTable, b[40:]) != binary.BigEndian.Uint32(b[36:40]) {
-		return nil, ErrChecksum
+		return ErrChecksum
 	}
-	p := &Packet{
+	*p = Packet{
 		Header: Header{
 			Client:    binary.BigEndian.Uint64(b[0:8]),
 			Server:    binary.BigEndian.Uint64(b[8:16]),
@@ -163,7 +167,7 @@ func decodeAliased(b []byte) (*Packet, error) {
 	if len(b) > HeaderLen {
 		p.Data = b[HeaderLen:]
 	}
-	return p, nil
+	return nil
 }
 
 // Segment splits a message into equal-size per-packet chunks (last chunk
