@@ -14,10 +14,11 @@ import (
 	"time"
 )
 
-// Time is a virtual timestamp measured in nanoseconds from the start of the
-// simulation. It is a distinct type to prevent accidental mixing with
-// wall-clock time.
-type Time int64
+// Time is a virtual timestamp or span measured in nanoseconds from the
+// start of the simulation. It is time.Duration itself, so one protocol
+// configuration (internal/vmtp's Config) reads the same under virtual
+// time and the wall clock; only the Engine gives it a virtual meaning.
+type Time = time.Duration
 
 // Common durations in virtual time.
 const (
@@ -27,14 +28,6 @@ const (
 	Second      Time = 1000 * Millisecond
 	Minute      Time = 60 * Second
 )
-
-// Duration converts a virtual time span to a time.Duration for display.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
-func (t Time) String() string { return time.Duration(t).String() }
-
-// Seconds reports the virtual time as floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // event is a scheduled callback.
 type event struct {
