@@ -134,18 +134,15 @@ func (ln *LiveNet) Settle(res *Result, deadline time.Duration) {
 	}
 }
 
-// RunLivenet injects every flow into the livenet realization, waits for
-// quiesce, stops the network, and returns the observations plus the
-// merged router counters for generic diffing against the other
-// substrate.
-func RunLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration) (*Result, stats.Counters) {
-	return runLivenet(sc, routes, deadline, nil)
-}
-
-// runLivenet is the shared body; a non-nil tracer is installed on the
-// network at construction.
-func runLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, tr trace.Tracer) (*Result, stats.Counters) {
-	ln := BuildLivenet(sc, livenet.WithTracer(tr))
+// RunLivenetTraced injects every flow into the livenet realization with
+// a flow-keyed hop-trace Recorder installed on the network, waits for
+// quiesce, stops the network, and returns the observations, the merged
+// router counters for generic diffing against the other substrate, and
+// the recorder, so a divergence found afterwards can be explained hop by
+// hop.
+func RunLivenetTraced(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration) (*Result, stats.Counters, *trace.Recorder) {
+	rec := trace.NewRecorder(TraceID)
+	ln := BuildLivenet(sc, livenet.WithTracer(rec))
 	defer ln.Net.Stop()
 	res := NewResult()
 	ln.InstallEcho(sc, res)
@@ -155,5 +152,5 @@ func runLivenet(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.D
 		}
 	}
 	ln.Settle(res, deadline)
-	return res, ln.RouterCounters()
+	return res, ln.RouterCounters(), rec
 }

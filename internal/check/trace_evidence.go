@@ -3,11 +3,8 @@ package check
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/viper"
 )
 
 // replyTraceBit distinguishes a flow's reply trace from its request
@@ -69,13 +66,4 @@ func TraceEvidence(label string, rec *trace.Recorder, flowIDs []uint64) string {
 		}
 	}
 	return sb.String()
-}
-
-// RunLivenetTraced is RunLivenet with a flow-keyed hop-trace Recorder
-// installed on the network, so a divergence found afterwards can be
-// explained hop by hop.
-func RunLivenetTraced(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration) (*Result, stats.Counters, *trace.Recorder) {
-	rec := trace.NewRecorder(TraceID)
-	res, ctrs := runLivenet(sc, routes, deadline, rec)
-	return res, ctrs, rec
 }

@@ -78,7 +78,7 @@ func (p *Pipeline) DecideBatch(ts *TokenState, batch []BatchFrame, bs *BatchStat
 }
 
 // InstallTokenBatched is InstallToken with the authorization count
-// accumulated into bs instead of dispatched through the scalar hook.
+// accumulated into bs instead of passed to the hook one at a time.
 // The substrate calls it, in batch order, for each frame whose batch
 // verdict was ActionAwaitToken. DecideBatch defers every frame carrying
 // the same uncached token before any of them is installed, so the
@@ -113,41 +113,18 @@ func (p *Pipeline) LocalBatched(bs *BatchStats, inPort uint8, pt *trace.PacketTr
 }
 
 // FlushBatch publishes a batch's accumulated counts through the hooks —
-// one call per touched counter — and zeroes bs for reuse. Batched hooks
-// are preferred; a missing one falls back to the scalar hook invoked
-// delta times, so a substrate that only wires scalar hooks still counts
-// correctly.
+// one call per touched counter — and zeroes bs for reuse.
 func (p *Pipeline) FlushBatch(bs *BatchStats) {
-	if bs.TokenAuthorized > 0 {
-		switch {
-		case p.Hooks.CountTokenAuthorizedN != nil:
-			p.Hooks.CountTokenAuthorizedN(bs.TokenAuthorized)
-		case p.Hooks.CountTokenAuthorized != nil:
-			for i := uint64(0); i < bs.TokenAuthorized; i++ {
-				p.Hooks.CountTokenAuthorized()
-			}
-		}
+	if bs.TokenAuthorized > 0 && p.Hooks.CountTokenAuthorized != nil {
+		p.Hooks.CountTokenAuthorized(bs.TokenAuthorized)
 	}
-	if bs.Local > 0 {
-		switch {
-		case p.Hooks.CountLocalN != nil:
-			p.Hooks.CountLocalN(bs.Local)
-		case p.Hooks.CountLocal != nil:
-			for i := uint64(0); i < bs.Local; i++ {
-				p.Hooks.CountLocal()
-			}
-		}
+	if bs.Local > 0 && p.Hooks.CountLocal != nil {
+		p.Hooks.CountLocal(bs.Local)
 	}
-	for reason, n := range bs.Drops {
-		if n == 0 {
-			continue
-		}
-		switch {
-		case p.Hooks.CountDropN != nil:
-			p.Hooks.CountDropN(stats.DropReason(reason), n)
-		case p.Hooks.CountDrop != nil:
-			for i := uint64(0); i < n; i++ {
-				p.Hooks.CountDrop(stats.DropReason(reason))
+	if p.Hooks.CountDrop != nil {
+		for reason, n := range bs.Drops {
+			if n > 0 {
+				p.Hooks.CountDrop(stats.DropReason(reason), n)
 			}
 		}
 	}

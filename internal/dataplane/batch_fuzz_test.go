@@ -11,30 +11,20 @@ import (
 )
 
 // fuzzCounts is one side's observable counter totals, collected through
-// the pipeline hooks: the batch side via the N-variant hooks flushed
-// once per batch, the scalar side via the per-frame hooks.
+// the pipeline hooks: the batch side's arrive once per batch from
+// FlushBatch, the scalar side's one frame at a time.
 type fuzzCounts struct {
 	drops [stats.NumDropReasons]uint64
 	local uint64
 	auth  uint64
 }
 
-func countingPipeline(c *fuzzCounts, batched bool) Pipeline {
-	p := Pipeline{Node: "fuzz", Clock: fixedClock(1)}
-	if batched {
-		p.Hooks = Hooks{
-			CountDropN:            func(r stats.DropReason, n uint64) { c.drops[r] += n },
-			CountLocalN:           func(n uint64) { c.local += n },
-			CountTokenAuthorizedN: func(n uint64) { c.auth += n },
-		}
-	} else {
-		p.Hooks = Hooks{
-			CountDrop:            func(r stats.DropReason) { c.drops[r]++ },
-			CountLocal:           func() { c.local++ },
-			CountTokenAuthorized: func() { c.auth++ },
-		}
-	}
-	return p
+func countingPipeline(c *fuzzCounts) Pipeline {
+	return Pipeline{Node: "fuzz", Clock: fixedClock(1), Hooks: Hooks{
+		CountDrop:            func(r stats.DropReason, n uint64) { c.drops[r] += n },
+		CountLocal:           func(n uint64) { c.local += n },
+		CountTokenAuthorized: func(n uint64) { c.auth += n },
+	}}
 }
 
 // resolveScalar runs one frame through the scalar kernel exactly as a
@@ -133,8 +123,8 @@ func FuzzDecideBatch(f *testing.F) {
 		tsB := (*TokenState)(nil).WithAuthority(auth).WithRequired(5)
 		tsS := (*TokenState)(nil).WithAuthority(auth).WithRequired(5)
 		var cb, cs fuzzCounts
-		pb := countingPipeline(&cb, true)
-		ps := countingPipeline(&cs, false)
+		pb := countingPipeline(&cb)
+		ps := countingPipeline(&cs)
 
 		// Batch side: decide all, then settle in batch order — deferral
 		// resolution, drop/local accounting — then flush once.

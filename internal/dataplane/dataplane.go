@@ -18,7 +18,7 @@
 // per forwarded hop contract intact (TestForwardHopAllocs).
 //
 // What stays substrate-specific, deliberately: transmission (cut-through
-// vs store-and-forward, queues, rate control on netsim; channel sends on
+// vs store-and-forward, queues, rate control on netsim; ring pushes on
 // livenet), the netsim-only port extensions (multicast fanout groups and
 // §2.2 logical port groups resolve after ActionForward), and the *timing*
 // of uncached-token verification — the pipeline returns ActionAwaitToken
@@ -197,7 +197,7 @@ func (p *Pipeline) Decide(ts *TokenState, in *HopInput) Verdict {
 
 // decide is the shared decision core behind Decide and DecideBatch. A
 // non-nil bs redirects the token-authorized count into the batch
-// accumulator (flushed once per batch); nil dispatches the scalar hook.
+// accumulator (flushed once per batch); nil passes it to the hook as 1.
 func (p *Pipeline) decide(ts *TokenState, in *HopInput, bs *BatchStats) Verdict {
 	// Failover is checked before the token stage so a dead primary's
 	// token is never charged: the chosen branch head re-enters the
@@ -238,14 +238,14 @@ func (p *Pipeline) checkToken(ts *TokenState, in *HopInput, bs *BatchStats) (v V
 }
 
 // countTokenAuthorized routes one authorization count to the batch
-// accumulator when batching, to the scalar hook otherwise.
+// accumulator when batching, straight to the hook otherwise.
 func (p *Pipeline) countTokenAuthorized(bs *BatchStats) {
 	if bs != nil {
 		bs.TokenAuthorized++
 		return
 	}
 	if p.Hooks.CountTokenAuthorized != nil {
-		p.Hooks.CountTokenAuthorized()
+		p.Hooks.CountTokenAuthorized(1)
 	}
 }
 

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/ledger"
@@ -96,7 +97,7 @@ func TestDecideTokenFlow(t *testing.T) {
 	p := Pipeline{
 		Node:  "t",
 		Clock: fixedClock(1000),
-		Hooks: Hooks{CountTokenAuthorized: func() { authorized++ }},
+		Hooks: Hooks{CountTokenAuthorized: func(n uint64) { authorized += int(n) }},
 	}
 
 	// Tokenless on a required port: denied without any account.
@@ -216,8 +217,8 @@ func TestDropHookOrder(t *testing.T) {
 		Node:  "n1",
 		Clock: fixedClock(5000),
 		Hooks: Hooks{
-			CountDrop: func(reason stats.DropReason) {
-				order = append(order, "count:"+reason.String())
+			CountDrop: func(reason stats.DropReason, n uint64) {
+				order = append(order, fmt.Sprintf("count:%s:%d", reason, n))
 			},
 			Flight: func() *ledger.FlightRecorder {
 				order = append(order, "flight")
@@ -228,7 +229,7 @@ func TestDropHookOrder(t *testing.T) {
 	pt := &trace.PacketTrace{Hops: make([]trace.HopEvent, 0, 4)}
 	p.Drop(stats.DropTokenDenied, 3, 42, pt, 4000)
 
-	wantOrder := []string{"count:token-denied", "flight"}
+	wantOrder := []string{"count:token-denied:1", "flight"}
 	if len(order) != len(wantOrder) || order[0] != wantOrder[0] || order[1] != wantOrder[1] {
 		t.Fatalf("sink order = %v, want %v", order, wantOrder)
 	}

@@ -10,8 +10,8 @@ import (
 
 // Hooks is the pipeline's observability surface — the stats, trace,
 // flight-recorder, and ledger touch points both substrates previously
-// wired by hand. Every field is optional and nil-checked at exactly one
-// call site, so a zero Hooks reduces the pipeline to pure decision
+// wired by hand. Every field is optional and nil-checked where it is
+// called, so a zero Hooks reduces the pipeline to pure decision
 // logic with no per-hop overhead (the livenet 0 allocs/hop contract).
 //
 // Counter hooks rather than a *stats.Counters pointer because the two
@@ -19,22 +19,16 @@ import (
 // plain Counters, livenet an array of atomics it snapshots on demand.
 // Forwarded is deliberately absent — forwarding is counted at the
 // substrate's transmit stage (cut-through vs store-and-forward on
-// netsim, after the channel send on livenet), not at decision time.
+// netsim, after the ring push on livenet), not at decision time.
 type Hooks struct {
-	// CountDrop, CountLocal and CountTokenAuthorized bump the
-	// substrate's counter plane.
-	CountDrop            func(stats.DropReason)
-	CountLocal           func()
-	CountTokenAuthorized func()
-
-	// CountDropN, CountLocalN and CountTokenAuthorizedN are the batched
-	// counterparts, invoked once per batch by FlushBatch with the
-	// accumulated delta so an N-frame batch costs one counter update
-	// instead of N. When a batched hook is nil, FlushBatch falls back to
-	// invoking the scalar hook delta times — correct, just unamortized.
-	CountDropN            func(stats.DropReason, uint64)
-	CountLocalN           func(uint64)
-	CountTokenAuthorizedN func(uint64)
+	// CountDrop, CountLocal and CountTokenAuthorized add n to the
+	// substrate's counter plane. The one-frame entry points (Drop, Local,
+	// Decide, InstallToken) pass 1; FlushBatch passes a batch's
+	// accumulated delta, so an N-frame batch costs one counter update per
+	// touched counter instead of N.
+	CountDrop            func(reason stats.DropReason, n uint64)
+	CountLocal           func(n uint64)
+	CountTokenAuthorized func(n uint64)
 
 	// Flight returns the current anomaly recorder, nil when disabled. A
 	// func rather than a pointer because livenet installs the recorder
@@ -64,7 +58,7 @@ type Hooks struct {
 // after this returns (livenet) — the pipeline never frees memory.
 func (p *Pipeline) Drop(reason stats.DropReason, inPort uint8, account uint32, pt *trace.PacketTrace, arrived int64) {
 	if p.Hooks.CountDrop != nil {
-		p.Hooks.CountDrop(reason)
+		p.Hooks.CountDrop(reason, 1)
 	}
 	p.dropSinks(reason, inPort, account, pt, arrived)
 }
@@ -96,7 +90,7 @@ func (p *Pipeline) dropSinks(reason stats.DropReason, inPort uint8, account uint
 // then trace terminal hop. The caller runs its local handler after.
 func (p *Pipeline) Local(inPort uint8, pt *trace.PacketTrace, arrived int64) {
 	if p.Hooks.CountLocal != nil {
-		p.Hooks.CountLocal()
+		p.Hooks.CountLocal(1)
 	}
 	p.localSinks(inPort, pt, arrived)
 }

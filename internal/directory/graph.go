@@ -12,7 +12,6 @@ package directory
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ethernet"
 	"repro/internal/sim"
@@ -94,9 +93,6 @@ func (g *Graph) AddEdge(e Edge) error {
 	return nil
 }
 
-// Edges returns the out-edges of a node.
-func (g *Graph) Edges(from string) []*Edge { return g.out[from] }
-
 // FindEdge returns the edge from->to, if any.
 func (g *Graph) FindEdge(from, to string) (*Edge, bool) {
 	for _, e := range g.out[from] {
@@ -123,14 +119,4 @@ func (g *Graph) ReportLoad(from, to string, loadBps float64) {
 	if e, ok := g.FindEdge(from, to); ok {
 		e.LoadBps = loadBps
 	}
-}
-
-// Nodes returns all node names, sorted for determinism.
-func (g *Graph) Nodes() []string {
-	out := make([]string, 0, len(g.nodes))
-	for n := range g.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -104,9 +104,6 @@ func NewNetService(svc *Service, expect int) *NetService {
 	}
 }
 
-// Expect returns the cluster size the service coordinates.
-func (ns *NetService) Expect() int { return ns.expect }
-
 // Handler returns the service's HTTP mux, mountable on any server.
 func (ns *NetService) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -158,12 +158,6 @@ func (s *Service) ReportDown(a, b string) { s.g.SetDown(a, b, true) }
 // ReportUp clears a failure report.
 func (s *Service) ReportUp(a, b string) { s.g.SetDown(a, b, false) }
 
-// ReportLoad records measured load on the from->to edge; subsequent
-// MinDelay route computations steer around hot links.
-func (s *Service) ReportLoad(from, to string, loadBps float64) {
-	s.g.ReportLoad(from, to, loadBps)
-}
-
 // ReportUsage records a router's per-account usage snapshot. §3 argues
 // the directory should absorb this role: "Merging the routing and
 // directory services facilitates supporting authorization and accounting

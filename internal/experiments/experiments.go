@@ -124,21 +124,10 @@ func Run(id string) (*Table, error) {
 	return g(), nil
 }
 
-// RunAll executes every experiment in ID order.
-func RunAll() []*Table {
-	out := make([]*Table, 0, len(registry))
-	for _, id := range IDs() {
-		t, _ := Run(id)
-		out = append(out, t)
-	}
-	return out
-}
-
 // formatting helpers shared by the experiment files.
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func fi(v int) string     { return fmt.Sprintf("%d", v) }
 func fu(v uint64) string  { return fmt.Sprintf("%d", v) }
 func pct(v float64) string {

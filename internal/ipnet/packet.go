@@ -43,7 +43,6 @@ const DefaultTTL = 32
 // Protocol numbers.
 const (
 	ProtoRaw uint8 = 0 // application payload
-	ProtoDV  uint8 = 1 // distance-vector routing update
 )
 
 // Flag bits in the flags/fragment-offset word.
@@ -92,8 +91,6 @@ var (
 	ErrShortHeader = errors.New("ipnet: short header")
 	ErrBadChecksum = errors.New("ipnet: header checksum mismatch")
 	ErrBadVersion  = errors.New("ipnet: bad version")
-	ErrTTLExceeded = errors.New("ipnet: TTL exceeded")
-	ErrNoRoute     = errors.New("ipnet: no route to destination")
 )
 
 // EncodeHeader serializes the header with a freshly computed checksum.

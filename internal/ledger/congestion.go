@@ -1,9 +1,6 @@
 package ledger
 
-import (
-	"expvar"
-	"fmt"
-)
+import "fmt"
 
 // RampState classifies a rate limit's position in the §2.2 soft-state
 // lifecycle: a congestion signal imposes (or re-pins) the limit, the
@@ -70,11 +67,4 @@ type NodeCongestion struct {
 	CongestionCounters
 	Limits    []LimitStatus `json:"limits,omitempty"`
 	GateDwell DwellSummary  `json:"gate_dwell"`
-}
-
-// PublishCongestion registers a congestion-telemetry provider under name
-// in expvar, evaluated on each /debug/vars scrape. Typically fn is a
-// Collector's Congestion method.
-func PublishCongestion(name string, fn func() []NodeCongestion) {
-	expvar.Publish(name, expvar.Func(func() any { return fn() }))
 }

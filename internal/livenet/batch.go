@@ -26,7 +26,8 @@ package livenet
 //     behind, so wakeups are never lost. Neither side ever spins.
 //
 // Ordering: frames bound for the same output port flush in arrival
-// order, so per-flow FIFO is preserved. Frames of one batch bound for
+// order — a fanout branch or failover frame at its parent's position —
+// so per-flow FIFO is preserved. Frames of one batch bound for
 // different ports may overtake each other, as frames of concurrent
 // routers interleave anyway.
 //
@@ -38,6 +39,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataplane"
 	"repro/internal/ethernet"
+	"repro/internal/pool"
 	"repro/internal/ring"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -114,10 +116,14 @@ func (p *pipe) ring() {
 }
 
 // tryPush is push without the park: it transfers what fits and returns
-// immediately. Router transmits use it — a router worker parked on a
-// full ring can wedge against a neighbor parked on its ring in turn (see
-// node.trySend) — so the overflow is dropped DropQueueFull instead, as
-// the simulation substrate's outport does.
+// immediately. Router transmits (flushTx) use it, and the overflow is
+// dropped DropQueueFull, as the simulation substrate's outport does.
+// This is what keeps the mesh deadlock-free: a blocking router transmit
+// lets two adjacent routers wedge each other under bidirectional
+// saturation (each parked on the other's full ring, so neither drains),
+// a circular wait no amount of ring depth removes. Hosts keep the
+// blocking push — their backpressure cannot cycle because routers
+// always drain.
 func (p *pipe) tryPush(frames []Frame) int {
 	p.mu.Lock()
 	n := p.r.PushBatch(frames)
@@ -199,8 +205,7 @@ func (nd *node) drainPipe(p *pipe, sc *batchScratch) int {
 
 // txAccum collects one output port's frames for a single flush. The
 // inFrame wrapper keeps each frame's INBOUND port and arrival stamp so a
-// failed transmit is drop-accounted against its arrival, as a one-frame
-// trySend would be.
+// failed transmit is drop-accounted against its arrival.
 type txAccum struct {
 	port  uint8
 	items []inFrame
@@ -262,9 +267,7 @@ func (nd *node) run(handle func(sc *batchScratch)) {
 // authorized frame — swap the arrival header in place, build the
 // mirrored return segment, append it over the trailer descriptor — and
 // assembles the next-hop frame in the same buffer. ok is false when the
-// bytes are malformed (the caller drops DropNotSirpent). Shared by
-// forwardBatch and its one-frame re-entry forwardDepth so the surgery is
-// identical by construction.
+// bytes are malformed (the caller drops DropNotSirpent).
 func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *dataplane.TokenState) (Frame, bool) {
 	// The frame is ours, so the header is swapped in place and aliased;
 	// the mirrored append below copies the bytes into the trailer.
@@ -321,80 +324,169 @@ func (r *Router) forwardBatch(sc *batchScratch) {
 	ts := r.tok.Load()
 	sc.bf = sc.bf[:0]
 	for i := range sc.in {
-		inf := &sc.in[i]
-		// The charge size matches the simulator's FrameSize: the full
-		// pre-strip packet plus the arrival Ethernet header.
-		cb := uint64(len(inf.frame.Pkt))
-		if inf.frame.Hdr != nil {
-			cb += ethernet.HeaderLen
-		}
-		sc.bf = append(sc.bf, dataplane.BatchFrame{
-			InPort:      inf.port,
-			ChargeBytes: cb,
-			Pkt:         inf.frame.Pkt,
-		})
+		sc.bf = append(sc.bf, kernelFrame(&sc.in[i]))
 	}
 	r.plane.DecideBatch(ts, sc.bf, &sc.bs)
-
 	for i := range sc.bf {
-		b := &sc.bf[i]
-		inf := &sc.in[i]
-		v := b.Verdict
-		if v.Action == dataplane.ActionAwaitToken {
-			// Block mode: the uncached token verifies synchronously, in
-			// batch order — the HMAC computation is the verification
-			// latency the frame waits out.
-			in := dataplane.HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
-			v = r.plane.InstallTokenBatched(ts, &in, &sc.bs)
-		}
-		switch v.Action {
-		case dataplane.ActionDrop:
-			r.plane.DropBatched(&sc.bs, v.Reason, inf.port, v.Account, inf.frame.Trace, inf.arrived)
-			inf.frame.release()
-			continue
-		case dataplane.ActionTree:
-			// Fanout re-enters forwardDepth per branch copy; its counters go
-			// through the one-frame hooks, which is equivalent.
-			r.fanoutTree(*inf, &b.Seg, b.Rest)
-			continue
-		case dataplane.ActionFailover:
-			// Failover splices the alternate and re-enters forwardDepth,
-			// like the fanout re-entry above — the diverted frame leaves
-			// the batch and its counters go through the one-frame hooks.
-			r.failover(*inf, &b.Seg, v, 0)
-			continue
-		}
-		f, ok := r.mirrorHop(inf, &b.Seg, b.Rest, ts)
-		if !ok {
-			r.plane.DropBatched(&sc.bs, stats.DropNotSirpent, inf.port, 0, inf.frame.Trace, inf.arrived)
-			inf.frame.release()
-			continue
-		}
-		if v.Action == dataplane.ActionLocal {
-			r.plane.LocalBatched(&sc.bs, inf.port, f.Trace, inf.arrived)
-			if r.local != nil {
-				r.local(f.Pkt)
-			} else {
-				f.release()
-			}
-			continue
-		}
-		// The forward hop is traced now but transmitted at flush; the
-		// worker owns the frame until the ring push publishes it, so the
-		// append-before-send rule holds.
-		r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
-		r.accumulate(sc, v.OutPort, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
+		r.dispose(sc, ts, &sc.in[i], &sc.bf[i], 0)
 	}
 	r.flushTx(sc)
 	r.plane.FlushBatch(&sc.bs)
-	for i := range sc.in {
-		sc.in[i] = inFrame{}
-	}
-	for i := range sc.bf {
-		sc.bf[i] = dataplane.BatchFrame{}
-	}
+	clear(sc.in)
+	clear(sc.bf)
 	sc.in = sc.in[:0]
 	sc.bf = sc.bf[:0]
+}
+
+// kernelFrame is a frame's slot in the batch kernel. The charge size
+// matches the simulator's FrameSize: the full pre-strip packet plus the
+// arrival Ethernet header, so per-account byte totals agree across
+// substrates.
+func kernelFrame(inf *inFrame) dataplane.BatchFrame {
+	cb := uint64(len(inf.frame.Pkt))
+	if inf.frame.Hdr != nil {
+		cb += ethernet.HeaderLen
+	}
+	return dataplane.BatchFrame{InPort: inf.port, ChargeBytes: cb, Pkt: inf.frame.Pkt}
+}
+
+// dispose settles one decided frame: it drops it, delivers it locally,
+// fans it out, fails it over, or mirrors it and queues it on its output
+// port's accumulator. Drops and local deliveries count into sc.bs and
+// forwards leave through the accumulators, so FlushBatch is the router's
+// only counter publication and flushTx its only transmit. depth counts
+// the failover branches the frame has already taken at this router.
+func (r *Router) dispose(sc *batchScratch, ts *dataplane.TokenState, inf *inFrame, b *dataplane.BatchFrame, depth int) {
+	v := b.Verdict
+	if v.Action == dataplane.ActionAwaitToken {
+		// Block mode: the uncached token verifies synchronously, in
+		// batch order — the HMAC computation is the verification
+		// latency the frame waits out.
+		in := dataplane.HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
+		v = r.plane.InstallTokenBatched(ts, &in, &sc.bs)
+	}
+	switch v.Action {
+	case dataplane.ActionDrop:
+		r.discard(sc, v.Reason, v.Account, inf)
+		return
+	case dataplane.ActionTree:
+		r.fanoutTree(sc, ts, inf, &b.Seg, b.Rest)
+		return
+	case dataplane.ActionFailover:
+		r.failover(sc, ts, inf, &b.Seg, v, depth)
+		return
+	}
+	f, ok := r.mirrorHop(inf, &b.Seg, b.Rest, ts)
+	if !ok {
+		r.discard(sc, stats.DropNotSirpent, 0, inf)
+		return
+	}
+	if v.Action == dataplane.ActionLocal {
+		r.plane.LocalBatched(&sc.bs, inf.port, f.Trace, inf.arrived)
+		if r.local != nil {
+			r.local(f.Pkt)
+		} else {
+			f.release()
+		}
+		return
+	}
+	// The forward hop is traced now but transmitted at flush; the worker
+	// owns the frame until the ring push publishes it, so the
+	// append-before-send rule holds.
+	r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
+	r.accumulate(sc, v.OutPort, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
+}
+
+// reenter runs a frame made mid-batch — a fanout branch copy or a
+// spliced failover frame — through the same disposal as a drained one:
+// decided over a one-slot sub-batch, counted into sc.bs, and queued at
+// its parent's position, so frames bound for one port still leave in
+// arrival order.
+func (r *Router) reenter(sc *batchScratch, ts *dataplane.TokenState, inf inFrame, depth int) {
+	one := [1]dataplane.BatchFrame{kernelFrame(&inf)}
+	r.plane.DecideBatch(ts, one[:], &sc.bs)
+	r.dispose(sc, ts, &inf, &one[0], depth)
+}
+
+// discard accounts one dropped frame into the batch — counter deferred
+// to FlushBatch, flight event and trace terminal hop now — and recycles
+// its buffer. account names the refused token account, 0 otherwise.
+func (r *Router) discard(sc *batchScratch, reason stats.DropReason, account uint32, inf *inFrame) {
+	r.plane.DropBatched(&sc.bs, reason, inf.port, account, inf.frame.Trace, inf.arrived)
+	inf.frame.release()
+}
+
+// failover realizes an ActionFailover verdict on the wire substrate:
+// record the diversion, splice the chosen alternate over the remaining
+// forward route in the frame's own buffer (SpliceAltRoute — in place
+// unless the branch header outgrows the buffer's capacity), and
+// re-enter on the branch head, which carries its own token. The
+// re-entered frame carries depth+1; the cap stops a crafted alternate
+// whose head is itself a dead-primary DAG segment from cycling forever.
+// The no-failover path never reaches here, so its 0 allocs/hop contract
+// is untouched.
+func (r *Router) failover(sc *batchScratch, ts *dataplane.TokenState, inf *inFrame, seg *viper.Segment, v dataplane.Verdict, depth int) {
+	if depth >= dataplane.MaxFailoverDepth {
+		r.discard(sc, stats.DropLinkDown, 0, inf)
+		return
+	}
+	r.plane.Failover(inf.port, seg.Port, v.OutPort, v.AltRank, inf.frame.Trace, inf.arrived)
+	old := inf.frame.Pkt
+	out, err := dataplane.SpliceAltRoute(old, v.AltRoute)
+	if err != nil {
+		r.discard(sc, stats.DropNotSirpent, 0, inf)
+		return
+	}
+	f := inf.frame
+	f.Pkt = out
+	if len(old) > 0 && len(out) > 0 && &out[0] != &old[0] {
+		// The splice outgrew the buffer and reallocated: out starts a
+		// fresh array (its own recycling target); the old buffer, still
+		// aliased by the arrival header, is left to the collector.
+		f.buf = out[:0]
+	}
+	r.reenter(sc, ts, inFrame{port: inf.port, frame: f, arrived: inf.arrived}, depth+1)
+}
+
+// fanoutTree handles tree-structured multicast (§2): fan one copy of the
+// packet down each branch by splicing the branch's segments in front of
+// the remaining bytes, and re-enter each copy in branch order. Each
+// branch gets its own pooled buffer (and its own header copy —
+// forwarding swaps headers in place, so branches must not share one);
+// the original buffer is recycled after the fanout. A traced packet's
+// record ends here: branches run on concurrent paths and must not share
+// one record, so they continue untraced.
+func (r *Router) fanoutTree(sc *batchScratch, ts *dataplane.TokenState, inf *inFrame, seg *viper.Segment, rest []byte) {
+	branches, err := viper.DecodeTree(seg.PortInfo)
+	if err != nil {
+		r.discard(sc, stats.DropBadPort, 0, inf)
+		return
+	}
+	r.plane.CloseFanout(inf.frame.Trace, inf.port, seg.Port, inf.arrived)
+	for _, br := range branches {
+		headLen := 0
+		for i := range br {
+			headLen += br[i].WireLen()
+		}
+		full := pool.Get(headLen + len(rest) + frameHeadroom(len(br), headLen))
+		branch := inFrame{port: inf.port, frame: Frame{buf: full}}
+		buf := full
+		for i := range br {
+			if buf, err = viper.AppendSegment(buf, &br[i]); err != nil {
+				break
+			}
+		}
+		if err != nil {
+			r.discard(sc, stats.DropBadPort, 0, &branch)
+			continue
+		}
+		branch.frame.Pkt = append(buf, rest...)
+		if inf.frame.Hdr != nil {
+			branch.frame.Hdr = append([]byte(nil), inf.frame.Hdr...)
+		}
+		r.reenter(sc, ts, branch, 0)
+	}
+	inf.frame.release()
 }
 
 // accumulate appends an outbound frame to its port's transmit batch.

@@ -12,7 +12,10 @@
 // packet starting at the following header segment" — implemented as byte
 // surgery without decoding the rest of the packet. A router's worker
 // drains its receive rings a batch at a time and decides each batch
-// through the dataplane batch kernel (see batch.go).
+// through the dataplane batch kernel (see batch.go). Tree-multicast
+// branch copies and DAG failover frames re-enter the same per-frame
+// disposal, so a router has one forward path, one transmit (flushTx)
+// and one counter publication (FlushBatch).
 //
 // # Buffer ownership
 //
@@ -194,48 +197,10 @@ func (nd *node) outPipe(port uint8) *pipe {
 // and transfers buffer ownership to the receiving node; it reports
 // false — and the caller keeps ownership — if the port is unknown or
 // either end is shutting down. Hosts use it; routers never park
-// (trySend, flushTx).
+// (flushTx).
 func (nd *node) send(port uint8, f Frame) bool {
 	p := nd.outPipe(port)
 	return p != nil && p.push(f, nd.done)
-}
-
-// txStatus classifies a non-blocking transmit attempt for drop
-// accounting: the distinctions map onto DropQueueFull, DropBadPort,
-// and DropTxError.
-type txStatus uint8
-
-const (
-	txOK     txStatus = iota // frame transferred; ownership moved
-	txFull                   // output queue at limit; caller keeps ownership
-	txNoPort                 // port not wired; caller keeps ownership
-	txDown                   // network shutting down; caller keeps ownership
-)
-
-// trySend is the router's one-frame transmit (the fanout and failover
-// re-entry): like send, but it never parks on a full ring — it reports
-// txFull and the caller drops the frame with DropQueueFull, as the
-// simulation substrate's outport does. This is what keeps the mesh
-// deadlock-free: a blocking router transmit lets two adjacent routers
-// wedge each other under bidirectional saturation (each parked on the
-// other's full ring, so neither drains), a circular wait no amount of
-// ring depth removes. Hosts keep the blocking send — their backpressure
-// cannot cycle because routers always drain.
-func (nd *node) trySend(port uint8, f Frame) txStatus {
-	p := nd.outPipe(port)
-	if p == nil {
-		return txNoPort
-	}
-	one := [1]Frame{f}
-	if p.tryPush(one[:]) == 1 {
-		return txOK
-	}
-	select {
-	case <-nd.done:
-		return txDown
-	default:
-		return txFull
-	}
 }
 
 // portUp reports whether a port's link is wired and not failed — the
@@ -434,15 +399,12 @@ func (n *Network) newRouter(name string) *Router {
 		// synchronously on the forwarding goroutine (see forwardBatch).
 		Mode: token.Block,
 		Hooks: dataplane.Hooks{
-			CountDrop:             func(reason stats.DropReason) { r.counters.drops[reason].Add(1) },
-			CountLocal:            func() { r.counters.local.Add(1) },
-			CountTokenAuthorized:  func() { r.counters.tokenAuthorized.Add(1) },
-			CountDropN:            func(reason stats.DropReason, k uint64) { r.counters.drops[reason].Add(k) },
-			CountLocalN:           func(k uint64) { r.counters.local.Add(k) },
-			CountTokenAuthorizedN: func(k uint64) { r.counters.tokenAuthorized.Add(k) },
-			Flight:                func() *ledger.FlightRecorder { return n.cfg.flight },
-			QueueDepth:            r.portDepth,
-			PortUp:                r.node.portUp,
+			CountDrop:            func(reason stats.DropReason, k uint64) { r.counters.drops[reason].Add(k) },
+			CountLocal:           func(k uint64) { r.counters.local.Add(k) },
+			CountTokenAuthorized: func(k uint64) { r.counters.tokenAuthorized.Add(k) },
+			Flight:               func() *ledger.FlightRecorder { return n.cfg.flight },
+			QueueDepth:           r.portDepth,
+			PortUp:               r.node.portUp,
 		},
 	}
 	return r
@@ -485,178 +447,6 @@ func (r *Router) Stats() stats.Counters {
 		c.Drops[i] = r.counters.drops[i].Load()
 	}
 	return c
-}
-
-// drop accounts one dropped frame through the dataplane's sinks
-// (counter, flight event, trace terminal hop) and recycles its buffer.
-// The trace work is behind the pipeline's nil checks: untraced drops
-// cost one pointer test.
-func (r *Router) drop(reason stats.DropReason, inf inFrame) {
-	r.dropAcct(reason, inf, 0)
-}
-
-// dropAcct is drop with the refused account attached to the flight
-// event, for token denials against a verified token.
-func (r *Router) dropAcct(reason stats.DropReason, inf inFrame, account uint32) {
-	r.plane.Drop(reason, inf.port, account, inf.frame.Trace, inf.arrived)
-	inf.frame.release()
-}
-
-// forwardDepth runs one frame through the shared dataplane pipeline
-// and performs the §6.2 software-router byte surgery in place: the
-// leading segment's bytes become a dead region at the front of the
-// buffer (the decoded segment's fields alias it), the mirrored return
-// segment is appended over the trailer descriptor at the tail, and the
-// frame moves on in the same buffer. It is the one-frame re-entry of
-// forwardBatch: fanout branches enter at depth 0, and a failover that
-// spliced a DAG alternate into the buffer re-enters at depth+1; the cap
-// stops a crafted alternate whose head is itself a dead-primary DAG
-// segment from cycling forever.
-func (r *Router) forwardDepth(inf inFrame, depth int) {
-	seg, rest, err := dataplane.DecodeHop(inf.frame.Pkt)
-	if err != nil {
-		r.drop(stats.DropNotSirpent, inf)
-		return
-	}
-	// The charge size matches the simulator's FrameSize: the full
-	// pre-strip packet plus the arrival Ethernet header, so per-account
-	// byte totals agree across substrates.
-	in := dataplane.HopInput{
-		InPort:      inf.port,
-		Seg:         &seg,
-		ChargeBytes: uint64(len(inf.frame.Pkt)),
-	}
-	if inf.frame.Hdr != nil {
-		in.ChargeBytes += ethernet.HeaderLen
-	}
-	// Token authorization (§2.2) runs inside Decide, before the
-	// multicast fanout and local delivery as on the simulator. The
-	// tokenless fast path pays one atomic load.
-	ts := r.tok.Load()
-	v := r.plane.Decide(ts, &in)
-	if v.Action == dataplane.ActionAwaitToken {
-		// Livenet realizes the Block mode: the uncached token is
-		// verified synchronously — the HMAC computation is the
-		// verification latency the packet waits out.
-		v = r.plane.InstallToken(ts, &in)
-	}
-	switch v.Action {
-	case dataplane.ActionDrop:
-		r.dropAcct(v.Reason, inf, v.Account)
-		return
-	case dataplane.ActionTree:
-		r.fanoutTree(inf, &seg, rest)
-		return
-	case dataplane.ActionFailover:
-		r.failover(inf, &seg, v, depth)
-		return
-	}
-	// Mirror the stripped segment onto the trailer (§6.2 byte surgery),
-	// shared with forwardBatch so the surgery is identical by
-	// construction.
-	f, ok := r.mirrorHop(&inf, &seg, rest, ts)
-	if !ok {
-		r.drop(stats.DropNotSirpent, inf)
-		return
-	}
-	if v.Action == dataplane.ActionLocal {
-		r.plane.Local(inf.port, f.Trace, inf.arrived)
-		if r.local != nil {
-			r.local(f.Pkt)
-		} else {
-			f.release()
-		}
-		return
-	}
-	// The forward hop is appended BEFORE the push: the ring push
-	// transfers ownership of the record with the buffer, and touching it
-	// after a successful push would race the next hop. A failed push
-	// returns ownership, and drop then appends the terminal hop after
-	// this one — the record reads "attempted forward, then dropped".
-	r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
-	switch r.trySend(v.OutPort, f) {
-	case txOK:
-		r.counters.forwarded.Add(1)
-	case txFull:
-		r.drop(stats.DropQueueFull, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
-	case txNoPort:
-		r.drop(stats.DropBadPort, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
-	case txDown:
-		r.drop(stats.DropTxError, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
-	}
-}
-
-// failover realizes an ActionFailover verdict on the wire substrate:
-// record the diversion, splice the chosen alternate over the remaining
-// forward route in the frame's own buffer (SpliceAltRoute — in place
-// unless the branch header outgrows the buffer's capacity), and
-// re-enter the forward path on the branch head, which carries its own
-// token. The no-failover path never reaches here, so its 0 allocs/hop
-// contract is untouched.
-func (r *Router) failover(inf inFrame, seg *viper.Segment, v dataplane.Verdict, depth int) {
-	if depth >= dataplane.MaxFailoverDepth {
-		r.drop(stats.DropLinkDown, inf)
-		return
-	}
-	r.plane.Failover(inf.port, seg.Port, v.OutPort, v.AltRank, inf.frame.Trace, inf.arrived)
-	old := inf.frame.Pkt
-	out, err := dataplane.SpliceAltRoute(old, v.AltRoute)
-	if err != nil {
-		r.drop(stats.DropNotSirpent, inf)
-		return
-	}
-	f := inf.frame
-	f.Pkt = out
-	if len(old) > 0 && len(out) > 0 && &out[0] != &old[0] {
-		// The splice outgrew the buffer and reallocated: out starts a
-		// fresh array (its own recycling target); the old buffer, still
-		// aliased by the arrival header, is left to the collector.
-		f.buf = out[:0]
-	}
-	r.forwardDepth(inFrame{port: inf.port, frame: f, arrived: inf.arrived}, depth+1)
-}
-
-// fanoutTree handles tree-structured multicast (§2): fan one copy of the
-// packet down each branch by splicing the branch's segments in front of
-// the remaining bytes. Each branch gets its own pooled buffer (and its
-// own header copy — forwarding swaps headers in place, so branches must
-// not share one); the original buffer is recycled after the fanout. A
-// traced packet's record ends here: branches run on concurrent paths
-// and must not share one record, so they continue untraced.
-func (r *Router) fanoutTree(inf inFrame, seg *viper.Segment, rest []byte) {
-	branches, err := viper.DecodeTree(seg.PortInfo)
-	if err != nil {
-		r.drop(stats.DropBadPort, inf)
-		return
-	}
-	r.plane.CloseFanout(inf.frame.Trace, inf.port, seg.Port, inf.arrived)
-	inf.frame.Trace = nil
-	for _, br := range branches {
-		headLen := 0
-		for i := range br {
-			headLen += br[i].WireLen()
-		}
-		buf := pool.Get(headLen + len(rest) + frameHeadroom(len(br), headLen))
-		full := buf
-		ok := true
-		for i := range br {
-			if buf, err = viper.AppendSegment(buf, &br[i]); err != nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			r.drop(stats.DropBadPort, inFrame{port: inf.port, frame: Frame{Pkt: buf, buf: full}})
-			continue
-		}
-		buf = append(buf, rest...)
-		var hdr []byte
-		if inf.frame.Hdr != nil {
-			hdr = append([]byte(nil), inf.frame.Hdr...)
-		}
-		r.forwardDepth(inFrame{port: inf.port, frame: Frame{Hdr: hdr, Pkt: buf, buf: full}}, 0)
-	}
-	inf.frame.release()
 }
 
 // frameHeadroom estimates the spare capacity a frame needs so that every
@@ -747,73 +537,56 @@ func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) erro
 		// place, and the caller's route must not be scribbled on.
 		f.Hdr = append([]byte(nil), own.PortInfo...)
 	}
-	if pt := trace.Start(h.netw.cfg.tracer, data); pt != nil {
-		// Origin hop appended before the send — ownership of the record
-		// transfers with the frame (see Frame.Trace).
-		pt.Add(trace.HopEvent{
-			Node: h.name, OutPort: own.Port, Action: trace.ActionForward,
-			At: clock.Wall.NowNanos(),
-		})
-		f.Trace = pt
-	}
-	if !h.send(own.Port, f) {
-		if f.Trace != nil {
-			f.Trace.Add(trace.HopEvent{
-				Node: h.name, Action: trace.ActionDrop, Reason: stats.DropTxError,
-				At: clock.Wall.NowNanos(),
-			})
-			f.Trace.Done()
-		}
-		f.release()
-		return fmt.Errorf("livenet: no interface %d on %s", own.Port, h.name)
-	}
-	return nil
+	return h.inject(own.Port, f, trace.Start(h.netw.cfg.tracer, data))
 }
 
-// SendRaw transmits an already-encoded VIPER packet on one of the
-// host's interfaces, exactly as received: no route interpretation, no
-// segment strip, no origin trailer. It is the injection half of an
+// SendRawTraced transmits an already-encoded VIPER packet on one of
+// the host's interfaces, exactly as received: no route interpretation,
+// no segment strip, no origin trailer. It is the injection half of an
 // encapsulation gateway (internal/udpnet, §2.3's "one logical hop"
 // story): bytes that crossed a foreign transport re-enter the Sirpent
 // network here, and the adjacent node sees an ordinary arrival on its
 // end of the link. The bytes are copied into a pooled buffer with
-// forwarding headroom; the caller keeps pkt.
-func (h *Host) SendRaw(ifPort uint8, pkt []byte) error {
-	return h.SendRawTraced(ifPort, pkt, trace.Context{})
-}
-
-// SendRawTraced is SendRaw for packets that arrived with a
-// cross-process trace context: when ctx is valid and the network's
-// tracer can resume foreign traces (trace.Resumer), the injected frame
+// forwarding headroom; the caller keeps pkt. When ctx is valid and the
+// network's tracer can resume foreign traces (trace.Resumer), the frame
 // carries a resumed record, so the packet's transit of *this* process
-// is recorded under the same cluster-wide trace ID it left the
-// previous process with. With a zero ctx or a non-resuming tracer it
-// behaves exactly like SendRaw.
+// is recorded under the same cluster-wide trace ID it left the previous
+// process with; a zero ctx injects untraced.
 func (h *Host) SendRawTraced(ifPort uint8, pkt []byte, ctx trace.Context) error {
 	buf := pool.Get(len(pkt) + frameHeadroom(4, len(pkt)))
 	buf = append(buf, pkt...)
-	f := Frame{Pkt: buf, buf: buf[:0]}
+	var pt *trace.PacketTrace
 	if ctx.Valid() {
-		if pt := trace.Resume(h.netw.cfg.tracer, ctx); pt != nil {
-			pt.Add(trace.HopEvent{
-				Node: h.name, OutPort: ifPort, Action: trace.ActionForward,
-				At: clock.Wall.NowNanos(),
-			})
-			f.Trace = pt
-		}
+		pt = trace.Resume(h.netw.cfg.tracer, ctx)
 	}
-	if !h.send(ifPort, f) {
-		if f.Trace != nil {
-			f.Trace.Add(trace.HopEvent{
-				Node: h.name, Action: trace.ActionDrop, Reason: stats.DropTxError,
-				At: clock.Wall.NowNanos(),
-			})
-			f.Trace.Done()
-		}
-		f.release()
-		return fmt.Errorf("livenet: no interface %d on %s", ifPort, h.name)
+	return h.inject(ifPort, Frame{Pkt: buf, buf: buf[:0]}, pt)
+}
+
+// inject transmits a frame this host originated, with pt (nil when
+// untraced) as its record. The origin hop is appended before the send —
+// ownership of the record transfers with the frame (see Frame.Trace). A
+// failed send ends the record with a DropTxError hop and recycles the
+// buffer.
+func (h *Host) inject(port uint8, f Frame, pt *trace.PacketTrace) error {
+	if pt != nil {
+		pt.Add(trace.HopEvent{
+			Node: h.name, OutPort: port, Action: trace.ActionForward,
+			At: clock.Wall.NowNanos(),
+		})
+		f.Trace = pt
 	}
-	return nil
+	if h.send(port, f) {
+		return nil
+	}
+	if pt != nil {
+		pt.Add(trace.HopEvent{
+			Node: h.name, Action: trace.ActionDrop, Reason: stats.DropTxError,
+			At: clock.Wall.NowNanos(),
+		})
+		pt.Done()
+	}
+	f.release()
+	return fmt.Errorf("livenet: no interface %d on %s", port, h.name)
 }
 
 // closeReceive ends a traced frame's record at this host; action is

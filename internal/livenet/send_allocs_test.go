@@ -9,6 +9,7 @@ import (
 	"repro/internal/ledger"
 	"repro/internal/pool"
 	"repro/internal/token"
+	"repro/internal/trace"
 	"repro/internal/viper"
 )
 
@@ -118,7 +119,7 @@ func TestReceiveAllocs(t *testing.T) {
 }
 
 // TestSendRaw checks the encapsulation-gateway injection half: bytes
-// handed to SendRaw cross the link exactly as given — no segment
+// handed to SendRawTraced with a zero trace context cross the link exactly as given — no segment
 // strip, no trailer growth — and the caller's buffer is copied, not
 // aliased. A missing interface is an error, not a silent drop.
 func TestSendRaw(t *testing.T) {
@@ -134,7 +135,7 @@ func TestSendRaw(t *testing.T) {
 	})
 
 	pkt := []byte("opaque-encapsulated-bytes")
-	if err := a.SendRaw(3, pkt); err != nil {
+	if err := a.SendRawTraced(3, pkt, trace.Context{}); err != nil {
 		t.Fatal(err)
 	}
 	// Scribble on the caller's buffer after the send: the frame must
@@ -144,8 +145,8 @@ func TestSendRaw(t *testing.T) {
 	if !bytes.Equal(rx, []byte("opaque-encapsulated-bytes")) {
 		t.Fatalf("raw bytes mutated in transit: %q", rx)
 	}
-	if err := a.SendRaw(9, pkt); err == nil {
-		t.Fatal("SendRaw on a nonexistent interface succeeded")
+	if err := a.SendRawTraced(9, pkt, trace.Context{}); err == nil {
+		t.Fatal("SendRawTraced on a nonexistent interface succeeded")
 	}
 }
 

@@ -3,9 +3,7 @@ package livenet
 import (
 	"fmt"
 
-	"repro/internal/clock"
 	"repro/internal/pool"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/viper"
 )
@@ -76,25 +74,7 @@ func (s *Sender) Send(data []byte) error {
 		// Copied per send: the first-hop router swaps the header in place.
 		f.Hdr = append([]byte(nil), s.hdr...)
 	}
-	if pt := trace.Start(s.h.netw.cfg.tracer, data); pt != nil {
-		pt.Add(trace.HopEvent{
-			Node: s.h.name, OutPort: s.port, Action: trace.ActionForward,
-			At: clock.Wall.NowNanos(),
-		})
-		f.Trace = pt
-	}
-	if !s.h.send(s.port, f) {
-		if f.Trace != nil {
-			f.Trace.Add(trace.HopEvent{
-				Node: s.h.name, Action: trace.ActionDrop, Reason: stats.DropTxError,
-				At: clock.Wall.NowNanos(),
-			})
-			f.Trace.Done()
-		}
-		f.release()
-		return fmt.Errorf("livenet: no interface %d on %s", s.port, s.h.name)
-	}
-	return nil
+	return s.h.inject(s.port, f, trace.Start(s.h.netw.cfg.tracer, data))
 }
 
 // SetRawHandler installs a pre-decode delivery tap: every frame arriving

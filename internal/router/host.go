@@ -89,15 +89,6 @@ func (h *Host) AttachPort(p *netsim.Port) {
 	h.ifaces[p.ID] = &hostIface{h: h, port: p, limits: make(map[uint8]*rateLimit)}
 }
 
-// Iface returns the netsim port for an interface ID.
-func (h *Host) Iface(id uint8) (*netsim.Port, bool) {
-	i, ok := h.ifaces[id]
-	if !ok {
-		return nil, false
-	}
-	return i.port, true
-}
-
 // Handle registers the delivery handler for an endpoint. Endpoint 0 is
 // the default destination of locally addressed packets.
 func (h *Host) Handle(endpoint uint8, fn DeliveryHandler) {

@@ -169,13 +169,6 @@ func (op *outPort) enqueue(it *queued, arr *netsim.Arrival) {
 	op.drain()
 }
 
-// EnqueueLocal lets co-located sources (hosts implemented atop the router
-// machinery, injected control traffic) submit a resolved frame directly to
-// an output queue.
-func (op *outPort) enqueueLocal(f *frame) {
-	op.enqueue(&queued{frame: f, prio: f.prio, enqueued: op.r.eng.Now()}, nil)
-}
-
 // drain transmits queued packets while the medium is free and an eligible
 // packet exists.
 func (op *outPort) drain() {

@@ -161,9 +161,9 @@ func New(eng *sim.Engine, name string, cfg Config) *Router {
 		Clock: clock.SimSource(eng),
 		Mode:  r.cfg.TokenMode,
 		Hooks: dataplane.Hooks{
-			CountDrop:            func(reason stats.DropReason) { r.Stats.Drop(reason) },
-			CountLocal:           func() { r.Stats.Local++ },
-			CountTokenAuthorized: func() { r.Stats.TokenAuthorized++ },
+			CountDrop:            func(reason stats.DropReason, n uint64) { r.Stats.Drops[reason] += n },
+			CountLocal:           func(n uint64) { r.Stats.Local += n },
+			CountTokenAuthorized: func(n uint64) { r.Stats.TokenAuthorized += n },
 			Flight:               func() *ledger.FlightRecorder { return r.flight },
 			PortUp: func(port uint8) bool {
 				op, ok := r.ports[port]
@@ -278,8 +278,6 @@ func (r *Router) Reboot() {
 		}
 	}
 }
-
-func (r *Router) drop(reason DropReason) { r.Stats.Drop(reason) }
 
 // dropArr accounts a drop through the dataplane hooks (counter, flight
 // event, trace terminal hop — the untraced path stays at one pointer

@@ -10,9 +10,9 @@
 //
 // Topology-wise a Tunnel is a gateway Host wired to the bridged
 // router port: frames the router transmits toward the gateway are
-// tapped pre-decode (Host.SetRawHandler), framed, and written to the
+// tapped pre-decode (Host.SetRawTap), framed, and written to the
 // peer's socket; datagrams arriving from the peer are unframed and
-// re-injected with Host.SendRaw. The router on each side sees an
+// re-injected with Host.SendRawTraced. The router on each side sees an
 // ordinary arrival on an ordinary port, so §6.2 trailer surgery,
 // return routes, token charges, and ledger byte counts are identical
 // to a direct in-process link — the property the cross-process
@@ -199,7 +199,7 @@ func (b *Bridge) Close() error {
 // readLoop is the demux pump: one goroutine per bridge reads
 // datagrams and hands payloads to the owning tunnel. The buffer is
 // reused across reads — Tunnel.ingress must copy before returning,
-// which Host.SendRaw's pooled copy already does.
+// which Host.SendRawTraced's pooled copy already does.
 func (b *Bridge) readLoop() {
 	defer b.wg.Done()
 	buf := make([]byte, MaxDatagram)
@@ -242,9 +242,8 @@ func (b *Bridge) readLoop() {
 
 // tunnelConfig collects Attach options.
 type tunnelConfig struct {
-	depth    int
-	lossSeed int64
-	remote   *net.UDPAddr
+	depth  int
+	remote *net.UDPAddr
 }
 
 // TunnelOption configures one Attach call.
@@ -259,12 +258,6 @@ func WithDepth(n int) TunnelOption {
 			c.depth = n
 		}
 	}
-}
-
-// WithLossSeed seeds the tunnel's fault lottery, making injected loss
-// reproducible run to run.
-func WithLossSeed(seed int64) TunnelOption {
-	return func(c *tunnelConfig) { c.lossSeed = seed }
 }
 
 // WithRemote sets the peer address at attach time; otherwise set it
@@ -312,7 +305,7 @@ type Tunnel struct {
 // immediately, though frames sent before a remote address is known
 // count as send errors. linkID must be unique on this bridge.
 func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8, linkID uint16, opts ...TunnelOption) (*Tunnel, error) {
-	cfg := tunnelConfig{depth: DefaultTunnelDepth, lossSeed: int64(linkID)}
+	cfg := tunnelConfig{depth: DefaultTunnelDepth}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -321,7 +314,7 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 		linkID:    linkID,
 		gwPort:    1,
 		wireStage: fmt.Sprintf("wire:%d", linkID),
-		rng:       rand.New(rand.NewSource(cfg.lossSeed)),
+		rng:       rand.New(rand.NewSource(int64(linkID))),
 		out:       make(chan []byte, cfg.depth),
 	}
 	if cfg.remote != nil {
@@ -366,10 +359,6 @@ func (t *Tunnel) Remote() *net.UDPAddr { return t.remote.Load() }
 // LinkID returns the tunnel's logical link identifier.
 func (t *Tunnel) LinkID() uint16 { return t.linkID }
 
-// Gateway returns the livenet host terminating the tunnel, useful for
-// inspection in tests.
-func (t *Tunnel) Gateway() *livenet.Host { return t.gw }
-
 // SetDown fails (true) or restores (false) both directions. The state
 // propagates to the inner in-process link, so the bridged router's
 // port-up view — and with it DAG failover — tracks the tunnel.
@@ -386,11 +375,6 @@ func (t *Tunnel) IsDown() bool { return t.down.Load() || t.peerLost.Load() }
 // PeerLost reports whether consecutive socket write failures have
 // declared the peer unreachable.
 func (t *Tunnel) PeerLost() bool { return t.peerLost.Load() }
-
-// InnerLink returns the in-process link between the bridged port and
-// the gateway host — the handle whose down state the router's failover
-// logic consults.
-func (t *Tunnel) InnerLink() *livenet.Link { return t.inner }
 
 // syncInner mirrors the tunnel's effective health onto the inner link.
 func (t *Tunnel) syncInner() {
@@ -573,7 +557,7 @@ func (t *Tunnel) write(dg []byte) {
 
 // ingress delivers one unframed payload into the livenet substrate.
 // Runs on the bridge's read loop; payload aliases the read buffer and
-// is copied by SendRaw before this returns. TypeTraced payloads shed
+// is copied by SendRawTraced before this returns. TypeTraced payloads shed
 // their trace prefix first: the crossing is recorded as a
 // "wire:<linkID>" span and the context rides into livenet so the
 // network's tracer (if it resumes) follows the packet onward.

@@ -93,9 +93,6 @@ var (
 	ErrCallFailed  = errors.New("vmtp: transaction failed (retries exhausted on every route)")
 	ErrCallTimeout = errors.New("vmtp: transaction timed out")
 	ErrClosed      = errors.New("vmtp: endpoint closed")
-	// ErrAllRoutesFailed is ErrCallFailed under the name the simulated
-	// endpoint's callers know it by.
-	ErrAllRoutesFailed = ErrCallFailed
 )
 
 // timers is the clock under a machine: sim.Engine (engineClock) or the

@@ -73,9 +73,6 @@ func NewRT(id uint64, car Carrier, cfg Config) *RT {
 	return rt
 }
 
-// ID returns the entity identifier.
-func (rt *RT) ID() uint64 { return rt.m.id }
-
 // SetHandler installs the request handler (server role). Each
 // transaction's handler invocation runs on its own goroutine.
 func (rt *RT) SetHandler(h RTHandler) {
