@@ -72,8 +72,7 @@ func FuzzDecideBatch(f *testing.F) {
 	tok := seedAuth.Issue(token.Spec{Account: 7, Port: 5, ReverseOK: true})
 	limited := seedAuth.Issue(token.Spec{Account: 9, Port: 5, Limit: 64, Nonce: 1})
 	forged := token.NewAuthority([]byte("wrong-key")).Issue(token.Spec{Account: 7, Port: 5})
-	var seeds [][]byte
-	for _, route := range [][]viper.Segment{
+	routes := [][]viper.Segment{
 		{{Port: 2, Flags: viper.FlagVNT}, {Port: viper.PortLocal}},
 		{{Port: 5, Flags: viper.FlagVNT, PortToken: tok}, {Port: viper.PortLocal}},
 		{{Port: 5, Flags: viper.FlagVNT, PortToken: limited}, {Port: viper.PortLocal}},
@@ -81,28 +80,45 @@ func FuzzDecideBatch(f *testing.F) {
 		{{Port: viper.PortLocal}},
 		{{Port: 3, Flags: viper.FlagTRE | viper.FlagVNT, PortInfo: []byte{0, 1}}, {Port: viper.PortLocal}},
 		{{Port: 5, Flags: viper.FlagVNT, PortToken: forged}, {Port: viper.PortLocal}},
-	} {
-		pkt := viper.NewPacket(route, []byte("fuzz-batch-payload"))
+	}
+	encode := func(route []viper.Segment, payload []byte) []byte {
+		pkt := viper.NewPacket(route, payload)
 		pkt.Trailer = []viper.Segment{{Port: viper.PortLocal}}
-		if b, err := pkt.Encode(); err == nil {
-			seeds = append(seeds, b)
+		b, err := pkt.Encode()
+		if err != nil {
+			f.Fatal(err)
 		}
+		return b
 	}
-	// Single-frame batches of each shape, then a mixed batch of all of
-	// them (first byte = batch size).
+	// The harness cuts the body into equal frames, so every shape's
+	// payload is padded until all of them encode to the same length.
+	payload := []byte("fuzz-batch-payload")
+	var seeds [][]byte
+	longest := 0
+	for _, route := range routes {
+		longest = max(longest, len(encode(route, payload)))
+	}
+	for _, route := range routes {
+		pad := longest - len(encode(route, payload))
+		b := encode(route, append(bytes.Clone(payload), make([]byte, pad)...))
+		if len(b) != longest {
+			f.Fatalf("padded seed is %d bytes, want %d", len(b), longest)
+		}
+		seeds = append(seeds, b)
+	}
+	// The harness reads n = 1 + data[0]%8 frames, so a k-frame seed
+	// leads with k-1: each shape alone, a mixed batch of all of them,
+	// and one uncached token three times in one batch — valid, then
+	// forged: every frame is deferred before the first is installed.
+	batchOf := func(frames ...[]byte) []byte {
+		return append([]byte{byte(len(frames) - 1)}, bytes.Join(frames, nil)...)
+	}
 	for _, s := range seeds {
-		f.Add(append([]byte{1}, s...))
+		f.Add(batchOf(s))
 	}
-	var mixed []byte
-	mixed = append(mixed, byte(len(seeds)))
-	for _, s := range seeds {
-		mixed = append(mixed, s...)
-	}
-	f.Add(mixed)
-	// One uncached token three times in one batch — valid, then forged:
-	// every frame is deferred before the first is installed.
+	f.Add(batchOf(seeds...))
 	for _, s := range [][]byte{seeds[1], seeds[len(seeds)-1]} {
-		f.Add(append([]byte{2}, bytes.Repeat(s, 3)...))
+		f.Add(batchOf(s, s, s))
 	}
 
 	auth := token.NewAuthority([]byte("fuzz-key"))

@@ -29,7 +29,7 @@ func NewEgress(host *livenet.Host, endpoint uint8, cfg Config) *Egress {
 // Open's return route — the VIPER trailer mirrored hop by hop on the
 // way here, tokens included (ReverseOK) — becomes the stream's
 // egress→ingress source route.
-func (e *Egress) onOpen(m *Msg, from uint64, ret []viper.Segment) []byte {
+func (e *Egress) onOpen(m Msg, from uint64, ret []viper.Segment) []byte {
 	key := streamKey{peer: from, id: m.Stream}
 	if e.lookup(from, m.Stream) != nil {
 		// Duplicate Open past the RT response cache (very late retry):

@@ -28,9 +28,12 @@
 // endpoint; handler goroutines (one per inbound transaction, spawned
 // by RT) may block on socket writes and sequencer turns, and teardown
 // always aborts the sequencer before closing the RT so no goroutine is
-// left waiting. Msg.Data returned by DecodeMsg aliases the transaction
+// left waiting. Msg.Data decoded by DecodeMsg aliases the transaction
 // buffer and is written out before the handler returns, never
-// retained.
+// retained. Outbound data groups are issued with RT.Start from a pooled
+// buffer that VMTP borrows until the group's completion, which frees
+// the window slot; only a FIN, whose window quiesce blocks, takes a
+// goroutine of its own.
 package gateway
 
 import (
@@ -43,6 +46,7 @@ import (
 	"time"
 
 	"repro/internal/livenet"
+	"repro/internal/pool"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/viper"
@@ -163,7 +167,8 @@ type stream struct {
 	route   []viper.Segment // where outbound calls for this stream go
 	inSeq   *vmtp.Sequencer // orders inbound data groups
 	outSeq  uint32          // next outbound group sequence (pump goroutine only)
-	window  chan struct{}   // outbound in-flight slots
+	slots   chan *groupSlot // free outbound window slots
+	nSlots  int             // slots made so far, at most Window (pump goroutine only)
 	done    chan struct{}
 	once    sync.Once
 	finSent atomic.Bool // our FIN delivered and acknowledged
@@ -200,7 +205,7 @@ type relay struct {
 	groupsSent  atomic.Uint64
 
 	// open serves OpOpen; only the egress installs it.
-	open func(m *Msg, from uint64, ret []viper.Segment) []byte
+	open func(m Msg, from uint64, ret []viper.Segment) []byte
 }
 
 // bindRT creates the relay's RT endpoint on a livenet host endpoint:
@@ -210,30 +215,34 @@ type relay struct {
 // queue (Deliver decodes, and thereby copies, before the pooled buffer
 // is recycled).
 func (r *relay) bindRT(host *livenet.Host, endpoint uint8, cfg Config) {
+	r.init(cfg, vmtp.CarrierFunc(func(route []viper.Segment, data []byte) error {
+		return host.SendFrom(endpoint, route, data)
+	}))
+	host.Handle(endpoint, func(d livenet.Delivery) {
+		r.rt.Deliver(d.Data, d.ReturnRoute)
+	})
+}
+
+// init readies the relay over an RT endpoint on carrier.
+func (r *relay) init(cfg Config, carrier vmtp.Carrier) {
 	r.cfg = cfg.withDefaults()
 	r.streams = make(map[streamKey]*stream)
 	// Stream trace IDs live in their own namespace (top byte 0x67,
 	// "g") so they can share a Spans store with packet-level traces
 	// without colliding.
 	r.ctxBase = uint64(0x67)<<56 | (cfg.Entity&0xFF)<<48
-	carrier := vmtp.CarrierFunc(func(route []viper.Segment, data []byte) error {
-		return host.SendFrom(endpoint, route, data)
-	})
 	r.rt = vmtp.NewRT(cfg.Entity, carrier, cfg.RT)
 	r.rt.SetHandler(r.onMsg)
-	host.Handle(endpoint, func(d livenet.Delivery) {
-		r.rt.Deliver(d.Data, d.ReturnRoute)
-	})
 }
 
 func (r *relay) newStream(key streamKey, conn net.Conn, route []viper.Segment) *stream {
 	return &stream{
-		key:    key,
-		conn:   conn,
-		route:  route,
-		inSeq:  vmtp.NewSequencer(),
-		window: make(chan struct{}, r.cfg.Window),
-		done:   make(chan struct{}),
+		key:   key,
+		conn:  conn,
+		route: route,
+		inSeq: vmtp.NewSequencer(),
+		slots: make(chan *groupSlot, r.cfg.Window),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -277,7 +286,7 @@ func (r *relay) reset(st *stream, notify bool, err error) {
 			r.wg.Add(1)
 			go func() {
 				defer r.wg.Done()
-				m := &Msg{Op: OpClose, Stream: st.key.id}
+				m := Msg{Op: OpClose, Stream: st.key.id}
 				r.rt.Call(st.key.peer, st.route, m.Encode())
 			}()
 		}
@@ -332,75 +341,123 @@ func isEOF(err error) bool {
 	return errors.Is(err, io.EOF)
 }
 
+// A groupSlot is one of a stream's Window outbound slots: the data
+// group it carries and the completion that frees it. A stream makes its
+// slots as its window first fills and reuses them after, so a group in
+// flight costs neither a goroutine nor an allocation.
+type groupSlot struct {
+	r     *relay
+	st    *stream
+	msg   []byte // the encoded group: a pool buffer VMTP borrows until done
+	size  uint64
+	fin   bool
+	ctx   trace.Context
+	start time.Time
+	done  func([]byte, error) // complete, bound once
+}
+
+// slot takes a free window slot, making one while fewer than Window
+// exist, and waits for one otherwise. It returns nil once the stream is
+// dead. Pump goroutine only.
+func (st *stream) slot(r *relay) *groupSlot {
+	if len(st.slots) == 0 && st.nSlots < cap(st.slots) {
+		st.nSlots++
+		s := &groupSlot{r: r, st: st}
+		s.done = s.complete
+		return s
+	}
+	select {
+	case s := <-st.slots:
+		return s
+	case <-st.done:
+		return nil
+	}
+}
+
 // sendGroup acquires a window slot and issues the data group's VMTP
-// transaction asynchronously; the slot is held until the receiver has
-// written the bytes and replied. Returns false once the stream is dead.
-// data is encoded before sendGroup returns, so the caller may reuse it.
+// transaction; the slot is held until the receiver has written the
+// bytes and replied. Returns false once the stream is dead. data is
+// encoded before sendGroup returns, so the caller may reuse it.
 func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 	seq := st.outSeq
 	st.outSeq++
-	select {
-	case st.window <- struct{}{}:
-	case <-st.done:
+	s := st.slot(r)
+	if s == nil {
 		return false
 	}
-	m := &Msg{Op: OpData, Fin: fin, Stream: st.key.id, Seq: seq, Data: data}
+	m := Msg{Op: OpData, Fin: fin, Stream: st.key.id, Seq: seq, Data: data}
 	if r.cfg.Telemetry != nil {
 		if n := r.traceSeq.Add(1); r.cfg.TraceEvery <= 1 || n%uint64(r.cfg.TraceEvery) == 0 {
 			m.Ctx = trace.Context{ID: r.ctxBase | n, Origin: time.Now().UnixNano(), Budget: trace.DefaultHopBudget}
 		}
 	}
-	msg, size := m.Encode(), uint64(len(data))
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer func() { <-st.window }()
-		start := time.Now()
-		rep, err := r.rt.Call(st.key.peer, st.route, msg)
-		if err == nil && DecodeReply(rep) == ReplySuccess {
-			r.latMu.Lock()
-			r.lat.Add(time.Since(start).Microseconds())
-			r.latMu.Unlock()
-			r.groupsSent.Add(1)
-			r.bytesIn.Add(size)
-			if m.Ctx.Valid() {
-				// The group's whole mesh round trip — segmentation, every
-				// tunnel crossing, relay forwarding, the far socket write,
-				// and the reply — as the sending side observed it.
-				r.cfg.Telemetry.Record(trace.Span{
-					Trace: m.Ctx.ID, Stage: r.sendStage, Node: r.cfg.Node,
-					Start: m.Ctx.Origin, End: time.Now().UnixNano(),
-				})
-			}
-			if fin {
-				// Quiesce the window before declaring our half done: the
-				// FIN's in-order delivery proves every earlier group was
-				// applied remotely, but their sender goroutines may not
-				// have counted bytes yet. Holding every slot at once means
-				// they all released — i.e. finished accounting — so stats
-				// taken after a clean close reconcile exactly (the cluster
-				// telemetry verifier leans on this).
-				for i := 0; i < cap(st.window)-1; i++ {
-					select {
-					case st.window <- struct{}{}:
-					case <-st.done:
-						return
-					}
-				}
-				for i := 0; i < cap(st.window)-1; i++ {
-					<-st.window
-				}
-				st.finSent.Store(true)
-				r.maybeFinish(st)
-			}
+	s.msg = m.appendEncoded(pool.Get(m.encodedLen()))
+	s.size, s.fin, s.ctx, s.start = uint64(len(data)), fin, m.Ctx, time.Now()
+	r.wg.Add(1) // until the completion is done with the stream
+	if err := r.rt.Start(st.key.peer, st.route, s.msg, s.done); err != nil {
+		s.complete(nil, err)
+	}
+	return true
+}
+
+// complete is a data group's completion, run on an RT goroutine. It
+// counts the group, records its span and recycles its buffer before it
+// frees the slot, so a FIN that holds every slot knows every earlier
+// group is counted.
+func (s *groupSlot) complete(rep []byte, err error) {
+	r, st := s.r, s.st
+	pool.Put(s.msg)
+	s.msg = nil
+	if err == nil && DecodeReply(rep) != ReplySuccess {
+		err = fmt.Errorf("gateway: peer rejected data group (code %d)", DecodeReply(rep))
+	}
+	if err != nil {
+		r.reset(st, true, err)
+		st.slots <- s // never blocks: the channel holds every slot
+		r.wg.Done()
+		return
+	}
+	r.latMu.Lock()
+	r.lat.Add(time.Since(s.start).Microseconds())
+	r.latMu.Unlock()
+	r.groupsSent.Add(1)
+	r.bytesIn.Add(s.size)
+	if s.ctx.Valid() {
+		// The group's whole mesh round trip — segmentation, every
+		// tunnel crossing, relay forwarding, the far socket write,
+		// and the reply — as the sending side observed it.
+		r.cfg.Telemetry.Record(trace.Span{
+			Trace: s.ctx.ID, Stage: r.sendStage, Node: r.cfg.Node,
+			Start: s.ctx.Origin, End: time.Now().UnixNano(),
+		})
+	}
+	if s.fin {
+		go r.quiesce(st) // keeps the slot and the wg count
+		return
+	}
+	st.slots <- s
+	r.wg.Done()
+}
+
+// quiesce runs once our FIN is acknowledged, holding its slot. It
+// drains the window before declaring our half done: the FIN's in-order
+// delivery proves every earlier group was applied remotely, but their
+// completions may not have counted bytes yet. Holding every slot at
+// once means they all ran — i.e. finished accounting — so stats taken
+// after a clean close reconcile exactly (the cluster telemetry verifier
+// leans on this). The pump sent nothing after the FIN, so nSlots is
+// final and the drained slots are not needed again.
+func (r *relay) quiesce(st *stream) {
+	defer r.wg.Done()
+	for i := 1; i < st.nSlots; i++ {
+		select {
+		case <-st.slots:
+		case <-st.done:
 			return
 		}
-		if err == nil {
-			err = fmt.Errorf("gateway: peer rejected data group (code %d)", DecodeReply(rep))
-		}
-		r.reset(st, true, err)
-	}()
-	return true
+	}
+	st.finSent.Store(true)
+	r.maybeFinish(st)
 }
 
 // onMsg is the RT handler: one goroutine per inbound transaction, free
@@ -408,8 +465,8 @@ func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 // the backpressure path (the sender's window slot stays held until we
 // reply).
 func (r *relay) onMsg(from uint64, data []byte, ret []viper.Segment) []byte {
-	m, err := DecodeMsg(data)
-	if err != nil {
+	var m Msg
+	if err := DecodeMsg(data, &m); err != nil {
 		return EncodeReply(ReplyGeneralFailure)
 	}
 	switch m.Op {
@@ -419,7 +476,7 @@ func (r *relay) onMsg(from uint64, data []byte, ret []viper.Segment) []byte {
 		}
 		return r.open(m, from, ret)
 	case OpData:
-		return r.onData(r.lookup(from, m.Stream), m)
+		return r.onData(r.lookup(from, m.Stream), &m)
 	case OpClose:
 		if st := r.lookup(from, m.Stream); st != nil {
 			r.reset(st, false, errPeerClosed)

@@ -482,3 +482,50 @@ func waitForCond(t *testing.T, d time.Duration, cond func() bool) {
 	}
 	t.Fatal("condition not reached in time")
 }
+
+// TestRelayGroupAllocs pins what one 256-byte data group costs in
+// allocations, both relays together, over an in-memory carrier: the
+// request bytes VMTP hands the receiving handler and that handler's
+// goroutine. The sender takes no goroutine per group and encodes into a
+// pooled buffer; the receiver decodes into a value and answers with a
+// shared reply.
+func TestRelayGroupAllocs(t *testing.T) {
+	route := []viper.Segment{{Port: 1}}
+	var a, b relay
+	a.init(Config{Entity: 0xA, Window: 1}, vmtp.CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
+		b.rt.Deliver(pkt, route)
+		return nil
+	}))
+	b.init(Config{Entity: 0xB, Window: 1}, vmtp.CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
+		a.rt.Deliver(pkt, route)
+		return nil
+	}))
+	sendConn, _ := net.Pipe()
+	recvConn, drain := net.Pipe()
+	go io.Copy(io.Discard, drain)
+	out := a.newStream(streamKey{peer: 0xB, id: 1}, sendConn, route)
+	in := b.newStream(streamKey{peer: 0xA, id: 1}, recvConn, route)
+	if !a.register(out, false) || !b.register(in, false) {
+		t.Fatal("register failed")
+	}
+	t.Cleanup(func() {
+		a.closeRelay()
+		b.closeRelay()
+		drain.Close()
+	})
+	data := make([]byte, 256)
+	group := func() {
+		if !a.sendGroup(out, data, false) {
+			t.Fatal("stream died")
+		}
+		out.slots <- <-out.slots // the one slot is back: the group completed
+	}
+	group() // make the stream's slot
+	n := testing.AllocsPerRun(200, group)
+	if n != 2 {
+		t.Errorf("%.0f allocs per data group, want 2", n)
+	}
+	if s := a.Stats(); s.GroupsSent != 202 || s.BytesIn != 202*256 {
+		t.Fatalf("GroupsSent %d, BytesIn %d; want 202 and %d", s.GroupsSent, s.BytesIn, 202*256)
+	}
+}

@@ -65,7 +65,7 @@ func (in *Ingress) handleConn(c net.Conn) {
 		c.Close()
 		return
 	}
-	open := &Msg{Op: OpOpen, Stream: id, Addr: target}
+	open := Msg{Op: OpOpen, Stream: id, Addr: target}
 	rep, err := in.rt.Call(in.cfg.Peer, in.cfg.Route, open.Encode())
 	code := ReplyGeneralFailure
 	if err == nil {

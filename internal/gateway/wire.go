@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -72,36 +73,45 @@ type Msg struct {
 }
 
 // Encode renders the message to wire bytes.
-func (m *Msg) Encode() []byte {
-	traced := m.Op == OpData && m.Ctx.Valid()
+func (m *Msg) Encode() []byte { return m.appendEncoded(make([]byte, 0, m.encodedLen())) }
+
+func (m *Msg) encodedLen() int {
 	n := msgHeaderLen
 	switch m.Op {
 	case OpOpen:
 		n += 2 + len(m.Addr)
 	case OpData:
-		if traced {
+		if m.Ctx.Valid() {
 			n += trace.ContextWireLen
 		}
 		n += len(m.Data)
 	}
-	b := make([]byte, n)
-	b[0] = m.Op
+	return n
+}
+
+// appendEncoded appends the message's wire bytes to b, so a sender can
+// render it into a pooled buffer.
+func (m *Msg) appendEncoded(b []byte) []byte {
+	off := len(b)
+	b = slices.Grow(b, m.encodedLen())[:off+m.encodedLen()]
+	w := b[off:]
+	w[0], w[1] = m.Op, 0
 	if m.Fin {
-		b[1] |= FlagFin
+		w[1] |= FlagFin
 	}
-	binary.BigEndian.PutUint32(b[2:6], m.Stream)
-	binary.BigEndian.PutUint32(b[6:10], m.Seq)
+	binary.BigEndian.PutUint32(w[2:6], m.Stream)
+	binary.BigEndian.PutUint32(w[6:10], m.Seq)
 	switch m.Op {
 	case OpOpen:
-		binary.BigEndian.PutUint16(b[10:12], uint16(len(m.Addr)))
-		copy(b[12:], m.Addr)
+		binary.BigEndian.PutUint16(w[10:12], uint16(len(m.Addr)))
+		copy(w[12:], m.Addr)
 	case OpData:
-		off := msgHeaderLen
-		if traced {
-			b[1] |= FlagTraced
-			off += m.Ctx.Encode(b[off:])
+		rest := w[msgHeaderLen:]
+		if m.Ctx.Valid() {
+			w[1] |= FlagTraced
+			rest = rest[m.Ctx.Encode(rest):]
 		}
-		copy(b[off:], m.Data)
+		copy(rest, m.Data)
 	}
 	return b
 }
@@ -112,47 +122,61 @@ var (
 	ErrMsgBadOp     = errors.New("gateway: unknown message op")
 )
 
-// DecodeMsg parses wire bytes into a Msg. The returned Data aliases b.
-func DecodeMsg(b []byte) (*Msg, error) {
+// DecodeMsg parses wire bytes into *m. m.Data aliases b; m is left
+// untouched when b is not a valid message.
+func DecodeMsg(b []byte, m *Msg) error {
 	if len(b) < msgHeaderLen {
-		return nil, ErrMsgTruncated
+		return ErrMsgTruncated
 	}
-	m := &Msg{
+	d := Msg{
 		Op:     b[0],
 		Fin:    b[1]&FlagFin != 0,
 		Stream: binary.BigEndian.Uint32(b[2:6]),
 		Seq:    binary.BigEndian.Uint32(b[6:10]),
 	}
-	switch m.Op {
+	switch d.Op {
 	case OpOpen:
 		if len(b) < msgHeaderLen+2 {
-			return nil, ErrMsgTruncated
+			return ErrMsgTruncated
 		}
 		alen := int(binary.BigEndian.Uint16(b[10:12]))
 		if alen > maxAddrLen || len(b) < msgHeaderLen+2+alen {
-			return nil, ErrMsgTruncated
+			return ErrMsgTruncated
 		}
-		m.Addr = string(b[12 : 12+alen])
+		d.Addr = string(b[12 : 12+alen])
 	case OpData:
 		rest := b[msgHeaderLen:]
 		if b[1]&FlagTraced != 0 {
 			ctx, ok := trace.DecodeContext(rest)
 			if !ok {
-				return nil, ErrMsgTruncated
+				return ErrMsgTruncated
 			}
-			m.Ctx = ctx
+			d.Ctx = ctx
 			rest = rest[trace.ContextWireLen:]
 		}
-		m.Data = rest
+		d.Data = rest
 	case OpClose:
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrMsgBadOp, m.Op)
+		return fmt.Errorf("%w: %d", ErrMsgBadOp, d.Op)
 	}
-	return m, nil
+	*m = d
+	return nil
 }
 
-// EncodeReply renders a one-byte gateway reply.
-func EncodeReply(code uint8) []byte { return []byte{code} }
+// replyCodes backs EncodeReply: byte i holds code i.
+var replyCodes = func() (b [256]byte) {
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return b
+}()
+
+// EncodeReply renders a one-byte gateway reply. The slice is shared and
+// read-only — the response cache may retain it — so it costs nothing.
+func EncodeReply(code uint8) []byte {
+	i := int(code)
+	return replyCodes[i : i+1 : i+1]
+}
 
 // DecodeReply parses a gateway reply; a missing or truncated reply is
 // a general failure.

@@ -21,13 +21,12 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{OpOpen, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		m, err := DecodeMsg(in)
-		if err != nil {
+		var m, back Msg
+		if err := DecodeMsg(in, &m); err != nil {
 			return
 		}
 		out := m.Encode()
-		back, err := DecodeMsg(out)
-		if err != nil {
+		if err := DecodeMsg(out, &back); err != nil {
 			t.Fatalf("re-decode of re-encoded message failed: %v", err)
 		}
 		if back.Op != m.Op || back.Fin != m.Fin || back.Stream != m.Stream ||

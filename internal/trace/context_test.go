@@ -1,9 +1,16 @@
 package trace
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
+
+// wireContext is TestContextWireRoundTrip's context, and a seed of
+// FuzzDecodeContext.
+var wireContext = Context{ID: 3<<48 | 42, Origin: 1_700_000_000_123_456_789, Budget: 5}
 
 func TestContextWireRoundTrip(t *testing.T) {
-	in := Context{ID: 3<<48 | 42, Origin: 1_700_000_000_123_456_789, Budget: 5}
+	in := wireContext
 	var buf [ContextWireLen]byte
 	if n := in.Encode(buf[:]); n != ContextWireLen {
 		t.Fatalf("Encode wrote %d bytes, want %d", n, ContextWireLen)
@@ -15,6 +22,39 @@ func TestContextWireRoundTrip(t *testing.T) {
 	if _, ok := DecodeContext(buf[:ContextWireLen-1]); ok {
 		t.Fatal("DecodeContext accepted a short buffer")
 	}
+}
+
+// FuzzDecodeContext holds the context decoder, which reads bytes from
+// tunnels and stream messages, to its contract: it never panics, it
+// accepts exactly the inputs of at least ContextWireLen bytes, and what
+// it accepts encodes back to the bytes it read and decodes to itself.
+func FuzzDecodeContext(f *testing.F) {
+	var buf [ContextWireLen]byte
+	wireContext.Encode(buf[:])
+	f.Add(buf[:])
+	f.Add(buf[:ContextWireLen-1])
+	f.Add(append(buf[:], 0xFF))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, ok := DecodeContext(b)
+		if ok != (len(b) >= ContextWireLen) {
+			t.Fatalf("DecodeContext of %d bytes: ok = %v", len(b), ok)
+		}
+		if !ok {
+			if c != (Context{}) {
+				t.Fatalf("rejected input decoded to %+v", c)
+			}
+			return
+		}
+		var enc [ContextWireLen]byte
+		c.Encode(enc[:])
+		if !bytes.Equal(enc[:], b[:ContextWireLen]) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant %x", enc, b[:ContextWireLen])
+		}
+		if back, ok := DecodeContext(enc[:]); !ok || back != c {
+			t.Fatalf("DecodeContext(Encode(%+v)) = %+v, %v", c, back, ok)
+		}
+	})
 }
 
 func TestContextHopBudget(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/viper"
 )
@@ -111,7 +112,11 @@ type driver interface {
 	// serve hands a complete request to the handler; the driver calls
 	// respond with its answer, in the same step or later.
 	serve(key groupKey, data []byte, ret []viper.Segment)
-	finish(c *call, data []byte, err error) // once per call
+	// finish ends c, once per call, with its response or err. The
+	// response reassembly buffer, c.resp.data, comes from internal/pool
+	// (also on failure, when partly filled): the driver decides whether
+	// c.done keeps it or only borrows it.
+	finish(c *call, data []byte, err error)
 }
 
 // A timer is a call's retransmission timer (call set), a request
@@ -126,20 +131,27 @@ type timer struct {
 	wall  *time.Timer
 }
 
-// A transmission is one send output: the packets of pkts not in skip,
-// or the single packet one when pkts is nil, along route.
+// A transmission is one send output: the packets of the group not in
+// skip, along route.
 type transmission struct {
 	route []viper.Segment
-	pkts  []Packet
-	one   [1]Packet
-	skip  uint32
+	group
+	skip uint32
 }
 
-func (x *transmission) packets() []Packet {
-	if x.pkts != nil {
-		return x.pkts
+// A group is a packet group as a value: the packets of pkts, or the
+// single packet one when pkts is nil, so a one-packet group needs no
+// slice of its own.
+type group struct {
+	pkts []Packet
+	one  [1]Packet
+}
+
+func (g *group) packets() []Packet {
+	if g.pkts != nil {
+		return g.pkts
 	}
-	return x.one[:]
+	return g.one[:]
 }
 
 type groupKey struct {
@@ -181,35 +193,55 @@ func fullMask(n uint8) uint32 { return uint32(uint64(1)<<n - 1) }
 
 type respEntry struct {
 	key     groupKey
-	pkts    []Packet
+	resp    group
 	expires time.Duration
 }
 
 // call is one outstanding client transaction. The driver fills server,
-// routes and its completion field (done or result) before start.
+// routes and done before start. A driver may reuse a finished call for
+// a later start after reset.
 type call struct {
 	txn       uint32
 	server    uint64
 	routes    [][]viper.Segment
 	route     int // index into routes of the route in use
-	pkts      []Packet
+	req       group
 	acked     uint32
 	delivered bool // the server acked the full group: probe, don't resend
 	retries   int  // data retransmissions on the current route
 	rto       time.Duration
 	sent      time.Duration // for the RTT sample
 	deadline  time.Duration
-	clean     bool // no retransmissions: the RTT sample is valid (Karn)
-	resp      *rxGroup
+	clean     bool    // no retransmissions: the RTT sample is valid (Karn)
+	resp      rxGroup // response reassembly; nPkts is 0 until the first packet
 	t         timer
 
-	done   func([]byte, error) // Endpoint's callback
-	result chan callResult     // RT's blocked caller
+	done func([]byte, error) // the one completion form
+
+	// The rest is RT's: the inline route of a single-route call, and
+	// the waiter of a blocking Call.
+	route1   [1][]viper.Segment
+	blocking bool          // Call waits on wake and recycles the call itself
+	wake     chan struct{} // signalled by wakeup
+	wakeup   func([]byte, error)
+	got      []byte // Call's owned copy of the response
+	err      error
 }
 
-type callResult struct {
-	data []byte
-	err  error
+// reset readies a finished c for another start. It keeps what a driver
+// builds once per call: the timer and its clock handle, and the waiter.
+//
+// A recycled call survives a stale fire of its timer: the machine
+// disarmed the timer when c finished, so a fire that was already queued
+// finds it unarmed, or — once a later start has re-armed it — before its
+// new due time, or due anyway; and fire only acts on a call that
+// m.calls still maps its txn to.
+func (c *call) reset() {
+	*c = call{
+		t:      timer{call: c, ev: c.t.ev, wall: c.t.wall},
+		wake:   c.wake,
+		wakeup: c.wakeup,
+	}
 }
 
 // machine is one VMTP entity's protocol state.
@@ -228,6 +260,7 @@ type machine struct {
 	expiry  []respEntry // cache insertions, oldest first
 	sweep   timer
 	rtt     map[uint64]rttEstimate
+	spare   []*rxGroup // finished request groups, for reuse
 }
 
 type rttEstimate struct{ srtt, rttvar time.Duration }
@@ -252,13 +285,13 @@ func (m *machine) start(c *call, data []byte) error {
 	if len(c.routes) == 0 {
 		return ErrNoRoutes
 	}
-	pkts, err := packetize(data, MaxPacketData, Header{Client: m.id, Server: c.server, Txn: m.nextTxn + 1, Kind: KindRequest})
+	req, err := packetize(data, MaxPacketData, Header{Client: m.id, Server: c.server, Txn: m.nextTxn + 1, Kind: KindRequest})
 	if err != nil {
 		return err
 	}
 	m.nextTxn++
 	now := m.clk.now()
-	c.txn, c.pkts, c.rto, c.sent, c.deadline, c.clean = m.nextTxn, pkts, m.rto(c.server), now, now+m.cfg.CallTimeout, true
+	c.txn, c.req, c.rto, c.sent, c.deadline, c.clean = m.nextTxn, req, m.rto(c.server), now, now+m.cfg.CallTimeout, true
 	c.t.call = c
 	m.calls[c.txn] = c
 	m.st.CallsStarted++
@@ -299,18 +332,19 @@ func (m *machine) respond(key groupKey, data []byte) {
 	if !ok {
 		return
 	}
-	delete(m.groups, key)
-	pkts, err := packetize(data, MaxPacketData, Header{Client: key.client, Server: m.id, Txn: key.txn, Kind: KindResponse})
+	ret := g.ret
+	m.dropGroup(g)
+	resp, err := packetize(data, MaxPacketData, Header{Client: key.client, Server: m.id, Txn: key.txn, Kind: KindResponse})
 	if err != nil {
 		return
 	}
-	e := respEntry{key: key, pkts: pkts, expires: m.clk.now() + responseCacheTTL}
+	e := respEntry{key: key, resp: resp, expires: m.clk.now() + responseCacheTTL}
 	m.cache[key] = e
 	m.expiry = append(m.expiry, e)
 	if !m.sweep.armed {
 		m.arm(&m.sweep, responseCacheTTL)
 	}
-	m.send(g.ret, pkts, 0)
+	m.send(ret, resp, 0)
 }
 
 // fire is the timer input. A stale fire — the timer was stopped or
@@ -354,7 +388,7 @@ func (m *machine) transmit(c *call) {
 			c.nextRoute()
 		}
 	}
-	m.send(c.routes[c.route], c.pkts, c.acked)
+	m.send(c.routes[c.route], c.req, c.acked)
 	d := c.rto
 	for i := 0; i < c.retries && d < maxTimeout; i++ {
 		d *= 2
@@ -381,7 +415,7 @@ func (m *machine) callTimer(c *call) {
 	if c.delivered {
 		// The request is fully delivered and the handler is presumably
 		// still running: probe gently and let CallTimeout bound the wait.
-		probe := c.pkts[0]
+		probe := c.req.packets()[0]
 		probe.Flags |= FlagProbe
 		probe.Data = nil
 		m.sendOne(c.routes[c.route], probe)
@@ -412,7 +446,7 @@ func (m *machine) onAck(p *Packet) {
 		return
 	}
 	c.acked |= p.Mask
-	if fullMask(uint8(len(c.pkts)))&^c.acked == 0 {
+	if fullMask(uint8(len(c.req.packets())))&^c.acked == 0 {
 		if !c.delivered {
 			c.delivered = true
 			m.armCall(c, max(c.rto, probeInterval))
@@ -423,7 +457,7 @@ func (m *machine) onAck(p *Packet) {
 	// says is missing (§4.3).
 	c.clean = false
 	m.st.SelectiveResends++
-	m.send(c.routes[c.route], c.pkts, c.acked)
+	m.send(c.routes[c.route], c.req, c.acked)
 	m.armCall(c, c.rto)
 }
 
@@ -432,10 +466,15 @@ func (m *machine) onResponse(p *Packet) {
 	if !ok {
 		return // late duplicate response
 	}
-	if c.resp == nil {
-		if c.resp = m.newGroup(p); c.resp == nil {
+	if c.resp.nPkts == 0 {
+		if !m.groupOK(p) {
 			return
 		}
+		// The response buffer is pooled: the driver's finish decides
+		// whether it is handed over or recycled after the callback.
+		data := pool.Get(int(p.TotalLen))[:p.TotalLen]
+		clear(data)
+		c.resp = rxGroup{nPkts: p.NPkts, totalLen: int(p.TotalLen), data: data}
 	}
 	c.resp.place(p)
 	if !c.resp.complete() {
@@ -487,7 +526,7 @@ func (m *machine) onRequest(p *Packet, ret []viper.Segment) {
 		// Duplicate of a completed transaction, or a probe for one:
 		// replay the cached response (§4's at-most-once behavior).
 		m.st.DupRequests++
-		m.send(ret, e.pkts, 0)
+		m.send(ret, e.resp, 0)
 		return
 	}
 	g := m.groups[key]
@@ -501,10 +540,12 @@ func (m *machine) onRequest(p *Packet, ret []viper.Segment) {
 		return
 	}
 	if g == nil {
-		if g = m.newGroup(p); g == nil {
+		if !m.groupOK(p) {
 			return
 		}
-		g.key, g.born, g.t.group = key, now, g
+		g = m.spareGroup()
+		g.key, g.nPkts, g.totalLen, g.born = key, p.NPkts, int(p.TotalLen), now
+		g.data = make([]byte, p.TotalLen) // the handler's to keep
 		m.groups[key] = g
 	}
 	g.ret, g.lastRx = ret, now
@@ -521,27 +562,50 @@ func (m *machine) onRequest(p *Packet, ret []viper.Segment) {
 	default:
 		g.served = true
 		m.stop(&g.t)
-		data := g.data
+		data, ret, ack := g.data, g.ret, m.ackFor(g)
 		g.data = nil // the handler's now; the group is only a marker
-		m.out.serve(key, data, g.ret)
+		// A synchronous answer recycles g, so nothing reads it after.
+		m.out.serve(key, data, ret)
 		if _, answered := m.cache[key]; !answered {
 			// The full-group ack means "received, response pending": the
 			// client stops retransmitting data the moment it arrives. A
 			// response ready in this same step makes it redundant.
 			m.st.AcksSent++
-			m.ack(g, g.ret)
+			m.sendOne(ret, ack)
 		}
 	}
 }
 
-// newGroup starts reassembling the group p belongs to, or counts p as
+// groupOK reports whether p may start a reassembly, or counts p as
 // corrupt when its header claims a group no sender builds.
-func (m *machine) newGroup(p *Packet) *rxGroup {
+func (m *machine) groupOK(p *Packet) bool {
 	if p.NPkts == 0 || p.NPkts > MaxGroupPackets || p.PktIndex >= p.NPkts || p.TotalLen > maxGroupLen {
 		m.st.ChecksumDrops++
-		return nil
+		return false
 	}
-	return &rxGroup{nPkts: p.NPkts, totalLen: int(p.TotalLen), data: make([]byte, p.TotalLen)}
+	return true
+}
+
+// spareGroup returns a finished request group for reuse, timer
+// included, or a new one.
+func (m *machine) spareGroup() *rxGroup {
+	if n := len(m.spare); n > 0 {
+		g := m.spare[n-1]
+		m.spare = m.spare[:n-1]
+		return g
+	}
+	g := new(rxGroup)
+	g.t.group = g
+	return g
+}
+
+// dropGroup forgets a request group and keeps it for reuse. Its timer is
+// disarmed, so a stale fire is ignored; once reused and re-armed, a fire
+// acts only on the group m.groups maps its key to, as for a call.
+func (m *machine) dropGroup(g *rxGroup) {
+	delete(m.groups, g.key)
+	*g = rxGroup{t: timer{group: g, ev: g.t.ev, wall: g.t.wall}}
+	m.spare = append(m.spare, g)
 }
 
 // groupTimer runs while a request group is incomplete: once the group
@@ -556,7 +620,7 @@ func (m *machine) groupTimer(g *rxGroup) {
 	}
 	now := m.clk.now()
 	if now-g.born >= groupTimeout {
-		delete(m.groups, g.key)
+		m.dropGroup(g)
 		return
 	}
 	if quiet := now - g.lastRx; quiet < m.cfg.GapAckDelay {
@@ -568,9 +632,11 @@ func (m *machine) groupTimer(g *rxGroup) {
 	m.arm(&g.t, m.cfg.GapAckDelay)
 }
 
-func (m *machine) ack(g *rxGroup, ret []viper.Segment) {
-	m.sendOne(ret, Packet{Header: Header{Client: g.key.client, Server: m.id, Txn: g.key.txn,
-		Kind: KindAck, NPkts: g.nPkts, Mask: g.mask}})
+func (m *machine) ack(g *rxGroup, ret []viper.Segment) { m.sendOne(ret, m.ackFor(g)) }
+
+func (m *machine) ackFor(g *rxGroup) Packet {
+	return Packet{Header: Header{Client: g.key.client, Server: m.id, Txn: g.key.txn,
+		Kind: KindAck, NPkts: g.nPkts, Mask: g.mask}}
 }
 
 // sweepCache drops the cached responses whose window has passed.
@@ -601,14 +667,12 @@ func (m *machine) stop(t *timer) {
 	}
 }
 
-func (m *machine) send(route []viper.Segment, pkts []Packet, skip uint32) {
+func (m *machine) send(route []viper.Segment, g group, skip uint32) {
 	if len(route) > 0 {
-		m.out.send(transmission{route: route, pkts: pkts, skip: skip})
+		m.out.send(transmission{route: route, group: g, skip: skip})
 	}
 }
 
 func (m *machine) sendOne(route []viper.Segment, p Packet) {
-	if len(route) > 0 {
-		m.out.send(transmission{route: route, one: [1]Packet{p}})
-	}
+	m.send(route, group{one: [1]Packet{p}}, 0)
 }

@@ -141,23 +141,44 @@ func (w *fakeWorld) advance(to time.Duration, after func()) {
 }
 
 // fakeNet is one machine's driver: it collects sends, queues requests
-// for a later answer, and counts finishes per call.
+// for a later answer, counts finishes per transaction and, as RT does,
+// puts finished calls on a free list for the next start to reuse.
 type fakeNet struct {
 	m        *machine
 	st       Stats
 	sent     []transmission
 	pending  []groupKey
-	finished map[*call]int
+	finished map[uint32]int
+	free     []*call
 }
 
 func (n *fakeNet) send(x transmission) { n.sent = append(n.sent, x) }
 func (n *fakeNet) serve(key groupKey, _ []byte, _ []viper.Segment) {
 	n.pending = append(n.pending, key)
 }
-func (n *fakeNet) finish(c *call, _ []byte, _ error) { n.finished[c]++ }
+
+func (n *fakeNet) finish(c *call, _ []byte, _ error) {
+	n.finished[c.txn]++
+	n.recycle(c)
+}
+
+func (n *fakeNet) recycle(c *call) {
+	c.reset()
+	n.free = append(n.free, c)
+}
+
+// newCall reuses the most recently finished call, like RT's free list.
+func (n *fakeNet) newCall() *call {
+	if k := len(n.free); k > 0 {
+		c := n.free[k-1]
+		n.free = n.free[:k-1]
+		return c
+	}
+	return new(call)
+}
 
 func newFakeNet(w *fakeWorld, id uint64, cfg Config) *fakeNet {
-	n := &fakeNet{m: new(machine), finished: make(map[*call]int)}
+	n := &fakeNet{m: new(machine), finished: make(map[uint32]int)}
 	n.m.init(id, cfg, fakeClock{w, n.m}, n, &n.st)
 	return n
 }
@@ -195,7 +216,9 @@ const (
 // machine to its contract: no panic, no reassembly buffer past
 // maxGroupLen, every call finished at most once and, once the clock has
 // run past CallTimeout, exactly once, and CallsStarted always equal to
-// CallsCompleted + CallsFailed + outstanding.
+// CallsCompleted + CallsFailed + outstanding. The client reuses
+// finished calls the way RT's free list does, so a stale timer of a
+// recycled call is part of what it explores.
 func FuzzMachine(f *testing.F) {
 	const routes2 = 2
 	f.Add([]byte{opCall, 1, 1, opToServer, 0, opAnswer, 1, opToClient, 0})
@@ -211,7 +234,7 @@ func FuzzMachine(f *testing.F) {
 		client := newFakeNet(w, 0xC1, cfg)
 		server := newFakeNet(w, 0x51, cfg)
 		route := []viper.Segment{{Port: 1}}
-		var started []*call
+		var started []uint32 // txns
 		check := func() {
 			for _, n := range []*fakeNet{client, server} {
 				for _, g := range n.m.groups {
@@ -220,13 +243,13 @@ func FuzzMachine(f *testing.F) {
 					}
 				}
 				for _, c := range n.m.calls {
-					if c.resp != nil && len(c.resp.data) > maxGroupLen {
+					if len(c.resp.data) > maxGroupLen {
 						t.Fatalf("response buffer of %d bytes", len(c.resp.data))
 					}
 				}
-				for c, k := range n.finished {
+				for txn, k := range n.finished {
 					if k > 1 {
-						t.Fatalf("call %d finished %d times", c.txn, k)
+						t.Fatalf("call %d finished %d times", txn, k)
 					}
 				}
 				if s := n.st; s.CallsStarted != s.CallsCompleted+s.CallsFailed+uint64(len(n.m.calls)) {
@@ -257,12 +280,15 @@ func FuzzMachine(f *testing.F) {
 			switch ops.byte() % numOps {
 			case opCall:
 				size, nRoutes := int(ops.byte())*256, 1+int(ops.byte()%2)
-				c := &call{server: server.m.id, routes: make([][]viper.Segment, nRoutes)}
+				c := client.newCall()
+				c.server, c.routes = server.m.id, make([][]viper.Segment, nRoutes)
 				for i := range c.routes {
 					c.routes[i] = route
 				}
 				if client.m.start(c, make([]byte, size)) == nil {
-					started = append(started, c)
+					started = append(started, c.txn)
+				} else {
+					client.recycle(c)
 				}
 			case opToServer:
 				deliver(client, server, ops.byte())
@@ -295,9 +321,9 @@ func FuzzMachine(f *testing.F) {
 			client.sent, server.sent = nil, nil
 			check()
 		})
-		for _, c := range started {
-			if k := client.finished[c]; k != 1 {
-				t.Fatalf("call %d finished %d times after its deadline", c.txn, k)
+		for _, txn := range started {
+			if k := client.finished[txn]; k != 1 {
+				t.Fatalf("call %d finished %d times after its deadline", txn, k)
 			}
 		}
 	})

@@ -11,9 +11,9 @@ import (
 
 // Carrier is the packet path under a real-time endpoint: Send
 // transmits one encoded VMTP packet along a source route. Send must not
-// keep pkt after it returns: the endpoint encodes a group's next packet
-// into the same buffer. livenet's Host.Send, which copies the bytes into
-// its frame, satisfies it via CarrierFunc.
+// keep pkt after it returns: the endpoint returns the buffer under it to
+// internal/pool after its last Send. livenet's Host.Send, which copies
+// the bytes into its frame, satisfies it via CarrierFunc.
 type Carrier interface {
 	Send(route []viper.Segment, pkt []byte) error
 }
@@ -27,7 +27,10 @@ func (f CarrierFunc) Send(route []viper.Segment, pkt []byte) error { return f(ro
 // RTHandler serves requests on a real-time endpoint. It runs on its
 // own goroutine per transaction and MAY block (that is the
 // backpressure path); ret is the trailer-built return route of the
-// request's freshest packet, deep-copied and safe to retain.
+// request's freshest packet, deep-copied and safe to retain. data is
+// the handler's to keep. The endpoint keeps the returned bytes in its
+// response cache and only reads them, so they may be shared and must
+// not change afterwards.
 type RTHandler func(from uint64, data []byte, ret []viper.Segment) []byte
 
 const queueDepth = 512 // receive queue between Deliver and the receive goroutine
@@ -37,9 +40,16 @@ const queueDepth = 512 // receive queue between Deliver and the receive goroutin
 // bytes (internal/gateway) ride VMTP packet groups over the livenet
 // substrate. All methods are safe for concurrent use. A mutex guards
 // the machine; RT never holds it across Carrier.Send, a PacingGap
-// sleep or the handler. Call blocks, so a transaction that cannot
+// sleep, the handler or a completion callback. Its goroutines are the
+// receive loop and one per served request; a call has none of its own.
+//
+// A call completes one way: its done callback, queued by the step that
+// finished it and run after that step releases the mutex. Start is the
+// asynchronous form; Call blocks on it, so a transaction that cannot
 // complete holds its caller and the backpressure reaches whatever
-// socket feeds it.
+// socket feeds it. Finished calls go back on a free list, timer and
+// waiter included, so a steady-state transaction allocates only the
+// bytes it hands to someone else.
 type RT struct {
 	car Carrier
 
@@ -49,10 +59,22 @@ type RT struct {
 	handler RTHandler
 	stats   Stats
 	out     []transmission // sends the current step queued
+	fin     []completion   // completions the current step queued
+	free    []*call        // finished calls, ready for reuse
 
 	rx   chan rtDelivery
 	done chan struct{}
 	wg   sync.WaitGroup
+}
+
+// A completion is one finished call's callback, run after the step
+// that finished it released mu. done borrows data; buf, the call's
+// pooled response buffer, is recycled once done returns.
+type completion struct {
+	done func([]byte, error)
+	data []byte
+	err  error
+	buf  []byte
 }
 
 // rtDelivery is one decoded arrival queued for the receive goroutine,
@@ -111,7 +133,7 @@ func (rt *RT) RTTs() map[uint64]time.Duration {
 
 // Close shuts the endpoint down: outstanding calls fail with
 // ErrClosed, timers are cancelled, and in-flight handler goroutines
-// are waited for.
+// and completions are waited for.
 func (rt *RT) Close() {
 	rt.mu.Lock()
 	if rt.closed {
@@ -121,27 +143,84 @@ func (rt *RT) Close() {
 	rt.closed = true
 	close(rt.done)
 	rt.m.close(ErrClosed)
-	rt.mu.Unlock()
+	rt.unlockAndFlush()
 	rt.wg.Wait()
 }
 
-// Call runs one transaction to a server entity along a source route,
-// blocking until the response arrives or the call fails. data larger
-// than one packet is segmented into a paced packet group (§4.3).
+// Start issues one transaction to a server entity along a source route
+// and returns without waiting; data larger than one packet is segmented
+// into a paced packet group (§4.3). done runs once with the response or
+// the error, on one of the endpoint's goroutines and never under its
+// lock, so it may call back into the endpoint. done must not be nil.
+// It borrows the response for the duration of the callback and must not
+// block, so it must not Call or Close: it holds up the goroutine that
+// finished the call. Start borrows data until done runs. If Start
+// returns an error, done never runs.
+func (rt *RT) Start(server uint64, route []viper.Segment, data []byte, done func([]byte, error)) error {
+	_, err := rt.issue(server, route, data, done)
+	return err
+}
+
+// Call runs one transaction like Start, blocking until the response
+// arrives or the call fails. The response is the caller's.
 func (rt *RT) Call(server uint64, route []viper.Segment, data []byte) ([]byte, error) {
-	c := &call{server: server, routes: [][]viper.Segment{route}, result: make(chan callResult, 1)}
+	c, err := rt.issue(server, route, data, nil)
+	if err != nil {
+		return nil, err
+	}
+	<-c.wake
+	resp, err := c.got, c.err
+	rt.mu.Lock()
+	rt.freeCall(c)
+	rt.mu.Unlock()
+	return resp, err
+}
+
+// issue starts a call from the free list. A nil done makes it blocking:
+// its completion wakes the caller, who recycles it.
+func (rt *RT) issue(server uint64, route []viper.Segment, data []byte, done func([]byte, error)) (*call, error) {
 	rt.mu.Lock()
 	if rt.closed {
 		rt.mu.Unlock()
 		return nil, ErrClosed
 	}
+	c := rt.newCall()
+	c.server, c.done = server, done
+	if done == nil {
+		c.done, c.blocking = c.wakeup, true
+	}
+	c.route1[0] = route
+	c.routes = c.route1[:]
 	if err := rt.m.start(c, data); err != nil {
+		rt.freeCall(c)
 		rt.mu.Unlock()
 		return nil, err
 	}
 	rt.unlockAndFlush()
-	res := <-c.result
-	return res.data, res.err
+	return c, nil
+}
+
+// newCall takes a call from the free list, or builds one with its
+// waiter. Called under mu.
+func (rt *RT) newCall() *call {
+	if n := len(rt.free); n > 0 {
+		c := rt.free[n-1]
+		rt.free = rt.free[:n-1]
+		return c
+	}
+	c := &call{wake: make(chan struct{}, 1)}
+	c.t.call = c
+	c.wakeup = func(data []byte, err error) {
+		c.got, c.err = append([]byte(nil), data...), err
+		c.wake <- struct{}{}
+	}
+	return c
+}
+
+// freeCall puts a finished call back on the free list. Called under mu.
+func (rt *RT) freeCall(c *call) {
+	c.reset()
+	rt.free = append(rt.free, c)
 }
 
 // Deliver injects one arriving packet. data may alias a buffer the
@@ -198,33 +277,81 @@ func (rt *RT) rxLoop() {
 
 func (rt *RT) onTimer(t *timer) {
 	rt.mu.Lock()
+	if !rt.closed {
+		// Close waits for the completions this step may run.
+		rt.wg.Add(1)
+		defer rt.wg.Done()
+	}
 	rt.m.fire(t)
 	rt.unlockAndFlush()
 }
 
-// unlockAndFlush releases mu, then carries out the sends the step
-// queued.
+// A wirePacket is one encoded packet of a flush: the bytes up to end in
+// the flush buffer, sent along route, after a PacingGap unless it opens
+// its transmission.
+type wirePacket struct {
+	route []viper.Segment
+	end   int
+	paced bool
+}
+
+// unlockAndFlush ends a step. Still under mu it encodes the packets the
+// step queued into one pooled buffer, so no caller's bytes are read
+// once the lock is gone and Start's data is free as soon as done runs.
+// Then it releases mu, hands the packets to the carrier, recycles the
+// buffer after the last Send, and runs the completions the step queued.
 func (rt *RT) unlockAndFlush() {
-	var stack [4]transmission
-	xs := append(stack[:0], rt.out...)
-	clear(rt.out)
-	rt.out = rt.out[:0]
+	var wstack [MaxGroupPackets + 1]wirePacket
+	var fstack [4]completion
+	wire := wstack[:0]
+	var buf []byte
+	if len(rt.out) > 0 {
+		n := 0
+		for i := range rt.out {
+			for j, p := range rt.out[i].packets() {
+				if rt.out[i].skip&(1<<uint(j)) == 0 {
+					n += HeaderLen + len(p.Data)
+				}
+			}
+		}
+		buf = pool.Get(n)
+		ts := nowTimestamp()
+		for i := range rt.out {
+			x := &rt.out[i]
+			first := true
+			for j, p := range x.packets() {
+				if x.skip&(1<<uint(j)) != 0 {
+					continue
+				}
+				p.Timestamp = ts
+				buf = p.appendEncoded(buf)
+				wire = append(wire, wirePacket{route: x.route, end: len(buf), paced: !first})
+				first = false
+			}
+		}
+		clear(rt.out)
+		rt.out = rt.out[:0]
+	}
+	fins := append(fstack[:0], rt.fin...)
+	clear(rt.fin)
+	rt.fin = rt.fin[:0]
 	rt.mu.Unlock()
-	var buf []byte // the carrier is done with each packet when Send returns
-	for i := range xs {
-		x := &xs[i]
-		first := true
-		for j, p := range x.packets() {
-			if x.skip&(1<<uint(j)) != 0 {
-				continue
-			}
-			if !first && rt.m.cfg.PacingGap > 0 {
-				time.Sleep(rt.m.cfg.PacingGap)
-			}
-			first = false
-			p.Timestamp = nowTimestamp()
-			buf = p.encodeInto(buf)
-			rt.car.Send(x.route, buf)
+
+	start := 0
+	for _, w := range wire {
+		if w.paced && rt.m.cfg.PacingGap > 0 {
+			time.Sleep(rt.m.cfg.PacingGap)
+		}
+		rt.car.Send(w.route, buf[start:w.end:w.end])
+		start = w.end
+	}
+	if buf != nil {
+		pool.Put(buf)
+	}
+	for _, f := range fins {
+		f.done(f.data, f.err)
+		if f.buf != nil {
+			pool.Put(f.buf)
 		}
 	}
 }
@@ -238,8 +365,13 @@ func (rt *RT) serve(key groupKey, data []byte, ret []viper.Segment) {
 	go rt.runHandler(rt.handler, key, data, ret)
 }
 
+// finish queues c's completion. A Start call goes straight back on the
+// free list; a blocking Call's caller recycles its own once woken.
 func (rt *RT) finish(c *call, data []byte, err error) {
-	c.result <- callResult{data: data, err: err}
+	rt.fin = append(rt.fin, completion{done: c.done, data: data, err: err, buf: c.resp.data})
+	if !c.blocking {
+		rt.freeCall(c)
+	}
 }
 
 // runHandler serves one request on its own goroutine and hands the

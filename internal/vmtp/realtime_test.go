@@ -262,13 +262,11 @@ func TestRTConcurrentCalls(t *testing.T) {
 	}
 }
 
-// TestRTCallAllocs pins what one transaction costs in allocations, on
-// both endpoints together, over a carrier that hands the sender's bytes
-// straight to the peer: a 256-byte echo (the gw_rr shape) and a full
-// 32-packet group answered with one byte (the gw_upload shape).
-func TestRTCallAllocs(t *testing.T) {
-	route := []viper.Segment{{Port: 1}}
-	var client, server *RT
+// directPair is two RT endpoints whose carriers hand the sender's bytes
+// straight to the peer. The server echoes a small request and answers a
+// group-sized one with its first byte.
+func directPair(t *testing.T) (client, server *RT, route []viper.Segment) {
+	route = []viper.Segment{{Port: 1}}
 	client = NewRT(1, CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
 		server.Deliver(pkt, route)
 		return nil
@@ -277,21 +275,35 @@ func TestRTCallAllocs(t *testing.T) {
 		client.Deliver(pkt, route)
 		return nil
 	}), RTConfig{})
-	defer client.Close()
-	defer server.Close()
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
 	server.SetHandler(func(_ uint64, data []byte, _ []viper.Segment) []byte {
 		if len(data) > MaxPacketData {
 			return data[:1]
 		}
 		return data
 	})
+	return client, server, route
+}
+
+// TestRTCallAllocs pins what one blocking transaction costs in
+// allocations, on both endpoints together: a 256-byte echo (the gw_rr
+// shape) and a full 32-packet group answered with one byte (the
+// gw_upload shape). What is left is what a call hands to someone else:
+// the request bytes the handler owns, the handler's goroutine and the
+// copy of the response Call gives its caller. A group also takes one
+// slice for its packets; a one-packet group is held inline.
+func TestRTCallAllocs(t *testing.T) {
+	client, _, route := directPair(t)
 	for _, tc := range []struct {
 		name string
 		size int
-		max  float64
+		want float64
 	}{
-		{"echo256", 256, 16},
-		{"group32", MaxGroupPackets * MaxPacketData, 18},
+		{"echo256", 256, 3},
+		{"group32", MaxGroupPackets * MaxPacketData, 4},
 	} {
 		data := make([]byte, tc.size)
 		n := testing.AllocsPerRun(200, func() {
@@ -299,9 +311,116 @@ func TestRTCallAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if n > tc.max {
-			t.Errorf("%s: %.1f allocs per call, want <= %.0f", tc.name, n, tc.max)
+		if n != tc.want {
+			t.Errorf("%s: %.0f allocs per call, want %.0f", tc.name, n, tc.want)
 		}
+	}
+}
+
+// TestRTStartAllocs pins the asynchronous form: without Call's copy of
+// the response a 256-byte echo costs one allocation less.
+func TestRTStartAllocs(t *testing.T) {
+	client, _, route := directPair(t)
+	data := make([]byte, 256)
+	done := make(chan error, 1)
+	complete := func(resp []byte, err error) {
+		if err == nil && len(resp) != len(data) {
+			err = errors.New("short echo")
+		}
+		done <- err
+	}
+	n := testing.AllocsPerRun(200, func() {
+		if err := client.Start(2, route, data, complete); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 2 {
+		t.Errorf("%.0f allocs per call, want 2", n)
+	}
+}
+
+// TestRTCompletionOutsideLock holds RT to its completion contract: done
+// never runs under the endpoint's lock, so it may read Stats and start
+// the next call, and every started call completes exactly once — with
+// its response, or with ErrClosed once Close fails what is in flight.
+func TestRTCompletionOutsideLock(t *testing.T) {
+	client, server, route := directPair(t)
+	release := make(chan struct{})
+	server.SetHandler(func(_ uint64, data []byte, _ []viper.Segment) []byte {
+		if len(data) > 0 && data[0] == 'b' {
+			<-release // a request Close will find in flight
+		}
+		return data
+	})
+	const chain = 50
+	var mu sync.Mutex
+	completions := make(map[int]int)
+	var errs []error
+	finished := make(chan struct{})
+	var next func(i int) func([]byte, error)
+	next = func(i int) func([]byte, error) {
+		return func(resp []byte, err error) {
+			_ = client.Stats() // takes the lock done must not hold
+			mu.Lock()
+			completions[i]++
+			if err != nil {
+				errs = append(errs, err)
+			}
+			mu.Unlock()
+			if i+1 == chain {
+				close(finished)
+				return
+			}
+			if err := client.Start(2, route, []byte{'a', byte(i)}, next(i+1)); err != nil {
+				t.Errorf("Start from a completion: %v", err)
+			}
+		}
+	}
+	if err := client.Start(2, route, []byte{'a'}, next(0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-finished:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a completion that starts the next call deadlocked")
+	}
+	// Calls the server holds, then Close: each fails with ErrClosed.
+	const blocked = 8
+	closed := make(chan error, blocked)
+	for i := 0; i < blocked; i++ {
+		if err := client.Start(2, route, []byte{'b', byte(i)}, func(_ []byte, err error) { closed <- err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, time.Second, func() bool { return client.Stats().CallsStarted == chain+blocked })
+	client.Close()
+	close(release)
+	if len(closed) != blocked {
+		t.Fatalf("%d of %d in-flight calls completed by the time Close returned", len(closed), blocked)
+	}
+	for i := 0; i < blocked; i++ {
+		if err := <-closed; !errors.Is(err, ErrClosed) {
+			t.Fatalf("in-flight call ended with %v, want ErrClosed", err)
+		}
+	}
+	if err := client.Start(2, route, nil, func([]byte, error) { t.Error("done ran for a refused Start") }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Start after Close = %v, want ErrClosed", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < chain; i++ {
+		if completions[i] != 1 {
+			t.Fatalf("call %d completed %d times", i, completions[i])
+		}
+	}
+	if len(errs) > 0 {
+		t.Fatalf("chained calls failed: %v", errs)
+	}
+	if s := client.Stats(); s.CallsCompleted != chain || s.CallsFailed != blocked {
+		t.Fatalf("completed %d, failed %d; want %d and %d", s.CallsCompleted, s.CallsFailed, chain, blocked)
 	}
 }
 

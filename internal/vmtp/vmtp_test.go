@@ -2,6 +2,7 @@ package vmtp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,8 +97,10 @@ func FuzzDecode(f *testing.F) {
 		if q.Header != p.Header || !bytes.Equal(q.Data, p.Data) {
 			t.Fatalf("decodeInto = %+v, Decode = %+v", q, *p)
 		}
-		if enc := p.encodeInto(nil); !bytes.Equal(enc, b) {
-			t.Fatalf("re-encoding differs:\n got %x\nwant %x", enc, b)
+		// Re-encoding behind another packet's bytes, as a flush lays a
+		// step out, must leave them alone and reproduce b.
+		if enc := p.appendEncoded([]byte{0xAA}); enc[0] != 0xAA || !bytes.Equal(enc[1:], b) {
+			t.Fatalf("re-encoding differs:\n got %x\nwant aa%x", enc, b)
 		}
 	})
 }
@@ -313,6 +316,27 @@ func TestSelectiveRetransmissionOnLoss(t *testing.T) {
 	st := f.client.Stats
 	if st.SelectiveResends == 0 && st.Retransmissions == 0 {
 		t.Fatal("no retransmissions despite 20% loss on a 16-packet group")
+	}
+}
+
+// TestUnsendableResponseAcked has a synchronous handler answer with
+// more than one group can carry: the response is dropped, and the
+// served request group is recycled within the step, yet the full-group
+// ack must still reach the client, which then probes instead of
+// retransmitting until its deadline.
+func TestUnsendableResponseAcked(t *testing.T) {
+	f := newFixture(t, Config{CallTimeout: sim.Second}, Config{})
+	f.server.SetHandler(func(uint64, []byte) []byte { return make([]byte, MaxGroupPackets*MaxPacketData+1) })
+	var err error
+	f.eng.Schedule(0, func() {
+		f.client.Call(f.server.ID(), f.routes()[:1], []byte("q"), func(_ []byte, e error) { err = e })
+	})
+	f.eng.Run()
+	if !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("call ended with %v, want ErrCallTimeout", err)
+	}
+	if s := f.client.Stats; s.Retransmissions != 0 || f.server.Stats.AcksSent != 1 {
+		t.Fatalf("client retransmitted %d times, server sent %d acks; want 0 and 1", s.Retransmissions, f.server.Stats.AcksSent)
 	}
 }
 

@@ -17,17 +17,22 @@
 // One transaction machine (machine.go) holds all of this and does no
 // I/O: its inputs are a call issued, a packet arrived, a handler's
 // answer and a timer fired; its outputs are packets to send, timers to
-// arm or stop, requests to serve and calls finished. Two drivers run
-// it. Endpoint runs it under sim.Engine with a synchronous handler and
-// a completion callback; RT runs it on the wall clock behind a mutex,
-// with a receive goroutine, a goroutine per handler (so a complete
-// request is acked before it is answered) and a blocking Call.
+// arm or stop, requests to serve and calls finished. A call finishes one
+// way, through its done callback. Two drivers run the machine. Endpoint
+// runs it under sim.Engine with a synchronous handler and calls done in
+// the step. RT runs it on the wall clock behind a mutex, with a receive
+// goroutine and a goroutine per handler (so a complete request is acked
+// before it is answered); it runs done after the step releases the
+// mutex, and recycles call state, so a steady-state transaction
+// allocates only the bytes it hands on. RT.Start is its asynchronous
+// call and RT.Call the blocking one.
 package vmtp
 
 import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/clock"
 )
@@ -104,33 +109,30 @@ var zeroSum [4]byte
 // data — the transport checksum Sirpent relies on ("Because Sirpent does
 // not use a checksum", §4.1; VMTP carries checksum and timestamp in the
 // trailer).
-func (p *Packet) Encode() []byte { return p.encodeInto(nil) }
+func (p *Packet) Encode() []byte { return p.appendEncoded(nil) }
 
-// encodeInto is Encode into b's backing array when it is large enough,
-// so a sender that hands each packet off before encoding the next can
-// reuse one buffer for a whole group.
-func (p *Packet) encodeInto(b []byte) []byte {
-	n := HeaderLen + len(p.Data)
-	if cap(b) < n {
-		b = make([]byte, n)
-	}
-	b = b[:n]
-	binary.BigEndian.PutUint64(b[0:8], p.Client)
-	binary.BigEndian.PutUint64(b[8:16], p.Server)
-	binary.BigEndian.PutUint32(b[16:20], p.Txn)
-	b[20] = byte(p.Kind)
-	b[21] = p.PktIndex
-	b[22] = p.NPkts
-	b[23] = p.Flags
-	binary.BigEndian.PutUint32(b[24:28], p.Mask)
-	binary.BigEndian.PutUint32(b[28:32], p.TotalLen)
-	binary.BigEndian.PutUint32(b[32:36], uint32(p.Timestamp))
-	copy(b[HeaderLen:], p.Data)
+// appendEncoded appends the encoded packet to b, so a sender can lay a
+// whole step's packets out in one buffer.
+func (p *Packet) appendEncoded(b []byte) []byte {
+	off, n := len(b), HeaderLen+len(p.Data)
+	b = slices.Grow(b, n)[:off+n]
+	w := b[off:]
+	binary.BigEndian.PutUint64(w[0:8], p.Client)
+	binary.BigEndian.PutUint64(w[8:16], p.Server)
+	binary.BigEndian.PutUint32(w[16:20], p.Txn)
+	w[20] = byte(p.Kind)
+	w[21] = p.PktIndex
+	w[22] = p.NPkts
+	w[23] = p.Flags
+	binary.BigEndian.PutUint32(w[24:28], p.Mask)
+	binary.BigEndian.PutUint32(w[28:32], p.TotalLen)
+	binary.BigEndian.PutUint32(w[32:36], uint32(p.Timestamp))
+	copy(w[HeaderLen:], p.Data)
 	// The checksum field is zero while the sum is computed over the
 	// whole packet, then filled in.
-	copy(b[36:40], zeroSum[:])
-	sum := crc32.Checksum(b, crcTable)
-	binary.BigEndian.PutUint32(b[36:40], sum)
+	copy(w[36:40], zeroSum[:])
+	sum := crc32.Checksum(w, crcTable)
+	binary.BigEndian.PutUint32(w[36:40], sum)
 	return b
 }
 
@@ -184,10 +186,11 @@ func (p *Packet) decodeInto(b []byte) error {
 // lets the receiver place packet i at offset i·ChunkSize(TotalLen,NPkts)
 // without knowing the sender's configuration.
 func Segment(msg []byte, maxData int) ([][]byte, error) {
-	pkts, err := packetize(msg, maxData, Header{})
+	g, err := packetize(msg, maxData, Header{})
 	if err != nil {
 		return nil, err
 	}
+	pkts := g.packets()
 	out := make([][]byte, len(pkts))
 	for i := range pkts {
 		out[i] = pkts[i].Data
@@ -195,25 +198,29 @@ func Segment(msg []byte, maxData int) ([][]byte, error) {
 	return out, nil
 }
 
-// packetize lays a message out as one packet group in a single slice:
-// every packet carries h, plus its index, the group size and the
-// message length, and one chunk of at most maxData bytes.
-func packetize(msg []byte, maxData int, h Header) ([]Packet, error) {
+// packetize lays a message out as one packet group: every packet
+// carries h, plus its index, the group size and the message length, and
+// one chunk of at most maxData bytes. A one-packet group is held inline;
+// a larger one takes a single slice.
+func packetize(msg []byte, maxData int, h Header) (group, error) {
 	if maxData <= 0 {
 		maxData = MaxPacketData
 	}
 	n := max((len(msg)+maxData-1)/maxData, 1)
 	if n > MaxGroupPackets {
-		return nil, ErrGroupTooBig
+		return group{}, ErrGroupTooBig
 	}
 	chunk := ChunkSize(len(msg), n)
 	h.NPkts, h.TotalLen = uint8(n), uint32(len(msg))
+	if n == 1 {
+		return group{one: [1]Packet{{Header: h, Data: msg}}}, nil
+	}
 	pkts := make([]Packet, n)
 	for i := range pkts {
 		pkts[i] = Packet{Header: h, Data: msg[min(i*chunk, len(msg)):min((i+1)*chunk, len(msg))]}
 		pkts[i].PktIndex = uint8(i)
 	}
-	return pkts, nil
+	return group{pkts: pkts}, nil
 }
 
 // ChunkSize returns the per-packet chunk size for a message of totalLen
