@@ -28,7 +28,8 @@ func NewEgress(host *livenet.Host, endpoint uint8, cfg Config) *Egress {
 // with the SOCKS reply code the ingress will forward verbatim. The
 // Open's return route — the VIPER trailer mirrored hop by hop on the
 // way here, tokens included (ReverseOK) — becomes the stream's
-// egress→ingress source route.
+// egress→ingress source route. The stream keeps ret itself: RTHandler
+// hands it over owned, and the stream only reads it.
 func (e *Egress) onOpen(m Msg, from uint64, ret []viper.Segment) []byte {
 	key := streamKey{peer: from, id: m.Stream}
 	if e.lookup(from, m.Stream) != nil {
@@ -44,7 +45,7 @@ func (e *Egress) onOpen(m Msg, from uint64, ret []viper.Segment) []byte {
 		e.dialErrors.Add(1)
 		return EncodeReply(DialErrorReply(err))
 	}
-	st := e.newStream(key, conn, cloneRoute(ret))
+	st := e.newStream(key, conn, ret)
 	if !e.register(st, true) {
 		conn.Close()
 		return EncodeReply(ReplyGeneralFailure)
@@ -63,16 +64,3 @@ func (e *Egress) dial(addr string) (net.Conn, error) {
 
 // Close tears all streams down and closes the RT endpoint.
 func (e *Egress) Close() { e.closeRelay() }
-
-// cloneRoute deep-copies a route so the stream may retain it beyond
-// the delivery that carried it.
-func cloneRoute(route []viper.Segment) []viper.Segment {
-	out := make([]viper.Segment, len(route))
-	for i, seg := range route {
-		out[i] = seg
-		if seg.PortToken != nil {
-			out[i].PortToken = append([]byte(nil), seg.PortToken...)
-		}
-	}
-	return out
-}

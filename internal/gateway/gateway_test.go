@@ -389,7 +389,7 @@ func TestGatewayDialFailure(t *testing.T) {
 // (stream isolation), and all must close cleanly.
 func TestGatewayConcurrentStreams(t *testing.T) {
 	m := buildMesh(t, 2)
-	in, _ := gatewayPair(t, m, Config{GroupBytes: 8 << 10})
+	in, eg := gatewayPair(t, m, Config{GroupBytes: 8 << 10})
 	echo := echoServer(t)
 
 	const streams = 5
@@ -426,7 +426,12 @@ func TestGatewayConcurrentStreams(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	waitForCond(t, 5*time.Second, func() bool { return in.Stats().ActiveStreams == 0 })
+	// Both relays, as the other tests wait: the egress can still be
+	// finishing its last calls after the ingress has closed every stream,
+	// and billing reconciles only once they are off the mesh.
+	waitForCond(t, 5*time.Second, func() bool {
+		return in.Stats().ActiveStreams == 0 && eg.Stats().ActiveStreams == 0
+	})
 	if s := in.Stats(); s.CleanCloses != streams {
 		t.Fatalf("CleanCloses = %d, want %d", s.CleanCloses, streams)
 	}

@@ -460,9 +460,12 @@ func frameHeadroom(hops, headerBytes int) int {
 
 // Delivery is a packet received by a live host. Data aliases the frame's
 // pooled buffer and is valid only until the handler returns; handlers
-// that retain the payload must copy it. ReturnRoute is deep-copied and
-// safe to keep: it is the one allocation a delivery makes, two when the
-// route carries tokens or headers (viper.DecodeDelivery).
+// that retain the payload must copy it. ReturnRoute is owned and safe to
+// keep, but its token and header bytes may be shared read-only with
+// other deliveries' routes, so a holder must never write them. Its
+// segment slice is the one allocation a steady delivery makes: the host
+// reuses its previous delivery's route bytes while they repeat, and
+// copies them once more when they change (viper.DecodeDelivery).
 type Delivery struct {
 	Data        []byte
 	ReturnRoute []viper.Segment
@@ -476,6 +479,7 @@ type Host struct {
 	mu       sync.Mutex
 	handlers map[uint8]func(Delivery)
 	raw      atomic.Pointer[func(pkt []byte, ctx trace.Context)] // pre-decode tap, see SetRawHandler/SetRawTap
+	arena    []byte                                              // the last delivery's return-route bytes; receive only
 }
 
 // NewHost creates and starts a host goroutine; one goroutine receives on
@@ -638,17 +642,18 @@ func (h *Host) receive(inf inFrame) {
 	var inInfo []byte
 	if inf.frame.Hdr != nil && ethernet.SwapInPlace(inf.frame.Hdr) == nil {
 		// The frame — header included — is ours until the handler
-		// returns, so the swap happens in place; DecodeDelivery copies
-		// the swapped header into the return route.
+		// returns, so the swap happens in place; the return route
+		// DecodeDelivery builds never aliases the swapped header.
 		inInfo = inf.frame.Hdr
 	}
-	seg, data, ret, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo)
+	seg, data, ret, arena, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo, h.arena)
 	if err != nil {
 		h.closeReceive(inf, trace.ActionDrop, stats.DropNotSirpent)
 		h.recordDrop(inf.port, stats.DropNotSirpent)
 		inf.frame.release()
 		return
 	}
+	h.arena = arena
 	h.mu.Lock()
 	fn := h.handlers[seg.Port]
 	h.mu.Unlock()

@@ -199,7 +199,10 @@ func (b *Bridge) Close() error {
 // readLoop is the demux pump: one goroutine per bridge reads
 // datagrams and hands payloads to the owning tunnel. The buffer is
 // reused across reads — Tunnel.ingress must copy before returning,
-// which Host.SendRawTraced's pooled copy already does.
+// which Host.SendRawTraced's pooled copy already does. A datagram
+// parseFrame rejects before its link is known, or whose link no tunnel
+// terminates, is counted at the bridge; one rejected after its link is
+// known is counted at that link's tunnel.
 func (b *Bridge) readLoop() {
 	defer b.wg.Done()
 	buf := make([]byte, MaxDatagram)
@@ -215,29 +218,75 @@ func (b *Bridge) readLoop() {
 			// surfacing on connected reads) must not kill the pump.
 			continue
 		}
-		dg := buf[:n]
-		if n < HeaderLen || [4]byte(dg[0:4]) != magic || dg[4] != Version {
-			b.decodeErrors.Add(1)
-			b.flight.Record(ledger.Event{
-				At: time.Now().UnixNano(), Node: b.node,
-				Kind: ledger.KindDecodeError, Reason: fmt.Sprintf("bad frame header (%d bytes)", n),
-			})
+		f, bad := parseFrame(buf[:n])
+		if bad != nil && !bad.atLink {
+			b.reject(&b.decodeErrors, ledger.KindDecodeError, bad.reason)
 			continue
 		}
-		linkID := binary.BigEndian.Uint16(dg[6:8])
 		b.mu.RLock()
-		t := b.tunnels[linkID]
+		t := b.tunnels[f.link]
 		b.mu.RUnlock()
-		if t == nil {
-			b.decodeErrors.Add(1)
-			b.flight.Record(ledger.Event{
-				At: time.Now().UnixNano(), Node: b.node,
-				Kind: ledger.KindUnknownLink, Reason: fmt.Sprintf("link %d not attached", linkID),
-			})
-			continue
+		switch {
+		case t == nil:
+			b.reject(&b.decodeErrors, ledger.KindUnknownLink, fmt.Sprintf("link %d not attached", f.link))
+		case bad != nil:
+			b.reject(&t.decodeErrors, ledger.KindDecodeError, bad.reason)
+		default:
+			t.ingress(f)
 		}
-		t.ingress(dg[5], dg[HeaderLen:])
 	}
+}
+
+// reject counts one discarded datagram on n and records why in the
+// flight recorder.
+func (b *Bridge) reject(n *atomic.Uint64, kind ledger.Kind, reason string) {
+	n.Add(1)
+	b.flight.Record(ledger.Event{At: time.Now().UnixNano(), Node: b.node, Kind: kind, Reason: reason})
+}
+
+// frame is one received datagram, parsed. payload aliases the datagram.
+type frame struct {
+	link    uint16
+	ctx     trace.Context // the zero Context unless TypeTraced
+	sent    int64         // the sender's Unix-ns send stamp, TypeTraced only
+	payload []byte        // the encoded VIPER packet
+}
+
+// badFrame is why parseFrame rejected a datagram: the flight-recorder
+// reason, and whether the header was sound enough to name the link
+// (atLink), so that the rejection is counted at that link's tunnel.
+type badFrame struct {
+	reason string
+	atLink bool
+}
+
+// parseFrame checks one datagram against the encapsulation framing —
+// magic, version, length, link ID, type and, for TypeTraced, the trace
+// prefix — and splits it into a frame. It reads nothing but dg and
+// writes nothing; the frame's payload aliases dg. On a rejection with
+// bad.atLink set, f.link is the link the header named.
+func parseFrame(dg []byte) (f frame, bad *badFrame) {
+	if len(dg) < HeaderLen || [4]byte(dg[0:4]) != magic || dg[4] != Version {
+		return frame{}, &badFrame{reason: fmt.Sprintf("bad frame header (%d bytes)", len(dg))}
+	}
+	f.link = binary.BigEndian.Uint16(dg[6:8])
+	f.payload = dg[HeaderLen:]
+	switch dg[5] {
+	case TypeData:
+	case TypeTraced:
+		var ok bool
+		if f.ctx, ok = trace.DecodeContext(f.payload); !ok || len(f.payload) < tracedPrefixLen {
+			return f, &badFrame{reason: fmt.Sprintf("link %d: short trace prefix (%d bytes)", f.link, len(f.payload)), atLink: true}
+		}
+		f.sent = int64(binary.BigEndian.Uint64(f.payload[trace.ContextWireLen:tracedPrefixLen]))
+		f.payload = f.payload[tracedPrefixLen:]
+	default:
+		return f, &badFrame{reason: fmt.Sprintf("link %d: unknown frame type 0x%02x", f.link, dg[5]), atLink: true}
+	}
+	if len(f.payload) == 0 {
+		return f, &badFrame{reason: fmt.Sprintf("link %d: empty payload", f.link), atLink: true}
+	}
+	return f, nil
 }
 
 // tunnelConfig collects Attach options.
@@ -555,66 +604,34 @@ func (t *Tunnel) write(dg []byte) {
 	}
 }
 
-// ingress delivers one unframed payload into the livenet substrate.
-// Runs on the bridge's read loop; payload aliases the read buffer and
-// is copied by SendRawTraced before this returns. TypeTraced payloads shed
-// their trace prefix first: the crossing is recorded as a
-// "wire:<linkID>" span and the context rides into livenet so the
-// network's tracer (if it resumes) follows the packet onward.
-func (t *Tunnel) ingress(typ byte, payload []byte) {
-	var ctx trace.Context
-	var sent int64
-	switch typ {
-	case TypeData:
-	case TypeTraced:
-		var ok bool
-		if ctx, ok = trace.DecodeContext(payload); !ok || len(payload) < tracedPrefixLen {
-			t.decodeErrors.Add(1)
-			t.bridge.flight.Record(ledger.Event{
-				At: time.Now().UnixNano(), Node: t.bridge.node,
-				Kind: ledger.KindDecodeError, Reason: fmt.Sprintf("link %d: short trace prefix (%d bytes)", t.linkID, len(payload)),
-			})
-			return
-		}
-		sent = int64(binary.BigEndian.Uint64(payload[trace.ContextWireLen:tracedPrefixLen]))
-		payload = payload[tracedPrefixLen:]
-	default:
-		t.decodeErrors.Add(1)
-		t.bridge.flight.Record(ledger.Event{
-			At: time.Now().UnixNano(), Node: t.bridge.node,
-			Kind: ledger.KindDecodeError, Reason: fmt.Sprintf("link %d: unknown frame type 0x%02x", t.linkID, typ),
-		})
-		return
-	}
-	if len(payload) == 0 {
-		t.decodeErrors.Add(1)
-		t.bridge.flight.Record(ledger.Event{
-			At: time.Now().UnixNano(), Node: t.bridge.node,
-			Kind: ledger.KindDecodeError, Reason: fmt.Sprintf("link %d: empty payload", t.linkID),
-		})
-		return
-	}
+// ingress delivers one parsed frame into the livenet substrate. Runs
+// on the bridge's read loop; the payload aliases the read buffer and
+// is copied by SendRawTraced before this returns. A traced frame's
+// crossing is recorded as a "wire:<linkID>" span and its context rides
+// into livenet so the network's tracer (if it resumes) follows the
+// packet onward.
+func (t *Tunnel) ingress(f frame) {
 	if t.down.Load() {
 		t.dropped.Add(1)
 		return
 	}
 	arrived := int64(0)
-	if ctx.Valid() {
+	if f.ctx.Valid() {
 		arrived = time.Now().UnixNano()
 	}
-	if err := t.gw.SendRawTraced(t.gwPort, payload, ctx); err != nil {
+	if err := t.gw.SendRawTraced(t.gwPort, f.payload, f.ctx); err != nil {
 		t.sendErrors.Add(1)
 		return
 	}
 	t.decapsulated.Add(1)
-	if ctx.Valid() {
+	if f.ctx.Valid() {
 		// Counted and recorded only for frames that actually entered the
 		// substrate, so wire-span counts reconcile exactly with
 		// TracedRecv across the cluster.
 		t.tracedRecv.Add(1)
 		t.bridge.spans.Record(trace.Span{
-			Trace: ctx.ID, Stage: t.wireStage, Node: t.bridge.node,
-			Start: sent, End: arrived,
+			Trace: f.ctx.ID, Stage: t.wireStage, Node: t.bridge.node,
+			Start: f.sent, End: arrived,
 		})
 	}
 }

@@ -188,6 +188,17 @@ func corpusSeeds(t *testing.T) map[string]map[string][]any {
 		deliveries[name] = []any{b, byte(1), []byte(nil)}
 	}
 	deliveries["arrival_header"] = []any{full, byte(7), tagInfo}
+	// A pair whose field bytes concatenate to the same "AB" but split
+	// differently: an arena shared by bytes alone must still window
+	// each route by its own field lengths.
+	for name, split := range map[string]Segment{
+		"split_token_ab":       {Port: 3, PortToken: []byte("AB")},
+		"split_token_a_info_b": {Port: 3, PortToken: []byte("A"), PortInfo: []byte("B")},
+	} {
+		sp := NewPacket([]Segment{{Port: PortLocal}}, []byte("split"))
+		sp.Trailer = []Segment{{Port: PortLocal}, split}
+		deliveries[name] = []any{mustEncodePkt(t, sp), byte(1), []byte(nil)}
+	}
 
 	return map[string]map[string][]any{
 		"FuzzDecodeSegment":         oneArg(segments),

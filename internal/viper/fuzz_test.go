@@ -185,9 +185,12 @@ func FuzzDecodeDAG(f *testing.F) {
 // FuzzDecodeDelivery holds the receive fast path to its definition:
 // DecodeDelivery must agree with Decode + ConsumeHead(arrival) +
 // ReturnRoute on whether the input is a packet, on the head's port and
-// priority, on the data, and on every return segment. The return route
-// must own its bytes: flipping every input byte afterwards leaves it
-// unchanged.
+// priority, on the data, and on every return segment. Each input is
+// decoded three times: with no previous arena, with the first decode's
+// arena (the bytes repeat, so the route must be cut from it), and with
+// an unrelated arena of the same length (which must be neither used nor
+// written). Every return route must own its bytes: flipping every input
+// byte afterwards leaves all three unchanged.
 func FuzzDecodeDelivery(f *testing.F) {
 	p := NewPacket([]Segment{{Port: PortLocal, Priority: 3}}, []byte("payload"))
 	p.Trailer = []Segment{{Port: PortLocal}, {Port: 4, PortToken: []byte{1, 2, 3}}}
@@ -199,7 +202,7 @@ func FuzzDecodeDelivery(f *testing.F) {
 		// Work on copies: the flip below must not touch the fuzzer's input.
 		b := append([]byte(nil), in...)
 		info := append([]byte(nil), inInfo...)
-		head, data, ret, err := DecodeDelivery(b, inPort, info)
+		head, data, ret, arena, err := DecodeDelivery(b, inPort, info, nil)
 		pkt, refErr := Decode(in)
 		if err != refErr {
 			t.Fatalf("DecodeDelivery err = %v, Decode err = %v", err, refErr)
@@ -215,14 +218,37 @@ func FuzzDecodeDelivery(f *testing.F) {
 		if !bytes.Equal(data, pkt.Data) {
 			t.Fatalf("data = %x, want %x", data, pkt.Data)
 		}
-		sameRoute := func(when string) {
-			if len(ret) != len(wantRet) {
-				t.Fatalf("%s: return route has %d segments, want %d", when, len(ret), len(wantRet))
+
+		_, _, again, shared, _ := DecodeDelivery(b, inPort, info, arena)
+		if len(arena) > 0 && &shared[0] != &arena[0] {
+			t.Fatal("repeated route bytes were copied instead of cut from the previous arena")
+		}
+		unrelated := []byte("unrelated")
+		if len(arena) > 0 {
+			unrelated = make([]byte, len(arena))
+			for i := range arena {
+				unrelated[i] = ^arena[i]
 			}
-			for i := range ret {
-				if !ret[i].Equal(&wantRet[i]) {
-					// Values, not pointers: %+v then prints the field bytes.
-					t.Fatalf("%s: return[%d] = %+v, want %+v", when, i, ret[i], wantRet[i])
+		}
+		untouched := append([]byte(nil), unrelated...)
+		_, _, other, _, _ := DecodeDelivery(b, inPort, info, unrelated)
+		if !bytes.Equal(unrelated, untouched) {
+			t.Fatal("DecodeDelivery wrote to the previous arena")
+		}
+
+		sameRoute := func(when string) {
+			for _, r := range []struct {
+				prev  string
+				route []Segment
+			}{{"nil", ret}, {"its own", again}, {"an unrelated", other}} {
+				if len(r.route) != len(wantRet) {
+					t.Fatalf("%s, %s arena: return route has %d segments, want %d", when, r.prev, len(r.route), len(wantRet))
+				}
+				for i := range r.route {
+					if !r.route[i].Equal(&wantRet[i]) {
+						// Values, not pointers: %+v then prints the field bytes.
+						t.Fatalf("%s, %s arena: return[%d] = %+v, want %+v", when, r.prev, i, r.route[i], wantRet[i])
+					}
 				}
 			}
 		}

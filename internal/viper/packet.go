@@ -1,6 +1,7 @@
 package viper
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -83,39 +84,67 @@ func (p *Packet) ReturnRoute() []Segment {
 	for i := range p.Trailer {
 		route[len(route)-1-i] = p.Trailer[i]
 	}
-	return ownReturn(route)
+	ownReturn(route, nil)
+	return route
 }
 
 // ownReturn turns route, in reply order, into a return route that owns
-// its bytes: every token and portInfo field is copied into one arena as
-// a capacity-limited window of it, so appending to one field reallocates
-// instead of overwriting its neighbour, and every segment is marked RPF.
-// The arena is the only allocation, and none when no field has bytes.
-func ownReturn(route []Segment) []Segment {
+// its bytes, and marks every segment RPF. Every token and portInfo
+// field becomes a capacity-capped window of one arena, so appending to
+// a field reallocates instead of overwriting its neighbour. When the
+// fields' bytes, concatenated in route order, are exactly prev, the
+// windows are cut from prev, which is only read; otherwise a new arena
+// is allocated and filled. It returns the arena the fields are windows
+// of, or prev when no field has bytes. The new arena is the only
+// allocation, and none when the bytes repeat prev or there are none.
+func ownReturn(route []Segment, prev []byte) []byte {
 	n := 0
 	for i := range route {
 		n += len(route[i].PortToken) + len(route[i].PortInfo)
 	}
-	arena := make([]byte, 0, n)
+	arena := prev
+	if n > 0 && !sameBytes(route, prev, n) {
+		arena = make([]byte, 0, n)
+		for i := range route {
+			arena = append(arena, route[i].PortToken...)
+			arena = append(arena, route[i].PortInfo...)
+		}
+	}
+	off := 0
 	for i := range route {
-		route[i].PortToken, arena = carve(arena, route[i].PortToken)
-		route[i].PortInfo, arena = carve(arena, route[i].PortInfo)
+		route[i].PortToken, off = window(arena, off, len(route[i].PortToken))
+		route[i].PortInfo, off = window(arena, off, len(route[i].PortInfo))
 		route[i].Flags |= FlagRPF
 	}
-	return route
+	return arena
 }
 
-// carve copies b onto the end of arena, which has room for it, and
-// returns the copy with its capacity capped at its length, plus the
-// grown arena. An empty field comes back nil, as Segment.Clone leaves
-// it.
-func carve(arena, b []byte) (field, rest []byte) {
-	if len(b) == 0 {
-		return nil, arena
+// sameBytes reports whether route's token and portInfo bytes, n of
+// them, concatenated in route order, are exactly prev.
+func sameBytes(route []Segment, prev []byte, n int) bool {
+	if n != len(prev) {
+		return false
 	}
-	i := len(arena)
-	arena = append(arena, b...)
-	return arena[i:len(arena):len(arena)], arena
+	off := 0
+	for i := range route {
+		for _, f := range [2][]byte{route[i].PortToken, route[i].PortInfo} {
+			if !bytes.Equal(prev[off:off+len(f)], f) {
+				return false
+			}
+			off += len(f)
+		}
+	}
+	return true
+}
+
+// window returns the n bytes of arena at off with their capacity capped
+// at their length, and the offset past them. An empty field comes back
+// nil, as Segment.Clone leaves it.
+func window(arena []byte, off, n int) (field []byte, next int) {
+	if n == 0 {
+		return nil, off
+	}
+	return arena[off : off+n : off+n], off + n
 }
 
 // CloneWire implements the simulation substrate's payload-cloning hook;
@@ -275,35 +304,41 @@ func Decode(b []byte) (*Packet, error) {
 // DecodeDelivery is a receiving host's whole Sirpent step in one pass
 // over an encoded packet: Decode, then ConsumeHead with the arrival
 // segment {Port: inPort, Priority: head.Priority, PortInfo: inInfo},
-// then ReturnRoute. head and data alias b. ret is the one deep copy,
-// built as ReturnRoute builds it (one segment slice and one byte arena),
-// so it stays valid after b and inInfo are recycled. It walks the
-// packet with Decode's own decoders in Decode's order, so it accepts
-// and rejects exactly what Decode does.
-func DecodeDelivery(b []byte, inPort uint8, inInfo []byte) (head Segment, data []byte, ret []Segment, err error) {
+// then ReturnRoute. head and data alias b. ret is owned: it stays valid
+// after b and inInfo are recycled, and its fields are windows of one
+// byte arena, returned as arena. prev is the arena of the caller's
+// previous delivery, or nil. Every packet of a flow carries the same
+// trailer, so when ret's field bytes are exactly prev they are cut from
+// prev without writing it, and ret costs only its segment slice;
+// otherwise a new arena is filled as ReturnRoute fills one. Routes from
+// different deliveries may therefore share bytes: a holder may keep
+// them but must never write them. It walks the packet with Decode's own
+// decoders in Decode's order, so it accepts and rejects exactly what
+// Decode does.
+func DecodeDelivery(b []byte, inPort uint8, inInfo, prev []byte) (head Segment, data []byte, ret []Segment, arena []byte, err error) {
 	nTrailer, _, rest, err := splitTrailer(b)
 	if err != nil {
-		return Segment{}, nil, nil, err
+		return Segment{}, nil, nil, nil, err
 	}
 	// ret[0] is the arrival hop; the trailer follows newest first, the
 	// order a backward walk meets it in.
 	ret = make([]Segment, 1+nTrailer)
 	for i := 1; i <= nTrailer; i++ {
 		if ret[i], rest, err = decodeSegmentMirrored(rest, false); err != nil {
-			return Segment{}, nil, nil, err
+			return Segment{}, nil, nil, nil, err
 		}
 	}
 	for i, more := 0, true; more; i++ {
 		var s Segment
 		if s, rest, more, err = nextHeader(rest, i, false); err != nil {
-			return Segment{}, nil, nil, err
+			return Segment{}, nil, nil, nil, err
 		}
 		if i == 0 {
 			head = s
 		}
 	}
 	ret[0] = Segment{Port: inPort, Priority: head.Priority, PortInfo: inInfo}
-	return head, rest, ownReturn(ret), nil
+	return head, rest, ret, ownReturn(ret, prev), nil
 }
 
 // splitTrailer checks the trailer descriptor that ends b and returns the

@@ -27,7 +27,8 @@ func (f CarrierFunc) Send(route []viper.Segment, pkt []byte) error { return f(ro
 // RTHandler serves requests on a real-time endpoint. It runs on its
 // own goroutine per transaction and MAY block (that is the
 // backpressure path); ret is the trailer-built return route of the
-// request's freshest packet, deep-copied and safe to retain. data is
+// request's freshest packet, owned and safe to retain; its bytes may be
+// shared with other routes, so never write them. data is
 // the handler's to keep. The endpoint keeps the returned bytes in its
 // response cache and only reads them, so they may be shared and must
 // not change afterwards.
@@ -225,8 +226,9 @@ func (rt *RT) freeCall(c *call) {
 
 // Deliver injects one arriving packet. data may alias a buffer the
 // caller recycles after return (it is decoded, and thereby copied,
-// before queuing); ret must be safe to retain (livenet's
-// Delivery.ReturnRoute already is). Deliver never blocks: if the
+// before queuing); ret must be owned and safe to retain, and its bytes
+// are never written (livenet's Delivery.ReturnRoute is such a route:
+// owned, its bytes possibly shared). Deliver never blocks: if the
 // receive queue is full the packet is dropped and retransmission
 // recovers it.
 func (rt *RT) Deliver(data []byte, ret []viper.Segment) {
