@@ -25,15 +25,16 @@
 // client — end to end through VMTP's own rate machinery.
 //
 // Ownership rules. The relay owns its net.Conn and its vmtp.RT
-// endpoint; handler goroutines (one per inbound transaction, spawned
-// by RT) may block on socket writes and sequencer turns, and teardown
-// always aborts the sequencer before closing the RT so no goroutine is
-// left waiting. Msg.Data decoded by DecodeMsg aliases the transaction
-// buffer and is written out before the handler returns, never
-// retained. Outbound data groups are issued with RT.Start from a pooled
-// buffer that VMTP borrows until the group's completion, which frees
-// the window slot; only a FIN, whose window quiesce blocks, takes a
-// goroutine of its own.
+// endpoint. Inbound transactions run on RT's handler workers, which may
+// block on socket writes and sequencer turns, and teardown always
+// aborts the sequencer before closing the RT so no worker is left
+// waiting. Msg.Data decoded by DecodeMsg aliases the request bytes RT
+// lends the handler and is written out before the handler returns,
+// never retained. The pump reads into a pooled buffer; each outbound
+// data group is issued with RT.Start from a pooled buffer that VMTP
+// borrows until the group's completion, which frees the window slot.
+// No transaction takes a goroutine of its own: after the FIN, the pump
+// itself quiesces the window.
 package gateway
 
 import (
@@ -165,7 +166,7 @@ type stream struct {
 	key     streamKey
 	conn    net.Conn
 	route   []viper.Segment // where outbound calls for this stream go
-	inSeq   *vmtp.Sequencer // orders inbound data groups
+	inSeq   vmtp.Sequencer  // orders inbound data groups
 	outSeq  uint32          // next outbound group sequence (pump goroutine only)
 	slots   chan *groupSlot // free outbound window slots
 	nSlots  int             // slots made so far, at most Window (pump goroutine only)
@@ -240,7 +241,6 @@ func (r *relay) newStream(key streamKey, conn net.Conn, route []viper.Segment) *
 		key:   key,
 		conn:  conn,
 		route: route,
-		inSeq: vmtp.NewSequencer(),
 		slots: make(chan *groupSlot, r.cfg.Window),
 		done:  make(chan struct{}),
 	}
@@ -309,13 +309,15 @@ func (r *relay) maybeFinish(st *stream) {
 	})
 }
 
-// pump is the outbound loop: it reads the local socket and ships each
-// chunk as one in-order data group, holding at most Window groups in
-// flight. EOF becomes an empty FIN group; any other read error resets
-// the stream on both sides.
+// pump is the outbound loop: it reads the local socket into a pooled
+// buffer and ships each chunk as one in-order data group, holding at
+// most Window groups in flight. EOF becomes an empty FIN group, after
+// which the pump quiesces the window; any other read error resets the
+// stream on both sides.
 func (r *relay) pump(st *stream) {
 	defer r.wg.Done()
-	buf := make([]byte, r.cfg.GroupBytes)
+	buf := pool.Get(r.cfg.GroupBytes)[:r.cfg.GroupBytes]
+	defer pool.Put(buf)
 	for {
 		n, err := st.conn.Read(buf)
 		if n > 0 {
@@ -328,7 +330,9 @@ func (r *relay) pump(st *stream) {
 				return // torn down elsewhere
 			}
 			if isEOF(err) {
-				r.sendGroup(st, nil, true)
+				if r.sendGroup(st, nil, true) {
+					r.quiesce(st)
+				}
 			} else {
 				r.reset(st, true, err)
 			}
@@ -350,7 +354,6 @@ type groupSlot struct {
 	st    *stream
 	msg   []byte // the encoded group: a pool buffer VMTP borrows until done
 	size  uint64
-	fin   bool
 	ctx   trace.Context
 	start time.Time
 	done  func([]byte, error) // complete, bound once
@@ -392,7 +395,7 @@ func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 		}
 	}
 	s.msg = m.appendEncoded(pool.Get(m.encodedLen()))
-	s.size, s.fin, s.ctx, s.start = uint64(len(data)), fin, m.Ctx, time.Now()
+	s.size, s.ctx, s.start = uint64(len(data)), m.Ctx, time.Now()
 	r.wg.Add(1) // until the completion is done with the stream
 	if err := r.rt.Start(st.key.peer, st.route, s.msg, s.done); err != nil {
 		s.complete(nil, err)
@@ -402,8 +405,8 @@ func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 
 // complete is a data group's completion, run on an RT goroutine. It
 // counts the group, records its span and recycles its buffer before it
-// frees the slot, so a FIN that holds every slot knows every earlier
-// group is counted.
+// frees the slot, so a pump that holds every slot after the FIN knows
+// every group is counted.
 func (s *groupSlot) complete(rep []byte, err error) {
 	r, st := s.r, s.st
 	pool.Put(s.msg)
@@ -431,39 +434,41 @@ func (s *groupSlot) complete(rep []byte, err error) {
 			Start: s.ctx.Origin, End: time.Now().UnixNano(),
 		})
 	}
-	if s.fin {
-		go r.quiesce(st) // keeps the slot and the wg count
-		return
-	}
 	st.slots <- s
 	r.wg.Done()
 }
 
-// quiesce runs once our FIN is acknowledged, holding its slot. It
-// drains the window before declaring our half done: the FIN's in-order
-// delivery proves every earlier group was applied remotely, but their
-// completions may not have counted bytes yet. Holding every slot at
-// once means they all ran — i.e. finished accounting — so stats taken
-// after a clean close reconcile exactly (the cluster telemetry verifier
-// leans on this). The pump sent nothing after the FIN, so nSlots is
-// final and the drained slots are not needed again.
+// quiesce runs on the pump once it has issued our FIN, the stream's
+// last group. It takes back every window slot before declaring our half
+// done: holding them all means every group's completion ran, the FIN's
+// included — i.e. finished accounting — so stats taken after a clean
+// close reconcile exactly (the cluster telemetry verifier leans on
+// this). A group that failed reset the stream before freeing its slot,
+// so a stream found reset once the slots are back did not close
+// cleanly. The pump sends nothing after the FIN, so nSlots is final and
+// the drained slots are not needed again.
 func (r *relay) quiesce(st *stream) {
-	defer r.wg.Done()
-	for i := 1; i < st.nSlots; i++ {
+	for i := 0; i < st.nSlots; i++ {
 		select {
 		case <-st.slots:
 		case <-st.done:
 			return
 		}
 	}
+	select {
+	case <-st.done:
+		return
+	default:
+	}
 	st.finSent.Store(true)
 	r.maybeFinish(st)
 }
 
-// onMsg is the RT handler: one goroutine per inbound transaction, free
-// to block on the sequencer and the socket write — that blocking IS
-// the backpressure path (the sender's window slot stays held until we
-// reply).
+// onMsg is the RT handler, run on an RT handler worker: no goroutine is
+// made per transaction. It is free to block on the sequencer and the
+// socket write — that blocking IS the backpressure path (the sender's
+// window slot stays held until we reply), and RT gives requests that
+// arrive meanwhile workers of their own.
 func (r *relay) onMsg(from uint64, data []byte, ret []viper.Segment) []byte {
 	var m Msg
 	if err := DecodeMsg(data, &m); err != nil {

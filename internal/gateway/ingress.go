@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/livenet"
+	"repro/internal/pool"
 )
 
 // Ingress is the client-facing gateway: a SOCKS5 server whose accepted
@@ -66,7 +67,9 @@ func (in *Ingress) handleConn(c net.Conn) {
 		return
 	}
 	open := Msg{Op: OpOpen, Stream: id, Addr: target}
-	rep, err := in.rt.Call(in.cfg.Peer, in.cfg.Route, open.Encode())
+	req := open.appendEncoded(pool.Get(open.encodedLen())) // Call borrows it until it returns
+	rep, err := in.rt.Call(in.cfg.Peer, in.cfg.Route, req)
+	pool.Put(req)
 	code := ReplyGeneralFailure
 	if err == nil {
 		code = DecodeReply(rep)

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"strconv"
 	"strings"
+
+	"repro/internal/pool"
 )
 
 // SOCKS5 (RFC 1928) server-side handshake and a minimal client dialer.
@@ -38,6 +41,33 @@ func (e *SocksError) Error() string {
 	return fmt.Sprintf("socks: %s (reply %d)", e.Why, e.Code)
 }
 
+// Fixed SOCKS5 messages. They are written as slices of these
+// package-level arrays, which cost no allocation; a literal would be
+// one per write, since a net.Conn's Write keeps its argument.
+var (
+	methodAccepted = [2]byte{socksVersion, methodNoAuth}
+	methodRefused  = [2]byte{socksVersion, methodNoneOK}
+	greeting       = [3]byte{socksVersion, 1, methodNoAuth}
+	// replies[code] is the final reply with code and a zero IPv4 bind
+	// address.
+	replies = func() (r [256][10]byte) {
+		for code := range r {
+			r[code] = [10]byte{socksVersion, byte(code), 0, atypIPv4}
+		}
+		return r
+	}()
+)
+
+// scratchLen holds the longest message either side of the handshake
+// reads: a CONNECT request naming a 255-byte domain (the 257-byte
+// greeting is shorter).
+const scratchLen = 4 + 1 + maxDomainLength + 2
+
+// scratch returns a pool buffer for one handshake's reads. An array on
+// the stack would not stay there: passing it to a net.Conn's Read moves
+// it to the heap, one allocation per read.
+func scratch() []byte { return pool.Get(scratchLen)[:scratchLen] }
+
 // ReadRequest runs the server side of the SOCKS5 negotiation up to the
 // point of decision: it returns the CONNECT target as "host:port"
 // WITHOUT writing the final reply — the caller answers with WriteReply
@@ -45,8 +75,10 @@ func (e *SocksError) Error() string {
 // types the proper failure reply has already been written and a
 // *SocksError is returned.
 func ReadRequest(c net.Conn) (string, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+	buf := scratch()
+	defer pool.Put(buf)
+	hdr := buf[:2]
+	if _, err := io.ReadFull(c, hdr); err != nil {
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "short greeting"}
 	}
 	if hdr[0] != socksVersion {
@@ -56,7 +88,7 @@ func ReadRequest(c net.Conn) (string, error) {
 	if nMethods == 0 {
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "no auth methods offered"}
 	}
-	methods := make([]byte, nMethods)
+	methods := buf[:nMethods]
 	if _, err := io.ReadFull(c, methods); err != nil {
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "short method list"}
 	}
@@ -68,60 +100,60 @@ func ReadRequest(c net.Conn) (string, error) {
 		}
 	}
 	if !ok {
-		c.Write([]byte{socksVersion, methodNoneOK})
+		c.Write(methodRefused[:])
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "no acceptable auth method"}
 	}
-	if _, err := c.Write([]byte{socksVersion, methodNoAuth}); err != nil {
+	if _, err := c.Write(methodAccepted[:]); err != nil {
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "method reply write"}
 	}
 
-	var req [4]byte
-	if _, err := io.ReadFull(c, req[:]); err != nil {
+	req := buf[:4]
+	if _, err := io.ReadFull(c, req); err != nil {
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "short request"}
 	}
 	if req[0] != socksVersion {
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "bad request version"}
 	}
+	cmd, atyp := req[1], req[3]
 	// Parse the address and port for ANY command before judging the
 	// command: a rejected BIND or UDP ASSOCIATE must still have its
 	// request fully drained, or closing a socket with unread bytes can
 	// reset the connection and discard the ReplyCmdNotSupported reply
 	// before the client reads it.
 	var host string
-	switch req[3] {
+	switch atyp {
 	case atypIPv4:
-		var a [4]byte
-		if _, err := io.ReadFull(c, a[:]); err != nil {
+		a := buf[:4]
+		if _, err := io.ReadFull(c, a); err != nil {
 			return "", &SocksError{Code: ReplyGeneralFailure, Why: "short IPv4 address"}
 		}
-		host = net.IP(a[:]).String()
+		host = net.IP(a).String()
 	case atypIPv6:
-		var a [16]byte
-		if _, err := io.ReadFull(c, a[:]); err != nil {
+		a := buf[:16]
+		if _, err := io.ReadFull(c, a); err != nil {
 			return "", &SocksError{Code: ReplyGeneralFailure, Why: "short IPv6 address"}
 		}
-		host = net.IP(a[:]).String()
+		host = net.IP(a).String()
 	case atypDomain:
-		var n [1]byte
-		if _, err := io.ReadFull(c, n[:]); err != nil {
+		if _, err := io.ReadFull(c, buf[:1]); err != nil {
 			return "", &SocksError{Code: ReplyGeneralFailure, Why: "short domain length"}
 		}
-		d := make([]byte, int(n[0]))
+		d := buf[:buf[0]]
 		if _, err := io.ReadFull(c, d); err != nil {
 			return "", &SocksError{Code: ReplyGeneralFailure, Why: "short domain"}
 		}
 		host = string(d)
 	default:
 		WriteReply(c, ReplyAddrNotSupported)
-		return "", &SocksError{Code: ReplyAddrNotSupported, Why: fmt.Sprintf("unsupported address type %d", req[3])}
+		return "", &SocksError{Code: ReplyAddrNotSupported, Why: fmt.Sprintf("unsupported address type %d", atyp)}
 	}
-	var port [2]byte
-	if _, err := io.ReadFull(c, port[:]); err != nil {
+	port := buf[:2]
+	if _, err := io.ReadFull(c, port); err != nil {
 		return "", &SocksError{Code: ReplyGeneralFailure, Why: "short port"}
 	}
-	if req[1] != cmdConnect {
+	if cmd != cmdConnect {
 		WriteReply(c, ReplyCmdNotSupported)
-		return "", &SocksError{Code: ReplyCmdNotSupported, Why: fmt.Sprintf("unsupported command %d", req[1])}
+		return "", &SocksError{Code: ReplyCmdNotSupported, Why: fmt.Sprintf("unsupported command %d", cmd)}
 	}
 	p := int(port[0])<<8 | int(port[1])
 	return net.JoinHostPort(host, strconv.Itoa(p)), nil
@@ -131,7 +163,7 @@ func ReadRequest(c net.Conn) (string, error) {
 // (this proxy never supports BIND, so the bind address carries no
 // information).
 func WriteReply(c net.Conn, code uint8) error {
-	_, err := c.Write([]byte{socksVersion, code, 0, atypIPv4, 0, 0, 0, 0, 0, 0})
+	_, err := c.Write(replies[code][:])
 	return err
 }
 
@@ -184,24 +216,28 @@ func DialSocks(proxy, target string) (net.Conn, error) {
 		c.Close()
 		return nil, err
 	}
-	if _, err := c.Write([]byte{socksVersion, 1, methodNoAuth}); err != nil {
+	buf := scratch()
+	defer pool.Put(buf)
+	if _, err := c.Write(greeting[:]); err != nil {
 		return fail(err)
 	}
-	var mr [2]byte
-	if _, err := io.ReadFull(c, mr[:]); err != nil {
+	mr := buf[:2]
+	if _, err := io.ReadFull(c, mr); err != nil {
 		return fail(fmt.Errorf("socks dial: method reply: %w", err))
 	}
 	if mr[0] != socksVersion || mr[1] != methodNoAuth {
 		return fail(fmt.Errorf("socks dial: proxy rejected auth method (%d,%d)", mr[0], mr[1]))
 	}
-	req := []byte{socksVersion, cmdConnect, 0}
-	if ip := net.ParseIP(host); ip != nil {
-		if v4 := ip.To4(); v4 != nil {
+	req := append(buf[:0], socksVersion, cmdConnect, 0)
+	if ip, err := netip.ParseAddr(host); err == nil && ip.Zone() == "" {
+		if ip = ip.Unmap(); ip.Is4() {
+			a := ip.As4()
 			req = append(req, atypIPv4)
-			req = append(req, v4...)
+			req = append(req, a[:]...)
 		} else {
+			a := ip.As16()
 			req = append(req, atypIPv6)
-			req = append(req, ip.To16()...)
+			req = append(req, a[:]...)
 		}
 	} else {
 		if len(host) > maxDomainLength {
@@ -214,8 +250,8 @@ func DialSocks(proxy, target string) (net.Conn, error) {
 	if _, err := c.Write(req); err != nil {
 		return fail(err)
 	}
-	var rep [4]byte
-	if _, err := io.ReadFull(c, rep[:]); err != nil {
+	rep := buf[:4]
+	if _, err := io.ReadFull(c, rep); err != nil {
 		return fail(fmt.Errorf("socks dial: reply: %w", err))
 	}
 	if rep[1] != ReplySuccess {
@@ -228,15 +264,14 @@ func DialSocks(proxy, target string) (net.Conn, error) {
 	case atypIPv6:
 		skip = 16 + 2
 	case atypDomain:
-		var n [1]byte
-		if _, err := io.ReadFull(c, n[:]); err != nil {
+		if _, err := io.ReadFull(c, buf[:1]); err != nil {
 			return fail(err)
 		}
-		skip = int(n[0]) + 2
+		skip = int(buf[0]) + 2
 	default:
 		return fail(fmt.Errorf("socks dial: bad bind address type %d", rep[3]))
 	}
-	if _, err := io.CopyN(io.Discard, c, int64(skip)); err != nil {
+	if _, err := io.ReadFull(c, buf[:skip]); err != nil {
 		return fail(err)
 	}
 	return c, nil

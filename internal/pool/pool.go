@@ -92,11 +92,13 @@ func Get(n int) []byte {
 
 // Put recycles a buffer's backing array. The caller must hold the only
 // live reference: after Put, any aliasing slice (a decoded segment field,
-// a frame header view) is invalid. Undersized and surplus buffers are
-// dropped for the collector.
+// a frame header view) is invalid. Undersized, oversized and surplus
+// buffers are dropped for the collector: an oversized one would sit in
+// the largest class at many times its size, and a peer's header can ask
+// VMTP for one.
 func Put(b []byte) {
 	c := classOf(cap(b))
-	if c < 0 {
+	if c < 0 || cap(b) > 1<<maxClassBits {
 		reject.Add(1)
 		return
 	}

@@ -61,7 +61,11 @@ func TestOversizeFallsThrough(t *testing.T) {
 	if cap(b) < 1<<20 {
 		t.Fatalf("oversize cap=%d", cap(b))
 	}
-	Put(b) // must not panic; lands in the max class
+	_, _, _, rejected := Stats()
+	Put(b) // must not panic; dropped for the collector
+	if _, _, _, r := Stats(); r != rejected+1 {
+		t.Fatalf("oversize Put kept the buffer (rejected %d -> %d)", rejected, r)
+	}
 }
 
 func TestConcurrentGetPut(t *testing.T) {

@@ -10,7 +10,9 @@ import (
 )
 
 // Handler serves requests: it receives the caller's entity identifier
-// and request data and returns the response data.
+// and request data and returns the response data. data is borrowed
+// until the handler returns, unless returned: the endpoint reuses it
+// for a later request unless the response shares its backing array.
 type Handler func(from uint64, data []byte) []byte
 
 // Endpoint is a VMTP entity bound to one Sirpent host endpoint, driving
@@ -98,7 +100,7 @@ func (ep *Endpoint) serve(key groupKey, data []byte, _ []viper.Segment) {
 	if ep.handler != nil {
 		resp = ep.handler(key.client, data)
 	}
-	ep.m.respond(key, resp)
+	ep.m.respond(key, data, resp)
 }
 
 func (ep *Endpoint) finish(c *call, data []byte, err error) {

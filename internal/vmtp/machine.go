@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/pool"
@@ -109,8 +110,9 @@ type timers interface {
 // driver carries out a machine's outputs.
 type driver interface {
 	send(x transmission) // paced by PacingGap, each packet stamped as it leaves
-	// serve hands a complete request to the handler; the driver calls
-	// respond with its answer, in the same step or later.
+	// serve hands a complete request to the handler, which borrows data
+	// from internal/pool; the driver calls respond with the request and
+	// the answer, in the same step or later, or release once closed.
 	serve(key groupKey, data []byte, ret []viper.Segment)
 	// finish ends c, once per call, with its response or err. The
 	// response reassembly buffer, c.resp.data, comes from internal/pool
@@ -140,7 +142,7 @@ type transmission struct {
 }
 
 // A group is a packet group as a value: the packets of pkts, or the
-// single packet one when pkts is nil, so a one-packet group needs no
+// single packet one when pkts is empty, so a one-packet group needs no
 // slice of its own.
 type group struct {
 	pkts []Packet
@@ -148,7 +150,7 @@ type group struct {
 }
 
 func (g *group) packets() []Packet {
-	if g.pkts != nil {
+	if len(g.pkts) > 0 {
 		return g.pkts
 	}
 	return g.one[:]
@@ -170,7 +172,7 @@ type rxGroup struct {
 	ret      []viper.Segment // freshest return route
 	born     time.Duration
 	lastRx   time.Duration // most recent packet arrival (gap detection)
-	served   bool          // handed to the handler; data belongs to it
+	served   bool          // handed to the handler; data is lent to it
 	t        timer
 }
 
@@ -229,7 +231,8 @@ type call struct {
 }
 
 // reset readies a finished c for another start. It keeps what a driver
-// builds once per call: the timer and its clock handle, and the waiter.
+// builds once per call: the timer and its clock handle, the waiter, and
+// the request's packet slice, emptied.
 //
 // A recycled call survives a stale fire of its timer: the machine
 // disarmed the timer when c finished, so a fire that was already queued
@@ -237,7 +240,9 @@ type call struct {
 // new due time, or due anyway; and fire only acts on a call that
 // m.calls still maps its txn to.
 func (c *call) reset() {
+	clear(c.req.pkts)
 	*c = call{
+		req:    group{pkts: c.req.pkts[:0]},
 		t:      timer{call: c, ev: c.t.ev, wall: c.t.wall},
 		wake:   c.wake,
 		wakeup: c.wakeup,
@@ -285,7 +290,7 @@ func (m *machine) start(c *call, data []byte) error {
 	if len(c.routes) == 0 {
 		return ErrNoRoutes
 	}
-	req, err := packetize(data, MaxPacketData, Header{Client: m.id, Server: c.server, Txn: m.nextTxn + 1, Kind: KindRequest})
+	req, err := packetize(c.req.pkts, data, MaxPacketData, Header{Client: m.id, Server: c.server, Txn: m.nextTxn + 1, Kind: KindRequest})
 	if err != nil {
 		return err
 	}
@@ -326,15 +331,17 @@ func (m *machine) receive(p *Packet, ret []viper.Segment) {
 	}
 }
 
-// respond caches and sends the handler's answer to a served request.
-func (m *machine) respond(key groupKey, data []byte) {
+// respond caches and sends the handler's answer, data, to the served
+// request key, and releases the request's bytes, req.
+func (m *machine) respond(key groupKey, req, data []byte) {
+	release(req, data)
 	g, ok := m.groups[key]
 	if !ok {
 		return
 	}
 	ret := g.ret
 	m.dropGroup(g)
-	resp, err := packetize(data, MaxPacketData, Header{Client: key.client, Server: m.id, Txn: key.txn, Kind: KindResponse})
+	resp, err := packetize(nil, data, MaxPacketData, Header{Client: key.client, Server: m.id, Txn: key.txn, Kind: KindResponse})
 	if err != nil {
 		return
 	}
@@ -366,15 +373,20 @@ func (m *machine) fire(t *timer) {
 	}
 }
 
-// close fails every outstanding call with err and stops the call and
-// group timers. The cache sweep stays armed, so cached responses
-// expire on their TTL after close as before (DESIGN §16).
+// close fails every outstanding call with err, stops the call and
+// group timers and returns the buffers of groups still reassembling.
+// The cache sweep stays armed, so cached responses expire on their TTL
+// after close as before (DESIGN §16).
 func (m *machine) close(err error) {
 	for _, c := range m.calls {
 		m.fail(c, err)
 	}
 	for _, g := range m.groups {
 		m.stop(&g.t)
+		if g.data != nil {
+			pool.Put(g.data)
+			g.data = nil
+		}
 	}
 }
 
@@ -545,7 +557,10 @@ func (m *machine) onRequest(p *Packet, ret []viper.Segment) {
 		}
 		g = m.spareGroup()
 		g.key, g.nPkts, g.totalLen, g.born = key, p.NPkts, int(p.TotalLen), now
-		g.data = make([]byte, p.TotalLen) // the handler's to keep
+		// Pooled, like a response's: the handler borrows it, and respond
+		// releases it.
+		g.data = pool.Get(int(p.TotalLen))[:p.TotalLen]
+		clear(g.data)
 		m.groups[key] = g
 	}
 	g.ret, g.lastRx = ret, now
@@ -563,7 +578,7 @@ func (m *machine) onRequest(p *Packet, ret []viper.Segment) {
 		g.served = true
 		m.stop(&g.t)
 		data, ret, ack := g.data, g.ret, m.ackFor(g)
-		g.data = nil // the handler's now; the group is only a marker
+		g.data = nil // lent to the handler; the group is only a marker
 		// A synchronous answer recycles g, so nothing reads it after.
 		m.out.serve(key, data, ret)
 		if _, answered := m.cache[key]; !answered {
@@ -599,11 +614,15 @@ func (m *machine) spareGroup() *rxGroup {
 	return g
 }
 
-// dropGroup forgets a request group and keeps it for reuse. Its timer is
-// disarmed, so a stale fire is ignored; once reused and re-armed, a fire
-// acts only on the group m.groups maps its key to, as for a call.
+// dropGroup forgets a request group and keeps it for reuse, returning
+// the buffer of one dropped incomplete. Its timer is disarmed, so a
+// stale fire is ignored; once reused and re-armed, a fire acts only on
+// the group m.groups maps its key to, as for a call.
 func (m *machine) dropGroup(g *rxGroup) {
 	delete(m.groups, g.key)
+	if g.data != nil {
+		pool.Put(g.data)
+	}
 	*g = rxGroup{t: timer{group: g, ev: g.t.ev, wall: g.t.wall}}
 	m.spare = append(m.spare, g)
 }
@@ -637,6 +656,28 @@ func (m *machine) ack(g *rxGroup, ret []viper.Segment) { m.sendOne(ret, m.ackFor
 func (m *machine) ackFor(g *rxGroup) Packet {
 	return Packet{Header: Header{Client: g.key.client, Server: m.id, Txn: g.key.txn,
 		Kind: KindAck, NPkts: g.nPkts, Mask: g.mask}}
+}
+
+// release returns a served request's bytes to the pool once its handler
+// has answered, unless the answer shares their backing array: the
+// response cache then holds them, and the collector frees them with the
+// entry. An echo keeps its request's bytes; any other answer lets the
+// next request reassemble into them.
+func release(req, resp []byte) {
+	if !sharesArray(req, resp) {
+		pool.Put(req)
+	}
+}
+
+// sharesArray reports whether a and b overlap anywhere in their
+// capacity: b is a slice of a at any offset and length, zero included,
+// or the other way round.
+func sharesArray(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
 }
 
 // sweepCache drops the cached responses whose window has passed.

@@ -1,7 +1,9 @@
 package vmtp
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,14 +149,26 @@ type fakeNet struct {
 	m        *machine
 	st       Stats
 	sent     []transmission
-	pending  []groupKey
+	pending  []unanswered
 	finished map[uint32]int
 	free     []*call
 }
 
-func (n *fakeNet) send(x transmission) { n.sent = append(n.sent, x) }
-func (n *fakeNet) serve(key groupKey, _ []byte, _ []viper.Segment) {
-	n.pending = append(n.pending, key)
+// unanswered is a request the fake's handler has yet to answer.
+type unanswered struct {
+	key  groupKey
+	data []byte
+}
+
+// send keeps a copy of the group's packets, as RT's flush encodes them
+// before a recycled call can rewrite its packet slice.
+func (n *fakeNet) send(x transmission) {
+	x.pkts = slices.Clone(x.pkts)
+	n.sent = append(n.sent, x)
+}
+
+func (n *fakeNet) serve(key groupKey, data []byte, _ []viper.Segment) {
+	n.pending = append(n.pending, unanswered{key, data})
 }
 
 func (n *fakeNet) finish(c *call, _ []byte, _ error) {
@@ -181,6 +195,37 @@ func newFakeNet(w *fakeWorld, id uint64, cfg Config) *fakeNet {
 	n := &fakeNet{m: new(machine), finished: make(map[uint32]int)}
 	n.m.init(id, cfg, fakeClock{w, n.m}, n, &n.st)
 	return n
+}
+
+// TestCachedEchoKeepsItsBytes: an echo's answer shares its request's
+// pooled buffer, so the buffer stays with the response cache. A later
+// request reassembles elsewhere, and a duplicate of the first is still
+// answered with the first one's bytes.
+func TestCachedEchoKeepsItsBytes(t *testing.T) {
+	server := newFakeNet(&fakeWorld{}, 0x51, Config{})
+	route := []viper.Segment{{Port: 1}}
+	request := func(txn uint32, fill byte) Packet {
+		return Packet{
+			Header: Header{Client: 0xC1, Server: 0x51, Txn: txn, Kind: KindRequest, NPkts: 1, TotalLen: 300, Timestamp: server.m.clk.stamp()},
+			Data:   bytes.Repeat([]byte{fill}, 300),
+		}
+	}
+	for txn, fill := range []byte{'a', 'b'} {
+		p := request(uint32(txn+1), fill)
+		server.m.receive(&p, route)
+		req := server.pending[0]
+		server.pending = server.pending[1:]
+		server.m.respond(req.key, req.data, req.data)
+	}
+	server.sent = nil
+	dup := request(1, 'a')
+	server.m.receive(&dup, route)
+	if len(server.sent) != 1 {
+		t.Fatalf("duplicate answered with %d transmissions, want 1", len(server.sent))
+	}
+	if got := server.sent[0].packets()[0].Data; !bytes.Equal(got, dup.Data) {
+		t.Fatalf("cached echo now reads %q..., want the first request's bytes", got[:4])
+	}
 }
 
 // fuzzOps reads a machine script: each op is one byte of kind and the
@@ -308,9 +353,9 @@ func FuzzMachine(f *testing.F) {
 				w.advance(w.now+time.Duration(ops.byte())*8*time.Millisecond, check)
 			case opAnswer:
 				if len(server.pending) > 0 {
-					key := server.pending[0]
+					req := server.pending[0]
 					server.pending = server.pending[1:]
-					server.m.respond(key, make([]byte, int(ops.byte())*128))
+					server.m.respond(req.key, req.data, make([]byte, int(ops.byte())*128))
 				}
 			}
 			check()

@@ -24,17 +24,25 @@ type CarrierFunc func(route []viper.Segment, pkt []byte) error
 // Send implements Carrier.
 func (f CarrierFunc) Send(route []viper.Segment, pkt []byte) error { return f(route, pkt) }
 
-// RTHandler serves requests on a real-time endpoint. It runs on its
-// own goroutine per transaction and MAY block (that is the
-// backpressure path); ret is the trailer-built return route of the
+// RTHandler serves requests on a real-time endpoint. It runs on one of
+// the endpoint's handler workers, never under its lock, and MAY block
+// (that is the backpressure path): a request that arrives meanwhile
+// gets another worker. ret is the trailer-built return route of the
 // request's freshest packet, owned and safe to retain; its bytes may be
-// shared with other routes, so never write them. data is
-// the handler's to keep. The endpoint keeps the returned bytes in its
-// response cache and only reads them, so they may be shared and must
-// not change afterwards.
+// shared with other routes, so never write them. data is borrowed until
+// the handler returns, unless returned: the endpoint reuses it for a
+// later request unless the response shares its backing array. The
+// endpoint keeps the returned bytes in its response cache and only
+// reads them, so they may be shared and must not change afterwards.
 type RTHandler func(from uint64, data []byte, ret []viper.Segment) []byte
 
-const queueDepth = 512 // receive queue between Deliver and the receive goroutine
+const (
+	queueDepth = 512 // receive queue between Deliver and the receive goroutine
+	// maxIdleWorkers bounds the handler workers an endpoint keeps parked
+	// between requests; a worker that answers with this many already
+	// parked exits (DESIGN §16).
+	maxIdleWorkers = 4
+)
 
 // RT is a real-time VMTP entity: the transaction machine driven by
 // wall-clock timers over an arbitrary Carrier, so real application
@@ -42,15 +50,17 @@ const queueDepth = 512 // receive queue between Deliver and the receive goroutin
 // substrate. All methods are safe for concurrent use. A mutex guards
 // the machine; RT never holds it across Carrier.Send, a PacingGap
 // sleep, the handler or a completion callback. Its goroutines are the
-// receive loop and one per served request; a call has none of its own.
+// receive loop and the handler workers: as many as handlers run at
+// once, plus up to maxIdleWorkers parked. A call has none of its own.
 //
 // A call completes one way: its done callback, queued by the step that
 // finished it and run after that step releases the mutex. Start is the
 // asynchronous form; Call blocks on it, so a transaction that cannot
 // complete holds its caller and the backpressure reaches whatever
 // socket feeds it. Finished calls go back on a free list, timer and
-// waiter included, so a steady-state transaction allocates only the
-// bytes it hands to someone else.
+// waiter included, and a served request borrows its bytes from
+// internal/pool, so a steady-state transaction allocates only the bytes
+// it hands to someone else.
 type RT struct {
 	car Carrier
 
@@ -62,8 +72,10 @@ type RT struct {
 	out     []transmission // sends the current step queued
 	fin     []completion   // completions the current step queued
 	free    []*call        // finished calls, ready for reuse
+	idle    int            // handler workers parked on jobs
 
 	rx   chan rtDelivery
+	jobs chan job // unbuffered: a send succeeds only to a parked worker
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -78,6 +90,15 @@ type completion struct {
 	buf  []byte
 }
 
+// A job is one served request on its way to a handler worker, with the
+// handler installed when it was served.
+type job struct {
+	h    RTHandler
+	key  groupKey
+	data []byte
+	ret  []viper.Segment
+}
+
 // rtDelivery is one decoded arrival queued for the receive goroutine,
 // carried by value so queuing it allocates nothing.
 type rtDelivery struct {
@@ -89,15 +110,16 @@ type rtDelivery struct {
 // carrier. The caller feeds arriving packets through Deliver and must
 // Close the endpoint when done.
 func NewRT(id uint64, car Carrier, cfg Config) *RT {
-	rt := &RT{car: car, rx: make(chan rtDelivery, queueDepth), done: make(chan struct{})}
+	rt := &RT{car: car, rx: make(chan rtDelivery, queueDepth), jobs: make(chan job), done: make(chan struct{})}
 	rt.m.init(id, cfg, &wallClock{epoch: time.Now(), fire: rt.onTimer}, rt, &rt.stats)
 	rt.wg.Add(1)
 	go rt.rxLoop()
 	return rt
 }
 
-// SetHandler installs the request handler (server role). Each
-// transaction's handler invocation runs on its own goroutine.
+// SetHandler installs the request handler (server role). A request is
+// served by the handler installed when it completed, on a handler
+// worker; requests whose handlers block run on workers of their own.
 func (rt *RT) SetHandler(h RTHandler) {
 	rt.mu.Lock()
 	rt.handler = h
@@ -133,8 +155,8 @@ func (rt *RT) RTTs() map[uint64]time.Duration {
 }
 
 // Close shuts the endpoint down: outstanding calls fail with
-// ErrClosed, timers are cancelled, and in-flight handler goroutines
-// and completions are waited for.
+// ErrClosed, timers are cancelled, parked handler workers exit, and
+// running handlers and completions are waited for.
 func (rt *RT) Close() {
 	rt.mu.Lock()
 	if rt.closed {
@@ -362,9 +384,18 @@ func (rt *RT) unlockAndFlush() {
 
 func (rt *RT) send(x transmission) { rt.out = append(rt.out, x) }
 
+// serve hands the request to a parked handler worker, or starts a
+// worker when none is parked, so blocked handlers never hold up
+// another request.
 func (rt *RT) serve(key groupKey, data []byte, ret []viper.Segment) {
-	rt.wg.Add(1)
-	go rt.runHandler(rt.handler, key, data, ret)
+	j := job{h: rt.handler, key: key, data: data, ret: ret}
+	select {
+	case rt.jobs <- j:
+		rt.idle--
+	default:
+		rt.wg.Add(1)
+		go rt.worker(j)
+	}
 }
 
 // finish queues c's completion. A Start call goes straight back on the
@@ -376,19 +407,36 @@ func (rt *RT) finish(c *call, data []byte, err error) {
 	}
 }
 
-// runHandler serves one request on its own goroutine and hands the
-// answer back to the machine.
-func (rt *RT) runHandler(h RTHandler, key groupKey, data []byte, ret []viper.Segment) {
+// worker is a handler worker: it runs j's handler and hands the answer
+// back to the machine, then parks for the next job serve hands it. It
+// exits instead when maxIdleWorkers are already parked, and on Close.
+func (rt *RT) worker(j job) {
 	defer rt.wg.Done()
-	var resp []byte
-	if h != nil {
-		resp = h(key.client, data, ret)
+	for {
+		var resp []byte
+		if j.h != nil {
+			resp = j.h(j.key.client, j.data, j.ret)
+		}
+		rt.mu.Lock()
+		park := !rt.closed && rt.idle < maxIdleWorkers
+		if rt.closed {
+			release(j.data, resp)
+		} else {
+			rt.m.respond(j.key, j.data, resp)
+		}
+		if park {
+			rt.idle++
+		}
+		rt.unlockAndFlush()
+		if !park {
+			return
+		}
+		select {
+		case j = <-rt.jobs:
+		case <-rt.done:
+			return
+		}
 	}
-	rt.mu.Lock()
-	if !rt.closed {
-		rt.m.respond(key, resp)
-	}
-	rt.unlockAndFlush()
 }
 
 func nowTimestamp() clock.Timestamp {

@@ -23,18 +23,14 @@ var ErrReplayed = errors.New("vmtp: sequence already delivered")
 // Sequence numbers start at 0 and must not wrap; uint32 groups of even
 // one byte each bound a stream at 4 Gi effects, far beyond any TCP
 // connection this repo relays.
+//
+// The zero value is ready for use and expects sequence 0 first. A
+// Sequencer must not be copied after first use.
 type Sequencer struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // L is bound to &mu on the first wait
 	next uint32
 	err  error
-}
-
-// NewSequencer returns a Sequencer expecting sequence 0 first.
-func NewSequencer() *Sequencer {
-	s := &Sequencer{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 // Admit blocks until seq is the next in-order sequence number. It
@@ -45,6 +41,9 @@ func (s *Sequencer) Admit(seq uint32) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.err == nil && seq > s.next {
+		if s.cond.L == nil {
+			s.cond.L = &s.mu
+		}
 		s.cond.Wait()
 	}
 	if s.err != nil {

@@ -21,11 +21,13 @@
 // way, through its done callback. Two drivers run the machine. Endpoint
 // runs it under sim.Engine with a synchronous handler and calls done in
 // the step. RT runs it on the wall clock behind a mutex, with a receive
-// goroutine and a goroutine per handler (so a complete request is acked
-// before it is answered); it runs done after the step releases the
-// mutex, and recycles call state, so a steady-state transaction
-// allocates only the bytes it hands on. RT.Start is its asynchronous
-// call and RT.Call the blocking one.
+// goroutine and handler workers that park between requests (so a
+// complete request is acked before it is answered, and a blocked
+// handler holds up no other); it runs done after the step releases the
+// mutex, recycles call state and lends handlers pooled request bytes,
+// so a steady-state transaction allocates only the bytes it hands on.
+// Both drivers return a request's bytes by one rule (release). RT.Start
+// is its asynchronous call and RT.Call the blocking one.
 package vmtp
 
 import (
@@ -186,7 +188,7 @@ func (p *Packet) decodeInto(b []byte) error {
 // lets the receiver place packet i at offset i·ChunkSize(TotalLen,NPkts)
 // without knowing the sender's configuration.
 func Segment(msg []byte, maxData int) ([][]byte, error) {
-	g, err := packetize(msg, maxData, Header{})
+	g, err := packetize(nil, msg, maxData, Header{})
 	if err != nil {
 		return nil, err
 	}
@@ -201,8 +203,9 @@ func Segment(msg []byte, maxData int) ([][]byte, error) {
 // packetize lays a message out as one packet group: every packet
 // carries h, plus its index, the group size and the message length, and
 // one chunk of at most maxData bytes. A one-packet group is held inline;
-// a larger one takes a single slice.
-func packetize(msg []byte, maxData int, h Header) (group, error) {
+// a larger one fills pkts, grown when it is too short, so a caller that
+// keeps the group's slice reuses it.
+func packetize(pkts []Packet, msg []byte, maxData int, h Header) (group, error) {
 	if maxData <= 0 {
 		maxData = MaxPacketData
 	}
@@ -213,9 +216,9 @@ func packetize(msg []byte, maxData int, h Header) (group, error) {
 	chunk := ChunkSize(len(msg), n)
 	h.NPkts, h.TotalLen = uint8(n), uint32(len(msg))
 	if n == 1 {
-		return group{one: [1]Packet{{Header: h, Data: msg}}}, nil
+		return group{pkts: pkts[:0], one: [1]Packet{{Header: h, Data: msg}}}, nil
 	}
-	pkts := make([]Packet, n)
+	pkts = slices.Grow(pkts[:0], n)[:n]
 	for i := range pkts {
 		pkts[i] = Packet{Header: h, Data: msg[min(i*chunk, len(msg)):min((i+1)*chunk, len(msg))]}
 		pkts[i].PktIndex = uint8(i)
