@@ -263,8 +263,8 @@ func FormatReports(reports map[string]*Report) string {
 		sort.Ints(links)
 		for _, id := range links {
 			s := r.Tunnels[uint16(id)]
-			out += fmt.Sprintf("  link %d: encap=%d decap=%d decode-errs=%d send-errs=%d dropped=%d\n",
-				id, s.Encapsulated, s.Decapsulated, s.DecodeErrors, s.SendErrors, s.Dropped)
+			out += fmt.Sprintf("  link %d: encap=%d sends=%d decap=%d decode-errs=%d send-errs=%d dropped=%d\n",
+				id, s.Encapsulated, s.Sends, s.Decapsulated, s.DecodeErrors, s.SendErrors, s.Dropped)
 		}
 		for _, g := range r.Gateways {
 			s := g.Stats

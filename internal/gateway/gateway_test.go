@@ -92,9 +92,36 @@ func (m *mesh) counters() stats.Counters {
 
 // reconcile asserts the gateway's ledger invariant: every stream
 // packet billed matches a token authorization on the forwarding plane.
+// It checks once the ledger total and the routers' TokenAuthorized have
+// held still over two reads 50 ms apart, as the benchmark settles. A
+// relay reports its stream closed when its last transaction completes,
+// while packets of that transaction can still be crossing the mesh;
+// and a router bills the ledger at its decision but publishes
+// TokenAuthorized once per batch, so a frame in flight is on one side
+// of the equation only.
 func (m *mesh) reconcile(t *testing.T) {
 	t.Helper()
-	m.col.Collect()
+	type reading struct{ billed, authorized uint64 }
+	read := func() reading {
+		m.col.Collect()
+		var r reading
+		for _, e := range m.col.Ledger().Totals() {
+			r.billed += e.Packets
+		}
+		r.authorized = m.counters().TokenAuthorized
+		return r
+	}
+	for prev, deadline := read(), time.Now().Add(2*time.Second); ; {
+		time.Sleep(50 * time.Millisecond)
+		cur := read()
+		if cur == prev {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger and forwarding plane still moving after 2 s: %+v", cur)
+		}
+		prev = cur
+	}
 	if problems := ledger.Reconcile("gateway", m.col.Ledger(), m.counters()); len(problems) != 0 {
 		t.Fatalf("ledger reconciliation failed: %v", problems)
 	}

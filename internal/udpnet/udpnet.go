@@ -42,6 +42,17 @@
 // and re-injects with the context so the trace continues in the next
 // process. Untraced traffic is framed exactly as before — the traced
 // path costs nothing when tracing is off.
+//
+// The socket moves datagrams a batch at a time on Linux. A tunnel's
+// writer drains what its queue holds, up to 64 datagrams, and sends
+// each run of equal-size datagrams (the last may be shorter) as one
+// UDP_SEGMENT send, which the kernel segments; if the kernel refuses
+// one, the run goes out datagram by datagram and the bridge stops
+// trying. The bridge's read loop turns UDP_GRO on after its first 64
+// datagrams and splits each coalesced read at the segment size the
+// kernel reports. Stats counts datagrams as before, plus the send
+// calls that carried them (Sends). Elsewhere every datagram is one
+// send and one read.
 package udpnet
 
 import (
@@ -103,6 +114,7 @@ const PeerLossThreshold = 3
 // Stats is a point-in-time snapshot of one tunnel's counters.
 type Stats struct {
 	Encapsulated uint64 // frames framed and handed to the socket
+	Sends        uint64 // socket send calls that carried them: Encapsulated/Sends is the mean batch
 	Decapsulated uint64 // datagrams unframed and injected into livenet
 	DecodeErrors uint64 // datagrams for this link with a bad type or empty payload
 	SendErrors   uint64 // socket write failures and injections into a stopped network
@@ -125,6 +137,11 @@ type Bridge struct {
 	tunnels map[uint16]*Tunnel
 
 	decodeErrors atomic.Uint64 // header-level garbage: bad magic/version/length, unknown link
+
+	gso      atomic.Bool   // writers send runs as one UDP_SEGMENT send; cleared when the kernel refuses one
+	gro      atomic.Bool   // UDP_GRO is on: reads may carry several datagrams
+	reads    int           // datagrams read before UDP_GRO, read loop only
+	groReads atomic.Uint64 // reads that carried more than one datagram
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -163,18 +180,25 @@ func Listen(addr string, opts ...BridgeOption) (*Bridge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udpnet: listen %q: %w", addr, err)
 	}
-	b := &Bridge{
-		conn:    conn,
-		node:    "udpnet",
-		tunnels: make(map[uint16]*Tunnel),
-		closed:  make(chan struct{}),
-	}
+	b := newBridge(conn)
 	for _, o := range opts {
 		o(b)
 	}
 	b.wg.Add(1)
 	go b.readLoop()
 	return b, nil
+}
+
+// newBridge wraps conn in a bridge whose read loop is not yet running.
+func newBridge(conn *net.UDPConn) *Bridge {
+	b := &Bridge{
+		conn:    conn,
+		node:    "udpnet",
+		tunnels: make(map[uint16]*Tunnel),
+		closed:  make(chan struct{}),
+	}
+	b.gso.Store(offload)
+	return b
 }
 
 // Addr returns the socket's bound address.
@@ -196,44 +220,79 @@ func (b *Bridge) Close() error {
 	return nil
 }
 
-// readLoop is the demux pump: one goroutine per bridge reads
-// datagrams and hands payloads to the owning tunnel. The buffer is
-// reused across reads — Tunnel.ingress must copy before returning,
-// which Host.SendRawTraced's pooled copy already does. A datagram
-// parseFrame rejects before its link is known, or whose link no tunnel
-// terminates, is counted at the bridge; one rejected after its link is
-// known is counted at that link's tunnel.
+// readLoop is the demux pump: one goroutine per bridge reads the
+// socket and hands each datagram's payload to the owning tunnel.
 func (b *Bridge) readLoop() {
 	defer b.wg.Done()
 	buf := make([]byte, MaxDatagram)
-	for {
-		n, _, err := b.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			select {
-			case <-b.closed:
-				return
-			default:
-			}
-			// Transient socket errors (e.g. ICMP port unreachable
-			// surfacing on connected reads) must not kill the pump.
-			continue
-		}
-		f, bad := parseFrame(buf[:n])
-		if bad != nil && !bad.atLink {
-			b.reject(&b.decodeErrors, ledger.KindDecodeError, bad.reason)
-			continue
-		}
-		b.mu.RLock()
-		t := b.tunnels[f.link]
-		b.mu.RUnlock()
-		switch {
-		case t == nil:
-			b.reject(&b.decodeErrors, ledger.KindUnknownLink, fmt.Sprintf("link %d not attached", f.link))
-		case bad != nil:
-			b.reject(&t.decodeErrors, ledger.KindDecodeError, bad.reason)
+	oob := make([]byte, groOOBLen)
+	for b.read(buf, oob) {
+	}
+}
+
+// read takes one read off the socket into buf and demuxes every
+// datagram in it, and reports false once the bridge is closed. A read
+// the kernel coalesced (UDP_GRO) is split at the segment size its
+// control message carries; a read without one is one datagram. After
+// the bridge's first groAfter datagrams, read turns UDP_GRO on.
+func (b *Bridge) read(buf, oob []byte) bool {
+	n, oobn, flags, _, err := b.conn.ReadMsgUDPAddrPort(buf, oob)
+	if err != nil {
+		select {
+		case <-b.closed:
+			return false
 		default:
-			t.ingress(f)
 		}
+		// Transient socket errors (e.g. ICMP port unreachable
+		// surfacing on connected reads) must not kill the pump.
+		return true
+	}
+	if flags&msgTrunc != 0 {
+		b.reject(&b.decodeErrors, ledger.KindDecodeError, fmt.Sprintf("truncated read (%d bytes)", n))
+		return true
+	}
+	seg := groSegment(oob[:oobn])
+	if seg > 0 && seg < n {
+		b.groReads.Add(1)
+	}
+	for rd := buf[:n]; ; {
+		var dg []byte
+		dg, rd = cutSegment(rd, seg)
+		b.receive(dg)
+		if len(rd) == 0 {
+			break
+		}
+	}
+	if !b.gro.Load() {
+		if b.reads++; b.reads == groAfter {
+			b.gro.Store(enableGRO(b.conn) == nil)
+		}
+	}
+	return true
+}
+
+// receive demuxes one datagram. dg aliases the read buffer —
+// Tunnel.ingress must copy before returning, which Host.SendRawTraced's
+// pooled copy already does. A datagram parseFrame rejects before its
+// link is known, or whose link no tunnel terminates, is counted at the
+// bridge; one rejected after its link is known is counted at that
+// link's tunnel.
+func (b *Bridge) receive(dg []byte) {
+	f, bad := parseFrame(dg)
+	if bad != nil && !bad.atLink {
+		b.reject(&b.decodeErrors, ledger.KindDecodeError, bad.reason)
+		return
+	}
+	b.mu.RLock()
+	t := b.tunnels[f.link]
+	b.mu.RUnlock()
+	switch {
+	case t == nil:
+		b.reject(&b.decodeErrors, ledger.KindUnknownLink, fmt.Sprintf("link %d not attached", f.link))
+	case bad != nil:
+		b.reject(&t.decodeErrors, ledger.KindDecodeError, bad.reason)
+	default:
+		t.ingress(f)
 	}
 }
 
@@ -337,9 +396,12 @@ type Tunnel struct {
 	rngMu      sync.Mutex
 	rng        *rand.Rand
 
-	out chan []byte // framed datagrams awaiting the writer
+	out   chan []byte      // framed datagrams awaiting the writer
+	batch [maxBatch][]byte // the writer's drained batch (drain)
+	oob   [gsoOOBLen]byte  // the writer's UDP_SEGMENT control message (sendRun)
 
 	encapsulated atomic.Uint64
+	sends        atomic.Uint64
 	decapsulated atomic.Uint64
 	decodeErrors atomic.Uint64
 	sendErrors   atomic.Uint64
@@ -358,17 +420,7 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	for _, o := range opts {
 		o(&cfg)
 	}
-	t := &Tunnel{
-		bridge:    b,
-		linkID:    linkID,
-		gwPort:    1,
-		wireStage: fmt.Sprintf("wire:%d", linkID),
-		rng:       rand.New(rand.NewSource(int64(linkID))),
-		out:       make(chan []byte, cfg.depth),
-	}
-	if cfg.remote != nil {
-		t.remote.Store(cfg.remote)
-	}
+	t := newTunnel(b, linkID, cfg)
 	b.mu.Lock()
 	_, dup := b.tunnels[linkID]
 	b.mu.Unlock()
@@ -397,6 +449,23 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	b.wg.Add(1)
 	go t.writeLoop()
 	return t, nil
+}
+
+// newTunnel builds link linkID's tunnel on b, with neither its gateway
+// nor its writer yet.
+func newTunnel(b *Bridge, linkID uint16, cfg tunnelConfig) *Tunnel {
+	t := &Tunnel{
+		bridge:    b,
+		linkID:    linkID,
+		gwPort:    1,
+		wireStage: fmt.Sprintf("wire:%d", linkID),
+		rng:       rand.New(rand.NewSource(int64(linkID))),
+		out:       make(chan []byte, cfg.depth),
+	}
+	if cfg.remote != nil {
+		t.remote.Store(cfg.remote)
+	}
+	return t
 }
 
 // SetRemote points the tunnel at its peer's socket address.
@@ -486,6 +555,7 @@ func (t *Tunnel) Dropped() uint64 {
 func (t *Tunnel) Stats() Stats {
 	return Stats{
 		Encapsulated: t.encapsulated.Load(),
+		Sends:        t.sends.Load(),
 		Decapsulated: t.decapsulated.Load(),
 		DecodeErrors: t.decodeErrors.Load(),
 		SendErrors:   t.sendErrors.Load(),
@@ -553,41 +623,111 @@ func (t *Tunnel) egress(pkt []byte, ctx trace.Context) {
 	}
 }
 
-// writeLoop drains the egress queue onto the socket, recycling each
-// datagram once it is written or discarded.
+// writeLoop drains the egress queue onto the socket. Each wake-up takes
+// what t.out already holds, up to maxBatch datagrams, without waiting
+// for more, and flush sends and recycles them.
 func (t *Tunnel) writeLoop() {
 	defer t.bridge.wg.Done()
 	for {
 		select {
 		case dg := <-t.out:
-			t.write(dg)
-			pool.Put(dg)
+			t.flush(t.drain(dg))
 		case <-t.bridge.closed:
 			return
 		}
 	}
 }
 
-// write puts one datagram on the socket. Fault lottery and remote
-// resolution happen here, not in egress, so a flapping tunnel drops
-// queued frames too — matching a cut cable, which loses what is in
-// flight.
-func (t *Tunnel) write(dg []byte) {
-	if t.drops() {
-		return
+// drain returns dg and the datagrams queued behind it, up to maxBatch,
+// in queue order. The batch aliases t.batch, the writer's own array.
+func (t *Tunnel) drain(dg []byte) [][]byte {
+	batch := append(t.batch[:0], dg)
+	for len(batch) < maxBatch {
+		select {
+		case dg := <-t.out:
+			batch = append(batch, dg)
+		default:
+			return batch
+		}
 	}
+	return batch
+}
+
+// flush puts a batch on the socket and recycles every datagram of it.
+// Fault lottery and remote resolution happen here, not in egress, so a
+// flapping tunnel drops queued frames too — matching a cut cable, which
+// loses what is in flight. The lottery draws once per datagram in queue
+// order, so a seeded loss sequence does not depend on batching.
+//
+// The survivors go out in runs (runEnd), each as one GSO send while the
+// bridge has GSO on; a lone datagram goes out by itself. A GSO send that
+// fails is resent datagram by datagram, so send errors, the peer-loss
+// detector and flight events are exactly those of unbatched sends; if
+// that resend succeeds, the kernel refused GSO itself, and the bridge
+// stops trying it.
+func (t *Tunnel) flush(batch [][]byte) {
+	kept := batch[:0]
+	for _, dg := range batch {
+		if t.drops() {
+			pool.Put(dg)
+			continue
+		}
+		kept = append(kept, dg)
+	}
+	for i := 0; i < len(kept); {
+		run := kept[i:runEnd(kept, i)]
+		i += len(run)
+		if len(run) == 1 || !t.bridge.gso.Load() {
+			t.sendEach(run)
+			continue
+		}
+		to, ok := t.dest()
+		if ok && t.sendRun(run, to) == nil {
+			t.sent(run)
+			continue
+		}
+		if t.sendEach(run) {
+			t.bridge.gso.Store(false)
+		}
+	}
+	for _, dg := range kept {
+		pool.Put(dg)
+	}
+}
+
+// dest returns the peer's socket address, false before it is known. A
+// resolved address is often the 16-byte IPv4-mapped form, which an IPv4
+// socket refuses; unmapped, it is the plain IPv4 address.
+func (t *Tunnel) dest() (netip.AddrPort, bool) {
 	remote := t.remote.Load()
 	if remote == nil {
+		return netip.AddrPort{}, false
+	}
+	return netip.AddrPortFrom(remote.AddrPort().Addr().Unmap(), uint16(remote.Port)), true
+}
+
+// sendEach puts each datagram of dgs on the socket by itself and
+// reports whether every send succeeded.
+func (t *Tunnel) sendEach(dgs [][]byte) bool {
+	ok := true
+	for _, dg := range dgs {
+		ok = t.send(dg) && ok
+	}
+	return ok
+}
+
+// send puts one datagram on the socket, counting and flight-recording a
+// failure, and reports whether it went out.
+func (t *Tunnel) send(dg []byte) bool {
+	to, ok := t.dest()
+	if !ok {
 		t.sendErrors.Add(1)
 		t.bridge.flight.Record(ledger.Event{
 			At: time.Now().UnixNano(), Node: t.bridge.node,
 			Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: no remote address", t.linkID),
 		})
-		return
+		return false
 	}
-	// A resolved address is often the 16-byte IPv4-mapped form, which an
-	// IPv4 socket refuses; unmapped, it is the plain IPv4 address.
-	to := netip.AddrPortFrom(remote.AddrPort().Addr().Unmap(), uint16(remote.Port))
 	if _, err := t.bridge.conn.WriteToUDPAddrPort(dg, to); err != nil {
 		t.sendErrors.Add(1)
 		t.noteSendError()
@@ -595,12 +735,26 @@ func (t *Tunnel) write(dg []byte) {
 			At: time.Now().UnixNano(), Node: t.bridge.node,
 			Kind: ledger.KindSendError, Reason: fmt.Sprintf("link %d: %v", t.linkID, err),
 		})
-		return
+		return false
 	}
+	t.sent([][]byte{dg})
+	return true
+}
+
+// sent counts one successful socket send and the datagrams it carried,
+// and clears the peer-loss detector.
+func (t *Tunnel) sent(dgs [][]byte) {
 	t.noteSendOK()
-	t.encapsulated.Add(1)
-	if dg[5] == TypeTraced {
-		t.tracedSent.Add(1)
+	t.sends.Add(1)
+	t.encapsulated.Add(uint64(len(dgs)))
+	var traced uint64
+	for _, dg := range dgs {
+		if dg[5] == TypeTraced {
+			traced++
+		}
+	}
+	if traced > 0 {
+		t.tracedSent.Add(traced)
 	}
 }
 
