@@ -66,13 +66,18 @@ type Flow struct {
 // Scenario is a reproducible topology + workload, fully determined by
 // its seed. Router i is named RouterName(i), host i HostName(i); host i
 // attaches its interface 1 to router HostRouter[i] port HostPort[i].
+// SplitRouters is not part of the topology: it makes BuildLivenet give
+// every router a forwarding worker of its own (livenet.SplitRouters), so
+// router-to-router links are rings instead of in-place hand-offs; the
+// suites run each scenario both ways.
 type Scenario struct {
-	Seed       int64
-	NRouters   int
-	HostRouter []int
-	HostPort   []uint8
-	Links      []Link
-	Flows      []Flow
+	Seed         int64
+	NRouters     int
+	HostRouter   []int
+	HostPort     []uint8
+	Links        []Link
+	Flows        []Flow
+	SplitRouters bool
 }
 
 // RouterName returns the canonical name of router i.

@@ -12,15 +12,30 @@ import (
 // liveDeadline bounds how long one livenet scenario may take to quiesce.
 const liveDeadline = 10 * time.Second
 
-// eachSeed runs fn as one parallel subtest per seeded scenario, 1..60.
+// eachSeed runs fn as one parallel subtest per seeded scenario, 1..60,
+// each under both livenet router partitions (onBothPartitions).
 func eachSeed(t *testing.T, fn func(t *testing.T, sc *Scenario)) {
 	for seed := int64(1); seed <= 60; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			fn(t, Generate(seed))
+			onBothPartitions(t, func(t *testing.T, split bool) {
+				t.Parallel()
+				sc := Generate(seed)
+				sc.SplitRouters = split
+				fn(t, sc)
+			})
 		})
 	}
+}
+
+// onBothPartitions runs fn as a "fused" subtest — livenet's default, one
+// forwarding worker per network, so router-to-router links hand batches
+// over in place — and a "split" one, a worker per router, so every link
+// is a ring pair.
+func onBothPartitions(t *testing.T, fn func(t *testing.T, split bool)) {
+	t.Run("fused", func(t *testing.T) { fn(t, false) })
+	t.Run("split", func(t *testing.T) { fn(t, true) })
 }
 
 // TestDifferentialNetsimVsLivenet is the harness's centerpiece: for each

@@ -248,10 +248,16 @@ func TestFailoverNetsimFlapStorm(t *testing.T) {
 // TestFailoverLivenetFlapStorm is the goroutine-substrate storm: the
 // primary trunk flaps on a wall-clock cadence while flows inject
 // concurrently. The same conservation bound applies, with the link's
-// own drop counter standing in for netsim's abort accounting.
+// own drop counter standing in for netsim's abort accounting. It runs
+// under both router partitions.
 func TestFailoverLivenetFlapStorm(t *testing.T) {
+	onBothPartitions(t, failoverLivenetFlapStorm)
+}
+
+func failoverLivenetFlapStorm(t *testing.T, split bool) {
 	const n = 120
 	sc := failoverScenario(n)
+	sc.SplitRouters = split
 
 	net := BuildNetsim(sc)
 	routes, err := FlowRoutesAlt(net, sc, 2)

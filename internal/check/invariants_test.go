@@ -473,11 +473,14 @@ func livenetCrossScenario(nFlows int) *Scenario {
 // router drop — across true concurrency, which is what -race runs of
 // this package exercise.
 func TestLivenetConservation(t *testing.T) {
-	run := func(t *testing.T, disturb func(trunk interface {
+	// faults is the trunk's fault-injection surface a disturber drives.
+	type faults interface {
 		SetDown(bool)
 		SetLossRatio(float64)
-	}, stop <-chan struct{})) {
+	}
+	conserve := func(t *testing.T, split bool, disturb func(trunk faults, stop <-chan struct{})) {
 		sc := livenetCrossScenario(200)
+		sc.SplitRouters = split
 		routes, err := FlowRoutes(BuildNetsim(sc), sc)
 		if err != nil {
 			t.Fatal(err)
@@ -539,11 +542,14 @@ func TestLivenetConservation(t *testing.T) {
 		}
 	}
 
+	// run checks conservation under disturb on both router partitions:
+	// the trunk is a fused link, then a ring pair.
+	run := func(t *testing.T, disturb func(trunk faults, stop <-chan struct{})) {
+		onBothPartitions(t, func(t *testing.T, split bool) { conserve(t, split, disturb) })
+	}
+
 	t.Run("flapping-trunk", func(t *testing.T) {
-		run(t, func(trunk interface {
-			SetDown(bool)
-			SetLossRatio(float64)
-		}, stop <-chan struct{}) {
+		run(t, func(trunk faults, stop <-chan struct{}) {
 			down := false
 			for {
 				select {
@@ -558,10 +564,7 @@ func TestLivenetConservation(t *testing.T) {
 		})
 	})
 	t.Run("lossy-trunk", func(t *testing.T) {
-		run(t, func(trunk interface {
-			SetDown(bool)
-			SetLossRatio(float64)
-		}, stop <-chan struct{}) {
+		run(t, func(trunk faults, stop <-chan struct{}) {
 			trunk.SetLossRatio(0.3)
 			<-stop
 			trunk.SetLossRatio(0)

@@ -25,6 +25,9 @@ type LiveNet struct {
 // network's observers (tracer, flight recorder).
 func BuildLivenet(sc *Scenario, opts ...livenet.NetworkOption) *LiveNet {
 	ln := &LiveNet{Net: livenet.NewNetwork(opts...)}
+	if sc.SplitRouters {
+		livenet.SplitRouters(ln.Net)
+	}
 	for i := 0; i < sc.NRouters; i++ {
 		ln.Routers = append(ln.Routers, ln.Net.NewRouter(RouterName(i)))
 	}

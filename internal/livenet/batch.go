@@ -1,40 +1,50 @@
 package livenet
 
-// This file is livenet's dataplane: links are single-producer /
-// single-consumer frame rings (internal/ring), and each node's one
-// worker drains whole batches — routers decide them through
-// dataplane.DecideBatch and flush the results port by port, hosts
-// deliver them in order. The per-frame work — byte surgery, trace hops,
-// flight events — happens frame by frame in arrival order; what
-// amortizes is everything around it: one ring publish per batch instead
-// of one hand-off per frame, one counter flush per batch, and one
-// producer lock per output port per batch.
+// This file is livenet's dataplane. Each network's routers share one
+// forwarding worker; each host has a goroutine of its own. A link
+// between two routers on the same worker is fused: flushTx hands the
+// whole batch accumulated for that output port to the next router, and
+// the worker runs it from its work-list. Every other link direction is
+// a single-producer / single-consumer frame ring (internal/ring) with
+// doorbells. Routers decide whole batches through dataplane.DecideBatch
+// and flush the results port by port; hosts deliver them in order. The
+// per-frame work — byte surgery, trace hops, flight events — happens
+// frame by frame in arrival order; what amortizes is everything around
+// it: one ring publish or one hand-off per output port per batch, and
+// one counter flush per batch.
 //
 // Concurrency discipline:
 //
-//   - Receive: every pipe has exactly one consumer — the worker of the
-//     node its receive end was wired to (addRx). That is the
-//     single-consumer half of the ring contract, held structurally.
-//   - Transmit: any worker (and any host goroutine) may push to a pipe;
+//   - Receive: every ring has exactly one consumer — the goroutine
+//     draining the node its receive end was wired to (addRx): the host's
+//     own, or the router's worker. That is the single-consumer half of
+//     the ring contract, held structurally.
+//   - Transmit: any worker (and any host goroutine) may push to a ring;
 //     the producer side is serialized by pipe.mu, taken once per batch
-//     flush, which turns the SPSC ring into an MPSC queue.
+//     flush, which turns the SPSC ring into an MPSC queue. A fused link
+//     has one producer and one consumer, both run by the same worker,
+//     so its hand-off takes no lock at all.
 //   - Sleep/wake: a producer publishes frames and then rings the
-//     consumer node's doorbell (cap-1 channel, non-blocking send); a
-//     consumer pops and then rings the pipe's space doorbell the same
-//     way. A worker sleeps only after a full sweep of its pipes popped
-//     nothing, and any push after its last pop leaves a doorbell token
-//     behind, so wakeups are never lost. Neither side ever spins.
+//     consumer's doorbell (cap-1 channel, non-blocking send); a consumer
+//     pops and then rings the pipe's space doorbell the same way. A
+//     worker sleeps only after a full sweep of its rings popped nothing
+//     and its work-list is empty, and any push after its last pop leaves
+//     a doorbell token behind, so wakeups are never lost. Neither side
+//     ever spins.
 //
 // Ordering: frames bound for the same output port flush in arrival
 // order — a fanout branch or failover frame at its parent's position —
-// so per-flow FIFO is preserved. Frames of one batch bound for
+// and a fused hand-off appends them to the next router's input in that
+// order, so per-flow FIFO is preserved. Frames of one batch bound for
 // different ports may overtake each other, as frames of concurrent
 // routers interleave anyway.
 //
 // See DESIGN.md §11 for the batch contract and the ring-depth rule.
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clock"
 	"repro/internal/dataplane"
@@ -51,25 +61,32 @@ import (
 // never held back to fill.
 const batchSize = 64
 
-// pipe is one direction of a link: a frame ring plus the doorbells that
-// let both ends sleep. port is the consumer's arrival port; link carries
-// the fault-injection lottery, drawn at dequeue.
+// pipe is one direction of a link. port is the consumer's arrival port;
+// link carries the fault-injection lottery, drawn when the consumer
+// takes the frame (at dequeue, or at a fused hand-off).
 type pipe struct {
-	r    *ring.SPSC[Frame]
+	r    *ring.SPSC[Frame] // nil on a fused link
 	port uint8
 	link *Link
+
+	// A fused link's consumer router, on the producer's worker; depth
+	// bounds held, the frames handed over and not yet consumed. held is
+	// owned by that worker.
+	to    *Router
+	depth int
+	held  int
 
 	// mu serializes producers; a batch flush locks it once for the whole
 	// push, which is the MPSC discipline TestHammerMutexedProducers pins.
 	mu sync.Mutex
 
-	// bell wakes the consumer node's worker after a publish; set by addRx
+	// bell wakes the consumer's goroutine after a publish; set by addRx
 	// when the pipe is wired to its (single) consumer.
 	bell chan struct{}
 	// space wakes a backpressured producer after a pop frees slots.
 	space chan struct{}
-	// rdone is the consumer node's done channel: producers blocked on a
-	// full ring must not outlive the consumer.
+	// rdone is the consumer's done channel: producers blocked on a full
+	// ring must not outlive the consumer.
 	rdone <-chan struct{}
 }
 
@@ -81,6 +98,17 @@ func newPipe(depth int, port uint8, link *Link, rcv *node) *pipe {
 		space: make(chan struct{}, 1),
 		rdone: rcv.done,
 	}
+}
+
+// newFusedPipe is a link direction between two routers on one worker:
+// no ring, no doorbell, no producer lock. Its depth rounds up as a
+// ring's does, so WithDepth means the same on either kind of link.
+func newFusedPipe(depth int, port uint8, link *Link, to *Router) *pipe {
+	d := 2
+	for d < depth {
+		d <<= 1
+	}
+	return &pipe{port: port, link: link, to: to, depth: d}
 }
 
 // push transfers one frame into the ring, parking on the space doorbell
@@ -147,9 +175,10 @@ func (p *pipe) pop(dst []Frame) int {
 	return n
 }
 
-// addRx wires a receive pipe to the node's worker and publishes the
-// worker's pipe list copy-on-write. The doorbell ring at the end makes a
-// pipe wired after traffic started visible to an already-sleeping worker.
+// addRx wires a receive pipe to the node's consumer and publishes the
+// node's ring list copy-on-write. The doorbell ring at the end makes a
+// pipe wired after traffic started visible to an already-sleeping
+// consumer.
 func (nd *node) addRx(p *pipe) {
 	nd.mu.Lock()
 	p.bell = nd.bell
@@ -163,13 +192,28 @@ func (nd *node) addRx(p *pipe) {
 	p.ring()
 }
 
-// addTx registers a transmit pipe under an output port, and the pipe's
-// link as the port's fault handle so the dataplane's link-health hook
-// can consult it.
+// rxPipes returns the node's receive rings.
+func (nd *node) rxPipes() []*pipe {
+	if pl := nd.rx.Load(); pl != nil {
+		return *pl
+	}
+	return nil
+}
+
+// addTx wires a transmit pipe to an output port and publishes the
+// node's port table copy-on-write; the pipe's link is the port's fault
+// handle for the dataplane's link-health hook.
 func (nd *node) addTx(port uint8, p *pipe) {
 	nd.mu.Lock()
-	nd.out[port] = p
-	nd.links[port] = p.link
+	var table []*pipe
+	if old := nd.ports.Load(); old != nil {
+		table = append(table, *old...)
+	}
+	if int(port) >= len(table) {
+		table = append(table, make([]*pipe, int(port)+1-len(table))...)
+	}
+	table[port] = p
+	nd.ports.Store(&table)
 	nd.mu.Unlock()
 }
 
@@ -184,79 +228,187 @@ func (nd *node) drainPipe(p *pipe, sc *batchScratch) int {
 		f := sc.tmp[i]
 		sc.tmp[i] = Frame{}
 		if p.link.drops() {
-			if f.Trace != nil {
-				f.Trace.Add(trace.HopEvent{
-					Node: nd.name, InPort: p.port, Action: trace.ActionLost,
-					At: clock.Wall.NowNanos(),
-				})
-				f.Trace.Done()
-			}
-			f.release()
+			lost(f, nd.name, p.port)
 			continue
 		}
-		var arrived int64
-		if f.Trace != nil {
-			arrived = clock.Wall.NowNanos()
-		}
-		sc.in = append(sc.in, inFrame{port: p.port, frame: f, arrived: arrived})
+		sc.in = append(sc.in, inFrame{port: p.port, frame: f, arrived: stamp(f.Trace)})
 	}
 	return n
 }
 
-// txAccum collects one output port's frames for a single flush. The
-// inFrame wrapper keeps each frame's INBOUND port and arrival stamp so a
-// failed transmit is drop-accounted against its arrival.
-type txAccum struct {
-	port  uint8
-	items []inFrame
+// lost ends a frame the link's fault lottery discarded on its way into
+// node at port: a traced record closes on an ActionLost hop there.
+func lost(f Frame, node string, port uint8) {
+	if f.Trace != nil {
+		f.Trace.Add(trace.HopEvent{
+			Node: node, InPort: port, Action: trace.ActionLost,
+			At: clock.Wall.NowNanos(),
+		})
+		f.Trace.Done()
+	}
+	f.release()
 }
 
-// batchScratch is one worker's reusable batch state. Only the pop
+// stamp is a frame's arrival time: the wall clock for traced frames (pt
+// is the frame's record), 0 for the rest — the untraced path performs no
+// clock reads.
+func stamp(pt *trace.PacketTrace) int64 {
+	if pt != nil {
+		return clock.Wall.NowNanos()
+	}
+	return 0
+}
+
+// batchScratch is one consumer's reusable batch state. Only the pop
 // destination is sized up front; every other slice grows on demand to
-// the load the worker actually sees (a host never touches the router's
+// the load the consumer actually sees (a host never touches the router's
 // kernel view or transmit accumulators), and after warmup a steady-state
 // batch allocates nothing (TestForwardHopAllocsBatched).
 type batchScratch struct {
 	tmp     []Frame                // pop destination; its length bounds a drain
-	in      []inFrame              // fault-lottery survivors of one drain
+	in      []inFrame              // the batch to decide: drained, or handed over on fused links
 	bf      []dataplane.BatchFrame // the kernel's view of sc.in
 	bs      dataplane.BatchStats
-	txIdx   map[uint8]int // output port -> index into tx; persists across batches
-	tx      []txAccum
-	touched []int   // tx indices with frames this batch
-	flush   []Frame // per-port push buffer
+	tx      [][]inFrame // per output port, indexed by port: this batch's outbound frames
+	touched []uint8     // ports with frames in tx this batch
+	flush   []Frame     // per-port ring push buffer
 }
 
 func newBatchScratch() *batchScratch {
 	return &batchScratch{tmp: make([]Frame, batchSize)}
 }
 
-// run is a node's worker loop: sweep the node's pipes, popping up to
-// batchSize frames from each, hand each drained batch (sc.in) to handle,
-// and sleep on the doorbell when a full sweep comes up empty. Routers
-// pass forwardBatch, hosts receiveBatch.
-func (nd *node) run(handle func(sc *batchScratch)) {
+// worker is a network's forwarding goroutine: it runs every router of
+// the network. It sweeps the routers' receive rings, popping up to
+// batchSize frames from each, and runs each drained batch to completion
+// before it pops again: whatever a router hands to a router on a fused
+// link waits on the work-list, and the worker empties that list first,
+// so a batch crosses every fused hop whole. It sleeps on its doorbell
+// when a sweep comes up empty.
+type worker struct {
+	done    chan struct{}
+	bell    chan struct{}
+	once    sync.Once
+	routers atomic.Pointer[[]*Router] // copy-on-write at NewRouter
+	started bool                      // set by the network's constructing goroutine
+
+	// work lists the routers with input handed over and not yet
+	// forwarded, in hand-off order from head on; owned by the worker.
+	work []*Router
+	head int
+}
+
+func newWorker() *worker {
+	return &worker{done: make(chan struct{}), bell: make(chan struct{}, 1)}
+}
+
+func (w *worker) close() { w.once.Do(func() { close(w.done) }) }
+
+// add publishes a router to the worker's sweep, copy-on-write.
+func (w *worker) add(r *Router) {
+	var list []*Router
+	if old := w.routers.Load(); old != nil {
+		list = append(list, *old...)
+	}
+	list = append(list, r)
+	w.routers.Store(&list)
+}
+
+func (w *worker) run() {
+	defer w.release()
+	for {
+		select {
+		case <-w.done:
+			return
+		default:
+		}
+		if w.sweep() == 0 {
+			select {
+			case <-w.bell:
+			case <-w.done:
+				return
+			}
+		}
+	}
+}
+
+// sweep drains every router's receive rings once, forwarding each
+// drained batch and everything it hands on; it reports how many frames
+// it popped.
+func (w *worker) sweep() int {
+	popped := 0
+	if rl := w.routers.Load(); rl != nil {
+		for _, r := range *rl {
+			for _, p := range r.rxPipes() {
+				popped += r.drainPipe(p, r.sc)
+				if len(r.sc.in) > 0 {
+					r.forwardBatch(r.sc)
+					w.runWork()
+				}
+			}
+		}
+	}
+	return popped
+}
+
+// step forwards the input handed to the router at the head of the
+// work-list, as one batch, and returns that router; nil when the list
+// is empty.
+func (w *worker) step() *Router {
+	if w.head == len(w.work) {
+		w.work, w.head = w.work[:0], 0
+		return nil
+	}
+	r := w.work[w.head]
+	w.work[w.head] = nil
+	w.head++
+	for _, p := range r.fedBy {
+		p.held = 0
+	}
+	clear(r.fedBy)
+	r.fedBy = r.fedBy[:0]
+	r.forwardBatch(r.sc)
+	return r
+}
+
+// runWork steps the work-list until it is empty.
+func (w *worker) runWork() {
+	for w.step() != nil {
+	}
+}
+
+// release recycles every frame handed over and not yet forwarded; the
+// worker calls it on its way out.
+func (w *worker) release() {
+	for _, r := range w.work[w.head:] {
+		for i := range r.sc.in {
+			r.sc.in[i].frame.release()
+		}
+		clear(r.sc.in)
+		r.sc.in = r.sc.in[:0]
+	}
+}
+
+// run is a host's receive loop: sweep the host's rings, delivering each
+// drained batch in order, and sleep on the doorbell when a sweep comes
+// up empty.
+func (h *Host) run() {
 	sc := newBatchScratch()
 	for {
 		select {
-		case <-nd.done:
+		case <-h.done:
 			return
 		default:
 		}
 		popped := 0
-		if pl := nd.rx.Load(); pl != nil {
-			for _, p := range *pl {
-				sc.in = sc.in[:0]
-				popped += nd.drainPipe(p, sc)
-				if len(sc.in) > 0 {
-					handle(sc)
-				}
-			}
+		for _, p := range h.rxPipes() {
+			popped += h.drainPipe(p, sc)
+			h.receiveBatch(sc)
 		}
 		if popped == 0 {
 			select {
-			case <-nd.bell:
-			case <-nd.done:
+			case <-h.bell:
+			case <-h.done:
 				return
 			}
 		}
@@ -266,15 +418,16 @@ func (nd *node) run(handle func(sc *batchScratch)) {
 // mirrorHop performs the §6.2 software-router byte surgery for one
 // authorized frame — swap the arrival header in place, build the
 // mirrored return segment, append it over the trailer descriptor — and
-// assembles the next-hop frame in the same buffer. ok is false when the
-// bytes are malformed (the caller drops DropNotSirpent).
-func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *dataplane.TokenState) (Frame, bool) {
+// turns inf's frame into the next-hop frame in the same buffer. It
+// reports false, leaving the frame's buffer as it was, when the bytes
+// are malformed (the caller drops DropNotSirpent).
+func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *dataplane.TokenState) bool {
 	// The frame is ours, so the header is swapped in place and aliased;
 	// the mirrored append below copies the bytes into the trailer.
 	var hdrInfo []byte
 	if inf.frame.Hdr != nil {
 		if err := ethernet.SwapInPlace(inf.frame.Hdr); err != nil {
-			return Frame{}, false
+			return false
 		}
 		hdrInfo = inf.frame.Hdr
 	}
@@ -283,16 +436,9 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *da
 	// append writes only past the old trailer descriptor — disjoint.
 	out, err := dataplane.AppendTrailerSegment(rest, &ret)
 	if err != nil {
-		return Frame{}, false
+		return false
 	}
-	f := Frame{Pkt: out, Trace: inf.frame.Trace, buf: inf.frame.buf}
-	if len(rest) > 0 && len(out) > 0 && &out[0] != &rest[0] {
-		// The headroom ran out and the append reallocated: out starts a
-		// fresh array (its own recycling target), and the old buffer —
-		// still aliased by the header and token — is left to the
-		// collector.
-		f.buf = out[:0]
-	}
+	var next []byte
 	if len(seg.PortInfo) > 0 {
 		// The next hop's header aliases the stripped segment's bytes in
 		// the dead front region; it travels with the buffer it aliases. A
@@ -301,53 +447,67 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *da
 		if viper.IsDAGSegment(seg) {
 			pi, ok := viper.DAGPrimaryInfo(seg)
 			if !ok {
-				return Frame{}, false
+				return false
 			}
 			if len(pi) > 0 {
-				f.Hdr = pi
+				next = pi
 			}
 		} else {
-			f.Hdr = seg.PortInfo
+			next = seg.PortInfo
 		}
 	}
-	return f, true
+	f := &inf.frame
+	if len(rest) > 0 && len(out) > 0 && &out[0] != &rest[0] {
+		// The headroom ran out and the append reallocated: out starts a
+		// fresh array (its own recycling target), and the old buffer —
+		// still aliased by the header and token — is left to the
+		// collector.
+		f.buf = out[:0]
+	}
+	f.Pkt, f.Hdr = out, next
+	return true
 }
 
-// forwardBatch runs one drained batch through the batched hop kernel and
-// flushes the results port by port. Decisions (DecideBatch) and counter
-// publication (FlushBatch) amortize across the batch; the per-frame
-// sinks — flight events, trace hops, the byte surgery itself — run
-// frame-at-a-time in arrival order. Token deferrals resolve in batch
-// order (InstallTokenBatched), so the charge sequence matches N
-// one-frame decisions.
+// forwardBatch runs one batch — drained from a ring, or handed over on
+// fused links — through the batched hop kernel and flushes the results
+// port by port. Decisions (DecideBatch) and counter publication
+// (FlushBatch) amortize across the batch; the per-frame sinks — flight
+// events, trace hops, the byte surgery itself — run frame-at-a-time in
+// arrival order. Token deferrals resolve in batch order
+// (InstallTokenBatched), so the charge sequence matches N one-frame
+// decisions. sc.in is emptied before the flush, so a fused hand-off may
+// adopt it — even this router's own, over a looped link.
 func (r *Router) forwardBatch(sc *batchScratch) {
 	ts := r.tok.Load()
-	sc.bf = sc.bf[:0]
+	sc.bf = slices.Grow(sc.bf[:0], len(sc.in))[:len(sc.in)]
 	for i := range sc.in {
-		sc.bf = append(sc.bf, kernelFrame(&sc.in[i]))
+		kernelFrame(&sc.bf[i], &sc.in[i])
 	}
 	r.plane.DecideBatch(ts, sc.bf, &sc.bs)
 	for i := range sc.bf {
 		r.dispose(sc, ts, &sc.in[i], &sc.bf[i], 0)
 	}
-	r.flushTx(sc)
-	r.plane.FlushBatch(&sc.bs)
+	// Every frame has been forwarded (copied to its port's accumulator),
+	// delivered or dropped; the slots give up their references.
 	clear(sc.in)
 	clear(sc.bf)
 	sc.in = sc.in[:0]
 	sc.bf = sc.bf[:0]
+	r.flushTx(sc)
+	r.plane.FlushBatch(&sc.bs)
 }
 
-// kernelFrame is a frame's slot in the batch kernel. The charge size
-// matches the simulator's FrameSize: the full pre-strip packet plus the
-// arrival Ethernet header, so per-account byte totals agree across
-// substrates.
-func kernelFrame(inf *inFrame) dataplane.BatchFrame {
+// kernelFrame fills a frame's slot in the batch kernel, in place (the
+// slot is zero: forwardBatch clears the view after every batch). The
+// charge size matches the simulator's FrameSize: the full pre-strip
+// packet plus the arrival Ethernet header, so per-account byte totals
+// agree across substrates.
+func kernelFrame(b *dataplane.BatchFrame, inf *inFrame) {
 	cb := uint64(len(inf.frame.Pkt))
 	if inf.frame.Hdr != nil {
 		cb += ethernet.HeaderLen
 	}
-	return dataplane.BatchFrame{InPort: inf.port, ChargeBytes: cb, Pkt: inf.frame.Pkt}
+	b.InPort, b.ChargeBytes, b.Pkt = inf.port, cb, inf.frame.Pkt
 }
 
 // dispose settles one decided frame: it drops it, delivers it locally,
@@ -376,25 +536,20 @@ func (r *Router) dispose(sc *batchScratch, ts *dataplane.TokenState, inf *inFram
 		r.failover(sc, ts, inf, &b.Seg, v, depth)
 		return
 	}
-	f, ok := r.mirrorHop(inf, &b.Seg, b.Rest, ts)
-	if !ok {
+	if !r.mirrorHop(inf, &b.Seg, b.Rest, ts) {
 		r.discard(sc, stats.DropNotSirpent, 0, inf)
 		return
 	}
 	if v.Action == dataplane.ActionLocal {
-		r.plane.LocalBatched(&sc.bs, inf.port, f.Trace, inf.arrived)
-		if r.local != nil {
-			r.local(f.Pkt)
-		} else {
-			f.release()
-		}
+		r.plane.LocalBatched(&sc.bs, inf.port, inf.frame.Trace, inf.arrived)
+		inf.frame.release()
 		return
 	}
 	// The forward hop is traced now but transmitted at flush; the worker
-	// owns the frame until the ring push publishes it, so the
+	// owns the frame until the ring push or hand-off publishes it, so the
 	// append-before-send rule holds.
-	r.plane.TraceForward(f.Trace, inf.port, v.OutPort, inf.arrived)
-	r.accumulate(sc, v.OutPort, inFrame{port: inf.port, frame: f, arrived: inf.arrived})
+	r.plane.TraceForward(inf.frame.Trace, inf.port, v.OutPort, inf.arrived)
+	sc.accumulate(v.OutPort, inf)
 }
 
 // reenter runs a frame made mid-batch — a fanout branch copy or a
@@ -403,7 +558,8 @@ func (r *Router) dispose(sc *batchScratch, ts *dataplane.TokenState, inf *inFram
 // its parent's position, so frames bound for one port still leave in
 // arrival order.
 func (r *Router) reenter(sc *batchScratch, ts *dataplane.TokenState, inf inFrame, depth int) {
-	one := [1]dataplane.BatchFrame{kernelFrame(&inf)}
+	var one [1]dataplane.BatchFrame
+	kernelFrame(&one[0], &inf)
 	r.plane.DecideBatch(ts, one[:], &sc.bs)
 	r.dispose(sc, ts, &inf, &one[0], depth)
 }
@@ -490,51 +646,49 @@ func (r *Router) fanoutTree(sc *batchScratch, ts *dataplane.TokenState, inf *inF
 }
 
 // accumulate appends an outbound frame to its port's transmit batch.
-// txIdx persists across batches (a router's port set is stable), touched
-// records which accumulators hold frames this batch.
-func (r *Router) accumulate(sc *batchScratch, port uint8, item inFrame) {
-	if sc.txIdx == nil {
-		sc.txIdx = make(map[uint8]int)
+// tx is indexed by port and persists across batches (a router's port set
+// is stable); touched records which ports hold frames this batch. The
+// inFrame keeps the frame's INBOUND port and arrival stamp, so a failed
+// transmit is drop-accounted against its arrival.
+func (sc *batchScratch) accumulate(port uint8, item *inFrame) {
+	if int(port) >= len(sc.tx) {
+		sc.tx = append(sc.tx, make([][]inFrame, int(port)+1-len(sc.tx))...)
 	}
-	idx, ok := sc.txIdx[port]
-	if !ok {
-		idx = len(sc.tx)
-		sc.tx = append(sc.tx, txAccum{port: port})
-		sc.txIdx[port] = idx
+	if len(sc.tx[port]) == 0 {
+		sc.touched = append(sc.touched, port)
 	}
-	a := &sc.tx[idx]
-	if len(a.items) == 0 {
-		sc.touched = append(sc.touched, idx)
-	}
-	a.items = append(a.items, item)
+	sc.tx[port] = append(sc.tx[port], *item)
 }
 
-// flushTx transmits every accumulated output batch: one pipe lookup and
-// one producer lock per port per batch instead of per frame. The push
-// never parks (tryPush): frames that do not fit are dropped
-// DropQueueFull like the simulation outport, which keeps router workers
-// from wedging against each other on full rings. DropBadPort covers an
-// unwired port, DropTxError a shutdown race. The trace record of a
-// failed frame already carries its forward hop, so it reads "attempted
-// forward, then dropped".
+// flushTx transmits every accumulated output batch: one port-table
+// lookup and one ring push or fused hand-off per port per batch. Neither
+// ever parks: frames that do not fit are dropped DropQueueFull like the
+// simulation outport, which keeps router workers from wedging against
+// each other on full rings. DropBadPort covers an unwired port,
+// DropTxError a shutdown race. The trace record of a failed frame
+// already carries its forward hop, so it reads "attempted forward, then
+// dropped".
 func (r *Router) flushTx(sc *batchScratch) {
-	for _, idx := range sc.touched {
-		a := &sc.tx[idx]
-		p := r.outPipe(a.port)
+	for _, port := range sc.touched {
+		items := sc.tx[port]
+		p := r.outPipe(port)
 		sent := 0
 		reason := stats.DropBadPort
-		if p != nil {
-			if cap(sc.flush) < len(a.items) {
-				sc.flush = make([]Frame, len(a.items))
+		switch {
+		case p == nil:
+		case p.to != nil:
+			sc.tx[port] = r.handOff(sc, p, items)
+			continue
+		default:
+			if cap(sc.flush) < len(items) {
+				sc.flush = make([]Frame, len(items))
 			}
-			fl := sc.flush[:len(a.items)]
-			for i := range a.items {
-				fl[i] = a.items[i].frame
+			fl := sc.flush[:len(items)]
+			for i := range items {
+				fl[i] = items[i].frame
 			}
 			sent = p.tryPush(fl)
-			for i := range fl {
-				fl[i] = Frame{}
-			}
+			clear(fl)
 			r.counters.forwarded.Add(uint64(sent))
 			reason = stats.DropQueueFull
 			select {
@@ -543,23 +697,76 @@ func (r *Router) flushTx(sc *batchScratch) {
 			default:
 			}
 		}
-		for i := sent; i < len(a.items); i++ {
-			it := &a.items[i]
-			r.plane.DropBatched(&sc.bs, reason, it.port, 0, it.frame.Trace, it.arrived)
-			it.frame.release()
+		for i := sent; i < len(items); i++ {
+			r.discard(sc, reason, 0, &items[i])
 		}
-		for i := range a.items {
-			a.items[i] = inFrame{}
-		}
-		a.items = a.items[:0]
+		clear(items)
+		sc.tx[port] = items[:0]
 	}
 	sc.touched = sc.touched[:0]
 }
 
-// receiveBatch delivers one drained batch in arrival order.
+// handOff moves one output port's batch across a fused link to the
+// router at its far end, and queues that router on the worker's
+// work-list. It keeps every property of a ring: at most depth frames
+// are held at the far end (the excess drops DropQueueFull here), the
+// link's fault lottery is drawn per frame as a dequeue draws it (a lost
+// frame holds no slot, as the dequeue that loses it frees its slot),
+// survivors are re-tagged with their arrival port and, when traced,
+// stamped, and per-port order is kept. When the far end holds nothing
+// yet, the accumulator itself becomes its input and the far end's empty
+// input slice becomes the accumulator, so nothing is copied. It returns
+// the port's emptied accumulator.
+func (r *Router) handOff(sc *batchScratch, p *pipe, items []inFrame) []inFrame {
+	to := p.to
+	accepted, k := 0, 0
+	for i := range items {
+		it := &items[i]
+		switch {
+		case p.held >= p.depth:
+			r.discard(sc, stats.DropQueueFull, 0, it)
+		case p.link.drops():
+			accepted++
+			lost(it.frame, to.name, p.port)
+		default:
+			accepted++
+			if p.held == 0 {
+				// The far end's first fused link to hold a frame puts
+				// it on the work-list.
+				if len(to.fedBy) == 0 {
+					to.w.work = append(to.w.work, to)
+				}
+				to.fedBy = append(to.fedBy, p)
+			}
+			p.held++
+			it.port, it.arrived = p.port, stamp(it.frame.Trace)
+			if k != i {
+				items[k], *it = *it, inFrame{}
+			}
+			k++
+			continue
+		}
+		*it = inFrame{}
+	}
+	r.counters.forwarded.Add(uint64(accepted))
+	if k == 0 {
+		return items[:0]
+	}
+	if len(to.sc.in) == 0 {
+		items, to.sc.in = to.sc.in[:0], items[:k]
+		return items
+	}
+	to.sc.in = append(to.sc.in, items[:k]...)
+	clear(items[:k])
+	return items[:0]
+}
+
+// receiveBatch delivers one drained batch in arrival order and empties
+// it.
 func (h *Host) receiveBatch(sc *batchScratch) {
 	for i := range sc.in {
 		h.receive(sc.in[i])
 		sc.in[i] = inFrame{}
 	}
+	sc.in = sc.in[:0]
 }

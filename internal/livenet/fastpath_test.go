@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -20,14 +21,16 @@ var hopHdrTemplate = ethernet.Header{
 	Type: viper.EtherTypeVIPER,
 }.Encode()
 
-// hopTemplateBytes encodes a two-segment packet (forward on port 2, then
-// local) with one trailer segment, as a first-hop router would see it.
-// The encoding is deterministic; failure is a programming error.
-func hopTemplateBytes() []byte {
-	route := []viper.Segment{
-		{Port: 2, Flags: viper.FlagVNT, PortToken: []byte{0xA1, 0xA2, 0xA3, 0xA4}},
-		{Port: viper.PortLocal},
+// hopTemplateBytes encodes a packet that leaves each of hops routers on
+// port 2 and then delivers locally, with one trailer segment, as the
+// first-hop router sees it. The encoding is deterministic; failure is a
+// programming error.
+func hopTemplateBytes(hops int) []byte {
+	var route []viper.Segment
+	for i := 0; i < hops; i++ {
+		route = append(route, viper.Segment{Port: 2, Flags: viper.FlagVNT, PortToken: []byte{0xA1, 0xA2, 0xA3, 0xA4}})
 	}
+	route = append(route, viper.Segment{Port: viper.PortLocal})
 	pkt := viper.NewPacket(route, []byte("fastpath-hop-payload"))
 	pkt.Trailer = []viper.Segment{{Port: viper.PortLocal}}
 	b, err := pkt.Encode()
@@ -37,56 +40,75 @@ func hopTemplateBytes() []byte {
 	return b
 }
 
-// hopDriver runs a router with no worker goroutine: forward stages
-// frames as a drain would (sc.in), calls forwardBatch directly, and
-// reads the flushed frames back from a hand-wired transmit pipe deep
-// enough that a flush never parks. The pipe's doorbell stays nil (a nil
-// channel in a select with default is never ready), so the measurement
-// has no scheduler noise. The unexported constructor wires the dataplane
-// pipeline exactly as NewRouter would, so the measurement is the
-// production hop.
+// sinkNode is the far end of a hand-wired output pipe that nothing
+// drains but the test itself.
+func sinkNode() *node { return newNode("sink", make(chan struct{}), nil) }
+
+// hopDriver runs a chain of routers with no goroutine: forward stages
+// frames as a drain would (the first router's sc.in), calls forwardBatch
+// directly, runs the worker's work-list — the routers behind the first
+// are fused to it, as NewNetwork builds them — and reads the flushed
+// frames back from a hand-wired transmit pipe on the last router, deep
+// enough that a flush never overflows. The pipe's doorbell stays nil (a
+// nil channel in a select with default is never ready), so the
+// measurement has no scheduler noise. The unexported constructor wires
+// the dataplane pipeline exactly as NewRouter would, so the measurement
+// is the production hop.
 type hopDriver struct {
-	r     *Router
+	r     *Router   // the first router
+	chain []*Router // every router, first to last
 	p     *pipe
-	sc    *batchScratch
 	tmpl  []byte
 	hdrs  [][]byte // one reusable header per frame; forwarding swaps it in place
 	drain []Frame
 }
 
 // newHopDriver builds a driver that forwards batches of `frames` copies
-// of hopTemplateBytes.
-func newHopDriver(frames int) *hopDriver {
+// of hopTemplateBytes(hops) across a chain of hops fused routers.
+func newHopDriver(frames, hops int) *hopDriver {
 	n := NewNetwork()
 	d := &hopDriver{
-		r:     n.newRouter("bench"),
-		p:     newPipe(4*batchSize, 2, nil, n.newNode("sink")),
-		sc:    newBatchScratch(),
-		tmpl:  hopTemplateBytes(),
+		p:     newPipe(4*batchSize, 2, nil, sinkNode()),
+		tmpl:  hopTemplateBytes(hops),
 		hdrs:  make([][]byte, frames),
 		drain: make([]Frame, frames),
 	}
-	d.r.node.addTx(2, d.p)
+	for i := 0; i < hops; i++ {
+		r := n.newRouter(fmt.Sprintf("r%d", i))
+		if i > 0 {
+			n.Connect(d.chain[i-1], 2, r, 1)
+		}
+		d.chain = append(d.chain, r)
+	}
+	d.r = d.chain[0]
+	d.chain[hops-1].node.addTx(2, d.p)
 	for i := range d.hdrs {
 		d.hdrs[i] = make([]byte, ethernet.HeaderLen)
 	}
 	return d
 }
 
-// forward pushes one batch of pooled template frames through the router
-// — each carrying a fresh trace record when tr is non-nil — and drains
-// the transmit ring, recycling every frame.
-func (d *hopDriver) forward(tr trace.Tracer) {
+// stage puts one batch of pooled template frames — each carrying a fresh
+// trace record when tr is non-nil — on the first router's input.
+func (d *hopDriver) stage(tr trace.Tracer) {
 	for i := range d.hdrs {
-		buf := pool.Get(len(d.tmpl) + frameHeadroom(2, len(d.tmpl)))
+		buf := pool.Get(len(d.tmpl) + frameHeadroom(len(d.chain)+1, len(d.tmpl)))
 		buf = append(buf, d.tmpl...)
 		copy(d.hdrs[i], hopHdrTemplate)
 		f := Frame{Hdr: d.hdrs[i], Pkt: buf, Trace: trace.Start(tr, nil), buf: buf[:0]}
-		d.sc.in = append(d.sc.in, inFrame{port: 1, frame: f})
+		d.r.sc.in = append(d.r.sc.in, inFrame{port: 1, frame: f})
 	}
-	d.r.forwardBatch(d.sc)
-	for got := 0; got < len(d.hdrs); {
+}
+
+// sink drains the last router's transmit ring, recycling every frame,
+// and returns how many it took.
+func (d *hopDriver) sink() int {
+	got := 0
+	for {
 		n := d.p.r.PopBatch(d.drain)
+		if n == 0 {
+			return got
+		}
 		for i := 0; i < n; i++ {
 			if pt := d.drain[i].Trace; pt != nil {
 				pt.Done()
@@ -98,6 +120,16 @@ func (d *hopDriver) forward(tr trace.Tracer) {
 	}
 }
 
+// forward pushes one batch through the whole chain and drains it.
+func (d *hopDriver) forward(tr trace.Tracer) {
+	d.stage(tr)
+	d.r.forwardBatch(d.r.sc)
+	d.r.w.runWork()
+	for got := 0; got < len(d.hdrs); {
+		got += d.sink()
+	}
+}
+
 // allocsPerBatch warms the driver (pool and scratch slices reach their
 // working size) and measures one steady-state batch.
 func allocsPerBatch(t *testing.T, d *hopDriver) float64 {
@@ -106,8 +138,10 @@ func allocsPerBatch(t *testing.T, d *hopDriver) float64 {
 		d.forward(nil)
 	}
 	allocs := testing.AllocsPerRun(200, func() { d.forward(nil) })
-	if s := d.r.Stats(); s.Forwarded == 0 || s.TotalDrops() != 0 {
-		t.Fatalf("unexpected counters after the measured loop: %v", s)
+	for _, r := range d.chain {
+		if s := r.Stats(); s.Forwarded == 0 || s.TotalDrops() != 0 {
+			t.Fatalf("%s: unexpected counters after the measured loop: %v", r.name, s)
+		}
 	}
 	return allocs
 }
@@ -117,24 +151,27 @@ func allocsPerBatch(t *testing.T, d *hopDriver) float64 {
 // push — allocates nothing in steady state. A lightly loaded router
 // decides every frame this way.
 func TestForwardHopAllocs(t *testing.T) {
-	if allocs := allocsPerBatch(t, newHopDriver(1)); allocs != 0 {
+	if allocs := allocsPerBatch(t, newHopDriver(1, 1)); allocs != 0 {
 		t.Fatalf("forwarding one hop allocates %.2f times, want 0", allocs)
 	}
 }
 
 // TestForwardHopAllocsBatched pins the same contract for a full batch:
-// batched decode and decision, per-frame byte surgery, one ring flush.
-// The bound is per batch, so even one allocation anywhere in the
-// 64-frame hot path fails it.
+// batched decode and decision, per-frame byte surgery, one ring flush —
+// at one router, and across a chain of four fused routers, where every
+// hop but the last hands the whole batch on. The bound is per batch, so
+// even one allocation anywhere in the 64-frame hot path fails it.
 func TestForwardHopAllocsBatched(t *testing.T) {
-	if allocs := allocsPerBatch(t, newHopDriver(batchSize)); allocs != 0 {
-		t.Fatalf("one %d-frame batch allocates %.2f times, want 0", batchSize, allocs)
+	for _, hops := range []int{1, 4} {
+		if allocs := allocsPerBatch(t, newHopDriver(batchSize, hops)); allocs != 0 {
+			t.Fatalf("one %d-frame batch across %d routers allocates %.2f times, want 0", batchSize, hops, allocs)
+		}
 	}
 }
 
 // benchmarkHops reports ns per hop for full batches of forwarded frames.
 func benchmarkHops(b *testing.B, tr trace.Tracer) {
-	d := newHopDriver(batchSize)
+	d := newHopDriver(batchSize, 1)
 	d.forward(tr)
 	b.ReportAllocs()
 	b.ResetTimer()

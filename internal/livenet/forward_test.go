@@ -18,15 +18,19 @@ import (
 // hand-wired sink pipes, deep enough that a test batch never overflows
 // them, and every port it wires has a live link.
 type forwardRig struct {
+	n   *Network
 	r   *Router
-	sc  *batchScratch
 	out map[uint8]*pipe
 }
 
 func newForwardRig(ports ...uint8) *forwardRig {
-	n := NewNetwork()
-	rig := &forwardRig{r: n.newRouter("r"), sc: newBatchScratch(), out: make(map[uint8]*pipe)}
-	sink := n.newNode("sink")
+	return newRigOn(NewNetwork(), "r", ports...)
+}
+
+// newRigOn builds a rig router named name on n's worker.
+func newRigOn(n *Network, name string, ports ...uint8) *forwardRig {
+	rig := &forwardRig{n: n, r: n.newRouter(name), out: make(map[uint8]*pipe)}
+	sink := sinkNode()
 	for _, port := range ports {
 		p := newPipe(4*batchSize, port, &Link{}, sink)
 		rig.r.node.addTx(port, p)
@@ -35,18 +39,28 @@ func newForwardRig(ports ...uint8) *forwardRig {
 	return rig
 }
 
+// fuse wires port to a second rig router on the same worker, arriving
+// on its port 1, and returns that rig. Only this direction is wired, so
+// a frame crosses the fused link at most once.
+func (rig *forwardRig) fuse(port uint8, peerPorts ...uint8) *forwardRig {
+	peer := newRigOn(rig.n, "peer", peerPorts...)
+	rig.r.node.addTx(port, newFusedPipe(4*batchSize, 1, &Link{}, peer.r))
+	return peer
+}
+
 // forward stages each wire image as a pooled frame arriving on port 1
 // behind an Ethernet header, traced when tr is non-nil, and forwards
-// them all as one batch.
+// them all as one batch. What it hands on over fused links waits on the
+// worker's work-list.
 func (rig *forwardRig) forward(tr trace.Tracer, frames ...[]byte) {
 	for _, b := range frames {
 		buf := pool.Get(len(b) + frameHeadroom(4, len(b)))
 		buf = append(buf, b...)
 		hdr := append([]byte(nil), hopHdrTemplate...)
 		f := Frame{Hdr: hdr, Pkt: buf, Trace: trace.Start(tr, nil), buf: buf[:0]}
-		rig.sc.in = append(rig.sc.in, inFrame{port: 1, frame: f})
+		rig.r.sc.in = append(rig.r.sc.in, inFrame{port: 1, frame: f})
 	}
-	rig.r.forwardBatch(rig.sc)
+	rig.r.forwardBatch(rig.r.sc)
 }
 
 // drain pops every frame flushed to port, in ring order, hands each to
@@ -179,15 +193,18 @@ func overCapChain(tb testing.TB) []byte {
 
 // FuzzForwardBatch drives the router's one forward path with a batch of
 // 1–8 raw frames: the input's first byte picks the batch size and the
-// rest splits into that many frames. The router wires ports 2, 3 and 5,
-// demands a token on 5, and sees every DAG probe flap its link, so a
-// primary reads down and the alternate it probes next reads up — the
-// only way a re-entered DAG frame meets a dead primary again, which is
-// what the failover cap exists for. Whatever the bytes:
+// rest splits into that many frames. The router wires ports 2 and 5 to
+// sinks and port 3 to a peer router fused to it on the same worker, whose
+// own ports 2, 3 and 5 are sinks. It demands a token on 5, and sees every
+// DAG probe flap its link, so a primary reads down and the alternate it
+// probes next reads up — the only way a re-entered DAG frame meets a
+// dead primary again, which is what the failover cap exists for.
+// Whatever the bytes:
 //
-//   - every input frame and every branch copy ends in exactly one
-//     forwarded, local or drop count (a fanout parent ends in its
-//     branches, and its trace record closes on a forward hop);
+//   - every input frame, every branch copy and every frame handed to the
+//     peer ends in exactly one forwarded, local or drop count at one of
+//     the two routers (a fanout parent ends in its branches, and its
+//     trace record closes on a forward hop);
 //   - a batch of over-cap chains ends in DropLinkDown, one per frame;
 //   - every pooled buffer taken is given back once the output rings
 //     are drained.
@@ -230,7 +247,8 @@ func FuzzForwardBatch(f *testing.F) {
 			frames = append(frames, fr)
 		}
 
-		rig := newForwardRig(2, 3, 5)
+		rig := newForwardRig(2, 5)
+		peer := rig.fuse(3, 2, 3, 5)
 		rig.r.SetTokenAuthority(auth)
 		rig.r.RequireToken(5)
 		flap := false
@@ -239,6 +257,8 @@ func FuzzForwardBatch(f *testing.F) {
 
 		gets0, _, puts0, rej0 := pool.Stats()
 		rig.forward(&log, frames...)
+		handed := uint64(len(peer.r.sc.in))
+		rig.r.w.runWork()
 		gets1, _, _, _ := pool.Stats()
 		branches := gets1 - gets0 - uint64(n) // fanoutTree takes one buffer per branch copy
 		fanouts := uint64(0)
@@ -247,14 +267,17 @@ func FuzzForwardBatch(f *testing.F) {
 				fanouts++
 			}
 		}
-		for port := range rig.out {
-			rig.drain(port, nil)
+		for _, r := range []*forwardRig{rig, peer} {
+			for port := range r.out {
+				r.drain(port, nil)
+			}
 		}
 
-		s := rig.r.Stats()
-		if ended, want := s.Forwarded+s.Local+s.TotalDrops(), uint64(n)+branches-fanouts; ended != want {
-			t.Fatalf("%d frames + %d branch copies - %d fanouts = %d dispositions, counted %d: %v",
-				n, branches, fanouts, want, ended, s)
+		s, ps := rig.r.Stats(), peer.r.Stats()
+		ended := s.Forwarded + s.Local + s.TotalDrops() + ps.Forwarded + ps.Local + ps.TotalDrops()
+		if want := uint64(n) + branches + handed - fanouts; ended != want {
+			t.Fatalf("%d frames + %d branch copies + %d handed to the peer - %d fanouts = %d dispositions, counted %d: %v, peer %v",
+				n, branches, handed, fanouts, want, ended, s, ps)
 		}
 		if chains == n && s.DropCount(stats.DropLinkDown) != uint64(n) {
 			t.Fatalf("%d over-cap chains, %d link-down drops: %v", n, s.DropCount(stats.DropLinkDown), s)

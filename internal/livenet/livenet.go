@@ -1,33 +1,35 @@
 // Package livenet is a goroutine realization of the Sirpent forwarding
-// algorithm: every host and router is one worker goroutine, every link
-// is a pair of frame rings (one per direction), and every hop operates
-// on real wire bytes. Where netsim proves the timing claims on virtual
-// time, livenet proves the byte-level protocol — the per-hop segment
-// strip, the trailer surgery, the return-route reversal — under true
-// concurrency.
+// algorithm on real wire bytes. Every host is one worker goroutine; the
+// routers of a network share one forwarding worker, which runs each
+// drained batch through every router it reaches before it looks at its
+// receive rings again. A link between a host and a router is a pair of
+// frame rings, one per direction; a link between two routers on the same
+// worker hands each output port's whole batch to the next router in
+// place. Where netsim proves the timing claims on virtual time, livenet
+// proves the byte-level protocol — the per-hop segment strip, the trailer
+// surgery, the return-route reversal — under true concurrency.
 //
 // Routers use the software-router procedure of §6.2: "after fully
 // receiving the packet, copying the first header segment to the end of
 // the trailer (with suitable modification) and then transmitting the
 // packet starting at the following header segment" — implemented as byte
-// surgery without decoding the rest of the packet. A router's worker
-// drains its receive rings a batch at a time and decides each batch
-// through the dataplane batch kernel (see batch.go). Tree-multicast
-// branch copies and DAG failover frames re-enter the same per-frame
-// disposal, so a router has one forward path, one transmit (flushTx)
-// and one counter publication (FlushBatch).
+// surgery without decoding the rest of the packet. A router decides a
+// batch at a time through the dataplane batch kernel (see batch.go).
+// Tree-multicast branch copies and DAG failover frames re-enter the same
+// per-frame disposal, so a router has one forward path, one transmit
+// (flushTx) and one counter publication (FlushBatch).
 //
 // # Buffer ownership
 //
 // Frames travel in pooled buffers (internal/pool) with capacity headroom
 // so the per-hop surgery happens in place. Exactly one node owns a
-// frame's buffer at any moment; a successful ring push transfers
-// ownership to the consuming node. The owner either forwards the frame
-// (ownership moves on), delivers it (the buffer is recycled when the
-// handler returns), or drops it (the buffer is recycled immediately).
-// Frame.Hdr may alias the dead front region of the same buffer — the
-// bytes of already-stripped segments — so header and packet live and die
-// together. See DESIGN.md §7 for the full rules.
+// frame's buffer at any moment; a successful ring push or fused hand-off
+// transfers ownership to the consuming node. The owner either forwards
+// the frame (ownership moves on), delivers it (the buffer is recycled
+// when the handler returns), or drops it (the buffer is recycled
+// immediately). Frame.Hdr may alias the dead front region of the same
+// buffer — the bytes of already-stripped segments — so header and packet
+// live and die together. See DESIGN.md §7 for the full rules.
 package livenet
 
 import (
@@ -59,11 +61,12 @@ type Frame struct {
 	Pkt []byte
 
 	// Trace is the packet's hop-level trace record, nil when tracing is
-	// off. It shares the frame's ownership rule: the ring push that
-	// transfers the buffer also transfers the record, so the sender must
-	// append its hop BEFORE pushing and never touch the record after —
-	// the happens-before edge of the push is what makes appends safe
-	// without a lock.
+	// off. It shares the frame's ownership rule: the ring push or fused
+	// hand-off that transfers the buffer also transfers the record, so
+	// the sender must append its hop BEFORE pushing and never touch the
+	// record after — the happens-before edge of the push (or the one
+	// worker running both ends of a fused link) is what makes appends
+	// safe without a lock.
 	Trace *trace.PacketTrace
 
 	// buf is the full-capacity view of Pkt's pooled backing array. Pkt's
@@ -92,12 +95,15 @@ type inFrame struct {
 
 // Network owns the nodes and coordinates shutdown. cfg is written once,
 // by NewNetwork, before any node exists, so every goroutine reads it
-// without synchronization.
+// without synchronization. w is the forwarding worker the network's
+// routers run on, created with the first router.
 type Network struct {
 	wg      sync.WaitGroup
 	stopped atomic.Bool
-	nodes   []interface{ close() }
+	nodes   []interface{ close() } // hosts and started workers
 	cfg     networkConfig
+	w       *worker
+	split   bool // SplitRouters: every router gets a worker of its own
 }
 
 // networkConfig collects NewNetwork options. The zero value has
@@ -144,7 +150,16 @@ func NewNetwork(opts ...NetworkOption) *Network {
 	return n
 }
 
-// Stop shuts all nodes down and waits for their goroutines.
+// SplitRouters is a test hook, not a tuning knob: every router n
+// creates after the call runs on a worker of its own, so every
+// router-to-router link is a ring with a doorbell, as a host's link is,
+// instead of an in-place hand-off. The race suites run each scenario
+// under both partitions. Call it before the network's first NewRouter.
+func SplitRouters(n *Network) { n.split = true }
+
+// Stop shuts all nodes down and waits for their goroutines. Frames still
+// handed over between routers are released by their worker on its way
+// out.
 func (n *Network) Stop() {
 	if n.stopped.Swap(true) {
 		return
@@ -155,42 +170,37 @@ func (n *Network) Stop() {
 	n.wg.Wait()
 }
 
-// node is the common worker plumbing: ports transmit on ring pipes
-// (out), and the node's one worker drains its receive pipes (rx),
-// sleeping on bell when they are empty (see batch.go).
+// node is the common plumbing of hosts and routers: ports transmit on
+// pipes, and the node's receive rings (rx) are drained by one goroutine
+// — the host's own, or the router's network worker — which sleeps on
+// bell when they are empty (see batch.go).
 type node struct {
-	name  string
-	done  chan struct{}
-	once  sync.Once
-	out   map[uint8]*pipe
-	links map[uint8]*Link // port -> fault handle, for DAG failover link health
-	mu    sync.Mutex
+	name string
+	done chan struct{} // closed at Stop; a router shares its worker's
+	bell chan struct{} // a router shares its worker's
+	once sync.Once
+	mu   sync.Mutex // serializes wiring (addRx, addTx)
 
-	// rx holds the receive pipes this node's worker alone drains,
-	// published copy-on-write so the worker reads them lock-free; bell is
-	// the doorbell producers ring to wake it.
-	rx   atomic.Pointer[[]*pipe]
-	bell chan struct{}
+	// ports is the transmit table, indexed by output port, nil where
+	// nothing is wired; rx holds the receive rings this node's consumer
+	// alone drains. Both are published copy-on-write, so the forwarding
+	// path reads them with one atomic load and no lock or hash.
+	ports atomic.Pointer[[]*pipe]
+	rx    atomic.Pointer[[]*pipe]
 }
 
-func (n *Network) newNode(name string) *node {
-	return &node{
-		name:  name,
-		done:  make(chan struct{}),
-		out:   make(map[uint8]*pipe),
-		links: make(map[uint8]*Link),
-		bell:  make(chan struct{}, 1),
-	}
+func newNode(name string, done, bell chan struct{}) *node {
+	return &node{name: name, done: done, bell: bell}
 }
 
 func (nd *node) close() { nd.once.Do(func() { close(nd.done) }) }
 
 // outPipe returns the transmit pipe wired to a port, nil if none.
 func (nd *node) outPipe(port uint8) *pipe {
-	nd.mu.Lock()
-	p := nd.out[port]
-	nd.mu.Unlock()
-	return p
+	if t := nd.ports.Load(); t != nil && int(port) < len(*t) {
+		return (*t)[port]
+	}
+	return nil
 }
 
 // send transmits one frame on a port, parking while the ring is full,
@@ -204,24 +214,25 @@ func (nd *node) send(port uint8, f Frame) bool {
 }
 
 // portUp reports whether a port's link is wired and not failed — the
-// dataplane's PortUp hook. The mutex is acceptable here because only
-// DAG-segment hops consult link health; plain forwarding never calls
-// it.
+// dataplane's PortUp hook.
 func (nd *node) portUp(port uint8) bool {
-	nd.mu.Lock()
-	l := nd.links[port]
-	nd.mu.Unlock()
-	return l != nil && !l.IsDown()
+	p := nd.outPipe(port)
+	return p != nil && p.link != nil && !p.link.IsDown()
 }
 
-// portDepth reports the occupancy of a port's transmit ring — the
-// livenet analogue of an output-queue depth. Called only for traced
-// frames; the untraced path never takes this lock.
+// portDepth reports the occupancy of a port's link — the livenet
+// analogue of an output-queue depth: the frames in its ring, or on a
+// fused link the frames handed over and not yet consumed. Called only
+// for traced frames, on the worker that owns a fused link's count.
 func (nd *node) portDepth(port uint8) int {
-	if p := nd.outPipe(port); p != nil {
+	switch p := nd.outPipe(port); {
+	case p == nil:
+		return 0
+	case p.to != nil:
+		return p.held
+	default:
 		return p.r.Len()
 	}
-	return 0
 }
 
 // Link is a handle on one bidirectional livenet link, used for fault
@@ -280,11 +291,12 @@ func (l *Link) drops() bool {
 	return false
 }
 
-// DefaultLinkDepth is the per-direction ring depth, in frames, of a
-// link created without WithDepth: one full batch in flight per
-// direction, so a burst flushes without the producer parking between
-// sub-pushes. A link that must absorb a longer unpaced burst (the
-// gateway's relay window) asks for more with WithDepth.
+// DefaultLinkDepth is the per-direction depth, in frames, of a link
+// created without WithDepth (a ring's capacity, or what a fused link may
+// hold): one full batch in flight per direction, so a burst flushes
+// without the producer parking between sub-pushes. A link that must
+// absorb a longer unpaced burst (the gateway's relay window) asks for
+// more with WithDepth.
 const DefaultLinkDepth = batchSize
 
 // linkConfig collects Connect options.
@@ -295,8 +307,8 @@ type linkConfig struct {
 // LinkOption configures one Connect call.
 type LinkOption func(*linkConfig)
 
-// WithDepth sets the link's per-direction ring depth in frames, rounded
-// up to a power of two. Non-positive values are ignored.
+// WithDepth sets the link's per-direction depth in frames, rounded up
+// to a power of two. Non-positive values are ignored.
 func WithDepth(n int) LinkOption {
 	return func(c *linkConfig) {
 		if n > 0 {
@@ -305,11 +317,13 @@ func WithDepth(n int) LinkOption {
 	}
 }
 
-// Connect joins two nodes with a bidirectional link — one ring pipe per
-// direction — and returns the link's fault-injection handle. WithDepth
-// sets the ring depth (DefaultLinkDepth otherwise). Receive ends are
-// registered before transmit ends, so no frame can arrive at an
-// unregistered consumer.
+// Connect joins two nodes with a bidirectional link and returns the
+// link's fault-injection handle. WithDepth sets the per-direction depth
+// (DefaultLinkDepth otherwise). Between two routers on the same worker
+// each direction is a fused hand-off (batch.go); every other direction
+// is a ring pipe. Receive ends are registered before transmit ends, so
+// no frame can arrive at an unregistered consumer. Connect is safe
+// while traffic flows.
 func (n *Network) Connect(a Attachable, portA uint8, b Attachable, portB uint8, opts ...LinkOption) *Link {
 	cfg := linkConfig{depth: DefaultLinkDepth}
 	for _, o := range opts {
@@ -317,13 +331,25 @@ func (n *Network) Connect(a Attachable, portA uint8, b Attachable, portB uint8, 
 	}
 	na, nb := a.base(), b.base()
 	l := &Link{name: na.name + "<->" + nb.name, flight: n.cfg.flight}
-	ab := newPipe(cfg.depth, portB, l, nb) // a -> b, arrives on b's portB
-	ba := newPipe(cfg.depth, portA, l, na) // b -> a, arrives on a's portA
-	nb.addRx(ab)
-	na.addRx(ba)
+	var ab, ba *pipe // a -> b arrives on b's portB, b -> a on a's portA
+	if ra, rb := asRouter(a), asRouter(b); ra != nil && rb != nil && ra.w == rb.w {
+		ab = newFusedPipe(cfg.depth, portB, l, rb)
+		ba = newFusedPipe(cfg.depth, portA, l, ra)
+	} else {
+		ab = newPipe(cfg.depth, portB, l, nb)
+		ba = newPipe(cfg.depth, portA, l, na)
+		nb.addRx(ab)
+		na.addRx(ba)
+	}
 	na.addTx(portA, ab)
 	nb.addTx(portB, ba)
 	return l
+}
+
+// asRouter returns the router behind an attachment point, nil for a host.
+func asRouter(a Attachable) *Router {
+	r, _ := a.(*Router)
+	return r
 }
 
 // Attachable is implemented by livenet hosts and routers.
@@ -338,26 +364,29 @@ type counters struct {
 	drops           [stats.NumDropReasons]atomic.Uint64
 }
 
-// Router is a goroutine Sirpent switch. Its per-hop work — decode,
-// token check, three-way action, trailer mirror — is the shared
-// dataplane pipeline; this type contributes the worker, the ring I/O,
-// and the pooled-buffer ownership discipline. The token state is
-// dataplane.TokenState behind an atomic pointer: immutable once
-// published, so the forwarding goroutine reads a consistent
-// cache/require pair with one load, keeping the tokenless fast path
-// allocation- and lock-free.
+// Router is a Sirpent switch run by its network's forwarding worker.
+// Its per-hop work — decode, token check, three-way action, trailer
+// mirror — is the shared dataplane pipeline; this type contributes the
+// batch I/O and the pooled-buffer ownership discipline. A packet whose
+// current segment is port 0 (the router's own stack) is counted Local
+// and its buffer recycled. The token state is dataplane.TokenState
+// behind an atomic pointer: immutable once published, so the worker
+// reads a consistent cache/require pair with one load, keeping the
+// tokenless fast path allocation- and lock-free.
 type Router struct {
 	*node
 	counters counters
-	local    func([]byte)
 	plane    dataplane.Pipeline
 	tok      atomic.Pointer[dataplane.TokenState]
-}
 
-// SetLocalHandler receives encoded packets whose current segment is
-// port 0 (the router's own stack). It runs on the router goroutine and
-// takes ownership of the buffer (which leaves the pool).
-func (r *Router) SetLocalHandler(fn func(encoded []byte)) { r.local = fn }
+	// Owned by the worker w: sc.in doubles as the input handed over on
+	// fused links, and fedBy lists the fused links whose held count that
+	// input accounts for — non-empty exactly while the router is on w's
+	// work-list.
+	w     *worker
+	sc    *batchScratch
+	fedBy []*pipe
+}
 
 // SetTokenAuthority installs the administrative domain key this router
 // verifies tokens against, enabling token checking (§2.2). Any port
@@ -387,16 +416,20 @@ func (r *Router) RequireToken(port uint8) {
 // nil until SetTokenAuthority is called.
 func (r *Router) TokenCache() *token.Cache { return r.tok.Load().Cache() }
 
-// newRouter builds a router and its dataplane pipeline without starting
-// the forwarding goroutine (the hop benchmarks drive forwardBatch
-// directly).
+// newRouter builds a router and its dataplane pipeline on the network's
+// worker (a worker of its own after SplitRouters) without starting any
+// goroutine: the hop tests drive forwardBatch and the worker directly.
 func (n *Network) newRouter(name string) *Router {
-	r := &Router{node: n.newNode(name)}
+	if n.w == nil || n.split {
+		n.w = newWorker()
+	}
+	w := n.w
+	r := &Router{node: newNode(name, w.done, w.bell), w: w, sc: newBatchScratch()}
 	r.plane = dataplane.Pipeline{
 		Node:  name,
 		Clock: clock.Wall,
 		// Livenet realizes token.Block: uncached tokens verify
-		// synchronously on the forwarding goroutine (see forwardBatch).
+		// synchronously on the forwarding worker (see forwardBatch).
 		Mode: token.Block,
 		Hooks: dataplane.Hooks{
 			CountDrop:            func(reason stats.DropReason, k uint64) { r.counters.drops[reason].Add(k) },
@@ -407,14 +440,14 @@ func (n *Network) newRouter(name string) *Router {
 			PortUp:               r.node.portUp,
 		},
 	}
+	w.add(r)
 	return r
 }
 
-// NewRouter creates and starts a router with its one forwarding
-// goroutine.
+// NewRouter creates a router on the network's forwarding worker,
+// starting the worker with the network's first router.
 func (n *Network) NewRouter(name string) *Router {
 	r := n.newRouter(name)
-	n.nodes = append(n.nodes, r.node)
 	if col := n.cfg.collector; col != nil {
 		// The cache appears only once the router is token-guarded; the
 		// closure resolves it per sweep so registration order and
@@ -426,11 +459,15 @@ func (n *Network) NewRouter(name string) *Router {
 			return nil
 		})
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		r.run(r.forwardBatch)
-	}()
+	if w := r.w; !w.started {
+		w.started = true
+		n.nodes = append(n.nodes, w)
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			w.run()
+		}()
+	}
 	return r
 }
 
@@ -472,7 +509,8 @@ type Delivery struct {
 	Endpoint    uint8
 }
 
-// Host is a goroutine Sirpent endpoint.
+// Host is a goroutine Sirpent endpoint. Hosts keep a goroutine each
+// because their handlers may block.
 type Host struct {
 	*node
 	netw     *Network
@@ -485,12 +523,16 @@ type Host struct {
 // NewHost creates and starts a host goroutine; one goroutine receives on
 // all the host's ports, so deliveries to one host stay ordered.
 func (n *Network) NewHost(name string) *Host {
-	h := &Host{node: n.newNode(name), netw: n, handlers: make(map[uint8]func(Delivery))}
+	h := &Host{
+		node:     newNode(name, make(chan struct{}), make(chan struct{}, 1)),
+		netw:     n,
+		handlers: make(map[uint8]func(Delivery)),
+	}
 	n.nodes = append(n.nodes, h.node)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		h.run(h.receiveBatch)
+		h.run()
 	}()
 	return h
 }

@@ -196,14 +196,14 @@ func TestLiveByteSurgeryMatchesCodec(t *testing.T) {
 	}
 }
 
+// TestLiveRouterLocalDelivery sends a packet whose route ends at a
+// router's own stack: the router counts it Local and recycles it.
 func TestLiveRouterLocalDelivery(t *testing.T) {
 	n := NewNetwork()
 	defer n.Stop()
 	src := n.NewHost("src")
 	r := n.NewRouter("r")
 	n.Connect(src, 1, r, 1)
-	var got atomic.Bool
-	r.SetLocalHandler(func(b []byte) { got.Store(true) })
 	route := []viper.Segment{
 		{Port: 1},
 		{Port: viper.PortLocal}, // terminates at the router
@@ -211,9 +211,9 @@ func TestLiveRouterLocalDelivery(t *testing.T) {
 	if err := src.Send(route, []byte("to router")); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, got.Load)
-	if s := r.Stats(); s.Local != 1 {
-		t.Fatalf("Local = %d", s.Local)
+	waitFor(t, func() bool { return r.Stats().Local == 1 })
+	if s := r.Stats(); s.Forwarded != 0 || s.TotalDrops() != 0 {
+		t.Fatalf("counters %v, want one local delivery only", s)
 	}
 }
 
@@ -349,6 +349,22 @@ func TestNetworkStopIdempotent(t *testing.T) {
 	n.NewHost("h")
 	n.Stop()
 	n.Stop()
+}
+
+// onBothPartitions runs fn under each router partition. "fused" is
+// NewNetwork's default: one worker runs all of a network's routers, so
+// a router-to-router link hands batches over in place. "split"
+// (SplitRouters) gives every router a worker of its own, so every link
+// is a ring pair with doorbells.
+func onBothPartitions(t *testing.T, fn func(t *testing.T, newNetwork func(...NetworkOption) *Network)) {
+	t.Run("fused", func(t *testing.T) { fn(t, NewNetwork) })
+	t.Run("split", func(t *testing.T) {
+		fn(t, func(opts ...NetworkOption) *Network {
+			n := NewNetwork(opts...)
+			SplitRouters(n)
+			return n
+		})
+	})
 }
 
 // goroutinesReturn asserts, after the test body and its deferred Stop

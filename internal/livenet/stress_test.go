@@ -15,15 +15,20 @@ import (
 // structure (link fault state, drop counters, router stats, handler
 // tables) is exercised from many goroutines at once — but it also
 // checks conservation: at quiesce, every packet was either delivered or
-// counted by the trunk's fault-injection discard counter.
+// counted by the trunk's fault-injection discard counter. It runs under
+// both router partitions: the trunk is a fused link, then a ring pair.
 func TestStressFlapRace(t *testing.T) {
+	onBothPartitions(t, stressFlapRace)
+}
+
+func stressFlapRace(t *testing.T, newNetwork func(...NetworkOption) *Network) {
 	const (
 		hostsPerSide = 4
 		pktsPerHost  = 100
 		total        = 2 * hostsPerSide * pktsPerHost
 	)
 
-	n := NewNetwork()
+	n := newNetwork()
 	defer n.Stop()
 	r0 := n.NewRouter("R0")
 	r1 := n.NewRouter("R1")

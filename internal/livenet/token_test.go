@@ -12,15 +12,36 @@ import (
 	"repro/internal/viper"
 )
 
-// onBothBatchShapes runs fn twice. "scalar" paces the sender: pace
+// onBothBatchShapes runs fn under two batch shapes, each under both
+// router partitions (onBothPartitions). "scalar" paces the sender: pace
 // polls until the frame just sent has been decided (the caller names the
 // router counter that moves), so every frame is decided in a batch of
 // its own and token state must carry across batch boundaries. "batched"
 // sends back to back (pace returns at once), so repeats of one token
 // can share a batch.
-func onBothBatchShapes(t *testing.T, fn func(t *testing.T, pace func(decided func() bool))) {
-	t.Run("scalar", func(t *testing.T) { fn(t, settle) })
-	t.Run("batched", func(t *testing.T) { fn(t, func(func() bool) {}) })
+func onBothBatchShapes(t *testing.T, fn func(t *testing.T, newNetwork func(...NetworkOption) *Network, pace func(decided func() bool))) {
+	for _, shape := range []struct {
+		name string
+		pace func(func() bool)
+	}{{"scalar", settle}, {"batched", func(func() bool) {}}} {
+		t.Run(shape.name, func(t *testing.T) {
+			onBothPartitions(t, func(t *testing.T, newNetwork func(...NetworkOption) *Network) {
+				fn(t, newNetwork, shape.pace)
+			})
+		})
+	}
+}
+
+// frontedRouter wires src → r0 → r1 and returns r1, the router under
+// test: r0 forwards on its port 2 into r1's port 1, so every case
+// crosses one router-to-router link, fused or a ring pair by partition.
+// A route reaches r1 with the prefix {Port: 1}, {Port: 2}.
+func frontedRouter(n *Network, src *Host, opts ...LinkOption) *Router {
+	r0 := n.NewRouter("r0")
+	r1 := n.NewRouter("r1")
+	n.Connect(src, 1, r0, 1)
+	n.Connect(r0, 2, r1, 1, opts...)
+	return r1
 }
 
 // settle polls decided for up to 5 s and returns either way: a frame
@@ -39,15 +60,14 @@ func settle(decided func() bool) {
 // TokenAuthorized counter. Every send here already waits for its
 // verdict, so both shapes decide one frame per batch.
 func TestLiveTokenAuthorization(t *testing.T) {
-	onBothBatchShapes(t, func(t *testing.T, _ func(func() bool)) {
+	onBothBatchShapes(t, func(t *testing.T, newNetwork func(...NetworkOption) *Network, _ func(func() bool)) {
 		fr := ledger.NewFlightRecorder(64)
-		n := NewNetwork(WithFlightRecorder(fr))
+		n := newNetwork(WithFlightRecorder(fr))
 		defer n.Stop()
 
 		src := n.NewHost("src")
-		r1 := n.NewRouter("r1")
+		r1 := frontedRouter(n, src)
 		dst := n.NewHost("dst")
-		n.Connect(src, 1, r1, 1)
 		n.Connect(r1, 2, dst, 1)
 
 		auth := token.NewAuthority([]byte("live-key"))
@@ -58,7 +78,7 @@ func TestLiveTokenAuthorization(t *testing.T) {
 		dst.Handle(0, func(d Delivery) { delivered.Add(1) })
 
 		// Tokenless packet on a guarded port: denied and recorded.
-		bare := []viper.Segment{{Port: 1}, {Port: 2}, {Port: viper.PortLocal}}
+		bare := []viper.Segment{{Port: 1}, {Port: 2}, {Port: 2}, {Port: viper.PortLocal}}
 		if err := src.Send(bare, []byte("no-token")); err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +86,7 @@ func TestLiveTokenAuthorization(t *testing.T) {
 
 		// Valid token: forwarded, counted, charged to account 42.
 		tok := auth.Issue(token.Spec{Account: 42, Port: 2})
-		tokened := []viper.Segment{{Port: 1}, {Port: 2, PortToken: tok}, {Port: viper.PortLocal}}
+		tokened := []viper.Segment{{Port: 1}, {Port: 2}, {Port: 2, PortToken: tok}, {Port: viper.PortLocal}}
 		if err := src.Send(tokened, []byte("tokened")); err != nil {
 			t.Fatal(err)
 		}
@@ -97,20 +117,19 @@ func TestLiveTokenAuthorization(t *testing.T) {
 // the synchronous verification caches the negative verdict and every
 // presentation drops.
 func TestLiveTokenForgedDenied(t *testing.T) {
-	onBothBatchShapes(t, func(t *testing.T, pace func(func() bool)) {
-		n := NewNetwork()
+	onBothBatchShapes(t, func(t *testing.T, newNetwork func(...NetworkOption) *Network, pace func(func() bool)) {
+		n := newNetwork()
 		defer n.Stop()
 
 		src := n.NewHost("src")
-		r1 := n.NewRouter("r1")
+		r1 := frontedRouter(n, src)
 		dst := n.NewHost("dst")
-		n.Connect(src, 1, r1, 1)
 		n.Connect(r1, 2, dst, 1)
 
 		r1.SetTokenAuthority(token.NewAuthority([]byte("real-key")))
 		forged := token.NewAuthority([]byte("wrong-key")).Issue(token.Spec{Account: 7, Port: 2})
 
-		route := []viper.Segment{{Port: 1}, {Port: 2, PortToken: forged}, {Port: viper.PortLocal}}
+		route := []viper.Segment{{Port: 1}, {Port: 2}, {Port: 2, PortToken: forged}, {Port: viper.PortLocal}}
 		for i := 1; i <= 3; i++ {
 			if err := src.Send(route, []byte("forged")); err != nil {
 				t.Fatal(err)
@@ -136,11 +155,15 @@ func TestLiveTokenForgedDenied(t *testing.T) {
 // several hosts against ledger sweeps of AccountTotals, the shape the
 // ledger collector runs in production. Run under -race in CI.
 func TestLiveTokenConcurrentAccounts(t *testing.T) {
-	onBothBatchShapes(t, func(t *testing.T, pace func(func() bool)) {
-		n := NewNetwork()
+	onBothBatchShapes(t, func(t *testing.T, newNetwork func(...NetworkOption) *Network, pace func(func() bool)) {
+		n := newNetwork()
 		defer n.Stop()
 
+		// Every host enters at r0, which forwards on port 9 into r1, the
+		// router under test.
+		r0 := n.NewRouter("r0")
 		r1 := n.NewRouter("r1")
+		n.Connect(r0, 9, r1, 1, WithDepth(256))
 		auth := token.NewAuthority([]byte("conc-key"))
 		r1.SetTokenAuthority(auth)
 
@@ -157,10 +180,10 @@ func TestLiveTokenConcurrentAccounts(t *testing.T) {
 		const hosts, pkts = 4, 50
 		for h := 0; h < hosts; h++ {
 			src := n.NewHost(fmt.Sprintf("src%d", h))
-			n.Connect(src, 1, r1, uint8(1+h))
+			n.Connect(src, 1, r0, uint8(1+h))
 			account := uint32(100 + h)
 			tok := auth.Issue(token.Spec{Account: account, Port: 9})
-			route := []viper.Segment{{Port: 1}, {Port: 9, PortToken: tok}, {Port: viper.PortLocal}}
+			route := []viper.Segment{{Port: 1}, {Port: 9}, {Port: 9, PortToken: tok}, {Port: viper.PortLocal}}
 			go func() {
 				for i := uint64(1); i <= pkts; i++ {
 					_ = src.Send(route, []byte("payload"))
@@ -201,9 +224,9 @@ func TestLiveTokenConcurrentAccounts(t *testing.T) {
 // transitions — land in the flight recorder. No frame is sent, so the
 // two shapes run the same steps.
 func TestLiveLinkFlapRecorded(t *testing.T) {
-	onBothBatchShapes(t, func(t *testing.T, _ func(func() bool)) {
+	onBothBatchShapes(t, func(t *testing.T, newNetwork func(...NetworkOption) *Network, _ func(func() bool)) {
 		fr := ledger.NewFlightRecorder(16)
-		n := NewNetwork(WithFlightRecorder(fr))
+		n := newNetwork(WithFlightRecorder(fr))
 		defer n.Stop()
 
 		a := n.NewHost("a")

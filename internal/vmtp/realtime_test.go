@@ -262,9 +262,11 @@ func TestRTServeWorkers(t *testing.T) {
 	if n := len(workers); n > maxIdleWorkers {
 		t.Fatalf("%d sequential requests ran on %d goroutines, want at most %d", sequential, n, maxIdleWorkers)
 	}
-	if n := runtime.NumGoroutine(); n > idleBase+maxIdleWorkers {
-		t.Fatalf("%d goroutines after %d sequential requests, want at most %d", n, sequential, idleBase+maxIdleWorkers)
-	}
+	// The endpoint's wall-clock timers run their callbacks on goroutines
+	// of their own (time.AfterFunc), so a snapshot taken as one fires
+	// reads one goroutine too many. Wait for the count to settle, as the
+	// burst check above does; the bound itself is exact.
+	settleGoroutines(t, idleBase+maxIdleWorkers)
 
 	client.Close()
 	server.Close()
@@ -542,6 +544,20 @@ func TestRTCompletionOutsideLock(t *testing.T) {
 	}
 	if s := client.Stats(); s.CallsCompleted != chain || s.CallsFailed != blocked {
 		t.Fatalf("completed %d, failed %d; want %d and %d", s.CallsCompleted, s.CallsFailed, chain, blocked)
+	}
+}
+
+// settleGoroutines waits up to 2 s for the goroutine count to fall to
+// at most want, and fails with every goroutine's stack if it does not.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > want; {
+		if time.Now().After(deadline) {
+			stacks := make([]byte, 1<<20)
+			stacks = stacks[:runtime.Stack(stacks, true)]
+			t.Fatalf("%d goroutines, want at most %d:\n%s", runtime.NumGoroutine(), want, stacks)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
