@@ -493,6 +493,18 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		}
 		if gwIngress != nil {
 			waitIdle(func() int { return gwIngress.Stats().ActiveStreams })
+		}
+		if gwEgress != nil {
+			waitIdle(func() int { return gwEgress.Stats().ActiveStreams })
+		}
+		// A relay whose streams have all closed may still owe its peer an
+		// answer: if a reply was lost, only its response cache answers the
+		// retry, and Close discards it. So no relay closes until every
+		// peer's relays are idle.
+		if err := client.Barrier(name, "gateway-idle"); err != nil {
+			return nil, err
+		}
+		if gwIngress != nil {
 			gwIngress.Close()
 			rep.Gateways = append(rep.Gateways, GatewayReport{
 				Role: "ingress", Host: check.HostName(gin),
@@ -500,7 +512,6 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			})
 		}
 		if gwEgress != nil {
-			waitIdle(func() int { return gwEgress.Stats().ActiveStreams })
 			gwEgress.Close()
 			rep.Gateways = append(rep.Gateways, GatewayReport{
 				Role: "egress", Host: check.HostName(geg), Stats: gwEgress.Stats(),

@@ -212,9 +212,9 @@ type relay struct {
 // bindRT creates the relay's RT endpoint on a livenet host endpoint:
 // the host's SendFrom is the carrier — the origin trailer names this
 // endpoint, so the peer's return route lands back here rather than on
-// the host's default handler — and deliveries feed RT's non-blocking
-// queue (Deliver decodes, and thereby copies, before the pooled buffer
-// is recycled).
+// the host's default handler — and Deliver runs each delivery's VMTP
+// step on the host's goroutine, done with the pooled bytes before the
+// host recycles them.
 func (r *relay) bindRT(host *livenet.Host, endpoint uint8, cfg Config) {
 	r.init(cfg, vmtp.CarrierFunc(func(route []viper.Segment, data []byte) error {
 		return host.SendFrom(endpoint, route, data)
@@ -403,10 +403,10 @@ func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 	return true
 }
 
-// complete is a data group's completion, run on an RT goroutine. It
-// counts the group, records its span and recycles its buffer before it
-// frees the slot, so a pump that holds every slot after the FIN knows
-// every group is counted.
+// complete is a data group's completion, run on the goroutine whose RT
+// step finished the call. It counts the group, records its span and
+// recycles its buffer before it frees the slot, so a pump that holds
+// every slot after the FIN knows every group is counted.
 func (s *groupSlot) complete(rep []byte, err error) {
 	r, st := s.r, s.st
 	pool.Put(s.msg)

@@ -762,11 +762,37 @@ func (r *Router) handOff(sc *batchScratch, p *pipe, items []inFrame) []inFrame {
 }
 
 // receiveBatch delivers one drained batch in arrival order and empties
-// it.
+// it: whole to the raw tap when one is installed, else frame by frame.
 func (h *Host) receiveBatch(sc *batchScratch) {
-	for i := range sc.in {
-		h.receive(sc.in[i])
-		sc.in[i] = inFrame{}
+	if fn := h.raw.Load(); fn != nil && len(sc.in) > 0 {
+		h.tap(*fn, sc.in)
+	} else {
+		for i := range sc.in {
+			h.receive(sc.in[i])
+			sc.in[i] = inFrame{}
+		}
 	}
 	sc.in = sc.in[:0]
+}
+
+// tap hands a batch to the raw tap fn in one call and releases its
+// frames once fn returns. A traced frame gives the tap its
+// cross-process context, taken before its record closes here, so an
+// encapsulation gateway can carry the trace onto its foreign transport.
+func (h *Host) tap(fn func([]RawFrame), in []inFrame) {
+	b := h.tapped[:0]
+	for i := range in {
+		var ctx trace.Context
+		if pt := in[i].frame.Trace; pt != nil {
+			ctx = pt.Ctx
+			h.closeReceive(in[i], trace.ActionLocal, 0)
+		}
+		b = append(b, RawFrame{Pkt: in[i].frame.Pkt, Ctx: ctx})
+	}
+	h.tapped = b
+	fn(b)
+	for i := range in {
+		in[i].frame.release()
+		in[i] = inFrame{}
+	}
 }

@@ -516,8 +516,9 @@ type Host struct {
 	netw     *Network
 	mu       sync.Mutex
 	handlers map[uint8]func(Delivery)
-	raw      atomic.Pointer[func(pkt []byte, ctx trace.Context)] // pre-decode tap, see SetRawHandler/SetRawTap
-	arena    []byte                                              // the last delivery's return-route bytes; receive only
+	raw      atomic.Pointer[func([]RawFrame)] // pre-decode tap, see SetRawHandler/SetRawTap
+	tapped   []RawFrame                       // the batch handed to the tap; receive only
+	arena    []byte                           // the last delivery's return-route bytes; receive only
 }
 
 // NewHost creates and starts a host goroutine; one goroutine receives on
@@ -667,20 +668,6 @@ func (h *Host) recordDrop(port uint8, reason stats.DropReason) {
 }
 
 func (h *Host) receive(inf inFrame) {
-	if fn := h.rawTap(); fn != nil {
-		// A traced frame hands its cross-process context to the tap
-		// before the record closes, so an encapsulation gateway can
-		// carry the trace onto its foreign transport. Untraced frames
-		// pass the zero Context — a stack value, no allocation.
-		var ctx trace.Context
-		if pt := inf.frame.Trace; pt != nil {
-			ctx = pt.Ctx
-		}
-		h.closeReceive(inf, trace.ActionLocal, 0)
-		fn(inf.frame.Pkt, ctx)
-		inf.frame.release()
-		return
-	}
 	var inInfo []byte
 	if inf.frame.Hdr != nil && ethernet.SwapInPlace(inf.frame.Hdr) == nil {
 		// The frame — header included — is ours until the handler

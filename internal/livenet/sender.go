@@ -11,11 +11,10 @@ import (
 // Sender is a prepared injection path for one route: route sealing,
 // packet layout, and wire encoding happen once at construction, so each
 // Send stamps the payload into a pooled copy of the wire image and
-// enqueues it — the per-packet analogue of a prepared statement. Host
-// injection otherwise costs ~7 allocations per packet (route clone,
-// sealing, packet assembly, encode), which dominates short-chain
-// throughput measurements; a Sender injects with zero allocations in
-// steady state.
+// enqueues it — the per-packet analogue of a prepared statement.
+// Host.Send lays out and encodes the route on every packet and costs up
+// to 2 allocations doing so (TestSendAllocs); a Sender injects with zero
+// allocations in steady state.
 //
 // Payload length is fixed at construction — the encoded image embeds
 // it, and the trailing descriptor's position depends on it.
@@ -86,30 +85,34 @@ func (s *Sender) Send(data []byte) error {
 // allocations. Pass nil to restore normal endpoint dispatch.
 func (h *Host) SetRawHandler(fn func(pkt []byte)) {
 	if fn == nil {
-		h.raw.Store(nil)
+		h.SetRawTap(nil)
 		return
 	}
-	wrapped := func(pkt []byte, _ trace.Context) { fn(pkt) }
-	h.raw.Store(&wrapped)
+	h.SetRawTap(func(b []RawFrame) {
+		for i := range b {
+			fn(b[i].Pkt)
+		}
+	})
+}
+
+// RawFrame is one frame a raw tap receives: its encoded packet, which
+// aliases the frame's pooled buffer, and its cross-process trace
+// context, zero for untraced frames.
+type RawFrame struct {
+	Pkt []byte
+	Ctx trace.Context
 }
 
 // SetRawTap is SetRawHandler for sinks that forward frames to another
-// process (internal/udpnet's tunnels): fn additionally receives the
-// frame's cross-process trace context — zero for untraced frames — so
-// the tap can carry the trace onto its transport. Pass nil to restore
-// normal endpoint dispatch.
-func (h *Host) SetRawTap(fn func(pkt []byte, ctx trace.Context)) {
+// process (internal/udpnet's tunnels): fn takes each batch the host
+// drains whole, in arrival order, with each frame's trace context, so
+// the tap can carry the trace onto its transport and send the batch as
+// one. The batch and its bytes are valid only until fn returns. Pass
+// nil to restore normal endpoint dispatch.
+func (h *Host) SetRawTap(fn func([]RawFrame)) {
 	if fn == nil {
 		h.raw.Store(nil)
 		return
 	}
 	h.raw.Store(&fn)
-}
-
-// rawTap returns the installed raw handler, or nil.
-func (h *Host) rawTap() func(pkt []byte, ctx trace.Context) {
-	if p := h.raw.Load(); p != nil {
-		return *p
-	}
-	return nil
 }

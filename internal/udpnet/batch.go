@@ -3,19 +3,16 @@ package udpnet
 import (
 	"encoding/binary"
 	"net/netip"
-
-	"repro/internal/pool"
 )
 
-// Batched socket I/O. A tunnel's writer sends a run of equal-size
+// Batched socket I/O. A tunnel's egress sends a run of equal-size
 // datagrams as one UDP_SEGMENT (GSO) send, and the bridge's read loop
 // splits a UDP_GRO-coalesced read back into datagrams. Both ends speak
 // Linux's control-message layout; offload (offload_linux.go,
-// offload_other.go) decides whether the writer ever tries it.
+// offload_other.go) decides whether egress ever tries it.
 const (
-	// maxBatch bounds the datagrams one writer wake-up drains from
-	// t.out, and so the segments of one GSO send; older kernels refuse
-	// more than 64 segments (UDP_MAX_SEGMENTS).
+	// maxBatch bounds the segments of one GSO send; older kernels
+	// refuse more than 64 (UDP_MAX_SEGMENTS).
 	maxBatch = 64
 
 	// maxRunBytes bounds one GSO send, which the kernel sends as one
@@ -68,24 +65,14 @@ func runEnd(dgs [][]byte, i int) int {
 	return j
 }
 
-// sendRun copies a run into one pooled buffer and hands it to the
-// socket as one UDP_SEGMENT send, segmented at the run's first
-// datagram. It counts nothing but the send; the caller owns the
-// fallback.
-func (t *Tunnel) sendRun(run [][]byte, to netip.AddrPort) error {
-	n := 0
-	for _, dg := range run {
-		n += len(dg)
-	}
-	buf := pool.Get(n)[:0]
-	for _, dg := range run {
-		buf = append(buf, dg...)
-	}
+// sendRun hands a run, its datagrams back to back in b, to the socket
+// as one UDP_SEGMENT send segmented at seg, its first datagram's size.
+// It counts nothing but the send; the caller owns the fallback.
+func (t *Tunnel) sendRun(b []byte, seg int, to netip.AddrPort) error {
 	oob := t.oob[:]
 	putCmsgHdr(oob, cmsgHdrLen+2, solUDP, udpSegment)
-	binary.NativeEndian.PutUint16(oob[cmsgHdrLen:], uint16(len(run[0])))
-	_, _, err := t.bridge.conn.WriteMsgUDPAddrPort(buf, oob, to)
-	pool.Put(buf)
+	binary.NativeEndian.PutUint16(oob[cmsgHdrLen:], uint16(seg))
+	_, _, err := t.bridge.conn.WriteMsgUDPAddrPort(b, oob, to)
 	return err
 }
 

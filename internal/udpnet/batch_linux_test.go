@@ -14,37 +14,25 @@ import (
 	"repro/internal/trace"
 )
 
-// datagram frames an n-byte datagram whose payload names it: its first
-// two bytes are i, the rest is filled with byte(i).
-func datagram(tun *Tunnel, i, n int, traced bool) []byte {
-	pkt := bytes.Repeat([]byte{byte(i)}, n-HeaderLen)
-	var ctx trace.Context
+// frameOf is a tapped frame that egress frames as an n-byte datagram
+// naming it: the packet's first two bytes are i, the rest is byte(i).
+func frameOf(i, n int, traced bool) livenet.RawFrame {
+	f := livenet.RawFrame{Pkt: bytes.Repeat([]byte{byte(i)}, n-HeaderLen)}
 	if traced {
-		ctx = trace.Context{ID: uint64(i) + 1, Budget: 4}
-		pkt = pkt[tracedPrefixLen:]
+		f.Ctx = trace.Context{ID: uint64(i) + 1, Budget: 4}
+		f.Pkt = f.Pkt[tracedPrefixLen:]
 	}
-	binary.BigEndian.PutUint16(pkt, uint16(i))
-	tun.egress(pkt, ctx)
-	return <-tun.out
+	binary.BigEndian.PutUint16(f.Pkt, uint16(i))
+	return f
 }
 
-// batchOf frames one untraced datagram of each size, numbered from 0.
-func batchOf(tun *Tunnel, sizes ...int) [][]byte {
-	var b [][]byte
+// batchOf is one untraced frame of each datagram size, numbered from 0.
+func batchOf(sizes ...int) []livenet.RawFrame {
+	var b []livenet.RawFrame
 	for i, n := range sizes {
-		b = append(b, datagram(tun, i, n, false))
+		b = append(b, frameOf(i, n, false))
 	}
 	return b
-}
-
-// copies returns an owned copy of each datagram, for comparing with
-// what arrives after flush has recycled the originals.
-func copies(dgs [][]byte) [][]byte {
-	var out [][]byte
-	for _, dg := range dgs {
-		out = append(out, bytes.Clone(dg))
-	}
-	return out
 }
 
 // sink is a plain loopback socket whose reader collects datagrams.
@@ -115,6 +103,26 @@ func sameDatagrams(t *testing.T, got, want [][]byte) {
 	}
 }
 
+// sameFrames checks that each datagram carries its frame of want on
+// link: the packet intact, and a traced frame's context one hop on.
+func sameFrames(t *testing.T, got [][]byte, link uint16, want []livenet.RawFrame) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d datagrams, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		f, bad := parseFrame(got[i])
+		var ctx trace.Context
+		if w.Ctx.CanHop() {
+			ctx = w.Ctx.Next()
+		}
+		if bad != nil || f.link != link || f.ctx != ctx || !bytes.Equal(f.payload, w.Pkt) {
+			t.Fatalf("datagram %d (%d bytes, %v): link %d context %+v payload %x..., want link %d context %+v payload %x...",
+				i, len(got[i]), bad, f.link, f.ctx, f.payload[:min(4, len(f.payload))], link, ctx, w.Pkt[:4])
+		}
+	}
+}
+
 // TestRunEnd pins the run rule: equal sizes coalesce, a shorter
 // datagram ends its run, a longer one starts the next, and a run holds
 // at most maxBatch datagrams and maxRunBytes bytes.
@@ -176,8 +184,8 @@ func equalInts(a, b []int) bool {
 // Encapsulated counts datagrams, not sends.
 func TestFlushRuns(t *testing.T) {
 	s := newSink(t)
-	tun := writerFixture(t, 3, s.addr())
-	var want [][]byte
+	tun := tunnelFixture(t, 3, s.addr())
+	var want []livenet.RawFrame
 	var sends uint64
 	for _, c := range []struct {
 		sizes []int
@@ -197,14 +205,14 @@ func TestFlushRuns(t *testing.T) {
 				c.sizes[i] = size
 			}
 		}
-		b := batchOf(tun, c.sizes...)
-		want = append(want, copies(b)...)
-		tun.flush(b)
+		b := batchOf(c.sizes...)
+		want = append(want, b...)
+		tun.egress(b)
 		sends += c.sends
 		if got := tun.Stats(); got.Sends != sends || got.Encapsulated != uint64(len(want)) || got.SendErrors != 0 {
 			t.Fatalf("after sizes %v: stats %+v, want %d sends and %d encapsulated", c.sizes, got, sends, len(want))
 		}
-		sameDatagrams(t, s.wait(t, len(want)), want)
+		sameFrames(t, s.wait(t, len(want)), 3, want)
 	}
 	if !tun.bridge.gso.Load() {
 		t.Fatal("GSO turned off by sends the kernel took")
@@ -215,18 +223,17 @@ func TestFlushRuns(t *testing.T) {
 // batch: TracedSent counts the traced ones, whichever runs they ride.
 func TestFlushTracedCount(t *testing.T) {
 	s := newSink(t)
-	tun := writerFixture(t, 3, s.addr())
-	var b [][]byte
+	tun := tunnelFixture(t, 3, s.addr())
+	var b []livenet.RawFrame
 	traced := 0
 	for i := 0; i < 20; i++ {
 		tr := i%3 != 0
 		if tr {
 			traced++
 		}
-		b = append(b, datagram(tun, i, 400, tr))
+		b = append(b, frameOf(i, 400, tr))
 	}
-	want := copies(b)
-	tun.flush(b)
+	tun.egress(b)
 	st := tun.Stats()
 	if st.Encapsulated != 20 || st.TracedSent != uint64(traced) {
 		t.Fatalf("stats %+v, want 20 encapsulated, %d traced", st, traced)
@@ -234,28 +241,28 @@ func TestFlushTracedCount(t *testing.T) {
 	if st.Sends >= 20 {
 		t.Fatalf("%d sends for 20 datagrams of one size: nothing batched", st.Sends)
 	}
-	sameDatagrams(t, s.wait(t, 20), want)
+	sameFrames(t, s.wait(t, 20), 3, b)
 }
 
 // TestFlushLossLottery draws the seeded loss lottery over one batch and
-// over the same datagrams flushed one at a time: the same datagrams are
-// lost, and the survivors arrive in order.
+// over the same frames handed to egress one at a time: the same frames
+// are lost, and the survivors arrive in order.
 func TestFlushLossLottery(t *testing.T) {
 	const n = 48
 	arrived := func(batched bool) ([]int, uint64) {
 		s := newSink(t)
-		tun := writerFixture(t, 5, s.addr())
+		tun := tunnelFixture(t, 5, s.addr())
 		tun.SetLossRatio(0.5)
 		sizes := make([]int, n)
 		for i := range sizes {
 			sizes[i] = 200
 		}
-		b := batchOf(tun, sizes...)
+		b := batchOf(sizes...)
 		if batched {
-			tun.flush(b)
+			tun.egress(b)
 		} else {
-			for _, dg := range b {
-				tun.flush([][]byte{dg})
+			for i := range b {
+				tun.egress(b[i : i+1])
 			}
 		}
 		st := tun.Stats()
@@ -271,7 +278,7 @@ func TestFlushLossLottery(t *testing.T) {
 	batched, batchedSends := arrived(true)
 	single, _ := arrived(false)
 	if !equalInts(batched, single) {
-		t.Fatalf("batched flush delivered %v, one at a time %v", batched, single)
+		t.Fatalf("one batch delivered %v, one frame at a time %v", batched, single)
 	}
 	if len(batched) == 0 || len(batched) == n {
 		t.Fatalf("loss ratio 0.5 delivered %d of %d: lottery not exercised", len(batched), n)
@@ -288,8 +295,8 @@ func TestFlushLossLottery(t *testing.T) {
 // yet) counts one send error per datagram and leaves GSO on.
 func TestGSOFallback(t *testing.T) {
 	s := newSink(t)
-	tun := writerFixture(t, 3, nil)
-	tun.flush(batchOf(tun, 300, 300, 300, 300))
+	tun := tunnelFixture(t, 3, nil)
+	tun.egress(batchOf(300, 300, 300, 300))
 	if st := tun.Stats(); st.SendErrors != 4 || st.Sends != 0 || !tun.bridge.gso.Load() {
 		t.Fatalf("no remote: stats %+v, GSO %v; want 4 send errors and GSO on", st, tun.bridge.gso.Load())
 	}
@@ -303,22 +310,21 @@ func TestGSOFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := batchOf(tun, 300, 300, 300, 200)
-	want := copies(b)
-	tun.flush(b)
+	want := batchOf(300, 300, 300, 200)
+	tun.egress(want)
 	if st := tun.Stats(); st.Encapsulated != 4 || st.Sends != 4 || st.SendErrors != 4 || tun.PeerLost() {
 		t.Fatalf("refused GSO: stats %+v, peer lost %v; want 4 datagrams in 4 sends, no new send error", st, tun.PeerLost())
 	}
 	if tun.bridge.gso.Load() {
 		t.Fatal("GSO still on after the kernel refused it")
 	}
-	b = batchOf(tun, 300, 300)
-	want = append(want, copies(b)...)
-	tun.flush(b)
+	b := batchOf(300, 300)
+	want = append(want, b...)
+	tun.egress(b)
 	if st := tun.Stats(); st.Encapsulated != 6 || st.Sends != 6 {
 		t.Fatalf("GSO off: stats %+v, want 6 datagrams in 6 sends", st)
 	}
-	sameDatagrams(t, s.wait(t, 6), want)
+	sameFrames(t, s.wait(t, 6), 3, want)
 }
 
 // TestGSOSendErrorsDeclarePeerLoss fails a GSO send on the path, not
@@ -329,20 +335,19 @@ func TestGSOFallback(t *testing.T) {
 // as one send restores the peer.
 func TestGSOSendErrorsDeclarePeerLoss(t *testing.T) {
 	s := newSink(t)
-	tun := writerFixture(t, 3, &net.UDPAddr{IP: net.IPv6loopback, Port: s.addr().Port})
-	tun.flush(batchOf(tun, 300, 300, 300, 300))
+	tun := tunnelFixture(t, 3, &net.UDPAddr{IP: net.IPv6loopback, Port: s.addr().Port})
+	tun.egress(batchOf(300, 300, 300, 300))
 	if st := tun.Stats(); st.SendErrors != 4 || st.Sends != 0 || !tun.PeerLost() || !tun.bridge.gso.Load() {
 		t.Fatalf("unreachable remote: stats %+v, peer lost %v, GSO %v; want 4 send errors, peer lost, GSO on",
 			st, tun.PeerLost(), tun.bridge.gso.Load())
 	}
 	tun.SetRemote(s.addr())
-	b := batchOf(tun, 300, 300, 300, 300)
-	want := copies(b)
-	tun.flush(b)
+	want := batchOf(300, 300, 300, 300)
+	tun.egress(want)
 	if st := tun.Stats(); st.Sends != 1 || st.Encapsulated != 4 || tun.PeerLost() {
 		t.Fatalf("reachable again: stats %+v, peer lost %v; want 4 datagrams in 1 send, peer restored", st, tun.PeerLost())
 	}
-	sameDatagrams(t, s.wait(t, 4), want)
+	sameFrames(t, s.wait(t, 4), 3, want)
 }
 
 // TestBridgeGROBurst sends mixed-size bursts on two links into a real
@@ -377,14 +382,14 @@ func TestBridgeGROBurst(t *testing.T) {
 		if rxT[l], err = rx.Attach(netw, h, 1, uint16(l+1)); err != nil {
 			t.Fatal(err)
 		}
-		tx[l] = writerFixture(t, uint16(l+1), rx.Addr())
+		tx[l] = tunnelFixture(t, uint16(l+1), rx.Addr())
 	}
 	send := func(l int, sizes ...int) {
-		b := batchOf(tx[l], sizes...)
-		for _, dg := range b {
-			want[l] = append(want[l], bytes.Clone(dg[HeaderLen:]))
+		b := batchOf(sizes...)
+		for _, f := range b {
+			want[l] = append(want[l], f.Pkt)
 		}
-		tx[l].flush(b)
+		tx[l].egress(b)
 	}
 	for i := 0; i < groAfter; i++ {
 		send(i%links, 100)
@@ -446,18 +451,18 @@ func TestGROReadAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := writerFixture(t, 3, rx.Addr())
+	tx := tunnelFixture(t, 3, rx.Addr())
 
 	const burst = 8
-	pkt := make([]byte, 1024)
+	batch := make([]livenet.RawFrame, burst)
+	for i := range batch {
+		batch[i].Pkt = make([]byte, 1024)
+	}
 	buf := make([]byte, MaxDatagram)
 	oob := make([]byte, groOOBLen)
 	var sent uint64
 	step := func() {
-		for i := 0; i < burst; i++ {
-			tx.egress(pkt, trace.Context{})
-		}
-		tx.flush(tx.drain(<-tx.out))
+		tx.egress(batch)
 		sent += burst
 		for reads := 0; rxT.decapsulated.Load() < sent; reads++ {
 			if reads == burst {
@@ -496,8 +501,8 @@ func TestTruncatedReadRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := writerFixture(t, 3, rx.Addr())
-	tx.flush(batchOf(tx, 300))
+	tx := tunnelFixture(t, 3, rx.Addr())
+	tx.egress(batchOf(300))
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	rx.read(make([]byte, 100), make([]byte, groOOBLen))
 	if rx.DecodeErrors() != 1 || rxT.Stats().Decapsulated != 0 || rxT.Stats().DecodeErrors != 0 {

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pool"
+	"repro/internal/livenet"
 	"repro/internal/trace"
 )
 
@@ -24,6 +24,7 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add([]byte{'S', 'I', 'R', 'P', Version, TypeTraced, 0, 9, 1}, uint16(0), uint64(7), int64(0), uint8(1), []byte(nil))
 	f.Add([]byte{'S', 'I', 'R', 'P', Version, 0x7F, 0, 9, 0xAA}, uint16(65535), uint64(1), int64(-1), uint8(0), []byte{0})
 	f.Add([]byte{'S', 'I'}, uint16(1), uint64(0), int64(0), uint8(255), []byte{0})
+	tun := tunnelFixture(f, 0, nil)
 	f.Fuzz(func(t *testing.T, dg []byte, link uint16, id uint64, origin int64, budget uint8, pkt []byte) {
 		if fr, bad := parseFrame(dg); bad == nil {
 			if len(fr.payload) == 0 || !bytes.HasSuffix(dg, fr.payload) {
@@ -31,13 +32,12 @@ func FuzzParseFrame(f *testing.F) {
 			}
 		}
 
-		tun := &Tunnel{linkID: link, out: make(chan []byte, 1)}
 		ctx := trace.Context{ID: id, Origin: origin, Budget: budget}
 		before := time.Now().UnixNano()
-		tun.egress(pkt, ctx)
+		tun.linkID = link
+		tun.egress([]livenet.RawFrame{{Pkt: pkt, Ctx: ctx}})
 		after := time.Now().UnixNano()
-		out := <-tun.out
-		defer pool.Put(out)
+		out := tun.dgs[0] // no remote: the send fails, the framing stays
 		fr, bad := parseFrame(out)
 		if len(pkt) == 0 {
 			if bad == nil || !bad.atLink || fr.link != link {

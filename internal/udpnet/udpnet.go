@@ -38,19 +38,20 @@
 // TypeTraced instead of TypeData: the header is followed by the
 // 17-byte context plus the sender's wall-clock send stamp, then the
 // VIPER bytes. The receiving tunnel records a "wire:<linkID>" span
-// (send stamp → arrival, covering both queue dwell and socket time)
-// and re-injects with the context so the trace continues in the next
-// process. Untraced traffic is framed exactly as before — the traced
-// path costs nothing when tracing is off.
+// (send stamp → arrival: the socket time) and re-injects with the
+// context so the trace continues in the next process. Untraced traffic
+// is framed exactly as before — the traced path costs nothing when
+// tracing is off.
 //
-// The socket moves datagrams a batch at a time on Linux. A tunnel's
-// writer drains what its queue holds, up to 64 datagrams, and sends
-// each run of equal-size datagrams (the last may be shorter) as one
-// UDP_SEGMENT send, which the kernel segments; if the kernel refuses
-// one, the run goes out datagram by datagram and the bridge stops
-// trying. The bridge's read loop turns UDP_GRO on after its first 64
-// datagrams and splits each coalesced read at the segment size the
-// kernel reports. Stats counts datagrams as before, plus the send
+// The socket moves datagrams a batch at a time on Linux. A tunnel
+// sends each batch its gateway host drains from the inner ring, up to
+// 64 frames, on that host's goroutine: it frames them back to back into
+// one buffer and sends each run of equal-size datagrams (the last may
+// be shorter) as one UDP_SEGMENT send, which the kernel segments; if
+// the kernel refuses one, the run goes out datagram by datagram and the
+// bridge stops trying. The bridge's read loop turns UDP_GRO on after
+// its first 64 datagrams and splits each coalesced read at the segment
+// size the kernel reports. Stats counts datagrams as before, plus the send
 // calls that carried them (Sends). Elsewhere every datagram is one
 // send and one read.
 package udpnet
@@ -68,7 +69,6 @@ import (
 
 	"repro/internal/ledger"
 	"repro/internal/livenet"
-	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -99,9 +99,9 @@ const (
 
 var magic = [4]byte{'S', 'I', 'R', 'P'}
 
-// DefaultTunnelDepth is the egress queue depth, in frames, of a
-// Tunnel created without WithDepth — the socket-side analogue of
-// livenet.DefaultLinkDepth.
+// DefaultTunnelDepth is the depth, in frames, of a Tunnel created
+// without WithDepth: the ring of the in-process link in front of it,
+// its one queue — the socket-side analogue of livenet.DefaultLinkDepth.
 const DefaultTunnelDepth = 64
 
 // PeerLossThreshold is the number of consecutive socket write failures
@@ -118,7 +118,7 @@ type Stats struct {
 	Decapsulated uint64 // datagrams unframed and injected into livenet
 	DecodeErrors uint64 // datagrams for this link with a bad type or empty payload
 	SendErrors   uint64 // socket write failures and injections into a stopped network
-	Dropped      uint64 // fault-injection and queue-overflow discards
+	Dropped      uint64 // fault-injection discards, the inner link's included, and frames tapped after Bridge.Close
 	TracedSent   uint64 // of Encapsulated: frames carrying a trace context
 	TracedRecv   uint64 // of Decapsulated: frames whose context resumed a trace (one "wire" span each)
 }
@@ -208,9 +208,9 @@ func (b *Bridge) Addr() *net.UDPAddr { return b.conn.LocalAddr().(*net.UDPAddr) 
 // magic, wrong version, or naming a link no tunnel terminates.
 func (b *Bridge) DecodeErrors() uint64 { return b.decodeErrors.Load() }
 
-// Close tears the bridge down: the socket closes, the read loop and
-// every tunnel's writer exit, and attached gateways stop forwarding.
-// Safe to call more than once.
+// Close tears the bridge down: the socket closes, the read loop exits,
+// and attached gateways drop what their routers still send them
+// (Dropped). Safe to call more than once.
 func (b *Bridge) Close() error {
 	b.closeOnce.Do(func() {
 		close(b.closed)
@@ -357,9 +357,10 @@ type tunnelConfig struct {
 // TunnelOption configures one Attach call.
 type TunnelOption func(*tunnelConfig)
 
-// WithDepth sets the tunnel's depth in frames: its egress queue and the
-// ring of the in-process link in front of it. Non-positive values are
-// ignored.
+// WithDepth sets the tunnel's depth in frames: the ring of the
+// in-process link in front of it, where a frame waits for the gateway
+// host to send it. A full ring drops at the bridged router, counted
+// there as DropQueueFull. Non-positive values are ignored.
 func WithDepth(n int) TunnelOption {
 	return func(c *tunnelConfig) {
 		if n > 0 {
@@ -396,9 +397,10 @@ type Tunnel struct {
 	rngMu      sync.Mutex
 	rng        *rand.Rand
 
-	out   chan []byte      // framed datagrams awaiting the writer
-	batch [maxBatch][]byte // the writer's drained batch (drain)
-	oob   [gsoOOBLen]byte  // the writer's UDP_SEGMENT control message (sendRun)
+	// egress's state, used only on the gateway host's goroutine.
+	buf []byte          // a batch's surviving datagrams, back to back
+	dgs [][]byte        // windows of buf, one per datagram
+	oob [gsoOOBLen]byte // the UDP_SEGMENT control message (sendRun)
 
 	encapsulated atomic.Uint64
 	sends        atomic.Uint64
@@ -420,7 +422,7 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	for _, o := range opts {
 		o(&cfg)
 	}
-	t := newTunnel(b, linkID, cfg)
+	t := newTunnel(b, linkID, cfg.remote)
 	b.mu.Lock()
 	_, dup := b.tunnels[linkID]
 	b.mu.Unlock()
@@ -431,8 +433,8 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	// Wire the gateway completely before publishing the tunnel: the
 	// moment it is in b.tunnels, the read loop may hand it a datagram.
 	t.gw = netw.NewHost(fmt.Sprintf("udpgw-%d", linkID))
-	// One depth for the whole logical link: the inner ring in front of
-	// the tunnel holds exactly what the egress queue behind it does.
+	// The inner ring is the tunnel's one queue: the gateway host sends
+	// each batch it drains from it before it drains the next.
 	t.inner = netw.Connect(at, port, t.gw, t.gwPort, livenet.WithDepth(cfg.depth))
 	t.gw.SetRawTap(t.egress)
 
@@ -445,25 +447,21 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	}
 	b.tunnels[linkID] = t
 	b.mu.Unlock()
-
-	b.wg.Add(1)
-	go t.writeLoop()
 	return t, nil
 }
 
-// newTunnel builds link linkID's tunnel on b, with neither its gateway
-// nor its writer yet.
-func newTunnel(b *Bridge, linkID uint16, cfg tunnelConfig) *Tunnel {
+// newTunnel builds link linkID's tunnel on b, sending to remote (nil
+// until known), with no gateway yet.
+func newTunnel(b *Bridge, linkID uint16, remote *net.UDPAddr) *Tunnel {
 	t := &Tunnel{
 		bridge:    b,
 		linkID:    linkID,
 		gwPort:    1,
 		wireStage: fmt.Sprintf("wire:%d", linkID),
 		rng:       rand.New(rand.NewSource(int64(linkID))),
-		out:       make(chan []byte, cfg.depth),
 	}
-	if cfg.remote != nil {
-		t.remote.Store(cfg.remote)
+	if remote != nil {
+		t.remote.Store(remote)
 	}
 	return t
 }
@@ -537,8 +535,8 @@ func (t *Tunnel) noteSendOK() {
 // every run.
 func (t *Tunnel) SetLossRatio(p float64) { t.lossBits.Store(math.Float64bits(p)) }
 
-// Dropped returns the number of frames discarded by fault injection
-// and egress queue overflow. Because a down tunnel marks its inner
+// Dropped returns the number of frames discarded by fault injection or
+// tapped after Bridge.Close. Because a down tunnel marks its inner
 // in-process link down — so frames die at the link pump before ever
 // reaching the tunnel — the inner link's discards are included, keeping
 // the attribution complete for conservation checks.
@@ -583,106 +581,65 @@ func (t *Tunnel) drops() bool {
 	return false
 }
 
-// egress is the gateway host's raw tap: every frame the router
-// transmits onto the bridged port lands here as encoded VIPER bytes
-// valid only for the duration of the call. The frame is framed into a
-// pooled datagram and queued for the writer, which returns it to the
-// pool after the write; a full queue drops (and recycles) it, as an
-// overrun link queue would.
+// egress is the gateway host's raw tap: each batch the host drains
+// from the bridged router port arrives here whole, in arrival order, its
+// bytes valid only for the call, and is on the socket when egress
+// returns. The fault lottery draws once per frame in arrival order, so
+// a seeded loss sequence does not depend on batching, and a batch that
+// arrives after Bridge.Close is dropped whole.
+//
+// The survivors are framed back to back into the tunnel's one buffer,
+// and each run of them (runEnd) goes out as one GSO send of its window
+// while the bridge has GSO on; a lone datagram goes out by itself. A GSO
+// send that fails is resent datagram by datagram, so send errors, the
+// peer-loss detector and flight events are exactly those of unbatched
+// sends; if that resend succeeds, the kernel refused GSO itself, and the
+// bridge stops trying it.
 //
 // A frame whose in-process record carried a trace context crosses as
-// TypeTraced with one less hop budget and the send stamp taken here —
-// so the receiver's "wire:<linkID>" span covers egress-queue dwell as
-// well as socket time, which is exactly the dwell a congested tunnel
-// needs attributed. The local record has already been closed by the
-// host's tap delivery; losing the datagram afterwards loses only the
-// wire copy of the context, never an open record.
-func (t *Tunnel) egress(pkt []byte, ctx trace.Context) {
-	var dg []byte
-	if ctx.CanHop() {
-		n := HeaderLen + tracedPrefixLen + len(pkt)
-		dg = pool.Get(n)[:n]
-		dg[5] = TypeTraced
-		ctx.Next().Encode(dg[HeaderLen:])
-		binary.BigEndian.PutUint64(dg[HeaderLen+trace.ContextWireLen:], uint64(time.Now().UnixNano()))
-		copy(dg[HeaderLen+tracedPrefixLen:], pkt)
-	} else {
-		n := HeaderLen + len(pkt)
-		dg = pool.Get(n)[:n]
-		dg[5] = TypeData
-		copy(dg[HeaderLen:], pkt)
-	}
-	copy(dg[0:4], magic[:])
-	dg[4] = Version
-	binary.BigEndian.PutUint16(dg[6:8], t.linkID)
+// TypeTraced with one less hop budget and the send stamp taken here, so
+// the receiver's "wire:<linkID>" span covers the socket time. The local
+// record has already been closed by the host's tap delivery; losing the
+// datagram afterwards loses only the wire copy of the context, never an
+// open record.
+func (t *Tunnel) egress(batch []livenet.RawFrame) {
 	select {
-	case t.out <- dg:
+	case <-t.bridge.closed:
+		t.dropped.Add(uint64(len(batch)))
+		return
 	default:
-		pool.Put(dg)
-		t.dropped.Add(1)
 	}
-}
-
-// writeLoop drains the egress queue onto the socket. Each wake-up takes
-// what t.out already holds, up to maxBatch datagrams, without waiting
-// for more, and flush sends and recycles them.
-func (t *Tunnel) writeLoop() {
-	defer t.bridge.wg.Done()
-	for {
-		select {
-		case dg := <-t.out:
-			t.flush(t.drain(dg))
-		case <-t.bridge.closed:
-			return
-		}
+	n := 0
+	for i := range batch {
+		n += HeaderLen + tracedPrefixLen + len(batch[i].Pkt) // at least its framed size
 	}
-}
-
-// drain returns dg and the datagrams queued behind it, up to maxBatch,
-// in queue order. The batch aliases t.batch, the writer's own array.
-func (t *Tunnel) drain(dg []byte) [][]byte {
-	batch := append(t.batch[:0], dg)
-	for len(batch) < maxBatch {
-		select {
-		case dg := <-t.out:
-			batch = append(batch, dg)
-		default:
-			return batch
-		}
+	if cap(t.buf) < n {
+		t.buf = make([]byte, 0, n)
 	}
-	return batch
-}
-
-// flush puts a batch on the socket and recycles every datagram of it.
-// Fault lottery and remote resolution happen here, not in egress, so a
-// flapping tunnel drops queued frames too — matching a cut cable, which
-// loses what is in flight. The lottery draws once per datagram in queue
-// order, so a seeded loss sequence does not depend on batching.
-//
-// The survivors go out in runs (runEnd), each as one GSO send while the
-// bridge has GSO on; a lone datagram goes out by itself. A GSO send that
-// fails is resent datagram by datagram, so send errors, the peer-loss
-// detector and flight events are exactly those of unbatched sends; if
-// that resend succeeds, the kernel refused GSO itself, and the bridge
-// stops trying it.
-func (t *Tunnel) flush(batch [][]byte) {
-	kept := batch[:0]
-	for _, dg := range batch {
+	// buf never outgrows its array below, so every window stays in it.
+	buf, dgs := t.buf[:0], t.dgs[:0]
+	for i := range batch {
 		if t.drops() {
-			pool.Put(dg)
 			continue
 		}
-		kept = append(kept, dg)
+		start := len(buf)
+		buf = appendFrame(buf, t.linkID, batch[i])
+		dgs = append(dgs, buf[start:])
 	}
-	for i := 0; i < len(kept); {
-		run := kept[i:runEnd(kept, i)]
+	t.dgs = dgs
+	for i, off := 0, 0; i < len(dgs); {
+		run := dgs[i:runEnd(dgs, i)]
 		i += len(run)
+		start := off
+		for _, dg := range run {
+			off += len(dg)
+		}
 		if len(run) == 1 || !t.bridge.gso.Load() {
 			t.sendEach(run)
 			continue
 		}
 		to, ok := t.dest()
-		if ok && t.sendRun(run, to) == nil {
+		if ok && t.sendRun(buf[start:off], len(run[0]), to) == nil {
 			t.sent(run)
 			continue
 		}
@@ -690,9 +647,24 @@ func (t *Tunnel) flush(batch [][]byte) {
 			t.bridge.gso.Store(false)
 		}
 	}
-	for _, dg := range kept {
-		pool.Put(dg)
+}
+
+// appendFrame appends f to dst framed as one datagram of link:
+// TypeTraced, with the context's next hop and the send stamp, when its
+// context can hop, else TypeData.
+func appendFrame(dst []byte, link uint16, f livenet.RawFrame) []byte {
+	typ := byte(TypeData)
+	if f.Ctx.CanHop() {
+		typ = TypeTraced
 	}
+	dst = append(dst, magic[0], magic[1], magic[2], magic[3], Version, typ, byte(link>>8), byte(link))
+	if typ == TypeTraced {
+		var prefix [tracedPrefixLen]byte
+		f.Ctx.Next().Encode(prefix[:])
+		binary.BigEndian.PutUint64(prefix[trace.ContextWireLen:], uint64(time.Now().UnixNano()))
+		dst = append(dst, prefix[:]...)
+	}
+	return append(dst, f.Pkt...)
 }
 
 // dest returns the peer's socket address, false before it is known. A

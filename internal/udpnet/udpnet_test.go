@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ledger"
 	"repro/internal/livenet"
 	"repro/internal/trace"
 	"repro/internal/udpnet"
@@ -246,6 +247,77 @@ func TestAttachDuplicateLink(t *testing.T) {
 	}
 	if _, err := b.Attach(netw, r, 3, 4); err == nil {
 		t.Fatal("duplicate linkID attached")
+	}
+}
+
+// TestAttachStartsNoGoroutine holds a tunnel to sending on its gateway
+// host's goroutine: Attach starts no goroutine beyond the one the
+// gateway host it wires in has, as a host and link of its own would.
+func TestAttachStartsNoGoroutine(t *testing.T) {
+	netw := livenet.NewNetwork()
+	defer netw.Stop()
+	b, err := udpnet.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	r := netw.NewRouter("r")
+	started := func(f func()) int {
+		before := runtime.NumGoroutine()
+		f()
+		return runtime.NumGoroutine() - before
+	}
+	host := started(func() { netw.Connect(r, 1, netw.NewHost("h"), 1) })
+	attach := started(func() {
+		if _, err := b.Attach(netw, r, 2, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if attach != host {
+		t.Fatalf("Attach started %d goroutines, a host and its link %d", attach, host)
+	}
+}
+
+// TestEgressAfterClose routes a frame into a tunnel whose bridge has
+// closed: the tunnel counts it Dropped, sends nothing, and records no
+// send error.
+func TestEgressAfterClose(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	fr := ledger.NewFlightRecorder(0)
+	b, err := udpnet.Listen("127.0.0.1:0", udpnet.WithFlightRecorder(fr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	netw := livenet.NewNetwork()
+	defer netw.Stop()
+	r := netw.NewRouter("r")
+	src := netw.NewHost("src")
+	netw.Connect(src, 1, r, 1)
+	tun, err := b.Attach(netw, r, 2, 7, udpnet.WithRemote(sink.LocalAddr().(*net.UDPAddr)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := []viper.Segment{{Port: 1}, {Port: 2, Flags: viper.FlagVNT}, {Port: viper.PortLocal}}
+	if err := src.Send(route, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the frame sent before Close", func() bool { return tun.Stats().Encapsulated == 1 })
+	b.Close()
+	if err := src.Send(route, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the frame tapped after Close to drop", func() bool { return tun.Stats().Dropped == 1 })
+	if st := tun.Stats(); st.Encapsulated != 1 || st.Sends != 1 || st.SendErrors != 0 {
+		t.Fatalf("after Close: stats %+v, want the one send before it and no send error", st)
+	}
+	for _, ev := range fr.Events() {
+		if ev.Kind == ledger.KindSendError {
+			t.Fatalf("send error recorded after Close: %+v", ev)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ type Stats struct {
 	Misdelivered     uint64 // entity identifier mismatch (§4.1)
 	DupRequests      uint64 // answered from the response cache
 	AcksSent         uint64
-	QueueDrops       uint64 // RT receive-queue overflow (real-time endpoints only)
+	QueueDrops       uint64 // always 0: RT steps each arrival on its deliverer and queues none
 }
 
 // Errors.

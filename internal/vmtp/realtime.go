@@ -36,22 +36,20 @@ func (f CarrierFunc) Send(route []viper.Segment, pkt []byte) error { return f(ro
 // reads them, so they may be shared and must not change afterwards.
 type RTHandler func(from uint64, data []byte, ret []viper.Segment) []byte
 
-const (
-	queueDepth = 512 // receive queue between Deliver and the receive goroutine
-	// maxIdleWorkers bounds the handler workers an endpoint keeps parked
-	// between requests; a worker that answers with this many already
-	// parked exits (DESIGN §16).
-	maxIdleWorkers = 4
-)
+// maxIdleWorkers bounds the handler workers an endpoint keeps parked
+// between requests; a worker that answers with this many already parked
+// exits (DESIGN §16).
+const maxIdleWorkers = 4
 
 // RT is a real-time VMTP entity: the transaction machine driven by
 // wall-clock timers over an arbitrary Carrier, so real application
 // bytes (internal/gateway) ride VMTP packet groups over the livenet
 // substrate. All methods are safe for concurrent use. A mutex guards
 // the machine; RT never holds it across Carrier.Send, a PacingGap
-// sleep, the handler or a completion callback. Its goroutines are the
-// receive loop and the handler workers: as many as handlers run at
-// once, plus up to maxIdleWorkers parked. A call has none of its own.
+// sleep, the handler or a completion callback. Arrivals are stepped on
+// the goroutine that delivers them, so RT's only goroutines are its
+// handler workers: as many as handlers run at once, plus up to
+// maxIdleWorkers parked. A call has none of its own.
 //
 // A call completes one way: its done callback, queued by the step that
 // finished it and run after that step releases the mutex. Start is the
@@ -74,7 +72,6 @@ type RT struct {
 	free    []*call        // finished calls, ready for reuse
 	idle    int            // handler workers parked on jobs
 
-	rx   chan rtDelivery
 	jobs chan job // unbuffered: a send succeeds only to a parked worker
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -99,21 +96,12 @@ type job struct {
 	ret  []viper.Segment
 }
 
-// rtDelivery is one decoded arrival queued for the receive goroutine,
-// carried by value so queuing it allocates nothing.
-type rtDelivery struct {
-	pkt Packet
-	ret []viper.Segment
-}
-
 // NewRT creates a real-time VMTP entity with identifier id over the
 // carrier. The caller feeds arriving packets through Deliver and must
 // Close the endpoint when done.
 func NewRT(id uint64, car Carrier, cfg Config) *RT {
-	rt := &RT{car: car, rx: make(chan rtDelivery, queueDepth), jobs: make(chan job), done: make(chan struct{})}
+	rt := &RT{car: car, jobs: make(chan job), done: make(chan struct{})}
 	rt.m.init(id, cfg, &wallClock{epoch: time.Now(), fire: rt.onTimer}, rt, &rt.stats)
-	rt.wg.Add(1)
-	go rt.rxLoop()
 	return rt
 }
 
@@ -173,7 +161,8 @@ func (rt *RT) Close() {
 // Start issues one transaction to a server entity along a source route
 // and returns without waiting; data larger than one packet is segmented
 // into a paced packet group (§4.3). done runs once with the response or
-// the error, on one of the endpoint's goroutines and never under its
+// the error, on the goroutine whose step finished the call (a Deliver
+// caller, a timer or a handler worker) and never under the endpoint's
 // lock, so it may call back into the endpoint. done must not be nil.
 // It borrows the response for the duration of the callback and must not
 // block, so it must not Call or Close: it holds up the goroutine that
@@ -246,57 +235,28 @@ func (rt *RT) freeCall(c *call) {
 	rt.free = append(rt.free, c)
 }
 
-// Deliver injects one arriving packet. data may alias a buffer the
-// caller recycles after return (it is decoded, and thereby copied,
-// before queuing); ret must be owned and safe to retain, and its bytes
-// are never written (livenet's Delivery.ReturnRoute is such a route:
-// owned, its bytes possibly shared). Deliver never blocks: if the
-// receive queue is full the packet is dropped and retransmission
-// recovers it.
+// Deliver runs the machine step for one arriving packet on the
+// caller's goroutine. data is only read, and only until Deliver
+// returns: the machine copies what it keeps. ret must be owned and safe
+// to retain, and its bytes are never written (livenet's
+// Delivery.ReturnRoute is such a route: owned, its bytes possibly
+// shared). The step's sends and completions run on the caller too, so
+// Deliver may block in Carrier.Send, and a PacingGap, when set, sleeps
+// between the packets of a group the step sends.
 func (rt *RT) Deliver(data []byte, ret []viper.Segment) {
 	var p Packet
-	if err := p.decodeInto(data); err != nil {
-		rt.mu.Lock()
+	err := p.decodeInto(data)
+	rt.mu.Lock()
+	switch {
+	case err != nil:
 		rt.stats.ChecksumDrops++
-		rt.mu.Unlock()
-		return
+	case !rt.closed:
+		// Close waits for the completions this step may run.
+		rt.wg.Add(1)
+		defer rt.wg.Done()
+		rt.m.receive(&p, ret)
 	}
-	if len(p.Data) > 0 {
-		p.Data = append(pool.Get(len(p.Data)), p.Data...)
-	}
-	select {
-	case rt.rx <- rtDelivery{pkt: p, ret: ret}:
-	default:
-		recycle(&p)
-		rt.mu.Lock()
-		rt.stats.QueueDrops++
-		rt.mu.Unlock()
-	}
-}
-
-// recycle returns a delivered packet's data buffer to the pool. The
-// machine copies what it keeps, so nothing aliases it after.
-func recycle(p *Packet) {
-	if p.Data != nil {
-		pool.Put(p.Data)
-	}
-}
-
-func (rt *RT) rxLoop() {
-	defer rt.wg.Done()
-	for {
-		select {
-		case d := <-rt.rx:
-			rt.mu.Lock()
-			if !rt.closed {
-				rt.m.receive(&d.pkt, d.ret)
-			}
-			rt.unlockAndFlush()
-			recycle(&d.pkt)
-		case <-rt.done:
-			return
-		}
-	}
+	rt.unlockAndFlush()
 }
 
 func (rt *RT) onTimer(t *timer) {

@@ -196,6 +196,18 @@ func TestRTReleasesServedGroup(t *testing.T) {
 	}
 }
 
+// TestNewRTStartsNoGoroutine holds RT to stepping arrivals on the
+// goroutine that delivers them: an endpoint has no goroutine of its own
+// until it serves a request.
+func TestNewRTStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := NewRT(1, CarrierFunc(func([]viper.Segment, []byte) error { return nil }), RTConfig{})
+	defer rt.Close()
+	if n := runtime.NumGoroutine() - before; n > 0 {
+		t.Fatalf("NewRT started %d goroutines, want none", n)
+	}
+}
+
 // TestRTServeWorkers holds RT's handler workers to their contract.
 // Handlers that block at once each get a worker, so none waits for
 // another. Sequential requests reuse a parked worker instead of
@@ -204,7 +216,6 @@ func TestRTReleasesServedGroup(t *testing.T) {
 func TestRTServeWorkers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	client, server, _, _ := rtPair(t, RTConfig{})
-	idleBase := runtime.NumGoroutine() // the two receive loops
 	entered, release := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
 	workers := make(map[string]bool) // goroutines that ran a sequential handler
@@ -242,7 +253,7 @@ func TestRTServeWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= idleBase+maxIdleWorkers })
+	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= base+maxIdleWorkers })
 	server.mu.Lock()
 	idle := server.idle
 	server.mu.Unlock()
@@ -266,7 +277,7 @@ func TestRTServeWorkers(t *testing.T) {
 	// of their own (time.AfterFunc), so a snapshot taken as one fires
 	// reads one goroutine too many. Wait for the count to settle, as the
 	// burst check above does; the bound itself is exact.
-	settleGoroutines(t, idleBase+maxIdleWorkers)
+	settleGoroutines(t, base+maxIdleWorkers)
 
 	client.Close()
 	server.Close()

@@ -20,12 +20,13 @@
 // arm or stop, requests to serve and calls finished. A call finishes one
 // way, through its done callback. Two drivers run the machine. Endpoint
 // runs it under sim.Engine with a synchronous handler and calls done in
-// the step. RT runs it on the wall clock behind a mutex, with a receive
-// goroutine and handler workers that park between requests (so a
-// complete request is acked before it is answered, and a blocked
-// handler holds up no other); it runs done after the step releases the
-// mutex, recycles call state and lends handlers pooled request bytes,
-// so a steady-state transaction allocates only the bytes it hands on.
+// the step. RT runs it on the wall clock behind a mutex: an arrival is
+// stepped on the goroutine that delivers it, and handlers run on
+// workers that park between requests (so a complete request is acked
+// before it is answered, and a blocked handler holds up no other); it
+// runs done after the step releases the mutex, recycles call state and
+// lends handlers pooled request bytes, so a steady-state transaction
+// allocates only the bytes it hands on.
 // Both drivers return a request's bytes by one rule (release). RT.Start
 // is its asynchronous call and RT.Call the blocking one.
 package vmtp
