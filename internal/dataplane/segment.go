@@ -28,27 +28,29 @@ func DecodeHop(b []byte) (viper.Segment, []byte, error) {
 // priority and DIB flag, the arrival network header with source and
 // destination already swapped (portInfo — the caller performs the swap,
 // in place on livenet, on a decoded copy on netsim), and the packet's
-// token when it authorizes the reverse route. A token with a cached
-// spec that denies reverse use (ReverseOK false) is withheld from the
-// trailer; unknown — optimistically admitted — tokens ride along and
-// are checked on the return trip.
+// token when it authorizes the reverse route. rev is what the hop's
+// verdict learned about reverse use (Verdict.Reverse): a token whose
+// spec denies it is withheld from the trailer. Only when rev is
+// ReverseUnknown is the cache consulted: a cached spec decides, and an
+// unknown — optimistically admitted — token rides along and is checked
+// on the return trip.
 //
 // Ownership: portInfo is aliased as handed in; the caller cedes it to
 // the segment. copyToken selects a defensive copy of the token bytes
 // (netsim, where the trailer outlives the arrival) versus aliasing
 // (livenet, where the mirrored append copies the bytes into the trailer
 // before the buffer moves on).
-func ReturnSegment(inPort uint8, seg *viper.Segment, portInfo []byte, cache *token.Cache, copyToken bool) viper.Segment {
+func ReturnSegment(inPort uint8, seg *viper.Segment, portInfo []byte, rev Reverse, cache *token.Cache, copyToken bool) viper.Segment {
 	ret := viper.Segment{
 		Port:     inPort,
 		Priority: seg.Priority,
 		Flags:    seg.Flags & viper.FlagDIB,
 		PortInfo: portInfo,
 	}
-	if len(seg.PortToken) == 0 {
+	if len(seg.PortToken) == 0 || rev == ReverseWithheld {
 		return ret
 	}
-	if cache != nil {
+	if rev == ReverseUnknown && cache != nil {
 		if spec, ok := cache.SpecFor(seg.PortToken); ok && !spec.ReverseOK {
 			return ret
 		}

@@ -420,8 +420,9 @@ func (h *Host) run() {
 // mirrored return segment, append it over the trailer descriptor — and
 // turns inf's frame into the next-hop frame in the same buffer. It
 // reports false, leaving the frame's buffer as it was, when the bytes
-// are malformed (the caller drops DropNotSirpent).
-func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *dataplane.TokenState) bool {
+// are malformed (the caller drops DropNotSirpent). rev is the verdict's
+// knowledge of the token's reverse use.
+func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, rev dataplane.Reverse, ts *dataplane.TokenState) bool {
 	// The frame is ours, so the header is swapped in place and aliased;
 	// the mirrored append below copies the bytes into the trailer.
 	var hdrInfo []byte
@@ -431,7 +432,7 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, ts *da
 		}
 		hdrInfo = inf.frame.Hdr
 	}
-	ret := dataplane.ReturnSegment(inf.port, seg, hdrInfo, ts.Cache(), false)
+	ret := dataplane.ReturnSegment(inf.port, seg, hdrInfo, rev, ts.Cache(), false)
 	// ret's fields alias the dead front region (token, header); the
 	// append writes only past the old trailer descriptor — disjoint.
 	out, err := dataplane.AppendTrailerSegment(rest, &ret)
@@ -536,7 +537,7 @@ func (r *Router) dispose(sc *batchScratch, ts *dataplane.TokenState, inf *inFram
 		r.failover(sc, ts, inf, &b.Seg, v, depth)
 		return
 	}
-	if !r.mirrorHop(inf, &b.Seg, b.Rest, ts) {
+	if !r.mirrorHop(inf, &b.Seg, b.Rest, v.Reverse, ts) {
 		r.discard(sc, stats.DropNotSirpent, 0, inf)
 		return
 	}

@@ -179,7 +179,7 @@ type node struct {
 	done chan struct{} // closed at Stop; a router shares its worker's
 	bell chan struct{} // a router shares its worker's
 	once sync.Once
-	mu   sync.Mutex // serializes wiring (addRx, addTx)
+	mu   sync.Mutex // serializes wiring (addRx, addTx, Host.Handle)
 
 	// ports is the transmit table, indexed by output port, nil where
 	// nothing is wired; rx holds the receive rings this node's consumer
@@ -500,9 +500,10 @@ func frameHeadroom(hops, headerBytes int) int {
 // that retain the payload must copy it. ReturnRoute is owned and safe to
 // keep, but its token and header bytes may be shared read-only with
 // other deliveries' routes, so a holder must never write them. Its
-// segment slice is the one allocation a steady delivery makes: the host
-// reuses its previous delivery's route bytes while they repeat, and
-// copies them once more when they change (viper.DecodeDelivery).
+// segment slice is the one allocation a steady delivery makes: while a
+// flow's trailer repeats, the host copies the route it decoded last
+// (viper.DeliveryMemo), and when the trailer changes it decodes the new
+// one and copies its bytes once.
 type Delivery struct {
 	Data        []byte
 	ReturnRoute []viper.Segment
@@ -513,21 +514,23 @@ type Delivery struct {
 // because their handlers may block.
 type Host struct {
 	*node
-	netw     *Network
-	mu       sync.Mutex
-	handlers map[uint8]func(Delivery)
+	netw *Network
+	// handlers is indexed by endpoint, nil where none is registered;
+	// Handle publishes it copy-on-write, so a delivery finds its
+	// handler with one atomic load and no lock.
+	handlers atomic.Pointer[[]func(Delivery)]
 	raw      atomic.Pointer[func([]RawFrame)] // pre-decode tap, see SetRawHandler/SetRawTap
+	sealed   routeMemo                        // the last route sent, sealed; senders share it
 	tapped   []RawFrame                       // the batch handed to the tap; receive only
-	arena    []byte                           // the last delivery's return-route bytes; receive only
+	memo     viper.DeliveryMemo               // the last delivery's trailer and route; receive only
 }
 
 // NewHost creates and starts a host goroutine; one goroutine receives on
 // all the host's ports, so deliveries to one host stay ordered.
 func (n *Network) NewHost(name string) *Host {
 	h := &Host{
-		node:     newNode(name, make(chan struct{}), make(chan struct{}, 1)),
-		netw:     n,
-		handlers: make(map[uint8]func(Delivery)),
+		node: newNode(name, make(chan struct{}), make(chan struct{}, 1)),
+		netw: n,
 	}
 	n.nodes = append(n.nodes, h.node)
 	n.wg.Add(1)
@@ -543,18 +546,37 @@ func (h *Host) base() *node { return h.node }
 // Handle registers a delivery handler for a host endpoint. Handlers run
 // on the host's goroutine.
 func (h *Host) Handle(endpoint uint8, fn func(Delivery)) {
-	h.mu.Lock()
-	h.handlers[endpoint] = fn
-	h.mu.Unlock()
+	h.node.mu.Lock()
+	var table []func(Delivery)
+	if old := h.handlers.Load(); old != nil {
+		table = append(table, *old...)
+	}
+	if int(endpoint) >= len(table) {
+		table = append(table, make([]func(Delivery), int(endpoint)+1-len(table))...)
+	}
+	table[endpoint] = fn
+	h.handlers.Store(&table)
+	h.node.mu.Unlock()
+}
+
+// handler returns the delivery handler registered for an endpoint, nil
+// if none is.
+func (h *Host) handler(endpoint uint8) func(Delivery) {
+	if t := h.handlers.Load(); t != nil && int(endpoint) < len(*t) {
+		return (*t)[endpoint]
+	}
+	return nil
 }
 
 // Send originates a packet along a source route (sender directive
 // first, as in the simulator's Host). The wire image is assembled
-// directly into a pooled buffer by the same machinery NewSender uses
-// for its prepared template — no route clone, no intermediate Packet —
-// with enough headroom for every hop's trailer growth, so injection
-// and the frame's whole transit are allocation-free in steady state
-// (pinned by TestSendAllocs).
+// directly into a pooled buffer — no route clone, no intermediate
+// Packet — with enough headroom for every hop's trailer growth. The
+// route header is sealed once per flow: while the carried route repeats
+// the host's last one, its sealed bytes are copied, and only the data
+// and the origin trailer are encoded (routeMemo). Injection and the
+// frame's whole transit are allocation-free in steady state for routes
+// whose first hop has no link header (TestSendAllocs).
 func (h *Host) Send(route []viper.Segment, data []byte) error {
 	return h.SendFrom(viper.PortLocal, route, data)
 }
@@ -566,14 +588,17 @@ func (h *Host) Send(route []viper.Segment, data []byte) error {
 // other traffic on one host (the gateway's VMTP endpoints) use this to
 // keep their return traffic off endpoint 0.
 func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) error {
-	if len(route) == 0 {
+	if len(route) < 2 {
 		return fmt.Errorf("livenet: empty route")
 	}
-	own := route[0]
+	own := &route[0]
 	rest := route[1:]
 	headerLen := routeWireLen(rest)
-	buf := pool.Get(wireImageLen(rest, len(data), own.Priority) + frameHeadroom(len(rest), headerLen))
-	b, err := appendWireImage(buf, rest, data, endpoint, own.Priority)
+	buf := pool.Get(headerLen + tailLen(len(data), own.Priority) + frameHeadroom(len(rest), headerLen))
+	b, err := h.sealed.appendSealed(buf, rest)
+	if err == nil {
+		b, err = appendTail(b, data, endpoint, own.Priority)
+	}
 	if err != nil {
 		pool.Put(buf)
 		return err
@@ -675,18 +700,14 @@ func (h *Host) receive(inf inFrame) {
 		// DecodeDelivery builds never aliases the swapped header.
 		inInfo = inf.frame.Hdr
 	}
-	seg, data, ret, arena, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo, h.arena)
+	seg, data, ret, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo, &h.memo)
 	if err != nil {
 		h.closeReceive(inf, trace.ActionDrop, stats.DropNotSirpent)
 		h.recordDrop(inf.port, stats.DropNotSirpent)
 		inf.frame.release()
 		return
 	}
-	h.arena = arena
-	h.mu.Lock()
-	fn := h.handlers[seg.Port]
-	h.mu.Unlock()
-	if fn != nil {
+	if fn := h.handler(seg.Port); fn != nil {
 		h.closeReceive(inf, trace.ActionLocal, 0)
 		fn(Delivery{Data: data, ReturnRoute: ret, Endpoint: seg.Port})
 	} else {

@@ -3,77 +3,45 @@ package livenet
 import (
 	"fmt"
 
-	"repro/internal/pool"
 	"repro/internal/trace"
 	"repro/internal/viper"
 )
 
-// Sender is a prepared injection path for one route: route sealing,
-// packet layout, and wire encoding happen once at construction, so each
-// Send stamps the payload into a pooled copy of the wire image and
-// enqueues it — the per-packet analogue of a prepared statement.
-// Host.Send lays out and encodes the route on every packet and costs up
-// to 2 allocations doing so (TestSendAllocs); a Sender injects with zero
-// allocations in steady state.
-//
-// Payload length is fixed at construction — the encoded image embeds
-// it, and the trailing descriptor's position depends on it.
+// Sender binds a route to a payload length for callers that send one
+// flow repeatedly. Send is Host.Send on a private copy of the route,
+// with the payload length checked; the host's route memo (routeMemo)
+// already seals a repeating route once.
 type Sender struct {
-	h        *Host
-	port     uint8
-	hdr      []byte // first-hop link header template, nil when the route has none
-	wire     []byte // full encoded packet with a zero payload
-	dataOff  int    // payload offset within wire
-	dataLen  int
-	headroom int
+	h       *Host
+	route   []viper.Segment
+	dataLen int
 }
 
-// NewSender prepares a route for repeated injection. The route is
-// interpreted exactly as Host.Send interprets it: the first segment is
-// the sender's own directive (out port, link header), the rest is the
-// source route carried by the packet.
+// NewSender validates a route for repeated injection and copies it.
+// The route is interpreted exactly as Host.Send interprets it: the
+// first segment is the sender's own directive (out port, link header),
+// the rest is the source route carried by the packet.
 func (h *Host) NewSender(route []viper.Segment, dataLen int) (*Sender, error) {
 	if len(route) == 0 {
 		return nil, fmt.Errorf("livenet: empty route")
 	}
-	own := route[0]
-	rest := route[1:]
-	headerLen := routeWireLen(rest)
-	wire, err := appendWireImage(make([]byte, 0, wireImageLen(rest, dataLen, own.Priority)),
-		rest, make([]byte, dataLen), viper.PortLocal, own.Priority)
-	if err != nil {
+	if _, err := appendRoute(nil, route[1:]); err != nil {
 		return nil, err
 	}
-	s := &Sender{
-		h:        h,
-		port:     own.Port,
-		wire:     wire,
-		dataOff:  headerLen,
-		dataLen:  dataLen,
-		headroom: frameHeadroom(len(rest), headerLen),
+	own := make([]viper.Segment, len(route))
+	for i := range route {
+		own[i] = route[i].Clone()
 	}
-	if len(own.PortInfo) > 0 {
-		s.hdr = append([]byte(nil), own.PortInfo...)
-	}
-	return s, nil
+	return &Sender{h: h, route: own, dataLen: dataLen}, nil
 }
 
-// Send injects one packet carrying data, which must have the prepared
-// length. Tracing, when enabled on the network, records the origin hop
-// exactly as Host.Send does.
+// Send injects one packet carrying data, which must have the length
+// the Sender was made for.
 func (s *Sender) Send(data []byte) error {
 	if len(data) != s.dataLen {
 		return fmt.Errorf("livenet: prepared sender wants %d payload bytes, got %d", s.dataLen, len(data))
 	}
-	buf := pool.Get(len(s.wire) + s.headroom)
-	buf = append(buf, s.wire...)
-	copy(buf[s.dataOff:], data)
-	f := Frame{Pkt: buf, buf: buf[:0]}
-	if s.hdr != nil {
-		// Copied per send: the first-hop router swaps the header in place.
-		f.Hdr = append([]byte(nil), s.hdr...)
-	}
-	return s.h.inject(s.port, f, trace.Start(s.h.netw.cfg.tracer, data))
+	return s.h.Send(s.route, data)
 }
 
 // SetRawHandler installs a pre-decode delivery tap: every frame arriving
@@ -82,7 +50,7 @@ func (s *Sender) Send(data []byte) error {
 // construction. The bytes alias the frame's pooled buffer and are valid
 // only until fn returns. For sinks that only count or copy — packet
 // mirrors, benchmark endpoints — this removes the per-delivery decode
-// allocations. Pass nil to restore normal endpoint dispatch.
+// and its return-route allocation. Pass nil to restore normal endpoint dispatch.
 func (h *Host) SetRawHandler(fn func(pkt []byte)) {
 	if fn == nil {
 		h.SetRawTap(nil)

@@ -106,3 +106,115 @@ func TestSenderPayloadStamping(t *testing.T) {
 		}
 	}
 }
+
+// TestSendConcurrentRoutes drives the host's route memo from many
+// goroutines at once, each sending its own route, so hits and misses
+// interleave under the memo's lock. Every image the far host receives
+// must equal the encoding of its route and payload built from scratch
+// (viper.SealRoute and Packet.Encode), so no packet carries another
+// goroutine's header. CI runs it repeatedly under -race.
+func TestSendConcurrentRoutes(t *testing.T) {
+	n := NewNetwork()
+	t.Cleanup(n.Stop)
+	src := n.NewHost("src")
+	dst := n.NewHost("dst")
+	n.Connect(src, 1, dst, 1)
+
+	const senders, perSender = 8, 200
+	var mu sync.Mutex
+	var got [][]byte
+	dst.SetRawHandler(func(pkt []byte) {
+		mu.Lock()
+		got = append(got, append([]byte(nil), pkt...))
+		mu.Unlock()
+	})
+
+	// Sender g's route differs from the others' only in its token's
+	// bytes (every token has the same length), its priority for g < 4,
+	// and its length for odd g: routes alike in shape must not share a
+	// header.
+	routeOf := func(g int) []viper.Segment {
+		route := []viper.Segment{
+			{Port: 1},
+			{Port: 7, Priority: viper.Priority(g % 4), PortToken: bytes.Repeat([]byte{byte(g)}, 4)},
+		}
+		if g%2 == 1 {
+			route = append(route, viper.Segment{Port: 9, Flags: viper.FlagVNT})
+		}
+		return append(route, viper.Segment{Port: viper.PortLocal})
+	}
+	want := func(g int, payload []byte) []byte {
+		carried := routeOf(g)[1:]
+		if err := viper.SealRoute(carried); err != nil {
+			t.Fatal(err)
+		}
+		p := viper.NewPacket(carried, payload)
+		p.Trailer = []viper.Segment{{Port: viper.PortLocal}}
+		b, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			route := routeOf(g)
+			for i := 0; i < perSender; i++ {
+				if err := src.Send(route, []byte{byte(g), byte(i), byte(i >> 8)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitFor(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == senders*perSender
+	})
+	for _, img := range got {
+		payload := img[len(img)-3-8:][:3] // origin trailer (4) and descriptor (4) follow
+		if w := want(int(payload[0]), payload); !bytes.Equal(img, w) {
+			t.Fatalf("sender %d packet %d arrived as\n%x\nwant\n%x", payload[0], int(payload[1])|int(payload[2])<<8, img, w)
+		}
+	}
+}
+
+// TestSendAfterSealError pins the route memo's error path: a route that
+// fails to seal overwrites the buffer the memo's header lives in, so the
+// memo must forget its route, and the route sent before the failure
+// must arrive intact when it is sent again.
+func TestSendAfterSealError(t *testing.T) {
+	src, wait := senderTopology(t)
+	good := []viper.Segment{
+		{Port: 1},
+		{Port: 2, Flags: viper.FlagVNT, PortToken: []byte("good")},
+		{Port: viper.PortLocal},
+	}
+	bad := []viper.Segment{
+		{Port: 1},
+		{Port: 2, Flags: viper.FlagVNT, PortToken: []byte("junk")},
+		// A final segment whose header tags another VIPER segment cannot
+		// be sealed.
+		{Port: viper.PortLocal, PortInfo: []byte{0x88, 0xB5}},
+	}
+	payload := []byte("after-error")
+	if err := src.Send(good, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Send(bad, payload); err == nil {
+		t.Fatal("a route whose final segment continues was sent")
+	}
+	if err := src.Send(good, payload); err != nil {
+		t.Fatal(err)
+	}
+	got := wait(2)
+	if !bytes.Equal(got[0], got[1]) {
+		t.Fatalf("the route sent after a failed seal arrived as\n%x\nwant\n%x", got[1], got[0])
+	}
+}

@@ -605,13 +605,15 @@ func (r *Router) makeFrame(arr *netsim.Arrival, seg viper.Segment, op *outPort) 
 // reversible (§2, §2.2). The reversal policy — arrival port, swapped
 // header, token iff it authorizes the reverse route — is the dataplane's;
 // this substrate contributes the decoded-header swap and asks for a
-// token copy because the trailer outlives the arrival.
+// token copy because the trailer outlives the arrival. The verdict is
+// not carried to this stage (tree branches and deferred verifications
+// reach it on their own paths), so the dataplane asks the cache.
 func (r *Router) returnSegment(arr *netsim.Arrival, seg viper.Segment) viper.Segment {
 	var portInfo []byte
 	if arr.Hdr != nil {
 		portInfo = arr.Hdr.Swapped().Encode()
 	}
-	return dataplane.ReturnSegment(arr.In.ID, &seg, portInfo, r.tok.Cache(), true)
+	return dataplane.ReturnSegment(arr.In.ID, &seg, portInfo, dataplane.ReverseUnknown, r.tok.Cache(), true)
 }
 
 func (r *Router) fanout(arr *netsim.Arrival, seg viper.Segment, members []uint8) {

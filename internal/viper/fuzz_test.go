@@ -2,6 +2,8 @@ package viper
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -182,15 +184,19 @@ func FuzzDecodeDAG(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDelivery holds the receive fast path to its definition:
-// DecodeDelivery must agree with Decode + ConsumeHead(arrival) +
-// ReturnRoute on whether the input is a packet, on the head's port and
-// priority, on the data, and on every return segment. Each input is
-// decoded three times: with no previous arena, with the first decode's
-// arena (the bytes repeat, so the route must be cut from it), and with
-// an unrelated arena of the same length (which must be neither used nor
-// written). Every return route must own its bytes: flipping every input
-// byte afterwards leaves all three unchanged.
+// FuzzDecodeDelivery holds the receive fast path to its definition.
+// DecodeDelivery without a memo must agree with Decode +
+// ConsumeHead(arrival) + ReturnRoute on whether the input is a packet,
+// on the head, on the data, and on every return segment. Then a
+// sequence of packets runs through one memo — the input, the input
+// again, the input with its last trailer byte changed, the same bytes
+// under a count one lower and one higher, the input under another
+// arrival header, and the input once more — and every result must
+// equal a memo-less decode of the same bytes. A repeat must share the
+// first route's bytes instead of copying them. Every route must own its
+// bytes: after each step its frame and header are overwritten, and
+// every route kept so far, the memo's shared ones included, must still
+// hold what it held.
 func FuzzDecodeDelivery(f *testing.F) {
 	p := NewPacket([]Segment{{Port: PortLocal, Priority: 3}}, []byte("payload"))
 	p.Trailer = []Segment{{Port: PortLocal}, {Port: 4, PortToken: []byte{1, 2, 3}}}
@@ -199,68 +205,97 @@ func FuzzDecodeDelivery(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0, 0x5A}, byte(1), []byte(nil)) // descriptor only: must error, not panic
 	f.Fuzz(func(t *testing.T, in []byte, inPort uint8, inInfo []byte) {
-		// Work on copies: the flip below must not touch the fuzzer's input.
-		b := append([]byte(nil), in...)
-		info := append([]byte(nil), inInfo...)
-		head, data, ret, arena, err := DecodeDelivery(b, inPort, info, nil)
-		pkt, refErr := Decode(in)
-		if err != refErr {
-			t.Fatalf("DecodeDelivery err = %v, Decode err = %v", err, refErr)
+		var memo DeliveryMemo
+		type kept struct {
+			name      string
+			got, want []Segment
 		}
-		if err != nil {
+		var held []kept
+		// step decodes private copies of frame and info through the memo
+		// and without it, compares the two, and overwrites the copies.
+		step := func(name string, frame, info []byte) []Segment {
+			b, ib := bytes.Clone(frame), bytes.Clone(info)
+			head, data, ret, err := DecodeDelivery(b, inPort, ib, &memo)
+			wHead, wData, wRet, wErr := DecodeDelivery(bytes.Clone(frame), inPort, bytes.Clone(info), nil)
+			if err != wErr {
+				t.Fatalf("%s: memo err = %v, memo-less err = %v", name, err, wErr)
+			}
+			if err != nil {
+				return nil
+			}
+			if !head.Equal(&wHead) || !bytes.Equal(data, wData) {
+				t.Fatalf("%s: head %v data %x, memo-less head %v data %x", name, &head, data, &wHead, wData)
+			}
+			want := make([]Segment, len(wRet))
+			for i := range wRet {
+				want[i] = wRet[i].Clone()
+			}
+			held = append(held, kept{name, ret, want})
+			for i := range b {
+				b[i] ^= 0xFF
+			}
+			for i := range ib {
+				ib[i] ^= 0xFF
+			}
+			for _, k := range held {
+				sameRoute(t, k.name+", after "+name+" was overwritten", k.got, k.want)
+			}
+			return ret
+		}
+
+		first := step("first", in, inInfo)
+		pkt, refErr := Decode(in)
+		if (first != nil) != (refErr == nil) {
+			t.Fatalf("DecodeDelivery decoded %v, Decode err = %v", first != nil, refErr)
+		}
+		if refErr != nil {
 			return
 		}
-		want := pkt.ConsumeHead(Segment{Port: inPort, Priority: pkt.Priority(), PortInfo: inInfo})
-		wantRet := pkt.ReturnRoute()
-		if head.Port != want.Port || head.Priority != want.Priority {
-			t.Fatalf("head = %v, want %v", &head, &want)
-		}
-		if !bytes.Equal(data, pkt.Data) {
-			t.Fatalf("data = %x, want %x", data, pkt.Data)
-		}
+		pkt.ConsumeHead(Segment{Port: inPort, Priority: pkt.Priority(), PortInfo: inInfo})
+		sameRoute(t, "against Decode", first, pkt.ReturnRoute())
 
-		_, _, again, shared, _ := DecodeDelivery(b, inPort, info, arena)
-		if len(arena) > 0 && &shared[0] != &arena[0] {
-			t.Fatal("repeated route bytes were copied instead of cut from the previous arena")
-		}
-		unrelated := []byte("unrelated")
-		if len(arena) > 0 {
-			unrelated = make([]byte, len(arena))
-			for i := range arena {
-				unrelated[i] = ^arena[i]
-			}
-		}
-		untouched := append([]byte(nil), unrelated...)
-		_, _, other, _, _ := DecodeDelivery(b, inPort, info, unrelated)
-		if !bytes.Equal(unrelated, untouched) {
-			t.Fatal("DecodeDelivery wrote to the previous arena")
-		}
-
-		sameRoute := func(when string) {
-			for _, r := range []struct {
-				prev  string
-				route []Segment
-			}{{"nil", ret}, {"its own", again}, {"an unrelated", other}} {
-				if len(r.route) != len(wantRet) {
-					t.Fatalf("%s, %s arena: return route has %d segments, want %d", when, r.prev, len(r.route), len(wantRet))
-				}
-				for i := range r.route {
-					if !r.route[i].Equal(&wantRet[i]) {
-						// Values, not pointers: %+v then prints the field bytes.
-						t.Fatalf("%s, %s arena: return[%d] = %+v, want %+v", when, r.prev, i, r.route[i], wantRet[i])
-					}
+		again := step("repeat", in, inInfo)
+		for i := range first {
+			for j, f := range [2][]byte{first[i].PortToken, first[i].PortInfo} {
+				g := [2][]byte{again[i].PortToken, again[i].PortInfo}[j]
+				if len(f) > 0 && &f[0] != &g[0] {
+					t.Fatalf("repeat: return[%d] field %d was copied instead of shared", i, j)
 				}
 			}
 		}
-		sameRoute("decoded")
-		for i := range b {
-			b[i] ^= 0xFF
+		if n := len(in); n >= 5 {
+			tail := bytes.Clone(in)
+			tail[n-5] ^= 0x01
+			step("changed tail byte", tail, inInfo)
 		}
-		for i := range info {
-			info[i] ^= 0xFF
+		for _, d := range []int{-1, 1} {
+			other := bytes.Clone(in)
+			count := binary.BigEndian.Uint16(other[len(other)-4:])
+			binary.BigEndian.PutUint16(other[len(other)-4:], count+uint16(d))
+			step(fmt.Sprintf("count %+d", d), other, inInfo)
 		}
-		sameRoute("after the input was overwritten")
+		other := append(bytes.Clone(inInfo), 0x5A)
+		if len(inInfo) > 0 {
+			other = bytes.Clone(inInfo)
+			other[len(other)-1] ^= 0x01
+		}
+		step("other arrival header", in, other)
+		step("first again", in, inInfo)
 	})
+}
+
+// sameRoute fails unless got and want are equal segment by segment.
+func sameRoute(t *testing.T, when string, got, want []Segment) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: return route has %d segments, want %d", when, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(&want[i]) {
+			// Values, not pointers: %+v then prints the field bytes.
+			t.Fatalf("%s: return[%d] = %+v, want %+v", when, i, got[i], want[i])
+		}
+	}
 }
 
 func FuzzPacketRoundTrip(f *testing.F) {

@@ -36,6 +36,7 @@
 package viper
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -186,19 +187,7 @@ func (s *Segment) Continues() bool {
 // Equal reports field-by-field equality.
 func (s *Segment) Equal(o *Segment) bool {
 	return s.Port == o.Port && s.Flags == o.Flags && s.Priority == o.Priority &&
-		bytesEqual(s.PortToken, o.PortToken) && bytesEqual(s.PortInfo, o.PortInfo)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		bytes.Equal(s.PortToken, o.PortToken) && bytes.Equal(s.PortInfo, o.PortInfo)
 }
 
 // Clone returns a deep copy of the segment.
