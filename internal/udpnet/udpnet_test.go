@@ -136,12 +136,17 @@ func pingPong(t *testing.T, src, dst *livenet.Host, ta, tb *udpnet.Tunnel) {
 	}
 	waitFor(t, "reply across the tunnel", func() bool { return replied.Load() == 1 })
 
-	sa, sb := ta.Stats(), tb.Stats()
-	if sa.Encapsulated != 1 || sa.Decapsulated != 1 {
-		t.Fatalf("tunnel A stats = %+v, want 1 encapsulated + 1 decapsulated", sa)
-	}
-	if sb.Encapsulated != 1 || sb.Decapsulated != 1 {
-		t.Fatalf("tunnel B stats = %+v, want 1 encapsulated + 1 decapsulated", sb)
+	// A tunnel counts a datagram once its socket write returns, and the
+	// reply can complete the round trip before the ping's sender gets
+	// there, so the counts are polled.
+	for _, tc := range []struct {
+		name string
+		tun  *udpnet.Tunnel
+	}{{"A", ta}, {"B", tb}} {
+		waitFor(t, "tunnel "+tc.name+" to count 1 encapsulated + 1 decapsulated", func() bool {
+			st := tc.tun.Stats()
+			return st.Encapsulated == 1 && st.Decapsulated == 1
+		})
 	}
 }
 
