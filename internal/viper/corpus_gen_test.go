@@ -189,8 +189,8 @@ func corpusSeeds(t *testing.T) map[string]map[string][]any {
 	}
 	deliveries["arrival_header"] = []any{full, byte(7), tagInfo}
 	// A pair whose field bytes concatenate to the same "AB" but split
-	// differently: an arena shared by bytes alone must still window
-	// each route by its own field lengths.
+	// differently: each route must be windowed by its own field
+	// lengths, and a memo must not take one for the other.
 	for name, split := range map[string]Segment{
 		"split_token_ab":       {Port: 3, PortToken: []byte("AB")},
 		"split_token_a_info_b": {Port: 3, PortToken: []byte("A"), PortInfo: []byte("B")},
