@@ -278,7 +278,7 @@ func failoverLivenetFlapStorm(t *testing.T, split bool) {
 		h.Handle(0, func(d livenet.Delivery) {
 			if id, kind, ok := ParseData(d.Data); ok && kind == kindRequest {
 				delivered.Add(1)
-				res.AddDelivery(id, DeliveryRec{Host: name, Fp: Fingerprint(d.ReturnRoute), DataOK: true})
+				res.AddDelivery(id, DeliveryRec{Host: name, Fp: Fingerprint(d.ReturnRoute.Segments(nil)), DataOK: true})
 			}
 		})
 	}

@@ -87,12 +87,13 @@ func (ln *LiveNet) InstallEcho(sc *Scenario, res *Result) {
 			switch kind {
 			case kindRequest:
 				f := sc.Flows[id-1]
+				ret := d.ReturnRoute.Segments(nil)
 				res.AddDelivery(id, DeliveryRec{
 					Host:   name,
-					Fp:     Fingerprint(d.ReturnRoute),
+					Fp:     Fingerprint(ret),
 					DataOK: bytes.Equal(d.Data, FlowData(f)),
 				})
-				if err := h.Send(d.ReturnRoute, ReplyData(id)); err != nil {
+				if err := h.Send(ret, ReplyData(id)); err != nil {
 					res.AddSendErr()
 				}
 			case kindReply:

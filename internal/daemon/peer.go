@@ -241,7 +241,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 					rep.DataBad++
 				}
 				mu.Unlock()
-				if err := h.Send(d.ReturnRoute, check.ReplyData(id)); err != nil {
+				if err := h.Send(d.ReturnRoute.Segments(nil), check.ReplyData(id)); err != nil {
 					mu.Lock()
 					rep.SendErrs++
 					mu.Unlock()

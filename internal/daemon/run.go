@@ -130,7 +130,7 @@ func Run(cfg RunConfig) error {
 	}
 
 	server.Handle(0, func(d livenet.Delivery) {
-		if err := server.Send(d.ReturnRoute, append([]byte("ack:"), d.Data...)); err != nil {
+		if err := server.Send(d.ReturnRoute.Segments(nil), append([]byte("ack:"), d.Data...)); err != nil {
 			fmt.Fprintln(cfg.errout(), "server:", err)
 		}
 	})

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"net"
+	"slices"
 
 	"repro/internal/livenet"
 	"repro/internal/viper"
@@ -28,8 +29,10 @@ func NewEgress(host *livenet.Host, endpoint uint8, cfg Config) *Egress {
 // with the SOCKS reply code the ingress will forward verbatim. The
 // Open's return route — the VIPER trailer mirrored hop by hop on the
 // way here, tokens included (ReverseOK) — becomes the stream's
-// egress→ingress source route. The stream keeps ret itself: RTHandler
-// hands it over owned, and the stream only reads it.
+// egress→ingress source route. RTHandler lends ret's slice until it
+// returns, so the stream keeps a clone of it, one allocation per
+// stream: the fields alias the delivery's immutable Route bytes, and
+// the stream only reads them.
 func (e *Egress) onOpen(m Msg, from uint64, ret []viper.Segment) []byte {
 	key := streamKey{peer: from, id: m.Stream}
 	if e.lookup(from, m.Stream) != nil {
@@ -45,7 +48,7 @@ func (e *Egress) onOpen(m Msg, from uint64, ret []viper.Segment) []byte {
 		e.dialErrors.Add(1)
 		return EncodeReply(DialErrorReply(err))
 	}
-	st := e.newStream(key, conn, ret)
+	st := e.newStream(key, conn, slices.Clone(ret))
 	if !e.register(st, true) {
 		conn.Close()
 		return EncodeReply(ReplyGeneralFailure)

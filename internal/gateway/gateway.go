@@ -212,15 +212,16 @@ type relay struct {
 // bindRT creates the relay's RT endpoint on a livenet host endpoint:
 // the host's SendFrom is the carrier — the origin trailer names this
 // endpoint, so the peer's return route lands back here rather than on
-// the host's default handler — and Deliver runs each delivery's VMTP
-// step on the host's goroutine, done with the pooled bytes before the
-// host recycles them.
+// the host's default handler — and DeliverRoute runs each delivery's
+// VMTP step on the host's goroutine, done with the pooled bytes before
+// the host recycles them, keeping the return route as the delivery's
+// Route bytes.
 func (r *relay) bindRT(host *livenet.Host, endpoint uint8, cfg Config) {
 	r.init(cfg, vmtp.CarrierFunc(func(route []viper.Segment, data []byte) error {
 		return host.SendFrom(endpoint, route, data)
 	}))
 	host.Handle(endpoint, func(d livenet.Delivery) {
-		r.rt.Deliver(d.Data, d.ReturnRoute)
+		r.rt.DeliverRoute(d.Data, d.ReturnRoute)
 	})
 }
 

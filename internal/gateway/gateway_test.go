@@ -378,6 +378,72 @@ func TestGatewayClientHangup(t *testing.T) {
 	m.reconcile(t)
 }
 
+// TestOpenRouteSurvivesLaterDeliveries holds the egress to the
+// RTHandler contract: an Open's return route is lent to the handler in
+// a worker's scratch, so the stream must keep a copy. One stream opens
+// and echoes; its route is copied field by field. A second stream then
+// opens and both echo more, so the egress delivers many later requests
+// on the same workers. Afterwards the first stream's route still holds
+// what it held, and the first stream still echoes along it.
+func TestOpenRouteSurvivesLaterDeliveries(t *testing.T) {
+	m := buildMesh(t, 3)
+	in, eg := gatewayPair(t, m, Config{})
+	echo := echoServer(t)
+	roundTrip := func(conn net.Conn, n int) {
+		t.Helper()
+		msg := bytes.Repeat([]byte("r"), n)
+		if _, err := conn.Write(msg); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		got := make([]byte, n)
+		if _, err := io.ReadFull(conn, got); err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("echo of %d bytes: %v", n, err)
+		}
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := DialSocks(in.Addr(), echo)
+		if err != nil {
+			t.Fatalf("DialSocks: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		// A stream whose route broke never echoes: fail, don't hang.
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		return conn
+	}
+
+	first := dial()
+	roundTrip(first, 16)
+	eg.mu.Lock()
+	if len(eg.streams) != 1 {
+		t.Fatalf("egress has %d streams, want 1", len(eg.streams))
+	}
+	var st *stream
+	for _, s := range eg.streams {
+		st = s
+	}
+	eg.mu.Unlock()
+	want := make([]viper.Segment, len(st.route))
+	for i := range st.route {
+		want[i] = st.route[i].Clone()
+	}
+	// The arrival hop, one per router, and the ingress's origin.
+	if len(want) != 5 || want[1].PortToken == nil {
+		t.Fatalf("stream route = %+v, want 5 segments with tokens", want)
+	}
+
+	second := dial()
+	for i := 0; i < 8; i++ {
+		roundTrip(second, 4<<10)
+		roundTrip(first, 1<<10)
+	}
+	for i := range want {
+		if !st.route[i].Equal(&want[i]) {
+			t.Fatalf("stream route[%d] = %+v after later deliveries, want %+v", i, st.route[i], want[i])
+		}
+	}
+}
+
 // TestGatewayDialFailure maps egress dial outcomes onto SOCKS replies:
 // a refused destination must surface as ReplyConnRefused at the
 // client, and the failed stream must not leak on either relay.

@@ -104,8 +104,8 @@ func BenchmarkHostReceive(b *testing.B) {
 			h.Handle(viper.PortLocal, func(d Delivery) { got = d })
 			pkt := s.delivered(b)
 			receiveCopy(h, pkt)
-			if len(got.ReturnRoute) != len(s.hops)+2 {
-				b.Fatalf("return route has %d segments, want %d", len(got.ReturnRoute), len(s.hops)+2)
+			if n := got.ReturnRoute.Len(); n != len(s.hops)+2 {
+				b.Fatalf("return route has %d segments, want %d", n, len(s.hops)+2)
 			}
 			b.ReportAllocs()
 			b.SetBytes(int64(len(s.payload)))

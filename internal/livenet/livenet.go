@@ -497,16 +497,15 @@ func frameHeadroom(hops, headerBytes int) int {
 
 // Delivery is a packet received by a live host. Data aliases the frame's
 // pooled buffer and is valid only until the handler returns; handlers
-// that retain the payload must copy it. ReturnRoute is owned and safe to
-// keep, but its token and header bytes may be shared read-only with
-// other deliveries' routes, so a holder must never write them. Its
-// segment slice is the one allocation a steady delivery makes: while a
-// flow's trailer repeats, the host copies the route it decoded last
-// (viper.DeliveryMemo), and when the trailer changes it decodes the new
-// one and copies its bytes once.
+// that retain the payload must copy it. ReturnRoute is the packet's
+// trailer completed by the arrival hop, as bytes the delivery owns:
+// immutable and safe to keep. Reply along ReturnRoute.Segments(nil).
+// Its bytes are the one allocation a steady delivery makes, the size
+// of the trailer; while a flow's trailer repeats, the host skips
+// validating it again (viper.DeliveryMemo).
 type Delivery struct {
 	Data        []byte
-	ReturnRoute []viper.Segment
+	ReturnRoute viper.Route
 	Endpoint    uint8
 }
 
@@ -522,7 +521,7 @@ type Host struct {
 	raw      atomic.Pointer[func([]RawFrame)] // pre-decode tap, see SetRawHandler/SetRawTap
 	sealed   routeMemo                        // the last route sent, sealed; senders share it
 	tapped   []RawFrame                       // the batch handed to the tap; receive only
-	memo     viper.DeliveryMemo               // the last delivery's trailer and route; receive only
+	memo     viper.DeliveryMemo               // the last delivery's trailer; receive only
 }
 
 // NewHost creates and starts a host goroutine; one goroutine receives on
@@ -696,8 +695,8 @@ func (h *Host) receive(inf inFrame) {
 	var inInfo []byte
 	if inf.frame.Hdr != nil && ethernet.SwapInPlace(inf.frame.Hdr) == nil {
 		// The frame — header included — is ours until the handler
-		// returns, so the swap happens in place; the return route
-		// DecodeDelivery builds never aliases the swapped header.
+		// returns, so the swap happens in place; DecodeDelivery copies
+		// the swapped header into the return route.
 		inInfo = inf.frame.Hdr
 	}
 	seg, data, ret, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo, &h.memo)

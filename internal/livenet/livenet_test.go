@@ -52,7 +52,7 @@ func twoRouterChain(t *testing.T, n *Network) (src *Host, r1 *Router, route []vi
 		if !bytes.Equal(d.Data, []byte("ping")) {
 			t.Errorf("dst got %q", d.Data)
 		}
-		if err := dst.Send(d.ReturnRoute, []byte("pong")); err != nil {
+		if err := dst.Send(d.ReturnRoute.Segments(nil), []byte("pong")); err != nil {
 			t.Errorf("reply: %v", err)
 		}
 	})
@@ -123,7 +123,8 @@ func TestLiveEthernetHeaderSwap(t *testing.T) {
 		// The return route's router segment must carry the swapped
 		// header for the first hop.
 		found := false
-		for _, s := range d.ReturnRoute {
+		ret := d.ReturnRoute.Segments(nil)
+		for _, s := range ret {
 			if len(s.PortInfo) == ethernet.HeaderLen {
 				h, err := ethernet.Decode(s.PortInfo)
 				if err != nil {
@@ -136,9 +137,9 @@ func TestLiveEthernetHeaderSwap(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("return route lacks swapped arrival header: %+v", d.ReturnRoute)
+			t.Errorf("return route lacks swapped arrival header: %+v", ret)
 		}
-		dst.Send(d.ReturnRoute, []byte("ok"))
+		dst.Send(ret, []byte("ok"))
 	})
 	src.Handle(0, func(d Delivery) { replied.Store(true) })
 
@@ -235,7 +236,7 @@ func TestLiveTreeMulticast(t *testing.T) {
 		d.Handle(0, func(dl Delivery) {
 			if bytes.Equal(dl.Data, []byte("fanout")) {
 				got[i].Add(1)
-				d.Send(dl.ReturnRoute, []byte("echo"))
+				d.Send(dl.ReturnRoute.Segments(nil), []byte("echo"))
 			}
 		})
 	}
@@ -292,7 +293,7 @@ func TestLiveConcurrentClients(t *testing.T) {
 	var served atomic.Uint64
 	server.Handle(0, func(d Delivery) {
 		resp := append([]byte("ack:"), d.Data...)
-		if err := server.Send(d.ReturnRoute, resp); err != nil {
+		if err := server.Send(d.ReturnRoute.Segments(nil), resp); err != nil {
 			t.Errorf("server send: %v", err)
 			return
 		}

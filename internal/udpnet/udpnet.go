@@ -59,6 +59,7 @@ package udpnet
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
@@ -133,8 +134,11 @@ type Bridge struct {
 	flight *ledger.FlightRecorder // anomaly sink, nil when unset (Record is nil-safe)
 	spans  *trace.Spans           // wire-span sink, nil when unset (Record is nil-safe)
 
-	mu      sync.RWMutex
-	tunnels map[uint16]*Tunnel
+	// tunnels maps linkID to tunnel. Attach publishes it copy-on-write
+	// under mu, so the read loop finds a datagram's tunnel with one
+	// atomic load and no lock.
+	mu      sync.Mutex
+	tunnels atomic.Pointer[map[uint16]*Tunnel]
 
 	decodeErrors atomic.Uint64 // header-level garbage: bad magic/version/length, unknown link
 
@@ -192,11 +196,11 @@ func Listen(addr string, opts ...BridgeOption) (*Bridge, error) {
 // newBridge wraps conn in a bridge whose read loop is not yet running.
 func newBridge(conn *net.UDPConn) *Bridge {
 	b := &Bridge{
-		conn:    conn,
-		node:    "udpnet",
-		tunnels: make(map[uint16]*Tunnel),
-		closed:  make(chan struct{}),
+		conn:   conn,
+		node:   "udpnet",
+		closed: make(chan struct{}),
 	}
+	b.tunnels.Store(&map[uint16]*Tunnel{})
 	b.gso.Store(offload)
 	return b
 }
@@ -283,9 +287,7 @@ func (b *Bridge) receive(dg []byte) {
 		b.reject(&b.decodeErrors, ledger.KindDecodeError, bad.reason)
 		return
 	}
-	b.mu.RLock()
-	t := b.tunnels[f.link]
-	b.mu.RUnlock()
+	t := (*b.tunnels.Load())[f.link]
 	switch {
 	case t == nil:
 		b.reject(&b.decodeErrors, ledger.KindUnknownLink, fmt.Sprintf("link %d not attached", f.link))
@@ -423,10 +425,7 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 		o(&cfg)
 	}
 	t := newTunnel(b, linkID, cfg.remote)
-	b.mu.Lock()
-	_, dup := b.tunnels[linkID]
-	b.mu.Unlock()
-	if dup {
+	if _, dup := (*b.tunnels.Load())[linkID]; dup {
 		return nil, fmt.Errorf("udpnet: link %d already attached", linkID)
 	}
 
@@ -439,14 +438,16 @@ func (b *Bridge) Attach(netw *livenet.Network, at livenet.Attachable, port uint8
 	t.gw.SetRawTap(t.egress)
 
 	b.mu.Lock()
-	if _, dup := b.tunnels[linkID]; dup {
+	defer b.mu.Unlock()
+	old := *b.tunnels.Load()
+	if _, dup := old[linkID]; dup {
 		// Lost a concurrent attach race for the same ID (caller bug; the
 		// gateway host above is orphaned but harmless).
-		b.mu.Unlock()
 		return nil, fmt.Errorf("udpnet: link %d already attached", linkID)
 	}
-	b.tunnels[linkID] = t
-	b.mu.Unlock()
+	table := maps.Clone(old)
+	table[linkID] = t
+	b.tunnels.Store(&table)
 	return t, nil
 }
 

@@ -126,7 +126,7 @@ func pingPong(t *testing.T, src, dst *livenet.Host, ta, tb *udpnet.Tunnel) {
 		}
 	})
 	dst.Handle(0, func(d livenet.Delivery) {
-		if err := dst.Send(d.ReturnRoute, []byte("pong")); err != nil {
+		if err := dst.Send(d.ReturnRoute.Segments(nil), []byte("pong")); err != nil {
 			t.Errorf("reply: %v", err)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -76,52 +77,32 @@ func (p *Packet) ConsumeHead(ret Segment) Segment {
 // trailer, per §2: segments are copied in reverse order. Each return
 // segment is marked RPF ("the packet is being returned using the route and
 // tokens supplied in a packet received by the currently sending host",
-// §5). The segments are deep-copied so the reply does not alias the
-// request (see ownReturn): at most two allocations per call however long
-// the trailer.
+// §5). It is the trailer's Route decoded: the fields are capacity-capped
+// windows of one fresh byte string, so the reply does not alias the
+// request, in two allocations however long the trailer. Every trailer
+// field must fit the wire format (MaxFieldLen), as for Encode.
 func (p *Packet) ReturnRoute() []Segment {
-	route := make([]Segment, len(p.Trailer))
+	n := 0
 	for i := range p.Trailer {
-		route[len(route)-1-i] = p.Trailer[i]
+		n += p.Trailer[i].WireLen()
 	}
-	ownReturn(route)
-	return route
+	b, err := appendMirrored(make([]byte, 0, n), p.Trailer)
+	if err != nil {
+		panic(err)
+	}
+	return Route{b, len(p.Trailer)}.Segments(make([]Segment, 0, len(p.Trailer)))
 }
 
-// ownReturn turns route, in reply order, into a return route that owns
-// its bytes, and marks every segment RPF. Every token and portInfo
-// field becomes a capacity-capped window of one new arena, so appending
-// to a field reallocates instead of overwriting its neighbour. The
-// arena is the only allocation, and none when no field has bytes.
-func ownReturn(route []Segment) {
-	n := 0
-	for i := range route {
-		n += len(route[i].PortToken) + len(route[i].PortInfo)
-	}
-	var arena []byte
-	if n > 0 {
-		arena = make([]byte, 0, n)
-		for i := range route {
-			arena = append(arena, route[i].PortToken...)
-			arena = append(arena, route[i].PortInfo...)
+// appendMirrored appends the trailer encoding of segs to b, first
+// segment first.
+func appendMirrored(b []byte, segs []Segment) ([]byte, error) {
+	var err error
+	for i := range segs {
+		if b, err = AppendSegmentMirrored(b, &segs[i]); err != nil {
+			return nil, err
 		}
 	}
-	off := 0
-	for i := range route {
-		route[i].PortToken, off = window(arena, off, len(route[i].PortToken))
-		route[i].PortInfo, off = window(arena, off, len(route[i].PortInfo))
-		route[i].Flags |= FlagRPF
-	}
-}
-
-// window returns the n bytes of arena at off with their capacity capped
-// at their length, and the offset past them. An empty field comes back
-// nil, as Segment.Clone leaves it.
-func window(arena []byte, off, n int) (field []byte, next int) {
-	if n == 0 {
-		return nil, off
-	}
-	return arena[off : off+n : off+n], off + n
+	return b, nil
 }
 
 // CloneWire implements the simulation substrate's payload-cloning hook;
@@ -217,10 +198,8 @@ func (p *Packet) EncodeAppend(b []byte) ([]byte, error) {
 	for i := 0; i < p.Padding; i++ {
 		b = append(b, 0)
 	}
-	for i := range p.Trailer {
-		if b, err = AppendSegmentMirrored(b, &p.Trailer[i]); err != nil {
-			return nil, err
-		}
+	if b, err = appendMirrored(b, p.Trailer); err != nil {
+		return nil, err
 	}
 	var desc [trailerDescLen]byte
 	binary.BigEndian.PutUint16(desc[0:2], uint16(len(p.Trailer)))
@@ -263,7 +242,7 @@ func Decode(b []byte) (*Packet, error) {
 	// Trailer, backwards from the end. The most recently appended
 	// segment is last on the wire.
 	for i := nTrailer - 1; i >= 0; i-- {
-		if p.Trailer[i], rest, err = decodeSegmentMirrored(rest, true); err != nil {
+		if rest, err = decodeSegmentMirrored(&p.Trailer[i], rest, true); err != nil {
 			return nil, err
 		}
 	}
@@ -278,92 +257,120 @@ func Decode(b []byte) (*Packet, error) {
 	return p, nil
 }
 
+// Route is a delivery's return route held as wire bytes: the
+// trailer's mirrored segments exactly as the packet carried them, then
+// the arrival hop (port, priority, arrival header) mirrored after them,
+// as the receiving host's own Sirpent step would append it. The bytes
+// were validated when the Route was made and nothing writes them, so a
+// Route is immutable, its bytes pointer-free and safe to keep and
+// share. The zero Route is empty.
+type Route struct {
+	b []byte
+	n int // the segments in b
+}
+
+// Len returns the number of segments in the route.
+func (r Route) Len() int { return r.n }
+
+// Segments appends the route's segments to dst in reply order, the
+// arrival hop first, each marked RPF, and returns the extended slice:
+// the route Decode + ConsumeHead + ReturnRoute build for the same
+// packet. It walks the bytes backward with the trailer's decoder. The
+// segments' fields alias the Route's bytes, capacity-capped, so they
+// stay valid as long as they are kept and must never be written.
+func (r Route) Segments(dst []Segment) []Segment {
+	dst = slices.Grow(dst, r.n)
+	for rest := r.b; len(rest) > 0; {
+		dst = append(dst, Segment{})
+		s := &dst[len(dst)-1]
+		rest, _ = decodeSegmentMirrored(s, rest, false)
+		s.Flags |= FlagRPF
+	}
+	return dst
+}
+
 // DeliveryMemo is a receiving host's memory of its last delivery: the
-// trailer's wire bytes, its segment count, the arrival PortInfo, and
-// the owned, RPF-marked return route decoded from them. Every packet of
-// a flow carries the same trailer and arrives with the same header, so
-// DecodeDelivery serves a repeat from the memo instead of walking the
-// trailer again. The zero value is an empty memo. A memo belongs to one
-// receiver and is not safe for concurrent use.
+// trailer's wire bytes, already validated, their segment count, and
+// the arrival header. Every packet of a flow carries the same trailer
+// and arrives with the same header, so DecodeDelivery skips validating
+// a repeat again. The zero value is an empty memo. A memo belongs to
+// one receiver and is not safe for concurrent use.
 type DeliveryMemo struct {
-	wire []byte    // the trailer segments' wire bytes, descriptor excluded
-	n    int       // their count
-	ret  []Segment // the return route they decoded to; ret[0] is the arrival hop
+	wire []byte // the trailer segments' wire bytes, descriptor excluded
+	n    int    // their count
+	info []byte // the arrival header they came with
+	ok   bool   // the fields above hold a delivery
 }
 
 // DecodeDelivery is a receiving host's whole Sirpent step in one pass
 // over an encoded packet: Decode, then ConsumeHead with the arrival
 // segment {Port: inPort, Priority: head.Priority, PortInfo: inInfo},
-// then ReturnRoute. head and data alias b. ret is owned: it stays valid
-// after b and inInfo are recycled, and its fields are windows of one
-// byte arena. It walks the packet with Decode's own decoders in
-// Decode's order, so it accepts and rejects exactly what Decode does.
+// then ReturnRoute. head and data alias b. ret is the return route as
+// a Route of its own: one allocation the size of the trailer plus the
+// arrival hop, valid after b and inInfo are recycled. The trailer is
+// validated with Decode's own decoders in Decode's order, so
+// DecodeDelivery accepts and rejects exactly what Decode does; an
+// inInfo longer than MaxFieldLen, which no segment can carry, is
+// ErrFieldTooLong.
 //
 // memo, when not nil, carries the previous delivery. If the last
 // trailer bytes of b, its segment count and inInfo all repeat the
-// memo's, the trailer is not decoded again: a backward walk of n
-// segments reads only those bytes, so the memo's route is the route it
-// would build. ret is then a copy of the memo's segments with only the
-// arrival port and priority set. Otherwise the trailer is decoded and
-// its field bytes are copied into a new arena. Either way ret's segment
-// slice is fresh and its field bytes may be shared read-only with other
-// deliveries' routes: a holder may keep them but must never write them.
-func DecodeDelivery(b []byte, inPort uint8, inInfo []byte, memo *DeliveryMemo) (head Segment, data []byte, ret []Segment, err error) {
+// memo's, the trailer is not validated again: a backward walk of n
+// segments reads only those bytes, so it would accept them again.
+func DecodeDelivery(b []byte, inPort uint8, inInfo []byte, memo *DeliveryMemo) (head Segment, data []byte, ret Route, err error) {
 	nTrailer, _, rest, err := splitTrailer(b)
 	if err != nil {
-		return Segment{}, nil, nil, err
+		return Segment{}, nil, Route{}, err
 	}
 	hit := memo.repeats(rest, nTrailer, inInfo)
-	ret = make([]Segment, 1+nTrailer)
 	if hit {
 		rest = rest[:len(rest)-len(memo.wire)]
 	} else {
-		// ret[0] is the arrival hop; the trailer follows newest first,
-		// the order a backward walk meets it in.
-		for i := 1; i <= nTrailer; i++ {
-			if ret[i], rest, err = decodeSegmentMirrored(rest, false); err != nil {
-				return Segment{}, nil, nil, err
+		var s Segment
+		for i := 0; i < nTrailer; i++ {
+			if rest, err = decodeSegmentMirrored(&s, rest, false); err != nil {
+				return Segment{}, nil, Route{}, err
 			}
 		}
 	}
-	trailerOff := len(rest)
+	trailer := b[len(rest) : len(b)-trailerDescLen]
 	for i, more := 0, true; more; i++ {
 		var s Segment
 		if s, rest, more, err = nextHeader(rest, i, false); err != nil {
-			return Segment{}, nil, nil, err
+			return Segment{}, nil, Route{}, err
 		}
 		if i == 0 {
 			head = s
 		}
 	}
-	if hit {
-		copy(ret, memo.ret)
-		ret[0].Port, ret[0].Priority = inPort, head.Priority
-		return head, rest, ret, nil
+	arrival := Segment{Port: inPort, Priority: head.Priority, PortInfo: inInfo}
+	rb := make([]byte, len(trailer), len(trailer)+arrival.WireLen())
+	copy(rb, trailer)
+	if rb, err = AppendSegmentMirrored(rb, &arrival); err != nil {
+		return Segment{}, nil, Route{}, err
 	}
-	ret[0] = Segment{Port: inPort, Priority: head.Priority, PortInfo: inInfo}
-	ownReturn(ret)
-	if memo != nil {
-		memo.remember(b[trailerOff:len(b)-trailerDescLen], nTrailer, ret)
+	if !hit && memo != nil {
+		memo.remember(trailer, nTrailer, inInfo)
 	}
-	return head, rest, ret, nil
+	return head, rest, Route{rb, nTrailer + 1}, nil
 }
 
 // repeats reports whether a packet whose bytes before the descriptor
 // are rest, carrying n trailer segments, arriving with inInfo, repeats
 // the memo's trailer. A nil memo repeats nothing.
 func (m *DeliveryMemo) repeats(rest []byte, n int, inInfo []byte) bool {
-	return m != nil && m.ret != nil && n == m.n && len(rest) >= len(m.wire) &&
+	return m != nil && m.ok && n == m.n && len(rest) >= len(m.wire) &&
 		bytes.Equal(rest[len(rest)-len(m.wire):], m.wire) &&
-		bytes.Equal(inInfo, m.ret[0].PortInfo)
+		bytes.Equal(inInfo, m.info)
 }
 
-// remember makes a freshly decoded delivery the memo's: its trailer's
-// wire bytes, their count, and its return route.
-func (m *DeliveryMemo) remember(wire []byte, n int, ret []Segment) {
+// remember makes a freshly validated delivery the memo's: its
+// trailer's wire bytes, their count, and its arrival header.
+func (m *DeliveryMemo) remember(wire []byte, n int, info []byte) {
 	m.wire = append(m.wire[:0], wire...)
 	m.n = n
-	m.ret = append(m.ret[:0], ret...)
+	m.info = append(m.info[:0], info...)
+	m.ok = true
 }
 
 // splitTrailer checks the trailer descriptor that ends b and returns the

@@ -196,9 +196,9 @@ func tokenedTrailer() *Packet {
 	return p
 }
 
-// TestReturnRouteAllocs pins the arena copy: a five-segment tokened
-// trailer reverses in two allocations (the route and one byte arena),
-// not one per copied field.
+// TestReturnRouteAllocs pins the one copy of the trailer: a
+// five-segment tokened trailer reverses in two allocations (the
+// segment slice and the Route's byte string), not one per copied field.
 func TestReturnRouteAllocs(t *testing.T) {
 	p := tokenedTrailer()
 	if allocs := testing.AllocsPerRun(100, func() { p.ReturnRoute() }); allocs > 2 {
@@ -206,8 +206,8 @@ func TestReturnRouteAllocs(t *testing.T) {
 	}
 }
 
-// TestReturnRouteFieldsIndependent checks that the arena's windows are
-// capacity-limited: appending to one returned field must reallocate
+// TestReturnRouteFieldsIndependent checks that the fields, windows of
+// one byte string, are capacity-limited: appending to one returned field must reallocate
 // rather than overwrite the field laid out after it.
 func TestReturnRouteFieldsIndependent(t *testing.T) {
 	p := tokenedTrailer()

@@ -347,31 +347,33 @@ func AppendSegmentMirrored(b []byte, s *Segment) ([]byte, error) {
 // in b, returning it along with the bytes preceding it. Like
 // DecodeSegment, its variable fields are defensive copies.
 func DecodeSegmentMirrored(b []byte) (Segment, []byte, error) {
-	return decodeSegmentMirrored(b, true)
-}
-
-func decodeSegmentMirrored(b []byte, copyFields bool) (Segment, []byte, error) {
-	if len(b) < 4 {
-		return Segment{}, nil, ErrTruncatedSegment
-	}
-	fixed := b[len(b)-4:]
-	pil, ptl := fixed[0], fixed[1]
-	s := Segment{
-		Port:     fixed[2],
-		Flags:    Flags(fixed[3]>>4) & flagsMask,
-		Priority: Priority(fixed[3] & 0xF),
-	}
-	rest := b[:len(b)-4]
-	var err error
-	s.PortInfo, rest, err = decodeFieldBackward(rest, pil, copyFields)
-	if err != nil {
-		return Segment{}, nil, err
-	}
-	s.PortToken, rest, err = decodeFieldBackward(rest, ptl, copyFields)
+	var s Segment
+	rest, err := decodeSegmentMirrored(&s, b, true)
 	if err != nil {
 		return Segment{}, nil, err
 	}
 	return s, rest, nil
+}
+
+// decodeSegmentMirrored decodes the mirrored segment that ends b into
+// *s and returns the bytes before it. It fills *s in place, so a caller
+// decoding into a slice copies no Segment; on error *s is unspecified.
+func decodeSegmentMirrored(s *Segment, b []byte, copyFields bool) ([]byte, error) {
+	if len(b) < 4 {
+		return nil, ErrTruncatedSegment
+	}
+	fixed := b[len(b)-4:]
+	pil, ptl := fixed[0], fixed[1]
+	s.Port, s.Flags, s.Priority = fixed[2], Flags(fixed[3]>>4)&flagsMask, Priority(fixed[3]&0xF)
+	rest := b[:len(b)-4]
+	var err error
+	if s.PortInfo, rest, err = decodeFieldBackward(rest, pil, copyFields); err != nil {
+		return nil, err
+	}
+	if s.PortToken, rest, err = decodeFieldBackward(rest, ptl, copyFields); err != nil {
+		return nil, err
+	}
+	return rest, nil
 }
 
 func decodeFieldBackward(b []byte, lenByte byte, copyField bool) (field, rest []byte, err error) {

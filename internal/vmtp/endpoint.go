@@ -78,7 +78,7 @@ func (ep *Endpoint) deliver(d *router.Delivery) {
 		ep.Stats.ChecksumDrops++
 		return
 	}
-	ep.m.receive(&p, d.ReturnRoute)
+	ep.m.receive(&p, path{segs: d.ReturnRoute})
 }
 
 func (ep *Endpoint) send(x transmission) {
@@ -89,13 +89,13 @@ func (ep *Endpoint) send(x transmission) {
 		}
 		ep.eng.Schedule(gap, func() {
 			p.Timestamp = ep.clk.Timestamp()
-			ep.host.SendFrom(ep.hep, x.route, p.Encode())
+			ep.host.SendFrom(ep.hep, x.route.segs, p.Encode())
 		})
 		gap += ep.m.cfg.PacingGap
 	}
 }
 
-func (ep *Endpoint) serve(key groupKey, data []byte, _ []viper.Segment) {
+func (ep *Endpoint) serve(key groupKey, data []byte, _ path) {
 	var resp []byte
 	if ep.handler != nil {
 		resp = ep.handler(key.client, data)

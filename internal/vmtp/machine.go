@@ -113,7 +113,7 @@ type driver interface {
 	// serve hands a complete request to the handler, which borrows data
 	// from internal/pool; the driver calls respond with the request and
 	// the answer, in the same step or later, or release once closed.
-	serve(key groupKey, data []byte, ret []viper.Segment)
+	serve(key groupKey, data []byte, ret path)
 	// finish ends c, once per call, with its response or err. The
 	// response reassembly buffer, c.resp.data, comes from internal/pool
 	// (also on failure, when partly filled): the driver decides whether
@@ -136,9 +136,31 @@ type timer struct {
 // A transmission is one send output: the packets of the group not in
 // skip, along route.
 type transmission struct {
-	route []viper.Segment
+	route path
 	group
 	skip uint32
+}
+
+// A path is a route the machine sends along, in the form it came in: a
+// caller's segments (a call's routes, Deliver's return route), or a
+// delivery's return route as wire bytes (RT.DeliverRoute), which the
+// driver decodes when it sends.
+type path struct {
+	segs []viper.Segment
+	wire viper.Route
+}
+
+func (p path) empty() bool { return len(p.segs) == 0 && p.wire.Len() == 0 }
+
+// segments returns p as segments: its own, or its wire bytes decoded
+// onto the end of *scratch, which keeps them until it is reused.
+func (p path) segments(scratch *[]viper.Segment) []viper.Segment {
+	if len(p.segs) > 0 {
+		return p.segs
+	}
+	start := len(*scratch)
+	*scratch = p.wire.Segments(*scratch)
+	return (*scratch)[start:len(*scratch):len(*scratch)]
 }
 
 // A group is a packet group as a value: the packets of pkts, or the
@@ -169,7 +191,7 @@ type rxGroup struct {
 	totalLen int
 	mask     uint32
 	data     []byte
-	ret      []viper.Segment // freshest return route
+	ret      path // freshest return route
 	born     time.Duration
 	lastRx   time.Duration // most recent packet arrival (gap detection)
 	served   bool          // handed to the handler; data is lent to it
@@ -305,7 +327,7 @@ func (m *machine) start(c *call, data []byte) error {
 }
 
 // receive takes one decoded packet and the return route it came with.
-func (m *machine) receive(p *Packet, ret []viper.Segment) {
+func (m *machine) receive(p *Packet, ret path) {
 	// Maximum packet lifetime (§4.2): reject packets whose creation
 	// timestamp is too old (or absurdly far in the future).
 	if p.Timestamp != clock.InvalidTimestamp {
@@ -400,7 +422,7 @@ func (m *machine) transmit(c *call) {
 			c.nextRoute()
 		}
 	}
-	m.send(c.routes[c.route], c.req, c.acked)
+	m.send(path{segs: c.routes[c.route]}, c.req, c.acked)
 	d := c.rto
 	for i := 0; i < c.retries && d < maxTimeout; i++ {
 		d *= 2
@@ -430,7 +452,7 @@ func (m *machine) callTimer(c *call) {
 		probe := c.req.packets()[0]
 		probe.Flags |= FlagProbe
 		probe.Data = nil
-		m.sendOne(c.routes[c.route], probe)
+		m.sendOne(path{segs: c.routes[c.route]}, probe)
 		m.armCall(c, max(c.rto, probeInterval))
 		return
 	}
@@ -469,7 +491,7 @@ func (m *machine) onAck(p *Packet) {
 	// says is missing (§4.3).
 	c.clean = false
 	m.st.SelectiveResends++
-	m.send(c.routes[c.route], c.req, c.acked)
+	m.send(path{segs: c.routes[c.route]}, c.req, c.acked)
 	m.armCall(c, c.rto)
 }
 
@@ -531,7 +553,7 @@ func (m *machine) recordRTT(server uint64, rtt time.Duration) {
 	m.rtt[server] = e
 }
 
-func (m *machine) onRequest(p *Packet, ret []viper.Segment) {
+func (m *machine) onRequest(p *Packet, ret path) {
 	key := groupKey{client: p.Client, txn: p.Txn}
 	now := m.clk.now()
 	if e, ok := m.cache[key]; ok && now < e.expires {
@@ -651,7 +673,7 @@ func (m *machine) groupTimer(g *rxGroup) {
 	m.arm(&g.t, m.cfg.GapAckDelay)
 }
 
-func (m *machine) ack(g *rxGroup, ret []viper.Segment) { m.sendOne(ret, m.ackFor(g)) }
+func (m *machine) ack(g *rxGroup, ret path) { m.sendOne(ret, m.ackFor(g)) }
 
 func (m *machine) ackFor(g *rxGroup) Packet {
 	return Packet{Header: Header{Client: g.key.client, Server: m.id, Txn: g.key.txn,
@@ -708,12 +730,12 @@ func (m *machine) stop(t *timer) {
 	}
 }
 
-func (m *machine) send(route []viper.Segment, g group, skip uint32) {
-	if len(route) > 0 {
+func (m *machine) send(route path, g group, skip uint32) {
+	if !route.empty() {
 		m.out.send(transmission{route: route, group: g, skip: skip})
 	}
 }
 
-func (m *machine) sendOne(route []viper.Segment, p Packet) {
+func (m *machine) sendOne(route path, p Packet) {
 	m.send(route, group{one: [1]Packet{p}}, 0)
 }

@@ -167,7 +167,7 @@ func (n *fakeNet) send(x transmission) {
 	n.sent = append(n.sent, x)
 }
 
-func (n *fakeNet) serve(key groupKey, data []byte, _ []viper.Segment) {
+func (n *fakeNet) serve(key groupKey, data []byte, _ path) {
 	n.pending = append(n.pending, unanswered{key, data})
 }
 
@@ -212,14 +212,14 @@ func TestCachedEchoKeepsItsBytes(t *testing.T) {
 	}
 	for txn, fill := range []byte{'a', 'b'} {
 		p := request(uint32(txn+1), fill)
-		server.m.receive(&p, route)
+		server.m.receive(&p, path{segs: route})
 		req := server.pending[0]
 		server.pending = server.pending[1:]
 		server.m.respond(req.key, req.data, req.data)
 	}
 	server.sent = nil
 	dup := request(1, 'a')
-	server.m.receive(&dup, route)
+	server.m.receive(&dup, path{segs: route})
 	if len(server.sent) != 1 {
 		t.Fatalf("duplicate answered with %d transmissions, want 1", len(server.sent))
 	}
@@ -314,7 +314,7 @@ func FuzzMachine(f *testing.F) {
 					}
 					if drop&(1<<uint(i%8)) == 0 {
 						p.Timestamp = from.m.clk.stamp()
-						to.m.receive(&p, route)
+						to.m.receive(&p, path{segs: route})
 					}
 					i++
 				}
@@ -348,7 +348,7 @@ func FuzzMachine(f *testing.F) {
 					Txn: uint32(ops.byte() % 4), PktIndex: ops.byte(), NPkts: ops.byte(), Flags: ops.byte(),
 					Mask: ops.u32(), TotalLen: ops.u32(), Timestamp: to.m.clk.stamp()}}
 				p.Data = make([]byte, ops.byte())
-				to.m.receive(&p, route)
+				to.m.receive(&p, path{segs: route})
 			case opAdvance:
 				w.advance(w.now+time.Duration(ops.byte())*8*time.Millisecond, check)
 			case opAnswer:

@@ -2,6 +2,7 @@ package vmtp
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -11,9 +12,11 @@ import (
 
 // Carrier is the packet path under a real-time endpoint: Send
 // transmits one encoded VMTP packet along a source route. Send must not
-// keep pkt after it returns: the endpoint returns the buffer under it to
-// internal/pool after its last Send. livenet's Host.Send, which copies
-// the bytes into its frame, satisfies it via CarrierFunc.
+// keep pkt or route after it returns: the endpoint returns the buffer
+// under pkt to internal/pool after its last Send, and a route decoded
+// from a viper.Route (DeliverRoute) lives in scratch the endpoint
+// reuses. livenet's Host.Send, which copies the bytes into its frame
+// and copies what its route memo keeps, satisfies it via CarrierFunc.
 type Carrier interface {
 	Send(route []viper.Segment, pkt []byte) error
 }
@@ -28,12 +31,14 @@ func (f CarrierFunc) Send(route []viper.Segment, pkt []byte) error { return f(ro
 // the endpoint's handler workers, never under its lock, and MAY block
 // (that is the backpressure path): a request that arrives meanwhile
 // gets another worker. ret is the trailer-built return route of the
-// request's freshest packet, owned and safe to retain; its bytes may be
-// shared with other routes, so never write them. data is borrowed until
-// the handler returns, unless returned: the endpoint reuses it for a
-// later request unless the response shares its backing array. The
-// endpoint keeps the returned bytes in its response cache and only
-// reads them, so they may be shared and must not change afterwards.
+// request's freshest packet. Its segment slice is borrowed until the
+// handler returns; a handler that keeps the route clones the slice
+// (slices.Clone), whose fields stay valid, and never writes the field
+// bytes. data is borrowed until the handler returns, unless returned:
+// the endpoint reuses it for a later request unless the response
+// shares its backing array. The endpoint keeps the returned bytes in
+// its response cache and only reads them, so they may be shared and
+// must not change afterwards.
 type RTHandler func(from uint64, data []byte, ret []viper.Segment) []byte
 
 // maxIdleWorkers bounds the handler workers an endpoint keeps parked
@@ -72,9 +77,10 @@ type RT struct {
 	free    []*call        // finished calls, ready for reuse
 	idle    int            // handler workers parked on jobs
 
-	jobs chan job // unbuffered: a send succeeds only to a parked worker
-	done chan struct{}
-	wg   sync.WaitGroup
+	spares [spareScratch]atomic.Pointer[[]viper.Segment] // flush scratch, taken without mu
+	jobs   chan job                                      // unbuffered: a send succeeds only to a parked worker
+	done   chan struct{}
+	wg     sync.WaitGroup
 }
 
 // A completion is one finished call's callback, run after the step
@@ -93,7 +99,7 @@ type job struct {
 	h    RTHandler
 	key  groupKey
 	data []byte
-	ret  []viper.Segment
+	ret  path
 }
 
 // NewRT creates a real-time VMTP entity with identifier id over the
@@ -238,12 +244,19 @@ func (rt *RT) freeCall(c *call) {
 // Deliver runs the machine step for one arriving packet on the
 // caller's goroutine. data is only read, and only until Deliver
 // returns: the machine copies what it keeps. ret must be owned and safe
-// to retain, and its bytes are never written (livenet's
-// Delivery.ReturnRoute is such a route: owned, its bytes possibly
-// shared). The step's sends and completions run on the caller too, so
-// Deliver may block in Carrier.Send, and a PacingGap, when set, sleeps
-// between the packets of a group the step sends.
-func (rt *RT) Deliver(data []byte, ret []viper.Segment) {
+// to retain, and its bytes are never written. The step's sends and
+// completions run on the caller too, so Deliver may block in
+// Carrier.Send, and a PacingGap, when set, sleeps between the packets
+// of a group the step sends.
+func (rt *RT) Deliver(data []byte, ret []viper.Segment) { rt.deliver(data, path{segs: ret}) }
+
+// DeliverRoute is Deliver with the return route as a delivery carries
+// it (livenet's Delivery.ReturnRoute): the machine keeps the Route, and
+// decodes it into scratch of its own each time it sends along it or
+// hands it to the handler, so a request allocates no segment slice.
+func (rt *RT) DeliverRoute(data []byte, ret viper.Route) { rt.deliver(data, path{wire: ret}) }
+
+func (rt *RT) deliver(data []byte, ret path) {
 	var p Packet
 	err := p.decodeInto(data)
 	rt.mu.Lock()
@@ -274,16 +287,46 @@ func (rt *RT) onTimer(t *timer) {
 // the flush buffer, sent along route, after a PacingGap unless it opens
 // its transmission.
 type wirePacket struct {
-	route []viper.Segment
+	route path
 	end   int
 	paced bool
+}
+
+// A flush decodes the Routes it sends along into scratch it takes from
+// RT.spares and puts back after its last Send. spareScratch bounds the
+// slices kept: one per flush running at once, the host's and each
+// worker's, in the usual case; a flush that finds none makes one.
+const spareScratch = maxIdleWorkers
+
+// takeScratch returns a spare segment slice, or a new one.
+func (rt *RT) takeScratch() *[]viper.Segment {
+	for i := range rt.spares {
+		if s := rt.spares[i].Swap(nil); s != nil {
+			return s
+		}
+	}
+	return new([]viper.Segment)
+}
+
+// putScratch empties s, letting go of the Routes' bytes, and keeps it
+// as a spare if a slot is free.
+func (rt *RT) putScratch(s *[]viper.Segment) {
+	clear(*s)
+	*s = (*s)[:0]
+	for i := range rt.spares {
+		if rt.spares[i].CompareAndSwap(nil, s) {
+			return
+		}
+	}
 }
 
 // unlockAndFlush ends a step. Still under mu it encodes the packets the
 // step queued into one pooled buffer, so no caller's bytes are read
 // once the lock is gone and Start's data is free as soon as done runs.
-// Then it releases mu, hands the packets to the carrier, recycles the
-// buffer after the last Send, and runs the completions the step queued.
+// Then it releases mu, hands the packets to the carrier, decoding a
+// Route path once per transmission into spare scratch, recycles the
+// buffer and the scratch after the last Send, and runs the completions
+// the step queued.
 func (rt *RT) unlockAndFlush() {
 	var wstack [MaxGroupPackets + 1]wirePacket
 	var fstack [4]completion
@@ -322,15 +365,26 @@ func (rt *RT) unlockAndFlush() {
 	rt.mu.Unlock()
 
 	start := 0
+	var route []viper.Segment
+	var scratch *[]viper.Segment
 	for _, w := range wire {
 		if w.paced && rt.m.cfg.PacingGap > 0 {
 			time.Sleep(rt.m.cfg.PacingGap)
 		}
-		rt.car.Send(w.route, buf[start:w.end:w.end])
+		if !w.paced {
+			if len(w.route.segs) == 0 && scratch == nil {
+				scratch = rt.takeScratch()
+			}
+			route = w.route.segments(scratch)
+		}
+		rt.car.Send(route, buf[start:w.end:w.end])
 		start = w.end
 	}
 	if buf != nil {
 		pool.Put(buf)
+	}
+	if scratch != nil {
+		rt.putScratch(scratch)
 	}
 	for _, f := range fins {
 		f.done(f.data, f.err)
@@ -347,7 +401,7 @@ func (rt *RT) send(x transmission) { rt.out = append(rt.out, x) }
 // serve hands the request to a parked handler worker, or starts a
 // worker when none is parked, so blocked handlers never hold up
 // another request.
-func (rt *RT) serve(key groupKey, data []byte, ret []viper.Segment) {
+func (rt *RT) serve(key groupKey, data []byte, ret path) {
 	j := job{h: rt.handler, key: key, data: data, ret: ret}
 	select {
 	case rt.jobs <- j:
@@ -370,12 +424,17 @@ func (rt *RT) finish(c *call, data []byte, err error) {
 // worker is a handler worker: it runs j's handler and hands the answer
 // back to the machine, then parks for the next job serve hands it. It
 // exits instead when maxIdleWorkers are already parked, and on Close.
+// A Route path is decoded into the worker's own scratch, which the
+// handler borrows.
 func (rt *RT) worker(j job) {
 	defer rt.wg.Done()
+	var scratch []viper.Segment
 	for {
 		var resp []byte
 		if j.h != nil {
-			resp = j.h(j.key.client, j.data, j.ret)
+			scratch = scratch[:0]
+			resp = j.h(j.key.client, j.data, j.ret.segments(&scratch))
+			clear(scratch)
 		}
 		rt.mu.Lock()
 		park := !rt.closed && rt.idle < maxIdleWorkers

@@ -19,10 +19,13 @@ import (
 // rounds and can drop the same packet forever; random loss is what
 // the recovery machinery is specified against.)
 // A filter hook can drop packets by content (e.g. only responses).
+// With route set, packets arrive through DeliverRoute with it as their
+// return route, as a livenet host hands them over.
 type testWire struct {
 	mu       sync.Mutex
 	dst      *RT
 	ret      []viper.Segment
+	route    viper.Route
 	lossRate float64
 	rnd      *rand.Rand
 	filter   func(p *Packet) bool // return false to drop
@@ -41,7 +44,11 @@ func (w *testWire) Send(route []viper.Segment, pkt []byte) error {
 		}
 	}
 	cp := append([]byte(nil), pkt...)
-	w.dst.Deliver(cp, w.ret)
+	if w.route.Len() > 0 {
+		w.dst.DeliverRoute(cp, w.route)
+	} else {
+		w.dst.Deliver(cp, w.ret)
+	}
 	return nil
 }
 
@@ -344,7 +351,13 @@ func TestRTConcurrentCalls(t *testing.T) {
 	client, server, toServer, toClient := rtPair(t, cfg)
 	toServer.lossRate = 0.08
 	toClient.lossRate = 0.08
-	server.SetHandler(func(_ uint64, data []byte, _ []viper.Segment) []byte {
+	// Requests arrive with a Route, so the server's concurrent flushes
+	// and workers all decode into scratch.
+	toServer.route = deliveredRoute(t, 4)
+	server.SetHandler(func(_ uint64, data []byte, ret []viper.Segment) []byte {
+		if len(ret) != 6 || ret[1].PortToken == nil {
+			t.Errorf("handler got return route %+v, want the Route's 6 segments", ret)
+		}
 		return data
 	})
 	var wg sync.WaitGroup
@@ -436,6 +449,86 @@ func TestRTCallAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per call, want %.0f", tc.name, n, tc.want)
 		}
 	}
+}
+
+// TestRTDeliverRouteAllocs pins DeliverRoute on the gw_rr shape: a
+// 256-byte echo whose requests arrive with their return route as a
+// viper.Route of four tokened hops, as livenet delivers it. It costs
+// the 2 allocations TestRTCallAllocs' echo costs over Deliver: the
+// server decodes the Route into scratch for the handler and for each
+// send, its ack and its response, and allocates no []viper.Segment.
+// The handler's ret and every route the server sends along are the
+// segments the Route holds.
+func TestRTDeliverRouteAllocs(t *testing.T) {
+	ret := deliveredRoute(t, 4)
+	want := ret.Segments(nil)
+	var wrong atomic.Int64
+	check := func(route []viper.Segment) {
+		if len(route) != len(want) {
+			wrong.Add(1)
+			return
+		}
+		for i := range route {
+			if !route[i].Equal(&want[i]) {
+				wrong.Add(1)
+			}
+		}
+	}
+	route := []viper.Segment{{Port: 1}}
+	var client, server *RT
+	client = NewRT(1, CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
+		server.DeliverRoute(pkt, ret)
+		return nil
+	}), RTConfig{})
+	server = NewRT(2, CarrierFunc(func(r []viper.Segment, pkt []byte) error {
+		check(r)
+		client.Deliver(pkt, route)
+		return nil
+	}), RTConfig{})
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	server.SetHandler(func(_ uint64, data []byte, r []viper.Segment) []byte {
+		check(r)
+		return data
+	})
+	data := make([]byte, 256)
+	call := func() {
+		if _, err := client.Call(2, route, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainPool(call)
+	if n := testing.AllocsPerRun(200, call); n != 2 {
+		t.Errorf("%.0f allocs per call, want 2", n)
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d routes differ from the delivered Route's segments", n)
+	}
+	if s := server.Stats(); s.AcksSent == 0 {
+		t.Fatal("the server sent no ack along the Route")
+	}
+}
+
+// deliveredRoute is the return route of a packet delivered over hops
+// tokened router hops, as viper.DecodeDelivery hands it to a host.
+func deliveredRoute(t *testing.T, hops int) viper.Route {
+	t.Helper()
+	p := viper.NewPacket([]viper.Segment{{Port: viper.PortLocal}}, []byte("request"))
+	p.Trailer = []viper.Segment{{Port: viper.PortLocal}}
+	for i := 0; i < hops; i++ {
+		p.Trailer = append(p.Trailer, viper.Segment{Port: uint8(1 + i), PortToken: bytes.Repeat([]byte{byte(0xA0 + i)}, 24)})
+	}
+	b, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, ret, err := viper.DecodeDelivery(b, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ret
 }
 
 // drainPool runs a call whose answer keeps its request's pool buffer
