@@ -62,20 +62,33 @@ func (s hostShape) delivered(b *testing.B) []byte {
 	return pkt
 }
 
-// BenchmarkHostSend measures Host.Send from the caller's side: seal or
-// copy the route header, encode the tail into a pooled buffer, push the
+// BenchmarkHostSend measures Host.Send from the caller's side: seal the
+// route header and encode the tail into a pooled buffer, push the
 // frame. A host linked straight to a counting sink drains the frames on
-// its own goroutine.
+// its own goroutine. The parallel_two_routes case sends from
+// GOMAXPROCS goroutines on one host, each alternating the two shapes'
+// routes, as a gateway host interleaves requests and acks.
 func BenchmarkHostSend(b *testing.B) {
-	for _, s := range hostShapes() {
+	// sendRig returns a host linked to a sink, and a wait for the sink
+	// to have drained n frames.
+	sendRig := func(b *testing.B) (*Host, func(n int)) {
+		n := NewNetwork()
+		b.Cleanup(n.Stop)
+		src := n.NewHost("src")
+		dst := n.NewHost("dst")
+		n.Connect(src, 1, dst, 1)
+		var got atomic.Int64
+		dst.SetRawHandler(func([]byte) { got.Add(1) })
+		return src, func(n int) {
+			for got.Load() < int64(n) {
+				runtime.Gosched()
+			}
+		}
+	}
+	shapes := hostShapes()
+	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {
-			n := NewNetwork()
-			defer n.Stop()
-			src := n.NewHost("src")
-			dst := n.NewHost("dst")
-			n.Connect(src, 1, dst, 1)
-			var got atomic.Int64
-			dst.SetRawHandler(func([]byte) { got.Add(1) })
+			src, drained := sendRig(b)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(s.payload)))
 			for i := 0; i < b.N; i++ {
@@ -83,11 +96,26 @@ func BenchmarkHostSend(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			for got.Load() < int64(b.N) {
-				runtime.Gosched()
-			}
+			drained(b.N)
 		})
 	}
+	b.Run("parallel_two_routes", func(b *testing.B) {
+		src, drained := sendRig(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				s := &shapes[i%2]
+				if err := src.Send(s.route, s.payload); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		if !b.Failed() {
+			drained(b.N)
+		}
+	})
 }
 
 // BenchmarkHostReceive measures one delivery: a pooled copy of the

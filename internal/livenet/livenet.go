@@ -501,8 +501,8 @@ func frameHeadroom(hops, headerBytes int) int {
 // trailer completed by the arrival hop, as bytes the delivery owns:
 // immutable and safe to keep. Reply along ReturnRoute.Segments(nil).
 // Its bytes are the one allocation a steady delivery makes, the size
-// of the trailer; while a flow's trailer repeats, the host skips
-// validating it again (viper.DeliveryMemo).
+// of the trailer; the host validates every trailer, keeping nothing
+// from one delivery to the next (viper.DecodeDelivery).
 type Delivery struct {
 	Data        []byte
 	ReturnRoute viper.Route
@@ -519,9 +519,7 @@ type Host struct {
 	// handler with one atomic load and no lock.
 	handlers atomic.Pointer[[]func(Delivery)]
 	raw      atomic.Pointer[func([]RawFrame)] // pre-decode tap, see SetRawHandler/SetRawTap
-	sealed   routeMemo                        // the last route sent, sealed; senders share it
 	tapped   []RawFrame                       // the batch handed to the tap; receive only
-	memo     viper.DeliveryMemo               // the last delivery's trailer; receive only
 }
 
 // NewHost creates and starts a host goroutine; one goroutine receives on
@@ -570,10 +568,9 @@ func (h *Host) handler(endpoint uint8) func(Delivery) {
 // Send originates a packet along a source route (sender directive
 // first, as in the simulator's Host). The wire image is assembled
 // directly into a pooled buffer — no route clone, no intermediate
-// Packet — with enough headroom for every hop's trailer growth. The
-// route header is sealed once per flow: while the carried route repeats
-// the host's last one, its sealed bytes are copied, and only the data
-// and the origin trailer are encoded (routeMemo). Injection and the
+// Packet — with enough headroom for every hop's trailer growth. Every
+// send seals the carried route into the frame itself, with no lock and
+// no state kept per flow, so any goroutine may send. Injection and the
 // frame's whole transit are allocation-free in steady state for routes
 // whose first hop has no link header (TestSendAllocs).
 func (h *Host) Send(route []viper.Segment, data []byte) error {
@@ -594,7 +591,7 @@ func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) erro
 	rest := route[1:]
 	headerLen := routeWireLen(rest)
 	buf := pool.Get(headerLen + tailLen(len(data), own.Priority) + frameHeadroom(len(rest), headerLen))
-	b, err := h.sealed.appendSealed(buf, rest)
+	b, err := appendRoute(buf, rest)
 	if err == nil {
 		b, err = appendTail(b, data, endpoint, own.Priority)
 	}
@@ -699,7 +696,7 @@ func (h *Host) receive(inf inFrame) {
 		// the swapped header into the return route.
 		inInfo = inf.frame.Hdr
 	}
-	seg, data, ret, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo, &h.memo)
+	seg, data, ret, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo)
 	if err != nil {
 		h.closeReceive(inf, trace.ActionDrop, stats.DropNotSirpent)
 		h.recordDrop(inf.port, stats.DropNotSirpent)

@@ -13,14 +13,13 @@ import (
 	"repro/internal/viper"
 )
 
-// TestSendAllocs pins the send half: Host.Send copies the host's
-// sealed route header while the route repeats, encodes only the data
-// and the origin trailer into a pooled buffer, and a miss re-seals into
-// the memo's own buffers. In steady state — pool warmed, each frame
-// recycled before the next send — injection and transit allocate
-// nothing, for one route and for a host alternating two routes, which
-// misses the memo on every packet. (A first hop with a link header
-// still copies the header per packet; these routes have none.)
+// TestSendAllocs pins the send half: Host.Send seals the route header,
+// the data and the origin trailer straight into a pooled buffer on
+// every packet. In steady state — pool warmed, each frame recycled
+// before the next send — injection and transit allocate nothing, for
+// one route and for a host alternating two routes. (A first hop with a
+// link header still copies the header per packet; these routes have
+// none.)
 func TestSendAllocs(t *testing.T) {
 	n := NewNetwork()
 	defer n.Stop()
@@ -84,9 +83,8 @@ func TestSendAllocs(t *testing.T) {
 // allocates exactly once, the return route's bytes, and no more bytes
 // than the trailer needs: at most 32 B per delivery for the tokenless
 // shape (24 B of route) and 128 B for two 24-byte tokens (72 B). The
-// trailer repeats from one packet of a flow to the next, so the host
-// skips validating it again (viper.DeliveryMemo) and only copies it.
-// The one allocation is the floor, not an oversight: the Delivery
+// host walks the trailer's length bytes to validate it and copies it;
+// the walk fills no segment and allocates nothing. The one allocation is the floor, not an oversight: the Delivery
 // contract lets a handler keep ReturnRoute (vmtp.RT holds it per
 // request group) after the frame it came in is recycled, and the
 // benchmark forbids a metric of 0, so the count must not fall below 1
@@ -142,13 +140,13 @@ func bytesPerRun(runs int, f func()) float64 {
 }
 
 // TestReturnRouteSharedBytes pins that a delivery's return route owns
-// its bytes and shares them with nothing. The host remembers one
-// delivery, its last, so route A is delivered twice, then route B
-// (other tokens), then A again. Each handler decodes its route, keeps
+// its bytes and shares them with nothing. Route A is delivered twice,
+// then route B (other tokens), then A again, so a repeated trailer
+// follows both itself and another. Each handler decodes its route, keeps
 // the Route and the segments, and then overwrites its whole frame,
 // trailer included. Afterwards every kept Route still decodes to its
 // own tokens, and every slice decoded from one still holds them, and
-// no two deliveries' routes share bytes, the memo's repeats included.
+// no two deliveries' routes share bytes, repeats included.
 func TestReturnRouteSharedBytes(t *testing.T) {
 	n := NewNetwork()
 	defer n.Stop()

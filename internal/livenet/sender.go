@@ -9,8 +9,8 @@ import (
 
 // Sender binds a route to a payload length for callers that send one
 // flow repeatedly. Send is Host.Send on a private copy of the route,
-// with the payload length checked; the host's route memo (routeMemo)
-// already seals a repeating route once.
+// with the payload length checked, so a caller may rewrite its route
+// after NewSender returns.
 type Sender struct {
 	h       *Host
 	route   []viper.Segment

@@ -107,9 +107,9 @@ func TestSenderPayloadStamping(t *testing.T) {
 	}
 }
 
-// TestSendConcurrentRoutes drives the host's route memo from many
-// goroutines at once, each sending its own route, so hits and misses
-// interleave under the memo's lock. Every image the far host receives
+// TestSendConcurrentRoutes drives one host's send path from many
+// goroutines at once, each sending its own route, so seals of different
+// routes interleave on the host. Every image the far host receives
 // must equal the encoding of its route and payload built from scratch
 // (viper.SealRoute and Packet.Encode), so no packet carries another
 // goroutine's header. CI runs it repeatedly under -race.
@@ -185,10 +185,10 @@ func TestSendConcurrentRoutes(t *testing.T) {
 	}
 }
 
-// TestSendAfterSealError pins the route memo's error path: a route that
-// fails to seal overwrites the buffer the memo's header lives in, so the
-// memo must forget its route, and the route sent before the failure
-// must arrive intact when it is sent again.
+// TestSendAfterSealError pins the send path's error case: a route that
+// fails to seal is refused and its frame recycled, and the route sent
+// before the failure must arrive intact when it is sent again, so a
+// failed seal leaves nothing behind on the host.
 func TestSendAfterSealError(t *testing.T) {
 	src, wait := senderTopology(t)
 	good := []viper.Segment{

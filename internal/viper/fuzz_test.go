@@ -3,6 +3,7 @@ package viper
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -185,17 +186,17 @@ func FuzzDecodeDAG(f *testing.F) {
 }
 
 // FuzzDecodeDelivery holds the receive fast path to its definition.
-// A sequence of packets runs through one memo — the input, the input
-// again, the input with its last trailer byte changed, the same bytes
-// under a count one lower and one higher, the input under another
-// arrival header, and the input once more. At every step DecodeDelivery
-// must agree with a memo-less DecodeDelivery on the error, the head and
-// the data, and its Route must decode (Segments) to the route Decode +
-// ConsumeHead(arrival) + ReturnRoute build for the same bytes, and
-// count as many segments (Len). Every Route must own its bytes: a
-// repeat gets a copy of its own, and after each step its frame and
-// header are overwritten, and every Route kept so far, and every
-// segment slice decoded from one, must still hold what it held.
+// A sequence of packets runs through it — the input, the input again,
+// the input with its last trailer byte changed, the same bytes under a
+// count one lower and one higher, the input under another arrival
+// header, and the input once more. At every step DecodeDelivery must
+// agree with Decode on the error, the head and the data, and its Route
+// must decode (Segments) to the route Decode + ConsumeHead(arrival) +
+// ReturnRoute build for the same bytes, and count as many segments
+// (Len). Every Route must own its bytes: a repeat gets a copy of its
+// own, and after each step its frame and header are overwritten, and
+// every Route kept so far, and every segment slice decoded from one,
+// must still hold what it held.
 func FuzzDecodeDelivery(f *testing.F) {
 	p := NewPacket([]Segment{{Port: PortLocal, Priority: 3}}, []byte("payload"))
 	p.Trailer = []Segment{{Port: PortLocal}, {Port: 4, PortToken: []byte{1, 2, 3}}}
@@ -204,23 +205,17 @@ func FuzzDecodeDelivery(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0, 0x5A}, byte(1), []byte(nil)) // descriptor only: must error, not panic
 	f.Fuzz(func(t *testing.T, in []byte, inPort uint8, inInfo []byte) {
-		var memo DeliveryMemo
 		type kept struct {
 			name      string
 			ret       Route
 			got, want []Segment
 		}
 		var held []kept
-		// step decodes private copies of frame and info through the memo
-		// and without it, compares both with Decode, and overwrites the
-		// copies.
+		// step decodes private copies of frame and info, compares the
+		// result with Decode, and overwrites the copies.
 		step := func(name string, frame, info []byte) (Route, bool) {
 			b, ib := bytes.Clone(frame), bytes.Clone(info)
-			head, data, ret, err := DecodeDelivery(b, inPort, ib, &memo)
-			wHead, wData, _, wErr := DecodeDelivery(bytes.Clone(frame), inPort, bytes.Clone(info), nil)
-			if err != wErr {
-				t.Fatalf("%s: memo err = %v, memo-less err = %v", name, err, wErr)
-			}
+			head, data, ret, err := DecodeDelivery(b, inPort, ib)
 			pkt, refErr := Decode(frame)
 			if refErr == nil && len(info) > MaxFieldLen {
 				// No segment carries such a header: the delivery fails
@@ -230,14 +225,14 @@ func FuzzDecodeDelivery(f *testing.F) {
 				}
 				return Route{}, false
 			}
-			if (err == nil) != (refErr == nil) {
+			if !errors.Is(err, refErr) {
 				t.Fatalf("%s: DecodeDelivery err = %v, Decode err = %v", name, err, refErr)
 			}
 			if err != nil {
 				return Route{}, false
 			}
-			if !head.Equal(&wHead) || !bytes.Equal(data, wData) {
-				t.Fatalf("%s: head %v data %x, memo-less head %v data %x", name, &head, data, &wHead, wData)
+			if !head.Equal(&pkt.Route[0]) || !bytes.Equal(data, pkt.Data) {
+				t.Fatalf("%s: head %v data %x, Decode head %v data %x", name, &head, data, &pkt.Route[0], pkt.Data)
 			}
 			pkt.ConsumeHead(Segment{Port: inPort, Priority: pkt.Priority(), PortInfo: bytes.Clone(info)})
 			want := pkt.ReturnRoute()

@@ -80,6 +80,16 @@ func TestDecodeSegmentMirroredEdgeCases(t *testing.T) {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("err = %v, want %v", err, tc.wantErr)
 				}
+				// The same bytes as a packet's whole one-segment
+				// trailer: the receive walk, which checks only length
+				// bytes, must fail them as Decode does.
+				pkt := append(bytes.Clone(tc.in), 0, 1, 0, trailerMagic)
+				if _, err := Decode(pkt); !errors.Is(err, tc.wantErr) {
+					t.Fatalf("as a trailer: Decode err = %v, want %v", err, tc.wantErr)
+				}
+				if _, _, _, err := DecodeDelivery(pkt, 1, nil); !errors.Is(err, tc.wantErr) {
+					t.Fatalf("as a trailer: DecodeDelivery err = %v, want %v", err, tc.wantErr)
+				}
 				return
 			}
 			if err != nil {

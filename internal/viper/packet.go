@@ -1,7 +1,6 @@
 package viper
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -289,49 +288,25 @@ func (r Route) Segments(dst []Segment) []Segment {
 	return dst
 }
 
-// DeliveryMemo is a receiving host's memory of its last delivery: the
-// trailer's wire bytes, already validated, their segment count, and
-// the arrival header. Every packet of a flow carries the same trailer
-// and arrives with the same header, so DecodeDelivery skips validating
-// a repeat again. The zero value is an empty memo. A memo belongs to
-// one receiver and is not safe for concurrent use.
-type DeliveryMemo struct {
-	wire []byte // the trailer segments' wire bytes, descriptor excluded
-	n    int    // their count
-	info []byte // the arrival header they came with
-	ok   bool   // the fields above hold a delivery
-}
-
 // DecodeDelivery is a receiving host's whole Sirpent step in one pass
 // over an encoded packet: Decode, then ConsumeHead with the arrival
 // segment {Port: inPort, Priority: head.Priority, PortInfo: inInfo},
 // then ReturnRoute. head and data alias b. ret is the return route as
-// a Route of its own: one allocation the size of the trailer plus the
-// arrival hop, valid after b and inInfo are recycled. The trailer is
-// validated with Decode's own decoders in Decode's order, so
-// DecodeDelivery accepts and rejects exactly what Decode does; an
-// inInfo longer than MaxFieldLen, which no segment can carry, is
-// ErrFieldTooLong.
-//
-// memo, when not nil, carries the previous delivery. If the last
-// trailer bytes of b, its segment count and inInfo all repeat the
-// memo's, the trailer is not validated again: a backward walk of n
-// segments reads only those bytes, so it would accept them again.
-func DecodeDelivery(b []byte, inPort uint8, inInfo []byte, memo *DeliveryMemo) (head Segment, data []byte, ret Route, err error) {
+// a Route of its own: a copy of the trailer's bytes with the arrival
+// hop appended, one allocation, valid after b and inInfo are recycled.
+// The trailer is validated by a backward walk over each segment's
+// length bytes, which fills no Segment; the walk shares Decode's
+// field-length check, and the forward header is parsed with Decode's
+// own decoder in Decode's order, so DecodeDelivery accepts and rejects
+// exactly what Decode does. An inInfo longer than MaxFieldLen, which
+// no segment can carry, is ErrFieldTooLong.
+func DecodeDelivery(b []byte, inPort uint8, inInfo []byte) (head Segment, data []byte, ret Route, err error) {
 	nTrailer, _, rest, err := splitTrailer(b)
 	if err != nil {
 		return Segment{}, nil, Route{}, err
 	}
-	hit := memo.repeats(rest, nTrailer, inInfo)
-	if hit {
-		rest = rest[:len(rest)-len(memo.wire)]
-	} else {
-		var s Segment
-		for i := 0; i < nTrailer; i++ {
-			if rest, err = decodeSegmentMirrored(&s, rest, false); err != nil {
-				return Segment{}, nil, Route{}, err
-			}
-		}
+	if rest, err = skipMirrored(rest, nTrailer); err != nil {
+		return Segment{}, nil, Route{}, err
 	}
 	trailer := b[len(rest) : len(b)-trailerDescLen]
 	for i, more := 0, true; more; i++ {
@@ -349,28 +324,7 @@ func DecodeDelivery(b []byte, inPort uint8, inInfo []byte, memo *DeliveryMemo) (
 	if rb, err = AppendSegmentMirrored(rb, &arrival); err != nil {
 		return Segment{}, nil, Route{}, err
 	}
-	if !hit && memo != nil {
-		memo.remember(trailer, nTrailer, inInfo)
-	}
 	return head, rest, Route{rb, nTrailer + 1}, nil
-}
-
-// repeats reports whether a packet whose bytes before the descriptor
-// are rest, carrying n trailer segments, arriving with inInfo, repeats
-// the memo's trailer. A nil memo repeats nothing.
-func (m *DeliveryMemo) repeats(rest []byte, n int, inInfo []byte) bool {
-	return m != nil && m.ok && n == m.n && len(rest) >= len(m.wire) &&
-		bytes.Equal(rest[len(rest)-len(m.wire):], m.wire) &&
-		bytes.Equal(inInfo, m.info)
-}
-
-// remember makes a freshly validated delivery the memo's: its
-// trailer's wire bytes, their count, and its arrival header.
-func (m *DeliveryMemo) remember(wire []byte, n int, info []byte) {
-	m.wire = append(m.wire[:0], wire...)
-	m.n = n
-	m.info = append(m.info[:0], info...)
-	m.ok = true
 }
 
 // splitTrailer checks the trailer descriptor that ends b and returns the

@@ -377,20 +377,9 @@ func decodeSegmentMirrored(s *Segment, b []byte, copyFields bool) ([]byte, error
 }
 
 func decodeFieldBackward(b []byte, lenByte byte, copyField bool) (field, rest []byte, err error) {
-	n := int(lenByte)
-	if lenByte == 255 {
-		if len(b) < 4 {
-			return nil, nil, ErrTruncatedSegment
-		}
-		v := binary.BigEndian.Uint32(b[len(b)-4:])
-		if v > MaxFieldLen {
-			return nil, nil, ErrFieldTooLong
-		}
-		n = int(v)
-		b = b[:len(b)-4]
-	}
-	if len(b) < n {
-		return nil, nil, ErrTruncatedSegment
+	n, b, err := fieldLenBackward(b, lenByte)
+	if err != nil {
+		return nil, nil, err
 	}
 	if n == 0 {
 		return nil, b, nil
@@ -400,4 +389,49 @@ func decodeFieldBackward(b []byte, lenByte byte, copyField bool) (field, rest []
 		return field[:n:n], b[:len(b)-n], nil
 	}
 	return append([]byte(nil), field...), b[:len(b)-n], nil
+}
+
+// fieldLenBackward is the one definition of a mirrored field's length:
+// the field whose length byte is lenByte ends b, after its length
+// escape when lenByte is 255. It returns the field's length n and b
+// without the escape, whose last n bytes are the field.
+func fieldLenBackward(b []byte, lenByte byte) (n int, rest []byte, err error) {
+	n = int(lenByte)
+	if lenByte == 255 {
+		if len(b) < 4 {
+			return 0, nil, ErrTruncatedSegment
+		}
+		v := binary.BigEndian.Uint32(b[len(b)-4:])
+		if v > MaxFieldLen {
+			return 0, nil, ErrFieldTooLong
+		}
+		n = int(v)
+		b = b[:len(b)-4]
+	}
+	if len(b) < n {
+		return 0, nil, ErrTruncatedSegment
+	}
+	return n, b, nil
+}
+
+// skipMirrored returns the bytes before the n mirrored segments that
+// end b, checking only their length bytes: it accepts and rejects
+// exactly what n decodeSegmentMirrored calls do, and fills no Segment.
+func skipMirrored(b []byte, n int) ([]byte, error) {
+	for ; n > 0; n-- {
+		if len(b) < 4 {
+			return nil, ErrTruncatedSegment
+		}
+		pil, ptl := b[len(b)-4], b[len(b)-3]
+		nInfo, rest, err := fieldLenBackward(b[:len(b)-4], pil)
+		if err != nil {
+			return nil, err
+		}
+		nToken, rest, err := fieldLenBackward(rest[:len(rest)-nInfo], ptl)
+		if err != nil {
+			return nil, err
+		}
+		b = rest[:len(rest)-nToken]
+	}
+	return b, nil
 }

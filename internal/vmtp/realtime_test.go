@@ -524,7 +524,7 @@ func deliveredRoute(t *testing.T, hops int) viper.Route {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, ret, err := viper.DecodeDelivery(b, 1, nil, nil)
+	_, _, ret, err := viper.DecodeDelivery(b, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
