@@ -3,13 +3,14 @@
 // processes that each realize one partition of a seeded conformance
 // scenario and carry cross-partition links over real UDP sockets.
 //
-// After every peer exits, the launcher collects their reports from the
-// directory and renders a verdict: every flow delivered and echoed
-// exactly once across process boundaries, the merged per-account
-// ledger internally reconciled, and per-account totals identical to a
-// single-process livenet run of the same seed. Exit status 0 means the
-// whole verdict passed; anything else is a failure (and CI treats it
-// as such — see the cluster-smoke job).
+// After every peer exits, the launcher reads each peer's final
+// snapshot back out of the directory and renders a verdict: every flow
+// delivered and echoed exactly once across process boundaries, the
+// merged per-account ledger internally reconciled, trace spans
+// accounting for every traced crossing, and per-account totals
+// identical to a single-process livenet run of the same seed. Exit
+// status 0 means the whole verdict passed; anything else is a failure
+// (and CI treats it as such — see the cluster-smoke job).
 //
 // With -gateway, the peers additionally bind SOCKS gateway relays on
 // the scenario's deterministic gateway hosts, and the launcher pushes
@@ -49,7 +50,7 @@ func main() {
 	settle := flag.Duration("settle", 30*time.Second, "per-peer quiesce deadline")
 	gw := flag.Bool("gateway", false, "gateway mode: run peers with SOCKS relays and push a hash-verified TCP transfer through the cluster")
 	gwBytes := flag.Int64("gateway-bytes", 10<<20, "bytes to transfer each way through the gateway (gateway mode)")
-	report := flag.Bool("report", false, "print the merged cluster telemetry report after the run")
+	report := flag.Bool("report", false, "print the merged cluster report after the run (it is printed on any failure regardless)")
 	failover := flag.Bool("failover", false, "failover smoke: kill one cross-partition tunnel mid-run and require zero lost transactions (flow routes carry in-header alternates)")
 	flag.Parse()
 
@@ -88,7 +89,7 @@ func run(n int, seed int64, sirpentd string, settle time.Duration, gw bool, gwBy
 	}
 
 	// The directory must outlive the peers: they report to it, and we
-	// read the reports back out of it. Kill it last.
+	// read their snapshots back out of it. Kill it last.
 	dir := exec.Command(bin, "dir", "-addr", "127.0.0.1:0",
 		"-seed", fmt.Sprint(seed), "-peers", fmt.Sprint(n))
 	dir.Stderr = os.Stderr
@@ -160,82 +161,77 @@ func run(n int, seed int64, sirpentd string, settle time.Duration, gw bool, gwBy
 		}
 	}
 
-	// Fetch the reports even when a peer failed — incomplete peers
-	// still post theirs before exiting, and the counters localize the
-	// fault (tunnel drop vs router drop vs wire loss).
-	raw, err := client.Reports(10 * time.Second)
-	if err != nil {
-		if failed {
-			return fmt.Errorf("one or more peers failed (and reports unavailable: %v)", err)
-		}
-		return fmt.Errorf("collect reports: %w", err)
+	// Read the snapshots even when a peer failed — an incomplete peer
+	// still ships its final snapshot before exiting, one that died
+	// leaves its last periodic one, and the counters localize the fault
+	// (tunnel drop vs router drop vs wire loss). Every peer has exited,
+	// so a short wait is enough.
+	cr, waitErr := client.WaitCluster(10 * time.Second)
+	if waitErr != nil && len(cr.Nodes) == 0 {
+		return fmt.Errorf("collect reports: %w", waitErr)
 	}
-	reports, err := daemon.DecodeReports(raw)
+	cl, err := daemon.DecodeCluster(cr)
 	if err != nil {
 		return err
 	}
-	fmt.Print(daemon.FormatReports(reports))
-	if failed {
-		return fmt.Errorf("one or more peers failed")
+	pass, err := verdict(cl, sc, n, seed, failed, gw, gwBytes, blip)
+	if report || err != nil {
+		fmt.Print(daemon.FormatCluster(cl))
 	}
-
-	// Merged telemetry: the same scrape a human would do against
-	// /debug/cluster, folded into the verdict. Peers ship it by default;
-	// a cluster explicitly run without it just merges zero nodes.
-	cluster, err := client.Cluster()
 	if err != nil {
-		return fmt.Errorf("fetch cluster telemetry: %w", err)
+		return err
 	}
-	if report {
-		fmt.Print(daemon.FormatClusterReport(cluster))
-	}
+	fmt.Println(pass)
+	return nil
+}
 
-	if problems := daemon.VerifyCluster(sc, n, reports); len(problems) > 0 {
-		return fmt.Errorf("cluster verdict failed (%d problems):\n  %s",
+// verdict applies every check a run's mode calls for to the peers'
+// final snapshots, returning the PASS line or the first failing check.
+func verdict(cl *daemon.Cluster, sc *check.Scenario, n int, seed int64, peerFailed, gw bool, gwBytes int64, blip int) (string, error) {
+	if peerFailed {
+		return "", fmt.Errorf("one or more peers failed")
+	}
+	if problems := daemon.VerifyCluster(sc, n, cl.Reports); len(problems) > 0 {
+		return "", fmt.Errorf("cluster verdict failed (%d problems):\n  %s",
 			len(problems), strings.Join(problems, "\n  "))
 	}
-	if len(cluster.Nodes) > 0 {
-		if problems := daemon.VerifyClusterTelemetry(cluster); len(problems) > 0 {
-			return fmt.Errorf("telemetry verdict failed (%d problems):\n  %s",
-				len(problems), strings.Join(problems, "\n  "))
-		}
+	if problems := daemon.VerifyClusterTelemetry(cl); len(problems) > 0 {
+		return "", fmt.Errorf("telemetry verdict failed (%d problems):\n  %s",
+			len(problems), strings.Join(problems, "\n  "))
 	}
 	if gw {
 		// The gateway account only exists in the distributed run, so
 		// the single-process ledger diff does not apply; the gateway
 		// verdict checks stream conservation and billing instead.
-		if problems := daemon.VerifyGatewayCluster(sc, n, reports, uint64(gwBytes)); len(problems) > 0 {
-			return fmt.Errorf("gateway verdict failed (%d problems):\n  %s",
+		if problems := daemon.VerifyGatewayCluster(sc, n, cl.Reports, uint64(gwBytes)); len(problems) > 0 {
+			return "", fmt.Errorf("gateway verdict failed (%d problems):\n  %s",
 				len(problems), strings.Join(problems, "\n  "))
 		}
-		fmt.Println("cluster: PASS — flows delivered exactly once AND the SOCKS transfer crossed the cluster hash-intact with the gateway account billed, ledgers reconciling, and trace spans accounting for every traced crossing")
-		return nil
+		return "cluster: PASS — flows delivered exactly once AND the SOCKS transfer crossed the cluster hash-intact with the gateway account billed, ledgers reconciling, and trace spans accounting for every traced crossing", nil
 	}
-	if failover {
+	if blip >= 0 {
 		// The detour bills the branch actually taken, so the healthy-mesh
 		// single-process ledger diff does not apply; the verdict above
 		// already proved internal reconciliation and exactly-once
 		// delivery — zero lost transactions despite the dead tunnel.
 		var fo uint64
-		for _, r := range reports {
+		for _, r := range cl.Reports {
 			fo += r.Failovers
 		}
 		if fo == 0 {
-			return fmt.Errorf("failover smoke: tunnel died but no in-header failovers were recorded")
+			return "", fmt.Errorf("failover smoke: tunnel died but no in-header failovers were recorded")
 		}
-		fmt.Printf("cluster: PASS — link %d died mid-run, %d in-header failovers diverted every crossing transaction, all flows delivered and echoed exactly once, ledgers reconcile\n", blip, fo)
-		return nil
+		return fmt.Sprintf("cluster: PASS — link %d died mid-run, %d in-header failovers diverted every crossing transaction, all flows delivered and echoed exactly once, ledgers reconcile", blip, fo), nil
 	}
-	diffs, err := daemon.CompareWithSingleProcess(seed, daemon.ClusterLedger(reports), 15*time.Second)
+	diffs, err := daemon.CompareWithSingleProcess(seed, daemon.ClusterLedger(cl.Reports), 15*time.Second)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if len(diffs) > 0 {
-		return fmt.Errorf("ledger diverges from single-process run:\n  %s",
+		return "", fmt.Errorf("ledger diverges from single-process run:\n  %s",
 			strings.Join(diffs, "\n  "))
 	}
-	fmt.Println("cluster: PASS — all flows delivered and echoed exactly once; ledgers reconcile and match the single-process run")
-	return nil
+	return "cluster: PASS — all flows delivered and echoed exactly once; ledgers reconcile and match the single-process run", nil
 }
 
 // driveGateway runs the launcher's half of a gateway-mode run: an echo

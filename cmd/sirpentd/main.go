@@ -5,7 +5,7 @@
 //	sirpentd dir     [-addr 127.0.0.1:0] [-seed N] [-peers N]
 //	sirpentd peer    [-index I] [-peers N] [-seed N] [-dir URL] [-udp 127.0.0.1:0]
 //	                 [-gateway] [-gateway-listen 127.0.0.1:0]
-//	                 [-telemetry] [-trace-sample N]
+//	                 [-trace-sample N]
 //	sirpentd gateway [-listen 127.0.0.1:1080] [-hops N]
 //	sirpentd report  [-dir URL]
 //
@@ -32,13 +32,15 @@
 // bind a SOCKS5 ingress and a dialing egress on them (DESIGN.md §13),
 // so real TCP streams transit the same cluster, and every peer holds
 // its drain barrier until the launcher raises the directory's
-// shutdown latch. Peers ship cluster telemetry — trace spans, tunnel
-// counters, flight-recorder anomalies — to the directory by default
-// (-telemetry=false disables it; -trace-sample N samples one packet
-// in N), where GET /debug/cluster serves the merged view.
+// shutdown latch. Every peer traces packets across process boundaries
+// (-trace-sample N samples one packet in N) and ships one cumulative
+// snapshot of its evidence — deliveries, router, tunnel and relay
+// counters, trace spans, flight-recorder anomalies — to the directory
+// every 500 ms and a final one after its drain barrier; GET
+// /debug/cluster serves each peer's latest with the merged stages.
 //
 // `report` fetches that merged view from a running cluster's directory
-// and renders the per-node, per-stage and per-tunnel tables.
+// and renders the per-peer, per-stage, per-tunnel and billing tables.
 //
 // `gateway` is the standalone single-process proxy: a SOCKS5 listener
 // whose accepted streams ride VMTP packet groups across an in-process
@@ -103,7 +105,7 @@ func usage(w *os.File) {
   dir      serve the directory service for a cluster
   peer     join a cluster as one partition of the scenario
   gateway  serve a SOCKS5 proxy whose streams ride a token-guarded Sirpent chain
-  report   fetch and render a cluster's merged telemetry from its directory
+  report   fetch and render a cluster's merged report from its directory
 
 Run 'sirpentd <role> -h' for the role's flags.`)
 }
@@ -159,14 +161,12 @@ func peerCmd(args []string) error {
 	dir := fs.String("dir", "", "directory service base URL (required)")
 	udp := fs.String("udp", "127.0.0.1:0", "UDP bridge listen address")
 	settle := fs.Duration("settle", 30*time.Second, "quiesce deadline")
-	loss := fs.Float64("loss", 0, "injected tunnel loss ratio (fault experiments)")
 	alternates := fs.Int("alternates", 0, "ranked failover alternates per router hop on flow routes (0-3)")
 	failoverLink := fs.Int("failover-link", -1, "failover smoke: global link index whose tunnel goes down between flow waves (-1 = off)")
 	gw := fs.Bool("gateway", false, "gateway mode: bind SOCKS relays on the scenario's gateway hosts and hold for the launcher's shutdown latch")
 	gwListen := fs.String("gateway-listen", "127.0.0.1:0", "ingress SOCKS listen address (gateway mode)")
 	gwWait := fs.Duration("gateway-wait", 2*time.Minute, "bound on the wait for the shutdown latch (gateway mode)")
-	telemetry := fs.Bool("telemetry", true, "trace packets across process boundaries and ship telemetry to the directory")
-	traceSample := fs.Int("trace-sample", 1, "trace one originated packet in N (with -telemetry; 1 traces all)")
+	traceSample := fs.Int("trace-sample", 1, "trace one originated packet in N (1 traces all)")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("peer: -dir is required")
@@ -178,14 +178,12 @@ func peerCmd(args []string) error {
 		DirURL:        *dir,
 		UDPAddr:       *udp,
 		SettleTimeout: *settle,
-		LossRatio:     *loss,
 		Alternates:    *alternates,
 		Failover:      *failoverLink >= 0,
 		BlipLink:      *failoverLink,
 		Gateway:       *gw,
 		GatewayListen: *gwListen,
 		GatewayWait:   *gwWait,
-		Telemetry:     *telemetry,
 		TraceSample:   *traceSample,
 		Logf: func(format string, a ...any) {
 			fmt.Printf(format+"\n", a...)
@@ -212,7 +210,11 @@ func reportCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(daemon.FormatClusterReport(cr))
+	cl, err := daemon.DecodeCluster(cr)
+	if err != nil {
+		return err
+	}
+	fmt.Print(daemon.FormatCluster(cl))
 	return nil
 }
 

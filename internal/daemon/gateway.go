@@ -33,12 +33,6 @@ type GatewayConfig struct {
 	Hops int
 	// Listen is the SOCKS5 listen address; default "127.0.0.1:0".
 	Listen string
-	// Window and GroupBytes tune the per-stream relay flow control
-	// (see gateway.Config); zero means the gateway defaults.
-	Window     int
-	GroupBytes int
-	// RT tunes the underlying VMTP endpoints.
-	RT vmtp.RTConfig
 }
 
 // GatewayServer is a running standalone gateway.
@@ -58,9 +52,6 @@ func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	if cfg.RT.CallTimeout == 0 {
-		cfg.RT.CallTimeout = 60 * time.Second
-	}
 
 	col := ledger.NewCollector(ledger.New())
 	nw := livenet.NewNetwork(livenet.WithLedgerCollector(col))
@@ -69,7 +60,7 @@ func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 	for i := 0; i < cfg.Hops; i++ {
 		gs.routers = append(gs.routers, nw.NewRouter(fmt.Sprintf("R%d", i)))
 	}
-	base := gateway.Config{Window: cfg.Window, GroupBytes: cfg.GroupBytes, RT: cfg.RT}
+	base := gateway.Config{RT: vmtp.RTConfig{CallTimeout: 60 * time.Second}}
 	// Every link holds a full relay window, so a burst queues instead of
 	// overflowing into retransmissions (DESIGN.md §11).
 	depth := livenet.WithDepth(base.BurstPackets())

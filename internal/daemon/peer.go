@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -32,9 +33,6 @@ type PeerConfig struct {
 	UDPAddr string
 	// SettleTimeout bounds the wait for local quiesce; default 30s.
 	SettleTimeout time.Duration
-	// LossRatio injects loss on every tunnel this peer terminates
-	// (fault-injection runs; 0 for conformance).
-	LossRatio float64
 	// Gateway runs the cluster in gateway mode: the peers owning the
 	// scenario's deterministic gateway hosts (check.GatewayHosts) bind
 	// SOCKS ingress / dialing egress relays on them, and every peer
@@ -62,14 +60,9 @@ type PeerConfig struct {
 	// failover smoke takes down. Both terminating peers match on it, so
 	// the link dies in both directions without coordination.
 	BlipLink int
-	// Telemetry enables cluster observability: a ClusterTracer samples
-	// packets on the substrate (trace contexts ride the tunnel and
-	// gateway wire formats across process boundaries), and the peer
-	// ships cumulative TelemetryReports to the directory — periodically
-	// while running, once synchronously at quiesce.
-	Telemetry bool
 	// TraceSample traces one originated packet in N (<= 1 traces all).
-	// Only meaningful with Telemetry.
+	// Trace contexts ride the tunnel and gateway wire formats across
+	// process boundaries.
 	TraceSample int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
@@ -83,8 +76,8 @@ func (c *PeerConfig) logf(format string, args ...any) {
 
 // Peer runs the peer role to completion: build owned topology, join
 // the cluster, push the owned share of the workload, quiesce, report,
-// and tear down. The returned Report is what was posted to the
-// directory.
+// and tear down. The returned Report is the final snapshot posted to
+// the directory.
 func Peer(cfg PeerConfig) (*Report, error) {
 	if cfg.Total <= 0 || cfg.Index < 0 || cfg.Index >= cfg.Total {
 		return nil, fmt.Errorf("daemon: peer index %d out of range for %d peers", cfg.Index, cfg.Total)
@@ -108,25 +101,17 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	// single-process ledgered run guards them), their hosts, and every
 	// link with both ends owned.
 	fr := ledger.NewFlightRecorder(0)
-	col := ledger.NewCollector(ledger.New())
-	netOpts := []livenet.NetworkOption{
-		livenet.WithFlightRecorder(fr),
-		livenet.WithLedgerCollector(col),
-	}
+	netOpts := []livenet.NetworkOption{livenet.WithFlightRecorder(fr)}
 	// Cluster tracing: trace IDs originated here carry this peer's index
 	// above bit 48, so IDs are cluster-unique and any process can tell
 	// "my trace" from "a trace I'm forwarding" without coordination.
-	var spans *trace.Spans
-	var tracer *trace.ClusterTracer
-	if cfg.Telemetry {
-		sample := cfg.TraceSample
-		if sample < 1 {
-			sample = 1
-		}
-		spans = trace.NewSpans(0)
-		tracer = trace.NewClusterTracer(name, uint64(cfg.Index+1)<<48, uint64(sample), spans, trace.NewMetrics())
-		netOpts = append(netOpts, livenet.WithTracer(tracer))
+	sample := cfg.TraceSample
+	if sample < 1 {
+		sample = 1
 	}
+	spans := trace.NewSpans(0)
+	tracer := trace.NewClusterTracer(name, uint64(cfg.Index+1)<<48, uint64(sample), spans, trace.NewMetrics())
+	netOpts = append(netOpts, livenet.WithTracer(tracer))
 	netw := livenet.NewNetwork(netOpts...)
 	defer netw.Stop()
 
@@ -176,11 +161,13 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		return nil, err
 	}
 	defer bridge.Close()
-	type pending struct {
-		tun      *udpnet.Tunnel
-		farOwner int
+	ev := &evidence{
+		name:    name,
+		rec:     Report{Delivered: make(map[uint64]string), Replied: make(map[uint64]string)},
+		routers: routers,
+		tracer:  tracer,
+		flight:  fr,
 	}
-	var tunnels []pending
 	for _, li := range check.CrossLinks(sc, cfg.Total) {
 		l := sc.Links[li]
 		var ri int
@@ -198,10 +185,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.LossRatio > 0 {
-			tun.SetLossRatio(cfg.LossRatio)
-		}
-		tunnels = append(tunnels, pending{tun: tun, farOwner: far})
+		ev.tunnels = append(ev.tunnels, peerTunnel{tun: tun, farOwner: far})
 	}
 
 	// Workload receivers: the echo protocol of the conformance harness,
@@ -210,53 +194,45 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	// Handlers MUST be live before the "up" barrier below — a faster
 	// peer injects the moment the barrier clears, and a request
 	// arriving at a handlerless host would be dropped.
-	rep := &Report{
-		Peer:        name,
-		Delivered:   make(map[uint64]string),
-		Replied:     make(map[uint64]string),
-		RouterUsage: make(map[string]map[uint32]token.Usage),
-		Tunnels:     make(map[uint16]udpnet.Stats),
-	}
-	var mu sync.Mutex
 	for hi, h := range hosts {
 		hname := check.HostName(hi)
 		h := h
 		h.Handle(0, func(d livenet.Delivery) {
 			id, kind, ok := check.ParseData(d.Data)
 			if !ok || id == 0 || int(id) > len(sc.Flows) {
-				mu.Lock()
-				rep.Garbled++
-				mu.Unlock()
+				ev.mu.Lock()
+				ev.rec.Garbled++
+				ev.mu.Unlock()
 				return
 			}
 			switch kind {
 			case check.KindRequest:
 				f := sc.Flows[id-1]
-				mu.Lock()
-				if _, dup := rep.Delivered[id]; dup {
-					rep.Duplicates++
+				ev.mu.Lock()
+				if _, dup := ev.rec.Delivered[id]; dup {
+					ev.rec.Duplicates++
 				}
-				rep.Delivered[id] = hname
+				ev.rec.Delivered[id] = hname
 				if !bytes.Equal(d.Data, check.FlowData(f)) {
-					rep.DataBad++
+					ev.rec.DataBad++
 				}
-				mu.Unlock()
+				ev.mu.Unlock()
 				if err := h.Send(d.ReturnRoute.Segments(nil), check.ReplyData(id)); err != nil {
-					mu.Lock()
-					rep.SendErrs++
-					mu.Unlock()
+					ev.mu.Lock()
+					ev.rec.SendErrs++
+					ev.mu.Unlock()
 				}
 			case check.KindReply:
-				mu.Lock()
-				if _, dup := rep.Replied[id]; dup {
-					rep.Duplicates++
+				ev.mu.Lock()
+				if _, dup := ev.rec.Replied[id]; dup {
+					ev.rec.Duplicates++
 				}
-				rep.Replied[id] = hname
-				mu.Unlock()
+				ev.rec.Replied[id] = hname
+				ev.mu.Unlock()
 			default:
-				mu.Lock()
-				rep.Garbled++
-				mu.Unlock()
+				ev.mu.Lock()
+				ev.rec.Garbled++
+				ev.mu.Unlock()
 			}
 		})
 	}
@@ -270,6 +246,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	// origin trailer, so stream acks never collide with flow replies.
 	client := directory.NewClient(cfg.DirURL)
 	gin, geg := check.GatewayHosts(sc, cfg.Total)
+	ev.ingressHost, ev.egressHost = check.HostName(gin), check.HostName(geg)
 	var gwIngress *gateway.Ingress
 	var gwEgress *gateway.Egress
 	if cfg.Gateway {
@@ -277,6 +254,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			egCfg := gwBase
 			egCfg.Entity = check.GatewayEgressEntity
 			gwEgress = gateway.NewEgress(h, check.GatewayEndpoint, egCfg)
+			ev.egress = gwEgress
 			defer gwEgress.Close()
 		}
 		if h, ok := hosts[gin]; ok {
@@ -299,6 +277,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			inCfg.Peer = check.GatewayEgressEntity
 			inCfg.Route = routes[0].Segments
 			gwIngress = gateway.NewIngress(ln, h, check.GatewayEndpoint, inCfg)
+			ev.ingress = gwIngress
 			defer gwIngress.Close()
 			cfg.logf("%s: SOCKS ingress on %s (route %v)", name, gwIngress.Addr(), routes[0].Path)
 		}
@@ -331,7 +310,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		}
 		addrOf[p.Name] = ua
 	}
-	for _, pd := range tunnels {
+	for _, pd := range ev.tunnels {
 		far := check.PeerName(pd.farOwner)
 		ua, ok := addrOf[far]
 		if !ok {
@@ -342,51 +321,13 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	if err := client.Barrier(name, "up"); err != nil {
 		return nil, err
 	}
-	cfg.logf("%s: cluster up, %d routers %d hosts %d tunnels", name, len(routers), len(hosts), len(tunnels))
+	cfg.logf("%s: cluster up, %d routers %d hosts %d tunnels", name, len(routers), len(hosts), len(ev.tunnels))
 
-	// Telemetry shipping: cumulative snapshots flow to the directory
-	// every half second while the workload runs, and once more
-	// synchronously at quiesce (below) so the merged cluster view is
-	// final-state exact, not last-tick approximate.
-	var tp *telemetryPeer
-	stopShip := make(chan struct{})
-	var shipDone <-chan struct{}
-	if cfg.Telemetry {
-		tp = &telemetryPeer{
-			name:   name,
-			tracer: tracer,
-			flight: fr,
-			tunnels: func() []directory.TunnelTelemetry {
-				out := make([]directory.TunnelTelemetry, 0, len(tunnels))
-				for _, pd := range tunnels {
-					st := pd.tun.Stats()
-					out = append(out, directory.TunnelTelemetry{
-						LinkID:       pd.tun.LinkID(),
-						Peer:         check.PeerName(pd.farOwner),
-						Encapsulated: st.Encapsulated,
-						Decapsulated: st.Decapsulated,
-						DecodeErrors: st.DecodeErrors,
-						SendErrors:   st.SendErrors,
-						Dropped:      st.Dropped,
-						TracedSent:   st.TracedSent,
-						TracedRecv:   st.TracedRecv,
-					})
-				}
-				return out
-			},
-			gateways: func() []directory.GatewayTelemetry {
-				var out []directory.GatewayTelemetry
-				if gwIngress != nil {
-					out = append(out, gatewayTelemetry("ingress", gwIngress.Stats(), gwIngress.PeerRTTs()))
-				}
-				if gwEgress != nil {
-					out = append(out, gatewayTelemetry("egress", gwEgress.Stats(), gwEgress.PeerRTTs()))
-				}
-				return out
-			},
-		}
-		shipDone = tp.run(client, 500*time.Millisecond, stopShip)
-	}
+	// Cumulative snapshots flow to the directory every half second
+	// while the workload runs, and once more, final, after the drain
+	// barrier (below).
+	stopShip := ev.ship(client, 500*time.Millisecond)
+	defer stopShip()
 
 	// Inject owned flows, with routes — and tokens — fetched from the
 	// directory over the wire, the same queries the single-process run
@@ -423,9 +364,9 @@ func Peer(cfg PeerConfig) (*Report, error) {
 				return nil, fmt.Errorf("daemon: route for flow %d: %w", f.ID, err)
 			}
 			if err := hosts[f.Src].Send(routes[0].Segments, check.FlowData(f)); err != nil {
-				mu.Lock()
-				rep.SendErrs++
-				mu.Unlock()
+				ev.mu.Lock()
+				ev.rec.SendErrs++
+				ev.mu.Unlock()
 			}
 		}
 
@@ -436,15 +377,11 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		// snapshot of a quiet network (and the failover blip a cut on a
 		// quiet one).
 		for {
-			mu.Lock()
-			done := len(rep.Delivered) >= wantDelivered && len(rep.Replied) >= wantReplied
-			mu.Unlock()
-			if done {
-				rep.Complete = true
-				break
-			}
-			if time.Now().After(deadline) {
-				rep.Complete = false
+			ev.mu.Lock()
+			done := len(ev.rec.Delivered) >= wantDelivered && len(ev.rec.Replied) >= wantReplied
+			ev.mu.Unlock()
+			if done || time.Now().After(deadline) {
+				ev.setComplete(done)
 				break
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -454,7 +391,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			if err := client.Barrier(name, "wave0-drained"); err != nil {
 				return nil, err
 			}
-			for _, pd := range tunnels {
+			for _, pd := range ev.tunnels {
 				if int(pd.tun.LinkID()) == cfg.BlipLink {
 					pd.tun.SetDown(true)
 					cfg.logf("%s: tunnel %d down — wave 1 must fail over in-header", name, pd.tun.LinkID())
@@ -479,7 +416,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 				break
 			}
 			if time.Now().After(gwDeadline) {
-				rep.Complete = false
+				ev.setComplete(false)
 				cfg.logf("%s: gateway shutdown latch never raised", name)
 				break
 			}
@@ -506,64 +443,28 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		}
 		if gwIngress != nil {
 			gwIngress.Close()
-			rep.Gateways = append(rep.Gateways, GatewayReport{
-				Role: "ingress", Host: check.HostName(gin),
-				Socks: gwIngress.Addr(), Stats: gwIngress.Stats(),
-			})
 		}
 		if gwEgress != nil {
 			gwEgress.Close()
-			rep.Gateways = append(rep.Gateways, GatewayReport{
-				Role: "egress", Host: check.HostName(geg), Stats: gwEgress.Stats(),
-			})
 		}
 	}
 	if err := client.Barrier(name, "drained"); err != nil {
 		return nil, err
 	}
 
-	// Evidence: sweep owned routers' token caches (the construction-
-	// time collector registered them), post per-router usage to the
-	// directory's billing database, and file the report.
-	col.Collect()
-	mu.Lock()
-	defer mu.Unlock()
-	for ri, r := range routers {
-		rn := check.RouterName(ri)
-		totals := r.TokenCache().AccountTotals()
-		rep.RouterUsage[rn] = totals
+	// Evidence, on a quiet network: the final snapshot, whose router
+	// sweeps also go to the directory's billing database. The final
+	// ship is synchronous and fatal, unlike the periodic ones, because
+	// the cluster verdicts hold only at quiesce.
+	stopShip()
+	final := ev.snapshot(true)
+	for rn, totals := range final.RouterUsage {
 		if err := client.ReportUsage(rn, totals); err != nil {
 			return nil, err
 		}
-		s := r.Stats()
-		rep.TokenAuthorized += s.TokenAuthorized
-		rep.Forwarded += s.Forwarded
-		rep.RouterDrops += s.TotalDrops()
 	}
-	for _, pd := range tunnels {
-		st := pd.tun.Stats()
-		rep.Tunnels[pd.tun.LinkID()] = st
-		rep.TunnelDropped += st.Dropped
-	}
-	rep.Anomalies = fr.Total()
-	for _, ev := range fr.Events() {
-		if ev.Kind == ledger.KindFailover {
-			rep.Failovers++
-		}
-	}
-	// Final telemetry ship, after the drain barrier and the sweeps above:
-	// the network is quiet, so this snapshot is the one the cluster
-	// verifier reconciles (span-leak and wire-span invariants hold only
-	// at quiesce). Synchronous and fatal, unlike the periodic posts.
-	if tp != nil {
-		close(stopShip)
-		<-shipDone
-		if err := tp.ship(client); err != nil {
-			return nil, fmt.Errorf("daemon: final telemetry ship: %w", err)
-		}
-	}
-	if err := client.Report(name, rep); err != nil {
-		return nil, err
+	if err := client.Telemetry(final); err != nil {
+		return nil, fmt.Errorf("daemon: final snapshot: %w", err)
 	}
 
 	// Exit barrier: nobody tears down their bridge while a peer might
@@ -572,6 +473,136 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		return nil, err
 	}
 	cfg.logf("%s: done — %d delivered, %d replied, complete=%v",
-		name, len(rep.Delivered), len(rep.Replied), rep.Complete)
-	return rep, nil
+		name, len(final.Delivered), len(final.Replied), final.Complete)
+	return final, nil
+}
+
+// flightTail bounds how many flight-recorder events ride in each
+// snapshot: the totals are always exact, only the event tail is
+// truncated.
+const flightTail = 128
+
+// peerTunnel is one cross-partition link this peer terminates.
+type peerTunnel struct {
+	tun      *udpnet.Tunnel
+	farOwner int // index of the peer owning the far end
+}
+
+// evidence assembles a peer's cumulative snapshots: the workload's
+// delivery record, which the receive handlers fill under mu, and the
+// counters the peer's routers, tunnels, relays, tracer and flight
+// recorder hold when a snapshot is taken.
+type evidence struct {
+	name string
+	seq  uint64 // snapshots taken; the shipping loop and the final snapshot never overlap
+
+	mu  sync.Mutex
+	rec Report // Complete and the delivery fields
+
+	routers                 map[int]*livenet.Router
+	tunnels                 []peerTunnel
+	ingress                 *gateway.Ingress
+	egress                  *gateway.Egress
+	ingressHost, egressHost string
+	tracer                  *trace.ClusterTracer
+	flight                  *ledger.FlightRecorder
+}
+
+// setComplete records whether the peer quiesced before its deadline.
+func (ev *evidence) setComplete(v bool) {
+	ev.mu.Lock()
+	ev.rec.Complete = v
+	ev.mu.Unlock()
+}
+
+// snapshot takes the next cumulative snapshot. Seq increases per call
+// so the directory's latest-wins merge is unambiguous even when HTTP
+// deliveries reorder.
+func (ev *evidence) snapshot(final bool) *Report {
+	ev.mu.Lock()
+	rep := ev.rec
+	rep.Delivered = maps.Clone(ev.rec.Delivered)
+	rep.Replied = maps.Clone(ev.rec.Replied)
+	ev.mu.Unlock()
+	ev.seq++
+	rep.Peer, rep.Seq, rep.Final = ev.name, ev.seq, final
+	rep.RouterUsage = make(map[string]map[uint32]token.Usage, len(ev.routers))
+
+	for ri, r := range ev.routers {
+		rep.RouterUsage[check.RouterName(ri)] = r.TokenCache().AccountTotals()
+		s := r.Stats()
+		rep.TokenAuthorized += s.TokenAuthorized
+		rep.Forwarded += s.Forwarded
+		rep.RouterDrops += s.TotalDrops()
+	}
+	for _, pt := range ev.tunnels {
+		rep.Tunnels = append(rep.Tunnels, TunnelReport{
+			LinkID: pt.tun.LinkID(), Peer: check.PeerName(pt.farOwner), Stats: pt.tun.Stats(),
+		})
+	}
+	if ev.ingress != nil {
+		rep.Gateways = append(rep.Gateways, GatewayReport{
+			Role: "ingress", Host: ev.ingressHost, Socks: ev.ingress.Addr(),
+			Stats: ev.ingress.Stats(), PeerRTTNs: hexKeys(ev.ingress.PeerRTTs()),
+		})
+	}
+	if ev.egress != nil {
+		rep.Gateways = append(rep.Gateways, GatewayReport{
+			Role: "egress", Host: ev.egressHost,
+			Stats: ev.egress.Stats(), PeerRTTNs: hexKeys(ev.egress.PeerRTTs()),
+		})
+	}
+
+	rep.TraceBegun, rep.TraceResumed, rep.TraceFinished = ev.tracer.Counts()
+	rep.Spans = ev.tracer.Spans().Snapshot()
+	rep.Metrics = ev.tracer.Metrics().Snapshot()
+	rep.FlightTotal = ev.flight.Total()
+	evs := ev.flight.Events()
+	for _, e := range evs {
+		if e.Kind == ledger.KindFailover {
+			rep.Failovers++
+		}
+	}
+	if len(evs) > flightTail {
+		evs = evs[len(evs)-flightTail:]
+	}
+	rep.Flight = evs
+	return &rep
+}
+
+// hexKeys re-keys per-entity RTTs by the entity in hex: JSON object
+// keys must be strings.
+func hexKeys(rtts map[uint64]int64) map[string]int64 {
+	if len(rtts) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(rtts))
+	for e, ns := range rtts {
+		out[fmt.Sprintf("%x", e)] = ns
+	}
+	return out
+}
+
+// ship posts a snapshot every interval until the returned stop
+// function is called. Stop waits for the loop to exit, so a snapshot
+// taken after it has the highest seq; it is idempotent. Periodic
+// failures are tolerated (the directory may briefly lag) — the final
+// synchronous ship surfaces real errors.
+func (ev *evidence) ship(client *directory.Client, every time.Duration) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(every)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				client.Telemetry(ev.snapshot(false))
+			}
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(quit); <-done }) }
 }

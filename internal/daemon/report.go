@@ -7,17 +7,24 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/directory"
 	"repro/internal/gateway"
 	"repro/internal/ledger"
 	"repro/internal/stats"
 	"repro/internal/token"
+	"repro/internal/trace"
 	"repro/internal/udpnet"
 )
 
-// Report is one peer's end-of-run evidence, posted to the directory
-// and merged by the launcher into a cluster-wide verdict.
+// Report is one peer's evidence: a cumulative snapshot the peer ships
+// to the directory every 500 ms while it runs, and once more, with
+// Final set, after the drain barrier. The directory keeps each peer's
+// latest; every cluster verdict and FormatCluster read the decoded
+// final ones (DecodeCluster).
 type Report struct {
 	Peer     string `json:"peer"`
+	Seq      uint64 `json:"seq"`      // grows with every snapshot; the directory keeps the highest
+	Final    bool   `json:"final"`    // taken after the drain barrier, on a quiet network
 	Complete bool   `json:"complete"` // quiesce reached before the deadline
 
 	Delivered  map[uint64]string `json:"delivered"` // flow -> receiving host
@@ -32,40 +39,91 @@ type Report struct {
 	Forwarded       uint64                            `json:"forwarded"`
 	RouterDrops     uint64                            `json:"router_drops"`
 
-	Tunnels       map[uint16]udpnet.Stats `json:"tunnels,omitempty"`
-	TunnelDropped uint64                  `json:"tunnel_dropped"`
-	Anomalies     uint64                  `json:"anomalies"`
+	Tunnels []TunnelReport `json:"tunnels,omitempty"`
 	// Failovers counts in-header DAG diversions this peer's routers
 	// performed (flight-recorder KindFailover events, DESIGN.md §15).
 	Failovers uint64 `json:"failovers,omitempty"`
 
-	// Gateways holds the stats of any gateway relays this peer ran
+	// Gateways holds the stats of any gateway relays this peer runs
 	// (gateway-mode clusters only; a peer can own both roles).
 	Gateways []GatewayReport `json:"gateways,omitempty"`
+
+	// Span-leak accounting: at quiesce TraceFinished must equal
+	// TraceBegun + TraceResumed, or this peer leaked trace records.
+	TraceBegun    uint64              `json:"trace_begun"`
+	TraceResumed  uint64              `json:"trace_resumed"`
+	TraceFinished uint64              `json:"trace_finished"`
+	Spans         trace.SpansSnapshot `json:"spans"`
+	Metrics       trace.Snapshot      `json:"metrics"`
+
+	// FlightTotal counts every anomaly the peer's flight recorder ever
+	// saw; Flight holds the tail of the retained events.
+	FlightTotal uint64         `json:"flight_total"`
+	Flight      []ledger.Event `json:"flight,omitempty"`
 }
 
-// GatewayReport is the end-of-run snapshot of one gateway relay a peer
-// hosted: which role, on which scenario host, and the relay's stream
-// and transport counters.
+// TunnelReport is one UDP tunnel a peer terminates: its global link
+// index (the wire linkID), the peer owning the far end, and its
+// counters.
+type TunnelReport struct {
+	LinkID uint16       `json:"link_id"`
+	Peer   string       `json:"peer"`
+	Stats  udpnet.Stats `json:"stats"`
+}
+
+// GatewayReport is one gateway relay a peer hosts: which role, on
+// which scenario host, the relay's stream and transport counters, and
+// its smoothed VMTP round-trip estimate toward each peer entity.
 type GatewayReport struct {
-	Role  string        `json:"role"`            // "ingress" or "egress"
-	Host  string        `json:"host"`            // scenario host name, e.g. "h0"
-	Socks string        `json:"socks,omitempty"` // ingress listen address
-	Stats gateway.Stats `json:"stats"`
+	Role      string           `json:"role"`            // "ingress" or "egress"
+	Host      string           `json:"host"`            // scenario host name, e.g. "h0"
+	Socks     string           `json:"socks,omitempty"` // ingress listen address
+	Stats     gateway.Stats    `json:"stats"`
+	PeerRTTNs map[string]int64 `json:"peer_rtt_ns,omitempty"` // keyed by entity in hex
 }
 
-// DecodeReports unmarshals the directory's raw report map into typed
-// per-peer reports.
-func DecodeReports(raw map[string]json.RawMessage) (map[string]*Report, error) {
-	out := make(map[string]*Report, len(raw))
-	for peer, body := range raw {
+// Cluster is the directory's merged view with each peer's latest
+// snapshot decoded.
+type Cluster struct {
+	Expect  int                    // cluster size
+	Reports map[string]*Report     // latest snapshot per peer
+	Stages  []trace.StageStats     // every peer's span histograms merged stage by stage
+	Bill    map[uint32]token.Usage // the directory's billing database
+}
+
+// DecodeCluster decodes every peer's latest snapshot in cr.
+func DecodeCluster(cr directory.ClusterReport) (*Cluster, error) {
+	cl := &Cluster{Expect: cr.Expect, Reports: make(map[string]*Report, len(cr.Nodes)),
+		Stages: cr.Stages, Bill: cr.Bill}
+	for _, raw := range cr.Nodes {
 		var r Report
-		if err := json.Unmarshal(body, &r); err != nil {
-			return nil, fmt.Errorf("daemon: report from %s: %w", peer, err)
+		if err := json.Unmarshal(raw, &r); err != nil {
+			return nil, fmt.Errorf("daemon: decode peer snapshot: %w", err)
 		}
-		out[peer] = &r
+		cl.Reports[r.Peer] = &r
 	}
-	return out, nil
+	return cl, nil
+}
+
+// final counts the peers whose latest snapshot is final.
+func (cl *Cluster) final() int {
+	n := 0
+	for _, r := range cl.Reports {
+		if r.Final {
+			n++
+		}
+	}
+	return n
+}
+
+// peerNames returns the reporting peers in name order.
+func peerNames(reports map[string]*Report) []string {
+	names := make([]string, 0, len(reports))
+	for n := range reports {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // ClusterLedger rebuilds the network-wide per-account ledger from the
@@ -82,9 +140,9 @@ func ClusterLedger(reports map[string]*Report) *ledger.Ledger {
 }
 
 // VerifyCluster checks a cluster run's merged evidence against the
-// scenario: every peer reported and completed; every flow was
-// delivered exactly once at its destination host with intact data and
-// echoed exactly once back to its source; nothing was garbled,
+// scenario: every peer sent its final snapshot and completed; every
+// flow was delivered exactly once at its destination host with intact
+// data and echoed exactly once back to its source; nothing was garbled,
 // dropped, or duplicated; and the merged ledger reconciles against
 // the merged forwarding plane (sum of per-account packets equals
 // TokenAuthorized). Returns one line per violation; nil is a pass.
@@ -100,6 +158,9 @@ func VerifyCluster(sc *check.Scenario, total int, reports map[string]*Report) []
 		if !ok {
 			badf("%s never reported", name)
 			continue
+		}
+		if !rep.Final {
+			badf("%s never sent its final snapshot (latest is seq %d)", name, rep.Seq)
 		}
 		if !rep.Complete {
 			badf("%s hit its settle deadline before quiescing", name)
@@ -241,37 +302,4 @@ func CompareWithSingleProcess(seed int64, cluster *ledger.Ledger, deadline time.
 	problems := check.DiffLedgers(led, cluster)
 	problems = append(problems, ledger.Reconcile("single-process", led, counters)...)
 	return problems, nil
-}
-
-// FormatReports renders a human-readable cluster summary, peers in
-// name order.
-func FormatReports(reports map[string]*Report) string {
-	names := make([]string, 0, len(reports))
-	for n := range reports {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out string
-	for _, n := range names {
-		r := reports[n]
-		out += fmt.Sprintf("%s: complete=%v delivered=%d replied=%d forwarded=%d token-auth=%d drops=%d tunnel-drops=%d anomalies=%d failovers=%d\n",
-			n, r.Complete, len(r.Delivered), len(r.Replied), r.Forwarded, r.TokenAuthorized, r.RouterDrops, r.TunnelDropped, r.Anomalies, r.Failovers)
-		links := make([]int, 0, len(r.Tunnels))
-		for id := range r.Tunnels {
-			links = append(links, int(id))
-		}
-		sort.Ints(links)
-		for _, id := range links {
-			s := r.Tunnels[uint16(id)]
-			out += fmt.Sprintf("  link %d: encap=%d sends=%d decap=%d decode-errs=%d send-errs=%d dropped=%d\n",
-				id, s.Encapsulated, s.Sends, s.Decapsulated, s.DecodeErrors, s.SendErrors, s.Dropped)
-		}
-		for _, g := range r.Gateways {
-			s := g.Stats
-			out += fmt.Sprintf("  gateway %s on %s: streams=%d clean=%d resets=%d in=%dB out=%dB groups=%d rtt-p50=%dus p99=%dus retx=%d\n",
-				g.Role, g.Host, s.Streams, s.CleanCloses, s.Resets, s.BytesIn, s.BytesOut,
-				s.GroupsSent, s.GroupRTTp50us, s.GroupRTTp99us, s.VMTP.Retransmissions+s.VMTP.SelectiveResends)
-		}
-	}
-	return out
 }

@@ -4,150 +4,38 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/directory"
-	"repro/internal/gateway"
-	"repro/internal/ledger"
-	"repro/internal/trace"
 )
 
-// This file is the peer side of cluster observability: assembling the
-// cumulative TelemetryReport a peer ships to the directory (periodic
-// while running, once synchronously at quiesce), verifying the merged
-// cluster view, and rendering it for humans. The counters are designed
-// to reconcile exactly on a clean run — every wire span a tunnel
-// recorded pairs with one traced decapsulation, every gateway receive
-// span with one successful traced group — so "the numbers add up" is a
-// checkable verdict, not a vibe.
+// This file reads the cluster's merged evidence as observability:
+// verifying the trace accounting and rendering the one cluster report.
+// The counters are designed to reconcile exactly on a clean run —
+// every wire span a tunnel recorded pairs with one traced
+// decapsulation, every gateway receive span with one successful traced
+// group — so "the numbers add up" is a checkable verdict, not a vibe.
 
-// telemetryFlightTail bounds how many flight-recorder events ride in
-// each report: the totals are always exact, only the event tail is
-// truncated.
-const telemetryFlightTail = 128
-
-// telemetryPeer assembles and ships one peer's telemetry. The closure
-// fields decouple it from peer wiring: tunnels and gateways snapshot
-// whatever the peer currently runs.
-type telemetryPeer struct {
-	name     string
-	tracer   *trace.ClusterTracer
-	flight   *ledger.FlightRecorder
-	tunnels  func() []directory.TunnelTelemetry
-	gateways func() []directory.GatewayTelemetry
-	seq      atomic.Uint64
-}
-
-// snapshot builds the next cumulative report. Seq increases per call so
-// the directory's latest-wins merge is unambiguous even when HTTP
-// deliveries reorder.
-func (tp *telemetryPeer) snapshot() directory.TelemetryReport {
-	rep := directory.TelemetryReport{
-		Peer: tp.name,
-		Seq:  tp.seq.Add(1),
-		AtNs: time.Now().UnixNano(),
-	}
-	if tp.tracer != nil {
-		rep.TraceBegun, rep.TraceResumed, rep.TraceFinished = tp.tracer.Counts()
-		rep.Spans = tp.tracer.Spans().Snapshot()
-		if m := tp.tracer.Metrics(); m != nil {
-			rep.Metrics = m.Snapshot()
-		}
-	}
-	if tp.flight != nil {
-		rep.FlightTotal = tp.flight.Total()
-		evs := tp.flight.Events()
-		if len(evs) > telemetryFlightTail {
-			evs = evs[len(evs)-telemetryFlightTail:]
-		}
-		rep.Flight = evs
-	}
-	if tp.tunnels != nil {
-		rep.Tunnels = tp.tunnels()
-	}
-	if tp.gateways != nil {
-		rep.Gateways = tp.gateways()
-	}
-	return rep
-}
-
-// ship posts one snapshot to the directory.
-func (tp *telemetryPeer) ship(client *directory.Client) error {
-	return client.Telemetry(tp.snapshot())
-}
-
-// run ships periodically until stop closes; the returned channel closes
-// when the loop exits. Periodic failures are tolerated (the directory
-// may briefly lag) — the caller's final synchronous ship surfaces real
-// errors.
-func (tp *telemetryPeer) run(client *directory.Client, every time.Duration, stop <-chan struct{}) <-chan struct{} {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				tp.ship(client)
-			}
-		}
-	}()
-	return done
-}
-
-// gatewayTelemetry converts one relay's stats into the wire form the
-// directory merges. Peer RTT map keys are hex entity identifiers
-// (JSON object keys must be strings).
-func gatewayTelemetry(role string, st gateway.Stats, rtts map[uint64]int64) directory.GatewayTelemetry {
-	g := directory.GatewayTelemetry{
-		Role:            role,
-		Streams:         st.Streams,
-		ActiveStreams:   st.ActiveStreams,
-		CleanCloses:     st.CleanCloses,
-		Resets:          st.Resets,
-		BytesIn:         st.BytesIn,
-		BytesOut:        st.BytesOut,
-		GroupsSent:      st.GroupsSent,
-		GroupRTTp50us:   st.GroupRTTp50us,
-		GroupRTTp99us:   st.GroupRTTp99us,
-		Retransmissions: st.VMTP.Retransmissions + st.VMTP.SelectiveResends,
-		DupRequests:     st.VMTP.DupRequests,
-	}
-	if len(rtts) > 0 {
-		g.PeerRTTNs = make(map[string]int64, len(rtts))
-		for e, ns := range rtts {
-			g.PeerRTTNs[fmt.Sprintf("%x", e)] = ns
-		}
-	}
-	return g
-}
-
-// VerifyClusterTelemetry checks the merged cluster telemetry of a
-// finished run: every peer shipped; no peer leaked trace records
-// (finished == begun + resumed); the cluster-wide wire-span count
-// equals the tunnels' traced decapsulations (each crossing recorded
-// exactly once, on the receiving side); and — when gateways ran — the
-// stream stages are present, their counts pair sender-to-receiver on a
-// reset-free run, and spans came from at least two processes (i.e. the
-// trace context genuinely crossed a process boundary). Returns one
-// line per violation; nil is a pass.
-func VerifyClusterTelemetry(cr directory.ClusterReport) []string {
+// VerifyClusterTelemetry checks the trace accounting of a finished
+// run: every peer's final snapshot arrived; no peer leaked trace
+// records (finished == begun + resumed); the cluster-wide wire-span
+// count equals the tunnels' traced decapsulations (each crossing
+// recorded exactly once, on the receiving side); and — when gateways
+// ran — the stream stages are present, their counts pair
+// sender-to-receiver on a reset-free run, and spans came from at least
+// two processes (i.e. the trace context genuinely crossed a process
+// boundary). Returns one line per violation; nil is a pass.
+func VerifyClusterTelemetry(cl *Cluster) []string {
 	var problems []string
 	badf := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
-	if !cr.Complete() {
-		badf("telemetry incomplete: %d/%d peers shipped", len(cr.Nodes), cr.Expect)
+	if final := cl.final(); final < cl.Expect {
+		badf("telemetry incomplete: %d/%d peers sent a final snapshot", final, cl.Expect)
 		return problems
 	}
 
-	stageCount := make(map[string]int64, len(cr.Stages))
+	stageCount := make(map[string]int64, len(cl.Stages))
 	var wireSpans int64
-	for _, st := range cr.Stages {
+	for _, st := range cl.Stages {
 		stageCount[st.Stage] = st.Count
 		if strings.HasPrefix(st.Stage, "wire:") {
 			wireSpans += st.Count
@@ -156,17 +44,18 @@ func VerifyClusterTelemetry(cr directory.ClusterReport) []string {
 
 	var tracedRecv, gwResets uint64
 	nodesWithSpans, haveGateway := 0, false
-	for _, n := range cr.Nodes {
+	for _, name := range peerNames(cl.Reports) {
+		n := cl.Reports[name]
 		if n.TraceFinished != n.TraceBegun+n.TraceResumed {
 			badf("%s leaked trace records: finished=%d, begun=%d + resumed=%d",
 				n.Peer, n.TraceFinished, n.TraceBegun, n.TraceResumed)
 		}
 		for _, t := range n.Tunnels {
-			tracedRecv += t.TracedRecv
+			tracedRecv += t.Stats.TracedRecv
 		}
 		for _, g := range n.Gateways {
 			haveGateway = true
-			gwResets += g.Resets
+			gwResets += g.Stats.Resets
 		}
 		if len(n.Spans.Stages) > 0 {
 			nodesWithSpans++
@@ -203,62 +92,68 @@ func VerifyClusterTelemetry(cr directory.ClusterReport) []string {
 	return problems
 }
 
-// FormatClusterReport renders the merged telemetry as the tables the
-// `sirpentd report` / `sirpent-cluster -report` rollup prints.
-func FormatClusterReport(cr directory.ClusterReport) string {
+// FormatCluster renders the cluster's merged evidence as the tables
+// `sirpentd report` and `sirpent-cluster -report` print: per-peer
+// delivery and forwarding counts, trace accounting, merged stage
+// latency, per-tunnel and per-relay counters, and the bill.
+func FormatCluster(cl *Cluster) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "cluster telemetry: %d/%d peers reporting\n", len(cr.Nodes), cr.Expect)
+	names := peerNames(cl.Reports)
+	fmt.Fprintf(&sb, "cluster: %d/%d peers final\n", cl.final(), cl.Expect)
 
-	fmt.Fprintf(&sb, "per-node traces:\n")
-	fmt.Fprintf(&sb, "  %-8s %8s %8s %8s %10s %10s %10s\n",
-		"peer", "begun", "resumed", "finished", "packets", "forwarded", "anomalies")
-	for _, n := range cr.Nodes {
-		fmt.Fprintf(&sb, "  %-8s %8d %8d %8d %10d %10d %10d\n",
-			n.Peer, n.TraceBegun, n.TraceResumed, n.TraceFinished,
-			n.Metrics.Packets, n.Metrics.Forwarded, n.FlightTotal)
+	fmt.Fprintf(&sb, "peers:\n  %-8s %5s %8s %9s %7s %9s %10s %6s %12s %9s %9s\n",
+		"peer", "final", "complete", "delivered", "replied", "forwarded", "token-auth",
+		"drops", "tunnel-drops", "anomalies", "failovers")
+	var tunnelRows, gatewayRows []string
+	for _, name := range names {
+		n := cl.Reports[name]
+		var tunnelDrops uint64
+		for _, t := range n.Tunnels {
+			s := t.Stats
+			tunnelDrops += s.Dropped
+			tunnelRows = append(tunnelRows, fmt.Sprintf(
+				"  %-8s link %-3d -> %-8s encap=%-7d sends=%-7d decap=%-7d traced-sent=%-6d traced-recv=%-6d decode-errs=%d send-errs=%d dropped=%d",
+				n.Peer, t.LinkID, t.Peer, s.Encapsulated, s.Sends, s.Decapsulated, s.TracedSent, s.TracedRecv,
+				s.DecodeErrors, s.SendErrors, s.Dropped))
+		}
+		for _, g := range n.Gateways {
+			s := g.Stats
+			row := fmt.Sprintf(
+				"  %-8s %-7s on %-4s streams=%d clean=%d resets=%d in=%dB out=%dB groups=%d rtt-p50=%dus p99=%dus retx=%d dup-reqs=%d",
+				n.Peer, g.Role, g.Host, s.Streams, s.CleanCloses, s.Resets, s.BytesIn, s.BytesOut,
+				s.GroupsSent, s.GroupRTTp50us, s.GroupRTTp99us,
+				s.VMTP.Retransmissions+s.VMTP.SelectiveResends, s.VMTP.DupRequests)
+			ents := make([]string, 0, len(g.PeerRTTNs))
+			for e := range g.PeerRTTNs {
+				ents = append(ents, e)
+			}
+			sort.Strings(ents)
+			for _, e := range ents {
+				row += fmt.Sprintf(" srtt[%s]=%s", e, time.Duration(g.PeerRTTNs[e]).Round(time.Microsecond))
+			}
+			gatewayRows = append(gatewayRows, row)
+		}
+		fmt.Fprintf(&sb, "  %-8s %5v %8v %9d %7d %9d %10d %6d %12d %9d %9d\n",
+			n.Peer, n.Final, n.Complete, len(n.Delivered), len(n.Replied), n.Forwarded,
+			n.TokenAuthorized, n.RouterDrops, tunnelDrops, n.FlightTotal, n.Failovers)
 	}
 
-	if len(cr.Stages) > 0 {
+	fmt.Fprintf(&sb, "traces:\n  %-8s %8s %8s %8s %10s\n", "peer", "begun", "resumed", "finished", "packets")
+	for _, name := range names {
+		n := cl.Reports[name]
+		fmt.Fprintf(&sb, "  %-8s %8d %8d %8d %10d\n",
+			n.Peer, n.TraceBegun, n.TraceResumed, n.TraceFinished, n.Metrics.Packets)
+	}
+
+	if len(cl.Stages) > 0 {
 		fmt.Fprintf(&sb, "stage latency (merged across nodes):\n")
 		fmt.Fprintf(&sb, "  %-20s %8s %12s %12s %12s\n", "stage", "count", "mean", "p50", "p99")
-		for _, st := range cr.Stages {
+		for _, st := range cl.Stages {
 			fmt.Fprintf(&sb, "  %-20s %8d %12s %12s %12s\n",
 				st.Stage, st.Count,
 				time.Duration(int64(st.MeanNs)).Round(time.Microsecond),
 				time.Duration(st.P50Ns).Round(time.Microsecond),
 				time.Duration(st.P99Ns).Round(time.Microsecond))
-		}
-	}
-
-	var tunnelRows, gatewayRows []string
-	for _, n := range cr.Nodes {
-		for _, t := range n.Tunnels {
-			peer := t.Peer
-			if peer == "" {
-				peer = "?"
-			}
-			tunnelRows = append(tunnelRows, fmt.Sprintf(
-				"  %-8s link %-3d -> %-8s encap=%-7d decap=%-7d traced-sent=%-6d traced-recv=%-6d drops=%d",
-				n.Peer, t.LinkID, peer, t.Encapsulated, t.Decapsulated, t.TracedSent, t.TracedRecv,
-				t.Dropped+t.DecodeErrors+t.SendErrors))
-		}
-		for _, g := range n.Gateways {
-			row := fmt.Sprintf(
-				"  %-8s %-7s streams=%d clean=%d resets=%d in=%dB out=%dB groups=%d rtt-p50=%dus p99=%dus retx=%d",
-				n.Peer, g.Role, g.Streams, g.CleanCloses, g.Resets, g.BytesIn, g.BytesOut,
-				g.GroupsSent, g.GroupRTTp50us, g.GroupRTTp99us, g.Retransmissions)
-			if len(g.PeerRTTNs) > 0 {
-				ents := make([]string, 0, len(g.PeerRTTNs))
-				for e := range g.PeerRTTNs {
-					ents = append(ents, e)
-				}
-				sort.Strings(ents)
-				for _, e := range ents {
-					row += fmt.Sprintf(" srtt[%s]=%s", e,
-						time.Duration(g.PeerRTTNs[e]).Round(time.Microsecond))
-				}
-			}
-			gatewayRows = append(gatewayRows, row)
 		}
 	}
 	if len(tunnelRows) > 0 {
@@ -268,15 +163,15 @@ func FormatClusterReport(cr directory.ClusterReport) string {
 		fmt.Fprintf(&sb, "gateways:\n%s\n", strings.Join(gatewayRows, "\n"))
 	}
 
-	if len(cr.Bill) > 0 {
-		accounts := make([]int, 0, len(cr.Bill))
-		for a := range cr.Bill {
+	if len(cl.Bill) > 0 {
+		accounts := make([]int, 0, len(cl.Bill))
+		for a := range cl.Bill {
 			accounts = append(accounts, int(a))
 		}
 		sort.Ints(accounts)
 		fmt.Fprintf(&sb, "billing:\n  %-8s %10s %12s %8s\n", "account", "packets", "bytes", "denials")
 		for _, a := range accounts {
-			u := cr.Bill[uint32(a)]
+			u := cl.Bill[uint32(a)]
 			fmt.Fprintf(&sb, "  %-8d %10d %12d %8d\n", a, u.Packets, u.Bytes, u.Denials)
 		}
 	}

@@ -45,17 +45,17 @@ func (c *Client) post(path string, in, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func (c *Client) get(path string, out any) (int, error) {
+func (c *Client) get(path string, out any) error {
 	resp, err := c.http.Get(c.base + path)
 	if err != nil {
-		return 0, fmt.Errorf("directory client: %s: %w", path, err)
+		return fmt.Errorf("directory client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return resp.StatusCode, fmt.Errorf("directory client: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
+		return fmt.Errorf("directory client: %s: %s: %s", path, resp.Status, bytes.TrimSpace(msg))
 	}
-	return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // Register announces this peer and returns the peer set known so far.
@@ -70,7 +70,7 @@ func (c *Client) Register(reg PeerReg) ([]PeerReg, error) {
 // Peers returns the current registrations, sorted by name.
 func (c *Client) Peers() ([]PeerReg, error) {
 	var peers []PeerReg
-	_, err := c.get("/v1/peers", &peers)
+	err := c.get("/v1/peers", &peers)
 	return peers, err
 }
 
@@ -115,7 +115,7 @@ func (c *Client) ReportUsage(router string, totals map[uint32]token.Usage) error
 // Bill fetches the directory's merged per-account billing view.
 func (c *Client) Bill() (map[uint32]token.Usage, error) {
 	var bill map[uint32]token.Usage
-	_, err := c.get("/v1/bill", &bill)
+	err := c.get("/v1/bill", &bill)
 	return bill, err
 }
 
@@ -127,35 +127,6 @@ func (c *Client) Shutdown() error {
 // ShutdownRequested reports whether the shutdown latch has been raised.
 func (c *Client) ShutdownRequested() (bool, error) {
 	var sd bool
-	_, err := c.get("/v1/shutdown", &sd)
+	err := c.get("/v1/shutdown", &sd)
 	return sd, err
-}
-
-// Report posts this peer's end-of-run result blob.
-func (c *Client) Report(peer string, body any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return fmt.Errorf("directory client: marshal report: %w", err)
-	}
-	return c.post("/v1/report", PeerReport{Peer: peer, Body: raw}, nil)
-}
-
-// Reports fetches all peers' reports, polling until every expected
-// peer has reported or the deadline passes.
-func (c *Client) Reports(deadline time.Duration) (map[string]json.RawMessage, error) {
-	end := time.Now().Add(deadline)
-	for {
-		var out map[string]json.RawMessage
-		status, err := c.get("/v1/reports", &out)
-		if err == nil && status == http.StatusOK {
-			return out, nil
-		}
-		if time.Now().After(end) {
-			if err == nil {
-				err = fmt.Errorf("directory client: reports incomplete at deadline")
-			}
-			return nil, err
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }

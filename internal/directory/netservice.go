@@ -23,10 +23,10 @@ import (
 //	POST /v1/barrier   BarrierReq         -> 200 once every expected peer arrives
 //	POST /v1/usage     UsageReport        -> 204 (feeds Service.ReportUsage)
 //	GET  /v1/bill                         -> map[account]token.Usage (merged)
-//	POST /v1/report    PeerReport         -> 204 (opaque per-peer result blob)
-//	GET  /v1/reports                      -> map[peer]RawMessage, 202 until all in
-//	POST /v1/telemetry TelemetryReport    -> 204 (latest-wins per peer; telemetry.go)
-//	GET  /debug/cluster                   -> ClusterReport (merged observability view)
+//	POST /v1/shutdown                     -> 204 (raise the shutdown latch)
+//	GET  /v1/shutdown                     -> bool
+//	POST /v1/telemetry peer snapshot      -> 204 (latest-wins per peer by seq; telemetry.go)
+//	GET  /debug/cluster                   -> ClusterReport (latest snapshots, merged stages, bill)
 //
 // Route segments serialize with their port tokens intact (JSON base64),
 // so a token minted here verifies unchanged on the guarded router in
@@ -66,12 +66,6 @@ type UsageReport struct {
 	Totals map[uint32]token.Usage `json:"totals"`
 }
 
-// PeerReport carries one peer's opaque end-of-run result blob.
-type PeerReport struct {
-	Peer string          `json:"peer"`
-	Body json.RawMessage `json:"body"`
-}
-
 // NetService serves a directory Service over HTTP to a fixed-size
 // cluster of expected peers. The underlying Service is not
 // concurrency-safe, so all access is serialized here.
@@ -79,12 +73,11 @@ type NetService struct {
 	mu  sync.Mutex
 	svc *Service
 
-	expect    int
-	peers     map[string]PeerReg
-	reports   map[string]json.RawMessage
-	barriers  map[string]*barrier
-	telemetry map[string]TelemetryReport // latest report per peer (highest Seq wins)
-	shutdown  bool
+	expect   int
+	peers    map[string]PeerReg
+	barriers map[string]*barrier
+	latest   map[string]snapshot // each peer's latest snapshot (highest seq wins)
+	shutdown bool
 }
 
 type barrier struct {
@@ -95,12 +88,11 @@ type barrier struct {
 // NewNetService wraps svc for network consumption by expect peers.
 func NewNetService(svc *Service, expect int) *NetService {
 	return &NetService{
-		svc:       svc,
-		expect:    expect,
-		peers:     make(map[string]PeerReg),
-		reports:   make(map[string]json.RawMessage),
-		barriers:  make(map[string]*barrier),
-		telemetry: make(map[string]TelemetryReport),
+		svc:      svc,
+		expect:   expect,
+		peers:    make(map[string]PeerReg),
+		barriers: make(map[string]*barrier),
+		latest:   make(map[string]snapshot),
 	}
 }
 
@@ -113,8 +105,6 @@ func (ns *NetService) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/barrier", ns.handleBarrier)
 	mux.HandleFunc("POST /v1/usage", ns.handleUsage)
 	mux.HandleFunc("GET /v1/bill", ns.handleBill)
-	mux.HandleFunc("POST /v1/report", ns.handleReport)
-	mux.HandleFunc("GET /v1/reports", ns.handleReports)
 	mux.HandleFunc("POST /v1/shutdown", ns.handleShutdownSet)
 	mux.HandleFunc("GET /v1/shutdown", ns.handleShutdownGet)
 	mux.HandleFunc("POST /v1/telemetry", ns.handleTelemetry)
@@ -236,17 +226,6 @@ func (ns *NetService) handleBill(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, bill)
 }
 
-func (ns *NetService) handleReport(w http.ResponseWriter, r *http.Request) {
-	var rep PeerReport
-	if !readJSON(w, r, &rep) {
-		return
-	}
-	ns.mu.Lock()
-	ns.reports[rep.Peer] = rep.Body
-	ns.mu.Unlock()
-	w.WriteHeader(http.StatusNoContent)
-}
-
 // Shutdown is a one-way latch the launcher raises when its externally
 // driven workload (the gateway transfer) is done; long-running peers
 // poll it to know when to stop serving and proceed to the drain
@@ -264,19 +243,4 @@ func (ns *NetService) handleShutdownGet(w http.ResponseWriter, r *http.Request) 
 	sd := ns.shutdown
 	ns.mu.Unlock()
 	writeJSON(w, http.StatusOK, sd)
-}
-
-func (ns *NetService) handleReports(w http.ResponseWriter, r *http.Request) {
-	ns.mu.Lock()
-	n := len(ns.reports)
-	cp := make(map[string]json.RawMessage, n)
-	for k, v := range ns.reports {
-		cp[k] = v
-	}
-	ns.mu.Unlock()
-	status := http.StatusOK
-	if n < ns.expect {
-		status = http.StatusAccepted
-	}
-	writeJSON(w, status, cp)
 }

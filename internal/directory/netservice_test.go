@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -116,9 +117,11 @@ func TestNetServiceRegistrationAndBarrier(t *testing.T) {
 	wg.Wait()
 }
 
-// TestNetServiceUsageAndReports covers the accounting and result
-// edges: usage posts merge into the directory's bill, and reports
-// stay 202-incomplete until every peer has filed.
+// TestNetServiceUsageAndReports covers the accounting and report
+// edges: usage posts merge into the directory's bill, each peer's
+// latest snapshot wins by seq (a late, lower-seq post never replaces
+// it), and the cluster is Complete only once every expected peer's
+// latest snapshot is final.
 func TestNetServiceUsageAndReports(t *testing.T) {
 	client, _ := netServiceFixture(t, 2)
 
@@ -136,21 +139,62 @@ func TestNetServiceUsageAndReports(t *testing.T) {
 		t.Fatalf("bill[7] = %+v, want merged {4, 350}", got)
 	}
 
-	type blob struct{ Delivered int }
-	if err := client.Report("peer0", blob{Delivered: 5}); err != nil {
-		t.Fatal(err)
+	type snap struct {
+		Peer      string `json:"peer"`
+		Seq       uint64 `json:"seq"`
+		Final     bool   `json:"final"`
+		Delivered int    `json:"delivered"`
 	}
-	if _, err := client.Reports(50 * time.Millisecond); err == nil {
-		t.Fatal("Reports completed with only 1/2 peers reporting")
+	post := func(s snap) {
+		t.Helper()
+		if err := client.Telemetry(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := client.Report("peer1", blob{Delivered: 6}); err != nil {
-		t.Fatal(err)
+	nodes := func(cr ClusterReport) []snap {
+		t.Helper()
+		out := make([]snap, len(cr.Nodes))
+		for i, raw := range cr.Nodes {
+			if err := json.Unmarshal(raw, &out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
 	}
-	reps, err := client.Reports(time.Second)
+
+	if err := client.Telemetry(snap{Seq: 1}); err == nil {
+		t.Fatal("a snapshot without a peer name was accepted")
+	}
+	post(snap{Peer: "peer0", Seq: 1, Delivered: 1})
+	post(snap{Peer: "peer0", Seq: 2, Final: true, Delivered: 5})
+	post(snap{Peer: "peer0", Seq: 1, Delivered: 1}) // a periodic post arriving late
+	post(snap{Peer: "peer1", Seq: 3, Delivered: 2})
+	cr, err := client.Cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 2 {
-		t.Fatalf("got %d reports, want 2", len(reps))
+	if cr.Complete() || cr.Final != 1 {
+		t.Fatalf("cluster complete=%v with %d/%d final, want incomplete while peer1 is not final",
+			cr.Complete(), cr.Final, cr.Expect)
+	}
+	want := []snap{{"peer0", 2, true, 5}, {"peer1", 3, false, 2}}
+	if got := nodes(cr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("latest snapshots = %+v, want %+v", got, want)
+	}
+	if _, err := client.WaitCluster(50 * time.Millisecond); err == nil {
+		t.Fatal("WaitCluster completed with peer1's latest snapshot non-final")
+	}
+
+	post(snap{Peer: "peer1", Seq: 4, Final: true, Delivered: 6})
+	cr, err = client.WaitCluster(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[1] = snap{"peer1", 4, true, 6}
+	if got := nodes(cr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("latest snapshots = %+v, want %+v", got, want)
+	}
+	if got := cr.Bill[7]; got.Packets != 4 || got.Bytes != 350 {
+		t.Fatalf("cluster bill[7] = %+v, want merged {4, 350}", got)
 	}
 }

@@ -1,114 +1,87 @@
 package directory
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"sort"
+	"time"
 
-	"repro/internal/ledger"
 	"repro/internal/token"
 	"repro/internal/trace"
 )
 
-// This file is the directory's telemetry sink: the §3 directory already
+// This file is the directory's report sink: the §3 directory already
 // aggregates authorization and accounting state for the cluster, and
-// observability rides the same channel. Peers periodically POST a
-// TelemetryReport — span aggregates, hop metrics, tunnel counters,
-// flight-recorder anomalies — and anyone (the launcher, a human with
-// curl) GETs the merged cluster-wide view:
+// each peer's evidence rides the same channel. A peer periodically
+// POSTs one cumulative snapshot — delivery record, router and tunnel
+// counters, gateway relay stats, trace spans, flight-recorder tail —
+// and a last one, marked final, after its drain barrier. Anyone (the
+// launcher, a human with curl) GETs the merged cluster-wide view:
 //
-//	POST /v1/telemetry  TelemetryReport -> 204 (latest-wins per peer by Seq)
-//	GET  /debug/cluster                 -> ClusterReport
+//	POST /v1/telemetry  snapshot -> 204 (latest-wins per peer by seq)
+//	GET  /debug/cluster          -> ClusterReport
 //
-// Reports are cumulative snapshots, not deltas, so the merge is
-// stateless: keep the highest-Seq report per peer, fold the per-stage
-// histograms together with trace.MergeStages. A late or duplicate POST
-// (retried HTTP request, slow peer) can never double-count.
+// The directory does not own the snapshot's schema (the daemon does);
+// it keeps each peer's latest document as raw JSON and decodes only
+// the header it acts on. Snapshots are cumulative, not deltas, so the
+// merge is stateless: keep the highest-seq document per peer, fold the
+// per-stage histograms together with trace.MergeStages. A late or
+// duplicate POST (retried request, slow peer) can never double-count.
 
-// TunnelTelemetry is one udpnet tunnel's counters as its owning peer
-// reported them.
-type TunnelTelemetry struct {
-	LinkID       uint16 `json:"link_id"`
-	Peer         string `json:"peer,omitempty"` // remote peer name, when known
-	Encapsulated uint64 `json:"encapsulated"`
-	Decapsulated uint64 `json:"decapsulated"`
-	DecodeErrors uint64 `json:"decode_errors,omitempty"`
-	SendErrors   uint64 `json:"send_errors,omitempty"`
-	Dropped      uint64 `json:"dropped,omitempty"`
-	TracedSent   uint64 `json:"traced_sent"`
-	TracedRecv   uint64 `json:"traced_recv"`
+// snapshotHeader is the part of a peer's snapshot the directory reads.
+type snapshotHeader struct {
+	Peer  string `json:"peer"`
+	Seq   uint64 `json:"seq"`
+	Final bool   `json:"final"` // shipped after the peer's drain barrier
+	Spans struct {
+		Stages []trace.StageStats `json:"stages"`
+	} `json:"spans"`
 }
 
-// GatewayTelemetry summarizes one gateway relay (ingress or egress) for
-// the cluster report: stream and byte counters, group round-trip
-// percentiles, and the VMTP-level retransmission behaviour underneath.
-type GatewayTelemetry struct {
-	Role            string           `json:"role"` // "ingress" | "egress"
-	Streams         uint64           `json:"streams"`
-	ActiveStreams   int              `json:"active_streams"`
-	CleanCloses     uint64           `json:"clean_closes"`
-	Resets          uint64           `json:"resets"`
-	BytesIn         uint64           `json:"bytes_in"`
-	BytesOut        uint64           `json:"bytes_out"`
-	GroupsSent      uint64           `json:"groups_sent"`
-	GroupRTTp50us   int64            `json:"group_rtt_p50_us"`
-	GroupRTTp99us   int64            `json:"group_rtt_p99_us"`
-	Retransmissions uint64           `json:"retransmissions"`
-	DupRequests     uint64           `json:"dup_requests"`
-	PeerRTTNs       map[string]int64 `json:"peer_rtt_ns,omitempty"` // smoothed VMTP RTT by peer entity (hex)
+// snapshot is one peer's latest document and its decoded header.
+type snapshot struct {
+	snapshotHeader
+	raw json.RawMessage
 }
 
-// TelemetryReport is one peer's cumulative telemetry snapshot. Seq
-// increases with every shipment from the same peer; the directory keeps
-// the highest.
-type TelemetryReport struct {
-	Peer string `json:"peer"`
-	Seq  uint64 `json:"seq"`
-	AtNs int64  `json:"at_ns"` // sender's wall clock at snapshot time
-
-	// Span-leak accounting: at quiesce TraceFinished must equal
-	// TraceBegun + TraceResumed, or this peer leaked trace records.
-	TraceBegun    uint64 `json:"trace_begun"`
-	TraceResumed  uint64 `json:"trace_resumed"`
-	TraceFinished uint64 `json:"trace_finished"`
-
-	Spans   trace.SpansSnapshot `json:"spans"`
-	Metrics trace.Snapshot      `json:"metrics"`
-
-	Tunnels  []TunnelTelemetry  `json:"tunnels,omitempty"`
-	Gateways []GatewayTelemetry `json:"gateways,omitempty"`
-
-	// FlightTotal counts every anomaly the peer's flight recorder ever
-	// saw; Flight holds the retained tail.
-	FlightTotal uint64         `json:"flight_total"`
-	Flight      []ledger.Event `json:"flight,omitempty"`
-}
-
-// ClusterReport is the merged cluster-wide observability view served at
+// ClusterReport is the merged cluster-wide view served at
 // /debug/cluster.
 type ClusterReport struct {
-	Expect int               `json:"expect"` // cluster size
-	Nodes  []TelemetryReport `json:"nodes"`  // latest report per peer, sorted by name
+	Expect int `json:"expect"` // cluster size
+	Final  int `json:"final"`  // peers whose latest snapshot is final
+	// Nodes holds each peer's latest snapshot as the peer sent it,
+	// sorted by peer name.
+	Nodes []json.RawMessage `json:"nodes"`
 	// Stages is the cluster-wide per-stage latency view: every node's
 	// span histograms absorbed stage-by-stage, so counts are exact.
 	Stages []trace.StageStats     `json:"stages,omitempty"`
 	Bill   map[uint32]token.Usage `json:"bill,omitempty"`
 }
 
-// Complete reports whether every expected peer has shipped telemetry.
-func (cr ClusterReport) Complete() bool { return len(cr.Nodes) >= cr.Expect }
+// Complete reports whether every expected peer's latest snapshot is
+// final.
+func (cr ClusterReport) Complete() bool { return cr.Final >= cr.Expect }
 
 func (ns *NetService) handleTelemetry(w http.ResponseWriter, r *http.Request) {
-	var rep TelemetryReport
-	if !readJSON(w, r, &rep) {
+	raw, err := io.ReadAll(r.Body)
+	var s snapshot
+	if err == nil {
+		err = json.Unmarshal(raw, &s.snapshotHeader)
+	}
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
-	if rep.Peer == "" {
-		http.Error(w, "telemetry needs a peer name", http.StatusBadRequest)
+	if s.Peer == "" {
+		http.Error(w, "snapshot needs a peer name", http.StatusBadRequest)
 		return
 	}
+	s.raw = raw
 	ns.mu.Lock()
-	if prev, ok := ns.telemetry[rep.Peer]; !ok || rep.Seq >= prev.Seq {
-		ns.telemetry[rep.Peer] = rep
+	if prev, ok := ns.latest[s.Peer]; !ok || s.Seq >= prev.Seq {
+		ns.latest[s.Peer] = s
 	}
 	ns.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
@@ -121,32 +94,57 @@ func (ns *NetService) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// clusterLocked merges the latest per-peer telemetry into one report.
+// clusterLocked merges the latest per-peer snapshots into one report.
 func (ns *NetService) clusterLocked() ClusterReport {
 	out := ClusterReport{Expect: ns.expect, Bill: ns.svc.Bill()}
-	names := make([]string, 0, len(ns.telemetry))
-	for k := range ns.telemetry {
+	names := make([]string, 0, len(ns.latest))
+	for k := range ns.latest {
 		names = append(names, k)
 	}
 	sort.Strings(names)
 	groups := make([][]trace.StageStats, 0, len(names))
 	for _, k := range names {
-		rep := ns.telemetry[k]
-		out.Nodes = append(out.Nodes, rep)
-		groups = append(groups, rep.Spans.Stages)
+		s := ns.latest[k]
+		out.Nodes = append(out.Nodes, s.raw)
+		if s.Final {
+			out.Final++
+		}
+		groups = append(groups, s.Spans.Stages)
 	}
 	out.Stages = trace.MergeStages(groups...)
 	return out
 }
 
-// Telemetry ships one cumulative telemetry snapshot to the directory.
-func (c *Client) Telemetry(rep TelemetryReport) error {
-	return c.post("/v1/telemetry", rep, nil)
+// Telemetry ships one cumulative snapshot to the directory. The
+// snapshot must marshal to an object with a non-empty "peer" and a
+// "seq" that grows with every shipment from that peer.
+func (c *Client) Telemetry(snap any) error {
+	return c.post("/v1/telemetry", snap, nil)
 }
 
-// Cluster fetches the merged cluster-wide telemetry report.
+// Cluster fetches the merged cluster-wide report.
 func (c *Client) Cluster() (ClusterReport, error) {
 	var rep ClusterReport
-	_, err := c.get("/debug/cluster", &rep)
+	err := c.get("/debug/cluster", &rep)
 	return rep, err
+}
+
+// WaitCluster polls the merged report until it is Complete or the
+// deadline passes. On timeout it returns the last report fetched
+// alongside the error, so a caller can still show what did arrive.
+func (c *Client) WaitCluster(deadline time.Duration) (ClusterReport, error) {
+	end := time.Now().Add(deadline)
+	for {
+		rep, err := c.Cluster()
+		if err == nil && rep.Complete() {
+			return rep, nil
+		}
+		if time.Now().After(end) {
+			if err == nil {
+				err = fmt.Errorf("directory client: %d/%d peers final at deadline", rep.Final, rep.Expect)
+			}
+			return rep, err
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

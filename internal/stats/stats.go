@@ -1,7 +1,7 @@
 // Package stats provides the small statistics toolkit used by the Sirpent
 // experiments and the observability layer: online moment accumulators,
-// sampled percentiles, rate meters, and the M/D/1 queueing formulas that
-// the paper's §6.1 analysis relies on.
+// sampled percentiles, and the M/D/1 queueing formulas that the
+// paper's §6.1 analysis relies on.
 //
 // Two pieces cross package boundaries and deserve care. Counters and
 // DropReason are the substrate-neutral forwarding-counter surface shared
@@ -131,53 +131,6 @@ func (s *Sample) Percentile(p float64) float64 {
 // Max returns the largest observation, or 0 with none.
 func (s *Sample) Max() float64 { return s.Percentile(100) }
 
-// Histogram counts observations into fixed-width buckets over [lo, hi);
-// out-of-range values land in underflow/overflow counters.
-type Histogram struct {
-	lo, width          float64
-	buckets            []int64
-	underflow, overflw int64
-	total              int64
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(n), buckets: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < h.lo {
-		h.underflow++
-		return
-	}
-	i := int((x - h.lo) / h.width)
-	if i >= len(h.buckets) {
-		h.overflw++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// Total returns the total number of observations including out-of-range.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Overflow returns the number of observations at or above the upper bound.
-func (h *Histogram) Overflow() int64 { return h.overflw }
-
-// BucketMid returns the midpoint value of bucket i.
-func (h *Histogram) BucketMid(i int) float64 { return h.lo + (float64(i)+0.5)*h.width }
-
 // MD1 holds the analytic M/D/1 queue quantities for Poisson arrivals at
 // utilization rho into a deterministic server. The Sirpent paper (§6.1)
 // cites these to argue that at <= 70% utilization the mean queue is about
@@ -205,53 +158,4 @@ func MD1Metrics(rho float64) MD1 {
 		L:     rho + rho*wq,
 		Wtota: 1 + wq,
 	}
-}
-
-// RateMeter measures a rate (events or bytes per second of virtual time)
-// over a sliding exponential window.
-type RateMeter struct {
-	alpha   float64
-	rate    float64
-	lastT   float64
-	started bool
-}
-
-// NewRateMeter creates a meter whose estimate decays with time constant
-// tau seconds.
-func NewRateMeter(tau float64) *RateMeter {
-	if tau <= 0 {
-		panic("stats: rate meter needs positive time constant")
-	}
-	return &RateMeter{alpha: tau}
-}
-
-// Observe records amount occurring at virtual time t (seconds). Calls must
-// have nondecreasing t.
-func (r *RateMeter) Observe(t, amount float64) {
-	if !r.started {
-		r.started = true
-		r.lastT = t
-		r.rate = 0
-	}
-	dt := t - r.lastT
-	if dt < 0 {
-		dt = 0
-	}
-	// Exponentially decay the old estimate, then add the new impulse
-	// spread over the window.
-	decay := math.Exp(-dt / r.alpha)
-	r.rate = r.rate*decay + amount/r.alpha
-	r.lastT = t
-}
-
-// Rate returns the current estimate at virtual time t (seconds).
-func (r *RateMeter) Rate(t float64) float64 {
-	if !r.started {
-		return 0
-	}
-	dt := t - r.lastT
-	if dt < 0 {
-		dt = 0
-	}
-	return r.rate * math.Exp(-dt/r.alpha)
 }

@@ -105,42 +105,6 @@ func TestSampleAddAfterQuery(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(99)
-	for i := 0; i < 10; i++ {
-		if h.Bucket(i) != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Bucket(i))
-		}
-	}
-	if h.Total() != 13 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	if h.Overflow() != 2 {
-		t.Errorf("Overflow = %d", h.Overflow())
-	}
-	if got := h.BucketMid(0); got != 0.5 {
-		t.Errorf("BucketMid(0) = %v", got)
-	}
-	if h.Buckets() != 10 {
-		t.Errorf("Buckets = %d", h.Buckets())
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on invalid bounds")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestMD1PaperClaim(t *testing.T) {
 	// The paper: "with reasonable load (up to about 70 percent utilization),
 	// M/D/1 modeling suggests an average queue length of approximately one
@@ -178,27 +142,4 @@ func TestMD1Panics(t *testing.T) {
 		}
 	}()
 	MD1Metrics(1.0)
-}
-
-func TestRateMeterConvergence(t *testing.T) {
-	r := NewRateMeter(0.1)
-	// 1000 events/sec for 2 seconds should converge near 1000.
-	for i := 0; i < 2000; i++ {
-		r.Observe(float64(i)/1000, 1)
-	}
-	got := r.Rate(2.0)
-	if got < 800 || got > 1200 {
-		t.Fatalf("Rate = %v, want ~1000", got)
-	}
-	// After 1 second of silence (10 time constants) it should decay to ~0.
-	if got := r.Rate(3.0); got > 1 {
-		t.Fatalf("decayed Rate = %v, want ~0", got)
-	}
-}
-
-func TestRateMeterZeroBeforeStart(t *testing.T) {
-	r := NewRateMeter(1)
-	if r.Rate(5) != 0 {
-		t.Fatal("rate before any observation should be 0")
-	}
 }
