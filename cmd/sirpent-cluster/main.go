@@ -121,7 +121,7 @@ func run(n int, seed int64, sirpentd string, settle time.Duration, gw bool, gwBy
 			args = append(args, "-gateway")
 		}
 		if blip >= 0 {
-			args = append(args, "-alternates", "2", "-failover-link", fmt.Sprint(blip))
+			args = append(args, "-failover-link", fmt.Sprint(blip))
 		}
 		p := exec.Command(bin, args...)
 		p.Stdout = prefixWriter(check.PeerName(i))
@@ -349,7 +349,7 @@ func waitSocks(client *directory.Client, deadline time.Duration) (string, error)
 // walk sees exactly the segment lists the peers will inject.
 func pickBlipLink(sc *check.Scenario, n int) (int, error) {
 	net := check.BuildNetsim(sc)
-	routes, err := check.FlowRoutesAlt(net, sc, 2)
+	routes, err := check.FlowRoutesAlt(net, sc, daemon.FailoverAlternates)
 	if err != nil {
 		return -1, fmt.Errorf("failover smoke: compute routes: %w", err)
 	}

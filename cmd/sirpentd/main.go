@@ -4,17 +4,18 @@
 //	sirpentd run     [-clients N] [-requests N] [-metrics :8080] [-hold 1m]
 //	sirpentd dir     [-addr 127.0.0.1:0] [-seed N] [-peers N]
 //	sirpentd peer    [-index I] [-peers N] [-seed N] [-dir URL] [-udp 127.0.0.1:0]
+//	                 [-settle 30s] [-failover-link L]
 //	                 [-gateway] [-gateway-listen 127.0.0.1:0]
-//	                 [-trace-sample N]
 //	sirpentd gateway [-listen 127.0.0.1:1080] [-hops N]
 //	sirpentd report  [-dir URL]
 //
-// `run` is the historical single-process demo: hosts and routers are
-// goroutines, links are channels, and each hop performs the §6.2
-// software-router byte surgery on real wire bytes, driving concurrent
-// request/response transactions through a token-guarded two-router
-// backbone. For compatibility, invoking sirpentd with bare flags
-// (`sirpentd -clients 4`) is an alias for `run`.
+// `run` is the single-process demo: a livenet network whose routers
+// share one forwarding worker and whose hosts each run a goroutine,
+// with ring links between hosts and routers; each hop performs the
+// §6.2 software-router byte surgery on real wire bytes, driving
+// concurrent request/response transactions through a token-guarded
+// two-router backbone. For compatibility, invoking sirpentd with bare
+// flags (`sirpentd -clients 4`) is an alias for `run`.
 //
 // `dir` serves the internetwork directory (§3) as a network service:
 // peers register their UDP socket addresses with it, discover each
@@ -32,12 +33,12 @@
 // bind a SOCKS5 ingress and a dialing egress on them (DESIGN.md §13),
 // so real TCP streams transit the same cluster, and every peer holds
 // its drain barrier until the launcher raises the directory's
-// shutdown latch. Every peer traces packets across process boundaries
-// (-trace-sample N samples one packet in N) and ships one cumulative
-// snapshot of its evidence — deliveries, router, tunnel and relay
-// counters, trace spans, flight-recorder anomalies — to the directory
-// every 500 ms and a final one after its drain barrier; GET
-// /debug/cluster serves each peer's latest with the merged stages.
+// shutdown latch. Every peer traces every packet across process
+// boundaries and ships one cumulative snapshot of its evidence —
+// deliveries, router, tunnel and relay counters, trace spans,
+// flight-recorder anomalies — to the directory every 500 ms and a
+// final one after its drain barrier; GET /debug/cluster serves each
+// peer's latest with the merged stages.
 //
 // `report` fetches that merged view from a running cluster's directory
 // and renders the per-peer, per-stage, per-tunnel and billing tables.
@@ -161,12 +162,9 @@ func peerCmd(args []string) error {
 	dir := fs.String("dir", "", "directory service base URL (required)")
 	udp := fs.String("udp", "127.0.0.1:0", "UDP bridge listen address")
 	settle := fs.Duration("settle", 30*time.Second, "quiesce deadline")
-	alternates := fs.Int("alternates", 0, "ranked failover alternates per router hop on flow routes (0-3)")
-	failoverLink := fs.Int("failover-link", -1, "failover smoke: global link index whose tunnel goes down between flow waves (-1 = off)")
+	failoverLink := fs.Int("failover-link", -1, "failover smoke: flow routes carry in-header alternates, and this global link's tunnel goes down between flow waves (-1 = off)")
 	gw := fs.Bool("gateway", false, "gateway mode: bind SOCKS relays on the scenario's gateway hosts and hold for the launcher's shutdown latch")
 	gwListen := fs.String("gateway-listen", "127.0.0.1:0", "ingress SOCKS listen address (gateway mode)")
-	gwWait := fs.Duration("gateway-wait", 2*time.Minute, "bound on the wait for the shutdown latch (gateway mode)")
-	traceSample := fs.Int("trace-sample", 1, "trace one originated packet in N (1 traces all)")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("peer: -dir is required")
@@ -178,13 +176,10 @@ func peerCmd(args []string) error {
 		DirURL:        *dir,
 		UDPAddr:       *udp,
 		SettleTimeout: *settle,
-		Alternates:    *alternates,
 		Failover:      *failoverLink >= 0,
 		BlipLink:      *failoverLink,
 		Gateway:       *gw,
 		GatewayListen: *gwListen,
-		GatewayWait:   *gwWait,
-		TraceSample:   *traceSample,
 		Logf: func(format string, a ...any) {
 			fmt.Printf(format+"\n", a...)
 		},

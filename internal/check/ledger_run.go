@@ -133,7 +133,8 @@ func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadlin
 // links there).
 func runLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, prepare func(*LiveNet)) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
 	fr := ledger.NewFlightRecorder(0)
-	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr))
+	col := ledger.NewCollector(ledger.New())
+	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr), livenet.WithLedgerCollector(col))
 	defer ln.Net.Stop()
 	for i, r := range ln.Routers {
 		r.SetTokenAuthority(token.NewAuthority(TokenKey(i)))
@@ -150,11 +151,6 @@ func runLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadlin
 		}
 	}
 	ln.Settle(res, deadline)
-
-	col := ledger.NewCollector(ledger.New())
-	for i, r := range ln.Routers {
-		col.AddAccountSource(RouterName(i), r.TokenCache().AccountTotals)
-	}
 	col.Collect()
 	return res, ln.RouterCounters(), col.Ledger(), fr
 }

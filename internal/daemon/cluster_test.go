@@ -152,7 +152,7 @@ func runTwoPeers(t *testing.T) *Cluster {
 			defer wg.Done()
 			_, errs[i] = Peer(PeerConfig{
 				Index: i, Total: total, Seed: seed, DirURL: ds.URL,
-				SettleTimeout: 15 * time.Second, Logf: t.Logf, TraceSample: 1,
+				SettleTimeout: 15 * time.Second, Logf: t.Logf,
 			})
 		}()
 	}

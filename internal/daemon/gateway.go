@@ -3,7 +3,6 @@ package daemon
 import (
 	"fmt"
 	"net"
-	"time"
 
 	"repro/internal/check"
 	"repro/internal/gateway"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/token"
 	"repro/internal/viper"
-	"repro/internal/vmtp"
 )
 
 // The standalone gateway role: one process, one token-guarded livenet
@@ -60,10 +58,9 @@ func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 	for i := 0; i < cfg.Hops; i++ {
 		gs.routers = append(gs.routers, nw.NewRouter(fmt.Sprintf("R%d", i)))
 	}
-	base := gateway.Config{RT: vmtp.RTConfig{CallTimeout: 60 * time.Second}}
 	// Every link holds a full relay window, so a burst queues instead of
 	// overflowing into retransmissions (DESIGN.md §11).
-	depth := livenet.WithDepth(base.BurstPackets())
+	depth := livenet.WithDepth(gateway.BurstPackets)
 	inHost := nw.NewHost("ingress")
 	egHost := nw.NewHost("egress")
 	nw.Connect(inHost, 1, gs.routers[0], 1, depth)
@@ -97,20 +94,18 @@ func StartGateway(cfg GatewayConfig) (*GatewayServer, error) {
 		viper.Segment{Port: viper.PortLocal},
 	)
 
-	egCfg := base
-	egCfg.Entity = check.GatewayEgressEntity
-	gs.egress = gateway.NewEgress(egHost, 0, egCfg)
+	gs.egress = gateway.NewEgress(egHost, 0, gateway.Config{Entity: check.GatewayEgressEntity})
 
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
 		nw.Stop()
 		return nil, fmt.Errorf("daemon: gateway listen %q: %w", cfg.Listen, err)
 	}
-	inCfg := base
-	inCfg.Entity = check.GatewayIngressEntity
-	inCfg.Peer = check.GatewayEgressEntity
-	inCfg.Route = route
-	gs.ingress = gateway.NewIngress(ln, inHost, 0, inCfg)
+	gs.ingress = gateway.NewIngress(ln, inHost, 0, gateway.Config{
+		Entity: check.GatewayIngressEntity,
+		Peer:   check.GatewayEgressEntity,
+		Route:  route,
+	})
 	return gs, nil
 }
 

@@ -12,13 +12,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/gateway"
 	"repro/internal/stats"
+	"repro/internal/vmtp"
 )
 
 // TestGatewayUploadBurstFits uploads 4 MiB per stream through the
 // standalone gateway chain. With one stream nothing may overflow: the
-// relay sends Window groups of 32 packets unpaced, and every link
+// relay sends a window of groups of 32 packets unpaced, and every link
 // StartGateway builds must queue that whole burst, so a link one window
 // too shallow shows up as queue-full drops at the routers and
 // retransmissions at the ingress.
@@ -30,27 +32,53 @@ import (
 // (ROADMAP item 3b), not deeper rings, is what removes them.
 func TestGatewayUploadBurstFits(t *testing.T) {
 	t.Run("streams=1", func(t *testing.T) {
-		drops, retx := uploadThroughGateway(t, 1)
-		for i, n := range drops {
+		up := uploadThroughGateway(t, 1)
+		for i, n := range up.drops {
 			if n != 0 {
 				t.Errorf("R%d: %d queue-full drops", i, n)
 			}
 		}
-		if retx != 0 {
+		if retx := up.ingress.Retransmissions; retx != 0 {
 			t.Errorf("ingress: %d retransmissions", retx)
+		}
+		if t.Failed() {
+			// The evidence for telling a timer retransmission that
+			// overflowed a link from an overflow that forced
+			// retransmissions: both relays' VMTP counters, the RTT
+			// estimate the timers ran on, and where the drops were.
+			up.log(t)
 		}
 	})
 	t.Run("streams=2", func(t *testing.T) {
-		drops, retx := uploadThroughGateway(t, 2)
-		t.Logf("queue-full drops per router %v, ingress retransmissions %d", drops, retx)
+		uploadThroughGateway(t, 2).log(t)
 	})
 }
 
+// upload is what one uploadThroughGateway run leaves behind: each
+// router's queue-full drops, both relays' VMTP counters, and the
+// ingress's smoothed round-trip estimate toward the egress.
+type upload struct {
+	drops           []uint64
+	ingress, egress vmtp.Stats
+	rtt             time.Duration
+}
+
+func (up upload) log(t *testing.T) {
+	t.Helper()
+	t.Logf("queue-full drops per router %v; ingress rtt to egress %v", up.drops, up.rtt)
+	for _, side := range []struct {
+		name string
+		st   vmtp.Stats
+	}{{"ingress", up.ingress}, {"egress", up.egress}} {
+		t.Logf("%s: %d retransmissions, %d selective resends, %d acks sent",
+			side.name, side.st.Retransmissions, side.st.SelectiveResends, side.st.AcksSent)
+	}
+}
+
 // uploadThroughGateway sends 4 MiB over each of streams concurrent
-// SOCKS connections through StartGateway{Hops: 4}, waits for the sink
-// to read every byte, and returns each router's queue-full drops and
-// the ingress's retransmissions.
-func uploadThroughGateway(t *testing.T, streams int) (drops []uint64, retx uint64) {
+// SOCKS connections through StartGateway{Hops: 4} and waits for the
+// sink to read every byte.
+func uploadThroughGateway(t *testing.T, streams int) upload {
 	const size = 4 << 20
 	gs, err := StartGateway(GatewayConfig{Hops: 4})
 	if err != nil {
@@ -99,8 +127,13 @@ func uploadThroughGateway(t *testing.T, streams int) (drops []uint64, retx uint6
 		}
 	}
 
-	for _, r := range gs.routers {
-		drops = append(drops, r.Stats().Drops[stats.DropQueueFull])
+	up := upload{
+		ingress: gs.IngressStats().VMTP,
+		egress:  gs.EgressStats().VMTP,
+		rtt:     time.Duration(gs.ingress.PeerRTTs()[check.GatewayEgressEntity]),
 	}
-	return drops, gs.IngressStats().VMTP.Retransmissions
+	for _, r := range gs.routers {
+		up.drops = append(up.drops, r.Stats().Drops[stats.DropQueueFull])
+	}
+	return up
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/token"
 	"repro/internal/trace"
 	"repro/internal/udpnet"
-	"repro/internal/vmtp"
 )
 
 // PeerConfig configures one cluster peer: the daemon realizing its
@@ -42,31 +41,31 @@ type PeerConfig struct {
 	// GatewayListen is the ingress SOCKS listen address; default
 	// "127.0.0.1:0".
 	GatewayListen string
-	// GatewayWait bounds the wait for the launcher's shutdown latch in
-	// gateway mode; default 2m.
-	GatewayWait time.Duration
-	// Alternates asks the directory for up to N ranked failover
-	// alternates per router hop on every flow route, so DAG hops can
-	// divert mid-flight when a tunnel dies (DESIGN.md §15).
-	Alternates int
-	// Failover runs the two-wave failover smoke: the first half of the
-	// flows (even scenario indexes) runs on the healthy mesh and drains
-	// cluster-wide; every peer terminating cross-link BlipLink then
-	// takes its tunnel end down behind a barrier, and the second half
-	// must keep delivering by diverting onto its in-header alternates —
-	// no directory re-query, zero lost transactions.
+	// Failover runs the two-wave failover smoke. Every flow route asks
+	// the directory for FailoverAlternates ranked alternates per router
+	// hop, so DAG hops can divert mid-flight when a tunnel dies
+	// (DESIGN.md §15). The first half of the flows (even scenario
+	// indexes) runs on the healthy mesh and drains cluster-wide; every
+	// peer terminating cross-link BlipLink then takes its tunnel end
+	// down behind a barrier, and the second half must keep delivering
+	// by diverting onto its in-header alternates — no directory
+	// re-query, zero lost transactions.
 	Failover bool
 	// BlipLink is the global link index (into the scenario's Links) the
 	// failover smoke takes down. Both terminating peers match on it, so
 	// the link dies in both directions without coordination.
 	BlipLink int
-	// TraceSample traces one originated packet in N (<= 1 traces all).
-	// Trace contexts ride the tunnel and gateway wire formats across
-	// process boundaries.
-	TraceSample int
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
+
+// FailoverAlternates is how many ranked alternates per router hop a
+// failover run's flow routes carry.
+const FailoverAlternates = 2
+
+// gatewayWait bounds a gateway-mode peer's wait for the launcher's
+// shutdown latch.
+const gatewayWait = 2 * time.Minute
 
 func (c *PeerConfig) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -91,9 +90,6 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	if cfg.GatewayListen == "" {
 		cfg.GatewayListen = "127.0.0.1:0"
 	}
-	if cfg.GatewayWait == 0 {
-		cfg.GatewayWait = 2 * time.Minute
-	}
 	name := check.PeerName(cfg.Index)
 	sc := check.Generate(cfg.Seed)
 
@@ -102,30 +98,23 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	// link with both ends owned.
 	fr := ledger.NewFlightRecorder(0)
 	netOpts := []livenet.NetworkOption{livenet.WithFlightRecorder(fr)}
-	// Cluster tracing: trace IDs originated here carry this peer's index
-	// above bit 48, so IDs are cluster-unique and any process can tell
-	// "my trace" from "a trace I'm forwarding" without coordination.
-	sample := cfg.TraceSample
-	if sample < 1 {
-		sample = 1
-	}
+	// Cluster tracing of every packet: trace IDs originated here carry
+	// this peer's index above bit 48, so IDs are cluster-unique and any
+	// process can tell "my trace" from "a trace I'm forwarding" without
+	// coordination. Trace contexts ride the tunnel and gateway wire
+	// formats across process boundaries.
 	spans := trace.NewSpans(0)
-	tracer := trace.NewClusterTracer(name, uint64(cfg.Index+1)<<48, uint64(sample), spans, trace.NewMetrics())
+	tracer := trace.NewClusterTracer(name, uint64(cfg.Index+1)<<48, spans, trace.NewMetrics())
 	netOpts = append(netOpts, livenet.WithTracer(tracer))
 	netw := livenet.NewNetwork(netOpts...)
 	defer netw.Stop()
 
 	// In gateway mode any link may carry relays (the directory picks the
 	// ingress→egress route), so every link and tunnel holds a full relay
-	// window of the config both relays below are built from (DESIGN.md
-	// §11).
-	gwBase := gateway.Config{
-		RT:        vmtp.RTConfig{BaseTimeout: 50 * time.Millisecond, CallTimeout: 60 * time.Second},
-		Telemetry: spans, TraceEvery: cfg.TraceSample, Node: name,
-	}
+	// window (DESIGN.md §11).
 	depth := livenet.DefaultLinkDepth
 	if cfg.Gateway {
-		depth = gwBase.BurstPackets()
+		depth = gateway.BurstPackets
 	}
 	routers := make(map[int]*livenet.Router)
 	for ri := 0; ri < sc.NRouters; ri++ {
@@ -251,9 +240,9 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	var gwEgress *gateway.Egress
 	if cfg.Gateway {
 		if h, ok := hosts[geg]; ok {
-			egCfg := gwBase
-			egCfg.Entity = check.GatewayEgressEntity
-			gwEgress = gateway.NewEgress(h, check.GatewayEndpoint, egCfg)
+			gwEgress = gateway.NewEgress(h, check.GatewayEndpoint, gateway.Config{
+				Entity: check.GatewayEgressEntity, Telemetry: spans, Node: name,
+			})
 			ev.egress = gwEgress
 			defer gwEgress.Close()
 		}
@@ -272,11 +261,10 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("daemon: gateway listen: %w", err)
 			}
-			inCfg := gwBase
-			inCfg.Entity = check.GatewayIngressEntity
-			inCfg.Peer = check.GatewayEgressEntity
-			inCfg.Route = routes[0].Segments
-			gwIngress = gateway.NewIngress(ln, h, check.GatewayEndpoint, inCfg)
+			gwIngress = gateway.NewIngress(ln, h, check.GatewayEndpoint, gateway.Config{
+				Entity: check.GatewayIngressEntity, Peer: check.GatewayEgressEntity,
+				Route: routes[0].Segments, Telemetry: spans, Node: name,
+			})
 			ev.ingress = gwIngress
 			defer gwIngress.Close()
 			cfg.logf("%s: SOCKS ingress on %s (route %v)", name, gwIngress.Addr(), routes[0].Path)
@@ -335,9 +323,9 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	// flows in two so the blip link dies on a provably quiet network
 	// (wave 0 drained cluster-wide) and wave 1 exercises mid-flight
 	// failover with nothing racing the SetDown.
-	waves := 1
+	waves, alternates := 1, 0
 	if cfg.Failover {
-		waves = 2
+		waves, alternates = 2, FailoverAlternates
 	}
 	deadline := time.Now().Add(cfg.SettleTimeout)
 	var wantDelivered, wantReplied int
@@ -358,7 +346,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 				To:         check.HostName(f.Dst),
 				Priority:   f.Prio,
 				Account:    check.AccountFor(f),
-				Alternates: cfg.Alternates,
+				Alternates: alternates,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("daemon: route for flow %d: %w", f.ID, err)
@@ -409,7 +397,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	// BEFORE the drain barrier, so the ledger sweep below is still a
 	// snapshot of a quiet network.
 	if cfg.Gateway {
-		gwDeadline := time.Now().Add(cfg.GatewayWait)
+		gwDeadline := time.Now().Add(gatewayWait)
 		for {
 			sd, err := client.ShutdownRequested()
 			if err == nil && sd {

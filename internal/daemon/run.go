@@ -48,11 +48,8 @@ func (c *RunConfig) errout() io.Writer {
 	return c.Errout
 }
 
-// Run executes the single-process workload to completion. It is the
-// body of the historical flag-driven sirpentd main, restructured so
-// tests (and the `run` subcommand) drive it without flag parsing; the
-// network is now wired through construction-time options rather than
-// post-hoc setters.
+// Run executes the single-process workload to completion: the
+// `sirpentd run` role, callable from tests without flag parsing.
 func Run(cfg RunConfig) error {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 4
@@ -63,8 +60,7 @@ func Run(cfg RunConfig) error {
 
 	// The flight recorder is always on: it only records anomalies, so a
 	// clean run costs nothing and a broken one leaves evidence. The
-	// collector sweeps every router created below — construction-time
-	// wiring replaces the old per-router AddAccountSource calls.
+	// collector sweeps every router created below.
 	flight := ledger.NewFlightRecorder(0)
 	col := ledger.NewCollector(ledger.New())
 	opts := []livenet.NetworkOption{

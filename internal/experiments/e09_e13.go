@@ -225,7 +225,7 @@ func E10MPL() *Table {
 		eng.RunUntil(2 * sim.Minute)
 		h := router.NewHost(eng, "h")
 		ck := clock.New(eng, skew, 0)
-		ep := vmtp.NewEndpoint(eng, h, ck, 0xE, 1, vmtp.Config{MPL: mpl, FutureSlack: 5 * sim.Second})
+		ep := vmtp.NewEndpoint(eng, h, ck, 0xE, 1, vmtp.Config{MPL: mpl})
 		accepted := false
 		ep.SetHandler(func(from uint64, data []byte) []byte { accepted = true; return nil })
 		// Craft a request stamped "age" ago by a true-time sender.

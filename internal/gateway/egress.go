@@ -43,7 +43,7 @@ func (e *Egress) onOpen(m Msg, from uint64, ret []viper.Segment) []byte {
 	if len(ret) == 0 {
 		return EncodeReply(ReplyGeneralFailure)
 	}
-	conn, err := e.dial(m.Addr)
+	conn, err := net.DialTimeout("tcp", m.Addr, dialTimeout)
 	if err != nil {
 		e.dialErrors.Add(1)
 		return EncodeReply(DialErrorReply(err))
@@ -56,13 +56,6 @@ func (e *Egress) onOpen(m Msg, from uint64, ret []viper.Segment) []byte {
 	e.wg.Add(1)
 	go e.pump(st)
 	return EncodeReply(ReplySuccess)
-}
-
-func (e *Egress) dial(addr string) (net.Conn, error) {
-	if e.cfg.Dial != nil {
-		return e.cfg.Dial(addr)
-	}
-	return net.DialTimeout("tcp", addr, e.cfg.DialTimeout)
 }
 
 // Close tears all streams down and closes the RT endpoint.

@@ -18,7 +18,7 @@
 // Backpressure. There is no unbounded buffering anywhere on the path:
 // the receiving relay only acknowledges a data group after its bytes
 // are written to the destination socket, and the sending relay holds
-// at most Window unacknowledged groups before its socket-reading pump
+// at most window unacknowledged groups before its socket-reading pump
 // stops reading. A slow destination therefore stalls the egress
 // write, which stalls the ingress window, which stops the ingress
 // read, which fills the kernel TCP buffer and backpressures the SOCKS
@@ -66,71 +66,51 @@ type Config struct {
 	// host. Its tokens must be ReverseOK so the mirrored trailer
 	// yields a token-valid return route for egress→ingress traffic.
 	Route []viper.Segment
-	// Window is the per-stream, per-direction cap on unacknowledged
-	// data groups in flight. Default 4.
-	Window int
-	// GroupBytes is how many stream bytes ride in one VMTP packet
-	// group. Default (and max) one full group: 32 packets of
-	// MaxPacketData minus the stream header.
-	GroupBytes int
-	// HandshakeTimeout bounds the SOCKS negotiation. Default 10s.
-	HandshakeTimeout time.Duration
-	// DialTimeout bounds the egress destination dial. Default 10s.
-	DialTimeout time.Duration
-	// Dial overrides the egress dialer (tests). Default
-	// net.DialTimeout("tcp", addr, DialTimeout).
-	Dial func(addr string) (net.Conn, error)
-	// MaxStreams bounds concurrent streams on the egress. Default 1024.
-	MaxStreams int
-	// RT tunes the underlying real-time VMTP endpoint.
+	// RT tunes the underlying real-time VMTP endpoint. A zero
+	// CallTimeout means the relay's 60 s.
 	RT vmtp.RTConfig
-	// Telemetry, when set, receives per-stage stream spans: the sender
-	// side records each sampled data group's full mesh round trip
-	// ("stream-ingress" uplink, "stream-return" downlink), the
+	// Telemetry, when set, receives per-stage stream spans for every
+	// data group: the sender side records the group's full mesh round
+	// trip ("stream-ingress" uplink, "stream-return" downlink), the
 	// receiving side the one-way transit ("stream-transit") and its
 	// destination-socket write ("stream-egress" at the egress,
 	// "stream-client-write" at the ingress) — all under one trace ID
 	// carried in the message's FlagTraced context. nil disables stream
 	// tracing entirely (no wire bytes, no clock reads).
 	Telemetry *trace.Spans
-	// TraceEvery samples one data group in N for stage tracing; <= 1
-	// traces every group. Ignored when Telemetry is nil.
-	TraceEvery int
 	// Node names this relay's process in recorded spans.
 	Node string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 4
-	}
-	// The trace context is reserved unconditionally so a sampled group
-	// never overflows the VMTP group capacity a full unsampled group
-	// fits exactly (17 bytes in ~32 KiB).
-	maxGroup := vmtp.MaxGroupPackets*vmtp.MaxPacketData - msgHeaderLen - trace.ContextWireLen
-	if c.GroupBytes == 0 || c.GroupBytes > maxGroup {
-		c.GroupBytes = maxGroup
-	}
-	if c.HandshakeTimeout == 0 {
-		c.HandshakeTimeout = 10 * time.Second
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 10 * time.Second
-	}
-	if c.MaxStreams == 0 {
-		c.MaxStreams = 1024
-	}
-	return c
-}
+const (
+	// window is the per-stream, per-direction cap on unacknowledged
+	// data groups in flight.
+	window = 4
+	// groupBytes is how many stream bytes ride in one VMTP packet
+	// group: one full group less the stream header. The trace context
+	// is reserved unconditionally so a traced group never overflows
+	// the group capacity an untraced full group fits exactly (17 bytes
+	// in ~32 KiB).
+	groupBytes = vmtp.MaxGroupPackets*vmtp.MaxPacketData - msgHeaderLen - trace.ContextWireLen
+	// handshakeTimeout bounds a client's SOCKS negotiation.
+	handshakeTimeout = 10 * time.Second
+	// dialTimeout bounds the egress destination dial.
+	dialTimeout = 10 * time.Second
+	// maxStreams bounds concurrent streams on the egress.
+	maxStreams = 1024
+	// callTimeout bounds one relay transaction, including the time the
+	// far relay blocks on its socket for backpressure.
+	callTimeout = 60 * time.Second
+)
 
 // BurstPackets is the most packets one stream direction emits back to
-// back: Window groups of up to vmtp.MaxGroupPackets packets, sent
+// back: window groups of up to vmtp.MaxGroupPackets packets, sent
 // unpaced. A link carrying relays needs this many slots; a shallower one
 // overflows on a full window, and the overflow comes back as
-// retransmissions rather than queueing delay. The Window is per stream,
+// retransmissions rather than queueing delay. The window is per stream,
 // so this covers one stream: N bulk streams crossing one link can burst
 // N times as much, and with this depth they overflow it.
-func (c Config) BurstPackets() int { return c.withDefaults().Window * vmtp.MaxGroupPackets }
+const BurstPackets = window * vmtp.MaxGroupPackets
 
 // Stats is a point-in-time snapshot of a relay's counters.
 type Stats struct {
@@ -169,7 +149,7 @@ type stream struct {
 	inSeq   vmtp.Sequencer  // orders inbound data groups
 	outSeq  uint32          // next outbound group sequence (pump goroutine only)
 	slots   chan *groupSlot // free outbound window slots
-	nSlots  int             // slots made so far, at most Window (pump goroutine only)
+	nSlots  int             // slots made so far, at most window (pump goroutine only)
 	done    chan struct{}
 	once    sync.Once
 	finSent atomic.Bool // our FIN delivered and acknowledged
@@ -227,13 +207,17 @@ func (r *relay) bindRT(host *livenet.Host, endpoint uint8, cfg Config) {
 
 // init readies the relay over an RT endpoint on carrier.
 func (r *relay) init(cfg Config, carrier vmtp.Carrier) {
-	r.cfg = cfg.withDefaults()
+	r.cfg = cfg
 	r.streams = make(map[streamKey]*stream)
 	// Stream trace IDs live in their own namespace (top byte 0x67,
 	// "g") so they can share a Spans store with packet-level traces
 	// without colliding.
 	r.ctxBase = uint64(0x67)<<56 | (cfg.Entity&0xFF)<<48
-	r.rt = vmtp.NewRT(cfg.Entity, carrier, cfg.RT)
+	rt := cfg.RT
+	if rt.CallTimeout == 0 {
+		rt.CallTimeout = callTimeout
+	}
+	r.rt = vmtp.NewRT(cfg.Entity, carrier, rt)
 	r.rt.SetHandler(r.onMsg)
 }
 
@@ -242,7 +226,7 @@ func (r *relay) newStream(key streamKey, conn net.Conn, route []viper.Segment) *
 		key:   key,
 		conn:  conn,
 		route: route,
-		slots: make(chan *groupSlot, r.cfg.Window),
+		slots: make(chan *groupSlot, window),
 		done:  make(chan struct{}),
 	}
 }
@@ -252,7 +236,7 @@ func (r *relay) newStream(key streamKey, conn net.Conn, route []viper.Segment) *
 func (r *relay) register(st *stream, bound bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || (bound && len(r.streams) >= r.cfg.MaxStreams) {
+	if r.closed || (bound && len(r.streams) >= maxStreams) {
 		return false
 	}
 	if _, dup := r.streams[st.key]; dup {
@@ -312,12 +296,12 @@ func (r *relay) maybeFinish(st *stream) {
 
 // pump is the outbound loop: it reads the local socket into a pooled
 // buffer and ships each chunk as one in-order data group, holding at
-// most Window groups in flight. EOF becomes an empty FIN group, after
+// most window groups in flight. EOF becomes an empty FIN group, after
 // which the pump quiesces the window; any other read error resets the
 // stream on both sides.
 func (r *relay) pump(st *stream) {
 	defer r.wg.Done()
-	buf := pool.Get(r.cfg.GroupBytes)[:r.cfg.GroupBytes]
+	buf := pool.Get(groupBytes)[:groupBytes]
 	defer pool.Put(buf)
 	for {
 		n, err := st.conn.Read(buf)
@@ -346,7 +330,7 @@ func isEOF(err error) bool {
 	return errors.Is(err, io.EOF)
 }
 
-// A groupSlot is one of a stream's Window outbound slots: the data
+// A groupSlot is one of a stream's window outbound slots: the data
 // group it carries and the completion that frees it. A stream makes its
 // slots as its window first fills and reuses them after, so a group in
 // flight costs neither a goroutine nor an allocation.
@@ -360,7 +344,7 @@ type groupSlot struct {
 	done  func([]byte, error) // complete, bound once
 }
 
-// slot takes a free window slot, making one while fewer than Window
+// slot takes a free window slot, making one while fewer than window
 // exist, and waits for one otherwise. It returns nil once the stream is
 // dead. Pump goroutine only.
 func (st *stream) slot(r *relay) *groupSlot {
@@ -391,9 +375,7 @@ func (r *relay) sendGroup(st *stream, data []byte, fin bool) bool {
 	}
 	m := Msg{Op: OpData, Fin: fin, Stream: st.key.id, Seq: seq, Data: data}
 	if r.cfg.Telemetry != nil {
-		if n := r.traceSeq.Add(1); r.cfg.TraceEvery <= 1 || n%uint64(r.cfg.TraceEvery) == 0 {
-			m.Ctx = trace.Context{ID: r.ctxBase | n, Origin: time.Now().UnixNano(), Budget: trace.DefaultHopBudget}
-		}
+		m.Ctx = trace.Context{ID: r.ctxBase | r.traceSeq.Add(1), Origin: time.Now().UnixNano(), Budget: trace.DefaultHopBudget}
 	}
 	s.msg = m.appendEncoded(pool.Get(m.encodedLen()))
 	s.size, s.ctx, s.start = uint64(len(data)), m.Ctx, time.Now()

@@ -47,7 +47,7 @@ func buildMesh(t *testing.T, hops int) *mesh {
 	}
 	m.inHost = nw.NewHost("ingress")
 	m.egHost = nw.NewHost("egress")
-	depth := livenet.WithDepth(Config{}.BurstPackets())
+	depth := livenet.WithDepth(BurstPackets)
 	nw.Connect(m.inHost, 1, m.routers[0], 1, depth)
 	for i := 0; i < hops-1; i++ {
 		m.trunks = append(m.trunks,
@@ -266,11 +266,10 @@ func TestGatewayEndToEnd(t *testing.T) {
 // TestGatewayBackpressure proves the no-unbounded-buffering contract:
 // with the destination not reading, a client pouring bytes in must be
 // stalled by the window — the amount absorbed beyond the destination
-// socket is bounded by Window × GroupBytes plus kernel buffers.
+// socket is bounded by window × groupBytes plus kernel buffers.
 func TestGatewayBackpressure(t *testing.T) {
 	m := buildMesh(t, 2)
-	cfg := Config{Window: 2, GroupBytes: 8 << 10}
-	in, _ := gatewayPair(t, m, cfg)
+	in, _ := gatewayPair(t, m, Config{})
 
 	// A destination that accepts and then never reads.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -336,7 +335,7 @@ func TestGatewayBackpressure(t *testing.T) {
 // stream all remain billed, token-authorized traffic.
 func TestGatewayClientHangup(t *testing.T) {
 	m := buildMesh(t, 2)
-	in, eg := gatewayPair(t, m, Config{GroupBytes: 4 << 10})
+	in, eg := gatewayPair(t, m, Config{})
 
 	// Destination reads forever, slowly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -358,7 +357,7 @@ func TestGatewayClientHangup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DialSocks: %v", err)
 	}
-	if _, err := conn.Write(bytes.Repeat([]byte("x"), 64<<10)); err != nil {
+	if _, err := conn.Write(bytes.Repeat([]byte("x"), 16*groupBytes)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	waitForCond(t, 5*time.Second, func() bool { return eg.Stats().Streams == 1 })
@@ -482,7 +481,7 @@ func TestGatewayDialFailure(t *testing.T) {
 // (stream isolation), and all must close cleanly.
 func TestGatewayConcurrentStreams(t *testing.T) {
 	m := buildMesh(t, 2)
-	in, eg := gatewayPair(t, m, Config{GroupBytes: 8 << 10})
+	in, eg := gatewayPair(t, m, Config{})
 	echo := echoServer(t)
 
 	const streams = 5
@@ -498,7 +497,7 @@ func TestGatewayConcurrentStreams(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			payload := make([]byte, 100<<10+s*1337)
+			payload := make([]byte, 12*groupBytes+s*1337)
 			rand.New(rand.NewSource(int64(s))).Read(payload)
 			go func() {
 				conn.Write(payload)
@@ -537,7 +536,7 @@ func TestGatewayLossyMesh(t *testing.T) {
 	m := buildMesh(t, 2)
 	// Impair the trunk between r0 and r1 (both directions).
 	m.trunks[0].SetLossRatio(0.05)
-	cfg := Config{GroupBytes: 4 << 10, RT: vmtp.RTConfig{
+	cfg := Config{RT: vmtp.RTConfig{
 		BaseTimeout: 20 * time.Millisecond,
 		GapAckDelay: time.Millisecond,
 		MaxRetries:  60,
@@ -551,7 +550,7 @@ func TestGatewayLossyMesh(t *testing.T) {
 		t.Fatalf("DialSocks: %v", err)
 	}
 	defer conn.Close()
-	payload := make([]byte, 256<<10)
+	payload := make([]byte, 64*groupBytes)
 	rand.New(rand.NewSource(5)).Read(payload)
 	go func() {
 		conn.Write(payload)
@@ -590,11 +589,11 @@ func waitForCond(t *testing.T, d time.Duration, cond func() bool) {
 func TestRelayGroupAllocs(t *testing.T) {
 	route := []viper.Segment{{Port: 1}}
 	var a, b relay
-	a.init(Config{Entity: 0xA, Window: 1}, vmtp.CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
+	a.init(Config{Entity: 0xA}, vmtp.CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
 		b.rt.Deliver(pkt, route)
 		return nil
 	}))
-	b.init(Config{Entity: 0xB, Window: 1}, vmtp.CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
+	b.init(Config{Entity: 0xB}, vmtp.CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
 		a.rt.Deliver(pkt, route)
 		return nil
 	}))

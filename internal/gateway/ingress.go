@@ -50,7 +50,7 @@ func (in *Ingress) serve() {
 // the SOCKS reply code), and starts the uplink pump.
 func (in *Ingress) handleConn(c net.Conn) {
 	defer in.wg.Done()
-	c.SetDeadline(time.Now().Add(in.cfg.HandshakeTimeout))
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	target, err := ReadRequest(c)
 	if err != nil {
 		in.socksErrors.Add(1)

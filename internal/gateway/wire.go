@@ -39,7 +39,7 @@ const (
 const FlagFin uint8 = 0x01
 
 // FlagTraced on an OpData message means the header is followed by a
-// wire-form trace.Context (sampled stream-stage tracing): the receiver
+// wire-form trace.Context (stream-stage tracing): the receiver
 // records its transit and write stages against that trace ID.
 const FlagTraced uint8 = 0x02
 

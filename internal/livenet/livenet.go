@@ -135,8 +135,7 @@ func WithFlightRecorder(fr *ledger.FlightRecorder) NetworkOption {
 // WithLedgerCollector registers every router this network creates as an
 // account source on col: once a router is token-guarded
 // (SetTokenAuthority), the collector's sweeps pick up its cache's
-// per-account totals under the router's name. This replaces the manual
-// per-router AddAccountSource wiring.
+// per-account totals under the router's name.
 func WithLedgerCollector(col *ledger.Collector) NetworkOption {
 	return func(c *networkConfig) { c.collector = col }
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // ClusterTracer is the Tracer a distributed sirpentd peer installs: it
-// both samples new traces at the origin (stamping each record with a
+// both traces every packet it originates (stamping each record with a
 // cluster-unique Context so tunnels and gateways can carry it across
 // process boundaries) and resumes traces that arrive from other
 // processes. Finished records fold into two places: an optional
@@ -22,7 +22,6 @@ import (
 type ClusterTracer struct {
 	node    string
 	idBase  uint64
-	every   uint64
 	spans   *Spans
 	metrics *Metrics
 
@@ -34,23 +33,16 @@ type ClusterTracer struct {
 
 // NewClusterTracer creates a tracer for one peer. idBase is OR-ed into
 // every originated trace ID and must not collide across peers (the
-// daemon uses (peerIndex+1)<<48); every samples one originated packet
-// in N (<= 1 traces all); spans and metrics may each be nil.
-func NewClusterTracer(node string, idBase uint64, every uint64, spans *Spans, metrics *Metrics) *ClusterTracer {
-	if every < 1 {
-		every = 1
-	}
-	return &ClusterTracer{node: node, idBase: idBase, every: every, spans: spans, metrics: metrics}
+// daemon uses (peerIndex+1)<<48); spans and metrics may each be nil.
+func NewClusterTracer(node string, idBase uint64, spans *Spans, metrics *Metrics) *ClusterTracer {
+	return &ClusterTracer{node: node, idBase: idBase, spans: spans, metrics: metrics}
 }
 
-// Begin implements Tracer: sample and stamp a new cluster-wide trace.
+// Begin implements Tracer: stamp a new cluster-wide trace, numbered
+// from seq.
 func (c *ClusterTracer) Begin(payload []byte) *PacketTrace {
-	n := c.seq.Add(1)
-	if c.every > 1 && n%c.every != 0 {
-		return nil
-	}
 	c.begun.Add(1)
-	id := c.idBase | n
+	id := c.idBase | c.seq.Add(1)
 	return &PacketTrace{
 		ID:   id,
 		Ctx:  Context{ID: id, Origin: time.Now().UnixNano(), Budget: DefaultHopBudget},

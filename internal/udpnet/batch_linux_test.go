@@ -244,50 +244,6 @@ func TestFlushTracedCount(t *testing.T) {
 	sameFrames(t, s.wait(t, 20), 3, b)
 }
 
-// TestFlushLossLottery draws the seeded loss lottery over one batch and
-// over the same frames handed to egress one at a time: the same frames
-// are lost, and the survivors arrive in order.
-func TestFlushLossLottery(t *testing.T) {
-	const n = 48
-	arrived := func(batched bool) ([]int, uint64) {
-		s := newSink(t)
-		tun := tunnelFixture(t, 5, s.addr())
-		tun.SetLossRatio(0.5)
-		sizes := make([]int, n)
-		for i := range sizes {
-			sizes[i] = 200
-		}
-		b := batchOf(sizes...)
-		if batched {
-			tun.egress(b)
-		} else {
-			for i := range b {
-				tun.egress(b[i : i+1])
-			}
-		}
-		st := tun.Stats()
-		var ids []int
-		for _, dg := range s.wait(t, int(st.Encapsulated)) {
-			ids = append(ids, int(binary.BigEndian.Uint16(dg[HeaderLen:])))
-		}
-		if st.Encapsulated+st.Dropped != n {
-			t.Fatalf("stats %+v do not account for %d datagrams", st, n)
-		}
-		return ids, st.Sends
-	}
-	batched, batchedSends := arrived(true)
-	single, _ := arrived(false)
-	if !equalInts(batched, single) {
-		t.Fatalf("one batch delivered %v, one frame at a time %v", batched, single)
-	}
-	if len(batched) == 0 || len(batched) == n {
-		t.Fatalf("loss ratio 0.5 delivered %d of %d: lottery not exercised", len(batched), n)
-	}
-	if batchedSends != 1 {
-		t.Fatalf("the survivors of one batch took %d sends, want 1", batchedSends)
-	}
-}
-
 // TestGSOFallback makes the kernel refuse GSO: a socket with
 // SO_NO_CHECK takes plain sends but fails UDP_SEGMENT ones with EINVAL.
 // The run then goes out datagram by datagram with no send error, and

@@ -3,10 +3,10 @@
 // form one Sirpent internetwork. It is the process-boundary analogue
 // of a livenet Link: a Tunnel carries the encoded VIPER bytes of one
 // logical link inside UDP datagrams (the Sirpent-over-IP story of
-// §2.3: the entire foreign transport is one source-route hop), and
-// exposes the same fault handles a Link does — down, loss ratio,
-// bounded depth — so conformance workloads can run over sockets with
-// the exact failure vocabulary they use in-process.
+// §2.3: the entire foreign transport is one source-route hop). Its
+// fault handles — down, loss ratio, bounded depth — are those of the
+// in-process link in front of it, so conformance workloads run over
+// sockets with the exact failure vocabulary they use in-process.
 //
 // Topology-wise a Tunnel is a gateway Host wired to the bridged
 // router port: frames the router transmits toward the gateway are
@@ -60,8 +60,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"math"
-	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
@@ -119,7 +117,7 @@ type Stats struct {
 	Decapsulated uint64 // datagrams unframed and injected into livenet
 	DecodeErrors uint64 // datagrams for this link with a bad type or empty payload
 	SendErrors   uint64 // socket write failures and injections into a stopped network
-	Dropped      uint64 // fault-injection discards, the inner link's included, and frames tapped after Bridge.Close
+	Dropped      uint64 // the inner link's fault-injection discards, and frames tapped after Bridge.Close
 	TracedSent   uint64 // of Encapsulated: frames carrying a trace context
 	TracedRecv   uint64 // of Decapsulated: frames whose context resumed a trace (one "wire" span each)
 }
@@ -378,9 +376,11 @@ func WithRemote(addr *net.UDPAddr) TunnelOption {
 }
 
 // Tunnel carries one logical link over the bridge's socket. Its fault
-// handles mirror livenet.Link: SetDown cuts both directions, a loss
-// ratio discards each frame independently (seeded, so reproducible),
-// and Dropped attributes every discard for conservation checks.
+// handles are its inner livenet.Link's, the in-process link between
+// the bridged port and the tunnel: SetDown cuts both directions, a loss
+// ratio discards each frame in either direction independently with
+// livenet's lottery, and Dropped attributes every discard for
+// conservation checks.
 type Tunnel struct {
 	bridge *Bridge
 	linkID uint16
@@ -392,15 +392,12 @@ type Tunnel struct {
 
 	remote atomic.Pointer[net.UDPAddr]
 
-	down       atomic.Bool   // explicit SetDown state
+	down       atomic.Bool   // explicit SetDown state, combined with peerLost onto inner
 	peerLost   atomic.Bool   // set by consecutive-write-failure detection
 	consecErrs atomic.Uint32 // socket write failures since the last success
-	lossBits   atomic.Uint64 // math.Float64bits of the loss probability
-	rngMu      sync.Mutex
-	rng        *rand.Rand
 
 	// egress's state, used only on the gateway host's goroutine.
-	buf []byte          // a batch's surviving datagrams, back to back
+	buf []byte          // a batch's datagrams, back to back
 	dgs [][]byte        // windows of buf, one per datagram
 	oob [gsoOOBLen]byte // the UDP_SEGMENT control message (sendRun)
 
@@ -409,7 +406,7 @@ type Tunnel struct {
 	decapsulated atomic.Uint64
 	decodeErrors atomic.Uint64
 	sendErrors   atomic.Uint64
-	dropped      atomic.Uint64
+	dropped      atomic.Uint64 // frames tapped after Bridge.Close
 	tracedSent   atomic.Uint64
 	tracedRecv   atomic.Uint64
 }
@@ -459,7 +456,6 @@ func newTunnel(b *Bridge, linkID uint16, remote *net.UDPAddr) *Tunnel {
 		linkID:    linkID,
 		gwPort:    1,
 		wireStage: fmt.Sprintf("wire:%d", linkID),
-		rng:       rand.New(rand.NewSource(int64(linkID))),
 	}
 	if remote != nil {
 		t.remote.Store(remote)
@@ -530,17 +526,13 @@ func (t *Tunnel) noteSendOK() {
 	}
 }
 
-// SetLossRatio makes each egress frame be discarded with probability
-// p (0 disables). The lottery is drawn from the tunnel's seeded
-// source, so a given seed and traffic sequence loses the same frames
-// every run.
-func (t *Tunnel) SetLossRatio(p float64) { t.lossBits.Store(math.Float64bits(p)) }
+// SetLossRatio makes the inner link discard each frame, in either
+// direction, with probability p (0 disables).
+func (t *Tunnel) SetLossRatio(p float64) { t.inner.SetLossRatio(p) }
 
-// Dropped returns the number of frames discarded by fault injection or
-// tapped after Bridge.Close. Because a down tunnel marks its inner
-// in-process link down — so frames die at the link pump before ever
-// reaching the tunnel — the inner link's discards are included, keeping
-// the attribution complete for conservation checks.
+// Dropped returns the number of frames the inner link discarded by
+// fault injection, in either direction, plus those tapped after
+// Bridge.Close.
 func (t *Tunnel) Dropped() uint64 {
 	n := t.dropped.Load()
 	if t.inner != nil {
@@ -564,32 +556,13 @@ func (t *Tunnel) Stats() Stats {
 	}
 }
 
-// drops draws the fault lottery for one frame.
-func (t *Tunnel) drops() bool {
-	if t.down.Load() {
-		t.dropped.Add(1)
-		return true
-	}
-	if p := math.Float64frombits(t.lossBits.Load()); p > 0 {
-		t.rngMu.Lock()
-		lost := t.rng.Float64() < p
-		t.rngMu.Unlock()
-		if lost {
-			t.dropped.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
 // egress is the gateway host's raw tap: each batch the host drains
 // from the bridged router port arrives here whole, in arrival order, its
 // bytes valid only for the call, and is on the socket when egress
-// returns. The fault lottery draws once per frame in arrival order, so
-// a seeded loss sequence does not depend on batching, and a batch that
-// arrives after Bridge.Close is dropped whole.
+// returns. The inner link has already drawn its fault lottery for
+// each frame; a batch that arrives after Bridge.Close is dropped whole.
 //
-// The survivors are framed back to back into the tunnel's one buffer,
+// The frames are framed back to back into the tunnel's one buffer,
 // and each run of them (runEnd) goes out as one GSO send of its window
 // while the bridge has GSO on; a lone datagram goes out by itself. A GSO
 // send that fails is resent datagram by datagram, so send errors, the
@@ -620,9 +593,6 @@ func (t *Tunnel) egress(batch []livenet.RawFrame) {
 	// buf never outgrows its array below, so every window stays in it.
 	buf, dgs := t.buf[:0], t.dgs[:0]
 	for i := range batch {
-		if t.drops() {
-			continue
-		}
 		start := len(buf)
 		buf = appendFrame(buf, t.linkID, batch[i])
 		dgs = append(dgs, buf[start:])
@@ -738,10 +708,6 @@ func (t *Tunnel) sent(dgs [][]byte) {
 // into livenet so the network's tracer (if it resumes) follows the
 // packet onward.
 func (t *Tunnel) ingress(f frame) {
-	if t.down.Load() {
-		t.dropped.Add(1)
-		return
-	}
 	arrived := int64(0)
 	if f.ctx.Valid() {
 		arrived = time.Now().UnixNano()

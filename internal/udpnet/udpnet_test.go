@@ -186,6 +186,46 @@ func TestTunnelFaultHandles(t *testing.T) {
 	}
 }
 
+// TestTunnelLossBothDirections checks that a tunnel's loss ratio, like
+// a Link's, applies in both directions: with full loss on ta, frames
+// arriving from tb's side are discarded at ta's end and counted in
+// ta's Dropped, not delivered.
+func TestTunnelLossBothDirections(t *testing.T) {
+	src, dst, ta, tb := twoProcessTopology(t)
+
+	var replied atomic.Uint64
+	src.Handle(0, func(livenet.Delivery) { replied.Add(1) })
+	var ret atomic.Pointer[[]viper.Segment]
+	dst.Handle(0, func(d livenet.Delivery) {
+		r := d.ReturnRoute.Segments(nil)
+		ret.Store(&r)
+	})
+	// A healthy round trip first, to learn dst's return route to src.
+	if err := src.Send(crossRoute(), []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "delivery across the healthy tunnel", func() bool { return ret.Load() != nil })
+
+	ta.SetLossRatio(1)
+	const n = 5
+	for i := 0; i < n; i++ {
+		if err := dst.Send(*ret.Load(), []byte("pong")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "tb to send every reply", func() bool { return tb.Stats().Encapsulated == n })
+	waitFor(t, "ta to drop every reply", func() bool { return ta.Dropped() == n })
+	if st := ta.Stats(); st.Decapsulated != n || st.Encapsulated != 1 {
+		t.Fatalf("ta stats %+v, want %d decapsulated (then dropped) and the one ping sent", st, n)
+	}
+	if got := replied.Load(); got != 0 {
+		t.Fatalf("%d replies delivered through a fully lossy tunnel end", got)
+	}
+	if tb.Dropped() != 0 {
+		t.Fatalf("tb dropped %d frames; the loss belongs to ta's end", tb.Dropped())
+	}
+}
+
 // TestBridgeDecodeErrors feeds the socket garbage — short datagrams,
 // bad magic, wrong version, an unattached link — and checks each is
 // counted at the bridge and none reaches a tunnel.
@@ -377,7 +417,7 @@ func TestSendWithoutRemote(t *testing.T) {
 }
 
 // TestTracePropagationUnderLoss is the impairment contract for
-// cluster tracing: with seeded loss on the forward tunnel and an
+// cluster tracing: with loss on the forward tunnel and an
 // application-level resend loop riding over it, every frame that does
 // get through resumes the sender's trace ID on the far substrate —
 // and no record leaks on either side. Specifically, at quiesce:
@@ -386,8 +426,8 @@ func TestSendWithoutRemote(t *testing.T) {
 // wire span's trace ID carries the sender's identity bits.
 func TestTracePropagationUnderLoss(t *testing.T) {
 	spansA, spansB := trace.NewSpans(64), trace.NewSpans(64)
-	tracerA := trace.NewClusterTracer("A", 1<<48, 1, spansA, nil)
-	tracerB := trace.NewClusterTracer("B", 2<<48, 1, spansB, nil)
+	tracerA := trace.NewClusterTracer("A", 1<<48, spansA, nil)
+	tracerB := trace.NewClusterTracer("B", 2<<48, spansB, nil)
 	netA := livenet.NewNetwork(livenet.WithTracer(tracerA))
 	t.Cleanup(netA.Stop)
 	netB := livenet.NewNetwork(livenet.WithTracer(tracerB))

@@ -35,8 +35,6 @@ type Config struct {
 	// MPL is the maximum packet lifetime the entity accepts; older
 	// packets are discarded on arrival (§4.2). Default 30s.
 	MPL time.Duration
-	// FutureSlack tolerates receiver clocks behind senders. Default 5s.
-	FutureSlack time.Duration
 }
 
 // RTConfig is Config under the name real-time callers know it by.
@@ -48,7 +46,6 @@ func (c Config) withDefaults() Config {
 	orDefault(&c.CallTimeout, 2*time.Minute)
 	orDefault(&c.GapAckDelay, 2*time.Millisecond)
 	orDefault(&c.MPL, 30*time.Second)
-	orDefault(&c.FutureSlack, 5*time.Second)
 	return c
 }
 
@@ -65,6 +62,7 @@ const (
 	responseCacheTTL = 10 * time.Second      // duplicate-suppression window
 	probeInterval    = 50 * time.Millisecond // floor on the probe cadence
 	maxGroupLen      = MaxGroupPackets << 16 // bound on the reassembly buffer a header can demand
+	futureSlack      = 5 * time.Second       // how far a receiver's clock may run behind a sender's (§4.2)
 )
 
 // FlagProbe marks a data-less KindRequest packet as a status probe: it
@@ -332,7 +330,7 @@ func (m *machine) receive(p *Packet, ret path) {
 	// timestamp is too old (or absurdly far in the future).
 	if p.Timestamp != clock.InvalidTimestamp {
 		age := clock.Age(m.clk.stamp(), p.Timestamp)
-		if age > m.cfg.MPL.Milliseconds() || age < -m.cfg.FutureSlack.Milliseconds() {
+		if age > m.cfg.MPL.Milliseconds() || age < -futureSlack.Milliseconds() {
 			m.st.StaleDrops++
 			return
 		}

@@ -15,8 +15,9 @@ import (
 // keep pkt or route after it returns: the endpoint returns the buffer
 // under pkt to internal/pool after its last Send, and a route decoded
 // from a viper.Route (DeliverRoute) lives in scratch the endpoint
-// reuses. livenet's Host.Send, which copies the bytes into its frame
-// and copies what its route memo keeps, satisfies it via CarrierFunc.
+// reuses. livenet's Host.SendFrom, which seals the route and copies
+// the bytes into its own pooled frame before it returns, satisfies it
+// via CarrierFunc.
 type Carrier interface {
 	Send(route []viper.Segment, pkt []byte) error
 }
