@@ -48,7 +48,7 @@ func runLedger(seedList string) error {
 		var problems []string
 		problems = append(problems, ledger.Reconcile("netsim", simLed, simCtrs)...)
 		problems = append(problems, ledger.Reconcile("livenet", liveLed, liveCtrs)...)
-		for _, p := range check.DiffLedgers(simLed, liveLed) {
+		for _, p := range check.DiffLedgers(simLed, liveLed, "netsim", "livenet") {
 			problems = append(problems, "ledger diverges: "+p)
 		}
 		if len(problems) == 0 {

@@ -4,13 +4,14 @@
 // scenario and carry cross-partition links over real UDP sockets.
 //
 // After every peer exits, the launcher reads each peer's final
-// snapshot back out of the directory and renders a verdict: every flow
-// delivered and echoed exactly once across process boundaries, the
-// merged per-account ledger internally reconciled, trace spans
-// accounting for every traced crossing, and per-account totals
-// identical to a single-process livenet run of the same seed. Exit
-// status 0 means the whole verdict passed; anything else is a failure
-// (and CI treats it as such — see the cluster-smoke job).
+// snapshot back out of the directory and applies daemon.Verdict: every
+// flow delivered and echoed exactly once across process boundaries,
+// the merged per-account ledger internally reconciled and equal to the
+// directory's bill, trace spans accounting for every traced crossing,
+// and, on a plain run, per-account totals and every flow's return
+// route identical to a single-process livenet run of the same seed.
+// Exit status 0 means the whole verdict passed; anything else is a
+// failure (and CI treats it as such — see the cluster-smoke job).
 //
 // With -gateway, the peers additionally bind SOCKS gateway relays on
 // the scenario's deterministic gateway hosts, and the launcher pushes
@@ -63,6 +64,9 @@ func main() {
 func run(n int, seed int64, sirpentd string, settle time.Duration, gw bool, gwBytes int64, report, failover bool) error {
 	if n < 2 {
 		return fmt.Errorf("-n must be at least 2 (got %d)", n)
+	}
+	if gw && gwBytes <= 0 {
+		return fmt.Errorf("-gateway-bytes must be positive (got %d)", gwBytes)
 	}
 	bin, err := findSirpentd(sirpentd)
 	if err != nil {
@@ -174,7 +178,14 @@ func run(n int, seed int64, sirpentd string, settle time.Duration, gw bool, gwBy
 	if err != nil {
 		return err
 	}
-	pass, err := verdict(cl, sc, n, seed, failed, gw, gwBytes, blip)
+	mode := daemon.RunMode{Failover: failover}
+	if gw {
+		mode.GatewayBytes = uint64(gwBytes)
+	}
+	pass, err := "", fmt.Errorf("one or more peers failed")
+	if !failed {
+		pass, err = daemon.Verdict(cl, seed, mode)
+	}
 	if report || err != nil {
 		fmt.Print(daemon.FormatCluster(cl))
 	}
@@ -183,55 +194,6 @@ func run(n int, seed int64, sirpentd string, settle time.Duration, gw bool, gwBy
 	}
 	fmt.Println(pass)
 	return nil
-}
-
-// verdict applies every check a run's mode calls for to the peers'
-// final snapshots, returning the PASS line or the first failing check.
-func verdict(cl *daemon.Cluster, sc *check.Scenario, n int, seed int64, peerFailed, gw bool, gwBytes int64, blip int) (string, error) {
-	if peerFailed {
-		return "", fmt.Errorf("one or more peers failed")
-	}
-	if problems := daemon.VerifyCluster(sc, n, cl.Reports); len(problems) > 0 {
-		return "", fmt.Errorf("cluster verdict failed (%d problems):\n  %s",
-			len(problems), strings.Join(problems, "\n  "))
-	}
-	if problems := daemon.VerifyClusterTelemetry(cl); len(problems) > 0 {
-		return "", fmt.Errorf("telemetry verdict failed (%d problems):\n  %s",
-			len(problems), strings.Join(problems, "\n  "))
-	}
-	if gw {
-		// The gateway account only exists in the distributed run, so
-		// the single-process ledger diff does not apply; the gateway
-		// verdict checks stream conservation and billing instead.
-		if problems := daemon.VerifyGatewayCluster(sc, n, cl.Reports, uint64(gwBytes)); len(problems) > 0 {
-			return "", fmt.Errorf("gateway verdict failed (%d problems):\n  %s",
-				len(problems), strings.Join(problems, "\n  "))
-		}
-		return "cluster: PASS — flows delivered exactly once AND the SOCKS transfer crossed the cluster hash-intact with the gateway account billed, ledgers reconciling, and trace spans accounting for every traced crossing", nil
-	}
-	if blip >= 0 {
-		// The detour bills the branch actually taken, so the healthy-mesh
-		// single-process ledger diff does not apply; the verdict above
-		// already proved internal reconciliation and exactly-once
-		// delivery — zero lost transactions despite the dead tunnel.
-		var fo uint64
-		for _, r := range cl.Reports {
-			fo += r.Failovers
-		}
-		if fo == 0 {
-			return "", fmt.Errorf("failover smoke: tunnel died but no in-header failovers were recorded")
-		}
-		return fmt.Sprintf("cluster: PASS — link %d died mid-run, %d in-header failovers diverted every crossing transaction, all flows delivered and echoed exactly once, ledgers reconcile", blip, fo), nil
-	}
-	diffs, err := daemon.CompareWithSingleProcess(seed, daemon.ClusterLedger(cl.Reports), 15*time.Second)
-	if err != nil {
-		return "", err
-	}
-	if len(diffs) > 0 {
-		return "", fmt.Errorf("ledger diverges from single-process run:\n  %s",
-			strings.Join(diffs, "\n  "))
-	}
-	return "cluster: PASS — all flows delivered and echoed exactly once; ledgers reconcile and match the single-process run", nil
 }
 
 // driveGateway runs the launcher's half of a gateway-mode run: an echo

@@ -188,8 +188,8 @@ func peerCmd(args []string) error {
 		return err
 	}
 	if !rep.Complete {
-		return fmt.Errorf("peer %d: settle deadline passed before quiesce (%d delivered, %d replied)",
-			*index, len(rep.Delivered), len(rep.Replied))
+		return fmt.Errorf("peer %d: settle deadline passed before quiesce (its hosts saw %d flows' requests and %d flows' replies)",
+			*index, len(rep.Flows.Delivered), len(rep.Flows.Replied))
 	}
 	return nil
 }

@@ -153,14 +153,6 @@ const (
 	kindReply   = 1
 )
 
-// KindRequest and KindReply are the payload kinds ParseData returns,
-// exported for harnesses (the cluster daemon) that speak the echo
-// protocol outside this package.
-const (
-	KindRequest = kindRequest
-	KindReply   = kindReply
-)
-
 // FlowData builds the request payload for a flow.
 func FlowData(f Flow) []byte {
 	b := make([]byte, f.Size)

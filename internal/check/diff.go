@@ -7,41 +7,48 @@ import (
 
 // DeliveryRec is one observed delivery of a flow's request packet.
 type DeliveryRec struct {
-	Host   string // where it arrived
-	Fp     string // Fingerprint of the accumulated return route
-	DataOK bool   // payload bytes survived intact
+	Host   string `json:"host"`    // where it arrived
+	Fp     string `json:"fp"`      // Fingerprint of the accumulated return route
+	DataOK bool   `json:"data_ok"` // payload bytes survived intact
 }
 
-// Result collects what one substrate observed for a scenario. All Add
-// methods are safe for concurrent use (livenet handlers run on host
-// goroutines); reads should happen after the run quiesces.
+// ResultSnapshot is a Result's observations as plain data: the
+// delivery record a cluster peer ships in its JSON snapshot, and what
+// Merge folds back into a Result.
+type ResultSnapshot struct {
+	Delivered map[uint64][]DeliveryRec `json:"delivered,omitempty"` // flow -> request arrivals
+	Replied   map[uint64][]string      `json:"replied,omitempty"`   // flow -> hosts its echo reached
+	Garbled   int                      `json:"garbled,omitempty"`
+	SendErrs  int                      `json:"send_errs,omitempty"`
+}
+
+// Result collects what one substrate (or one cluster peer) observed for
+// a scenario. All methods are safe for concurrent use (livenet handlers
+// run on host goroutines); reads should happen after the run quiesces.
 type Result struct {
-	mu        sync.Mutex
-	delivered map[uint64][]DeliveryRec
-	replies   map[uint64][]string
-	garbled   int
-	sendErrs  int
+	mu  sync.Mutex
+	obs ResultSnapshot
 }
 
 // NewResult creates an empty observation set.
 func NewResult() *Result {
-	return &Result{
-		delivered: make(map[uint64][]DeliveryRec),
-		replies:   make(map[uint64][]string),
-	}
+	return &Result{obs: ResultSnapshot{
+		Delivered: make(map[uint64][]DeliveryRec),
+		Replied:   make(map[uint64][]string),
+	}}
 }
 
 // AddDelivery records a request arrival.
 func (r *Result) AddDelivery(id uint64, rec DeliveryRec) {
 	r.mu.Lock()
-	r.delivered[id] = append(r.delivered[id], rec)
+	r.obs.Delivered[id] = append(r.obs.Delivered[id], rec)
 	r.mu.Unlock()
 }
 
 // AddReply records a reply arrival.
 func (r *Result) AddReply(id uint64, host string) {
 	r.mu.Lock()
-	r.replies[id] = append(r.replies[id], host)
+	r.obs.Replied[id] = append(r.obs.Replied[id], host)
 	r.mu.Unlock()
 }
 
@@ -49,15 +56,38 @@ func (r *Result) AddReply(id uint64, host string) {
 // invariant violation.
 func (r *Result) AddGarbled() {
 	r.mu.Lock()
-	r.garbled++
+	r.obs.Garbled++
 	r.mu.Unlock()
 }
 
 // AddSendErr records a failed injection.
 func (r *Result) AddSendErr() {
 	r.mu.Lock()
-	r.sendErrs++
+	r.obs.SendErrs++
 	r.mu.Unlock()
+}
+
+// Snapshot returns a copy of the observations so far.
+func (r *Result) Snapshot() ResultSnapshot {
+	out := NewResult()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out.Merge(r.obs)
+	return out.obs
+}
+
+// Merge adds another run's observations (a cluster peer's share) to r.
+func (r *Result) Merge(s ResultSnapshot) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for id, recs := range s.Delivered {
+		r.obs.Delivered[id] = append(r.obs.Delivered[id], recs...)
+	}
+	for id, hosts := range s.Replied {
+		r.obs.Replied[id] = append(r.obs.Replied[id], hosts...)
+	}
+	r.obs.Garbled += s.Garbled
+	r.obs.SendErrs += s.SendErrs
 }
 
 // Counts snapshots the aggregate totals (deliveries and replies counted
@@ -65,35 +95,36 @@ func (r *Result) AddSendErr() {
 func (r *Result) Counts() (deliv, reply, garbled, sendErrs int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, recs := range r.delivered {
+	for _, recs := range r.obs.Delivered {
 		deliv += len(recs)
 	}
-	for _, hosts := range r.replies {
+	for _, hosts := range r.obs.Replied {
 		reply += len(hosts)
 	}
-	return deliv, reply, r.garbled, r.sendErrs
+	return deliv, reply, r.obs.Garbled, r.obs.SendErrs
 }
 
 // Deliveries returns the recorded request arrivals for a flow.
 func (r *Result) Deliveries(id uint64) []DeliveryRec {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]DeliveryRec(nil), r.delivered[id]...)
+	return append([]DeliveryRec(nil), r.obs.Delivered[id]...)
 }
 
 // ReplyHosts returns where a flow's replies arrived.
 func (r *Result) ReplyHosts(id uint64) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]string(nil), r.replies[id]...)
+	return append([]string(nil), r.obs.Replied[id]...)
 }
 
-// Diff compares the two substrates' observations of one scenario and
-// returns a description of every divergence: delivery-set membership,
-// delivering host, trailer contents (via the return-route fingerprint),
-// payload integrity, and reply arrivals.
-func Diff(simR, liveR *Result, sc *Scenario) []string {
-	out, perFlow := diffObservations(simR, liveR, sc)
+// Diff compares two runs' observations of one scenario, named aName
+// and bName in its lines, and returns a description of every
+// divergence: delivery-set membership, delivering host, trailer
+// contents (via the return-route fingerprint), payload integrity, and
+// reply arrivals.
+func Diff(a, b *Result, sc *Scenario, aName, bName string) []string {
+	out, perFlow := diffObservations(a, b, sc, aName, bName)
 	for _, f := range sc.Flows {
 		out = append(out, perFlow[f.ID]...)
 	}
@@ -104,7 +135,7 @@ func Diff(simR, liveR *Result, sc *Scenario) []string {
 // between the substrates, in flow order — the join key for pulling
 // hop-level trace evidence out of a Recorder.
 func DivergingFlows(simR, liveR *Result, sc *Scenario) []uint64 {
-	_, perFlow := diffObservations(simR, liveR, sc)
+	_, perFlow := diffObservations(simR, liveR, sc, "netsim", "livenet")
 	var ids []uint64
 	for _, f := range sc.Flows {
 		if len(perFlow[f.ID]) > 0 {
@@ -117,45 +148,45 @@ func DivergingFlows(simR, liveR *Result, sc *Scenario) []uint64 {
 // diffObservations does the comparison once, splitting global problems
 // (garbled payloads) from per-flow divergences so callers can either
 // flatten everything (Diff) or join flows to traces (DivergingFlows).
-func diffObservations(simR, liveR *Result, sc *Scenario) (global []string, perFlow map[uint64][]string) {
+func diffObservations(aR, bR *Result, sc *Scenario, an, bn string) (global []string, perFlow map[uint64][]string) {
 	perFlow = make(map[uint64][]string)
 
-	if _, _, g, _ := simR.Counts(); g > 0 {
-		global = append(global, fmt.Sprintf("netsim: %d garbled deliveries", g))
+	if _, _, g, _ := aR.Counts(); g > 0 {
+		global = append(global, fmt.Sprintf("%s: %d garbled deliveries", an, g))
 	}
-	if _, _, g, _ := liveR.Counts(); g > 0 {
-		global = append(global, fmt.Sprintf("livenet: %d garbled deliveries", g))
+	if _, _, g, _ := bR.Counts(); g > 0 {
+		global = append(global, fmt.Sprintf("%s: %d garbled deliveries", bn, g))
 	}
 	for _, f := range sc.Flows {
 		bad := func(format string, args ...any) {
 			perFlow[f.ID] = append(perFlow[f.ID], fmt.Sprintf(format, args...))
 		}
-		a, b := simR.Deliveries(f.ID), liveR.Deliveries(f.ID)
+		a, b := aR.Deliveries(f.ID), bR.Deliveries(f.ID)
 		if len(a) != len(b) {
-			bad("flow %d: delivered %d times in netsim, %d in livenet", f.ID, len(a), len(b))
+			bad("flow %d: delivered %d times in %s, %d in %s", f.ID, len(a), an, len(b), bn)
 			continue
 		}
 		if len(a) == 0 {
 			continue // missing from both: consistent
 		}
 		if len(a) > 1 {
-			bad("flow %d: duplicated (%d copies) in both substrates", f.ID, len(a))
+			bad("flow %d: duplicated (%d copies) in both %s and %s", f.ID, len(a), an, bn)
 			continue
 		}
 		if a[0].Host != b[0].Host {
-			bad("flow %d: arrived at %s in netsim, %s in livenet", f.ID, a[0].Host, b[0].Host)
+			bad("flow %d: arrived at %s in %s, %s in %s", f.ID, a[0].Host, an, b[0].Host, bn)
 		}
 		if a[0].Fp != b[0].Fp {
-			bad("flow %d: return routes diverge:\n  netsim:  %s\n  livenet: %s", f.ID, a[0].Fp, b[0].Fp)
+			bad("flow %d: return routes diverge:\n  %s: %s\n  %s: %s", f.ID, an, a[0].Fp, bn, b[0].Fp)
 		}
 		if !a[0].DataOK || !b[0].DataOK {
-			bad("flow %d: payload corrupted (netsim ok=%v, livenet ok=%v)", f.ID, a[0].DataOK, b[0].DataOK)
+			bad("flow %d: payload corrupted (%s ok=%v, %s ok=%v)", f.ID, an, a[0].DataOK, bn, b[0].DataOK)
 		}
-		ra, rb := simR.ReplyHosts(f.ID), liveR.ReplyHosts(f.ID)
+		ra, rb := aR.ReplyHosts(f.ID), bR.ReplyHosts(f.ID)
 		if len(ra) != len(rb) {
-			bad("flow %d: %d replies in netsim, %d in livenet", f.ID, len(ra), len(rb))
+			bad("flow %d: %d replies in %s, %d in %s", f.ID, len(ra), an, len(rb), bn)
 		} else if len(ra) == 1 && len(rb) == 1 && ra[0] != rb[0] {
-			bad("flow %d: reply landed at %s in netsim, %s in livenet", f.ID, ra[0], rb[0])
+			bad("flow %d: reply landed at %s in %s, %s in %s", f.ID, ra[0], an, rb[0], bn)
 		}
 	}
 	return global, perFlow

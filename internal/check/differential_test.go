@@ -80,7 +80,7 @@ func differential(t *testing.T, sc *Scenario, alternates int) {
 	simRes := RunNetsim(net, sc, routes)
 	liveRes, liveCtrs, liveRec := RunLivenetTraced(sc, routes, liveDeadline)
 
-	for _, p := range Diff(simRes, liveRes, sc) {
+	for _, p := range Diff(simRes, liveRes, sc, "netsim", "livenet") {
 		t.Errorf("diff: %s", p)
 	}
 	// A divergence report is only actionable with the hop-level story

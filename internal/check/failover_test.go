@@ -104,7 +104,7 @@ func TestFailoverDifferentialStaticDown(t *testing.T) {
 
 	// Livenet: identical routes, same trunk down before injection.
 	liveFR := ledger.NewFlightRecorder(0)
-	ln := BuildLivenet(sc, livenet.WithFlightRecorder(liveFR))
+	ln := BuildLivenet(sc, 0, 1, livenet.DefaultLinkDepth, livenet.WithFlightRecorder(liveFR))
 	defer ln.Net.Stop()
 	ln.Links[dead].SetDown(true)
 	liveR := NewResult()
@@ -116,7 +116,7 @@ func TestFailoverDifferentialStaticDown(t *testing.T) {
 	}
 	ln.Settle(liveR, 5*time.Second)
 
-	for _, d := range Diff(simR, liveR, sc) {
+	for _, d := range Diff(simR, liveR, sc, "netsim", "livenet") {
 		t.Error(d)
 	}
 	deliv, reply, garbled, _ := simR.Counts()
@@ -161,14 +161,14 @@ func TestFailoverLedgerReconciliation(t *testing.T) {
 		ln.Links[dead].SetDown(true)
 	})
 
-	for _, d := range Diff(simR, liveR, sc) {
+	for _, d := range Diff(simR, liveR, sc, "netsim", "livenet") {
 		t.Error(d)
 	}
 	deliv, _, _, _ := simR.Counts()
 	if deliv != len(sc.Flows) {
 		t.Fatalf("netsim delivered %d of %d under tokened failover", deliv, len(sc.Flows))
 	}
-	for _, d := range DiffLedgers(simLed, liveLed) {
+	for _, d := range DiffLedgers(simLed, liveLed, "netsim", "livenet") {
 		t.Error(d)
 	}
 	for _, p := range ledger.Reconcile("netsim", simLed, simCtrs) {
@@ -267,7 +267,7 @@ func failoverLivenetFlapStorm(t *testing.T, split bool) {
 	dead := primaryTrunk(t, sc, routes[1])
 
 	fr := ledger.NewFlightRecorder(0)
-	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr))
+	ln := BuildLivenet(sc, 0, 1, livenet.DefaultLinkDepth, livenet.WithFlightRecorder(fr))
 	defer ln.Net.Stop()
 
 	res := NewResult()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/directory"
+	"repro/internal/livenet"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/token"
@@ -485,7 +486,7 @@ func TestLivenetConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln := BuildLivenet(sc)
+		ln := BuildLivenet(sc, 0, 1, livenet.DefaultLinkDepth)
 		defer ln.Net.Stop()
 		res := NewResult()
 		ln.InstallEcho(sc, res)

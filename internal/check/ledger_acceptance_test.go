@@ -68,7 +68,7 @@ func ledgerDifferential(t *testing.T, sc *Scenario, alternates int) {
 	// Tokens must be billing-neutral: deliveries, trailers, and the
 	// shared counter surface agree exactly as in the untokened
 	// differential run.
-	for _, p := range Diff(simRes, liveRes, sc) {
+	for _, p := range Diff(simRes, liveRes, sc, "netsim", "livenet") {
 		report("diff: %s", p)
 	}
 	for _, p := range stats.DiffCounters("netsim", "livenet", simCtrs, liveCtrs) {
@@ -84,7 +84,7 @@ func ledgerDifferential(t *testing.T, sc *Scenario, alternates int) {
 	}
 
 	// Cross-substrate billing agreement, account by account.
-	for _, p := range DiffLedgers(simLed, liveLed) {
+	for _, p := range DiffLedgers(simLed, liveLed, "netsim", "livenet") {
 		report("ledger: %s", p)
 	}
 

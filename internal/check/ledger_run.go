@@ -134,14 +134,9 @@ func RunLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadlin
 func runLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration, prepare func(*LiveNet)) (*Result, stats.Counters, *ledger.Ledger, *ledger.FlightRecorder) {
 	fr := ledger.NewFlightRecorder(0)
 	col := ledger.NewCollector(ledger.New())
-	ln := BuildLivenet(sc, livenet.WithFlightRecorder(fr), livenet.WithLedgerCollector(col))
+	ln := BuildLivenet(sc, 0, 1, livenet.DefaultLinkDepth, livenet.WithFlightRecorder(fr), livenet.WithLedgerCollector(col))
 	defer ln.Net.Stop()
-	for i, r := range ln.Routers {
-		r.SetTokenAuthority(token.NewAuthority(TokenKey(i)))
-		for _, p := range RouterPorts(sc, i) {
-			r.RequireToken(p)
-		}
-	}
+	ln.GuardTokens(sc)
 	prepare(ln)
 	res := NewResult()
 	ln.InstallEcho(sc, res)
@@ -155,29 +150,30 @@ func runLivenetLedgered(sc *Scenario, routes map[uint64][]viper.Segment, deadlin
 	return res, ln.RouterCounters(), col.Ledger(), fr
 }
 
-// DiffLedgers compares the two substrates' per-account billing totals
-// entry by entry, returning one line per divergence.
-func DiffLedgers(sim, live *ledger.Ledger) []string {
-	simT, liveT := sim.Totals(), live.Totals()
+// DiffLedgers compares two runs' per-account billing totals entry by
+// entry, returning one line per divergence with each side named as
+// given.
+func DiffLedgers(a, b *ledger.Ledger, aName, bName string) []string {
+	aT, bT := a.Totals(), b.Totals()
 	accounts := make(map[uint32]bool)
-	for a := range simT {
-		accounts[a] = true
+	for acct := range aT {
+		accounts[acct] = true
 	}
-	for a := range liveT {
-		accounts[a] = true
+	for acct := range bT {
+		accounts[acct] = true
 	}
 	sorted := make([]uint32, 0, len(accounts))
-	for a := range accounts {
-		sorted = append(sorted, a)
+	for acct := range accounts {
+		sorted = append(sorted, acct)
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var out []string
-	for _, a := range sorted {
-		s, l := simT[a], liveT[a]
-		if s != l {
+	for _, acct := range sorted {
+		x, y := aT[acct], bT[acct]
+		if x != y {
 			out = append(out, fmt.Sprintf(
-				"account %d: netsim {pkts=%d bytes=%d denials=%d} vs livenet {pkts=%d bytes=%d denials=%d}",
-				a, s.Packets, s.Bytes, s.Denials, l.Packets, l.Bytes, l.Denials))
+				"account %d: %s {pkts=%d bytes=%d denials=%d} vs %s {pkts=%d bytes=%d denials=%d}",
+				acct, aName, x.Packets, x.Bytes, x.Denials, bName, y.Packets, y.Bytes, y.Denials))
 		}
 	}
 	return out

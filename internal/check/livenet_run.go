@@ -6,12 +6,15 @@ import (
 
 	"repro/internal/livenet"
 	"repro/internal/stats"
+	"repro/internal/token"
 	"repro/internal/trace"
 	"repro/internal/viper"
 )
 
-// LiveNet is a scenario realized on the goroutine substrate, with the
-// fault-injection handles the invariant tests flip mid-flight.
+// LiveNet is a scenario, or one cluster peer's share of it, realized
+// on the goroutine substrate, with the fault-injection handles the
+// invariant tests flip mid-flight. Every slice is index-aligned with the
+// scenario; an entry another peer owns is nil.
 type LiveNet struct {
 	Net       *livenet.Network
 	Routers   []*livenet.Router
@@ -20,37 +23,72 @@ type LiveNet struct {
 	HostLinks []*livenet.Link // host-router, index-aligned with hosts
 }
 
-// BuildLivenet realizes a scenario on the livenet substrate with the
-// same explicit port numbering as BuildNetsim. Options configure the
-// network's observers (tracer, flight recorder).
-func BuildLivenet(sc *Scenario, opts ...livenet.NetworkOption) *LiveNet {
-	ln := &LiveNet{Net: livenet.NewNetwork(opts...)}
+// BuildLivenet realizes peer's share of a peers-way partition of a
+// scenario on the livenet substrate, with the same explicit port
+// numbering as BuildNetsim: the routers Owner gives it, the hosts
+// HostOwner gives it, and every link with both ends among them, each
+// depth frames deep. The whole scenario is partition 0 of 1; a cluster
+// peer carries the links that cross the partition itself. Options
+// configure the network's observers (tracer, flight recorder).
+func BuildLivenet(sc *Scenario, peer, peers, depth int, opts ...livenet.NetworkOption) *LiveNet {
+	ln := &LiveNet{
+		Net:       livenet.NewNetwork(opts...),
+		Routers:   make([]*livenet.Router, sc.NRouters),
+		Hosts:     make([]*livenet.Host, len(sc.HostRouter)),
+		Links:     make([]*livenet.Link, len(sc.Links)),
+		HostLinks: make([]*livenet.Link, len(sc.HostRouter)),
+	}
 	if sc.SplitRouters {
 		livenet.SplitRouters(ln.Net)
 	}
-	for i := 0; i < sc.NRouters; i++ {
-		ln.Routers = append(ln.Routers, ln.Net.NewRouter(RouterName(i)))
+	for i := range ln.Routers {
+		if Owner(i, peers) == peer {
+			ln.Routers[i] = ln.Net.NewRouter(RouterName(i))
+		}
 	}
-	for i := range sc.HostRouter {
-		ln.Hosts = append(ln.Hosts, ln.Net.NewHost(HostName(i)))
+	for i := range ln.Hosts {
+		if HostOwner(sc, i, peers) == peer {
+			ln.Hosts[i] = ln.Net.NewHost(HostName(i))
+		}
 	}
-	for _, l := range sc.Links {
-		ln.Links = append(ln.Links, ln.Net.Connect(ln.Routers[l.A], l.APort, ln.Routers[l.B], l.BPort))
+	d := livenet.WithDepth(depth)
+	for i, l := range sc.Links {
+		if Owner(l.A, peers) == peer && Owner(l.B, peers) == peer {
+			ln.Links[i] = ln.Net.Connect(ln.Routers[l.A], l.APort, ln.Routers[l.B], l.BPort, d)
+		}
 	}
-	for i, ri := range sc.HostRouter {
-		ln.HostLinks = append(ln.HostLinks, ln.Net.Connect(ln.Hosts[i], 1, ln.Routers[ri], sc.HostPort[i]))
+	for i, h := range ln.Hosts {
+		if h != nil {
+			ln.HostLinks[i] = ln.Net.Connect(h, 1, ln.Routers[sc.HostRouter[i]], sc.HostPort[i], d)
+		}
 	}
 	return ln
+}
+
+// GuardTokens gives every router in ln its administrative-domain key
+// (TokenKey) and makes it demand a token on every port it has
+// (RouterPorts), as BuildNetsimTokened guards the netsim routers.
+func (ln *LiveNet) GuardTokens(sc *Scenario) {
+	for i, r := range ln.Routers {
+		if r == nil {
+			continue
+		}
+		r.SetTokenAuthority(token.NewAuthority(TokenKey(i)))
+		for _, p := range RouterPorts(sc, i) {
+			r.RequireToken(p)
+		}
+	}
 }
 
 // Dropped sums the frames discarded by fault injection across all links.
 func (ln *LiveNet) Dropped() uint64 {
 	var n uint64
-	for _, l := range ln.Links {
-		n += l.Dropped()
-	}
-	for _, l := range ln.HostLinks {
-		n += l.Dropped()
+	for _, links := range [][]*livenet.Link{ln.Links, ln.HostLinks} {
+		for _, l := range links {
+			if l != nil {
+				n += l.Dropped()
+			}
+		}
 	}
 	return n
 }
@@ -66,18 +104,23 @@ func (ln *LiveNet) RouterDrops() uint64 {
 func (ln *LiveNet) RouterCounters() stats.Counters {
 	var c stats.Counters
 	for _, r := range ln.Routers {
-		c.Merge(r.Stats())
+		if r != nil {
+			c.Merge(r.Stats())
+		}
 	}
 	return c
 }
 
-// InstallEcho registers the harness protocol on every host: requests are
-// recorded and echoed along the accumulated return route, replies are
-// recorded. Handlers run on host goroutines; Result is locked.
+// InstallEcho registers the harness protocol on every host in ln:
+// requests are recorded and echoed along the accumulated return route,
+// replies are recorded. Handlers run on host goroutines; Result is
+// locked.
 func (ln *LiveNet) InstallEcho(sc *Scenario, res *Result) {
-	for i := range ln.Hosts {
+	for i, h := range ln.Hosts {
+		if h == nil {
+			continue
+		}
 		name := HostName(i)
-		h := ln.Hosts[i]
 		h.Handle(0, func(d livenet.Delivery) {
 			id, kind, ok := ParseData(d.Data)
 			if !ok || id == 0 || int(id) > len(sc.Flows) {
@@ -146,7 +189,7 @@ func (ln *LiveNet) Settle(res *Result, deadline time.Duration) {
 // hop.
 func RunLivenetTraced(sc *Scenario, routes map[uint64][]viper.Segment, deadline time.Duration) (*Result, stats.Counters, *trace.Recorder) {
 	rec := trace.NewRecorder(TraceID)
-	ln := BuildLivenet(sc, livenet.WithTracer(rec))
+	ln := BuildLivenet(sc, 0, 1, livenet.DefaultLinkDepth, livenet.WithTracer(rec))
 	defer ln.Net.Stop()
 	res := NewResult()
 	ln.InstallEcho(sc, res)

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/directory"
+	"repro/internal/token"
 )
 
 // The cluster tests exercise the distributed runtime for real: peers
@@ -76,12 +78,9 @@ func clusterSeed(t *testing.T, minRouters, total int) int64 {
 }
 
 // verifyCluster reads every peer's final snapshot back out of the
-// directory and applies the full verdict: per-flow delivery/echo
-// exactness, internal ledger reconciliation, per-account parity
-// against the single-process livenet run of the same seed, the
-// directory's bill, and the trace accounting. It returns the decoded
-// cluster for further checks.
-func verifyCluster(t *testing.T, ds *DirServer, seed int64, total int) *Cluster {
+// directory and applies the plain run's Verdict, the one the launcher
+// applies. It returns the decoded cluster for further checks.
+func verifyCluster(t *testing.T, ds *DirServer, seed int64) *Cluster {
 	t.Helper()
 	cr, err := directory.NewClient(ds.URL).WaitCluster(10 * time.Second)
 	if err != nil {
@@ -91,31 +90,8 @@ func verifyCluster(t *testing.T, ds *DirServer, seed int64, total int) *Cluster 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if problems := VerifyCluster(ds.Scenario, total, cl.Reports); len(problems) > 0 {
-		t.Fatalf("cluster verdict (%d problems):\n%s\n%s",
-			len(problems), joinLines(problems), FormatCluster(cl))
-	}
-	diffs, err := CompareWithSingleProcess(seed, ClusterLedger(cl.Reports), 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diffs) > 0 {
-		t.Fatalf("cluster ledger diverges from single-process run:\n%s\n%s",
-			joinLines(diffs), FormatCluster(cl))
-	}
-
-	// The directory's own billing database must agree too: every peer
-	// posted its per-router sweeps there (§3's accounting story).
-	merged := ClusterLedger(cl.Reports).Totals()
-	for account, e := range merged {
-		if u := cl.Bill[account]; u.Packets != e.Packets || u.Bytes != e.Bytes {
-			t.Fatalf("directory bill for account %d = %+v, cluster ledger %+v", account, u, e)
-		}
-	}
-
-	if problems := VerifyClusterTelemetry(cl); len(problems) > 0 {
-		t.Fatalf("telemetry verdict (%d problems):\n%s\n%s",
-			len(problems), joinLines(problems), FormatCluster(cl))
+	if _, err := Verdict(cl, seed, RunMode{}); err != nil {
+		t.Fatalf("%v\n%s", err, FormatCluster(cl))
 	}
 	return cl
 }
@@ -162,7 +138,7 @@ func runTwoPeers(t *testing.T) *Cluster {
 			t.Fatalf("peer %d: %v", i, err)
 		}
 	}
-	return verifyCluster(t, ds, seed, total)
+	return verifyCluster(t, ds, seed)
 }
 
 // TestClusterTwoPeerInProcess is fast coverage of the whole
@@ -290,5 +266,105 @@ func TestClusterFourProcessParity(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	verifyCluster(t, ds, seed, total)
+	verifyCluster(t, ds, seed)
+}
+
+// TestClusterVerdictRejects builds a plain run's final snapshots by
+// hand from the single-process run of a real seed: each peer holds the
+// requests and replies its own hosts saw, and peer0 the whole ledger.
+// The snapshots cross JSON as the directory serves them. Verdict must
+// pass them as built and report each one-fact mutation.
+func TestClusterVerdictRejects(t *testing.T) {
+	const total = 2
+	seed := clusterSeed(t, 2, total)
+	sc := check.Generate(seed)
+	routes, err := check.FlowRoutesAccounted(check.BuildNetsimTokened(sc), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, counters, led, _ := check.RunLivenetLedgered(sc, routes, 10*time.Second)
+	ref := res.Snapshot()
+	bill := make(map[uint32]token.Usage)
+	for acct, e := range led.Totals() {
+		bill[acct] = token.Usage{Packets: e.Packets, Bytes: e.Bytes, Denials: e.Denials}
+	}
+	build := func() *Cluster {
+		reports := make([]*Report, total)
+		for i := range reports {
+			reports[i] = &Report{Peer: check.PeerName(i), Seq: 1, Final: true, Complete: true,
+				Flows: check.ResultSnapshot{
+					Delivered: make(map[uint64][]check.DeliveryRec),
+					Replied:   make(map[uint64][]string),
+				}}
+		}
+		for _, f := range sc.Flows {
+			reports[check.HostOwner(sc, f.Dst, total)].Flows.Delivered[f.ID] = ref.Delivered[f.ID]
+			reports[check.HostOwner(sc, f.Src, total)].Flows.Replied[f.ID] = ref.Replied[f.ID]
+		}
+		reports[0].RouterUsage = map[string]map[uint32]token.Usage{"all": bill}
+		reports[0].TokenAuthorized = counters.TokenAuthorized
+		cr := directory.ClusterReport{Expect: total, Bill: bill}
+		for _, rep := range reports {
+			raw, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr.Nodes = append(cr.Nodes, raw)
+		}
+		cl, err := DecodeCluster(cr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+
+	f := sc.Flows[0]
+	dst := check.PeerName(check.HostOwner(sc, f.Dst, total))
+	other := check.PeerName((check.HostOwner(sc, f.Dst, total) + 1) % total)
+	src := check.PeerName(check.HostOwner(sc, f.Src, total))
+	acct := check.AccountFor(f)
+	cases := []struct {
+		name   string
+		mutate func(cl *Cluster)
+		want   string
+	}{
+		{"flow delivered nowhere",
+			func(cl *Cluster) { delete(cl.Reports[dst].Flows.Delivered, f.ID) },
+			fmt.Sprintf("flow %d: never delivered", f.ID)},
+		{"flow delivered at two peers",
+			func(cl *Cluster) {
+				cl.Reports[other].Flows.Delivered[f.ID] = cl.Reports[dst].Flows.Delivered[f.ID]
+			},
+			fmt.Sprintf("flow %d: delivered 2 times", f.ID)},
+		{"reply at the wrong host",
+			func(cl *Cluster) { cl.Reports[src].Flows.Replied[f.ID] = []string{check.HostName(f.Dst)} },
+			fmt.Sprintf("flow %d: reply landed at %s", f.ID, check.HostName(f.Dst))},
+		{"garbled delivery",
+			func(cl *Cluster) { cl.Reports[dst].Flows.Garbled++ },
+			"garbled=1"},
+		{"peer not final",
+			func(cl *Cluster) { cl.Reports[dst].Final = false },
+			"never sent its final snapshot"},
+		{"bill one packet off",
+			func(cl *Cluster) {
+				u := cl.Bill[acct]
+				u.Packets++
+				cl.Bill[acct] = u
+			},
+			fmt.Sprintf("account %d: directory bill", acct)},
+		{"return route differs from the single-process run",
+			func(cl *Cluster) { cl.Reports[dst].Flows.Delivered[f.ID][0].Fp += "port=0; " },
+			fmt.Sprintf("flow %d: return routes diverge", f.ID)},
+	}
+	if _, err := Verdict(build(), seed, RunMode{}); err != nil {
+		t.Fatalf("verdict on the unmodified snapshots: %v", err)
+	}
+	for _, c := range cases {
+		cl := build()
+		c.mutate(cl)
+		_, err := Verdict(cl, seed, RunMode{})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: verdict missed it, want a %q problem, got: %v", c.name, c.want, err)
+		}
+	}
 }

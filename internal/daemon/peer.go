@@ -1,11 +1,10 @@
 package daemon
 
 import (
-	"bytes"
 	"fmt"
-	"maps"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/check"
@@ -93,54 +92,28 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	name := check.PeerName(cfg.Index)
 	sc := check.Generate(cfg.Seed)
 
-	// Local substrate: owned routers (token-guarded exactly as the
-	// single-process ledgered run guards them), their hosts, and every
-	// link with both ends owned.
-	fr := ledger.NewFlightRecorder(0)
-	netOpts := []livenet.NetworkOption{livenet.WithFlightRecorder(fr)}
 	// Cluster tracing of every packet: trace IDs originated here carry
 	// this peer's index above bit 48, so IDs are cluster-unique and any
 	// process can tell "my trace" from "a trace I'm forwarding" without
 	// coordination. Trace contexts ride the tunnel and gateway wire
 	// formats across process boundaries.
+	fr := ledger.NewFlightRecorder(0)
 	spans := trace.NewSpans(0)
-	tracer := trace.NewClusterTracer(name, uint64(cfg.Index+1)<<48, spans, trace.NewMetrics())
-	netOpts = append(netOpts, livenet.WithTracer(tracer))
-	netw := livenet.NewNetwork(netOpts...)
-	defer netw.Stop()
+	tracer := trace.NewClusterTracer(name, uint64(cfg.Index+1)<<48, spans)
 
-	// In gateway mode any link may carry relays (the directory picks the
-	// ingress→egress route), so every link and tunnel holds a full relay
-	// window (DESIGN.md §11).
+	// Local substrate: owned routers (token-guarded exactly as the
+	// single-process ledgered run guards them), their hosts, and every
+	// link with both ends owned. In gateway mode any link may carry
+	// relays (the directory picks the ingress→egress route), so every
+	// link and tunnel holds a full relay window (DESIGN.md §11).
 	depth := livenet.DefaultLinkDepth
 	if cfg.Gateway {
 		depth = gateway.BurstPackets
 	}
-	routers := make(map[int]*livenet.Router)
-	for ri := 0; ri < sc.NRouters; ri++ {
-		if check.Owner(ri, cfg.Total) != cfg.Index {
-			continue
-		}
-		r := netw.NewRouter(check.RouterName(ri))
-		r.SetTokenAuthority(token.NewAuthority(check.TokenKey(ri)))
-		for _, p := range check.RouterPorts(sc, ri) {
-			r.RequireToken(p)
-		}
-		routers[ri] = r
-	}
-	hosts := make(map[int]*livenet.Host)
-	for hi := range sc.HostRouter {
-		if check.HostOwner(sc, hi, cfg.Total) != cfg.Index {
-			continue
-		}
-		hosts[hi] = netw.NewHost(check.HostName(hi))
-		netw.Connect(hosts[hi], 1, routers[sc.HostRouter[hi]], sc.HostPort[hi], livenet.WithDepth(depth))
-	}
-	for _, l := range sc.Links {
-		if check.Owner(l.A, cfg.Total) == cfg.Index && check.Owner(l.B, cfg.Total) == cfg.Index {
-			netw.Connect(routers[l.A], l.APort, routers[l.B], l.BPort, livenet.WithDepth(depth))
-		}
-	}
+	ln := check.BuildLivenet(sc, cfg.Index, cfg.Total, depth,
+		livenet.WithFlightRecorder(fr), livenet.WithTracer(tracer))
+	defer ln.Net.Stop()
+	ln.GuardTokens(sc)
 
 	// Cross-partition links become UDP tunnels; the global link index
 	// is the wire linkID, so both ends agree without coordination.
@@ -152,8 +125,8 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	defer bridge.Close()
 	ev := &evidence{
 		name:    name,
-		rec:     Report{Delivered: make(map[uint64]string), Replied: make(map[uint64]string)},
-		routers: routers,
+		flows:   check.NewResult(),
+		routers: ln.Routers,
 		tracer:  tracer,
 		flight:  fr,
 	}
@@ -170,61 +143,18 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		default:
 			continue
 		}
-		tun, err := bridge.Attach(netw, routers[ri], port, uint16(li), udpnet.WithDepth(depth))
+		tun, err := bridge.Attach(ln.Net, ln.Routers[ri], port, uint16(li), udpnet.WithDepth(depth))
 		if err != nil {
 			return nil, err
 		}
 		ev.tunnels = append(ev.tunnels, peerTunnel{tun: tun, farOwner: far})
 	}
 
-	// Workload receivers: the echo protocol of the conformance harness,
-	// scoped to owned hosts. Requests are recorded and answered along
-	// the accumulated return route; replies are recorded at the origin.
-	// Handlers MUST be live before the "up" barrier below — a faster
-	// peer injects the moment the barrier clears, and a request
-	// arriving at a handlerless host would be dropped.
-	for hi, h := range hosts {
-		hname := check.HostName(hi)
-		h := h
-		h.Handle(0, func(d livenet.Delivery) {
-			id, kind, ok := check.ParseData(d.Data)
-			if !ok || id == 0 || int(id) > len(sc.Flows) {
-				ev.mu.Lock()
-				ev.rec.Garbled++
-				ev.mu.Unlock()
-				return
-			}
-			switch kind {
-			case check.KindRequest:
-				f := sc.Flows[id-1]
-				ev.mu.Lock()
-				if _, dup := ev.rec.Delivered[id]; dup {
-					ev.rec.Duplicates++
-				}
-				ev.rec.Delivered[id] = hname
-				if !bytes.Equal(d.Data, check.FlowData(f)) {
-					ev.rec.DataBad++
-				}
-				ev.mu.Unlock()
-				if err := h.Send(d.ReturnRoute.Segments(nil), check.ReplyData(id)); err != nil {
-					ev.mu.Lock()
-					ev.rec.SendErrs++
-					ev.mu.Unlock()
-				}
-			case check.KindReply:
-				ev.mu.Lock()
-				if _, dup := ev.rec.Replied[id]; dup {
-					ev.rec.Duplicates++
-				}
-				ev.rec.Replied[id] = hname
-				ev.mu.Unlock()
-			default:
-				ev.mu.Lock()
-				ev.rec.Garbled++
-				ev.mu.Unlock()
-			}
-		})
-	}
+	// Workload receivers: the conformance harness's echo protocol on
+	// the owned hosts. Handlers MUST be live before the "up" barrier
+	// below — a faster peer injects the moment the barrier clears, and
+	// a request arriving at a handlerless host would be dropped.
+	ln.InstallEcho(sc, ev.flows)
 
 	// Gateway relays, when this peer owns a gateway host: the egress
 	// (a dialing relay needing no route of its own) and the SOCKS
@@ -239,14 +169,14 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	var gwIngress *gateway.Ingress
 	var gwEgress *gateway.Egress
 	if cfg.Gateway {
-		if h, ok := hosts[geg]; ok {
+		if h := ln.Hosts[geg]; h != nil {
 			gwEgress = gateway.NewEgress(h, check.GatewayEndpoint, gateway.Config{
 				Entity: check.GatewayEgressEntity, Telemetry: spans, Node: name,
 			})
 			ev.egress = gwEgress
 			defer gwEgress.Close()
 		}
-		if h, ok := hosts[gin]; ok {
+		if h := ln.Hosts[gin]; h != nil {
 			routes, err := client.Routes(directory.Query{
 				From:     check.HostName(gin),
 				To:       check.HostName(geg),
@@ -276,8 +206,10 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	// cluster is wired — no packet crosses a tunnel before both ends
 	// exist, so nothing is lost to startup order.
 	var ownedNodes []string
-	for ri := range routers {
-		ownedNodes = append(ownedNodes, check.RouterName(ri))
+	for ri, r := range ln.Routers {
+		if r != nil {
+			ownedNodes = append(ownedNodes, check.RouterName(ri))
+		}
 	}
 	reg := directory.PeerReg{Name: name, UDPAddr: bridge.Addr().String(), Nodes: ownedNodes}
 	if gwIngress != nil {
@@ -309,7 +241,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 	if err := client.Barrier(name, "up"); err != nil {
 		return nil, err
 	}
-	cfg.logf("%s: cluster up, %d routers %d hosts %d tunnels", name, len(routers), len(hosts), len(ev.tunnels))
+	cfg.logf("%s: cluster up, %d routers %d tunnels", name, len(ownedNodes), len(ev.tunnels))
 
 	// Cumulative snapshots flow to the directory every half second
 	// while the workload runs, and once more, final, after the drain
@@ -351,10 +283,8 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("daemon: route for flow %d: %w", f.ID, err)
 			}
-			if err := hosts[f.Src].Send(routes[0].Segments, check.FlowData(f)); err != nil {
-				ev.mu.Lock()
-				ev.rec.SendErrs++
-				ev.mu.Unlock()
+			if err := ln.Hosts[f.Src].Send(routes[0].Segments, check.FlowData(f)); err != nil {
+				ev.flows.AddSendErr()
 			}
 		}
 
@@ -365,11 +295,10 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		// snapshot of a quiet network (and the failover blip a cut on a
 		// quiet one).
 		for {
-			ev.mu.Lock()
-			done := len(ev.rec.Delivered) >= wantDelivered && len(ev.rec.Replied) >= wantReplied
-			ev.mu.Unlock()
+			deliv, reply, _, _ := ev.flows.Counts()
+			done := deliv >= wantDelivered && reply >= wantReplied
 			if done || time.Now().After(deadline) {
-				ev.setComplete(done)
+				ev.complete.Store(done)
 				break
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -404,7 +333,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 				break
 			}
 			if time.Now().After(gwDeadline) {
-				ev.setComplete(false)
+				ev.complete.Store(false)
 				cfg.logf("%s: gateway shutdown latch never raised", name)
 				break
 			}
@@ -461,7 +390,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		return nil, err
 	}
 	cfg.logf("%s: done — %d delivered, %d replied, complete=%v",
-		name, len(final.Delivered), len(final.Replied), final.Complete)
+		name, len(final.Flows.Delivered), len(final.Flows.Replied), final.Complete)
 	return final, nil
 }
 
@@ -477,17 +406,17 @@ type peerTunnel struct {
 }
 
 // evidence assembles a peer's cumulative snapshots: the workload's
-// delivery record, which the receive handlers fill under mu, and the
-// counters the peer's routers, tunnels, relays, tracer and flight
-// recorder hold when a snapshot is taken.
+// delivery record, which the echo handlers fill, whether the peer
+// quiesced, and the counters the peer's routers, tunnels, relays,
+// tracer and flight recorder hold when a snapshot is taken.
 type evidence struct {
 	name string
 	seq  uint64 // snapshots taken; the shipping loop and the final snapshot never overlap
 
-	mu  sync.Mutex
-	rec Report // Complete and the delivery fields
+	flows    *check.Result
+	complete atomic.Bool
 
-	routers                 map[int]*livenet.Router
+	routers                 []*livenet.Router // index-aligned with the scenario; nil if another peer's
 	tunnels                 []peerTunnel
 	ingress                 *gateway.Ingress
 	egress                  *gateway.Egress
@@ -496,27 +425,17 @@ type evidence struct {
 	flight                  *ledger.FlightRecorder
 }
 
-// setComplete records whether the peer quiesced before its deadline.
-func (ev *evidence) setComplete(v bool) {
-	ev.mu.Lock()
-	ev.rec.Complete = v
-	ev.mu.Unlock()
-}
-
 // snapshot takes the next cumulative snapshot. Seq increases per call
 // so the directory's latest-wins merge is unambiguous even when HTTP
 // deliveries reorder.
 func (ev *evidence) snapshot(final bool) *Report {
-	ev.mu.Lock()
-	rep := ev.rec
-	rep.Delivered = maps.Clone(ev.rec.Delivered)
-	rep.Replied = maps.Clone(ev.rec.Replied)
-	ev.mu.Unlock()
 	ev.seq++
-	rep.Peer, rep.Seq, rep.Final = ev.name, ev.seq, final
-	rep.RouterUsage = make(map[string]map[uint32]token.Usage, len(ev.routers))
-
+	rep := Report{Peer: ev.name, Seq: ev.seq, Final: final, Complete: ev.complete.Load(), Flows: ev.flows.Snapshot()}
+	rep.RouterUsage = make(map[string]map[uint32]token.Usage)
 	for ri, r := range ev.routers {
+		if r == nil {
+			continue
+		}
 		rep.RouterUsage[check.RouterName(ri)] = r.TokenCache().AccountTotals()
 		s := r.Stats()
 		rep.TokenAuthorized += s.TokenAuthorized
@@ -543,7 +462,6 @@ func (ev *evidence) snapshot(final bool) *Report {
 
 	rep.TraceBegun, rep.TraceResumed, rep.TraceFinished = ev.tracer.Counts()
 	rep.Spans = ev.tracer.Spans().Snapshot()
-	rep.Metrics = ev.tracer.Metrics().Snapshot()
 	rep.FlightTotal = ev.flight.Total()
 	evs := ev.flight.Events()
 	for _, e := range evs {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -19,20 +20,20 @@ import (
 // Report is one peer's evidence: a cumulative snapshot the peer ships
 // to the directory every 500 ms while it runs, and once more, with
 // Final set, after the drain barrier. The directory keeps each peer's
-// latest; every cluster verdict and FormatCluster read the decoded
-// final ones (DecodeCluster).
+// latest; Verdict and FormatCluster read the decoded final ones
+// (DecodeCluster).
 type Report struct {
 	Peer     string `json:"peer"`
 	Seq      uint64 `json:"seq"`      // grows with every snapshot; the directory keeps the highest
 	Final    bool   `json:"final"`    // taken after the drain barrier, on a quiet network
 	Complete bool   `json:"complete"` // quiesce reached before the deadline
 
-	Delivered  map[uint64]string `json:"delivered"` // flow -> receiving host
-	Replied    map[uint64]string `json:"replied"`   // flow -> origin host that saw the echo
-	DataBad    int               `json:"data_bad,omitempty"`
-	Duplicates int               `json:"duplicates,omitempty"`
-	Garbled    int               `json:"garbled,omitempty"`
-	SendErrs   int               `json:"send_errs,omitempty"`
+	// Flows is what the echo protocol on this peer's hosts observed: the
+	// requests delivered here (host, return-route fingerprint, data
+	// check), the replies that came home here, and garbled payloads and
+	// failed sends. The peers' Flows merged (ClusterFlows) is the shape
+	// a single-process run's check.Result has.
+	Flows check.ResultSnapshot `json:"flows"`
 
 	RouterUsage     map[string]map[uint32]token.Usage `json:"router_usage"`
 	TokenAuthorized uint64                            `json:"token_authorized"`
@@ -54,7 +55,6 @@ type Report struct {
 	TraceResumed  uint64              `json:"trace_resumed"`
 	TraceFinished uint64              `json:"trace_finished"`
 	Spans         trace.SpansSnapshot `json:"spans"`
-	Metrics       trace.Snapshot      `json:"metrics"`
 
 	// FlightTotal counts every anomaly the peer's flight recorder ever
 	// saw; Flight holds the tail of the retained events.
@@ -139,12 +139,23 @@ func ClusterLedger(reports map[string]*Report) *ledger.Ledger {
 	return led
 }
 
+// ClusterFlows merges the peers' delivery records into one
+// check.Result, the shape the single-process run's echo protocol fills.
+func ClusterFlows(reports map[string]*Report) *check.Result {
+	res := check.NewResult()
+	for _, rep := range reports {
+		res.Merge(rep.Flows)
+	}
+	return res
+}
+
 // VerifyCluster checks a cluster run's merged evidence against the
-// scenario: every peer sent its final snapshot and completed; every
-// flow was delivered exactly once at its destination host with intact
-// data and echoed exactly once back to its source; nothing was garbled,
-// dropped, or duplicated; and the merged ledger reconciles against
-// the merged forwarding plane (sum of per-account packets equals
+// scenario: every peer sent its final snapshot, completed, and saw no
+// garbled payload or failed send; the merged delivery record passes
+// check.CheckReachability (every flow delivered exactly once at its
+// destination host with intact data, and echoed exactly once back to
+// its source); and the merged ledger reconciles against the merged
+// forwarding plane (sum of per-account packets equals
 // TokenAuthorized). Returns one line per violation; nil is a pass.
 func VerifyCluster(sc *check.Scenario, total int, reports map[string]*Report) []string {
 	var problems []string
@@ -165,40 +176,11 @@ func VerifyCluster(sc *check.Scenario, total int, reports map[string]*Report) []
 		if !rep.Complete {
 			badf("%s hit its settle deadline before quiescing", name)
 		}
-		if rep.Garbled > 0 || rep.SendErrs > 0 || rep.DataBad > 0 || rep.Duplicates > 0 {
-			badf("%s: garbled=%d sendErrs=%d dataBad=%d duplicates=%d",
-				name, rep.Garbled, rep.SendErrs, rep.DataBad, rep.Duplicates)
+		if rep.Flows.Garbled > 0 || rep.Flows.SendErrs > 0 {
+			badf("%s: garbled=%d sendErrs=%d", name, rep.Flows.Garbled, rep.Flows.SendErrs)
 		}
 	}
-
-	delivered := make(map[uint64][]string)
-	replied := make(map[uint64][]string)
-	for _, rep := range reports {
-		for id, host := range rep.Delivered {
-			delivered[id] = append(delivered[id], host)
-		}
-		for id, host := range rep.Replied {
-			replied[id] = append(replied[id], host)
-		}
-	}
-	for _, f := range sc.Flows {
-		switch hosts := delivered[f.ID]; {
-		case len(hosts) == 0:
-			badf("flow %d: request never delivered (lost transaction)", f.ID)
-		case len(hosts) > 1:
-			badf("flow %d: delivered %d times (%v)", f.ID, len(hosts), hosts)
-		case hosts[0] != check.HostName(f.Dst):
-			badf("flow %d: delivered to %s, want %s", f.ID, hosts[0], check.HostName(f.Dst))
-		}
-		switch hosts := replied[f.ID]; {
-		case len(hosts) == 0:
-			badf("flow %d: reply never returned (lost transaction)", f.ID)
-		case len(hosts) > 1:
-			badf("flow %d: replied %d times (%v)", f.ID, len(hosts), hosts)
-		case hosts[0] != check.HostName(f.Src):
-			badf("flow %d: reply landed at %s, want origin %s", f.ID, hosts[0], check.HostName(f.Src))
-		}
-	}
+	problems = append(problems, check.CheckReachability(ClusterFlows(reports), sc)...)
 
 	led := ClusterLedger(reports)
 	var c stats.Counters
@@ -282,10 +264,12 @@ func VerifyGatewayCluster(sc *check.Scenario, total int, reports map[string]*Rep
 // CompareWithSingleProcess runs the identical seeded workload on one
 // in-process livenet substrate — the same routes, tokens, guards and
 // accounts, fetched through the in-process directory — and diffs the
-// cluster's merged per-account ledger against it entry by entry. An
-// empty return means the distributed run billed every account exactly
-// as the single-process run did.
-func CompareWithSingleProcess(seed int64, cluster *ledger.Ledger, deadline time.Duration) ([]string, error) {
+// cluster against it: the merged per-account ledger entry by entry,
+// and the merged delivery record flow by flow (check.Diff: delivering
+// host, return-route fingerprint, data check, reply host). An empty
+// return means the distributed run billed every account and returned
+// every flow along the same trailer as the single-process run did.
+func CompareWithSingleProcess(seed int64, reports map[string]*Report, deadline time.Duration) ([]string, error) {
 	sc := check.Generate(seed)
 	inet := check.BuildNetsimTokened(sc)
 	routes, err := check.FlowRoutesAccounted(inet, sc)
@@ -293,13 +277,69 @@ func CompareWithSingleProcess(seed int64, cluster *ledger.Ledger, deadline time.
 		return nil, fmt.Errorf("daemon: single-process routes: %w", err)
 	}
 	res, counters, led, _ := check.RunLivenetLedgered(sc, routes, deadline)
-	deliv, reply, garbled, sendErrs := res.Counts()
-	if deliv != len(sc.Flows) || reply != len(sc.Flows) || garbled != 0 || sendErrs != 0 {
-		return nil, fmt.Errorf(
-			"daemon: single-process reference run incomplete: %d/%d delivered, %d/%d replied, %d garbled, %d send errors",
-			deliv, len(sc.Flows), reply, len(sc.Flows), garbled, sendErrs)
+	if bad := check.CheckReachability(res, sc); len(bad) > 0 {
+		return nil, fmt.Errorf("daemon: single-process reference run failed: %s", strings.Join(bad, "; "))
 	}
-	problems := check.DiffLedgers(led, cluster)
+	problems := check.DiffLedgers(led, ClusterLedger(reports), "single-process", "cluster")
 	problems = append(problems, ledger.Reconcile("single-process", led, counters)...)
+	problems = append(problems, check.Diff(res, ClusterFlows(reports), sc, "single-process", "cluster")...)
 	return problems, nil
+}
+
+// RunMode is what a cluster run did besides the seeded flows: nothing
+// (the zero RunMode, a plain run), a failover smoke, a gateway
+// transfer, or both.
+type RunMode struct {
+	// Failover: a cross-partition tunnel died between the flow waves
+	// (PeerConfig.Failover).
+	Failover bool
+	// GatewayBytes, when non-zero, makes the run a gateway run whose
+	// SOCKS transfer carried this many bytes each way
+	// (PeerConfig.Gateway).
+	GatewayBytes uint64
+}
+
+// Verdict applies every check a run of the given mode calls for to the
+// peers' final snapshots and returns the PASS line, or an error listing
+// every violation. Every mode gets VerifyCluster, VerifyClusterTelemetry
+// and the directory's bill against the merged ledger; a gateway run
+// adds VerifyGatewayCluster, a failover run requires in-header
+// failovers, and only a plain run must match the single-process run of
+// the same seed (CompareWithSingleProcess): a detour, and the gateway
+// account, bill what the healthy single-process mesh does not.
+func Verdict(cl *Cluster, seed int64, mode RunMode) (string, error) {
+	sc := check.Generate(seed)
+	problems := VerifyCluster(sc, cl.Expect, cl.Reports)
+	bill := ledger.New()
+	bill.Record("directory", cl.Bill)
+	problems = append(problems, check.DiffLedgers(bill, ClusterLedger(cl.Reports), "directory bill", "cluster ledger")...)
+	problems = append(problems, VerifyClusterTelemetry(cl)...)
+	pass := "cluster: PASS — all flows delivered and echoed exactly once; the ledger reconciles and matches the directory's bill"
+	if mode.GatewayBytes > 0 {
+		problems = append(problems, VerifyGatewayCluster(sc, cl.Expect, cl.Reports, mode.GatewayBytes)...)
+		pass += "; the SOCKS transfer crossed the cluster hash-intact with the gateway account billed"
+	}
+	if mode.Failover {
+		var fo uint64
+		for _, r := range cl.Reports {
+			fo += r.Failovers
+		}
+		if fo == 0 {
+			problems = append(problems, "failover smoke: tunnel died but no in-header failovers were recorded")
+		}
+		pass += fmt.Sprintf("; %d in-header failovers diverted every crossing transaction", fo)
+	}
+	if mode == (RunMode{}) {
+		diffs, err := CompareWithSingleProcess(seed, cl.Reports, 15*time.Second)
+		if err != nil {
+			return "", err
+		}
+		problems = append(problems, diffs...)
+		pass += "; every account and return route matches the single-process run"
+	}
+	if len(problems) > 0 {
+		return "", fmt.Errorf("cluster verdict failed (%d problems):\n  %s",
+			len(problems), strings.Join(problems, "\n  "))
+	}
+	return pass, nil
 }

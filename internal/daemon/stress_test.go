@@ -40,7 +40,7 @@ func TestClusterThreePeerStress(t *testing.T) {
 				t.Fatalf("round %d: peer %d: %v", round, i, err)
 			}
 		}
-		verifyCluster(t, ds, seed, total)
+		verifyCluster(t, ds, seed)
 		ds.Close()
 	}
 }

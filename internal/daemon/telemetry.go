@@ -134,15 +134,14 @@ func FormatCluster(cl *Cluster) string {
 			gatewayRows = append(gatewayRows, row)
 		}
 		fmt.Fprintf(&sb, "  %-8s %5v %8v %9d %7d %9d %10d %6d %12d %9d %9d\n",
-			n.Peer, n.Final, n.Complete, len(n.Delivered), len(n.Replied), n.Forwarded,
+			n.Peer, n.Final, n.Complete, len(n.Flows.Delivered), len(n.Flows.Replied), n.Forwarded,
 			n.TokenAuthorized, n.RouterDrops, tunnelDrops, n.FlightTotal, n.Failovers)
 	}
 
-	fmt.Fprintf(&sb, "traces:\n  %-8s %8s %8s %8s %10s\n", "peer", "begun", "resumed", "finished", "packets")
+	fmt.Fprintf(&sb, "traces:\n  %-8s %8s %8s %8s\n", "peer", "begun", "resumed", "finished")
 	for _, name := range names {
 		n := cl.Reports[name]
-		fmt.Fprintf(&sb, "  %-8s %8d %8d %8d %10d\n",
-			n.Peer, n.TraceBegun, n.TraceResumed, n.TraceFinished, n.Metrics.Packets)
+		fmt.Fprintf(&sb, "  %-8s %8d %8d %8d\n", n.Peer, n.TraceBegun, n.TraceResumed, n.TraceFinished)
 	}
 
 	if len(cl.Stages) > 0 {

@@ -9,21 +9,18 @@ import (
 // both traces every packet it originates (stamping each record with a
 // cluster-unique Context so tunnels and gateways can carry it across
 // process boundaries) and resumes traces that arrive from other
-// processes. Finished records fold into two places: an optional
-// embedded Metrics (hop-level aggregates, exactly as in a
-// single-process run) and a Spans aggregator, as one span per record
-// covering the packet's transit of this process — stage "origin" for
-// records begun here, "forward" for resumed ones.
+// processes. Finished records fold into a Spans aggregator, as one
+// span per record covering the packet's transit of this process —
+// stage "origin" for records begun here, "forward" for resumed ones.
 //
 // The begun/resumed/finished counters give the span-leak invariant the
 // cluster verifier checks at quiesce: every record opened in this
 // process (either way) must have been finished — delivered, dropped,
 // or handed off at a tunnel tap — so finished == begun + resumed.
 type ClusterTracer struct {
-	node    string
-	idBase  uint64
-	spans   *Spans
-	metrics *Metrics
+	node   string
+	idBase uint64
+	spans  *Spans
 
 	seq      atomic.Uint64
 	begun    atomic.Uint64
@@ -33,9 +30,9 @@ type ClusterTracer struct {
 
 // NewClusterTracer creates a tracer for one peer. idBase is OR-ed into
 // every originated trace ID and must not collide across peers (the
-// daemon uses (peerIndex+1)<<48); spans and metrics may each be nil.
-func NewClusterTracer(node string, idBase uint64, spans *Spans, metrics *Metrics) *ClusterTracer {
-	return &ClusterTracer{node: node, idBase: idBase, spans: spans, metrics: metrics}
+// daemon uses (peerIndex+1)<<48); spans may be nil.
+func NewClusterTracer(node string, idBase uint64, spans *Spans) *ClusterTracer {
+	return &ClusterTracer{node: node, idBase: idBase, spans: spans}
 }
 
 // Begin implements Tracer: stamp a new cluster-wide trace, numbered
@@ -57,16 +54,13 @@ func (c *ClusterTracer) Resume(ctx Context) *PacketTrace {
 	return &PacketTrace{ID: ctx.ID, Ctx: ctx, Hops: make([]HopEvent, 0, 8)}
 }
 
-// Finish implements Tracer: fold the record into the hop-level metrics
-// and record this process's segment of the packet's journey as a span.
+// Finish implements Tracer: record this process's segment of the
+// packet's journey as a span.
 // Hop stamps share one process-local base, so the span duration
 // (last hop At - first hop At) is exact even though the base is not
 // comparable across processes.
 func (c *ClusterTracer) Finish(pt *PacketTrace) {
 	c.finished.Add(1)
-	if c.metrics != nil {
-		c.metrics.Finish(pt)
-	}
 	if c.spans != nil && len(pt.Hops) > 0 {
 		stage := "forward"
 		if pt.Ctx.ID&idBaseMask == c.idBase&idBaseMask {
@@ -92,9 +86,6 @@ const idBaseMask uint64 = 0xFFFF << 48
 func (c *ClusterTracer) Counts() (begun, resumed, finished uint64) {
 	return c.begun.Load(), c.resumed.Load(), c.finished.Load()
 }
-
-// Metrics returns the embedded hop-level aggregator (nil if none).
-func (c *ClusterTracer) Metrics() *Metrics { return c.metrics }
 
 // Spans returns the embedded span aggregator (nil if none).
 func (c *ClusterTracer) Spans() *Spans { return c.spans }

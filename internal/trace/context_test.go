@@ -86,7 +86,7 @@ func TestContextHopBudget(t *testing.T) {
 // bits, and finished == begun + resumed at quiesce.
 func TestClusterTracerAccounting(t *testing.T) {
 	spans := NewSpans(8)
-	c := NewClusterTracer("n2", 2<<48, spans, nil)
+	c := NewClusterTracer("n2", 2<<48, spans)
 
 	local := c.Begin([]byte("p"))
 	if local == nil || local.Ctx.ID != 2<<48|1 {

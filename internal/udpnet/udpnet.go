@@ -15,8 +15,11 @@
 // re-injected with Host.SendRawTraced. The router on each side sees an
 // ordinary arrival on an ordinary port, so §6.2 trailer surgery,
 // return routes, token charges, and ledger byte counts are identical
-// to a direct in-process link — the property the cross-process
-// conformance parity run (internal/daemon) pins.
+// to a direct in-process link. The cross-process parity run
+// (daemon.CompareWithSingleProcess) pins this against the
+// single-process run of the same seed: every flow's delivering host,
+// return-route fingerprint and reply host (check.Diff), and every
+// account's packets and bytes (check.DiffLedgers).
 //
 // Encapsulation framing (all integers big-endian):
 //

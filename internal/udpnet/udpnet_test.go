@@ -426,8 +426,8 @@ func TestSendWithoutRemote(t *testing.T) {
 // wire span's trace ID carries the sender's identity bits.
 func TestTracePropagationUnderLoss(t *testing.T) {
 	spansA, spansB := trace.NewSpans(64), trace.NewSpans(64)
-	tracerA := trace.NewClusterTracer("A", 1<<48, spansA, nil)
-	tracerB := trace.NewClusterTracer("B", 2<<48, spansB, nil)
+	tracerA := trace.NewClusterTracer("A", 1<<48, spansA)
+	tracerB := trace.NewClusterTracer("B", 2<<48, spansB)
 	netA := livenet.NewNetwork(livenet.WithTracer(tracerA))
 	t.Cleanup(netA.Stop)
 	netB := livenet.NewNetwork(livenet.WithTracer(tracerB))
