@@ -2,11 +2,11 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/ledger"
-	"repro/internal/stats"
 )
 
 // ledgerDeadline bounds how long one livenet billing run may take to
@@ -42,8 +42,8 @@ func runLedger(seedList string) error {
 
 		fmt.Printf("== seed %d: %d routers, %d hosts, %d flows, all ports guarded ==\n",
 			seed, sc.NRouters, len(sc.HostRouter), len(sc.Flows))
-		printLedgerTable("netsim", simLed, simCtrs)
-		printLedgerTable("livenet", liveLed, liveCtrs)
+		simLed.WriteTable(os.Stdout, fmt.Sprintf("netsim billing (token-authorized=%d)", simCtrs.TokenAuthorized))
+		liveLed.WriteTable(os.Stdout, fmt.Sprintf("livenet billing (token-authorized=%d)", liveCtrs.TokenAuthorized))
 
 		var problems []string
 		problems = append(problems, ledger.Reconcile("netsim", simLed, simCtrs)...)
@@ -67,16 +67,4 @@ func runLedger(seedList string) error {
 		return fmt.Errorf("%d seeds fail billing cross-check", divergent)
 	}
 	return nil
-}
-
-// printLedgerTable renders one substrate's per-account billing table
-// with its reconciliation anchor.
-func printLedgerTable(label string, l *ledger.Ledger, c stats.Counters) {
-	snap := l.Snapshot()
-	fmt.Printf("%s billing (token-authorized=%d):\n", label, c.TokenAuthorized)
-	fmt.Printf("  %-8s %10s %12s %8s  %s\n", "account", "packets", "bytes", "denials", "routers")
-	for _, row := range snap.Accounts {
-		fmt.Printf("  %-8d %10d %12d %8d  %d\n",
-			row.Account, row.Packets, row.Bytes, row.Denials, len(row.Routers))
-	}
 }

@@ -1,4 +1,4 @@
-// Command sirpentd is the Sirpent daemon. It has four roles, selected
+// Command sirpentd is the Sirpent daemon. It has five roles, selected
 // by subcommand:
 //
 //	sirpentd run     [-clients N] [-requests N] [-metrics :8080] [-hold 1m]
@@ -22,7 +22,7 @@
 // other, and fetch source routes whose segments carry port tokens —
 // route and token issue are deterministic, so any number of processes
 // agree on the wire bytes. The first stdout line is
-// `SIRPENT_DIR_URL=<url>` so launchers can find a dynamically bound
+// `SIRPENT_DIR_URL=<url>` so scripts can find a dynamically bound
 // port.
 //
 // `peer` realizes one partition of a seeded conformance scenario on a
@@ -49,8 +49,8 @@
 // `curl --socks5-hostname <addr> http://example.com/`. The first
 // stdout line is `SIRPENT_SOCKS_ADDR=<addr>`.
 //
-// cmd/sirpent-cluster orchestrates `dir` plus N `peer` processes into
-// a full localhost cluster run with verification.
+// cmd/sirpent-cluster runs a directory plus N `peer` processes as a
+// full localhost cluster run with verification (daemon.RunCluster).
 package main
 
 import (
@@ -60,7 +60,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/directory"
@@ -81,7 +80,7 @@ func main() {
 	case "dir":
 		err = dirCmd(args)
 	case "peer":
-		err = peerCmd(args)
+		err = daemon.PeerMain(args)
 	case "gateway":
 		err = gatewayCmd(args)
 	case "report":
@@ -139,7 +138,7 @@ func dirCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Machine-readable first line: launchers parse this to find a
+	// Machine-readable first line: scripts parse this to find a
 	// dynamically bound port.
 	fmt.Printf("SIRPENT_DIR_URL=%s\n", ds.URL)
 	fmt.Printf("serving scenario seed=%d (%d routers, %d hosts, %d flows) for %d peers\n",
@@ -152,46 +151,6 @@ func dirCmd(args []string) error {
 		ds.Close()
 	}()
 	return ds.Wait()
-}
-
-func peerCmd(args []string) error {
-	fs := flag.NewFlagSet("sirpentd peer", flag.ExitOnError)
-	index := fs.Int("index", 0, "this peer's index (0-based)")
-	peers := fs.Int("peers", 2, "cluster size")
-	seed := fs.Int64("seed", 1, "conformance scenario seed (must match the directory's)")
-	dir := fs.String("dir", "", "directory service base URL (required)")
-	udp := fs.String("udp", "127.0.0.1:0", "UDP bridge listen address")
-	settle := fs.Duration("settle", 30*time.Second, "quiesce deadline")
-	failoverLink := fs.Int("failover-link", -1, "failover smoke: flow routes carry in-header alternates, and this global link's tunnel goes down between flow waves (-1 = off)")
-	gw := fs.Bool("gateway", false, "gateway mode: bind SOCKS relays on the scenario's gateway hosts and hold for the launcher's shutdown latch")
-	gwListen := fs.String("gateway-listen", "127.0.0.1:0", "ingress SOCKS listen address (gateway mode)")
-	fs.Parse(args)
-	if *dir == "" {
-		return fmt.Errorf("peer: -dir is required")
-	}
-	rep, err := daemon.Peer(daemon.PeerConfig{
-		Index:         *index,
-		Total:         *peers,
-		Seed:          *seed,
-		DirURL:        *dir,
-		UDPAddr:       *udp,
-		SettleTimeout: *settle,
-		Failover:      *failoverLink >= 0,
-		BlipLink:      *failoverLink,
-		Gateway:       *gw,
-		GatewayListen: *gwListen,
-		Logf: func(format string, a ...any) {
-			fmt.Printf(format+"\n", a...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	if !rep.Complete {
-		return fmt.Errorf("peer %d: settle deadline passed before quiesce (its hosts saw %d flows' requests and %d flows' replies)",
-			*index, len(rep.Flows.Delivered), len(rep.Flows.Replied))
-	}
-	return nil
 }
 
 func reportCmd(args []string) error {

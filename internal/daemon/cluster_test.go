@@ -4,95 +4,53 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
-	"os/exec"
-	"strconv"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/check"
 	"repro/internal/directory"
+	"repro/internal/ledger"
 	"repro/internal/token"
 )
 
 // The cluster tests exercise the distributed runtime for real: peers
 // are separate livenet substrates joined over localhost UDP sockets,
 // with routes and tokens fetched from the directory service over
-// HTTP. The four-node test runs each peer in its own OS process by
-// re-executing the test binary (TestMain dispatches on an env var),
-// which is the acceptance shape: a launcher-started 4-node cluster
+// HTTP. Every one runs through RunCluster, the run the launcher makes.
+// The four-node test runs each peer in its own OS process by starting
+// this test binary as `<binary> peer <args>` (TestMain hands that to
+// PeerMain), which is the acceptance shape: a 4-node cluster
 // completing a seeded workload with zero lost transactions and exact
 // ledger parity with the single-process run of the same seed.
 
-const (
-	roleEnv  = "SIRPENTD_TEST_ROLE"
-	indexEnv = "SIRPENTD_TEST_INDEX"
-	totalEnv = "SIRPENTD_TEST_TOTAL"
-	seedEnv  = "SIRPENTD_TEST_SEED"
-	dirEnv   = "SIRPENTD_TEST_DIR"
-)
-
 func TestMain(m *testing.M) {
-	if os.Getenv(roleEnv) == "peer" {
-		childPeer()
-		return
+	if len(os.Args) > 1 && os.Args[1] == "peer" {
+		if err := PeerMain(os.Args[2:]); err != nil {
+			fmt.Fprintln(os.Stderr, "peer:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
 
-// childPeer is the re-exec entry: the test binary, relaunched as a
-// cluster peer.
-func childPeer() {
-	idx, _ := strconv.Atoi(os.Getenv(indexEnv))
-	total, _ := strconv.Atoi(os.Getenv(totalEnv))
-	seed, _ := strconv.ParseInt(os.Getenv(seedEnv), 10, 64)
-	_, err := Peer(PeerConfig{
-		Index:         idx,
-		Total:         total,
-		Seed:          seed,
-		DirURL:        os.Getenv(dirEnv),
-		SettleTimeout: 20 * time.Second,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "peer:", err)
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// clusterSeed returns the first seed whose scenario has at least
-// minRouters routers and at least one link crossing a total-way
-// partition — so the workload genuinely exercises the UDP tunnels.
-func clusterSeed(t *testing.T, minRouters, total int) int64 {
+// runCluster makes one cluster run with its progress on the test log
+// and fails the test, with the merged report, unless Verdict passed.
+func runCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	t.Helper()
-	for seed := int64(1); seed < 1000; seed++ {
-		sc := check.Generate(seed)
-		if sc.NRouters >= minRouters && len(check.CrossLinks(sc, total)) > 0 {
-			return seed
+	cfg.Logf = t.Logf
+	cl, pass, err := RunCluster(cfg)
+	if err != nil {
+		if cl != nil {
+			t.Fatalf("%v\n%s", err, FormatCluster(cl))
 		}
-	}
-	t.Fatalf("no seed under 1000 yields >=%d routers with cross-links at %d peers", minRouters, total)
-	return 0
-}
-
-// verifyCluster reads every peer's final snapshot back out of the
-// directory and applies the plain run's Verdict, the one the launcher
-// applies. It returns the decoded cluster for further checks.
-func verifyCluster(t *testing.T, ds *DirServer, seed int64) *Cluster {
-	t.Helper()
-	cr, err := directory.NewClient(ds.URL).WaitCluster(10 * time.Second)
-	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := DecodeCluster(cr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Verdict(cl, seed, RunMode{}); err != nil {
-		t.Fatalf("%v\n%s", err, FormatCluster(cl))
-	}
+	t.Log(pass)
 	return cl
 }
 
@@ -106,44 +64,16 @@ func joinLines(lines []string) string {
 	return b.String()
 }
 
-// runTwoPeers runs a 2-peer cluster with both peers in this process
-// (separate livenet substrates, real UDP between them) with trace-all
-// sampling, and returns the cluster verifyCluster decoded and judged.
+// runTwoPeers runs a plain 2-peer cluster with both peers in this
+// process (separate livenet substrates, real UDP between them).
 func runTwoPeers(t *testing.T) *Cluster {
 	t.Helper()
-	const total = 2
-	seed := clusterSeed(t, 2, total)
-	ds, err := StartDir(DirConfig{Addr: "127.0.0.1:0", Seed: seed, Peers: total})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
-	var wg sync.WaitGroup
-	errs := make([]error, total)
-	for i := 0; i < total; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = Peer(PeerConfig{
-				Index: i, Total: total, Seed: seed, DirURL: ds.URL,
-				SettleTimeout: 15 * time.Second, Logf: t.Logf,
-			})
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
-		}
-	}
-	return verifyCluster(t, ds, seed)
+	return runCluster(t, ClusterConfig{Peers: 2, Settle: 15 * time.Second})
 }
 
 // TestClusterTwoPeerInProcess is fast coverage of the whole
 // join/route/quiesce/report protocol without process management.
-// Beyond verifyCluster's verdict it checks that at least one trace
+// Beyond the run's verdict it checks that at least one trace
 // genuinely crossed the substrate boundary (wire spans exist, since
 // clusterSeed guarantees cross-links) and that trace-all sampling
 // recorded origin spans.
@@ -168,7 +98,7 @@ func TestClusterTwoPeerInProcess(t *testing.T) {
 }
 
 // TestClusterTelemetryParity checks that the telemetry verdict, which
-// passed on a real run's snapshots inside verifyCluster, rejects the
+// passed on a real run's snapshots inside runCluster, rejects the
 // same evidence once one counter is off: a tunnel that under-reports
 // its traced decapsulations, a peer that leaks a trace record, and a
 // peer whose latest snapshot is not final.
@@ -221,52 +151,72 @@ func TestClusterTelemetryParity(t *testing.T) {
 }
 
 // TestClusterFourProcessParity is the acceptance run: four peer
-// processes (re-execed test binary) over localhost UDP, seeded
-// conformance workload, zero lost transactions, and per-account
+// processes (this test binary, started as a peer) over localhost UDP,
+// seeded conformance workload, zero lost transactions, and per-account
 // ledger totals identical to the single-process livenet run.
 func TestClusterFourProcessParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster run in -short mode")
 	}
-	const total = 4
-	seed := clusterSeed(t, 4, total)
-	ds, err := StartDir(DirConfig{Addr: "127.0.0.1:0", Seed: seed, Peers: total})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmds := make([]*exec.Cmd, total)
-	outs := make([]bytes.Buffer, total)
-	for i := 0; i < total; i++ {
-		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(),
-			roleEnv+"=peer",
-			fmt.Sprintf("%s=%d", indexEnv, i),
-			fmt.Sprintf("%s=%d", totalEnv, total),
-			fmt.Sprintf("%s=%d", seedEnv, seed),
-			dirEnv+"="+ds.URL,
-		)
-		cmd.Stdout = &outs[i]
-		cmd.Stderr = &outs[i]
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start peer %d: %v", i, err)
+	runCluster(t, ClusterConfig{Peers: 4, Settle: 20 * time.Second, Start: ExecPeers(exe)})
+}
+
+// TestClusterGateway runs a 3-peer gateway cluster in this process: a
+// hash-checked transfer of 1 MiB each way crosses the mesh through the
+// SOCKS relays, and the verdict holds the relays' byte conservation
+// and the gateway account's bill. It logs, without judging them, each
+// router's queue-full drops (from the peers' flight tails) and the
+// relays' retransmissions: a run that passes can still drop frames at
+// a tunnel port, which the relays then resend.
+func TestClusterGateway(t *testing.T) {
+	cl := runCluster(t, ClusterConfig{Peers: 3, GatewayBytes: 1 << 20})
+	for _, name := range peerNames(cl.Reports) {
+		r := cl.Reports[name]
+		drops := make(map[string]int)
+		for _, e := range r.Flight {
+			if e.Kind == ledger.KindQueueOverflow {
+				drops[fmt.Sprintf("%s port %d", e.Node, e.Port)]++
+			}
 		}
-		cmds[i] = cmd
-	}
-	for i, cmd := range cmds {
-		if err := cmd.Wait(); err != nil {
-			t.Errorf("peer %d exited: %v\n%s", i, err, outs[i].String())
+		t.Logf("%s: %d router drops; queue-full by router port %v (flight tail of %d of %d events)",
+			name, r.RouterDrops, drops, len(r.Flight), r.FlightTotal)
+		for _, g := range r.Gateways {
+			v := g.Stats.VMTP
+			t.Logf("%s: %s relay retransmissions=%d selective-resends=%d dup-requests=%d",
+				name, g.Role, v.Retransmissions, v.SelectiveResends, v.DupRequests)
 		}
 	}
-	if t.Failed() {
-		t.FailNow()
+}
+
+// TestClusterFailover runs the 3-peer failover smoke in this process:
+// one cross-partition tunnel dies between the flow waves, and the
+// verdict requires every flow delivered and echoed exactly once, with
+// in-header failovers recorded.
+func TestClusterFailover(t *testing.T) {
+	runCluster(t, ClusterConfig{Peers: 3, Failover: true})
+}
+
+// TestPeerArgsRoundTrip checks that the peer command line PeerArgs
+// builds parses back into the config it was built from.
+func TestPeerArgsRoundTrip(t *testing.T) {
+	for _, cfg := range []PeerConfig{
+		{Index: 2, Total: 4, Seed: 7, DirURL: "http://127.0.0.1:1", UDPAddr: "127.0.0.1:2",
+			SettleTimeout: 3 * time.Second, Failover: true, BlipLink: 5, Gateway: true, GatewayListen: "127.0.0.1:3"},
+		{Index: 0, Total: 2, Seed: 1, DirURL: "http://127.0.0.1:1", UDPAddr: "127.0.0.1:0",
+			SettleTimeout: 30 * time.Second, BlipLink: -1, GatewayListen: "127.0.0.1:0"},
+	} {
+		got, err := parsePeerArgs(PeerArgs(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, cfg) {
+			t.Errorf("PeerArgs %q parsed to %+v, want %+v", PeerArgs(cfg), got, cfg)
+		}
 	}
-	verifyCluster(t, ds, seed)
 }
 
 // TestClusterVerdictRejects builds a plain run's final snapshots by
@@ -276,7 +226,10 @@ func TestClusterFourProcessParity(t *testing.T) {
 // pass them as built and report each one-fact mutation.
 func TestClusterVerdictRejects(t *testing.T) {
 	const total = 2
-	seed := clusterSeed(t, 2, total)
+	seed, err := clusterSeed(total, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := check.Generate(seed)
 	routes, err := check.FlowRoutesAccounted(check.BuildNetsimTokened(sc), sc)
 	if err != nil {
@@ -347,22 +300,25 @@ func TestClusterVerdictRejects(t *testing.T) {
 			"never sent its final snapshot"},
 		{"bill one packet off",
 			func(cl *Cluster) {
-				u := cl.Bill[acct]
+				off := maps.Clone(bill)
+				u := off[acct]
 				u.Packets++
-				cl.Bill[acct] = u
+				off[acct] = u
+				cl.Bill.Record("directory", off)
 			},
 			fmt.Sprintf("account %d: directory bill", acct)},
 		{"return route differs from the single-process run",
 			func(cl *Cluster) { cl.Reports[dst].Flows.Delivered[f.ID][0].Fp += "port=0; " },
 			fmt.Sprintf("flow %d: return routes diverge", f.ID)},
 	}
-	if _, err := Verdict(build(), seed, RunMode{}); err != nil {
+	plain := ClusterConfig{Peers: total, Seed: seed}
+	if _, err := Verdict(build(), plain); err != nil {
 		t.Fatalf("verdict on the unmodified snapshots: %v", err)
 	}
 	for _, c := range cases {
 		cl := build()
 		c.mutate(cl)
-		_, err := Verdict(cl, seed, RunMode{})
+		_, err := Verdict(cl, plain)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: verdict missed it, want a %q problem, got: %v", c.name, c.want, err)
 		}

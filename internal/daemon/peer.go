@@ -34,7 +34,7 @@ type PeerConfig struct {
 	// Gateway runs the cluster in gateway mode: the peers owning the
 	// scenario's deterministic gateway hosts (check.GatewayHosts) bind
 	// SOCKS ingress / dialing egress relays on them, and every peer
-	// holds the drain barrier until the launcher raises the directory's
+	// holds the drain barrier until the cluster run raises the directory's
 	// shutdown latch — so the ledger sweep still sees a quiet network.
 	Gateway bool
 	// GatewayListen is the ingress SOCKS listen address; default
@@ -62,7 +62,7 @@ type PeerConfig struct {
 // failover run's flow routes carry.
 const FailoverAlternates = 2
 
-// gatewayWait bounds a gateway-mode peer's wait for the launcher's
+// gatewayWait bounds a gateway-mode peer's wait for the cluster run's
 // shutdown latch.
 const gatewayWait = 2 * time.Minute
 
@@ -319,9 +319,9 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			}
 		}
 	}
-	// Gateway mode: the workload is driven from outside (the launcher's
+	// Gateway mode: the workload is driven from outside (the cluster run's
 	// SOCKS transfer), so every peer — whether it hosts a relay or just
-	// forwards stream traffic — holds here until the launcher raises
+	// forwards stream traffic — holds here until the cluster run raises
 	// the shutdown latch. Relays then drain their streams and close
 	// BEFORE the drain barrier, so the ledger sweep below is still a
 	// snapshot of a quiet network.

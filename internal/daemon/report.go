@@ -85,16 +85,17 @@ type GatewayReport struct {
 // Cluster is the directory's merged view with each peer's latest
 // snapshot decoded.
 type Cluster struct {
-	Expect  int                    // cluster size
-	Reports map[string]*Report     // latest snapshot per peer
-	Stages  []trace.StageStats     // every peer's span histograms merged stage by stage
-	Bill    map[uint32]token.Usage // the directory's billing database
+	Expect  int                // cluster size
+	Reports map[string]*Report // latest snapshot per peer
+	Stages  []trace.StageStats // every peer's span histograms merged stage by stage
+	Bill    *ledger.Ledger     // the directory's billing database
 }
 
 // DecodeCluster decodes every peer's latest snapshot in cr.
 func DecodeCluster(cr directory.ClusterReport) (*Cluster, error) {
 	cl := &Cluster{Expect: cr.Expect, Reports: make(map[string]*Report, len(cr.Nodes)),
-		Stages: cr.Stages, Bill: cr.Bill}
+		Stages: cr.Stages, Bill: ledger.New()}
+	cl.Bill.Record("directory", cr.Bill)
 	for _, raw := range cr.Nodes {
 		var r Report
 		if err := json.Unmarshal(raw, &r); err != nil {
@@ -194,7 +195,7 @@ func VerifyCluster(sc *check.Scenario, total int, reports map[string]*Report) []
 // VerifyGatewayCluster checks the gateway half of a gateway-mode
 // cluster run: exactly one ingress and one egress relay reported, on
 // the scenario's deterministic gateway hosts; every stream closed
-// cleanly (the launcher's transfer is hash-verified separately, so a
+// cleanly (the run's transfer is hash-verified separately, so a
 // reset here means the mesh tore a stream down mid-flight); the two
 // relays' byte counters agree side to side and carry at least
 // wantBytes in each direction; and the merged ledger billed the
@@ -286,40 +287,26 @@ func CompareWithSingleProcess(seed int64, reports map[string]*Report, deadline t
 	return problems, nil
 }
 
-// RunMode is what a cluster run did besides the seeded flows: nothing
-// (the zero RunMode, a plain run), a failover smoke, a gateway
-// transfer, or both.
-type RunMode struct {
-	// Failover: a cross-partition tunnel died between the flow waves
-	// (PeerConfig.Failover).
-	Failover bool
-	// GatewayBytes, when non-zero, makes the run a gateway run whose
-	// SOCKS transfer carried this many bytes each way
-	// (PeerConfig.Gateway).
-	GatewayBytes uint64
-}
-
-// Verdict applies every check a run of the given mode calls for to the
-// peers' final snapshots and returns the PASS line, or an error listing
-// every violation. Every mode gets VerifyCluster, VerifyClusterTelemetry
-// and the directory's bill against the merged ledger; a gateway run
-// adds VerifyGatewayCluster, a failover run requires in-header
-// failovers, and only a plain run must match the single-process run of
-// the same seed (CompareWithSingleProcess): a detour, and the gateway
-// account, bill what the healthy single-process mesh does not.
-func Verdict(cl *Cluster, seed int64, mode RunMode) (string, error) {
-	sc := check.Generate(seed)
+// Verdict applies every check the run calls for to the peers' final
+// snapshots and returns the PASS line, or an error listing every
+// violation. run is the run's config with its seed resolved. Every run
+// gets VerifyCluster, VerifyClusterTelemetry and the directory's bill
+// against the merged ledger; a gateway run adds VerifyGatewayCluster, a
+// failover run requires in-header failovers, and only a plain run must
+// match the single-process run of the same seed
+// (CompareWithSingleProcess): a detour, and the gateway account, bill
+// what the healthy single-process mesh does not.
+func Verdict(cl *Cluster, run ClusterConfig) (string, error) {
+	sc := check.Generate(run.Seed)
 	problems := VerifyCluster(sc, cl.Expect, cl.Reports)
-	bill := ledger.New()
-	bill.Record("directory", cl.Bill)
-	problems = append(problems, check.DiffLedgers(bill, ClusterLedger(cl.Reports), "directory bill", "cluster ledger")...)
+	problems = append(problems, check.DiffLedgers(cl.Bill, ClusterLedger(cl.Reports), "directory bill", "cluster ledger")...)
 	problems = append(problems, VerifyClusterTelemetry(cl)...)
 	pass := "cluster: PASS — all flows delivered and echoed exactly once; the ledger reconciles and matches the directory's bill"
-	if mode.GatewayBytes > 0 {
-		problems = append(problems, VerifyGatewayCluster(sc, cl.Expect, cl.Reports, mode.GatewayBytes)...)
+	if run.GatewayBytes > 0 {
+		problems = append(problems, VerifyGatewayCluster(sc, cl.Expect, cl.Reports, uint64(run.GatewayBytes))...)
 		pass += "; the SOCKS transfer crossed the cluster hash-intact with the gateway account billed"
 	}
-	if mode.Failover {
+	if run.Failover {
 		var fo uint64
 		for _, r := range cl.Reports {
 			fo += r.Failovers
@@ -329,8 +316,8 @@ func Verdict(cl *Cluster, seed int64, mode RunMode) (string, error) {
 		}
 		pass += fmt.Sprintf("; %d in-header failovers diverted every crossing transaction", fo)
 	}
-	if mode == (RunMode{}) {
-		diffs, err := CompareWithSingleProcess(seed, cl.Reports, 15*time.Second)
+	if !run.Failover && run.GatewayBytes == 0 {
+		diffs, err := CompareWithSingleProcess(run.Seed, cl.Reports, 15*time.Second)
 		if err != nil {
 			return "", err
 		}

@@ -179,7 +179,8 @@ func Run(cfg RunConfig) error {
 		fmt.Fprintf(cfg.out(), "  %-3s forwarded=%d local=%d token-auth=%d drops=%d\n",
 			nr.name, s.Forwarded, s.Local, s.TokenAuthorized, s.TotalDrops())
 	}
-	printBilling(cfg.out(), col)
+	col.Collect()
+	col.Ledger().WriteTable(cfg.out(), fmt.Sprintf("per-account ledger (%d sweeps)", col.Ledger().Sweeps()))
 	if n := flight.Total(); n > 0 {
 		fmt.Fprintf(cfg.out(), "flight recorder captured %d anomalies:\n%s", n, flight.Format())
 	}
@@ -210,21 +211,6 @@ func Run(cfg RunConfig) error {
 	}
 	stopSweep()
 	return nil
-}
-
-// printBilling performs a final ledger sweep and renders the
-// per-account table.
-func printBilling(w io.Writer, col *ledger.Collector) {
-	col.Collect()
-	snap := col.Ledger().Snapshot()
-	if len(snap.Accounts) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "per-account ledger (%d sweeps):\n", snap.Sweeps)
-	fmt.Fprintf(w, "  %-8s %10s %12s %8s\n", "account", "packets", "bytes", "denials")
-	for _, row := range snap.Accounts {
-		fmt.Fprintf(w, "  %-8d %10d %12d %8d\n", row.Account, row.Packets, row.Bytes, row.Denials)
-	}
 }
 
 func serveJSON(w http.ResponseWriter, v any) {

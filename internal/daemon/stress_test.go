@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"os"
-	"sync"
 	"testing"
 	"time"
 )
@@ -14,33 +13,8 @@ func TestClusterThreePeerStress(t *testing.T) {
 	if os.Getenv("SIRPENTD_STRESS") == "" {
 		t.Skip("set SIRPENTD_STRESS=1 to run")
 	}
-	const total = 3
-	seed := clusterSeed(t, total, total)
 	for round := 0; round < 60; round++ {
-		ds, err := StartDir(DirConfig{Addr: "127.0.0.1:0", Seed: seed, Peers: total})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, total)
-		for i := 0; i < total; i++ {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				_, errs[i] = Peer(PeerConfig{
-					Index: i, Total: total, Seed: seed, DirURL: ds.URL,
-					SettleTimeout: 3 * time.Second,
-				})
-			}()
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("round %d: peer %d: %v", round, i, err)
-			}
-		}
-		verifyCluster(t, ds, seed)
-		ds.Close()
+		t.Logf("round %d", round)
+		runCluster(t, ClusterConfig{Peers: 3, Settle: 3 * time.Second})
 	}
 }

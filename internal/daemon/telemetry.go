@@ -162,17 +162,6 @@ func FormatCluster(cl *Cluster) string {
 		fmt.Fprintf(&sb, "gateways:\n%s\n", strings.Join(gatewayRows, "\n"))
 	}
 
-	if len(cl.Bill) > 0 {
-		accounts := make([]int, 0, len(cl.Bill))
-		for a := range cl.Bill {
-			accounts = append(accounts, int(a))
-		}
-		sort.Ints(accounts)
-		fmt.Fprintf(&sb, "billing:\n  %-8s %10s %12s %8s\n", "account", "packets", "bytes", "denials")
-		for _, a := range accounts {
-			u := cl.Bill[uint32(a)]
-			fmt.Fprintf(&sb, "  %-8d %10d %12d %8d\n", a, u.Packets, u.Bytes, u.Denials)
-		}
-	}
+	cl.Bill.WriteTable(&sb, "billing")
 	return sb.String()
 }

@@ -65,3 +65,25 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkExperiments runs every table of the reproduction index
+// (DESIGN.md §2) as a sub-benchmark, one table per iteration, and fails
+// when any of the table's shape checks fails:
+//
+//	go test ./internal/experiments -run '^$' -bench Experiments
+//	go test ./internal/experiments -run '^$' -bench 'Experiments/E03'
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := Run(id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if failed := t.Failed(); len(failed) > 0 {
+					b.Fatalf("%s failed checks: %v", id, failed)
+				}
+			}
+		})
+	}
+}

@@ -21,6 +21,7 @@ package ledger
 import (
 	"expvar"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -138,6 +139,20 @@ func (l *Ledger) Snapshot() Snapshot {
 	}
 	sort.Slice(s.Accounts, func(i, j int) bool { return s.Accounts[i].Account < s.Accounts[j].Account })
 	return s
+}
+
+// WriteTable writes the per-account table under title: one row per
+// account, in ascending order, with its packets, bytes and denials. A
+// ledger that charged no account writes nothing.
+func (l *Ledger) WriteTable(w io.Writer, title string) {
+	snap := l.Snapshot()
+	if len(snap.Accounts) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "%s:\n  %-8s %10s %12s %8s\n", title, "account", "packets", "bytes", "denials")
+	for _, row := range snap.Accounts {
+		fmt.Fprintf(w, "  %-8d %10d %12d %8d\n", row.Account, row.Packets, row.Bytes, row.Denials)
+	}
 }
 
 // Publish registers the ledger under name in expvar, serialized on each

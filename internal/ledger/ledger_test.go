@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,6 +52,27 @@ func TestLedgerSnapshotSortedAndJSON(t *testing.T) {
 	}
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("snapshot not JSON-serializable: %v", err)
+	}
+}
+
+// TestWriteTable pins the one billing table: accounts ascending, each
+// merged across routers, and nothing at all for an empty ledger.
+func TestWriteTable(t *testing.T) {
+	var b strings.Builder
+	New().WriteTable(&b, "billing")
+	if b.Len() != 0 {
+		t.Fatalf("empty ledger wrote %q", b.String())
+	}
+	l := New()
+	l.Record("R1", map[uint32]token.Usage{20: {Packets: 1, Bytes: 10}, 10: {Packets: 2, Bytes: 64}})
+	l.Record("R2", map[uint32]token.Usage{10: {Packets: 3, Bytes: 96, Denials: 1}})
+	l.WriteTable(&b, "billing")
+	want := "billing:\n" +
+		"  account     packets        bytes  denials\n" +
+		"  10                5          160        1\n" +
+		"  20                1           10        0\n"
+	if b.String() != want {
+		t.Fatalf("table:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 

@@ -745,3 +745,52 @@ func TestMulticastReservedPort(t *testing.T) {
 		t.Fatalf("deliveries = %d/%d, want 1/1", got1, got2)
 	}
 }
+
+// BenchmarkSimulatorThroughput measures the simulator itself: how many
+// simulated packet-hops per wall-clock second the event engine and
+// router sustain over a 2-router chain (useful for sizing bigger
+// experiments).
+func BenchmarkSimulatorThroughput(b *testing.B) {
+	eng := sim.NewEngine(1)
+	src := NewHost(eng, "src")
+	dst := NewHost(eng, "dst")
+	r1 := New(eng, "R1", Config{QueueLimit: 1 << 16})
+	r2 := New(eng, "R2", Config{QueueLimit: 1 << 16})
+	attach := func(n netsim.Node, p *netsim.Port) {
+		switch v := n.(type) {
+		case *Host:
+			v.AttachPort(p)
+		case *Router:
+			v.AttachPort(p)
+		}
+	}
+	link := func(a netsim.Node, ap uint8, c netsim.Node, cp uint8) {
+		pa, pb := netsim.NewP2PLink(eng, 1e9, 0).Attach(a, ap, c, cp)
+		attach(a, pa)
+		attach(c, pb)
+	}
+	link(src, 1, r1, 1)
+	link(r1, 2, r2, 1)
+	link(r2, 2, dst, 1)
+	n := 0
+	dst.Handle(0, func(d *Delivery) { n++ })
+	route := []viper.Segment{
+		{Port: 1, Flags: viper.FlagVNT},
+		{Port: 2, Flags: viper.FlagVNT},
+		{Port: 2, Flags: viper.FlagVNT},
+		{Port: viper.PortLocal},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cp := make([]viper.Segment, len(route))
+		copy(cp, route)
+		eng.Schedule(0, func() { src.Send(cp, make([]byte, 512)) })
+		eng.Run()
+	}
+	b.StopTimer()
+	if n != b.N {
+		b.Fatalf("delivered %d of %d", n, b.N)
+	}
+	b.ReportMetric(float64(3*b.N)/b.Elapsed().Seconds(), "hops/s")
+}
