@@ -27,9 +27,11 @@ import (
 // DESIGN.md §11 for the full batch contract.
 
 // BatchFrame is one frame's slot in a DecideBatch call. The caller
-// fills InPort, ChargeBytes, and Pkt; the kernel fills Seg, Rest, and
-// Verdict. Seg's variable fields alias Pkt exactly as DecodeHop's do —
-// the slot is only valid while the caller owns the frame's buffer.
+// fills InPort, ChargeBytes, and Pkt; the kernel decodes into Seg and
+// Rest and decides into Verdict in place, overwriting whatever an
+// earlier batch left there, so a caller may reuse its slots without
+// clearing them. Seg's variable fields alias Pkt exactly as DecodeHop's
+// do — the slot is only valid while the caller owns the frame's buffer.
 type BatchFrame struct {
 	InPort      uint8
 	ChargeBytes uint64
@@ -73,13 +75,12 @@ func (p *Pipeline) DecideBatch(ts *TokenState, batch []BatchFrame, bs *BatchStat
 	for i := range batch {
 		b := &batch[i]
 		var err error
-		b.Seg, b.Rest, err = DecodeHop(b.Pkt)
-		if err != nil {
+		if b.Rest, err = viper.DecodeSegmentInto(&b.Seg, b.Pkt); err != nil {
 			b.Verdict = Verdict{Action: ActionDrop, Reason: stats.DropNotSirpent}
 			continue
 		}
 		in := HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
-		b.Verdict = p.decide(ts, &in, bs, now)
+		p.decide(&b.Verdict, ts, &in, bs, now)
 	}
 }
 
@@ -92,7 +93,8 @@ func (p *Pipeline) DecideBatch(ts *TokenState, batch []BatchFrame, bs *BatchStat
 // HMAC verification, the rest are charged (or denied) from the verdict
 // it cached — one verification per token, as N scalar hops would do.
 func (p *Pipeline) InstallTokenBatched(ts *TokenState, in *HopInput, bs *BatchStats) Verdict {
-	if v := p.checkToken(ts, in, bs, readClock); v.Action != ActionAwaitToken {
+	var v Verdict
+	if p.checkToken(&v, ts, in, bs, readClock); v.Action != ActionAwaitToken {
 		return v
 	}
 	return p.installToken(ts, in, bs)

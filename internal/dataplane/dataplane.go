@@ -161,25 +161,30 @@ type HopInput struct {
 // Classify resolves the three-way action for an authorized segment. It
 // is a pure function of the segment, shared by Decide and by substrates
 // re-classifying tree-multicast branch heads.
-func Classify(seg *viper.Segment) Verdict { return classify(seg, ReverseUnknown) }
+func Classify(seg *viper.Segment) Verdict {
+	var v Verdict
+	classify(&v, seg, ReverseUnknown)
+	return v
+}
 
-// classify is Classify for a segment whose token check learned rev.
-func classify(seg *viper.Segment, rev Reverse) Verdict {
+// classify is Classify for a segment whose token check learned rev,
+// writing the verdict into *v.
+func classify(v *Verdict, seg *viper.Segment, rev Reverse) {
 	// Tree multicast is checked before local delivery — a tree segment's
 	// port field is unused (§2). A DAG blob under the same flag is a
 	// failover hop, not a fanout: it forwards on its primary port like a
 	// plain segment (the alternates only matter when that port is down,
 	// which Decide checks before classification).
-	if seg.Flags.Has(viper.FlagTRE) {
-		if viper.IsDAGInfo(seg.PortInfo) {
-			return Verdict{Action: ActionForward, OutPort: seg.Port, Reverse: rev}
+	action, port := ActionForward, seg.Port
+	switch {
+	case seg.Flags.Has(viper.FlagTRE):
+		if !viper.IsDAGInfo(seg.PortInfo) {
+			action = ActionTree
 		}
-		return Verdict{Action: ActionTree, OutPort: seg.Port, Reverse: rev}
+	case seg.Port == viper.PortLocal:
+		action, port = ActionLocal, 0
 	}
-	if seg.Port == viper.PortLocal {
-		return Verdict{Action: ActionLocal, Reverse: rev}
-	}
-	return Verdict{Action: ActionForward, OutPort: seg.Port, Reverse: rev}
+	*v = Verdict{Action: action, OutPort: port, Reverse: rev}
 }
 
 // Pipeline is one router's instance of the shared hop kernel: identity
@@ -228,14 +233,17 @@ const readClock = math.MinInt64
 // AppendTrailerSegment, or viper.Packet.ConsumeHead on the decoded
 // substrate).
 func (p *Pipeline) Decide(ts *TokenState, in *HopInput) Verdict {
-	return p.decide(ts, in, nil, readClock)
+	var v Verdict
+	p.decide(&v, ts, in, nil, readClock)
+	return v
 }
 
-// decide is the shared decision core behind Decide and DecideBatch. A
-// non-nil bs redirects the token-authorized count into the batch
-// accumulator (flushed once per batch); nil passes it to the hook as 1.
-// now is the time the token stage checks tokens at, or readClock.
-func (p *Pipeline) decide(ts *TokenState, in *HopInput, bs *BatchStats, now int64) Verdict {
+// decide is the shared decision core behind Decide and DecideBatch,
+// writing the verdict into *v: the batch kernel's slot, or Decide's
+// result. A non-nil bs redirects the token-authorized count into the
+// batch accumulator (flushed once per batch); nil passes it to the hook
+// as 1. now is the time the token stage checks tokens at, or readClock.
+func (p *Pipeline) decide(v *Verdict, ts *TokenState, in *HopInput, bs *BatchStats, now int64) {
 	// Failover is checked before the token stage so a dead primary's
 	// token is never charged: the chosen branch head re-enters the
 	// pipeline carrying its own token, and exactly one branch per hop is
@@ -243,21 +251,24 @@ func (p *Pipeline) decide(ts *TokenState, in *HopInput, bs *BatchStats, now int6
 	// link-health hook, so plain forwarding never pays the check.
 	if p.Hooks.PortUp != nil && in.Seg.Flags.Has(viper.FlagTRE) &&
 		viper.IsDAGInfo(in.Seg.PortInfo) && !p.Hooks.PortUp(in.Seg.Port) {
-		return p.failover(in.Seg)
+		*v = p.failover(in.Seg)
+		return
 	}
 	if ts.active() && (len(in.Seg.PortToken) > 0 || ts.Requires(in.Seg.Port)) {
-		return p.checkToken(ts, in, bs, now)
+		p.checkToken(v, ts, in, bs, now)
+		return
 	}
-	return Classify(in.Seg)
+	classify(v, in.Seg, ReverseUnknown)
 }
 
 // checkToken runs the cached-verdict token check and classifies a
-// packet it authorizes, recording the token's reverse use in the
-// verdict. A token not yet cached gets ActionAwaitToken.
-func (p *Pipeline) checkToken(ts *TokenState, in *HopInput, bs *BatchStats, now int64) Verdict {
+// packet it authorizes into *v, recording the token's reverse use in
+// the verdict. A token not yet cached gets ActionAwaitToken.
+func (p *Pipeline) checkToken(v *Verdict, ts *TokenState, in *HopInput, bs *BatchStats, now int64) {
 	seg := in.Seg
 	if len(seg.PortToken) == 0 {
-		return Verdict{Action: ActionDrop, Reason: stats.DropTokenDenied}
+		*v = Verdict{Action: ActionDrop, Reason: stats.DropTokenDenied}
+		return
 	}
 	if now == readClock {
 		now = p.now()
@@ -266,18 +277,19 @@ func (p *Pipeline) checkToken(ts *TokenState, in *HopInput, bs *BatchStats, now 
 	switch d, spec := ts.cache.CheckSpec(seg.PortToken, seg.Port, seg.Priority, in.ChargeBytes, now, reverse); d {
 	case token.Allowed:
 		p.countTokenAuthorized(bs)
+		rev := ReverseWithheld
 		if spec.ReverseOK {
-			return classify(seg, ReverseOK)
+			rev = ReverseOK
 		}
-		return classify(seg, ReverseWithheld)
+		classify(v, seg, rev)
 	case token.Denied:
-		v := Verdict{Action: ActionDrop, Reason: stats.DropTokenDenied}
+		*v = Verdict{Action: ActionDrop, Reason: stats.DropTokenDenied}
 		if spec != nil {
 			v.Account = spec.Account
 		}
-		return v
+	default:
+		*v = Verdict{Action: ActionAwaitToken}
 	}
-	return Verdict{Action: ActionAwaitToken}
 }
 
 // countTokenAuthorized routes one authorization count to the batch

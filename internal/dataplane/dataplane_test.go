@@ -168,7 +168,7 @@ func TestReturnSegment(t *testing.T) {
 	}
 	info := []byte{0xAA, 0xBB}
 
-	ret := ReturnSegment(4, &seg, info, ReverseUnknown, nil, true)
+	ret := returnSegment(4, &seg, info, ReverseUnknown, nil, true)
 	if ret.Port != 4 || ret.Priority != 3 || ret.Flags != viper.FlagDIB {
 		t.Fatalf("mirrored fields wrong: %+v", ret)
 	}
@@ -182,7 +182,7 @@ func TestReturnSegment(t *testing.T) {
 		t.Fatal("copyToken=true must copy the token bytes")
 	}
 
-	ret = ReturnSegment(4, &seg, nil, ReverseUnknown, nil, false)
+	ret = returnSegment(4, &seg, nil, ReverseUnknown, nil, false)
 	if &ret.PortToken[0] != &seg.PortToken[0] {
 		t.Fatal("copyToken=false must alias the token bytes")
 	}
@@ -198,7 +198,7 @@ func TestReturnSegment(t *testing.T) {
 		tok := auth.Issue(token.Spec{Account: 7, Port: 9, ReverseOK: reverseOK})
 		cache.Prime(tok)
 		carry := viper.Segment{Port: 9, PortToken: tok}
-		ret := ReturnSegment(4, &carry, nil, ReverseUnknown, cache, true)
+		ret := returnSegment(4, &carry, nil, ReverseUnknown, cache, true)
 		if gotTok := len(ret.PortToken) > 0; gotTok != reverseOK {
 			t.Errorf("ReverseOK=%v: token in trailer = %v", reverseOK, gotTok)
 		}
@@ -210,7 +210,7 @@ func TestReturnSegment(t *testing.T) {
 			t.Fatalf("ReverseOK=%v: verdict %+v, want a forward with Reverse %d", reverseOK, v, want)
 		}
 		// A nil cache: only the verdict can know.
-		ret = ReturnSegment(4, &carry, nil, v.Reverse, nil, true)
+		ret = returnSegment(4, &carry, nil, v.Reverse, nil, true)
 		if gotTok := len(ret.PortToken) > 0; gotTok != reverseOK {
 			t.Errorf("ReverseOK=%v, from the verdict: token in trailer = %v", reverseOK, gotTok)
 		}
@@ -219,7 +219,7 @@ func TestReturnSegment(t *testing.T) {
 	// An uncached (optimistically admitted) token rides along and is
 	// checked on the return trip.
 	unknown := viper.Segment{Port: 9, PortToken: []byte{9, 9, 9}}
-	if ret := ReturnSegment(4, &unknown, nil, ReverseUnknown, token.NewCache(auth), true); len(ret.PortToken) == 0 {
+	if ret := returnSegment(4, &unknown, nil, ReverseUnknown, token.NewCache(auth), true); len(ret.PortToken) == 0 {
 		t.Fatal("uncached token must ride the trailer")
 	}
 }
@@ -361,4 +361,12 @@ func TestDecideBatchReadsClockOnce(t *testing.T) {
 			t.Fatalf("%d frames read the clock %d times, want at most 1", len(frames), clk.reads)
 		}
 	}
+}
+
+// returnSegment is ReturnSegment into a fresh segment, for tests that
+// compare its result as a value.
+func returnSegment(inPort uint8, seg *viper.Segment, portInfo []byte, rev Reverse, cache *token.Cache, copyToken bool) viper.Segment {
+	var ret viper.Segment
+	ReturnSegment(&ret, inPort, seg, portInfo, rev, cache, copyToken)
+	return ret
 }

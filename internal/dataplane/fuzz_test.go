@@ -88,14 +88,14 @@ func FuzzDataplaneHop(f *testing.F) {
 		// in-place surgery there and the allocating reference on the
 		// original bytes.
 		hdr := []byte{0xDE, 0xAD, 0xBE, 0xEF, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-		ret := ReturnSegment(1, &seg, hdr, ReverseUnknown, nil, true)
+		ret := returnSegment(1, &seg, hdr, ReverseUnknown, nil, true)
 		buf := make([]byte, len(data), len(data)+ret.WireLen()+64)
 		copy(buf, data)
 		fseg, frest, err := DecodeHop(buf)
 		if err != nil {
 			t.Fatalf("decode succeeded on data but not on its copy: %v", err)
 		}
-		fret := ReturnSegment(1, &fseg, hdr, ReverseUnknown, nil, false)
+		fret := returnSegment(1, &fseg, hdr, ReverseUnknown, nil, false)
 		fastOut, errFast := AppendTrailerSegment(frest, &fret)
 		refOut, errRef := AppendTrailerSegmentRef(rest, &ret)
 		if (errFast == nil) != (errRef == nil) {
@@ -119,7 +119,7 @@ func FuzzDataplaneHop(f *testing.F) {
 		// Decode/mirror round-trip: the newly appended trailer segment
 		// (just before the re-appended 4-byte descriptor) must decode
 		// back to exactly what was appended.
-		want := ReturnSegment(1, &pristine, append([]byte(nil), hdr...), ReverseUnknown, nil, true)
+		want := returnSegment(1, &pristine, append([]byte(nil), hdr...), ReverseUnknown, nil, true)
 		got, _, err := viper.DecodeSegmentMirrored(fastOut[:len(fastOut)-4])
 		if err != nil {
 			t.Fatalf("mirrored trailer does not decode back: %v", err)

@@ -11,7 +11,9 @@ package livenet
 // per-frame work — byte surgery, trace hops, flight events — happens
 // frame by frame in arrival order; what amortizes is everything around
 // it: one ring publish or one hand-off per output port per batch, and
-// one counter flush per batch.
+// one counter flush per batch. A frame is one pooled object (frame,
+// livenet.go), so every one of those moves — ring slot, work-list,
+// accumulator, host batch — copies a pointer, never the frame.
 //
 // Concurrency discipline:
 //
@@ -49,7 +51,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataplane"
 	"repro/internal/ethernet"
-	"repro/internal/pool"
 	"repro/internal/ring"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -65,7 +66,7 @@ const batchSize = 64
 // link carries the fault-injection lottery, drawn when the consumer
 // takes the frame (at dequeue, or at a fused hand-off).
 type pipe struct {
-	r    *ring.SPSC[Frame] // nil on a fused link
+	r    *ring.SPSC[*frame] // nil on a fused link
 	port uint8
 	link *Link
 
@@ -92,7 +93,7 @@ type pipe struct {
 
 func newPipe(depth int, port uint8, link *Link, rcv *node) *pipe {
 	return &pipe{
-		r:     ring.New[Frame](depth),
+		r:     ring.New[*frame](depth),
 		port:  port,
 		link:  link,
 		space: make(chan struct{}, 1),
@@ -115,7 +116,7 @@ func newFusedPipe(depth int, port uint8, link *Link, to *Router) *pipe {
 // under backpressure until the consumer frees a slot or either end shuts
 // down. It reports whether the frame transferred: if so, ownership moved
 // to the consumer; if not, the caller keeps it.
-func (p *pipe) push(f Frame, sdone <-chan struct{}) bool {
+func (p *pipe) push(f *frame, sdone <-chan struct{}) bool {
 	for {
 		p.mu.Lock()
 		ok := p.r.TryPush(f)
@@ -152,7 +153,7 @@ func (p *pipe) ring() {
 // a circular wait no amount of ring depth removes. Hosts keep the
 // blocking push — their backpressure cannot cycle because routers
 // always drain.
-func (p *pipe) tryPush(frames []Frame) int {
+func (p *pipe) tryPush(frames []*frame) int {
 	p.mu.Lock()
 	n := p.r.PushBatch(frames)
 	p.mu.Unlock()
@@ -164,7 +165,7 @@ func (p *pipe) tryPush(frames []Frame) int {
 
 // pop drains up to len(dst) frames and, if anything moved, rings the
 // space doorbell so a parked producer resumes. Consumer-side only.
-func (p *pipe) pop(dst []Frame) int {
+func (p *pipe) pop(dst []*frame) int {
 	n := p.r.PopBatch(dst)
 	if n > 0 {
 		select {
@@ -173,6 +174,23 @@ func (p *pipe) pop(dst []Frame) int {
 		}
 	}
 	return n
+}
+
+// shut closes the ring to producers and recycles the frames still in
+// it. Network.Stop calls it once the ring's consumer has exited: the
+// close is taken under the producer lock, so a push either landed
+// before it, and is recycled here, or fails, and its sender keeps the
+// frame.
+func (p *pipe) shut() {
+	p.mu.Lock()
+	p.r.Close()
+	p.mu.Unlock()
+	var dst [batchSize]*frame
+	for n := p.r.PopBatch(dst[:]); n > 0; n = p.r.PopBatch(dst[:]) {
+		for _, f := range dst[:n] {
+			f.release()
+		}
+	}
 }
 
 // addRx wires a receive pipe to the node's consumer and publishes the
@@ -218,33 +236,32 @@ func (nd *node) addTx(port uint8, p *pipe) {
 }
 
 // drainPipe pops up to one batch from p, draws the link's fault lottery
-// per frame, stamps arrivals for traced frames, and appends the
-// survivors to sc.in. The return value counts everything popped —
-// survivors and casualties — so the caller can tell an empty pipe from a
-// lossy one.
+// per frame, tags the survivors with their arrival port (and traced
+// ones with their arrival stamp), and appends them to sc.in. The return
+// value counts everything popped — survivors and casualties — so the
+// caller can tell an empty pipe from a lossy one.
 func (nd *node) drainPipe(p *pipe, sc *batchScratch) int {
 	n := p.pop(sc.tmp)
-	for i := 0; i < n; i++ {
-		f := sc.tmp[i]
-		sc.tmp[i] = Frame{}
+	for _, f := range sc.tmp[:n] {
 		if p.link.drops() {
 			lost(f, nd.name, p.port)
 			continue
 		}
-		sc.in = append(sc.in, inFrame{port: p.port, frame: f, arrived: stamp(f.Trace)})
+		f.port, f.arrived = p.port, stamp(f.pt)
+		sc.in = append(sc.in, f)
 	}
 	return n
 }
 
 // lost ends a frame the link's fault lottery discarded on its way into
 // node at port: a traced record closes on an ActionLost hop there.
-func lost(f Frame, node string, port uint8) {
-	if f.Trace != nil {
-		f.Trace.Add(trace.HopEvent{
+func lost(f *frame, node string, port uint8) {
+	if f.pt != nil {
+		f.pt.Add(trace.HopEvent{
 			Node: node, InPort: port, Action: trace.ActionLost,
 			At: clock.Wall.NowNanos(),
 		})
-		f.Trace.Done()
+		f.pt.Done()
 	}
 	f.release()
 }
@@ -263,19 +280,20 @@ func stamp(pt *trace.PacketTrace) int64 {
 // destination is sized up front; every other slice grows on demand to
 // the load the consumer actually sees (a host never touches the router's
 // kernel view or transmit accumulators), and after warmup a steady-state
-// batch allocates nothing (TestForwardHopAllocsBatched).
+// batch allocates nothing (TestForwardHopAllocsBatched). Every slice of
+// frames holds pointers; a slot past a slice's length may still point
+// at a frame since recycled, and nothing reads it.
 type batchScratch struct {
-	tmp     []Frame                // pop destination; its length bounds a drain
-	in      []inFrame              // the batch to decide: drained, or handed over on fused links
-	bf      []dataplane.BatchFrame // the kernel's view of sc.in
+	tmp     []*frame               // pop destination; its length bounds a drain
+	in      []*frame               // the batch to decide: drained, or handed over on fused links
+	bf      []dataplane.BatchFrame // the kernel's view of sc.in, overwritten batch by batch
 	bs      dataplane.BatchStats
-	tx      [][]inFrame // per output port, indexed by port: this batch's outbound frames
-	touched []uint8     // ports with frames in tx this batch
-	flush   []Frame     // per-port ring push buffer
+	tx      [][]*frame // per output port, indexed by port: this batch's outbound frames
+	touched []uint8    // ports with frames in tx this batch
 }
 
 func newBatchScratch() *batchScratch {
-	return &batchScratch{tmp: make([]Frame, batchSize)}
+	return &batchScratch{tmp: make([]*frame, batchSize)}
 }
 
 // worker is a network's forwarding goroutine: it runs every router of
@@ -315,7 +333,6 @@ func (w *worker) add(r *Router) {
 }
 
 func (w *worker) run() {
-	defer w.release()
 	for {
 		select {
 		case <-w.done:
@@ -377,15 +394,20 @@ func (w *worker) runWork() {
 	}
 }
 
-// release recycles every frame handed over and not yet forwarded; the
-// worker calls it on its way out.
-func (w *worker) release() {
+// shut recycles every frame handed over and not yet forwarded, and
+// what the worker's routers' receive rings still hold. Network.Stop
+// calls it once every node of the network has exited.
+func (w *worker) shut() {
 	for _, r := range w.work[w.head:] {
-		for i := range r.sc.in {
-			r.sc.in[i].frame.release()
+		for _, f := range r.sc.in {
+			f.release()
 		}
-		clear(r.sc.in)
 		r.sc.in = r.sc.in[:0]
+	}
+	if rl := w.routers.Load(); rl != nil {
+		for _, r := range *rl {
+			r.node.shut()
+		}
 	}
 }
 
@@ -418,21 +440,22 @@ func (h *Host) run() {
 // mirrorHop performs the §6.2 software-router byte surgery for one
 // authorized frame — swap the arrival header in place, build the
 // mirrored return segment, append it over the trailer descriptor — and
-// turns inf's frame into the next-hop frame in the same buffer. It
-// reports false, leaving the frame's buffer as it was, when the bytes
-// are malformed (the caller drops DropNotSirpent). rev is the verdict's
-// knowledge of the token's reverse use.
-func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, rev dataplane.Reverse, ts *dataplane.TokenState) bool {
+// turns f into the next-hop frame in the same buffer. It reports false,
+// leaving the frame's buffer as it was, when the bytes are malformed
+// (the caller drops DropNotSirpent). rev is the verdict's knowledge of
+// the token's reverse use.
+func (r *Router) mirrorHop(f *frame, seg *viper.Segment, rest []byte, rev dataplane.Reverse, ts *dataplane.TokenState) bool {
 	// The frame is ours, so the header is swapped in place and aliased;
 	// the mirrored append below copies the bytes into the trailer.
 	var hdrInfo []byte
-	if inf.frame.Hdr != nil {
-		if err := ethernet.SwapInPlace(inf.frame.Hdr); err != nil {
+	if f.hdr != nil {
+		if err := ethernet.SwapInPlace(f.hdr); err != nil {
 			return false
 		}
-		hdrInfo = inf.frame.Hdr
+		hdrInfo = f.hdr
 	}
-	ret := dataplane.ReturnSegment(inf.port, seg, hdrInfo, rev, ts.Cache(), false)
+	var ret viper.Segment
+	dataplane.ReturnSegment(&ret, f.port, seg, hdrInfo, rev, ts.Cache(), false)
 	// ret's fields alias the dead front region (token, header); the
 	// append writes only past the old trailer descriptor — disjoint.
 	out, err := dataplane.AppendTrailerSegment(rest, &ret)
@@ -457,7 +480,6 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, rev da
 			next = seg.PortInfo
 		}
 	}
-	f := &inf.frame
 	if len(rest) > 0 && len(out) > 0 && &out[0] != &rest[0] {
 		// The headroom ran out and the append reallocated: out starts a
 		// fresh array (its own recycling target), and the old buffer —
@@ -465,7 +487,7 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, rev da
 		// collector.
 		f.buf = out[:0]
 	}
-	f.Pkt, f.Hdr = out, next
+	f.pkt, f.hdr = out, next
 	return true
 }
 
@@ -481,34 +503,31 @@ func (r *Router) mirrorHop(inf *inFrame, seg *viper.Segment, rest []byte, rev da
 func (r *Router) forwardBatch(sc *batchScratch) {
 	ts := r.tok.Load()
 	sc.bf = slices.Grow(sc.bf[:0], len(sc.in))[:len(sc.in)]
-	for i := range sc.in {
-		kernelFrame(&sc.bf[i], &sc.in[i])
+	for i, f := range sc.in {
+		kernelFrame(&sc.bf[i], f)
 	}
 	r.plane.DecideBatch(ts, sc.bf, &sc.bs)
-	for i := range sc.bf {
-		r.dispose(sc, ts, &sc.in[i], &sc.bf[i], 0)
+	for i, f := range sc.in {
+		r.dispose(sc, ts, f, &sc.bf[i], 0)
 	}
-	// Every frame has been forwarded (copied to its port's accumulator),
-	// delivered or dropped; the slots give up their references.
-	clear(sc.in)
-	clear(sc.bf)
+	// Every frame has been queued on its port's accumulator, delivered
+	// or dropped. The kernel's slots are overwritten by the next batch,
+	// so neither slice is cleared.
 	sc.in = sc.in[:0]
-	sc.bf = sc.bf[:0]
 	r.flushTx(sc)
 	r.plane.FlushBatch(&sc.bs)
 }
 
-// kernelFrame fills a frame's slot in the batch kernel, in place (the
-// slot is zero: forwardBatch clears the view after every batch). The
-// charge size matches the simulator's FrameSize: the full pre-strip
-// packet plus the arrival Ethernet header, so per-account byte totals
-// agree across substrates.
-func kernelFrame(b *dataplane.BatchFrame, inf *inFrame) {
-	cb := uint64(len(inf.frame.Pkt))
-	if inf.frame.Hdr != nil {
+// kernelFrame fills the caller's half of a frame's slot in the batch
+// kernel; DecideBatch overwrites the rest. The charge size matches the
+// simulator's FrameSize: the full pre-strip packet plus the arrival
+// Ethernet header, so per-account byte totals agree across substrates.
+func kernelFrame(b *dataplane.BatchFrame, f *frame) {
+	cb := uint64(len(f.pkt))
+	if f.hdr != nil {
 		cb += ethernet.HeaderLen
 	}
-	b.InPort, b.ChargeBytes, b.Pkt = inf.port, cb, inf.frame.Pkt
+	b.InPort, b.ChargeBytes, b.Pkt = f.port, cb, f.pkt
 }
 
 // dispose settles one decided frame: it drops it, delivers it locally,
@@ -517,40 +536,40 @@ func kernelFrame(b *dataplane.BatchFrame, inf *inFrame) {
 // forwards leave through the accumulators, so FlushBatch is the router's
 // only counter publication and flushTx its only transmit. depth counts
 // the failover branches the frame has already taken at this router.
-func (r *Router) dispose(sc *batchScratch, ts *dataplane.TokenState, inf *inFrame, b *dataplane.BatchFrame, depth int) {
-	v := b.Verdict
+func (r *Router) dispose(sc *batchScratch, ts *dataplane.TokenState, f *frame, b *dataplane.BatchFrame, depth int) {
+	v := &b.Verdict
 	if v.Action == dataplane.ActionAwaitToken {
 		// Block mode: the uncached token verifies synchronously, in
 		// batch order — the HMAC computation is the verification
 		// latency the frame waits out.
 		in := dataplane.HopInput{InPort: b.InPort, Seg: &b.Seg, ChargeBytes: b.ChargeBytes}
-		v = r.plane.InstallTokenBatched(ts, &in, &sc.bs)
+		*v = r.plane.InstallTokenBatched(ts, &in, &sc.bs)
 	}
 	switch v.Action {
 	case dataplane.ActionDrop:
-		r.discard(sc, v.Reason, v.Account, inf)
+		r.discard(sc, v.Reason, v.Account, f)
 		return
 	case dataplane.ActionTree:
-		r.fanoutTree(sc, ts, inf, &b.Seg, b.Rest)
+		r.fanoutTree(sc, ts, f, &b.Seg, b.Rest)
 		return
 	case dataplane.ActionFailover:
-		r.failover(sc, ts, inf, &b.Seg, v, depth)
+		r.failover(sc, ts, f, &b.Seg, v, depth)
 		return
 	}
-	if !r.mirrorHop(inf, &b.Seg, b.Rest, v.Reverse, ts) {
-		r.discard(sc, stats.DropNotSirpent, 0, inf)
+	if !r.mirrorHop(f, &b.Seg, b.Rest, v.Reverse, ts) {
+		r.discard(sc, stats.DropNotSirpent, 0, f)
 		return
 	}
 	if v.Action == dataplane.ActionLocal {
-		r.plane.LocalBatched(&sc.bs, inf.port, inf.frame.Trace, inf.arrived)
-		inf.frame.release()
+		r.plane.LocalBatched(&sc.bs, f.port, f.pt, f.arrived)
+		f.release()
 		return
 	}
 	// The forward hop is traced now but transmitted at flush; the worker
 	// owns the frame until the ring push or hand-off publishes it, so the
 	// append-before-send rule holds.
-	r.plane.TraceForward(inf.frame.Trace, inf.port, v.OutPort, inf.arrived)
-	sc.accumulate(v.OutPort, inf)
+	r.plane.TraceForward(f.pt, f.port, v.OutPort, f.arrived)
+	sc.accumulate(v.OutPort, f)
 }
 
 // reenter runs a frame made mid-batch — a fanout branch copy or a
@@ -558,19 +577,19 @@ func (r *Router) dispose(sc *batchScratch, ts *dataplane.TokenState, inf *inFram
 // decided over a one-slot sub-batch, counted into sc.bs, and queued at
 // its parent's position, so frames bound for one port still leave in
 // arrival order.
-func (r *Router) reenter(sc *batchScratch, ts *dataplane.TokenState, inf inFrame, depth int) {
+func (r *Router) reenter(sc *batchScratch, ts *dataplane.TokenState, f *frame, depth int) {
 	var one [1]dataplane.BatchFrame
-	kernelFrame(&one[0], &inf)
+	kernelFrame(&one[0], f)
 	r.plane.DecideBatch(ts, one[:], &sc.bs)
-	r.dispose(sc, ts, &inf, &one[0], depth)
+	r.dispose(sc, ts, f, &one[0], depth)
 }
 
 // discard accounts one dropped frame into the batch — counter deferred
 // to FlushBatch, flight event and trace terminal hop now — and recycles
-// its buffer. account names the refused token account, 0 otherwise.
-func (r *Router) discard(sc *batchScratch, reason stats.DropReason, account uint32, inf *inFrame) {
-	r.plane.DropBatched(&sc.bs, reason, inf.port, account, inf.frame.Trace, inf.arrived)
-	inf.frame.release()
+// it. account names the refused token account, 0 otherwise.
+func (r *Router) discard(sc *batchScratch, reason stats.DropReason, account uint32, f *frame) {
+	r.plane.DropBatched(&sc.bs, reason, f.port, account, f.pt, f.arrived)
+	f.release()
 }
 
 // failover realizes an ActionFailover verdict on the wire substrate:
@@ -582,83 +601,79 @@ func (r *Router) discard(sc *batchScratch, reason stats.DropReason, account uint
 // whose head is itself a dead-primary DAG segment from cycling forever.
 // The no-failover path never reaches here, so its 0 allocs/hop contract
 // is untouched.
-func (r *Router) failover(sc *batchScratch, ts *dataplane.TokenState, inf *inFrame, seg *viper.Segment, v dataplane.Verdict, depth int) {
+func (r *Router) failover(sc *batchScratch, ts *dataplane.TokenState, f *frame, seg *viper.Segment, v *dataplane.Verdict, depth int) {
 	if depth >= dataplane.MaxFailoverDepth {
-		r.discard(sc, stats.DropLinkDown, 0, inf)
+		r.discard(sc, stats.DropLinkDown, 0, f)
 		return
 	}
-	r.plane.Failover(inf.port, seg.Port, v.OutPort, v.AltRank, inf.frame.Trace, inf.arrived)
-	old := inf.frame.Pkt
+	r.plane.Failover(f.port, seg.Port, v.OutPort, v.AltRank, f.pt, f.arrived)
+	old := f.pkt
 	out, err := dataplane.SpliceAltRoute(old, v.AltRoute)
 	if err != nil {
-		r.discard(sc, stats.DropNotSirpent, 0, inf)
+		r.discard(sc, stats.DropNotSirpent, 0, f)
 		return
 	}
-	f := inf.frame
-	f.Pkt = out
+	f.pkt = out
 	if len(old) > 0 && len(out) > 0 && &out[0] != &old[0] {
 		// The splice outgrew the buffer and reallocated: out starts a
 		// fresh array (its own recycling target); the old buffer, still
 		// aliased by the arrival header, is left to the collector.
 		f.buf = out[:0]
 	}
-	r.reenter(sc, ts, inFrame{port: inf.port, frame: f, arrived: inf.arrived}, depth+1)
+	r.reenter(sc, ts, f, depth+1)
 }
 
 // fanoutTree handles tree-structured multicast (§2): fan one copy of the
 // packet down each branch by splicing the branch's segments in front of
 // the remaining bytes, and re-enter each copy in branch order. Each
-// branch gets its own pooled buffer (and its own header copy —
-// forwarding swaps headers in place, so branches must not share one);
-// the original buffer is recycled after the fanout. A traced packet's
-// record ends here: branches run on concurrent paths and must not share
-// one record, so they continue untraced.
-func (r *Router) fanoutTree(sc *batchScratch, ts *dataplane.TokenState, inf *inFrame, seg *viper.Segment, rest []byte) {
+// branch is a frame of its own, with a copy of the arrival header at
+// its buffer's front (forwarding swaps headers in place, so branches
+// must not share one); the original frame is recycled after the fanout.
+// A traced packet's record ends here: branches run on concurrent paths
+// and must not share one record, so they continue untraced.
+func (r *Router) fanoutTree(sc *batchScratch, ts *dataplane.TokenState, f *frame, seg *viper.Segment, rest []byte) {
 	branches, err := viper.DecodeTree(seg.PortInfo)
 	if err != nil {
-		r.discard(sc, stats.DropBadPort, 0, inf)
+		r.discard(sc, stats.DropBadPort, 0, f)
 		return
 	}
-	r.plane.CloseFanout(inf.frame.Trace, inf.port, seg.Port, inf.arrived)
+	r.plane.CloseFanout(f.pt, f.port, seg.Port, f.arrived)
 	for _, br := range branches {
 		headLen := 0
 		for i := range br {
 			headLen += br[i].WireLen()
 		}
-		full := pool.Get(headLen + len(rest) + frameHeadroom(len(br), headLen))
-		branch := inFrame{port: inf.port, frame: Frame{buf: full}}
-		buf := full
+		branch, buf := newFrame(f.hdr, headLen+len(rest)+frameHeadroom(len(br), headLen))
+		branch.port = f.port
 		for i := range br {
 			if buf, err = viper.AppendSegment(buf, &br[i]); err != nil {
 				break
 			}
 		}
 		if err != nil {
-			r.discard(sc, stats.DropBadPort, 0, &branch)
+			r.discard(sc, stats.DropBadPort, 0, branch)
 			continue
 		}
-		branch.frame.Pkt = append(buf, rest...)
-		if inf.frame.Hdr != nil {
-			branch.frame.Hdr = append([]byte(nil), inf.frame.Hdr...)
-		}
+		branch.pkt = append(buf, rest...)
 		r.reenter(sc, ts, branch, 0)
 	}
-	inf.frame.release()
+	f.release()
 }
 
 // accumulate appends an outbound frame to its port's transmit batch.
 // tx is indexed by port and persists across batches (a router's port set
 // is stable); touched records which ports hold frames this batch. The
-// inFrame keeps the frame's INBOUND port and arrival stamp, so a failed
-// transmit is drop-accounted against its arrival.
-func (sc *batchScratch) accumulate(port uint8, item *inFrame) {
+// frame keeps its INBOUND port and arrival stamp until the consumer
+// re-tags it, so a failed transmit is drop-accounted against its
+// arrival.
+func (sc *batchScratch) accumulate(port uint8, f *frame) {
 	if int(port) >= len(sc.tx) {
-		sc.tx = append(sc.tx, make([][]inFrame, int(port)+1-len(sc.tx))...)
+		sc.tx = append(sc.tx, make([][]*frame, int(port)+1-len(sc.tx))...)
 	}
 	if len(sc.tx[port]) == 0 {
 		sc.touched = append(sc.touched, port)
 	}
-	sc.tx[port] = append(sc.tx[port], *item)
+	sc.tx[port] = append(sc.tx[port], f)
 }
 
 // flushTx transmits every accumulated output batch: one port-table
@@ -681,15 +696,7 @@ func (r *Router) flushTx(sc *batchScratch) {
 			sc.tx[port] = r.handOff(sc, p, items)
 			continue
 		default:
-			if cap(sc.flush) < len(items) {
-				sc.flush = make([]Frame, len(items))
-			}
-			fl := sc.flush[:len(items)]
-			for i := range items {
-				fl[i] = items[i].frame
-			}
-			sent = p.tryPush(fl)
-			clear(fl)
+			sent = p.tryPush(items)
 			r.counters.forwarded.Add(uint64(sent))
 			reason = stats.DropQueueFull
 			select {
@@ -698,10 +705,9 @@ func (r *Router) flushTx(sc *batchScratch) {
 			default:
 			}
 		}
-		for i := sent; i < len(items); i++ {
-			r.discard(sc, reason, 0, &items[i])
+		for _, f := range items[sent:] {
+			r.discard(sc, reason, 0, f)
 		}
-		clear(items)
 		sc.tx[port] = items[:0]
 	}
 	sc.touched = sc.touched[:0]
@@ -716,19 +722,18 @@ func (r *Router) flushTx(sc *batchScratch) {
 // survivors are re-tagged with their arrival port and, when traced,
 // stamped, and per-port order is kept. When the far end holds nothing
 // yet, the accumulator itself becomes its input and the far end's empty
-// input slice becomes the accumulator, so nothing is copied. It returns
-// the port's emptied accumulator.
-func (r *Router) handOff(sc *batchScratch, p *pipe, items []inFrame) []inFrame {
+// input slice becomes the accumulator, so no pointer is copied. It
+// returns the port's emptied accumulator.
+func (r *Router) handOff(sc *batchScratch, p *pipe, items []*frame) []*frame {
 	to := p.to
 	accepted, k := 0, 0
-	for i := range items {
-		it := &items[i]
+	for _, f := range items {
 		switch {
 		case p.held >= p.depth:
-			r.discard(sc, stats.DropQueueFull, 0, it)
+			r.discard(sc, stats.DropQueueFull, 0, f)
 		case p.link.drops():
 			accepted++
-			lost(it.frame, to.name, p.port)
+			lost(f, to.name, p.port)
 		default:
 			accepted++
 			if p.held == 0 {
@@ -740,14 +745,10 @@ func (r *Router) handOff(sc *batchScratch, p *pipe, items []inFrame) []inFrame {
 				to.fedBy = append(to.fedBy, p)
 			}
 			p.held++
-			it.port, it.arrived = p.port, stamp(it.frame.Trace)
-			if k != i {
-				items[k], *it = *it, inFrame{}
-			}
+			f.port, f.arrived = p.port, stamp(f.pt)
+			items[k] = f
 			k++
-			continue
 		}
-		*it = inFrame{}
 	}
 	r.counters.forwarded.Add(uint64(accepted))
 	if k == 0 {
@@ -758,7 +759,6 @@ func (r *Router) handOff(sc *batchScratch, p *pipe, items []inFrame) []inFrame {
 		return items
 	}
 	to.sc.in = append(to.sc.in, items[:k]...)
-	clear(items[:k])
 	return items[:0]
 }
 
@@ -768,9 +768,8 @@ func (h *Host) receiveBatch(sc *batchScratch) {
 	if fn := h.raw.Load(); fn != nil && len(sc.in) > 0 {
 		h.tap(*fn, sc.in)
 	} else {
-		for i := range sc.in {
-			h.receive(sc.in[i])
-			sc.in[i] = inFrame{}
+		for _, f := range sc.in {
+			h.receive(f)
 		}
 	}
 	sc.in = sc.in[:0]
@@ -780,20 +779,19 @@ func (h *Host) receiveBatch(sc *batchScratch) {
 // frames once fn returns. A traced frame gives the tap its
 // cross-process context, taken before its record closes here, so an
 // encapsulation gateway can carry the trace onto its foreign transport.
-func (h *Host) tap(fn func([]RawFrame), in []inFrame) {
+func (h *Host) tap(fn func([]RawFrame), in []*frame) {
 	b := h.tapped[:0]
-	for i := range in {
+	for _, f := range in {
 		var ctx trace.Context
-		if pt := in[i].frame.Trace; pt != nil {
+		if pt := f.pt; pt != nil {
 			ctx = pt.Ctx
-			h.closeReceive(in[i], trace.ActionLocal, 0)
+			h.closeReceive(f, trace.ActionLocal, 0)
 		}
-		b = append(b, RawFrame{Pkt: in[i].frame.Pkt, Ctx: ctx})
+		b = append(b, RawFrame{Pkt: f.pkt, Ctx: ctx})
 	}
 	h.tapped = b
 	fn(b)
-	for i := range in {
-		in[i].frame.release()
-		in[i] = inFrame{}
+	for _, f := range in {
+		f.release()
 	}
 }

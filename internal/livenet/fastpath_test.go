@@ -14,7 +14,7 @@ import (
 )
 
 // hopHdrTemplate is the Ethernet header every hop-driver frame arrives
-// with; forwarding swaps it in place, so drivers re-copy it per frame.
+// with; forwarding swaps it in place, so each frame carries a copy.
 var hopHdrTemplate = ethernet.Header{
 	Dst:  ethernet.Addr{0x02, 0, 0, 0, 0, 2},
 	Src:  ethernet.Addr{0x02, 0, 0, 0, 0, 1},
@@ -59,8 +59,7 @@ type hopDriver struct {
 	chain []*Router // every router, first to last
 	p     *pipe
 	tmpl  []byte
-	hdrs  [][]byte // one reusable header per frame; forwarding swaps it in place
-	drain []Frame
+	drain []*frame // one slot per frame of a batch
 }
 
 // newHopDriver builds a driver that forwards batches of `frames` copies
@@ -70,8 +69,7 @@ func newHopDriver(frames, hops int) *hopDriver {
 	d := &hopDriver{
 		p:     newPipe(4*batchSize, 2, nil, sinkNode()),
 		tmpl:  hopTemplateBytes(hops),
-		hdrs:  make([][]byte, frames),
-		drain: make([]Frame, frames),
+		drain: make([]*frame, frames),
 	}
 	for i := 0; i < hops; i++ {
 		r := n.newRouter(fmt.Sprintf("r%d", i))
@@ -82,21 +80,17 @@ func newHopDriver(frames, hops int) *hopDriver {
 	}
 	d.r = d.chain[0]
 	d.chain[hops-1].node.addTx(2, d.p)
-	for i := range d.hdrs {
-		d.hdrs[i] = make([]byte, ethernet.HeaderLen)
-	}
 	return d
 }
 
-// stage puts one batch of pooled template frames — each carrying a fresh
-// trace record when tr is non-nil — on the first router's input.
+// stage puts one batch of pooled template frames behind a copy of
+// hopHdrTemplate — each carrying a fresh trace record when tr is
+// non-nil — on the first router's input, arrived on port 1.
 func (d *hopDriver) stage(tr trace.Tracer) {
-	for i := range d.hdrs {
-		buf := pool.Get(len(d.tmpl) + frameHeadroom(len(d.chain)+1, len(d.tmpl)))
-		buf = append(buf, d.tmpl...)
-		copy(d.hdrs[i], hopHdrTemplate)
-		f := Frame{Hdr: d.hdrs[i], Pkt: buf, Trace: trace.Start(tr, nil), buf: buf[:0]}
-		d.r.sc.in = append(d.r.sc.in, inFrame{port: 1, frame: f})
+	for range d.drain {
+		f, buf := newFrame(hopHdrTemplate, len(d.tmpl)+frameHeadroom(len(d.chain)+1, len(d.tmpl)))
+		f.pkt, f.pt, f.port = append(buf, d.tmpl...), trace.Start(tr, nil), 1
+		d.r.sc.in = append(d.r.sc.in, f)
 	}
 }
 
@@ -109,12 +103,11 @@ func (d *hopDriver) sink() int {
 		if n == 0 {
 			return got
 		}
-		for i := 0; i < n; i++ {
-			if pt := d.drain[i].Trace; pt != nil {
-				pt.Done()
+		for _, f := range d.drain[:n] {
+			if f.pt != nil {
+				f.pt.Done()
 			}
-			d.drain[i].release()
-			d.drain[i] = Frame{}
+			f.release()
 		}
 		got += n
 	}
@@ -125,7 +118,7 @@ func (d *hopDriver) forward(tr trace.Tracer) {
 	d.stage(tr)
 	d.r.forwardBatch(d.r.sc)
 	d.r.w.runWork()
-	for got := 0; got < len(d.hdrs); {
+	for got := 0; got < len(d.drain); {
 		got += d.sink()
 	}
 }

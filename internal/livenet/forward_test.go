@@ -54,19 +54,17 @@ func (rig *forwardRig) fuse(port uint8, peerPorts ...uint8) *forwardRig {
 // worker's work-list.
 func (rig *forwardRig) forward(tr trace.Tracer, frames ...[]byte) {
 	for _, b := range frames {
-		buf := pool.Get(len(b) + frameHeadroom(4, len(b)))
-		buf = append(buf, b...)
-		hdr := append([]byte(nil), hopHdrTemplate...)
-		f := Frame{Hdr: hdr, Pkt: buf, Trace: trace.Start(tr, nil), buf: buf[:0]}
-		rig.r.sc.in = append(rig.r.sc.in, inFrame{port: 1, frame: f})
+		f, buf := newFrame(hopHdrTemplate, len(b)+frameHeadroom(4, len(b)))
+		f.pkt, f.pt, f.port = append(buf, b...), trace.Start(tr, nil), 1
+		rig.r.sc.in = append(rig.r.sc.in, f)
 	}
 	rig.r.forwardBatch(rig.r.sc)
 }
 
 // drain pops every frame flushed to port, in ring order, hands each to
 // fn (when non-nil), and closes and releases it.
-func (rig *forwardRig) drain(port uint8, fn func(Frame)) {
-	dst := make([]Frame, batchSize)
+func (rig *forwardRig) drain(port uint8, fn func(*frame)) {
+	dst := make([]*frame, batchSize)
 	for {
 		n := rig.out[port].r.PopBatch(dst)
 		if n == 0 {
@@ -76,8 +74,8 @@ func (rig *forwardRig) drain(port uint8, fn func(Frame)) {
 			if fn != nil {
 				fn(f)
 			}
-			if f.Trace != nil {
-				f.Trace.Done()
+			if f.pt != nil {
+				f.pt.Done()
 			}
 			f.release()
 		}
@@ -159,9 +157,9 @@ func TestForwardBatchPortOrder(t *testing.T) {
 	}} {
 		rig.forward(nil, tc.batch...)
 		var got []string
-		rig.drain(tc.port, func(f Frame) {
+		rig.drain(tc.port, func(f *frame) {
 			for _, w := range tc.want {
-				if bytes.Contains(f.Pkt, []byte(w)) {
+				if bytes.Contains(f.pkt, []byte(w)) {
 					got = append(got, w)
 				}
 			}

@@ -1,11 +1,13 @@
 package livenet
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pool"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/viper"
 )
 
 // TestFusedChainKeepsBatchWhole drains one full batch from a ring at the
@@ -18,10 +20,7 @@ func TestFusedChainKeepsBatchWhole(t *testing.T) {
 	src := newPipe(batchSize, 1, &Link{}, d.r.node)
 	d.r.addRx(src)
 	d.stage(nil)
-	frames := make([]Frame, 0, batchSize)
-	for _, inf := range d.r.sc.in {
-		frames = append(frames, inf.frame)
-	}
+	frames := append([]*frame(nil), d.r.sc.in...)
 	d.r.sc.in = d.r.sc.in[:0]
 	if n := src.tryPush(frames); n != batchSize {
 		t.Fatalf("source ring took %d frames, want %d", n, batchSize)
@@ -171,8 +170,8 @@ func TestFusedLinkQueueDepth(t *testing.T) {
 	}
 }
 
-// TestFusedLinkReleasedAtStop hands frames over and stops the worker
-// before it runs them: the worker's exit recycles every pooled buffer.
+// TestFusedLinkReleasedAtStop hands frames over and stops the network
+// before its worker runs them: Stop recycles every pooled frame.
 func TestFusedLinkReleasedAtStop(t *testing.T) {
 	fp := newFusedPair()
 	gets0, _, puts0, rej0 := pool.Stats()
@@ -180,9 +179,7 @@ func TestFusedLinkReleasedAtStop(t *testing.T) {
 	if got := len(fp.b.r.sc.in); got != 7 {
 		t.Fatalf("consumer holds %d frames, want 7", got)
 	}
-	w := fp.a.r.w
-	w.close()
-	w.run() // returns at once: done is closed
+	fp.n.Stop()
 	if got := len(fp.b.r.sc.in); got != 0 {
 		t.Fatalf("consumer still holds %d frames after stop", got)
 	}
@@ -208,4 +205,118 @@ func TestSplitRoutersRings(t *testing.T) {
 			t.Fatalf("split=%v: fused link %v, shared worker %v", split, fused, a.w == b.w)
 		}
 	}
+}
+
+// TestPoolBalanceAtStop checks that a network gives back every pooled
+// frame it takes, with its buffer, by the time Network.Stop returns:
+// frames delivered, lost on a lossy link, dropped queue-full, and still
+// held at Stop — in a receive ring, or handed over on a fused link and
+// waiting on the work-list. Frames count into pool.Stats, so across the
+// test gets = puts + rejected.
+func TestPoolBalanceAtStop(t *testing.T) {
+	onBothPartitions(t, func(t *testing.T, newNetwork func(...NetworkOption) *Network) {
+		gets0, _, puts0, rej0 := pool.Stats()
+		chain := func(hops int) []viper.Segment {
+			route := []viper.Segment{{Port: 1}}
+			for i := 0; i < hops; i++ {
+				route = append(route, viper.Segment{Port: 2, Flags: viper.FlagVNT})
+			}
+			return append(route, viper.Segment{Port: viper.PortLocal})
+		}
+		payload := []byte("balance")
+
+		// A live chain, src -ring- r1 -lossy- r2 - r3 -ring- dst, whose
+		// last ring is 2 deep. Once dst's handler blocks, r3 drops
+		// queue-full and the ring stays full until Stop.
+		n := newNetwork()
+		src, dst := n.NewHost("src"), n.NewHost("dst")
+		r1, r2, r3 := n.NewRouter("r1"), n.NewRouter("r2"), n.NewRouter("r3")
+		n.Connect(src, 1, r1, 1)
+		lossy := n.Connect(r1, 2, r2, 1)
+		n.Connect(r2, 2, r3, 1)
+		n.Connect(r3, 2, dst, 1, WithDepth(2))
+		lossy.SetLossRatio(0.25)
+		var delivered atomic.Uint64
+		var block atomic.Bool
+		stuck := make(chan struct{})
+		dst.Handle(viper.PortLocal, func(Delivery) {
+			delivered.Add(1)
+			if block.Load() {
+				<-stuck
+			}
+		})
+		sent := uint64(0)
+		send := func(k int) {
+			for i := 0; i < k; i++ {
+				if err := src.Send(chain(3), payload); err != nil {
+					t.Fatal(err)
+				}
+				sent++
+			}
+		}
+		// Every frame sent is lost, dropped by a router, or forwarded by
+		// r3 to dst's ring, once nothing is in flight.
+		settled := func() bool {
+			s1, s2, s3 := r1.Stats(), r2.Stats(), r3.Stats()
+			ended := lossy.Dropped() + s1.TotalDrops() + s2.TotalDrops() + s3.TotalDrops() + s3.Forwarded
+			return ended == sent
+		}
+		send(200)
+		waitFor(t, func() bool { return settled() && delivered.Load() == r3.Stats().Forwarded })
+		if lossy.Dropped() == 0 {
+			t.Fatal("the lossy link lost nothing")
+		}
+		// Bursts until dst's handler has blocked and r3 has filled its
+		// ring: a fused chain brings a burst to r3 as one batch, so the
+		// burst that blocks the handler may leave the ring empty.
+		block.Store(true)
+		into := dst.rxPipes()[0]
+		for i := 0; into.r.Len() < 2; i++ {
+			if i == 10 {
+				t.Fatalf("dst's ring holds %d frames after %d bursts, want 2", into.r.Len(), i)
+			}
+			send(batchSize)
+			waitFor(t, settled)
+		}
+		if r3.Stats().DropCount(stats.DropQueueFull) == 0 {
+			t.Fatal("no queue-full drop at r3")
+		}
+
+		// A network whose worker never runs: what h sends waits in r4's
+		// receive ring, and one batch forwarded by hand waits at r5 — on
+		// the work-list when the link is fused, in r5's ring when split.
+		n2 := newNetwork()
+		h := n2.NewHost("h")
+		r4, r5 := n2.newRouter("r4"), n2.newRouter("r5")
+		n2.Connect(h, 1, r4, 1, WithDepth(2*batchSize))
+		n2.Connect(r4, 2, r5, 1)
+		for i := 0; i < batchSize+8; i++ {
+			if err := h.Send(chain(2), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in4 := r4.rxPipes()[0]
+		r4.drainPipe(in4, r4.sc)
+		r4.forwardBatch(r4.sc)
+		held := len(r5.sc.in)
+		if rx := r5.rxPipes(); len(rx) > 0 {
+			held = rx[0].r.Len()
+		}
+		if held != batchSize || in4.r.Len() != 8 {
+			t.Fatalf("r5 holds %d frames and r4's ring %d, want %d and 8", held, in4.r.Len(), batchSize)
+		}
+
+		// dst's handler resumes only once Stop has told dst to exit, so
+		// its ring is still full when the host goroutine ends.
+		go func() {
+			<-dst.done
+			close(stuck)
+		}()
+		n.Stop()
+		n2.Stop()
+		gets, _, puts, rej := pool.Stats()
+		if taken, back := gets-gets0, (puts-puts0)+(rej-rej0); taken != back || taken < sent {
+			t.Fatalf("pool: %d frames taken, %d given back (%d sent on the live chain)", taken, back, sent)
+		}
+	})
 }

@@ -21,15 +21,17 @@
 //
 // # Buffer ownership
 //
-// Frames travel in pooled buffers (internal/pool) with capacity headroom
-// so the per-hop surgery happens in place. Exactly one node owns a
-// frame's buffer at any moment; a successful ring push or fused hand-off
-// transfers ownership to the consuming node. The owner either forwards
-// the frame (ownership moves on), delivers it (the buffer is recycled
-// when the handler returns), or drops it (the buffer is recycled
-// immediately). Frame.Hdr may alias the dead front region of the same
-// buffer — the bytes of already-stripped segments — so header and packet
-// live and die together. See DESIGN.md §7 for the full rules.
+// A packet in flight is one pooled frame object (internal/pool) that
+// carries its buffer, with capacity headroom so the per-hop surgery
+// happens in place; rings, work-lists and batches pass it by pointer.
+// Exactly one node owns a frame at any moment; a successful ring push
+// or fused hand-off transfers ownership to the consuming node. The
+// owner either forwards the frame (ownership moves on), delivers it
+// (the frame is recycled when the handler returns), or drops it (the
+// frame is recycled immediately). A frame's header may alias the dead
+// front region of its own buffer — a link header its sender copied
+// there, or the bytes of already-stripped segments — so header and
+// packet live and die together. See DESIGN.md §7 for the full rules.
 package livenet
 
 import (
@@ -50,47 +52,68 @@ import (
 	"repro/internal/viper"
 )
 
-// Frame is what travels on a link: an optional network header (Ethernet
-// on multi-access hops, nil on point-to-point) and the encoded VIPER
-// packet. Pkt is a pooled buffer owned by whichever node currently holds
-// the frame; Hdr either aliases Pkt's backing array (the stripped bytes
-// of a previous hop's segment) or is a private copy, and is never valid
-// after Pkt is recycled.
-type Frame struct {
-	Hdr []byte // nil or 14-byte Ethernet header
-	Pkt []byte
+// A frame is one packet in flight: what travels on a link, and what a
+// node holds while it decides, delivers or queues it. It is a pooled
+// object that owns its buffer; rings, work-lists, accumulators and
+// batches move it as one pointer, and the node that holds it owns it
+// whole — buffer, views, trace record and arrival tag.
+type frame struct {
+	// pkt is the encoded VIPER packet, a window of buf. hdr is nil or
+	// the link header the packet travels behind (a 14-byte Ethernet
+	// header on multi-access hops); it aliases buf's dead front region
+	// — where the sender copied it, or a stripped segment's bytes — and
+	// is never valid after the frame is recycled.
+	pkt []byte
+	hdr []byte
 
-	// Trace is the packet's hop-level trace record, nil when tracing is
+	// pt is the packet's hop-level trace record, nil when tracing is
 	// off. It shares the frame's ownership rule: the ring push or fused
-	// hand-off that transfers the buffer also transfers the record, so
+	// hand-off that transfers the frame also transfers the record, so
 	// the sender must append its hop BEFORE pushing and never touch the
 	// record after — the happens-before edge of the push (or the one
 	// worker running both ends of a fused link) is what makes appends
 	// safe without a lock.
-	Trace *trace.PacketTrace
+	pt *trace.PacketTrace
 
-	// buf is the full-capacity view of Pkt's pooled backing array. Pkt's
-	// start drifts forward as hops strip segments, so Pkt alone cannot
-	// recover the buffer for recycling; release returns buf to the pool.
-	// nil for frames whose packet bytes are not pool-owned.
+	// buf is the full-capacity view of the frame's backing array. pkt's
+	// start drifts forward as hops strip segments, so pkt alone cannot
+	// name the array; release recycles the frame with buf.
 	buf []byte
-}
 
-// release recycles the frame's pooled buffer, invalidating Pkt and any
-// Hdr that aliases it. Only the frame's owner may call it, once.
-func (f Frame) release() {
-	if f.buf != nil {
-		pool.Put(f.buf)
-	}
-}
-
-// inFrame tags a frame with its arrival port. arrived is the wall-clock
-// ingress stamp for per-hop latency, taken only for traced frames (the
-// untraced path performs no clock reads).
-type inFrame struct {
+	// port is the frame's arrival port at the node holding it, and
+	// arrived its wall-clock arrival stamp for per-hop latency, taken
+	// only for traced frames (the untraced path performs no clock
+	// reads). The consumer sets both as it takes the frame.
 	port    uint8
-	frame   Frame
 	arrived int64
+}
+
+// frames is the free list frames are taken from and recycled to, each
+// with its buffer; it counts into pool.Stats.
+var frames = pool.List[*frame]{New: func(capacity int) *frame {
+	return &frame{buf: make([]byte, 0, capacity)}
+}}
+
+// newFrame takes a frame whose buffer holds at least n bytes after a
+// copy of hdr, which becomes the frame's link header at the buffer's
+// front. It returns the empty rest of the buffer, for the packet.
+func newFrame(hdr []byte, n int) (*frame, []byte) {
+	f := frames.Get(len(hdr) + n)
+	b := f.buf
+	if len(hdr) > 0 {
+		b = append(b, hdr...)
+		f.hdr = b[:len(hdr):len(hdr)]
+		b = b[len(hdr):]
+	}
+	return f, b
+}
+
+// release recycles the frame with its buffer, invalidating pkt and a
+// hdr that aliases it. Only the frame's owner may call it, once.
+func (f *frame) release() {
+	buf := f.buf[:0]
+	*f = frame{buf: buf}
+	frames.Put(f, cap(buf))
 }
 
 // Network owns the nodes and coordinates shutdown. cfg is written once,
@@ -100,10 +123,18 @@ type inFrame struct {
 type Network struct {
 	wg      sync.WaitGroup
 	stopped atomic.Bool
-	nodes   []interface{ close() } // hosts and started workers
+	nodes   []stoppable // hosts and workers
 	cfg     networkConfig
 	w       *worker
 	split   bool // SplitRouters: every router gets a worker of its own
+}
+
+// stoppable is what Stop does to a host or a worker: close signals its
+// goroutine to exit, and shut recycles the frames it still holds once
+// every goroutine of the network has exited.
+type stoppable interface {
+	close()
+	shut()
 }
 
 // networkConfig collects NewNetwork options. The zero value has
@@ -156,9 +187,10 @@ func NewNetwork(opts ...NetworkOption) *Network {
 // under both partitions. Call it before the network's first NewRouter.
 func SplitRouters(n *Network) { n.split = true }
 
-// Stop shuts all nodes down and waits for their goroutines. Frames still
-// handed over between routers are released by their worker on its way
-// out.
+// Stop shuts all nodes down and waits for their goroutines. Once every
+// node has exited it recycles the frames still handed over between
+// routers and the frames still in a receive ring, whose ring it closes,
+// so a later push fails and its sender keeps the frame.
 func (n *Network) Stop() {
 	if n.stopped.Swap(true) {
 		return
@@ -167,6 +199,9 @@ func (n *Network) Stop() {
 		nd.close()
 	}
 	n.wg.Wait()
+	for _, nd := range n.nodes {
+		nd.shut()
+	}
 }
 
 // node is the common plumbing of hosts and routers: ports transmit on
@@ -194,6 +229,13 @@ func newNode(name string, done, bell chan struct{}) *node {
 
 func (nd *node) close() { nd.once.Do(func() { close(nd.done) }) }
 
+// shut closes and empties the node's receive rings; see Network.Stop.
+func (nd *node) shut() {
+	for _, p := range nd.rxPipes() {
+		p.shut()
+	}
+}
+
 // outPipe returns the transmit pipe wired to a port, nil if none.
 func (nd *node) outPipe(port uint8) *pipe {
 	if t := nd.ports.Load(); t != nil && int(port) < len(*t) {
@@ -203,11 +245,10 @@ func (nd *node) outPipe(port uint8) *pipe {
 }
 
 // send transmits one frame on a port, parking while the ring is full,
-// and transfers buffer ownership to the receiving node; it reports
-// false — and the caller keeps ownership — if the port is unknown or
-// either end is shutting down. Hosts use it; routers never park
-// (flushTx).
-func (nd *node) send(port uint8, f Frame) bool {
+// and transfers ownership to the receiving node; it reports false — and
+// the caller keeps ownership — if the port is unknown or either end is
+// shutting down. Hosts use it; routers never park (flushTx).
+func (nd *node) send(port uint8, f *frame) bool {
 	p := nd.outPipe(port)
 	return p != nil && p.push(f, nd.done)
 }
@@ -421,6 +462,7 @@ func (r *Router) TokenCache() *token.Cache { return r.tok.Load().Cache() }
 func (n *Network) newRouter(name string) *Router {
 	if n.w == nil || n.split {
 		n.w = newWorker()
+		n.nodes = append(n.nodes, n.w)
 	}
 	w := n.w
 	r := &Router{node: newNode(name, w.done, w.bell), w: w, sc: newBatchScratch()}
@@ -460,7 +502,6 @@ func (n *Network) NewRouter(name string) *Router {
 	}
 	if w := r.w; !w.started {
 		w.started = true
-		n.nodes = append(n.nodes, w)
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
@@ -570,8 +611,9 @@ func (h *Host) handler(endpoint uint8) func(Delivery) {
 // Packet — with enough headroom for every hop's trailer growth. Every
 // send seals the carried route into the frame itself, with no lock and
 // no state kept per flow, so any goroutine may send. Injection and the
-// frame's whole transit are allocation-free in steady state for routes
-// whose first hop has no link header (TestSendAllocs).
+// frame's whole transit are allocation-free in steady state, a first
+// hop's link header included: it is copied into the frame's own buffer
+// (TestSendAllocs).
 func (h *Host) Send(route []viper.Segment, data []byte) error {
 	return h.SendFrom(viper.PortLocal, route, data)
 }
@@ -589,21 +631,19 @@ func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) erro
 	own := &route[0]
 	rest := route[1:]
 	headerLen := routeWireLen(rest)
-	buf := pool.Get(headerLen + tailLen(len(data), own.Priority) + frameHeadroom(len(rest), headerLen))
+	// The first hop's link header is copied to the front of the frame's
+	// buffer, not aliased: the first-hop router swaps it in place, and
+	// the caller's route must not be scribbled on.
+	f, buf := newFrame(own.PortInfo, headerLen+tailLen(len(data), own.Priority)+frameHeadroom(len(rest), headerLen))
 	b, err := appendRoute(buf, rest)
 	if err == nil {
 		b, err = appendTail(b, data, endpoint, own.Priority)
 	}
 	if err != nil {
-		pool.Put(buf)
+		f.release()
 		return err
 	}
-	f := Frame{Pkt: b, buf: b[:0]}
-	if len(own.PortInfo) > 0 {
-		// Copied, not aliased: the first-hop router swaps the header in
-		// place, and the caller's route must not be scribbled on.
-		f.Hdr = append([]byte(nil), own.PortInfo...)
-	}
+	f.pkt = b
 	return h.inject(own.Port, f, trace.Start(h.netw.cfg.tracer, data))
 }
 
@@ -620,27 +660,27 @@ func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) erro
 // is recorded under the same cluster-wide trace ID it left the previous
 // process with; a zero ctx injects untraced.
 func (h *Host) SendRawTraced(ifPort uint8, pkt []byte, ctx trace.Context) error {
-	buf := pool.Get(len(pkt) + frameHeadroom(4, len(pkt)))
-	buf = append(buf, pkt...)
+	f, buf := newFrame(nil, len(pkt)+frameHeadroom(4, len(pkt)))
+	f.pkt = append(buf, pkt...)
 	var pt *trace.PacketTrace
 	if ctx.Valid() {
 		pt = trace.Resume(h.netw.cfg.tracer, ctx)
 	}
-	return h.inject(ifPort, Frame{Pkt: buf, buf: buf[:0]}, pt)
+	return h.inject(ifPort, f, pt)
 }
 
 // inject transmits a frame this host originated, with pt (nil when
 // untraced) as its record. The origin hop is appended before the send —
-// ownership of the record transfers with the frame (see Frame.Trace). A
+// ownership of the record transfers with the frame (see frame.pt). A
 // failed send ends the record with a DropTxError hop and recycles the
-// buffer.
-func (h *Host) inject(port uint8, f Frame, pt *trace.PacketTrace) error {
+// frame.
+func (h *Host) inject(port uint8, f *frame, pt *trace.PacketTrace) error {
 	if pt != nil {
 		pt.Add(trace.HopEvent{
 			Node: h.name, OutPort: port, Action: trace.ActionForward,
 			At: clock.Wall.NowNanos(),
 		})
-		f.Trace = pt
+		f.pt = pt
 	}
 	if h.send(port, f) {
 		return nil
@@ -658,15 +698,15 @@ func (h *Host) inject(port uint8, f Frame, pt *trace.PacketTrace) error {
 
 // closeReceive ends a traced frame's record at this host; action is
 // ActionLocal on delivery, ActionDrop with a reason otherwise.
-func (h *Host) closeReceive(inf inFrame, action trace.Action, reason stats.DropReason) {
-	pt := inf.frame.Trace
+func (h *Host) closeReceive(f *frame, action trace.Action, reason stats.DropReason) {
+	pt := f.pt
 	if pt == nil {
 		return
 	}
 	now := clock.Wall.NowNanos()
 	pt.Add(trace.HopEvent{
-		Node: h.name, InPort: inf.port, Action: action, Reason: reason,
-		At: now, LatencyNs: now - inf.arrived,
+		Node: h.name, InPort: f.port, Action: action, Reason: reason,
+		At: now, LatencyNs: now - f.arrived,
 	})
 	pt.Done()
 }
@@ -687,27 +727,27 @@ func (h *Host) recordDrop(port uint8, reason stats.DropReason) {
 	}
 }
 
-func (h *Host) receive(inf inFrame) {
+func (h *Host) receive(f *frame) {
 	var inInfo []byte
-	if inf.frame.Hdr != nil && ethernet.SwapInPlace(inf.frame.Hdr) == nil {
+	if f.hdr != nil && ethernet.SwapInPlace(f.hdr) == nil {
 		// The frame — header included — is ours until the handler
 		// returns, so the swap happens in place; DecodeDelivery copies
 		// the swapped header into the return route.
-		inInfo = inf.frame.Hdr
+		inInfo = f.hdr
 	}
-	seg, data, ret, err := viper.DecodeDelivery(inf.frame.Pkt, inf.port, inInfo)
+	seg, data, ret, err := viper.DecodeDelivery(f.pkt, f.port, inInfo)
 	if err != nil {
-		h.closeReceive(inf, trace.ActionDrop, stats.DropNotSirpent)
-		h.recordDrop(inf.port, stats.DropNotSirpent)
-		inf.frame.release()
+		h.closeReceive(f, trace.ActionDrop, stats.DropNotSirpent)
+		h.recordDrop(f.port, stats.DropNotSirpent)
+		f.release()
 		return
 	}
 	if fn := h.handler(seg.Port); fn != nil {
-		h.closeReceive(inf, trace.ActionLocal, 0)
+		h.closeReceive(f, trace.ActionLocal, 0)
 		fn(Delivery{Data: data, ReturnRoute: ret, Endpoint: seg.Port})
 	} else {
-		h.closeReceive(inf, trace.ActionDrop, stats.DropBadPort)
-		h.recordDrop(inf.port, stats.DropBadPort)
+		h.closeReceive(f, trace.ActionDrop, stats.DropBadPort)
+		h.recordDrop(f.port, stats.DropBadPort)
 	}
-	inf.frame.release()
+	f.release()
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ledger"
-	"repro/internal/pool"
 	"repro/internal/token"
 	"repro/internal/trace"
 	"repro/internal/viper"
@@ -17,9 +16,9 @@ import (
 // the data and the origin trailer straight into a pooled buffer on
 // every packet. In steady state — pool warmed, each frame recycled
 // before the next send — injection and transit allocate nothing, for
-// one route and for a host alternating two routes. (A first hop with a
-// link header still copies the header per packet; these routes have
-// none.)
+// one route, for a host alternating two routes, and for a first hop
+// with a 14-byte Ethernet header, which is copied into the frame's own
+// buffer.
 func TestSendAllocs(t *testing.T) {
 	n := NewNetwork()
 	defer n.Stop()
@@ -42,6 +41,11 @@ func TestSendAllocs(t *testing.T) {
 		{Port: 2, Flags: viper.FlagVNT, Priority: 3, PortToken: []byte("opaque")},
 		{Port: viper.PortLocal},
 	}
+	eth := []viper.Segment{
+		{Port: 1, PortInfo: hopHdrTemplate},
+		{Port: 2, Flags: viper.FlagVNT},
+		{Port: viper.PortLocal},
+	}
 	payload := []byte("alloc-pinned-payload")
 
 	for _, tc := range []struct {
@@ -50,6 +54,7 @@ func TestSendAllocs(t *testing.T) {
 	}{
 		{"one route", [][]viper.Segment{a}},
 		{"two routes alternating", [][]viper.Segment{a, b}},
+		{"ethernet first hop", [][]viper.Segment{eth}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// One packet in flight at a time: waiting for the delivery
@@ -233,8 +238,9 @@ func chainDelivery(t *testing.T, tokened int, fill byte) []byte {
 // receiveCopy drives a pooled copy of pkt straight into h's receive
 // step, as if it arrived on port 1.
 func receiveCopy(h *Host, pkt []byte) {
-	buf := append(pool.Get(len(pkt)), pkt...)
-	h.receive(inFrame{port: 1, frame: Frame{Pkt: buf, buf: buf[:0]}})
+	f, buf := newFrame(nil, len(pkt))
+	f.pkt, f.port = append(buf, pkt...), 1
+	h.receive(f)
 }
 
 // TestSendRaw checks the encapsulation-gateway injection half: bytes

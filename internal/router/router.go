@@ -613,7 +613,9 @@ func (r *Router) returnSegment(arr *netsim.Arrival, seg viper.Segment) viper.Seg
 	if arr.Hdr != nil {
 		portInfo = arr.Hdr.Swapped().Encode()
 	}
-	return dataplane.ReturnSegment(arr.In.ID, &seg, portInfo, dataplane.ReverseUnknown, r.tok.Cache(), true)
+	var ret viper.Segment
+	dataplane.ReturnSegment(&ret, arr.In.ID, &seg, portInfo, dataplane.ReverseUnknown, r.tok.Cache(), true)
+	return ret
 }
 
 func (r *Router) fanout(arr *netsim.Arrival, seg viper.Segment, members []uint8) {

@@ -7,13 +7,14 @@
 // network no router holds enough state to answer that after the fact.
 //
 // The design is packet-centric: a *PacketTrace rides with the packet
-// (in netsim.Transmission, in livenet.Frame) and each node appends one
-// HopEvent per action — forward (cut-through or store-and-forward),
-// local delivery, drop with a stats.DropReason, preemption, blocking,
-// or in-flight loss. When the packet's story ends the record is handed
-// to the Tracer that began it: a Recorder retains whole records for
-// per-hop tables, a Metrics folds them into aggregate counters,
-// latency histograms and drop-reason buckets for export.
+// (in netsim.Transmission, in livenet's pooled frame object) and each
+// node appends one HopEvent per action — forward (cut-through or
+// store-and-forward), local delivery, drop with a stats.DropReason,
+// preemption, blocking, or in-flight loss. When the packet's story
+// ends the record is handed to the Tracer that began it: a Recorder
+// retains whole records for per-hop tables, a Metrics folds them into
+// aggregate counters, latency histograms and drop-reason buckets for
+// export.
 //
 // # The nil-Tracer zero-overhead contract
 //

@@ -350,7 +350,7 @@ func splitTrailer(b []byte) (n int, truncated bool, rest []byte, err error) {
 // mirrors Encode's, so any packet Decode accepts can be re-encoded:
 // without it a 49-segment route would decode but fail Encode.
 func nextHeader(b []byte, i int, copyFields bool) (s Segment, rest []byte, more bool, err error) {
-	if s, rest, err = decodeSegment(b, copyFields); err != nil {
+	if rest, err = decodeSegment(&s, b, copyFields); err != nil {
 		return Segment{}, nil, false, err
 	}
 	if !s.Continues() {

@@ -256,39 +256,49 @@ func appendField(b []byte, lenByte byte, field []byte) []byte {
 // returns it along with the remaining bytes. The segment's variable fields
 // are defensive copies; callers that cannot afford the copies and can
 // bound the fields' lifetime use DecodeSegmentNoCopy.
-func DecodeSegment(b []byte) (Segment, []byte, error) {
-	return decodeSegment(b, true)
+func DecodeSegment(b []byte) (s Segment, rest []byte, err error) {
+	if rest, err = decodeSegment(&s, b, true); err != nil {
+		return Segment{}, nil, err
+	}
+	return s, rest, nil
 }
 
 // DecodeSegmentNoCopy is DecodeSegment without the defensive field copies:
 // the returned segment's PortToken and PortInfo alias b. It exists for the
 // forwarding fast path, where the segment is consumed before the buffer is
 // reused; callers must not retain the fields past the lifetime of b.
-func DecodeSegmentNoCopy(b []byte) (Segment, []byte, error) {
-	return decodeSegment(b, false)
-}
-
-func decodeSegment(b []byte, copyFields bool) (Segment, []byte, error) {
-	if len(b) < 4 {
-		return Segment{}, nil, ErrTruncatedSegment
-	}
-	pil, ptl := b[0], b[1]
-	s := Segment{
-		Port:     b[2],
-		Flags:    Flags(b[3]>>4) & flagsMask,
-		Priority: Priority(b[3] & 0xF),
-	}
-	rest := b[4:]
-	var err error
-	s.PortToken, rest, err = decodeField(rest, ptl, copyFields)
-	if err != nil {
-		return Segment{}, nil, err
-	}
-	s.PortInfo, rest, err = decodeField(rest, pil, copyFields)
-	if err != nil {
+func DecodeSegmentNoCopy(b []byte) (s Segment, rest []byte, err error) {
+	if rest, err = decodeSegment(&s, b, false); err != nil {
 		return Segment{}, nil, err
 	}
 	return s, rest, nil
+}
+
+// DecodeSegmentInto is DecodeSegmentNoCopy writing the segment into *s
+// in place, for a caller that keeps it in a slot of its own (the batch
+// kernel's). On success every field of *s is written; on error *s is
+// undefined.
+func DecodeSegmentInto(s *Segment, b []byte) ([]byte, error) {
+	return decodeSegment(s, b, false)
+}
+
+func decodeSegment(s *Segment, b []byte, copyFields bool) ([]byte, error) {
+	if len(b) < 4 {
+		return nil, ErrTruncatedSegment
+	}
+	pil, ptl := b[0], b[1]
+	s.Port = b[2]
+	s.Flags = Flags(b[3]>>4) & flagsMask
+	s.Priority = Priority(b[3] & 0xF)
+	rest := b[4:]
+	var err error
+	if s.PortToken, rest, err = decodeField(rest, ptl, copyFields); err != nil {
+		return nil, err
+	}
+	if s.PortInfo, rest, err = decodeField(rest, pil, copyFields); err != nil {
+		return nil, err
+	}
+	return rest, nil
 }
 
 func decodeField(b []byte, lenByte byte, copyField bool) (field, rest []byte, err error) {

@@ -95,12 +95,13 @@ func (ep *Endpoint) send(x transmission) {
 	}
 }
 
-func (ep *Endpoint) serve(key groupKey, data []byte, _ path) {
+func (ep *Endpoint) serve(key groupKey, data []byte, ret path) path {
 	var resp []byte
 	if ep.handler != nil {
 		resp = ep.handler(key.client, data)
 	}
 	ep.m.respond(key, data, resp)
+	return ret
 }
 
 func (ep *Endpoint) finish(c *call, data []byte, err error) {

@@ -110,8 +110,10 @@ type driver interface {
 	send(x transmission) // paced by PacingGap, each packet stamped as it leaves
 	// serve hands a complete request to the handler, which borrows data
 	// from internal/pool; the driver calls respond with the request and
-	// the answer, in the same step or later, or release once closed.
-	serve(key groupKey, data []byte, ret path)
+	// the answer, in the same step or later, or release once closed. It
+	// returns the form of ret the machine sends the request's ack and
+	// response along: ret itself, or ret decoded once for all three.
+	serve(key groupKey, data []byte, ret path) path
 	// finish ends c, once per call, with its response or err. The
 	// response reassembly buffer, c.resp.data, comes from internal/pool
 	// (also on failure, when partly filled): the driver decides whether
@@ -597,14 +599,17 @@ func (m *machine) onRequest(p *Packet, ret path) {
 	default:
 		g.served = true
 		m.stop(&g.t)
-		data, ret, ack := g.data, g.ret, m.ackFor(g)
+		data, ack := g.data, m.ackFor(g)
 		g.data = nil // lent to the handler; the group is only a marker
 		// A synchronous answer recycles g, so nothing reads it after.
-		m.out.serve(key, data, ret)
+		ret = m.out.serve(key, data, ret)
 		if _, answered := m.cache[key]; !answered {
 			// The full-group ack means "received, response pending": the
 			// client stops retransmitting data the moment it arrives. A
-			// response ready in this same step makes it redundant.
+			// response ready in this same step makes it redundant. The
+			// response goes along the route the handler saw, unless a
+			// later copy of the request brings a fresher one.
+			g.ret = ret
 			m.st.AcksSent++
 			m.sendOne(ret, ack)
 		}

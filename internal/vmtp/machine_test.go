@@ -167,8 +167,9 @@ func (n *fakeNet) send(x transmission) {
 	n.sent = append(n.sent, x)
 }
 
-func (n *fakeNet) serve(key groupKey, data []byte, _ path) {
+func (n *fakeNet) serve(key groupKey, data []byte, ret path) path {
 	n.pending = append(n.pending, unanswered{key, data})
+	return ret
 }
 
 func (n *fakeNet) finish(c *call, _ []byte, _ error) {

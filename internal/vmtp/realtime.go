@@ -75,10 +75,11 @@ type RT struct {
 	stats   Stats
 	out     []transmission // sends the current step queued
 	fin     []completion   // completions the current step queued
+	served  []job          // requests the current step served
 	free    []*call        // finished calls, ready for reuse
-	idle    int            // handler workers parked on jobs
 
-	spares [spareScratch]atomic.Pointer[[]viper.Segment] // flush scratch, taken without mu
+	idle   atomic.Int32                                  // handler workers parked on jobs
+	spares [spareScratch]atomic.Pointer[[]viper.Segment] // route scratch, taken without mu
 	jobs   chan job                                      // unbuffered: a send succeeds only to a parked worker
 	done   chan struct{}
 	wg     sync.WaitGroup
@@ -95,12 +96,17 @@ type completion struct {
 }
 
 // A job is one served request on its way to a handler worker, with the
-// handler installed when it was served.
+// handler installed when it was served and the request's return route
+// as segments. A route that came as a viper.Route is decoded once, into
+// scratch the job owns: the step's flush sends the ack along it before
+// it hands the job on, and the worker lends it to the handler and sends
+// the response along it before it puts the scratch back.
 type job struct {
-	h    RTHandler
-	key  groupKey
-	data []byte
-	ret  path
+	h       RTHandler
+	key     groupKey
+	data    []byte
+	ret     []viper.Segment
+	scratch *[]viper.Segment // ret's storage when decoded; nil otherwise
 }
 
 // NewRT creates a real-time VMTP entity with identifier id over the
@@ -253,8 +259,9 @@ func (rt *RT) Deliver(data []byte, ret []viper.Segment) { rt.deliver(data, path{
 
 // DeliverRoute is Deliver with the return route as a delivery carries
 // it (livenet's Delivery.ReturnRoute): the machine keeps the Route, and
-// decodes it into scratch of its own each time it sends along it or
-// hands it to the handler, so a request allocates no segment slice.
+// decodes it into scratch of its own once when it serves the request —
+// for the handler, the ack and the response — and otherwise each time
+// it sends along it, so a request allocates no segment slice.
 func (rt *RT) DeliverRoute(data []byte, ret viper.Route) { rt.deliver(data, path{wire: ret}) }
 
 func (rt *RT) deliver(data []byte, ret path) {
@@ -294,10 +301,11 @@ type wirePacket struct {
 }
 
 // A flush decodes the Routes it sends along into scratch it takes from
-// RT.spares and puts back after its last Send. spareScratch bounds the
-// slices kept: one per flush running at once, the host's and each
-// worker's, in the usual case; a flush that finds none makes one.
-const spareScratch = maxIdleWorkers
+// RT.spares and puts back after its last Send, and a served request's
+// job holds one until its response is sent. spareScratch bounds the
+// slices kept: one per flush or request in progress at once, in the
+// usual case; a taker that finds none makes one.
+const spareScratch = 2 * maxIdleWorkers
 
 // takeScratch returns a spare segment slice, or a new one.
 func (rt *RT) takeScratch() *[]viper.Segment {
@@ -326,11 +334,14 @@ func (rt *RT) putScratch(s *[]viper.Segment) {
 // once the lock is gone and Start's data is free as soon as done runs.
 // Then it releases mu, hands the packets to the carrier, decoding a
 // Route path once per transmission into spare scratch, recycles the
-// buffer and the scratch after the last Send, and runs the completions
-// the step queued.
+// buffer and the scratch after the last Send, hands the requests the
+// step served to handler workers, and runs the completions the step
+// queued. A served request's ack goes out before its handler starts,
+// so the two never read the job's route at once.
 func (rt *RT) unlockAndFlush() {
 	var wstack [MaxGroupPackets + 1]wirePacket
 	var fstack [4]completion
+	var jstack [1]job
 	wire := wstack[:0]
 	var buf []byte
 	if len(rt.out) > 0 {
@@ -363,6 +374,9 @@ func (rt *RT) unlockAndFlush() {
 	fins := append(fstack[:0], rt.fin...)
 	clear(rt.fin)
 	rt.fin = rt.fin[:0]
+	jobs := append(jstack[:0], rt.served...)
+	clear(rt.served)
+	rt.served = rt.served[:0]
 	rt.mu.Unlock()
 
 	start := 0
@@ -387,6 +401,9 @@ func (rt *RT) unlockAndFlush() {
 	if scratch != nil {
 		rt.putScratch(scratch)
 	}
+	for _, j := range jobs {
+		rt.dispatch(j)
+	}
 	for _, f := range fins {
 		f.done(f.data, f.err)
 		if f.buf != nil {
@@ -399,14 +416,27 @@ func (rt *RT) unlockAndFlush() {
 
 func (rt *RT) send(x transmission) { rt.out = append(rt.out, x) }
 
-// serve hands the request to a parked handler worker, or starts a
-// worker when none is parked, so blocked handlers never hold up
-// another request.
-func (rt *RT) serve(key groupKey, data []byte, ret path) {
-	j := job{h: rt.handler, key: key, data: data, ret: ret}
+// serve queues the request's job for the step's flush to dispatch,
+// decoding a Route return path into the job's scratch, and returns the
+// segments as the path the ack and the response go along.
+func (rt *RT) serve(key groupKey, data []byte, ret path) path {
+	j := job{h: rt.handler, key: key, data: data, ret: ret.segs}
+	if len(j.ret) == 0 {
+		j.scratch = rt.takeScratch()
+		j.ret = ret.segments(j.scratch)
+	}
+	rt.served = append(rt.served, j)
+	return path{segs: j.ret}
+}
+
+// dispatch hands a served request to a parked handler worker, or
+// starts a worker when none is parked, so blocked handlers never hold
+// up another request. It runs in the serving step's flush, which holds
+// the endpoint's wait group, so Close waits for the worker too.
+func (rt *RT) dispatch(j job) {
 	select {
 	case rt.jobs <- j:
-		rt.idle--
+		rt.idle.Add(-1)
 	default:
 		rt.wg.Add(1)
 		go rt.worker(j)
@@ -423,31 +453,31 @@ func (rt *RT) finish(c *call, data []byte, err error) {
 }
 
 // worker is a handler worker: it runs j's handler and hands the answer
-// back to the machine, then parks for the next job serve hands it. It
-// exits instead when maxIdleWorkers are already parked, and on Close.
-// A Route path is decoded into the worker's own scratch, which the
-// handler borrows.
+// back to the machine, then parks for the next job dispatch hands it.
+// It exits instead when maxIdleWorkers are already parked, and on
+// Close. The handler borrows the job's route, and the response goes
+// along it; the job's scratch is put back once that flush is done.
 func (rt *RT) worker(j job) {
 	defer rt.wg.Done()
-	var scratch []viper.Segment
 	for {
 		var resp []byte
 		if j.h != nil {
-			scratch = scratch[:0]
-			resp = j.h(j.key.client, j.data, j.ret.segments(&scratch))
-			clear(scratch)
+			resp = j.h(j.key.client, j.data, j.ret)
 		}
 		rt.mu.Lock()
-		park := !rt.closed && rt.idle < maxIdleWorkers
+		park := !rt.closed && rt.idle.Load() < maxIdleWorkers
 		if rt.closed {
 			release(j.data, resp)
 		} else {
 			rt.m.respond(j.key, j.data, resp)
 		}
 		if park {
-			rt.idle++
+			rt.idle.Add(1)
 		}
 		rt.unlockAndFlush()
+		if j.scratch != nil {
+			rt.putScratch(j.scratch)
+		}
 		if !park {
 			return
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -261,10 +262,7 @@ func TestRTServeWorkers(t *testing.T) {
 		}
 	}
 	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= base+maxIdleWorkers })
-	server.mu.Lock()
-	idle := server.idle
-	server.mu.Unlock()
-	if idle > maxIdleWorkers {
+	if idle := server.idle.Load(); idle > maxIdleWorkers {
 		t.Fatalf("%d workers parked after the burst, want at most %d", idle, maxIdleWorkers)
 	}
 
@@ -455,8 +453,8 @@ func TestRTCallAllocs(t *testing.T) {
 // 256-byte echo whose requests arrive with their return route as a
 // viper.Route of four tokened hops, as livenet delivers it. It costs
 // the 2 allocations TestRTCallAllocs' echo costs over Deliver: the
-// server decodes the Route into scratch for the handler and for each
-// send, its ack and its response, and allocates no []viper.Segment.
+// server decodes the Route once into scratch, for the handler, its ack
+// and its response, and allocates no []viper.Segment.
 // The handler's ret and every route the server sends along are the
 // segments the Route holds.
 func TestRTDeliverRouteAllocs(t *testing.T) {
@@ -508,6 +506,80 @@ func TestRTDeliverRouteAllocs(t *testing.T) {
 	}
 	if s := server.Stats(); s.AcksSent == 0 {
 		t.Fatal("the server sent no ack along the Route")
+	}
+}
+
+// TestRTServedRouteDecodedOnce pins that a served request's return
+// route, delivered as a viper.Route, is decoded once per request group:
+// the handler's ret, the route the ack goes along and the route the
+// response goes along are the same segments, in the same backing array,
+// and equal to the Route's decode.
+func TestRTServedRouteDecodedOnce(t *testing.T) {
+	ret := deliveredRoute(t, 4)
+	want := ret.Segments(nil)
+	route := []viper.Segment{{Port: 1}}
+	// Each sees a borrowed slice, so the log keeps a copy of its
+	// segments and the address of its first.
+	type seen struct {
+		what string
+		segs []viper.Segment
+		at   *viper.Segment
+	}
+	var mu sync.Mutex
+	var log []seen
+	record := func(what string, segs []viper.Segment) {
+		mu.Lock()
+		log = append(log, seen{what, slices.Clone(segs), &segs[0]})
+		mu.Unlock()
+	}
+	var client, server *RT
+	client = NewRT(1, CarrierFunc(func(_ []viper.Segment, pkt []byte) error {
+		server.DeliverRoute(pkt, ret)
+		return nil
+	}), RTConfig{})
+	server = NewRT(2, CarrierFunc(func(r []viper.Segment, pkt []byte) error {
+		p, err := Decode(pkt)
+		if err != nil {
+			t.Error(err)
+		}
+		record(p.Kind.String(), r)
+		client.Deliver(pkt, route)
+		return nil
+	}), RTConfig{})
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	server.SetHandler(func(_ uint64, data []byte, r []viper.Segment) []byte {
+		record("handler", r)
+		return data
+	})
+	if _, err := client.Call(2, route, []byte("decode once")); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// A retransmitted request, on a slow run, is acked along its own
+	// Route; the first ack is the one the served request sends.
+	var kinds []string
+	first := map[string]seen{}
+	for _, s := range log {
+		kinds = append(kinds, s.what)
+		if _, ok := first[s.what]; !ok {
+			first[s.what] = s
+		}
+	}
+	for _, what := range []string{"ack", "handler", "response"} {
+		s, ok := first[what]
+		if !ok {
+			t.Fatalf("server saw %v, want an ack, the handler and a response", kinds)
+		}
+		if !slices.EqualFunc(s.segs, want, func(a, b viper.Segment) bool { return a.Equal(&b) }) {
+			t.Fatalf("%s route %v, want the Route's segments %v", what, s.segs, want)
+		}
+		if s.at != first["handler"].at {
+			t.Fatalf("the handler and the %s see separate decodes of the Route (sequence %v)", what, kinds)
+		}
 	}
 }
 
