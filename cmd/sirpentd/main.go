@@ -1,21 +1,20 @@
 // Command sirpentd is the Sirpent daemon. It has five roles, selected
 // by subcommand:
 //
-//	sirpentd run     [-clients N] [-requests N] [-metrics :8080] [-hold 1m]
+//	sirpentd run
 //	sirpentd dir     [-addr 127.0.0.1:0] [-seed N] [-peers N]
 //	sirpentd peer    [-index I] [-peers N] [-seed N] [-dir URL] [-udp 127.0.0.1:0]
 //	                 [-settle 30s] [-failover-link L]
-//	                 [-gateway] [-gateway-listen 127.0.0.1:0]
+//	                 [-gateway] [-gateway-listen 127.0.0.1:0] [-debug ADDR]
 //	sirpentd gateway [-listen 127.0.0.1:1080] [-hops N]
 //	sirpentd report  [-dir URL]
 //
-// `run` is the single-process demo: a livenet network whose routers
-// share one forwarding worker and whose hosts each run a goroutine,
-// with ring links between hosts and routers; each hop performs the
-// §6.2 software-router byte surgery on real wire bytes, driving
-// concurrent request/response transactions through a token-guarded
-// two-router backbone. For compatibility, invoking sirpentd with bare
-// flags (`sirpentd -clients 4`) is an alias for `run`.
+// `run` (the default) is a cluster of one: daemon.RunCluster with a
+// single in-process peer, which fetches its routes and tokens from a
+// directory served in the same process, pushes the seeded workload
+// through its token-guarded livenet routers, and is judged by the
+// cluster verdict, including parity with the single-process run of the
+// same seed. It prints the merged report and the PASS line, or fails.
 //
 // `dir` serves the internetwork directory (§3) as a network service:
 // peers register their UDP socket addresses with it, discover each
@@ -38,7 +37,10 @@
 // deliveries, router, tunnel and relay counters, trace spans,
 // flight-recorder anomalies — to the directory every 500 ms and a
 // final one after its drain barrier; GET /debug/cluster serves each
-// peer's latest with the merged stages.
+// peer's latest with the merged stages. With -debug ADDR the peer also
+// serves /healthz, /debug/vars, /debug/ledger, /debug/flightrec and
+// /debug/pprof/ until it exits, and advertises the URL in its
+// registration.
 //
 // `report` fetches that merged view from a running cluster's directory
 // and renders the per-peer, per-stage, per-tunnel and billing tables.
@@ -58,7 +60,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"repro/internal/daemon"
@@ -68,15 +69,13 @@ import (
 func main() {
 	args := os.Args[1:]
 	sub := "run"
-	// Bare flags alias `run`, keeping historical invocations working.
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		sub = args[0]
-		args = args[1:]
+	if len(args) > 0 {
+		sub, args = args[0], args[1:]
 	}
 	var err error
 	switch sub {
 	case "run":
-		err = runCmd(args)
+		err = runOne(args)
 	case "dir":
 		err = dirCmd(args)
 	case "peer":
@@ -85,7 +84,7 @@ func main() {
 		err = gatewayCmd(args)
 	case "report":
 		err = reportCmd(args)
-	case "help":
+	case "help", "-h", "-help", "--help":
 		usage(os.Stdout)
 	default:
 		fmt.Fprintf(os.Stderr, "sirpentd: unknown subcommand %q\n\n", sub)
@@ -101,7 +100,7 @@ func main() {
 func usage(w *os.File) {
 	fmt.Fprintln(w, `usage: sirpentd [run|dir|peer|gateway|report] [flags]
 
-  run      single-process demo workload (default; bare flags alias this role)
+  run      a cluster of one: directory and one peer in this process, judged (default)
   dir      serve the directory service for a cluster
   peer     join a cluster as one partition of the scenario
   gateway  serve a SOCKS5 proxy whose streams ride a token-guarded Sirpent chain
@@ -110,21 +109,20 @@ func usage(w *os.File) {
 Run 'sirpentd <role> -h' for the role's flags.`)
 }
 
-func runCmd(args []string) error {
-	fs := flag.NewFlagSet("sirpentd run", flag.ExitOnError)
-	clients := fs.Int("clients", 4, "concurrent client hosts")
-	requests := fs.Int("requests", 100, "transactions per client")
-	metrics := fs.String("metrics", "", "serve metrics, ledger and flight recorder on this address (e.g. :8080)")
-	hold := fs.Duration("hold", 0, "keep serving -metrics this long after the workload finishes")
-	fs.Parse(args)
-	return daemon.Run(daemon.RunConfig{
-		Clients:  *clients,
-		Requests: *requests,
-		Metrics:  *metrics,
-		Hold:     *hold,
-		Out:      os.Stdout,
-		Errout:   os.Stderr,
+func runOne(args []string) error {
+	flag.NewFlagSet("sirpentd run", flag.ExitOnError).Parse(args)
+	cl, pass, err := daemon.RunCluster(daemon.ClusterConfig{
+		Peers: 1,
+		Logf:  func(format string, a ...any) { fmt.Printf(format+"\n", a...) },
 	})
+	if cl != nil {
+		fmt.Print(daemon.FormatCluster(cl))
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Println(pass)
+	return nil
 }
 
 func dirCmd(args []string) error {

@@ -26,7 +26,7 @@ import (
 // plain run, which Verdict also holds to the single-process run of the
 // same seed.
 type ClusterConfig struct {
-	// Peers is the cluster size, at least 2.
+	// Peers is the cluster size, at least 1.
 	Peers int
 	// Seed selects the scenario; 0 picks the first seed that suits the
 	// run (clusterSeed).
@@ -60,8 +60,8 @@ type PeerStarter func(cfg PeerConfig) (wait func() error, err error)
 // whenever the snapshots could be read, even with an error, since its
 // counters localize a fault.
 func RunCluster(cfg ClusterConfig) (*Cluster, string, error) {
-	if cfg.Peers < 2 {
-		return nil, "", fmt.Errorf("daemon: a cluster needs at least 2 peers (got %d)", cfg.Peers)
+	if cfg.Peers < 1 {
+		return nil, "", fmt.Errorf("daemon: a cluster needs at least 1 peer (got %d)", cfg.Peers)
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -213,6 +213,9 @@ func PeerArgs(cfg PeerConfig) []string {
 	if cfg.GatewayListen != "" {
 		args = append(args, "-gateway-listen", cfg.GatewayListen)
 	}
+	if cfg.Debug != "" {
+		args = append(args, "-debug", cfg.Debug)
+	}
 	return args
 }
 
@@ -229,6 +232,7 @@ func parsePeerArgs(args []string) (PeerConfig, error) {
 	failoverLink := fs.Int("failover-link", -1, "failover smoke: flow routes carry in-header alternates, and this global link's tunnel goes down between flow waves (-1 = off)")
 	gw := fs.Bool("gateway", false, "gateway mode: bind SOCKS relays on the scenario's gateway hosts and hold for the cluster run's shutdown latch")
 	gwListen := fs.String("gateway-listen", "127.0.0.1:0", "ingress SOCKS listen address (gateway mode)")
+	debug := fs.String("debug", "", "serve /healthz, /debug/vars, /debug/ledger, /debug/flightrec and /debug/pprof/ on this address until the peer exits (\"\" = off)")
 	fs.Parse(args)
 	if *dir == "" {
 		return PeerConfig{}, fmt.Errorf("peer: -dir is required")
@@ -244,6 +248,7 @@ func parsePeerArgs(args []string) (PeerConfig, error) {
 		BlipLink:      *failoverLink,
 		Gateway:       *gw,
 		GatewayListen: *gwListen,
+		Debug:         *debug,
 	}, nil
 }
 
@@ -275,13 +280,14 @@ func runPeer(cfg PeerConfig) error {
 }
 
 // clusterSeed picks the first seed whose scenario gives every one of n
-// peers a router and crosses the partition, so the run exercises the
-// UDP tunnels rather than one process doing all the work. A failover
-// run also needs a link pickBlipLink accepts.
+// peers a router and, with more than one peer, crosses the partition,
+// so the run exercises the UDP tunnels rather than one process doing
+// all the work. A failover run also needs a link pickBlipLink accepts,
+// which a cluster of one has not.
 func clusterSeed(n int, failover bool) (int64, error) {
 	for seed := int64(1); seed < 1000; seed++ {
 		sc := check.Generate(seed)
-		if sc.NRouters < n || len(check.CrossLinks(sc, n)) == 0 {
+		if sc.NRouters < n || (n > 1 && len(check.CrossLinks(sc, n)) == 0) {
 			continue
 		}
 		if failover {

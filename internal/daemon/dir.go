@@ -1,11 +1,11 @@
 // Package daemon implements sirpentd's roles as library functions, so
-// each role — the legacy single-process demo (`run`), the directory
-// service (`dir`), a UDP cluster peer (`peer`) and the standalone
-// gateway — is a Config struct plus a function, testable without flag
-// parsing. cmd/sirpentd is a thin subcommand dispatcher over this
-// package. RunCluster is the one cluster run — a directory plus N
-// peers, driven and judged — that cmd/sirpent-cluster and the cluster
-// tests both make.
+// each role — the directory service (`dir`), a UDP cluster peer
+// (`peer`, optionally serving a debug mux) and the standalone gateway —
+// is a Config struct plus a function, testable without flag parsing.
+// cmd/sirpentd is a thin subcommand dispatcher over this package.
+// RunCluster is the one cluster run — a directory plus N peers, driven
+// and judged — that `sirpentd run` (N = 1), cmd/sirpent-cluster and the
+// cluster tests all make.
 package daemon
 
 import (

@@ -3,6 +3,7 @@ package daemon
 import (
 	"fmt"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,6 +55,11 @@ type PeerConfig struct {
 	// failover smoke takes down. Both terminating peers match on it, so
 	// the link dies in both directions without coordination.
 	BlipLink int
+	// Debug, when set, serves the peer's debug mux (/healthz,
+	// /debug/vars, /debug/ledger, /debug/flightrec, /debug/pprof/) on
+	// this address from build until Peer returns; the registration
+	// advertises its URL (directory.PeerReg.Debug).
+	Debug string
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -129,6 +135,18 @@ func Peer(cfg PeerConfig) (*Report, error) {
 		routers: ln.Routers,
 		tracer:  tracer,
 		flight:  fr,
+	}
+	var debugURL string
+	if cfg.Debug != "" {
+		dl, err := net.Listen("tcp", cfg.Debug)
+		if err != nil {
+			return nil, fmt.Errorf("daemon: debug listen: %w", err)
+		}
+		srv := &http.Server{Handler: debugMux(ev.ownedLedger, fr)}
+		go srv.Serve(dl)
+		defer srv.Close()
+		debugURL = "http://" + dl.Addr().String()
+		cfg.logf("%s: debug mux on %s", name, debugURL)
 	}
 	for _, li := range check.CrossLinks(sc, cfg.Total) {
 		l := sc.Links[li]
@@ -211,7 +229,7 @@ func Peer(cfg PeerConfig) (*Report, error) {
 			ownedNodes = append(ownedNodes, check.RouterName(ri))
 		}
 	}
-	reg := directory.PeerReg{Name: name, UDPAddr: bridge.Addr().String(), Nodes: ownedNodes}
+	reg := directory.PeerReg{Name: name, UDPAddr: bridge.Addr().String(), Nodes: ownedNodes, Debug: debugURL}
 	if gwIngress != nil {
 		reg.Socks = gwIngress.Addr()
 	}
@@ -431,12 +449,11 @@ type evidence struct {
 func (ev *evidence) snapshot(final bool) *Report {
 	ev.seq++
 	rep := Report{Peer: ev.name, Seq: ev.seq, Final: final, Complete: ev.complete.Load(), Flows: ev.flows.Snapshot()}
-	rep.RouterUsage = make(map[string]map[uint32]token.Usage)
-	for ri, r := range ev.routers {
+	rep.RouterUsage = ev.usage()
+	for _, r := range ev.routers {
 		if r == nil {
 			continue
 		}
-		rep.RouterUsage[check.RouterName(ri)] = r.TokenCache().AccountTotals()
 		s := r.Stats()
 		rep.TokenAuthorized += s.TokenAuthorized
 		rep.Forwarded += s.Forwarded
@@ -474,6 +491,29 @@ func (ev *evidence) snapshot(final bool) *Report {
 	}
 	rep.Flight = evs
 	return &rep
+}
+
+// usage returns each owned router's token-cache totals, by router
+// name.
+func (ev *evidence) usage() map[string]map[uint32]token.Usage {
+	out := make(map[string]map[uint32]token.Usage)
+	for ri, r := range ev.routers {
+		if r != nil {
+			out[check.RouterName(ri)] = r.TokenCache().AccountTotals()
+		}
+	}
+	return out
+}
+
+// ownedLedger is the owned routers' per-account ledger, the /debug/ledger
+// document. It reads the token caches directly rather than taking a
+// snapshot, whose seq belongs to the shipper.
+func (ev *evidence) ownedLedger() ledger.Snapshot {
+	led := ledger.New()
+	for rn, totals := range ev.usage() {
+		led.Record(rn, totals)
+	}
+	return led.Snapshot()
 }
 
 // hexKeys re-keys per-entity RTTs by the entity in hex: JSON object

@@ -34,14 +34,15 @@ import (
 // HMAC, which is what makes cross-process ledger parity checkable.
 
 // PeerReg is one daemon's registration: its name, the UDP address of
-// its udpnet bridge, the topology nodes it hosts, and — when the peer
-// runs a SOCKS ingress gateway — the TCP address clients proxy
-// through.
+// its udpnet bridge, the topology nodes it hosts, when the peer runs
+// a SOCKS ingress gateway the TCP address clients proxy through, and
+// when it serves a debug mux that mux's base URL.
 type PeerReg struct {
 	Name    string   `json:"name"`
 	UDPAddr string   `json:"udp_addr"`
 	Nodes   []string `json:"nodes,omitempty"`
 	Socks   string   `json:"socks,omitempty"`
+	Debug   string   `json:"debug,omitempty"`
 }
 
 // RegisterReply acknowledges a registration with the full peer set

@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"strings"
 	"sync"
@@ -184,11 +183,6 @@ func (fr *FlightRecorder) Snapshot() FlightSnapshot {
 		Overwritten: total - uint64(len(evs)),
 		Events:      evs,
 	}
-}
-
-// Publish registers the recorder under name in expvar.
-func (fr *FlightRecorder) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return fr.Snapshot() }))
 }
 
 // Format renders the retained events as an indented table, newest last —

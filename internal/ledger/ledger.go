@@ -19,12 +19,10 @@
 package ledger
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/stats"
 	"repro/internal/token"
@@ -155,12 +153,6 @@ func (l *Ledger) WriteTable(w io.Writer, title string) {
 	}
 }
 
-// Publish registers the ledger under name in expvar, serialized on each
-// /debug/vars scrape.
-func (l *Ledger) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return l.Snapshot() }))
-}
-
 // Reconcile checks the ledger invariant against a forwarding-plane
 // counter surface (typically the merge of the swept routers' Counters):
 // every token-authorized packet was charged to exactly one account, so
@@ -253,35 +245,4 @@ func (c *Collector) Congestion() []NodeCongestion {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]NodeCongestion(nil), c.latest...)
-}
-
-// Run sweeps every interval on a wall-clock ticker until the returned
-// stop function is called; stop performs a final sweep so the ledger is
-// current when traffic ends. For the event-driven simulator, call
-// Collect directly at virtual-time points instead.
-func (c *Collector) Run(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.Collect()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-			c.Collect()
-		})
-	}
 }

@@ -3,9 +3,7 @@ package ledger
 import (
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/stats"
 	"repro/internal/token"
@@ -94,16 +92,8 @@ func TestReconcile(t *testing.T) {
 func TestCollectorSweepsSources(t *testing.T) {
 	l := New()
 	c := NewCollector(l)
-	var mu sync.Mutex
-	usage := map[uint32]token.Usage{5: {Packets: 1, Bytes: 10}}
 	c.AddAccountSource("R0", func() map[uint32]token.Usage {
-		mu.Lock()
-		defer mu.Unlock()
-		out := make(map[uint32]token.Usage, len(usage))
-		for k, v := range usage {
-			out[k] = v
-		}
-		return out
+		return map[uint32]token.Usage{5: {Packets: 1, Bytes: 10}}
 	})
 	c.AddCongestionSource("R0", func() NodeCongestion {
 		return NodeCongestion{CongestionCounters: CongestionCounters{SignalsReceived: 3}}
@@ -116,19 +106,6 @@ func TestCollectorSweepsSources(t *testing.T) {
 	cong := c.Congestion()
 	if len(cong) != 1 || cong[0].Node != "R0" || cong[0].SignalsReceived != 3 {
 		t.Fatalf("congestion = %+v", cong)
-	}
-
-	// Periodic run: bump the source, let the ticker sweep, stop (which
-	// performs a final sweep).
-	mu.Lock()
-	usage[5] = token.Usage{Packets: 9, Bytes: 90}
-	mu.Unlock()
-	stop := c.Run(time.Millisecond)
-	time.Sleep(5 * time.Millisecond)
-	stop()
-	stop() // idempotent
-	if got := l.Totals()[5]; got != (Entry{Packets: 9, Bytes: 90}) {
-		t.Fatalf("after run, totals = %+v", got)
 	}
 }
 

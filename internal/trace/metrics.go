@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"expvar"
 	"fmt"
 	"sort"
 	"sync"
@@ -13,8 +12,8 @@ import (
 // counters instead of retaining them: total forwarding counters,
 // per-port counters keyed "node:port", a log-scale histogram of
 // per-hop latencies, and cut-through/store-and-forward/preempt/block
-// tallies. It backs the expvar/HTTP endpoint of sirpentd. Safe for
-// concurrent use.
+// tallies. It backs `sirpent-bench -trace`'s hop-latency histogram.
+// Safe for concurrent use.
 type Metrics struct {
 	mu sync.Mutex
 
@@ -182,11 +181,4 @@ func dropMap(c stats.Counters) map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// Publish registers the live Snapshot under name in the process-wide
-// expvar registry (served on /debug/vars by net/http). expvar panics
-// on duplicate names, so call once per process per name.
-func (m *Metrics) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any { return m.Snapshot() }))
 }
