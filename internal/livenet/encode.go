@@ -1,18 +1,13 @@
 package livenet
 
-import (
-	"fmt"
-
-	"repro/internal/viper"
-)
+import "repro/internal/viper"
 
 // This file assembles the packets a host originates. A wire image is
 // the sealed route header, then the data, the mirrored origin trailer
 // segment and the trailer descriptor, all encoded straight into the
 // frame's buffer on every send: a host keeps no state per flow.
 // Neither half materializes a viper.Packet or writes the caller's
-// route: the continuation fixes SealRoute would apply are made on
-// stack copies of each segment.
+// route: viper.AppendSealedRoute seals the route as it encodes it.
 
 // routeWireLen returns the encoded size of the carried route (the
 // sender's own directive already stripped).
@@ -32,35 +27,6 @@ func routeWireLen(route []viper.Segment) int {
 // traffic must not land on the default handler.
 func originTrailer(origin uint8, ownPrio viper.Priority) viper.Segment {
 	return viper.Segment{Port: origin, Priority: ownPrio}
-}
-
-// appendRoute appends the sealed wire form of a carried source route
-// (without the sender's own directive) to buf. route is read, never
-// written: continuation flags are fixed up on per-segment stack copies,
-// exactly as viper.SealRoute would fix them in place.
-func appendRoute(buf []byte, route []viper.Segment) ([]byte, error) {
-	if len(route) == 0 {
-		return nil, fmt.Errorf("livenet: empty route")
-	}
-	if len(route) > viper.MaxRouteSegments {
-		return nil, viper.ErrTooManySegments
-	}
-	var err error
-	for i := range route {
-		seg := route[i] // stack copy: flag fixes must not touch the caller's route
-		if i == len(route)-1 {
-			seg.Flags &^= viper.FlagVNT
-			if seg.Continues() {
-				return nil, fmt.Errorf("livenet: final segment portInfo carries VIPER continuation tag")
-			}
-		} else if !seg.Continues() {
-			seg.Flags |= viper.FlagVNT
-		}
-		if buf, err = viper.AppendSegment(buf, &seg); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
 }
 
 // appendTail appends what follows the route header of an origin

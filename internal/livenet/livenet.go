@@ -635,7 +635,7 @@ func (h *Host) SendFrom(endpoint uint8, route []viper.Segment, data []byte) erro
 	// buffer, not aliased: the first-hop router swaps it in place, and
 	// the caller's route must not be scribbled on.
 	f, buf := newFrame(own.PortInfo, headerLen+tailLen(len(data), own.Priority)+frameHeadroom(len(rest), headerLen))
-	b, err := appendRoute(buf, rest)
+	b, err := viper.AppendSealedRoute(buf, rest)
 	if err == nil {
 		b, err = appendTail(b, data, endpoint, own.Priority)
 	}

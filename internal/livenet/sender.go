@@ -25,7 +25,7 @@ func (h *Host) NewSender(route []viper.Segment, dataLen int) (*Sender, error) {
 	if len(route) == 0 {
 		return nil, fmt.Errorf("livenet: empty route")
 	}
-	if _, err := appendRoute(nil, route[1:]); err != nil {
+	if _, err := viper.AppendSealedRoute(nil, route[1:]); err != nil {
 		return nil, err
 	}
 	own := make([]viper.Segment, len(route))

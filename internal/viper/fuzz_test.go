@@ -63,7 +63,29 @@ func FuzzDecodeSegment(f *testing.F) {
 		if got := seg.WireLen(); got != len(enc) {
 			t.Fatalf("WireLen = %d, canonical encoding is %d bytes", got, len(enc))
 		}
+		// The no-copy path, into a slot holding stale fields, decodes
+		// the same segment, and on both paths an empty field is nil.
+		slot := Segment{PortToken: []byte{1}, PortInfo: []byte{2}}
+		if _, err := DecodeSegmentInto(&slot, b); err != nil {
+			t.Fatalf("DecodeSegmentInto rejects what DecodeSegment accepts: %v", err)
+		}
+		if !slot.Equal(&seg) {
+			t.Fatalf("DecodeSegmentInto = %v, DecodeSegment = %v", &slot, &seg)
+		}
+		assertEmptyFieldsNil(t, &seg, "copying")
+		assertEmptyFieldsNil(t, &slot, "no-copy")
 	})
+}
+
+// assertEmptyFieldsNil fails unless each zero-length field of s is nil.
+func assertEmptyFieldsNil(t *testing.T, s *Segment, path string) {
+	t.Helper()
+	if len(s.PortToken) == 0 && s.PortToken != nil {
+		t.Fatalf("%s decode: empty PortToken is non-nil", path)
+	}
+	if len(s.PortInfo) == 0 && s.PortInfo != nil {
+		t.Fatalf("%s decode: empty PortInfo is non-nil", path)
+	}
 }
 
 func FuzzDecodeSegmentMirrored(f *testing.F) {
@@ -100,6 +122,15 @@ func FuzzDecodeSegmentMirrored(f *testing.F) {
 		if !seg3.Equal(&seg) {
 			t.Fatalf("forward/mirrored asymmetry: %v vs %v", &seg3, &seg)
 		}
+		slot := Segment{PortToken: []byte{1}, PortInfo: []byte{2}}
+		if _, err := decodeSegmentMirrored(&slot, b, false); err != nil {
+			t.Fatalf("no-copy mirrored decode rejects what the copying one accepts: %v", err)
+		}
+		if !slot.Equal(&seg) {
+			t.Fatalf("no-copy mirrored decode = %v, copying = %v", &slot, &seg)
+		}
+		assertEmptyFieldsNil(t, &seg, "copying mirrored")
+		assertEmptyFieldsNil(t, &slot, "no-copy mirrored")
 	})
 }
 
@@ -341,6 +372,105 @@ func FuzzPacketRoundTrip(f *testing.F) {
 		}
 		if pkt2.Truncated != pkt.Truncated {
 			t.Fatalf("truncated flag changed: %v -> %v", pkt.Truncated, pkt2.Truncated)
+		}
+	})
+}
+
+// sealFuzzRoute reads a route of 1 to MaxRouteSegments segments from
+// fuzz input: a count byte, then per segment its port, its flags and
+// priority octet, and two 9-bit field lengths (up to 511 bytes, past
+// the 255 escape) followed by the fields' bytes. Input that runs out
+// reads as zeros.
+func sealFuzzRoute(b []byte) []Segment {
+	next := func() byte {
+		if len(b) == 0 {
+			return 0
+		}
+		c := b[0]
+		b = b[1:]
+		return c
+	}
+	field := func(n int) []byte {
+		if n == 0 {
+			return nil
+		}
+		f := make([]byte, n)
+		b = b[copy(f, b):]
+		return f
+	}
+	route := make([]Segment, 1+int(next())%MaxRouteSegments)
+	for i := range route {
+		s := &route[i]
+		s.Port = next()
+		fp := next()
+		s.Flags, s.Priority = Flags(fp>>4), Priority(fp&0xF)
+		nTok := int(next())<<8 | int(next())
+		nInfo := int(next())<<8 | int(next())
+		s.PortToken = field(nTok & 0x1FF)
+		s.PortInfo = field(nInfo & 0x1FF)
+	}
+	return route
+}
+
+// sealFuzzInput is sealFuzzRoute's inverse, for seeds.
+func sealFuzzInput(route ...Segment) []byte {
+	b := []byte{byte(len(route) - 1)}
+	for i := range route {
+		s := &route[i]
+		b = append(b, s.Port, byte(s.Flags)<<4|byte(s.Priority),
+			byte(len(s.PortToken)>>8), byte(len(s.PortToken)),
+			byte(len(s.PortInfo)>>8), byte(len(s.PortInfo)))
+		b = append(b, s.PortToken...)
+		b = append(b, s.PortInfo...)
+	}
+	return b
+}
+
+// FuzzAppendSealedRoute pins the one-pass seal to its definition:
+// AppendSealedRoute appends exactly the header bytes SealRoute on a
+// copy and then EncodeAppend's header loop produce, or both fail, and
+// the caller's route is left as it was.
+func FuzzAppendSealedRoute(f *testing.F) {
+	tagged := []byte{0xAA, 0xBB, byte(EtherTypeVIPER >> 8), byte(EtherTypeVIPER & 0xFF)}
+	for _, n := range []int{0, 1, 254, 255, 300} {
+		f.Add(sealFuzzInput(Segment{Port: 1, PortToken: make([]byte, n)}, Segment{Port: 2, PortInfo: make([]byte, n)}))
+	}
+	f.Add(sealFuzzInput(Segment{Port: 1}, Segment{Port: 2, Priority: 7}, Segment{Port: PortLocal}))
+	f.Add(sealFuzzInput(Segment{Port: 1, Flags: FlagVNT | FlagDIB}, Segment{Port: 2, Flags: FlagVNT}))
+	f.Add(sealFuzzInput(Segment{Port: 1, PortInfo: tagged}, Segment{Port: 2, Flags: FlagRPF}))
+	f.Add(sealFuzzInput(Segment{Port: 1, Flags: FlagVNT}, Segment{Port: 2, PortInfo: tagged}))
+	f.Add(sealFuzzInput(make([]Segment, MaxRouteSegments)...))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		route := sealFuzzRoute(in)
+		orig := make([]Segment, len(route))
+		for i := range route {
+			orig[i] = route[i].Clone()
+		}
+		prefix := []byte{0xDE, 0xAD}
+		got, errGot := AppendSealedRoute(prefix[:2:2], route)
+
+		var want []byte
+		sealed := make([]Segment, len(orig))
+		for i := range orig {
+			sealed[i] = orig[i].Clone()
+		}
+		errWant := SealRoute(sealed)
+		if errWant == nil {
+			var enc []byte
+			if enc, errWant = (&Packet{Route: sealed}).EncodeAppend(append([]byte(nil), prefix...)); errWant == nil {
+				want = enc[:len(enc)-trailerDescLen]
+			}
+		}
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("AppendSealedRoute err = %v, SealRoute+EncodeAppend err = %v", errGot, errWant)
+		}
+		if errGot == nil && !bytes.Equal(got, want) {
+			t.Fatalf("AppendSealedRoute = %x\nwant                %x", got, want)
+		}
+		for i := range route {
+			if !route[i].Equal(&orig[i]) {
+				t.Fatalf("AppendSealedRoute wrote route[%d]: %v, was %v", i, &route[i], &orig[i])
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package viper
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -147,6 +148,10 @@ func (p *Packet) WireLen() int {
 	return p.HeaderLen() + len(p.Data) + p.Padding + p.TrailerLen()
 }
 
+// errFinalContinues reports a route whose final segment's portInfo
+// carries the VIPER type tag, so no seal can end it.
+var errFinalContinues = errors.New("viper: final segment portInfo carries VIPER continuation tag")
+
 // SealRoute fixes up continuation marking on a route so it decodes
 // unambiguously: every segment but the last must declare that another
 // segment follows (VNT for segments whose portInfo carries no type tag),
@@ -159,13 +164,51 @@ func SealRoute(route []Segment) error {
 		if last {
 			route[i].Flags &^= FlagVNT
 			if route[i].Continues() {
-				return fmt.Errorf("viper: final segment portInfo carries VIPER continuation tag")
+				return errFinalContinues
 			}
 		} else if !route[i].Continues() {
 			route[i].Flags |= FlagVNT
 		}
 	}
 	return nil
+}
+
+// AppendSealedRoute appends the header encoding of route, sealed, to b:
+// the bytes SealRoute on a copy of route and then EncodeAppend's
+// header loop would produce, in one pass. route is read, never
+// written: each segment's continuation fix is made on its flags as
+// they are encoded. A segment with neither field is written as its
+// four fixed bytes inline. It is a sending host's per-packet seal.
+func AppendSealedRoute(b []byte, route []Segment) ([]byte, error) {
+	if len(route) == 0 {
+		return nil, fmt.Errorf("viper: cannot encode packet with empty route")
+	}
+	if len(route) > MaxRouteSegments {
+		return nil, ErrTooManySegments
+	}
+	last := len(route) - 1
+	for i := range route {
+		s := &route[i]
+		flags := s.Flags | FlagVNT
+		if i == last {
+			flags = s.Flags &^ FlagVNT
+		}
+		if len(s.PortToken)|len(s.PortInfo) == 0 {
+			b = append(b, 0, 0, s.Port, fixedByte(flags, s.Priority))
+			continue
+		}
+		if tagsVIPER(s.PortInfo) {
+			if i == last {
+				return nil, errFinalContinues
+			}
+			flags = s.Flags
+		}
+		var err error
+		if b, err = appendSegmentFields(b, s, flags); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // Encode serializes the packet: forward segments, data, padding, mirrored
@@ -246,11 +289,11 @@ func Decode(b []byte) (*Packet, error) {
 		}
 	}
 	for more := true; more; {
-		var s Segment
-		if s, rest, more, err = nextHeader(rest, len(p.Route), true); err != nil {
+		p.Route = append(p.Route, Segment{})
+		i := len(p.Route) - 1
+		if rest, more, err = nextHeader(&p.Route[i], rest, i, true); err != nil {
 			return nil, err
 		}
-		p.Route = append(p.Route, s)
 	}
 	p.Data = rest
 	return p, nil
@@ -309,13 +352,10 @@ func DecodeDelivery(b []byte, inPort uint8, inInfo []byte) (head Segment, data [
 		return Segment{}, nil, Route{}, err
 	}
 	trailer := b[len(rest) : len(b)-trailerDescLen]
-	for i, more := 0, true; more; i++ {
-		var s Segment
-		if s, rest, more, err = nextHeader(rest, i, false); err != nil {
+	var later Segment
+	for i, s, more := 0, &head, true; more; i, s = i+1, &later {
+		if rest, more, err = nextHeader(s, rest, i, false); err != nil {
 			return Segment{}, nil, Route{}, err
-		}
-		if i == 0 {
-			head = s
 		}
 	}
 	arrival := Segment{Port: inPort, Priority: head.Priority, PortInfo: inInfo}
@@ -346,20 +386,21 @@ func splitTrailer(b []byte) (n int, truncated bool, rest []byte, err error) {
 }
 
 // nextHeader decodes the forward segment at the front of b, the i-th of
-// the route (from 0), and reports whether another follows it. The bound
-// mirrors Encode's, so any packet Decode accepts can be re-encoded:
-// without it a 49-segment route would decode but fail Encode.
-func nextHeader(b []byte, i int, copyFields bool) (s Segment, rest []byte, more bool, err error) {
-	if rest, err = decodeSegment(&s, b, copyFields); err != nil {
-		return Segment{}, nil, false, err
+// the route (from 0), into *s and reports whether another follows it.
+// The bound mirrors Encode's, so any packet Decode accepts can be
+// re-encoded: without it a 49-segment route would decode but fail
+// Encode.
+func nextHeader(s *Segment, b []byte, i int, copyFields bool) (rest []byte, more bool, err error) {
+	if rest, err = decodeSegment(s, b, copyFields); err != nil {
+		return nil, false, err
 	}
 	if !s.Continues() {
-		return s, rest, false, nil
+		return rest, false, nil
 	}
 	if i+1 >= MaxRouteSegments {
-		return Segment{}, nil, false, ErrTooManySegments
+		return nil, false, ErrTooManySegments
 	}
-	return s, rest, true, nil
+	return rest, true, nil
 }
 
 func (p *Packet) String() string {

@@ -390,31 +390,70 @@ func TestPropertyPacketRoundTrip(t *testing.T) {
 	}
 }
 
+// segmentBenchCases are the segment shapes the codec benchmarks time:
+// the field-less 4-byte segment every fwd_min hop carries, one with a
+// 16-byte token and a 14-byte Ethernet portInfo, and the field-less
+// segment in the mirrored (trailer) encoding.
+var segmentBenchCases = []struct {
+	name     string
+	seg      Segment
+	mirrored bool
+}{
+	{"fieldless", Segment{Port: 3, Priority: 2}, false},
+	{"token", Segment{Port: 3, Priority: 2, PortToken: make([]byte, 16), PortInfo: make([]byte, 14)}, false},
+	{"mirrored", Segment{Port: 3, Priority: 2}, true},
+}
+
 func BenchmarkSegmentEncode(b *testing.B) {
-	s := Segment{Port: 3, Priority: 2, PortToken: make([]byte, 16), PortInfo: make([]byte, 14)}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = buf[:0]
-		var err error
-		buf, err = AppendSegment(buf, &s)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range segmentBenchCases {
+		b.Run(c.name, func(b *testing.B) {
+			s := c.seg
+			buf := make([]byte, 0, 64)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if c.mirrored {
+					buf, err = AppendSegmentMirrored(buf[:0], &s)
+				} else {
+					buf, err = AppendSegment(buf[:0], &s)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkSegmentDecode times the no-copy decoders a forwarding hop
+// and a delivery use: DecodeSegmentInto, and the mirrored decoder
+// Route.Segments walks.
 func BenchmarkSegmentDecode(b *testing.B) {
-	s := Segment{Port: 3, Priority: 2, PortToken: make([]byte, 16), PortInfo: make([]byte, 14)}
-	buf, err := AppendSegment(nil, &s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DecodeSegment(buf); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range segmentBenchCases {
+		b.Run(c.name, func(b *testing.B) {
+			var buf []byte
+			var err error
+			if c.mirrored {
+				buf, err = AppendSegmentMirrored(nil, &c.seg)
+			} else {
+				buf, err = AppendSegment(nil, &c.seg)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			var s Segment
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.mirrored {
+					_, err = decodeSegmentMirrored(&s, buf, false)
+				} else {
+					_, err = DecodeSegmentInto(&s, buf)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

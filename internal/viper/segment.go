@@ -175,13 +175,13 @@ func (s *Segment) WireLen() int {
 // packet: either the VNT flag is set, or the segment's network-specific
 // portInfo carries the VIPER type tag in its trailing 16 bits.
 func (s *Segment) Continues() bool {
-	if s.Flags.Has(FlagVNT) {
-		return true
-	}
-	if n := len(s.PortInfo); n >= 2 {
-		return binary.BigEndian.Uint16(s.PortInfo[n-2:]) == EtherTypeVIPER
-	}
-	return false
+	return s.Flags.Has(FlagVNT) || tagsVIPER(s.PortInfo)
+}
+
+// tagsVIPER reports whether a portInfo ends in the VIPER type tag.
+func tagsVIPER(info []byte) bool {
+	n := len(info)
+	return n >= 2 && binary.BigEndian.Uint16(info[n-2:]) == EtherTypeVIPER
 }
 
 // Equal reports field-by-field equality.
@@ -231,13 +231,30 @@ func encodeLengths(s *Segment) (pil, ptl byte, err error) {
 	return pil, ptl, nil
 }
 
-// AppendSegment appends the forward (header) encoding of s to b.
+// AppendSegment appends the forward (header) encoding of s to b. A
+// segment with neither field is its four fixed bytes, written
+// directly; the length check and escapes run only when a field is
+// present.
 func AppendSegment(b []byte, s *Segment) ([]byte, error) {
+	if len(s.PortToken)|len(s.PortInfo) == 0 {
+		return append(b, 0, 0, s.Port, fixedByte(s.Flags, s.Priority)), nil
+	}
+	return appendSegmentFields(b, s, s.Flags)
+}
+
+// fixedByte is the fixed prefix's last octet: flags, then priority.
+func fixedByte(f Flags, p Priority) byte {
+	return byte(f&flagsMask)<<4 | byte(p&0xF)
+}
+
+// appendSegmentFields is AppendSegment's general case, for a segment
+// that carries a field, with flags standing in for s.Flags.
+func appendSegmentFields(b []byte, s *Segment, flags Flags) ([]byte, error) {
 	pil, ptl, err := encodeLengths(s)
 	if err != nil {
 		return b, err
 	}
-	b = append(b, pil, ptl, s.Port, byte(s.Flags&flagsMask)<<4|byte(s.Priority&0xF))
+	b = append(b, pil, ptl, s.Port, fixedByte(flags, s.Priority))
 	b = appendField(b, ptl, s.PortToken)
 	b = appendField(b, pil, s.PortInfo)
 	return b, nil
@@ -291,6 +308,10 @@ func decodeSegment(s *Segment, b []byte, copyFields bool) ([]byte, error) {
 	s.Flags = Flags(b[3]>>4) & flagsMask
 	s.Priority = Priority(b[3] & 0xF)
 	rest := b[4:]
+	if pil|ptl == 0 {
+		s.PortToken, s.PortInfo = nil, nil
+		return rest, nil
+	}
 	var err error
 	if s.PortToken, rest, err = decodeField(rest, ptl, copyFields); err != nil {
 		return nil, err
@@ -332,8 +353,12 @@ func decodeField(b []byte, lenByte byte, copyField bool) (field, rest []byte, er
 
 // AppendSegmentMirrored appends the trailer (mirrored) encoding of s to b:
 // variable fields first, fixed four octets last, so the segment can be
-// parsed backwards from the end of the packet.
+// parsed backwards from the end of the packet. Like AppendSegment, it
+// writes a segment with neither field as its four fixed bytes.
 func AppendSegmentMirrored(b []byte, s *Segment) ([]byte, error) {
+	if len(s.PortToken)|len(s.PortInfo) == 0 {
+		return append(b, 0, 0, s.Port, fixedByte(s.Flags, s.Priority)), nil
+	}
 	pil, ptl, err := encodeLengths(s)
 	if err != nil {
 		return b, err
@@ -350,7 +375,7 @@ func AppendSegmentMirrored(b []byte, s *Segment) ([]byte, error) {
 		binary.BigEndian.PutUint32(l[:], uint32(len(s.PortInfo)))
 		b = append(b, l[:]...)
 	}
-	return append(b, pil, ptl, s.Port, byte(s.Flags&flagsMask)<<4|byte(s.Priority&0xF)), nil
+	return append(b, pil, ptl, s.Port, fixedByte(s.Flags, s.Priority)), nil
 }
 
 // DecodeSegmentMirrored decodes the mirrored encoding of the LAST segment
@@ -376,6 +401,10 @@ func decodeSegmentMirrored(s *Segment, b []byte, copyFields bool) ([]byte, error
 	pil, ptl := fixed[0], fixed[1]
 	s.Port, s.Flags, s.Priority = fixed[2], Flags(fixed[3]>>4)&flagsMask, Priority(fixed[3]&0xF)
 	rest := b[:len(b)-4]
+	if pil|ptl == 0 {
+		s.PortToken, s.PortInfo = nil, nil
+		return rest, nil
+	}
 	var err error
 	if s.PortInfo, rest, err = decodeFieldBackward(rest, pil, copyFields); err != nil {
 		return nil, err
@@ -433,6 +462,10 @@ func skipMirrored(b []byte, n int) ([]byte, error) {
 			return nil, ErrTruncatedSegment
 		}
 		pil, ptl := b[len(b)-4], b[len(b)-3]
+		if pil|ptl == 0 {
+			b = b[:len(b)-4]
+			continue
+		}
 		nInfo, rest, err := fieldLenBackward(b[:len(b)-4], pil)
 		if err != nil {
 			return nil, err
